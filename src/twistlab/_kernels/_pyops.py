@@ -21,14 +21,12 @@ def free_reduce(word) -> tuple:
 
 
 def free_mul(a, b) -> tuple:
-    """Product of two already-reduced words."""
-    out = list(a)
-    for x in b:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
+    """Product of two already-reduced words: only the junction cancels."""
+    m = min(len(a), len(b))
+    k = 0
+    while k < m and a[-1 - k] == -b[k]:
+        k += 1
+    return tuple(a[: len(a) - k]) + tuple(b[k:])
 
 
 def bs_normalize(syllables, n: int) -> tuple:

@@ -12,7 +12,7 @@ import os
 import sys
 
 from .cocycles import build_cocycle
-from .errors import ConfigurationError, SpecError
+from .errors import BudgetExceededError, ConfigurationError, SpecError
 from .fixtures import run_fixture_matrix
 from .groups import get_group
 from .growth import LengthFunction, class_growth_counts, kappa_decay_probe, superpolynomial_probe, torus_orbit_probe
@@ -23,7 +23,7 @@ from .spectral import (
     check_domination,
     r2_estimate,
     stable_rank_evidence,
-    truncated_norm,
+    truncated_norm_sequence,
 )
 from .verdicts import check_condition_x, classify, decide_kleppner, decide_relative_kleppner
 
@@ -95,7 +95,12 @@ def main(argv: list[str] | None = None) -> int:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--radius", type=int, default=DEFAULT_RADIUS, help="search/ball radius")
     common.add_argument("--nodes", type=int, default=DEFAULT_NODES, help="node budget cap")
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="iterative solver tolerance")
+    common.add_argument(
+        "--tol",
+        type=float,
+        default=DEFAULT_TOL,
+        help="solver stops when successive estimates differ by at most this, relative (not an error bound)",
+    )
     common.add_argument("--basis", default="", help='numeric values for symbols, e.g. {"r":0.38}')
 
     parser = _Parser(prog="twistlab", description=__doc__)
@@ -170,6 +175,9 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": str(exc), "path": getattr(exc, "path", "")}, sort_keys=True))
         print(f"specification error: {exc}", file=sys.stderr)
         return 1
+    except BudgetExceededError as exc:
+        report = {"status": "inconclusive", "detail": str(exc), "nodes": exc.nodes, "radius": exc.radius}
+        return _emit(report, f"inconclusive: {exc}", 2)
 
 
 def _dispatch(args) -> int:
@@ -231,9 +239,10 @@ def _dispatch(args) -> int:
         group, sigma, _ = _build_pair(args)
         f = _load_function(group, args.f)
         if args.which == "norm":
-            values = []
-            for r in range(1, args.radius + 1):
-                values.append(truncated_norm(f, sigma, r, tol=args.tol, seed=args.seed, node_budget=nodes).to_json())
+            if args.radius < 1:
+                raise SpecError("the norm sequence needs a radius of at least 1", path="radius")
+            reps = truncated_norm_sequence(f, sigma, args.radius, tol=args.tol, seed=args.seed, node_budget=nodes)
+            values = [rep.to_json() for rep in reps]
             report = {"radius": args.radius, "sequence": values, "value": values[-1]["value"]}
             return _emit(report, f"norm lower bound at radius {args.radius}: {report['value']:.9g}")
         if args.which == "r2":

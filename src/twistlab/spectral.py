@@ -265,7 +265,6 @@ class NormReport:
     converged: bool
     iterations: int
     size: int
-    restarts: int = 3
 
     def to_json(self) -> dict:
         return {
@@ -284,7 +283,16 @@ def operator_norm(
     max_iter: int = 10**4,
 ) -> NormReport:
     """Largest singular value by power iteration on the normal operator,
-    with random complex restarts."""
+    with random complex restarts.
+
+    Each step carries y = M v forward, so it costs one product with M* and
+    one with M; the estimate is ||M v|| for a unit vector v, a lower bound
+    for the norm.  A run stops when two successive estimates differ by at
+    most `tol` relative: `tol` bounds that step, not the distance to the
+    norm, and `converged` says only that this test passed (a slowly
+    converging run stops well short of the norm).  Further restarts run only
+    while none has converged; `iterations` counts the steps taken.
+    """
     n = matrix.shape[0]
     if n == 0 or matrix.nnz == 0:
         return NormReport(0.0, True, 0, n)
@@ -292,34 +300,23 @@ def operator_norm(
     rng = np.random.default_rng(seed)
     best = 0.0
     total_iters = 0
-    converged = False
     for _ in range(restarts):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v /= np.linalg.norm(v)
+        y = matrix @ (v / np.linalg.norm(v))
         prev = 0.0
-        ok = False
         for it in range(1, max_iter + 1):
-            w = mh @ (matrix @ v)
+            w = mh @ y
             nw = np.linalg.norm(w)
-            if nw == 0.0:
-                prev = 0.0
-                ok = True
-                total_iters += it
-                break
-            v = w / nw
-            ray = math.sqrt(nw)  # ||M v||^2 after normalization step
-            ray = float(np.sqrt(np.real(np.vdot(v, mh @ (matrix @ v)))))
-            if prev > 0 and abs(ray - prev) <= tol * max(prev, 1e-300):
-                prev = ray
-                ok = True
-                total_iters += it
-                break
-            prev = ray
-        else:
-            total_iters += max_iter
+            if nw == 0.0:  # M v = 0: v lies in the kernel
+                return NormReport(best, True, total_iters + it, n)
+            y = matrix @ (w / nw)
+            est = float(np.linalg.norm(y))
+            if prev > 0 and abs(est - prev) <= tol * prev:
+                return NormReport(max(best, est), True, total_iters + it, n)
+            prev = est
+        total_iters += max_iter
         best = max(best, prev)
-        converged = converged or ok
-    return NormReport(best, converged, total_iters, n)
+    return NormReport(best, False, total_iters, n)
 
 
 def truncated_norm(
@@ -333,6 +330,28 @@ def truncated_norm(
     """Certified lower bound for the twisted operator norm of f."""
     op = build_truncated(f, sigma, radius, node_budget)
     return operator_norm(op.matrix, tol=tol, seed=seed)
+
+
+def truncated_norm_sequence(
+    f: FiniteFunction,
+    sigma: Cocycle,
+    radius: int,
+    tol: float = 1e-8,
+    seed: int = 0,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> list[NormReport]:
+    """`truncated_norm` at radii 1..radius from one operator.
+
+    The compression to a smaller ball is the principal submatrix of the
+    top-radius compression on that ball, taken in the ball's own order.
+    """
+    op = build_truncated(f, sigma, radius, node_budget)
+    reports = []
+    for r in range(1, radius):
+        idx = [op.index[g] for g in op.group.ball(r, node_budget)]
+        reports.append(operator_norm(op.matrix[idx][:, idx], tol=tol, seed=seed))
+    reports.append(operator_norm(op.matrix, tol=tol, seed=seed))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +516,13 @@ def stable_rank_evidence(
         proxies = []
         n = 1
         prev = None
+        power = f
         while n <= 16:
-            try:
-                power = convolution_power(f, n, sigma, node_budget)
-            except BudgetExceededError:
-                break
+            if n > 1:  # f^n = f^(n/2) * f^(n/2)
+                try:
+                    power = convolve_sigma(power, power, sigma, node_budget)
+                except BudgetExceededError:
+                    break
             val = truncated_norm(power, sigma, radius, seed=seed, node_budget=node_budget).value
             proxy = val ** (1.0 / n)
             proxies.append({"n": n, "proxy": proxy})

@@ -149,6 +149,50 @@ def test_spectral_norm_subcommand(tmp_path, capsys):
     assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:]))
 
 
+def test_spectral_norm_rejects_nonpositive_radius(tmp_path, capsys):
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps([{"g": "a", "re": 1}]))
+    for radius in ("0", "-2"):
+        code, out, _ = run_cli(
+            capsys,
+            "spectral",
+            "norm",
+            "--group",
+            '{"family":"free","rank":1}',
+            "--cocycle",
+            '{"kind":"trivial"}',
+            "--f",
+            str(fpath),
+            "--radius",
+            radius,
+        )
+        assert code == 1
+        assert json.loads(out)["path"] == "radius"
+
+
+def test_budget_exhaustion_reports_inconclusive(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "regular",
+        "--group",
+        '{"family":"sanov"}',
+        "--cocycle",
+        '{"kind":"sanov","mu0":{"rat":[0,1],"irr":{"r":[1,1]}},"mu1":[1,3],"mu2":[1,5]}',
+        "--g",
+        '{"v":[1,0],"w":""}',
+        "--radius",
+        "9",
+        "--nodes",
+        "1000",
+    )
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["status"] == "inconclusive"
+    assert rep["nodes"] > 1000 and 1 <= rep["radius"] <= 9
+    assert "exceeded 1000 nodes" in rep["detail"]
+    assert "inconclusive" in err
+
+
 def test_spectral_r2_and_domination(tmp_path, capsys):
     fpath = tmp_path / "f.json"
     fpath.write_text(json.dumps([{"g": "a", "re": 1}, {"g": "b", "re": 1}]))

@@ -164,13 +164,18 @@ def test_free_reduction_is_idempotent_and_sound(letters):
 
 
 @given(
-    st.lists(st.sampled_from([1, -1, 2, -2]), max_size=15),
-    st.lists(st.sampled_from([1, -1, 2, -2]), max_size=15),
+    st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=15),
+    st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=15),
 )
 def test_free_mul_matches_reduce(a, b):
     ra = _kernels.free_reduce(tuple(a))
     rb = _kernels.free_reduce(tuple(b))
     assert _kernels.free_mul(ra, rb) == _kernels.free_reduce(tuple(a) + tuple(b))
+    # full cancellation against the inverse, on either side
+    inv = tuple(-x for x in reversed(ra))
+    assert _kernels.free_mul(ra, inv) == () == _kernels.free_mul(inv, ra)
+    # (a b^-1) b = a: the junction cancels all of b
+    assert _kernels.free_mul(_kernels.free_mul(ra, tuple(-x for x in reversed(rb))), rb) == ra
 
 
 def test_wreath_lengths():

@@ -23,6 +23,7 @@ from twistlab.spectral import (
     semifree_check,
     stable_rank_evidence,
     truncated_norm,
+    truncated_norm_sequence,
 )
 
 BASIS = IrrationalBasis({"r": 0.3819660112501051})
@@ -33,6 +34,7 @@ F2 = get_group({"family": "free", "rank": 2})
 Z2 = get_group({"family": "zn", "n": 2})
 AN = get_group({"family": "zn_semidirect", "A": [[2, 1], [1, 1]]})
 SAN = get_group({"family": "sanov"})
+BS22 = get_group({"family": "bs_nn", "n": 2})
 
 TRIV_Z = TrivialCocycle(Z)
 TRIV_F2 = TrivialCocycle(F2)
@@ -138,6 +140,39 @@ def test_truncated_norm_with_twist_matches_dense_oracle():
     assert abs(got - dense_operator_norm(op.matrix)) < 1e-6
 
 
+def test_operator_norm_stops_at_first_converged_restart():
+    f = FiniteFunction(F2, {F2.word("a"): 1, F2.word("A"): 1, F2.word("b"): 1, F2.word("B"): 1})
+    op = build_truncated(f, TRIV_F2, 4)
+    for seed in (0, 5):
+        once = operator_norm(op.matrix, seed=seed, restarts=1)
+        assert once.converged
+        assert operator_norm(op.matrix, seed=seed) == once
+
+
+@pytest.mark.parametrize(
+    "G, sigma, f_support",
+    [
+        (F2, TRIV_F2, ["a", "A", "b", "B"]),
+        (BS22, build_cocycle({"kind": "bs", "lambda": R}, BS22, BASIS), ["a", "A", "b", "B", "a b"]),
+    ],
+    ids=["free2", "bs22"],
+)
+def test_truncated_norm_sequence_matches_per_radius(G, sigma, f_support):
+    rng = random.Random(2)
+    f = FiniteFunction(
+        G, {G.element_from_json(w): complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for w in f_support}
+    )
+    seq = truncated_norm_sequence(f, sigma, 5, tol=1e-12, seed=4)
+    assert len(seq) == 5
+    for r, rep in enumerate(seq, start=1):
+        want = truncated_norm(f, sigma, r, tol=1e-12, seed=4)
+        assert rep.size == want.size == len(G.ball(r))
+        assert abs(rep.value - want.value) < 1e-9
+    if G is BS22:
+        # this family's ball order is not shortlex: a smaller ball is not a prefix
+        assert G.ball(2) != G.ball(5)[: len(G.ball(2))]
+
+
 def test_domination_trivial_sigma_equality():
     f = FiniteFunction(Z2, {Z2.vector(1, 0): (2, 0), Z2.vector(0, 1): (1, 0)}, exact=True)
     xi = FiniteFunction.delta(Z2.identity())
@@ -185,6 +220,23 @@ def test_convolution_associativity_sampled():
         assert set(left.coeffs) == set(right.coeffs)
         for g in left.coeffs:
             assert abs(left.coeffs[g] - right.coeffs[g]) < 1e-9
+
+
+def test_squared_powers_match_convolution_power():
+    FZ = get_group({"family": "free_times_z"})
+    sig = build_cocycle({"kind": "f2xz", "mu": R, "nu": [1, 3]}, FZ, BASIS)
+    rng = random.Random(6)
+    gens = [{"w": "a", "k": 0}, {"w": "B", "k": 0}, {"w": "", "k": 1}, {"w": "b", "k": -1}]
+    f = FiniteFunction(
+        FZ, {FZ.element_from_json(g): complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for g in gens}
+    )
+    power = f
+    for n in (1, 2, 4):
+        power = convolve_sigma(power, power, sig)
+        want = convolution_power(f, 2 * n, sig)
+        assert set(power.coeffs) == set(want.coeffs)
+        for g, c in want.coeffs.items():
+            assert abs(power.coeffs[g] - c) < 1e-12
 
 
 def test_conjugation_bridge_all_families():

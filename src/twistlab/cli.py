@@ -165,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
     po.add_argument("--map", default="phi1", choices=("phi1", "phi2", "both"))
 
     p_fix = sub.add_parser("fixtures", parents=[common], help="run the bundled verdict matrix")
-    p_fix.add_argument("--workers", type=int, default=4)
+    p_fix.add_argument("--workers", type=int, default=4, help="ignored; the fixtures run serially")
     p_fix.add_argument("--corrupt", default="", help="fixture id whose expectation is flipped (negative control)")
 
     try:

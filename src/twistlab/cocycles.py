@@ -27,7 +27,7 @@ from .groups import (
     ZnSemidirectZ,
     get_group,
     resolve_subgroup,
-    sanov_word_matrix,
+    sanov_act,
     _mat_vec,
 )
 from .phase import ZERO, IrrationalBasis, Phase, phase_from_json, phase_to_json
@@ -364,11 +364,9 @@ class SanovCocycle(Cocycle):
         elif last == 2:
             val = self.mu2.scale(a[1])
         else:
-            la = _mat_vec(sanov_word_matrix((last,)), a)
-            val = self.g((la[0], la[1]), (-last,)).inverse()
+            val = self.g(sanov_act((last,), a), (-last,)).inverse()
         if head:
-            la = _mat_vec(sanov_word_matrix((last,)), a)
-            val = self.g((la[0], la[1]), head) * val
+            val = self.g(sanov_act((last,), a), head) * val
         self._memo[key] = val
         return val
 
@@ -377,8 +375,7 @@ class SanovCocycle(Cocycle):
 
     def _eval(self, a, b) -> Phase:
         (u, x), (v, _y) = a, b
-        xv = _mat_vec(sanov_word_matrix(x), v)
-        return self._sigma0(u, xv) * self.g(v, x)
+        return self._sigma0(u, sanov_act(x, v)) * self.g(v, x)
 
     def restrict(self, subgroup_name: str) -> Cocycle:
         if subgroup_name in ("base", "z2"):

@@ -7,7 +7,6 @@ independently of the decider's internal path.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .cocycles import build_cocycle
@@ -264,6 +263,9 @@ def run_fixture_matrix(
 ) -> dict:
     """Execute the bundled matrix; returns rows and an overall flag.
 
+    Fixtures run one after another; `workers` is accepted for existing
+    callers and ignored (threads only contended for the GIL here).
+
     Verdicts that degrade to inconclusive purely because the budget sits
     below a fixture's declared search radius are flagged as expected
     divergences, not failures.
@@ -291,10 +293,6 @@ def run_fixture_matrix(
             "budget_divergence": divergence,
         }
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, FIXTURES))
-    else:
-        rows = [one(fx) for fx in FIXTURES]
+    rows = [one(fx) for fx in FIXTURES]
     ok = all(r["match"] or r["budget_divergence"] for r in rows)
     return {"rows": rows, "all_match": ok}

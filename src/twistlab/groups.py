@@ -731,8 +731,8 @@ class FreeGroup(Group):
     family = "free"
 
     def __init__(self, rank: int):
-        if rank < 1:
-            raise SpecError("free group rank must be >= 1")
+        if not 1 <= rank <= len(_LETTERS):
+            raise SpecError(f"free group rank must be between 1 and {len(_LETTERS)}")
         self.rank = rank
         super().__init__()
         self.key = f"free[{rank}]"
@@ -792,6 +792,22 @@ def sanov_word_matrix(word) -> tuple:
     return M
 
 
+def sanov_act(word, v) -> tuple[int, int]:
+    """The Sanov matrix of `word` applied to v, one letter at a time from
+    the right: a^(+-1) maps (p, q) to (p +- 2q, q), b^(+-1) to (p, q +- 2p)."""
+    p, q = v
+    for x in reversed(word):
+        if x == 1:
+            p += 2 * q
+        elif x == -1:
+            p -= 2 * q
+        elif x == 2:
+            q += 2 * p
+        else:
+            q -= 2 * p
+    return (p, q)
+
+
 class Sanov(Group):
     """Z^2 x| F2 where the free group acts through the Sanov matrices."""
 
@@ -804,14 +820,13 @@ class Sanov(Group):
 
     def _mul(self, a, b):
         (u, x), (v, y) = a, b
-        Mv = _mat_vec(sanov_word_matrix(x), v)
-        return ((u[0] + Mv[0], u[1] + Mv[1]), _kernels.free_mul(x, y))
+        p, q = sanov_act(x, v)
+        return ((u[0] + p, u[1] + q), _kernels.free_mul(x, y))
 
     def _inv(self, a):
         u, x = a
         xi = tuple(-t for t in reversed(x))
-        w = _mat_vec(sanov_word_matrix(xi), (-u[0], -u[1]))
-        return ((w[0], w[1]), xi)
+        return (sanov_act(xi, (-u[0], -u[1])), xi)
 
     def _generators(self):
         return [
@@ -1143,7 +1158,7 @@ def resolve_subgroup(group: Group, name: str) -> Subgroup:
     if isinstance(group, Sanov) and name in ("base", "z2"):
         inner = get_group({"family": "zn", "n": 2})
         sub = Subgroup("base", group, inner, lambda h: group.pair(h.data, ()))
-        sub.project = lambda g: inner.element(list(g.data[0])) if g.data[1] == () else None
+        sub.project = lambda g: inner.element(g.data[0]) if g.data[1] == () else None
         return sub
     if isinstance(group, BaumslagSolitarNN) and name == "center":
         inner = get_group({"family": "zn", "n": 1})

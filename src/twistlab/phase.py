@@ -167,6 +167,15 @@ ZERO = Phase(0)
 HALF = Phase(Fraction(1, 2))
 
 
+def _ratio(pair, literal) -> Fraction:
+    """The fraction p/q of a [p, q] pair found in the phase literal `literal`."""
+    if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, int) for v in pair)):
+        raise ConfigurationError(f"rational literal must be [p, q], got {pair!r} in {literal!r}")
+    if pair[1] == 0:
+        raise ConfigurationError(f"phase literal {literal!r} has a zero denominator")
+    return Fraction(pair[0], pair[1])
+
+
 def phase_from_json(obj, basis: IrrationalBasis | None = None) -> Phase:
     """Parse the phase literal syntax {"rat": [p, q], "irr": {"r": [a, b]}}.
 
@@ -176,19 +185,11 @@ def phase_from_json(obj, basis: IrrationalBasis | None = None) -> Phase:
     if isinstance(obj, int):
         return Phase(obj)
     if isinstance(obj, list):
-        if len(obj) != 2 or not all(isinstance(v, int) for v in obj):
-            raise ConfigurationError(f"rational literal must be [p, q], got {obj!r}")
-        return Phase(Fraction(obj[0], obj[1]))
+        return Phase(_ratio(obj, obj))
     if not isinstance(obj, dict):
         raise ConfigurationError(f"cannot parse phase literal {obj!r}")
-    rat = Fraction(0)
-    if "rat" in obj:
-        p, q = obj["rat"]
-        rat = Fraction(p, q)
-    irr = {}
-    for sym, pair in (obj.get("irr") or {}).items():
-        a, b = pair
-        irr[sym] = Fraction(a, b)
+    rat = _ratio(obj["rat"], obj) if "rat" in obj else Fraction(0)
+    irr = {sym: _ratio(pair, obj) for sym, pair in (obj.get("irr") or {}).items()}
     return Phase(rat, irr, basis)
 
 

@@ -13,23 +13,19 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
-import scipy.sparse as sp
+from typing import TYPE_CHECKING
 
 from .cocycles import Cocycle, sigma_tilde
 from .errors import BudgetExceededError, ConfigurationError
 from .groups import DEFAULT_NODE_BUDGET, Element, Group
 from .phase import Phase
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 ExactC = tuple  # (re, im) with int or Fraction components
 
-_QUARTER_UNITS = {
-    Fraction(0): (1, 0),
-    Fraction(1, 4): (0, 1),
-    Fraction(1, 2): (-1, 0),
-    Fraction(3, 4): (0, -1),
-}
+UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^k for the quarter turn k/4
 
 
 def _num(v):
@@ -42,9 +38,10 @@ class ExactnessLost(Exception):
 
 
 def _phase_exact(p: Phase) -> ExactC:
-    if p.irr or p.rational not in _QUARTER_UNITS:
+    d = p.rational.denominator
+    if p.irr or 4 % d:
         raise ExactnessLost
-    return _QUARTER_UNITS[p.rational]
+    return UNITS[p.rational.numerator * (4 // d)]
 
 
 def _cmul(a: ExactC, b: ExactC) -> ExactC:
@@ -227,6 +224,9 @@ def build_truncated(
     Columns are filled from the support of f when it is small; for wide
     supports (high convolution powers) the ball-pair sweep is cheaper.
     """
+    import numpy as np
+    import scipy.sparse as sp
+
     G = f.group
     ball = G.ball(radius, node_budget)
     index = {g: i for i, g in enumerate(ball)}
@@ -293,6 +293,8 @@ def operator_norm(
     converging run stops well short of the norm).  Further restarts run only
     while none has converged; `iterations` counts the steps taken.
     """
+    import numpy as np
+
     n = matrix.shape[0]
     if n == 0 or matrix.nnz == 0:
         return NormReport(0.0, True, 0, n)
@@ -488,7 +490,12 @@ def stable_rank_evidence(
 ) -> dict:
     """Search for a translate gF that is semifree, then compare compressed
     spectral-radius proxies of functions supported on gF against their
-    two-norms.  Evidence only; never a certified verdict."""
+    two-norms.  Evidence only; never a certified verdict.
+
+    Each run squares its power up to f^16 and records `stopped`:
+    "converged" (two proxies within `tol`), "max_power", "budget" (the
+    power outgrew the node budget) or "outside_ball" (the compression of
+    the power to the ball is zero, so it says nothing; no proxy is kept)."""
     translate = None
     for g in group.ball(search_radius, node_budget):
         gF = [group.compose(g, x) for x in F]
@@ -517,16 +524,22 @@ def stable_rank_evidence(
         n = 1
         prev = None
         power = f
+        stopped = "max_power"
         while n <= 16:
             if n > 1:  # f^n = f^(n/2) * f^(n/2)
                 try:
                     power = convolve_sigma(power, power, sigma, node_budget)
                 except BudgetExceededError:
+                    stopped = "budget"
                     break
-            val = truncated_norm(power, sigma, radius, seed=seed, node_budget=node_budget).value
-            proxy = val ** (1.0 / n)
+            op = build_truncated(power, sigma, radius, node_budget)
+            if op.matrix.nnz == 0:
+                stopped = "outside_ball"
+                break
+            proxy = operator_norm(op.matrix, seed=seed).value ** (1.0 / n)
             proxies.append({"n": n, "proxy": proxy})
             if prev is not None and abs(proxy - prev) <= tol * prev:
+                stopped = "converged"
                 break
             prev = proxy
             n *= 2
@@ -534,6 +547,7 @@ def stable_rank_evidence(
             {
                 "l2": l2,
                 "proxies": proxies,
+                "stopped": stopped,
                 "final_proxy": proxies[-1]["proxy"] if proxies else None,
                 "margin": (l2 - proxies[-1]["proxy"]) if proxies else None,
             }

@@ -276,3 +276,93 @@ def test_determinism_byte_identical(capsys):
     code_a, out_a, _ = run_cli(capsys, "classify", *BS_ARGS)
     code_b, out_b, _ = run_cli(capsys, "classify", *BS_ARGS)
     assert out_a == out_b
+
+
+SANOV_ARGS = (
+    "--group",
+    '{"family":"sanov"}',
+    "--cocycle",
+    '{"kind":"sanov","mu0":{"rat":[0,1],"irr":{"r":[1,1]}},"mu1":[1,3],"mu2":[1,5]}',
+    "--basis",
+    '{"r":0.38}',
+)
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import twistlab.cli as cli
+
+def loaded():
+    return sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+
+seen, codes = {"import": loaded()}, []
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes.append(cli.main(["regular", *SANOV_ARGS, "--g", '{"v":[1,0],"w":""}', "--radius", "3"]))
+    codes.append(cli.main(["growth", "class", "--group", '{"family":"bs_nn","n":2}', "--g", '"a"', "--radius", "6"]))
+    codes.append(cli.main(["fixtures"]))
+    seen["exact"] = loaded()
+    codes.append(cli.main(["spectral", "norm", "--group", '{"family":"free","rank":1}',
+                           "--cocycle", '{"kind":"trivial"}', "--f", F_PATH, "--radius", "2"]))
+    seen["norm"] = loaded()
+print(json.dumps({"seen": seen, "codes": codes}))
+"""
+
+
+def test_exact_commands_do_not_import_the_numeric_stack(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import twistlab
+
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps([{"g": "a", "re": 1}, {"g": "A", "re": 1}]))
+    src = str(Path(twistlab.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = f"SANOV_ARGS = {SANOV_ARGS!r}\nF_PATH = {str(fpath)!r}\n" + _IMPORT_PROBE
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    rep = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert rep["codes"] == [0, 0, 0, 0]
+    assert rep["seen"] == {"import": [], "exact": [], "norm": ["numpy", "scipy"]}
+
+
+def test_zero_denominator_phase_is_spec_error(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "regular",
+        "--group",
+        '{"family":"sum_z"}',
+        "--cocycle",
+        '{"kind":"theta_diag","diagonals":[],"period":[[1,0]]}',
+        "--g",
+        '{"0":1}',
+    )
+    assert code == 1
+    rep = json.loads(out)
+    assert "[1, 0]" in rep["error"] and "zero denominator" in rep["error"]
+    assert "specification error" in err
+
+
+def test_free_group_rank_above_eight_is_spec_error(capsys):
+    code, out, _ = run_cli(
+        capsys, "verdict", "kleppner", "--group", '{"family":"free","rank":9}', "--cocycle", '{"kind":"trivial"}'
+    )
+    assert code == 1
+    assert json.loads(out)["error"] == "free group rank must be between 1 and 8"
+
+
+def test_relative_kleppner_sanov_base_with_candidate(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "verdict",
+        "relative-kleppner",
+        "--subgroup",
+        "base",
+        *SANOV_ARGS,
+        "--candidates",
+        '[{"v":[1,0],"w":""}]',
+    )
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["relative_kleppner"]["status"] == "certified"
+    assert rep["relative_kleppner"]["rule"] == "sanov_relk"

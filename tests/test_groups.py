@@ -16,6 +16,9 @@ from twistlab.groups import (
     get_group,
     invert,
     resolve_subgroup,
+    sanov_act,
+    sanov_word_matrix,
+    _mat_vec,
 )
 
 F2 = get_group({"family": "free", "rank": 2})
@@ -227,3 +230,29 @@ def test_subgroup_embeddings():
     assert not sub.contains(BS.word("a"))
     base = resolve_subgroup(W, "base")
     assert {g.data[1] for g in base.ball(2)} == {0}
+
+
+def test_free_group_rank_bounded_by_letters():
+    F8 = get_group({"family": "free", "rank": 8})
+    assert [F8.element_to_json(g) for g in F8.generators()][-2:] == ["h", "H"]
+    for rank in (0, 9):
+        with pytest.raises(SpecError, match="between 1 and 8"):
+            get_group({"family": "free", "rank": rank})
+
+
+_SANOV_WORDS = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12).map(
+    lambda w: _kernels.free_reduce(tuple(w))
+)
+_SANOV_VECTORS = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
+
+
+@given(_SANOV_WORDS, _SANOV_VECTORS)
+def test_sanov_act_matches_word_matrix(word, v):
+    assert sanov_act(word, v) == _mat_vec(sanov_word_matrix(word), v)
+
+
+@given(_SANOV_WORDS, _SANOV_VECTORS)
+def test_sanov_compose_with_inverse_is_identity(word, v):
+    g = SAN.pair(v, word)
+    assert compose(g, invert(g)).is_identity()
+    assert compose(invert(g), g).is_identity()

@@ -111,6 +111,15 @@ def test_json_roundtrip():
         phase_from_json("bad")
 
 
+@pytest.mark.parametrize(
+    "literal",
+    [[1, 0], {"rat": [1, 0]}, {"irr": {"r": [2, 0]}}, [1], [1, 2, 3], {"rat": [1]}, {"rat": [1, "x"]}, {"irr": {"r": 3}}],
+)
+def test_malformed_rational_pairs_are_configuration_errors(literal):
+    with pytest.raises(ConfigurationError, match="zero denominator|must be \\[p, q\\]"):
+        phase_from_json(literal, BASIS)
+
+
 def test_canonical_representative():
     assert P(Fraction(7, 2)).rational == Fraction(1, 2)
     assert P(Fraction(-1, 3)).rational == Fraction(2, 3)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,9 +11,11 @@ from oracles import dense_operator_norm, path_graph_norm, tree_ball_adjacency_no
 from twistlab.cocycles import TrivialCocycle, build_cocycle, sigma_tilde
 from twistlab.errors import BudgetExceededError
 from twistlab.groups import get_group
-from twistlab.phase import IrrationalBasis
+from twistlab.phase import IrrationalBasis, Phase
 from twistlab.spectral import (
+    ExactnessLost,
     FiniteFunction,
+    _phase_exact,
     build_truncated,
     check_domination,
     conjugation_bridge_check,
@@ -332,3 +335,43 @@ def test_unitarity_bridge_equals_sigma_tilde_phase():
         assert set(lhs.coeffs) == {target}
         expect = sigma_tilde(sig, g, h).to_complex()
         assert abs(lhs.coeffs[target] - expect) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "angle, unit",
+    [
+        (0, (1, 0)),
+        (Fraction(1, 4), (0, 1)),
+        (Fraction(1, 2), (-1, 0)),
+        (Fraction(3, 4), (0, -1)),
+        # the same quarter turns given outside [0, 1) or unreduced
+        (3, (1, 0)),
+        (Fraction(5, 4), (0, 1)),
+        (Fraction(-1, 2), (-1, 0)),
+        (Fraction(-1, 4), (0, -1)),
+        (Fraction(6, 8), (0, -1)),
+    ],
+)
+def test_phase_exact_quarter_turns(angle, unit):
+    assert _phase_exact(Phase(angle)) == unit
+
+
+@pytest.mark.parametrize(
+    "phase",
+    [Phase(Fraction(1, 3)), Phase(Fraction(3, 8)), Phase(0, {"r": 1}, BASIS), Phase(Fraction(1, 4), {"r": 1}, BASIS)],
+)
+def test_phase_exact_rejects_other_phases(phase):
+    with pytest.raises(ExactnessLost):
+        _phase_exact(phase)
+
+
+def test_stable_rank_stops_when_power_leaves_ball():
+    # translate {b, b a}: f^n lives on words of length >= n, so f^8 misses the radius-3 ball
+    F = [F2.identity(), F2.word("a")]
+    rep = stable_rank_evidence(F2, TRIV_F2, F, search_radius=3, radius=3, seed=3, samples=2)
+    for run in rep["runs"]:
+        assert run["stopped"] == "outside_ball"
+        assert [row["n"] for row in run["proxies"]] == [1, 2, 4]
+        assert all(row["proxy"] > 0 for row in run["proxies"])
+        assert run["final_proxy"] == run["proxies"][-1]["proxy"]
+        assert run["margin"] == run["l2"] - run["final_proxy"]

@@ -1,25 +1,5 @@
-"""Word-kernel selection: compiled extension when available, else pure Python.
+"""Hot word kernels: free reduction, free multiplication and the BS(n,n) normal form."""
 
-Set TWISTLAB_KERNEL=py to force the fallback (used by the benchmark and by
-tests that cross-check the two implementations).
-"""
+from ._pyops import IMPL, bs_mul, bs_normalize, free_mul, free_reduce
 
-from __future__ import annotations
-
-import os
-
-from . import _pyops
-
-if os.environ.get("TWISTLAB_KERNEL") == "py":
-    _impl = _pyops
-else:
-    try:
-        from . import _fastops as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _pyops
-
-IMPL = _impl.IMPL
-free_reduce = _impl.free_reduce
-free_mul = _impl.free_mul
-bs_normalize = _impl.bs_normalize
-bs_mul = _impl.bs_mul
+__all__ = ["IMPL", "bs_mul", "bs_normalize", "free_mul", "free_reduce"]

@@ -1,7 +1,6 @@
 """Pure-Python word kernels: free reduction and the one-relator normal form.
 
 Letters are nonzero ints: +k and -k are the k-th generator and its inverse.
-The compiled twin in _fastops.pyx implements the same three functions.
 """
 
 from __future__ import annotations

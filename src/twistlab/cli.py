@@ -57,13 +57,20 @@ def _build_pair(args):
 def _node_budget(args) -> int:
     env = os.environ.get("TWISTLAB_BUDGET")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise SpecError(f"must be an integer, got {env!r}", path="TWISTLAB_BUDGET") from None
     return args.nodes
 
 
-def _load_function(group, path: str) -> FiniteFunction:
-    with open(path) as fh:
-        data = json.load(fh)
+def _load_function(group, path: str, field: str) -> FiniteFunction:
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise SpecError(f"cannot read the coefficient file: {exc}", path=field) from exc
+    data = _load_json_arg(text, field)
     coeffs = {}
     for i, row in enumerate(data):
         g = group.element_from_json(row["g"])
@@ -165,7 +172,6 @@ def main(argv: list[str] | None = None) -> int:
     po.add_argument("--map", default="phi1", choices=("phi1", "phi2", "both"))
 
     p_fix = sub.add_parser("fixtures", parents=[common], help="run the bundled verdict matrix")
-    p_fix.add_argument("--workers", type=int, default=4, help="ignored; the fixtures run serially")
     p_fix.add_argument("--corrupt", default="", help="fixture id whose expectation is flipped (negative control)")
 
     try:
@@ -183,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args) -> int:
     nodes = _node_budget(args)
     if args.cmd == "fixtures":
-        res = run_fixture_matrix(args.radius, nodes, args.workers, corrupt=args.corrupt or None)
+        res = run_fixture_matrix(args.radius, nodes, corrupt=args.corrupt or None)
         lines = [
             f"{r['fixture']}: {'ok' if r['match'] else ('budget-divergence' if r['budget_divergence'] else 'MISMATCH')}"
             for r in res["rows"]
@@ -237,7 +243,7 @@ def _dispatch(args) -> int:
 
     if args.cmd == "spectral":
         group, sigma, _ = _build_pair(args)
-        f = _load_function(group, args.f)
+        f = _load_function(group, args.f, "f")
         if args.which == "norm":
             if args.radius < 1:
                 raise SpecError("the norm sequence needs a radius of at least 1", path="radius")
@@ -249,7 +255,7 @@ def _dispatch(args) -> int:
             rep = r2_estimate(f, sigma, args.nmax, budget=nodes)
             return _emit(rep.to_json(), f"r2 estimate: {rep.estimate:.9g} (exact={rep.exact})")
         if args.which == "domination":
-            xi = _load_function(group, args.xi)
+            xi = _load_function(group, args.xi, "xi")
             rows = check_domination(f, xi, sigma, args.nmax, budget=nodes)
             report = {
                 "rows": [

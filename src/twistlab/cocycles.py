@@ -225,25 +225,39 @@ class BitstreamCocycle(Cocycle):
         return {"kind": "bitstream", "pre": list(self.pre), "period": list(self.period)}
 
 
-class AntisymThetaCocycle(Cocycle):
+class SkewFormCocycle(Cocycle):
+    """A cocycle on Z^2 whose value is a power of the skew form x1 y2 - x2 y1."""
+
+    def __init__(self, group: Group):
+        if not (isinstance(group, Zn) and group.n == 2):
+            raise SpecError(f"{self.kind} requires a rank-2 lattice", path="cocycle")
+        super().__init__(group)
+
+    def skew_angle(self) -> Phase:
+        """Angle of sigma(x,y)/sigma(y,x) per unit of x1 y2 - x2 y1."""
+        raise NotImplementedError
+
+
+class AntisymThetaCocycle(SkewFormCocycle):
     """theta * (x1 y2 - x2 y1) on rank-two integer vectors."""
 
     kind = "antisym_theta"
 
     def __init__(self, group: Zn, theta: Phase):
-        if group.n != 2:
-            raise SpecError("antisym_theta requires a rank-2 lattice", path="cocycle")
         super().__init__(group)
         self.theta = theta
 
     def _eval(self, a, b) -> Phase:
         return self.theta.scale(a[0] * b[1] - a[1] * b[0])
 
+    def skew_angle(self) -> Phase:
+        return self.theta.scale(2)
+
     def to_json(self) -> dict:
         return {"kind": "antisym_theta", "theta": phase_to_json(self.theta)}
 
 
-class HalfSkewCocycle(Cocycle):
+class HalfSkewCocycle(SkewFormCocycle):
     """Half-integer skew power cocycle on rank-two vectors.
 
     The angle of the parameter is scaled by (x1 y2 - x2 y1)/2; half-integer
@@ -253,13 +267,14 @@ class HalfSkewCocycle(Cocycle):
     kind = "half_skew"
 
     def __init__(self, group: Zn, mu0: Phase):
-        if group.n != 2:
-            raise SpecError("half_skew requires a rank-2 lattice", path="cocycle")
         super().__init__(group)
         self.mu0 = mu0
 
     def _eval(self, a, b) -> Phase:
         return self.mu0.scale(Fraction(a[0] * b[1] - a[1] * b[0], 2))
+
+    def skew_angle(self) -> Phase:
+        return self.mu0
 
     def to_json(self) -> dict:
         return {"kind": "half_skew", "mu0": phase_to_json(self.mu0)}
@@ -296,7 +311,7 @@ class LiftCocycle(Cocycle):
         elif isinstance(group, ZnSemidirectZ):
             if not isinstance(base.group, Zn) or base.group.n != group.n:
                 raise SpecError("lift base must live on the translation lattice", path="cocycle.base")
-            if isinstance(base, (AntisymThetaCocycle, HalfSkewCocycle)):
+            if isinstance(base, SkewFormCocycle):
                 from .groups import _det
 
                 if _det(group.A) != 1:
@@ -676,6 +691,14 @@ def build_cocycle(spec: dict, group: Group, basis: IrrationalBasis | None = None
     kind = spec["kind"]
     ph = lambda obj, path: _parse_phase(obj, basis, path)
 
+    def need(name: str):
+        if name not in spec:
+            raise SpecError(f"{kind} cocycles need a {name!r} field", path=f"cocycle.{name}")
+        return spec[name]
+
+    def need_phase(name: str) -> Phase:
+        return ph(need(name), f"cocycle.{name}")
+
     if kind == "trivial":
         return TrivialCocycle(group)
     if kind in ("theta_diag", "theta_rule", "theta_window"):
@@ -703,39 +726,34 @@ def build_cocycle(spec: dict, group: Group, basis: IrrationalBasis | None = None
             raise SpecError("bitstream cocycles live on sum_z2", path="cocycle.kind")
         return BitstreamCocycle(group, tuple(spec.get("pre", ())), tuple(spec.get("period", ())))
     if kind == "antisym_theta":
-        return AntisymThetaCocycle(group, ph(spec["theta"], "cocycle.theta"))
+        return AntisymThetaCocycle(group, need_phase("theta"))
     if kind == "half_skew":
-        return HalfSkewCocycle(group, ph(spec["mu0"], "cocycle.mu0"))
+        return HalfSkewCocycle(group, need_phase("mu0"))
     if kind == "lift":
         if isinstance(group, WreathZ):
-            base = build_cocycle(spec["base"], group.base_group(), basis)
+            base = build_cocycle(need("base"), group.base_group(), basis)
         elif isinstance(group, ZnSemidirectZ):
-            base = build_cocycle(spec["base"], get_group({"family": "zn", "n": group.n}), basis)
+            base = build_cocycle(need("base"), get_group({"family": "zn", "n": group.n}), basis)
         else:
             raise SpecError("lift target must be wreath or zn_semidirect", path="cocycle.kind")
         return LiftCocycle(group, base)
     if kind == "sanov":
         if not isinstance(group, Sanov):
             raise SpecError("sanov cocycles live on the sanov family", path="cocycle.kind")
-        return SanovCocycle(
-            group,
-            ph(spec["mu0"], "cocycle.mu0"),
-            ph(spec["mu1"], "cocycle.mu1"),
-            ph(spec["mu2"], "cocycle.mu2"),
-        )
+        return SanovCocycle(group, need_phase("mu0"), need_phase("mu1"), need_phase("mu2"))
     if kind == "bs":
         if not isinstance(group, BaumslagSolitarNN):
             raise SpecError("bs cocycles live on bs_nn", path="cocycle.kind")
-        return BSInflationCocycle(group, ph(spec["lambda"], "cocycle.lambda"))
+        return BSInflationCocycle(group, need_phase("lambda"))
     if kind == "f2xz":
         if not isinstance(group, FreeTimesZ):
             raise SpecError("f2xz cocycles live on free_times_z", path="cocycle.kind")
-        return FreeTimesZCharCocycle(group, ph(spec["mu"], "cocycle.mu"), ph(spec["nu"], "cocycle.nu"))
+        return FreeTimesZCharCocycle(group, need_phase("mu"), need_phase("nu"))
     if kind == "product":
         if not isinstance(group, FreeTimesZ):
             raise SpecError("product cocycles are supported on free_times_z", path="cocycle.kind")
-        left = build_cocycle(spec["left"], get_group({"family": "free", "rank": 2}), basis)
-        right = build_cocycle(spec["right"], get_group({"family": "zn", "n": 1}), basis)
+        left = build_cocycle(need("left"), get_group({"family": "free", "rank": 2}), basis)
+        right = build_cocycle(need("right"), get_group({"family": "zn", "n": 1}), basis)
         return ProductCocycle(group, left, right)
     raise SpecError(f"unknown cocycle kind {kind!r}", path="cocycle.kind")
 

@@ -258,13 +258,9 @@ def _match(expected: dict, got: dict) -> bool:
 def run_fixture_matrix(
     radius: int = 6,
     node_budget: int = 10**6,
-    workers: int = 4,
     corrupt: str | None = None,
 ) -> dict:
-    """Execute the bundled matrix; returns rows and an overall flag.
-
-    Fixtures run one after another; `workers` is accepted for existing
-    callers and ignored (threads only contended for the GIL here).
+    """Execute the bundled matrix, one fixture after another; returns rows and an overall flag.
 
     Verdicts that degrade to inconclusive purely because the budget sits
     below a fixture's declared search radius are flagged as expected

@@ -1030,6 +1030,14 @@ class FreeTimesZ(Group):
 _GROUP_CACHE: dict[str, Group] = {}
 
 
+def _int_field(spec: dict, name: str, default: int) -> int:
+    """The integer field `name` of a group spec, or `default` when absent."""
+    value = spec.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecError(f"{name} must be an integer, got {value!r}", path=f"group.{name}")
+    return value
+
+
 def get_group(spec: dict) -> Group:
     """Build (or fetch) the group described by a family spec dict."""
     if not isinstance(spec, dict) or "family" not in spec:
@@ -1043,7 +1051,7 @@ def get_group(spec: dict) -> Group:
     elif fam == "sum_z2":
         g = SumZ2(modulus=spec.get("modulus"))
     elif fam == "zn":
-        g = Zn(int(spec.get("n", 2)))
+        g = Zn(_int_field(spec, "n", 2))
     elif fam == "wreath":
         g = WreathZ(base=spec.get("base", "Z"), acting_modulus=spec.get("acting"))
     elif fam == "zn_semidirect":
@@ -1053,9 +1061,9 @@ def get_group(spec: dict) -> Group:
     elif fam == "sanov":
         g = Sanov()
     elif fam == "bs_nn":
-        g = BaumslagSolitarNN(int(spec.get("n", 2)))
+        g = BaumslagSolitarNN(_int_field(spec, "n", 2))
     elif fam == "free":
-        g = FreeGroup(int(spec.get("rank", 2)))
+        g = FreeGroup(_int_field(spec, "rank", 2))
     elif fam == "free_times_z":
         g = FreeTimesZ()
     else:

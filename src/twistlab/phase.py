@@ -189,7 +189,10 @@ def phase_from_json(obj, basis: IrrationalBasis | None = None) -> Phase:
     if not isinstance(obj, dict):
         raise ConfigurationError(f"cannot parse phase literal {obj!r}")
     rat = _ratio(obj["rat"], obj) if "rat" in obj else Fraction(0)
-    irr = {sym: _ratio(pair, obj) for sym, pair in (obj.get("irr") or {}).items()}
+    irr_obj = obj.get("irr") or {}
+    if not isinstance(irr_obj, dict):
+        raise ConfigurationError(f"irrational part must be an object, got {irr_obj!r} in {obj!r}")
+    irr = {sym: _ratio(pair, obj) for sym, pair in irr_obj.items()}
     return Phase(rat, irr, basis)
 
 

@@ -12,15 +12,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cocycles import (
-    AntisymThetaCocycle,
     BitstreamCocycle,
     BSInflationCocycle,
     Cocycle,
     FreeTimesZCharCocycle,
-    HalfSkewCocycle,
     LiftCocycle,
     ProductCocycle,
     SanovCocycle,
+    SkewFormCocycle,
     ThetaCocycle,
     TrivialCocycle,
     nth_prime,
@@ -277,12 +276,10 @@ def is_sigma_regular(
             return RegularityReport(g, "regular", rule="t_kernel_rows_vanish")
         return RegularityReport(g, "not_regular", witness=G.basis_element(bad[0]))
 
-    if isinstance(base, (AntisymThetaCocycle, HalfSkewCocycle)):
+    if isinstance(base, SkewFormCocycle):
         x1, x2 = g.data
         content = math.gcd(x1, x2)
-        factor = 2 if isinstance(base, AntisymThetaCocycle) else 1
-        param = base.theta if isinstance(base, AntisymThetaCocycle) else base.mu0
-        if param.scale(factor * content).is_zero():
+        if base.skew_angle().scale(content).is_zero():
             return RegularityReport(g, "regular", rule="skew_form_kernel")
         _, y1, y2 = _gcd_pair(x1, x2)
         return RegularityReport(g, "not_regular", witness=G.vector(y1, y2))
@@ -496,13 +493,6 @@ def box_solution_array(sigma: ThetaCocycle, positions: list[int], height: int, r
     return sols[order]
 
 
-def _box_solutions_theta(
-    sigma: ThetaCocycle, positions: list[int], height: int, rows: range | None
-) -> list[tuple[int, ...]]:
-    arr = box_solution_array(sigma, positions, height, rows)
-    return [tuple(int(x) for x in row) for row in arr]
-
-
 def _srow_entry(sigma: ThetaCocycle, j: int, k: int) -> Phase:
     """Signed entry of the antisymmetrized matrix at row k, column j."""
     if j > k:
@@ -572,17 +562,6 @@ def _lattice_generators_np(arr, n: int) -> list[tuple[int, ...]]:
     # seed from a prefix, then close over the full set (usually a no-op pass)
     basis = saturate(arr[: min(len(arr), 4096)], [])
     return saturate(arr, basis)
-
-
-def _lattice_generators(
-    vectors: list[tuple[int, ...]], positions: list[int]
-) -> list[tuple[int, ...]]:
-    import numpy as np
-
-    rows = [v for v in vectors if any(v)]
-    if not rows:
-        return []
-    return _lattice_generators_np(np.array(rows, dtype=np.int64), len(positions))
 
 
 def lattice_contains(basis: list[tuple[int, ...]], target: tuple[int, ...]) -> bool:

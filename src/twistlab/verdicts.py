@@ -13,15 +13,14 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .cocycles import (
-    AntisymThetaCocycle,
     BitstreamCocycle,
     BSInflationCocycle,
     Cocycle,
     FreeTimesZCharCocycle,
-    HalfSkewCocycle,
     LiftCocycle,
     ProductCocycle,
     SanovCocycle,
+    SkewFormCocycle,
     ThetaCocycle,
     TrivialCocycle,
 )
@@ -246,10 +245,8 @@ def decide_kleppner(
         return _kleppner_theta(group, sigma, base, radius)
     if isinstance(base, BitstreamCocycle) and isinstance(group, SumZ2) and not group.finite:
         return _kleppner_bitstream(group, sigma, base, radius, node_budget)
-    if isinstance(base, (AntisymThetaCocycle, HalfSkewCocycle)) and isinstance(group, Zn):
-        factor = 2 if isinstance(base, AntisymThetaCocycle) else 1
-        param = base.theta if isinstance(base, AntisymThetaCocycle) else base.mu0
-        eff = param.scale(factor)
+    if isinstance(base, SkewFormCocycle) and isinstance(group, Zn):
+        eff = base.skew_angle()
         if not eff.is_torsion():
             return Verdict("certified", rule="skew_nontorsion")
         q = eff.rational.denominator
@@ -529,16 +526,8 @@ def check_condition_x(
         )
     if not group.icc:
         raise SpecError("condition X facts are recorded for the ICC matrices only")
-    if isinstance(base, LiftCocycle) and isinstance(
-        base.base, (AntisymThetaCocycle, HalfSkewCocycle)
-    ):
-        inner_base = base.base
-        factor = 2 if isinstance(inner_base, AntisymThetaCocycle) else 1
-        eff = (
-            inner_base.theta.scale(factor)
-            if isinstance(inner_base, AntisymThetaCocycle)
-            else inner_base.mu0
-        )
+    if isinstance(base, LiftCocycle) and isinstance(base.base, SkewFormCocycle):
+        eff = base.base.skew_angle()
         if not eff.is_torsion():
             return Verdict("certified", rule="condition_x_skew")
         q = eff.rational.denominator
@@ -613,14 +602,8 @@ def classify(
         else:
             ut = Verdict("inconclusive", bound=radius)
             cs = Verdict("inconclusive", bound=radius)
-    elif isinstance(group, ZnSemidirectZ) and group.icc and isinstance(base, LiftCocycle) and isinstance(base.base, (AntisymThetaCocycle, HalfSkewCocycle)):
-        inner_base = base.base
-        factor = 2 if isinstance(inner_base, AntisymThetaCocycle) else 1
-        eff = (
-            inner_base.theta.scale(factor)
-            if isinstance(inner_base, AntisymThetaCocycle)
-            else inner_base.mu0
-        )
+    elif isinstance(group, ZnSemidirectZ) and group.icc and isinstance(base, LiftCocycle) and isinstance(base.base, SkewFormCocycle):
+        eff = base.base.skew_angle()
         note("anosov_equiv", "unique_trace,cstar_simple")
         if not eff.is_torsion():
             ut = Verdict("certified", rule="anosov_equiv")

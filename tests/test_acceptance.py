@@ -70,7 +70,7 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 
 def test_ac1_fixture_matrix():
     t0 = time.time()
-    res = run_fixture_matrix(radius=6, node_budget=10**6, workers=4)
+    res = run_fixture_matrix(radius=6, node_budget=10**6)
     elapsed = time.time() - t0
     ok = res["all_match"] and elapsed < 120.0
     bad = [r["fixture"] for r in res["rows"] if not r["match"]]
@@ -373,7 +373,7 @@ def test_ac7_kernel_oracle():
 def test_ac8_determinism(capsys):
     outputs = []
     for _ in range(2):
-        code = cli_main(["fixtures", "--seed", "11", "--workers", "4"])
+        code = cli_main(["fixtures", "--seed", "11"])
         assert code == 0
         outputs.append(capsys.readouterr().out)
     fixtures_same = outputs[0] == outputs[1]

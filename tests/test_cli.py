@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from twistlab.cli import main
 
 
@@ -241,7 +243,7 @@ def test_growth_orbit_subcommand(capsys):
 
 
 def test_fixtures_and_negative_control(capsys):
-    code, out, _ = run_cli(capsys, "fixtures", "--workers", "2")
+    code, out, _ = run_cli(capsys, "fixtures")
     assert code == 0
     assert json.loads(out)["all_match"]
     code, out, _ = run_cli(capsys, "fixtures", "--corrupt", "d_bs_third_kleppner")
@@ -269,7 +271,7 @@ def test_budget_env_override(capsys, monkeypatch):
 def test_determinism_byte_identical(capsys):
     outputs = []
     for _ in range(2):
-        code, out, _ = run_cli(capsys, "fixtures", "--seed", "7", "--workers", "3")
+        code, out, _ = run_cli(capsys, "fixtures", "--seed", "7")
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
@@ -366,3 +368,32 @@ def test_relative_kleppner_sanov_base_with_candidate(capsys):
     rep = json.loads(out)
     assert rep["relative_kleppner"]["status"] == "certified"
     assert rep["relative_kleppner"]["rule"] == "sanov_relk"
+
+
+TRIVIAL_ON_Z = ("--group", '{"family":"zn","n":1}', "--cocycle", '{"kind":"trivial"}')
+
+
+@pytest.mark.parametrize(
+    "argv, env, path",
+    [
+        (("verdict", "kleppner", "--group", '{"family":"bs_nn","n":2}', "--cocycle", '{"kind":"bs","lambda":{"irr":3}}'), {}, "cocycle.lambda"),
+        (("verdict", "kleppner", "--group", '{"family":"free","rank":"x"}', "--cocycle", '{"kind":"trivial"}'), {}, "group.rank"),
+        (("verdict", "kleppner", "--group", '{"family":"bs_nn","n":"x"}', "--cocycle", '{"kind":"trivial"}'), {}, "group.n"),
+        (("verdict", "kleppner", "--group", '{"family":"zn","n":"x"}', "--cocycle", '{"kind":"trivial"}'), {}, "group.n"),
+        (("verdict", "kleppner", *TRIVIAL_ON_Z), {"TWISTLAB_BUDGET": "abc"}, "TWISTLAB_BUDGET"),
+        (("verdict", "kleppner", "--group", '{"family":"zn","n":2}', "--cocycle", '{"kind":"antisym_theta"}'), {}, "cocycle.theta"),
+        (("verdict", "kleppner", "--group", '{"family":"bs_nn","n":2}', "--cocycle", '{"kind":"antisym_theta","theta":[1,3]}'), {}, "cocycle"),
+        (("spectral", "norm", *TRIVIAL_ON_Z, "--f", "{missing}"), {}, "f"),
+    ],
+    ids=["irr_not_object", "free_rank_str", "bs_n_str", "zn_n_str", "budget_env_str", "theta_missing", "antisym_on_bs", "missing_f_file"],
+)
+def test_bad_inputs_are_json_spec_errors(argv, env, path, tmp_path, monkeypatch, capsys):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    argv = [a.replace("{missing}", str(tmp_path / "missing.json")) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    rep = json.loads(out)
+    assert set(rep) == {"error", "path"}
+    assert rep["path"] == path
+    assert "Traceback" not in err

@@ -158,6 +158,15 @@ def test_britton_invariant():
             assert w[i + 1] != 0
 
 
+def test_kernel_package_reexports_pure_python_kernels():
+    import twistlab
+    from twistlab._kernels import _pyops
+
+    assert twistlab.kernel_impl == "python"
+    for name in ("IMPL", "free_reduce", "free_mul", "bs_normalize", "bs_mul"):
+        assert getattr(_kernels, name) is getattr(_pyops, name)
+
+
 @given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=30))
 def test_free_reduction_is_idempotent_and_sound(letters):
     red = _kernels.free_reduce(tuple(letters))

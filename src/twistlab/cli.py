@@ -71,10 +71,17 @@ def _load_function(group, path: str, field: str) -> FiniteFunction:
     except OSError as exc:
         raise SpecError(f"cannot read the coefficient file: {exc}", path=field) from exc
     data = _load_json_arg(text, field)
+    if not isinstance(data, list):
+        raise SpecError("the coefficient file must hold a list of rows", path=field)
     coeffs = {}
     for i, row in enumerate(data):
+        if not isinstance(row, dict) or "g" not in row:
+            raise SpecError("each coefficient row must be an object with a 'g' field", path=f"{field}[{i}].g")
         g = group.element_from_json(row["g"])
-        coeffs[g] = complex(float(row.get("re", 0.0)), float(row.get("im", 0.0)))
+        try:
+            coeffs[g] = complex(float(row.get("re", 0.0)), float(row.get("im", 0.0)))
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"coefficient parts must be numbers: {exc}", path=f"{field}[{i}]") from exc
     return FiniteFunction(group, coeffs)
 
 

@@ -713,6 +713,8 @@ def build_cocycle(spec: dict, group: Group, basis: IrrationalBasis | None = None
             return ThetaCocycle(group, diagonals=diags, period=per)
         entries = {}
         for i, item in enumerate(spec.get("entries", [])):
+            if not isinstance(item, list) or len(item) != 3:
+                raise SpecError("a theta_window entry is a [j, k, phase] triple", path=f"cocycle.entries[{i}]")
             j, k, p = item
             if int(j) >= int(k):
                 raise SpecError(

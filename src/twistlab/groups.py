@@ -1030,11 +1030,14 @@ class FreeTimesZ(Group):
 _GROUP_CACHE: dict[str, Group] = {}
 
 
-def _int_field(spec: dict, name: str, default: int) -> int:
-    """The integer field `name` of a group spec, or `default` when absent."""
+def _int_field(spec: dict, name: str, default: int, least: int | None = None) -> int:
+    """The integer field `name` of a group spec, or `default` when absent;
+    values below `least` are rejected."""
     value = spec.get(name, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise SpecError(f"{name} must be an integer, got {value!r}", path=f"group.{name}")
+    if least is not None and value < least:
+        raise SpecError(f"{name} must be at least {least}, got {value}", path=f"group.{name}")
     return value
 
 
@@ -1051,7 +1054,7 @@ def get_group(spec: dict) -> Group:
     elif fam == "sum_z2":
         g = SumZ2(modulus=spec.get("modulus"))
     elif fam == "zn":
-        g = Zn(_int_field(spec, "n", 2))
+        g = Zn(_int_field(spec, "n", 2, least=1))
     elif fam == "wreath":
         g = WreathZ(base=spec.get("base", "Z"), acting_modulus=spec.get("acting"))
     elif fam == "zn_semidirect":

@@ -241,9 +241,15 @@ def torus_orbit_probe(
     orbit_cap: int = 100_000,
 ) -> dict:
     """Iterate the torus homeomorphisms and report an equidistribution
-    diagnostic; finite orbits are flagged exactly from torsion parameters."""
-    finite = nu1.is_torsion() and (nu2 is None or nu2.is_torsion())
-    report: dict = {"finite_certified": finite, "which": which, "points": n_points}
+    diagnostic.
+
+    An orbit is certified finite only when the exact orbit walk closes
+    under the cap.  The walk runs only when the parameters and the start
+    point are all torsion, so that every orbit point lies in one finite
+    subgroup of the torus; torsion parameters alone do not bound the
+    orbit of an irrational start.
+    """
+    report: dict = {"which": which, "points": n_points}
     s = (start[0].angle_float(), start[1].angle_float())
     if which == "phi1":
         pts = [phi1_iterate_angles(s, nu1.angle_float(), n) for n in range(1, n_points + 1)]
@@ -266,8 +272,10 @@ def torus_orbit_probe(
     else:
         raise SpecError(f"unknown map selection {which!r}", path="which")
     report["discrepancy"] = star_discrepancy_grid(pts, grid)
-    if finite:
+    torsion = all(p.is_torsion() for p in (nu1, *start, *([nu2] if nu2 is not None else [])))
+    if torsion:
         report["orbit_size"] = _exact_orbit_size(nu1, nu2, start, which, orbit_cap)
+    report["finite_certified"] = torsion and report["orbit_size"] is not None
     return report
 
 

@@ -383,22 +383,39 @@ def regular_vectors_in_box(
 def regular_subgroup_generators(
     sigma: Cocycle, window: int, height: int
 ) -> tuple[list[Element], bool]:
-    """Generators of the regular vectors supported in [-window, window] with
-    entries bounded by height, plus a completeness flag.
+    """Generators of the lattice spanned by the nonzero regular vectors
+    supported in [-window, window] with entries bounded by height, plus a
+    completeness flag.
 
     The flag is set when a certified row set covers all constraints (finite
     bandwidth, eventually periodic diagonals, or the prime-reciprocal rule).
+
+    For the integer family with a certified row range the regular vectors
+    supported in the window are exactly one lattice L, the kernel of the
+    row constraints (``kernel_lattice_basis``).  When every entry of its
+    Hermite basis is at most height in absolute value, the box span equals
+    L: each basis vector is itself a box vector, so L lies in the box span,
+    and every box vector lies in L.  The basis is then returned without
+    scanning the box.  Otherwise the box span may be a proper sublattice of
+    L (``theta_diag [[1,5]]`` at window 2, height 2 has kernel entries up
+    to 5 and no box vectors at all), so the generators are derived from
+    the box vectors themselves.
     """
     base = sigma.structural()
     G = base.group
     positions = list(range(-window, window + 1))
+
+    def elements(vectors) -> list[Element]:
+        elems = [G.element(tuple((p, v) for p, v in zip(positions, vec) if v)) for vec in vectors]
+        return sorted(elems, key=lambda e: G.sort_key(e.data))
+
+    if isinstance(base, ThetaCocycle) and base.rule is None:
+        basis = kernel_lattice_basis(base, positions, certified_row_range(base, positions))
+        if all(abs(v) <= height for vec in basis for v in vec):
+            return elements(basis), True
     raw, certified = regular_vectors_box_raw(sigma, window, height)
     if isinstance(base, ThetaCocycle):
-        gens = _lattice_generators_np(raw, len(positions))
-        elems = [
-            G.element(tuple((p, v) for p, v in zip(positions, vec) if v)) for vec in gens
-        ]
-        return sorted(elems, key=lambda e: G.sort_key(e.data)), certified
+        return elements(_lattice_generators_np(raw, len(positions))), certified
     gens = _gf2_generators(raw, positions)
     elems = [G.element(v) for v in gens]
     return sorted(elems, key=lambda e: G.sort_key(e.data)), certified
@@ -417,15 +434,15 @@ def _grid(ncols: int, height: int):
     return out
 
 
-def box_solution_array(sigma: ThetaCocycle, positions: list[int], height: int, rows):
-    """All nonzero vectors in the box whose listed rows vanish.
+def _integer_constraints(sigma: ThetaCocycle, positions: list[int], rows):
+    """The listed rows of the antisymmetrized matrix as integer constraints.
 
-    Meet-in-the-middle with vectorized constraint evaluation: rational parts
-    are scaled to a common denominator D and matched mod D, symbolic
-    coefficients are integerized and matched exactly.
+    A vector x (one entry per position) makes every listed row vanish iff
+    ``rat_w x = 0 (mod D)`` and ``w x = 0`` for each ``w`` in ``sym_ws``:
+    the rational parts are scaled to their common denominator D, and each
+    symbol's coefficients to that symbol's common denominator.  All three
+    are plain Python ints, one matrix row per listed row.
     """
-    import numpy as np
-
     if rows is None:
         raise SpecError("explicit-window evaluation requires bounded bandwidth")
     row_list = list(rows)
@@ -436,19 +453,77 @@ def box_solution_array(sigma: ThetaCocycle, positions: list[int], height: int, r
         s: math.lcm(*(dict(p.irr).get(s, Fraction(0)).denominator for p in phases.values()), 1)
         for s in symbols
     }
-
-    # weight matrices: one row per constraint component, one column per position
-    rat_w = np.array(
-        [[int(phases[(j, k)].rational * D) for j in positions] for k in row_list],
-        dtype=np.int64,
-    )
+    rat_w = [[int(phases[(j, k)].rational * D) for j in positions] for k in row_list]
     sym_ws = [
-        np.array(
-            [[int(dict(phases[(j, k)].irr).get(s, Fraction(0)) * sym_den[s]) for j in positions] for k in row_list],
-            dtype=np.int64,
-        )
+        [[int(dict(phases[(j, k)].irr).get(s, Fraction(0)) * sym_den[s]) for j in positions] for k in row_list]
         for s in symbols
     ]
+    return D, rat_w, sym_ws
+
+
+def kernel_lattice_basis(sigma: ThetaCocycle, positions: list[int], rows) -> list[tuple[int, ...]]:
+    """Hermite normal form basis of the lattice of vectors supported on
+    positions whose listed rows vanish.
+
+    x lies in the lattice iff ``rat_w x + D y = 0`` and ``w x = 0`` for some
+    integer vector y, so the lattice is the projection onto x of the integer
+    kernel of the augmented matrix ``[rat_w | D I ; sym_w | 0]``.  The kernel
+    comes from column elimination with a unimodular tracker (Cohen, GTM 138,
+    section 2.4); the projection is injective because D y = 0 forces y = 0.
+    Rows that vanish identically constrain nothing and are dropped.
+    """
+    D, rat_w, sym_ws = _integer_constraints(sigma, positions, rows)
+    n = len(positions)
+    rat_rows = [r for r in rat_w if any(r)]
+    slack = len(rat_rows)
+    matrix = [r + [D if t == i else 0 for t in range(slack)] for i, r in enumerate(rat_rows)]
+    matrix += [r + [0] * slack for w in sym_ws for r in w if any(r)]
+    m = len(matrix)
+    # column c of the matrix, followed by the x part of the tracker's column c
+    # (the y part is never read: the kernel is projected onto x)
+    cols = [[row[c] for row in matrix] + [int(t == c) for t in range(n)] for c in range(n + slack)]
+    for r in range(m):
+        while True:
+            live = [c for c in cols if c[r]]
+            if len(live) <= 1:
+                break
+            p = min(live, key=lambda c: abs(c[r]))
+            for c in live:
+                q = c[r] // p[r]
+                if c is not p and q:
+                    for t in range(r, len(c)):
+                        c[t] -= q * p[t]
+        if live:
+            cols = [c for c in cols if c is not live[0]]
+    return _hermite_basis([c[m:] for c in cols], n)
+
+
+def _hermite_basis(rows: list[list[int]], n: int) -> list[tuple[int, ...]]:
+    """Hermite normal form: the echelon basis with every entry above a pivot
+    reduced into [0, pivot)."""
+    basis = [list(b) for b in _echelon(rows, n)]
+    for i, b in enumerate(basis):
+        col = next(t for t, v in enumerate(b) if v)
+        for a in basis[:i]:
+            q = a[col] // b[col]
+            if q:
+                for t in range(col, n):
+                    a[t] -= q * b[t]
+    return [tuple(b) for b in basis]
+
+
+def box_solution_array(sigma: ThetaCocycle, positions: list[int], height: int, rows):
+    """All nonzero vectors in the box whose listed rows vanish.
+
+    Meet-in-the-middle with vectorized constraint evaluation over the
+    integer constraints of ``_integer_constraints``: rational parts matched
+    mod D, symbolic coefficients matched exactly.
+    """
+    import numpy as np
+
+    D, rat_rows, sym_rows = _integer_constraints(sigma, positions, rows)
+    rat_w = np.array(rat_rows, dtype=np.int64)
+    sym_ws = [np.array(w, dtype=np.int64) for w in sym_rows]
 
     half = len(positions) // 2
     left = _grid(half, height)

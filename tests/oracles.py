@@ -120,15 +120,10 @@ def brute_force_regular_vectors(
     return out[np.lexsort(out.T[::-1])]
 
 
-def integer_span_reduce(basis_rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Reduce target rows modulo the integer row span of basis_rows.
-
-    Straightforward pivot-by-pivot reduction (the basis is echelonized here
-    first, independently of the library's lattice code).  Returns the
-    residual matrix: all-zero rows are members of the span.
-    """
-    rows = [list(int(x) for x in r) for r in basis_rows if any(r)]
-    n = targets.shape[1]
+def _echelon_rows(rows: list[list[int]], n: int) -> list[list[int]]:
+    """Echelon basis (pivot columns increasing) of the integer span of a few
+    rows, by pivot-by-pivot Euclidean reduction."""
+    rows = [list(r) for r in rows if any(r)]
     basis = []
     for col in range(n):
         while True:
@@ -147,13 +142,45 @@ def integer_span_reduce(basis_rows: np.ndarray, targets: np.ndarray) -> np.ndarr
         if work:
             basis.append(work[0])
             rows.remove(work[0])
-    res = targets.astype(np.int64).copy()
+    return basis
+
+
+def _reduce_rows(rows: np.ndarray, basis: list[list[int]]) -> np.ndarray:
+    """Residuals of every row after floor-division reduction by an echelon
+    basis, one pivot at a time; a row is in the span iff its residual is 0
+    (at each pivot a member's entry is an exact multiple of the pivot)."""
+    res = np.array(rows, dtype=np.int64)
     for b in basis:
         col = next(i for i, v in enumerate(b) if v)
-        exact = res[:, col] % b[col] == 0
-        q = np.where(exact, res[:, col] // b[col], 0)
-        res -= np.outer(q, np.array(b, dtype=np.int64))
+        q = res[:, col] // b[col]
+        for t, v in enumerate(b):
+            if v:
+                res[:, t] -= q * v
     return res
+
+
+def integer_span_reduce(basis_rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Reduce target rows modulo the integer row span of basis_rows.
+
+    The span of basis_rows is echelonized here, independently of the
+    library's lattice code, by saturation: every row of basis_rows is
+    reduced by the current echelon basis at once (vectorized), the first
+    nonzero residual joins the basis, and the basis is re-echelonized.
+    Each round strictly enlarges the spanned lattice, and the loop ends
+    only when every row of basis_rows reduces to zero, so no row is
+    skipped.  Returns the residual matrix of the targets: all-zero rows
+    are members of the span.
+    """
+    n = targets.shape[1]
+    rows = np.asarray(basis_rows, dtype=np.int64).reshape(-1, n)
+    basis: list[list[int]] = []
+    while True:
+        res = _reduce_rows(rows, basis)
+        left = np.flatnonzero(res.any(axis=1))
+        if left.size == 0:
+            break
+        basis = _echelon_rows(basis + [[int(x) for x in res[left[0]]]], n)
+    return _reduce_rows(targets, basis)
 
 
 def brute_force_regular_bits(

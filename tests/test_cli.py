@@ -242,6 +242,28 @@ def test_growth_orbit_subcommand(capsys):
     assert rep["finite_certified"] and rep["orbit_size"] == 5
 
 
+def test_growth_orbit_irrational_start_is_not_certified(capsys):
+    """Torsion nu does not make the orbit of an irrational start finite; the
+    exact orbit walk is skipped and no size is reported."""
+    code, out, _ = run_cli(
+        capsys,
+        "growth",
+        "orbit",
+        "--nu1",
+        "[1,5]",
+        "--start",
+        '[{"irr":{"r":[1,1]}},[0,1]]',
+        "--basis",
+        '{"r":0.38}',
+        "--points",
+        "100",
+    )
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["finite_certified"] is False
+    assert "orbit_size" not in rep
+
+
 def test_fixtures_and_negative_control(capsys):
     code, out, _ = run_cli(capsys, "fixtures")
     assert code == 0
@@ -384,13 +406,36 @@ TRIVIAL_ON_Z = ("--group", '{"family":"zn","n":1}', "--cocycle", '{"kind":"trivi
         (("verdict", "kleppner", "--group", '{"family":"zn","n":2}', "--cocycle", '{"kind":"antisym_theta"}'), {}, "cocycle.theta"),
         (("verdict", "kleppner", "--group", '{"family":"bs_nn","n":2}', "--cocycle", '{"kind":"antisym_theta","theta":[1,3]}'), {}, "cocycle"),
         (("spectral", "norm", *TRIVIAL_ON_Z, "--f", "{missing}"), {}, "f"),
+        (("spectral", "norm", *TRIVIAL_ON_Z, "--f", "{no_g}"), {}, "f[0].g"),
+        (("spectral", "norm", *TRIVIAL_ON_Z, "--f", "{re_text}"), {}, "f[0]"),
+        (("spectral", "norm", *TRIVIAL_ON_Z, "--f", "{not_list}"), {}, "f"),
+        (("verdict", "kleppner", "--group", '{"family":"sum_z"}', "--cocycle", '{"kind":"theta_window","entries":[[1,2]]}'), {}, "cocycle.entries[0]"),
+        (("verdict", "kleppner", "--group", '{"family":"zn","n":-2}', "--cocycle", '{"kind":"trivial"}'), {}, "group.n"),
     ],
-    ids=["irr_not_object", "free_rank_str", "bs_n_str", "zn_n_str", "budget_env_str", "theta_missing", "antisym_on_bs", "missing_f_file"],
+    ids=[
+        "irr_not_object",
+        "free_rank_str",
+        "bs_n_str",
+        "zn_n_str",
+        "budget_env_str",
+        "theta_missing",
+        "antisym_on_bs",
+        "missing_f_file",
+        "f_row_without_g",
+        "f_re_not_number",
+        "f_not_list",
+        "theta_window_pair",
+        "zn_n_negative",
+    ],
 )
 def test_bad_inputs_are_json_spec_errors(argv, env, path, tmp_path, monkeypatch, capsys):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    argv = [a.replace("{missing}", str(tmp_path / "missing.json")) for a in argv]
+    files = {"missing": None, "no_g": '[{"re":1}]', "re_text": '[{"g":[1],"re":"x"}]', "not_list": '{"g":[1]}'}
+    for name, text in files.items():
+        if text is not None:
+            (tmp_path / f"{name}.json").write_text(text)
+        argv = [a.replace("{" + name + "}", str(tmp_path / f"{name}.json")) for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     rep = json.loads(out)

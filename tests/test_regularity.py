@@ -1,12 +1,19 @@
 """Regularity deciders: certificates, witnesses, relative variants."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from oracles import brute_force_regular_bits, brute_force_regular_vectors
+from oracles import brute_force_regular_bits, brute_force_regular_vectors, integer_span_reduce
 
+import twistlab
+from twistlab import regularity
 from twistlab.cocycles import build_cocycle, sigma_tilde
 from twistlab.errors import SpecError
 from twistlab.groups import get_group, resolve_subgroup
@@ -17,6 +24,7 @@ from twistlab.regularity import (
     is_regular_wrt_kH,
     is_regular_wrt_subgroup,
     is_sigma_regular,
+    kernel_lattice_basis,
     lattice_contains,
     regular_subgroup_generators,
     regular_vectors_in_box,
@@ -113,6 +121,110 @@ def test_prime_reciprocal_generators_empty():
     sig = build_cocycle({"kind": "theta_rule", "rule": "prime_reciprocal"}, SZ)
     gens, complete = regular_subgroup_generators(sig, 6, 6)
     assert gens == [] and complete
+
+
+# Generators of PERIOD4 at (window, height); generators derived from the
+# box vectors give the same lists.
+PERIOD4_GENERATORS = {
+    (3, 4): [((0, 1), (2, 1)), ((1, 1), (3, 1)), ((-1, 1), (3, -1)), ((-2, 1), (2, -1)), ((-3, 1), (3, 1))],
+    (4, 3): [
+        ((0, 1), (4, -1)),
+        ((1, 1), (3, 1)),
+        ((-1, 1), (3, -1)),
+        ((2, 1), (4, 1)),
+        ((-2, 1), (4, 1)),
+        ((-3, 1), (3, 1)),
+        ((-4, 1), (4, -1)),
+    ],
+}
+PERIOD4_GENERATORS[(4, 4)] = PERIOD4_GENERATORS[(4, 3)]
+
+
+@pytest.mark.parametrize("window, height", sorted(PERIOD4_GENERATORS))
+def test_period4_generators_pinned(window, height, monkeypatch):
+    """The kernel basis fits the box, so no box scan runs."""
+
+    def no_scan(*args):
+        raise AssertionError("the box was scanned")
+
+    monkeypatch.setattr(regularity, "regular_vectors_box_raw", no_scan)
+    sig = build_cocycle(PERIOD4, SZ, BASIS)
+    gens, complete = regular_subgroup_generators(sig, window, height)
+    assert complete
+    assert [g.data for g in gens] == PERIOD4_GENERATORS[(window, height)]
+
+
+def test_generators_fall_back_to_box_span(monkeypatch):
+    """theta_diag [[1,5]] has kernel vectors with entries up to 5, beyond
+    height 2, so the generators come from the box vectors, whose span must
+    match the brute-force oracle's."""
+    sig = build_cocycle({"kind": "theta_diag", "diagonals": [[1, 5]]}, SZ)
+    positions = list(range(-2, 3))
+    rows = list(certified_row_range(sig, positions))
+    kernel = kernel_lattice_basis(sig.structural(), positions, rows)
+    assert max(abs(v) for vec in kernel for v in vec) == 5
+    scans = []
+    scan = regularity.regular_vectors_box_raw
+    monkeypatch.setattr(regularity, "regular_vectors_box_raw", lambda *a: scans.append(a) or scan(*a))
+    gens, complete = regular_subgroup_generators(sig, 2, 2)
+    assert complete and len(scans) == 1
+    gen_rows = np.array([[dict(g.data).get(p, 0) for p in positions] for g in gens], dtype=np.int64).reshape(-1, 5)
+    brute = brute_force_regular_vectors(sig, 2, 2, rows)
+    assert not integer_span_reduce(gen_rows, brute).any()
+    assert not integer_span_reduce(brute, gen_rows).any()
+
+
+def test_generators_span_brute_force_box_random(monkeypatch):
+    """On random diagonal cocycles, on both the kernel path and the box
+    fallback, the generators span exactly the lattice of the brute-force
+    oracle's box vectors."""
+    scans = []
+    scan = regularity.regular_vectors_box_raw
+    monkeypatch.setattr(regularity, "regular_vectors_box_raw", lambda *a: scans.append(a) or scan(*a))
+    rng = random.Random(7)
+    basis = IrrationalBasis({"r": 0.38, "s": 0.29})
+
+    def phase():
+        d = rng.choice([1, 2, 3, 4, 6])
+        out = {"rat": [rng.randrange(d), d]}
+        if rng.random() < 0.4:
+            out["irr"] = {rng.choice("rs"): [rng.choice([-2, -1, 1, 2]), rng.choice([1, 2, 3])]}
+        return out
+
+    for _ in range(30):
+        spec = {"kind": "theta_diag", "diagonals": [phase() for _ in range(rng.randrange(1, 4))]}
+        if rng.random() < 0.3:
+            spec["period"] = [phase() for _ in range(rng.randrange(1, 3))]
+        sig = build_cocycle(spec, SZ, basis)
+        window, height = rng.choice([(1, 1), (1, 2), (2, 1), (2, 2)])
+        positions = list(range(-window, window + 1))
+        gens, complete = regular_subgroup_generators(sig, window, height)
+        assert complete
+        gen_rows = np.array(
+            [[dict(g.data).get(p, 0) for p in positions] for g in gens], dtype=np.int64
+        ).reshape(-1, len(positions))
+        rows = list(certified_row_range(sig, positions))
+        brute = brute_force_regular_vectors(sig, window, height, rows)
+        assert not integer_span_reduce(gen_rows, brute).any(), spec
+        assert not integer_span_reduce(brute, gen_rows).any(), spec
+    assert 0 < len(scans) < 30
+
+
+def test_kernel_generators_do_not_import_numpy():
+    script = (
+        "import sys\n"
+        "from twistlab.cocycles import build_cocycle\n"
+        "from twistlab.groups import get_group\n"
+        "from twistlab.phase import IrrationalBasis\n"
+        "from twistlab.regularity import regular_subgroup_generators\n"
+        f"sig = build_cocycle({PERIOD4!r}, get_group({{'family': 'sum_z'}}), IrrationalBasis({{'r': 0.38}}))\n"
+        "gens, complete = regular_subgroup_generators(sig, 4, 3)\n"
+        "print(len(gens), complete, 'numpy' in sys.modules)\n"
+    )
+    src = str(Path(twistlab.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split() == ["7", "True", "False"]
 
 
 def test_bitstream_generators_and_oracle():

@@ -7,6 +7,7 @@ Exit codes: 0 = completed (whatever the verdicts), 1 = specification error,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
@@ -18,19 +19,8 @@ from .groups import get_group
 from .growth import LengthFunction, class_growth_counts, kappa_decay_probe, superpolynomial_probe, torus_orbit_probe
 from .phase import IrrationalBasis, phase_from_json
 from .regularity import is_regular_wrt_kH, is_regular_wrt_subgroup, is_sigma_regular
-from .spectral import (
-    FiniteFunction,
-    check_domination,
-    r2_estimate,
-    stable_rank_evidence,
-    truncated_norm_sequence,
-)
+from .spectral import FiniteFunction, check_domination, r2_estimate, stable_rank_evidence, truncated_norm_sequence
 from .verdicts import check_condition_x, classify, decide_kleppner, decide_relative_kleppner
-
-DEFAULT_RADIUS = 6
-DEFAULT_NODES = 10**6
-DEFAULT_TOL = 1e-8
-
 
 def _emit(report: dict, summary: str, code: int = 0) -> int:
     print(json.dumps(report, sort_keys=True, separators=(",", ":")))
@@ -45,13 +35,33 @@ def _load_json_arg(text: str, path: str):
         raise SpecError(f"invalid JSON: {exc}", path=path) from exc
 
 
+def _basis(args) -> IrrationalBasis | None:
+    return _parsed(IrrationalBasis, _load_json_arg(args.basis, "basis"), "basis") if args.basis else None
+
+
 def _build_pair(args):
-    basis = None
-    if args.basis:
-        basis = IrrationalBasis(_load_json_arg(args.basis, "basis"))
     group = get_group(_load_json_arg(args.group, "group"))
-    sigma = build_cocycle(_load_json_arg(args.cocycle, "cocycle"), group, basis)
-    return group, sigma, basis
+    return group, build_cocycle(_load_json_arg(args.cocycle, "cocycle"), group, _basis(args))
+
+
+def _load_list(text: str, path: str) -> list:
+    data = _load_json_arg(text, path)
+    if not isinstance(data, list):
+        raise SpecError("must be a JSON list", path=path)
+    return data
+
+
+def _parsed(parse, obj, path: str, *args):
+    """parse(obj, *args), with malformed input reported as a spec error at `path`."""
+    try:
+        return parse(obj, *args)
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:  # SpecError is a ValueError
+        raise SpecError(str(exc), path=path) from None
+
+
+def _candidates(group, args) -> list:
+    rows = _load_list(args.candidates, "candidates")
+    return [_parsed(group.element_from_json, c, f"candidates[{i}]") for i, c in enumerate(rows)]
 
 
 def _node_budget(args) -> int:
@@ -77,11 +87,13 @@ def _load_function(group, path: str, field: str) -> FiniteFunction:
     for i, row in enumerate(data):
         if not isinstance(row, dict) or "g" not in row:
             raise SpecError("each coefficient row must be an object with a 'g' field", path=f"{field}[{i}].g")
-        g = group.element_from_json(row["g"])
+        g = _parsed(group.element_from_json, row["g"], f"{field}[{i}].g")
         try:
             coeffs[g] = complex(float(row.get("re", 0.0)), float(row.get("im", 0.0)))
+            if not cmath.isfinite(coeffs[g]):
+                raise ValueError(f"got {coeffs[g]}")
         except (TypeError, ValueError) as exc:
-            raise SpecError(f"coefficient parts must be numbers: {exc}", path=f"{field}[{i}]") from exc
+            raise SpecError(f"coefficient parts must be finite numbers: {exc}", path=f"{field}[{i}]") from exc
     return FiniteFunction(group, coeffs)
 
 
@@ -104,85 +116,83 @@ class _Parser(argparse.ArgumentParser):
         raise SpecError(message, path="argv")
 
 
-def main(argv: list[str] | None = None) -> int:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--radius", type=int, default=DEFAULT_RADIUS, help="search/ball radius")
-    common.add_argument("--nodes", type=int, default=DEFAULT_NODES, help="node budget cap")
-    common.add_argument(
-        "--tol",
-        type=float,
-        default=DEFAULT_TOL,
-        help="solver stops when successive estimates differ by at most this, relative (not an error bound)",
-    )
-    common.add_argument("--basis", default="", help='numeric values for symbols, e.g. {"r":0.38}')
+# Every option, declared once; each command below picks the ones it reads.
+OPTIONS = {
+    "group": {"required": True, "help": "group JSON"},
+    "cocycle": {"required": True, "help": "cocycle JSON"},
+    "basis": {"default": "", "help": 'numeric values for symbols, e.g. {"r":0.38}'},
+    "radius": {"type": int, "default": 6, "help": "search/ball radius"},
+    "nodes": {"type": int, "default": 10**6, "help": "node budget cap (TWISTLAB_BUDGET overrides it)"},
+    "seed": {"type": int, "default": 0, "help": "seed of the random start vectors and samples"},
+    "tol": {"type": float, "default": 1e-8, "help": "stop at this relative step between estimates, not an error bound"},
+    "candidates": {"default": "[]", "help": "witness suspects to validate first"},
+    "subgroup": {"required": True},
+    "g": {"required": True, "help": "element JSON"},
+    "k": {"default": "", "help": "conjugating element for the (k,H) variant"},
+    "f": {"required": True, "help": "path to the coefficient file"},
+    "xi": {"required": True, "help": "path to the dominating coefficient file"},
+    "nmax": {"type": int, "default": 8},
+    "search-radius": {"type": int, "default": 3},
+    "kmax": {"type": int, "default": 8},
+    "kappa": {"default": "1+L"},
+    "degrees": {"default": "[1,2,3]"},
+    "M": {"type": float, "default": 10.0},
+    "trials": {"type": int, "default": 50},
+    "nu1": {"required": True, "help": "phase literal"},
+    "nu2": {"default": ""},
+    "start": {"default": "[[0,1],[0,1]]", "help": "pair of phase literals"},
+    "points": {"type": int, "default": 1000},
+    "map": {"default": "phi1", "choices": ("phi1", "phi2", "both")},
+    "corrupt": {"default": "", "help": "fixture id whose expectation is flipped (negative control)"},
+}
+STABLE_RANK_TOL = {"default": 1e-2, "help": "stop at this relative step between successive norm proxies"}
 
+PAIR = ("group", "cocycle", "basis")
+EXACT = (*PAIR, "radius", "nodes")
+SPECTRAL = (*PAIR, "f", "nodes")
+COMMANDS = {  # "command [subcommand]": options, each a name or (name, overrides)
+    "verdict kleppner": (*EXACT, "candidates"),
+    "verdict relative-kleppner": (*EXACT, "subgroup", "candidates"),
+    "verdict condition-x": (*EXACT, "subgroup"),
+    "classify": (*EXACT, "candidates"),
+    "regular": (*EXACT, "g", ("subgroup", {"required": False, "default": ""}), "k"),
+    "spectral norm": (*SPECTRAL, "radius", "tol", "seed"),
+    "spectral r2": (*SPECTRAL, "nmax"),
+    "spectral domination": (*SPECTRAL, "xi", "nmax"),
+    "spectral stable-rank": (*SPECTRAL, "radius", ("tol", STABLE_RANK_TOL), "seed", "search-radius"),
+    "growth class": ("group", "g", "radius", "nodes", "kmax", "kappa", "degrees"),
+    "growth decay": (*EXACT, "seed", ("kappa", {"default": "(1+L)^2"}), "M", "trials"),
+    "growth orbit": ("basis", "nu1", "nu2", "start", "points", "map"),
+    "fixtures": ("radius", "nodes", "corrupt"),
+}
+HELP = {
+    "verdict": "Kleppner-type deciders",
+    "classify": "full property report",
+    "regular": "regularity of one element",
+    "spectral": "truncated-operator numerics",
+    "growth": "growth and decay probes",
+    "fixtures": "run the bundled verdict matrix",
+}
+
+
+def _parser() -> _Parser:
     parser = _Parser(prog="twistlab", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
+    families = {}
+    for command, options in COMMANDS.items():
+        cmd, _, which = command.partition(" ")
+        if which and cmd not in families:
+            families[cmd] = sub.add_parser(cmd, help=HELP[cmd]).add_subparsers(dest="which", required=True)
+        leaf = families[cmd].add_parser(which) if which else sub.add_parser(cmd, help=HELP[cmd])
+        for option in options:
+            name, overrides = (option, {}) if isinstance(option, str) else option
+            leaf.add_argument("--" + name, **{**OPTIONS[name], **overrides})
+    return parser
 
-    p_verdict = sub.add_parser("verdict", help="Kleppner-type deciders")
-    v_sub = p_verdict.add_subparsers(dest="which", required=True)
-    for name in ("kleppner", "relative-kleppner", "condition-x"):
-        pv = v_sub.add_parser(name, parents=[common])
-        pv.add_argument("--group", required=True)
-        pv.add_argument("--cocycle", required=True)
-        pv.add_argument("--candidates", default="[]", help="witness suspects to validate first")
-        if name != "kleppner":
-            pv.add_argument("--subgroup", required=True)
 
-    p_classify = sub.add_parser("classify", parents=[common], help="full property report")
-    p_classify.add_argument("--group", required=True)
-    p_classify.add_argument("--cocycle", required=True)
-    p_classify.add_argument("--candidates", default="[]")
-
-    p_reg = sub.add_parser("regular", parents=[common], help="regularity of one element")
-    p_reg.add_argument("--group", required=True)
-    p_reg.add_argument("--cocycle", required=True)
-    p_reg.add_argument("--g", required=True, help="element JSON")
-    p_reg.add_argument("--subgroup", default="")
-    p_reg.add_argument("--k", default="", help="conjugating element for the (k,H) variant")
-
-    p_spec = sub.add_parser("spectral", help="truncated-operator numerics")
-    s_sub = p_spec.add_subparsers(dest="which", required=True)
-    for name in ("norm", "r2", "domination", "stable-rank"):
-        ps = s_sub.add_parser(name, parents=[common])
-        ps.add_argument("--group", required=True)
-        ps.add_argument("--cocycle", required=True)
-        ps.add_argument("--f", required=True, help="path to the coefficient file")
-        if name == "domination":
-            ps.add_argument("--xi", required=True)
-        if name in ("r2", "domination"):
-            ps.add_argument("--nmax", type=int, default=8)
-        if name == "stable-rank":
-            ps.add_argument("--search-radius", type=int, default=3)
-
-    p_growth = sub.add_parser("growth", help="growth and decay probes")
-    g_sub = p_growth.add_subparsers(dest="which", required=True)
-    pg = g_sub.add_parser("class", parents=[common])
-    pg.add_argument("--group", required=True)
-    pg.add_argument("--cocycle", default='{"kind":"trivial"}')
-    pg.add_argument("--g", required=True)
-    pg.add_argument("--kmax", type=int, default=8)
-    pg.add_argument("--kappa", default="1+L")
-    pg.add_argument("--degrees", default="[1,2,3]")
-    pd = g_sub.add_parser("decay", parents=[common])
-    pd.add_argument("--group", required=True)
-    pd.add_argument("--cocycle", required=True)
-    pd.add_argument("--kappa", default="(1+L)^2")
-    pd.add_argument("--M", type=float, default=10.0)
-    pd.add_argument("--trials", type=int, default=50)
-    po = g_sub.add_parser("orbit", parents=[common])
-    po.add_argument("--nu1", required=True, help="phase literal")
-    po.add_argument("--nu2", default="")
-    po.add_argument("--start", default='[[0,1],[0,1]]', help="pair of phase literals")
-    po.add_argument("--points", type=int, default=1000)
-    po.add_argument("--map", default="phi1", choices=("phi1", "phi2", "both"))
-
-    p_fix = sub.add_parser("fixtures", parents=[common], help="run the bundled verdict matrix")
-    p_fix.add_argument("--corrupt", default="", help="fixture id whose expectation is flipped (negative control)")
-
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _dispatch(args)
     except (SpecError, ConfigurationError) as exc:
         print(json.dumps({"error": str(exc), "path": getattr(exc, "path", "")}, sort_keys=True))
@@ -194,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args) -> int:
-    nodes = _node_budget(args)
+    nodes = _node_budget(args) if "nodes" in args else None
     if args.cmd == "fixtures":
         res = run_fixture_matrix(args.radius, nodes, corrupt=args.corrupt or None)
         lines = [
@@ -205,14 +215,12 @@ def _dispatch(args) -> int:
         return _emit(res, "\n".join(lines + [f"all_match={res['all_match']}"]), code)
 
     if args.cmd == "verdict":
-        group, sigma, _ = _build_pair(args)
-        candidates = [
-            group.element_from_json(c) for c in _load_json_arg(args.candidates, "candidates")
-        ]
+        group, sigma = _build_pair(args)
         if args.which == "kleppner":
-            v = decide_kleppner(group, sigma, args.radius, nodes, candidates=candidates)
+            v = decide_kleppner(group, sigma, args.radius, nodes, candidates=_candidates(group, args))
             report = {"kleppner": v.to_json()}
         elif args.which == "relative-kleppner":
+            candidates = _candidates(group, args)
             v = decide_relative_kleppner(group, args.subgroup, sigma, args.radius, nodes, candidates=candidates)
             report = {"relative_kleppner": v.to_json()}
         else:
@@ -222,11 +230,8 @@ def _dispatch(args) -> int:
         return _emit(report, f"{args.which}: {v.status}" + (f" ({v.cite})" if v.rule else ""), code)
 
     if args.cmd == "classify":
-        group, sigma, _ = _build_pair(args)
-        candidates = [
-            group.element_from_json(c) for c in _load_json_arg(args.candidates, "candidates")
-        ]
-        rep = classify(group, sigma, args.radius, nodes, kleppner_candidates=candidates)
+        group, sigma = _build_pair(args)
+        rep = classify(group, sigma, args.radius, nodes, kleppner_candidates=_candidates(group, args))
         report = rep.to_json()
         summary = (
             f"kleppner={rep.kleppner.status} unique_trace={rep.unique_trace.status} "
@@ -235,10 +240,10 @@ def _dispatch(args) -> int:
         return _emit(report, summary, 2 if _all_inconclusive(report) else 0)
 
     if args.cmd == "regular":
-        group, sigma, _ = _build_pair(args)
-        g = group.element_from_json(_load_json_arg(args.g, "g"))
+        group, sigma = _build_pair(args)
+        g = _parsed(group.element_from_json, _load_json_arg(args.g, "g"), "g")
         if args.k:
-            k = group.element_from_json(_load_json_arg(args.k, "k"))
+            k = _parsed(group.element_from_json, _load_json_arg(args.k, "k"), "k")
             rep = is_regular_wrt_kH(sigma, k, g, args.subgroup or "full", args.radius, nodes)
         elif args.subgroup:
             rep = is_regular_wrt_subgroup(sigma, g, args.subgroup, args.radius, nodes)
@@ -249,7 +254,7 @@ def _dispatch(args) -> int:
         return _emit(report, f"regularity: {rep.status}", code)
 
     if args.cmd == "spectral":
-        group, sigma, _ = _build_pair(args)
+        group, sigma = _build_pair(args)
         f = _load_function(group, args.f, "f")
         if args.which == "norm":
             if args.radius < 1:
@@ -265,59 +270,47 @@ def _dispatch(args) -> int:
             xi = _load_function(group, args.xi, "xi")
             rows = check_domination(f, xi, sigma, args.nmax, budget=nodes)
             report = {
-                "rows": [
-                    {
-                        "n": r.n,
-                        "twisted_sq": float(r.twisted_sq),
-                        "plain_sq": float(r.plain_sq),
-                        "ok": r.ok,
-                        "exact": r.exact,
-                    }
-                    for r in rows
-                ],
+                "rows": [{**vars(r), "twisted_sq": float(r.twisted_sq), "plain_sq": float(r.plain_sq)} for r in rows],
                 "all_ok": all(r.ok for r in rows),
             }
             return _emit(report, f"domination holds for all n <= {args.nmax}: {report['all_ok']}")
         rep = stable_rank_evidence(
-            group,
-            sigma,
-            f.support(),
-            search_radius=args.search_radius,
-            radius=args.radius,
-            tol=max(args.tol, 1e-2),
-            seed=args.seed,
-            node_budget=nodes,
+            group, sigma, f.support(), search_radius=args.search_radius, radius=args.radius,
+            tol=args.tol, seed=args.seed, node_budget=nodes,
         )
         return _emit(rep, f"semifree translate found: {rep.get('semifree_translate_found')}")
 
-    if args.cmd == "growth":
-        if args.which == "orbit":
-            basis = IrrationalBasis(_load_json_arg(args.basis, "basis")) if args.basis else None
-            nu1 = phase_from_json(_load_json_arg(args.nu1, "nu1"), basis)
-            nu2 = phase_from_json(_load_json_arg(args.nu2, "nu2"), basis) if args.nu2 else None
-            start_raw = _load_json_arg(args.start, "start")
-            start = (phase_from_json(start_raw[0], basis), phase_from_json(start_raw[1], basis))
-            rep = torus_orbit_probe(nu1, nu2, start, args.points, which=args.map)
-            return _emit(rep, f"discrepancy={rep['discrepancy']:.4g} finite={rep['finite_certified']}")
-        group, sigma, _ = _build_pair(args)
+    # the growth probes: orbit, class and decay
+    if args.which == "orbit":
+        basis = _basis(args)
+        nu1 = _parsed(phase_from_json, _load_json_arg(args.nu1, "nu1"), "nu1", basis)
+        nu2 = _parsed(phase_from_json, _load_json_arg(args.nu2, "nu2"), "nu2", basis) if args.nu2 else None
+        start = _load_list(args.start, "start")
+        if len(start) != 2:
+            raise SpecError("must be a pair of phase literals", path="start")
+        start = tuple(_parsed(phase_from_json, p, f"start[{i}]", basis) for i, p in enumerate(start))
+        if args.points < 1:
+            raise SpecError("must be at least 1", path="points")
+        rep = torus_orbit_probe(nu1, nu2, start, args.points, which=args.map)
+        return _emit(rep, f"discrepancy={rep['discrepancy']:.4g} finite={rep['finite_certified']}")
+    if args.which == "class":
+        group = get_group(_load_json_arg(args.group, "group"))
         kappa = LengthFunction.parse(group, args.kappa)
-        if args.which == "class":
-            g = group.element_from_json(_load_json_arg(args.g, "g"))
-            profile = class_growth_counts(g, kappa, args.kmax, args.radius, nodes)
-            degrees = _load_json_arg(args.degrees, "degrees")
-            report = profile.to_json()
-            report["superpolynomial"] = {
-                str(d): v for d, v in superpolynomial_probe(profile, degrees).items()
-            }
-            return _emit(report, f"shell counts: {report['counts']}")
-        rep = kappa_decay_probe(
-            group, sigma, kappa, args.M, args.trials, args.radius, seed=args.seed, node_budget=nodes
-        )
-        report = rep.to_json()
-        summary = f"max ratio {rep.max_ratio:.4g}; violations: {len(rep.violations)}"
-        return _emit(report, summary)
-
-    raise SpecError(f"unknown command {args.cmd!r}")
+        g = _parsed(group.element_from_json, _load_json_arg(args.g, "g"), "g")
+        degrees = _load_list(args.degrees, "degrees")
+        if not all(isinstance(d, int) and not isinstance(d, bool) for d in degrees):
+            raise SpecError("must be a list of integers", path="degrees")
+        profile = class_growth_counts(g, kappa, args.kmax, args.radius, nodes)
+        report = profile.to_json()
+        report["superpolynomial"] = {str(d): v for d, v in superpolynomial_probe(profile, degrees).items()}
+        return _emit(report, f"shell counts: {report['counts']}")
+    if not args.M > 0:
+        raise SpecError("the decay bound must be positive", path="M")
+    group, sigma = _build_pair(args)
+    kappa = LengthFunction.parse(group, args.kappa)
+    rep = kappa_decay_probe(group, sigma, kappa, args.M, args.trials, args.radius, seed=args.seed, node_budget=nodes)
+    summary = f"max ratio {rep.max_ratio:.4g}; violations: {len(rep.violations)}"
+    return _emit(rep.to_json(), summary)
 
 
 if __name__ == "__main__":

@@ -508,16 +508,6 @@ class CoboundaryFn:
         return cls(group, lambda g: ZERO, label="0")
 
     @classmethod
-    def from_table(cls, group: Group, table: dict[Element, Phase]) -> CoboundaryFn:
-        def fn(g: Element) -> Phase:
-            try:
-                return table[g]
-            except KeyError:
-                raise ConfigurationError(f"coboundary table has no entry for {g!r}") from None
-
-        return cls(group, fn, label="table")
-
-    @classmethod
     def bitstream_parity(cls, sigma_mu: BitstreamCocycle) -> CoboundaryFn:
         """b(x) = sigma_mu(x_even, x_odd): splits x by index parity."""
 

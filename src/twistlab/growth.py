@@ -30,7 +30,10 @@ class LengthFunction:
 
     def __call__(self, g: Element) -> float:
         base = 1 + self.group.length(g)
-        return float(base) ** float(self.power)
+        try:
+            return float(base) ** float(self.power)
+        except OverflowError:  # a large power: the weight exceeds every float
+            return math.inf
 
     @classmethod
     def parse(cls, group: Group, text: str) -> LengthFunction:
@@ -42,7 +45,10 @@ class LengthFunction:
             return cls(group, Fraction(1))
         if t.startswith("(1+L)^"):
             exp = t[len("(1+L)^") :].strip("()")
-            return cls(group, Fraction(exp))
+            try:
+                return cls(group, Fraction(exp))
+            except (ValueError, ZeroDivisionError):
+                raise SpecError(f"exponent {exp!r} is not a rational number", path="kappa") from None
         raise SpecError(f"cannot parse length function {text!r}", path="kappa")
 
 
@@ -78,9 +84,9 @@ def class_growth_counts(
     """
     counts: dict[int, int] = {k: 0 for k in range(1, k_max + 1)}
     for h in conjugacy_class_partial(g, radius, node_budget):
-        k = max(1, math.ceil(kappa(h)))  # shell k covers kappa in (k-1, k]
-        if k <= k_max:
-            counts[k] += 1
+        weight = kappa(h)
+        if weight <= k_max:  # shell k covers kappa in (k-1, k]
+            counts[max(1, math.ceil(weight))] += 1
     return GrowthProfile(g, counts, k_max, radius, kappa.power)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from numbers import Real
 from typing import Mapping
 
 from .errors import ConfigurationError
@@ -29,12 +30,14 @@ class IrrationalBasis:
     __slots__ = ("symbols", "_values")
 
     def __init__(self, values: Mapping[str, float]):
+        if not isinstance(values, Mapping):
+            raise ConfigurationError(f"basis must map symbols to numbers, got {values!r}")
         syms = tuple(values)
         if len(set(syms)) != len(syms):
             raise ConfigurationError("duplicate basis symbols")
         for sym, val in values.items():
-            if not (0.0 < float(val) < 1.0):
-                raise ConfigurationError(f"numeric value for {sym!r} must be in (0,1), got {val}")
+            if isinstance(val, bool) or not isinstance(val, Real) or not (0.0 < val < 1.0):
+                raise ConfigurationError(f"numeric value for {sym!r} must be in (0,1), got {val!r}")
         self.symbols = syms
         self._values = {s: float(v) for s, v in values.items()}
 

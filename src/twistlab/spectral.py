@@ -79,16 +79,6 @@ class FiniteFunction:
             return cls(g.group, {g: (_num(coeff), 0)}, exact=True)
         return cls(g.group, {g: complex(coeff)}, exact=False)
 
-    @classmethod
-    def from_pairs(cls, group: Group, pairs, exact: bool = False) -> FiniteFunction:
-        coeffs: dict = {}
-        for g, c in pairs:
-            if g in coeffs:
-                coeffs[g] = _cadd(coeffs[g], c) if exact else coeffs[g] + c
-            else:
-                coeffs[g] = c
-        return cls(group, coeffs, exact=exact)
-
     def support(self) -> list[Element]:
         return sorted(self.coeffs, key=lambda e: self.group.sort_key(e.data))
 
@@ -139,7 +129,8 @@ class FiniteFunction:
         for g, c in self.coeffs.items():
             w = weight(g)
             mag = math.hypot(float(c[0]), float(c[1])) if self.exact else abs(c)
-            total += (mag * w) ** 2
+            term = mag * w  # a product, not ** 2, so that a huge weight gives inf, not OverflowError
+            total += term * term
         return math.sqrt(total)
 
 

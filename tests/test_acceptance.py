@@ -373,7 +373,7 @@ def test_ac7_kernel_oracle():
 def test_ac8_determinism(capsys):
     outputs = []
     for _ in range(2):
-        code = cli_main(["fixtures", "--seed", "11"])
+        code = cli_main(["fixtures"])
         assert code == 0
         outputs.append(capsys.readouterr().out)
     fixtures_same = outputs[0] == outputs[1]
@@ -383,8 +383,6 @@ def test_ac8_determinism(capsys):
         code = cli_main(
             [
                 "classify",
-                "--seed",
-                "11",
                 "--group",
                 '{"family":"sanov"}',
                 "--cocycle",

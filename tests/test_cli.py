@@ -293,7 +293,7 @@ def test_budget_env_override(capsys, monkeypatch):
 def test_determinism_byte_identical(capsys):
     outputs = []
     for _ in range(2):
-        code, out, _ = run_cli(capsys, "fixtures", "--seed", "7")
+        code, out, _ = run_cli(capsys, "fixtures")
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
@@ -411,6 +411,13 @@ TRIVIAL_ON_Z = ("--group", '{"family":"zn","n":1}', "--cocycle", '{"kind":"trivi
         (("spectral", "norm", *TRIVIAL_ON_Z, "--f", "{not_list}"), {}, "f"),
         (("verdict", "kleppner", "--group", '{"family":"sum_z"}', "--cocycle", '{"kind":"theta_window","entries":[[1,2]]}'), {}, "cocycle.entries[0]"),
         (("verdict", "kleppner", "--group", '{"family":"zn","n":-2}', "--cocycle", '{"kind":"trivial"}'), {}, "group.n"),
+        (("growth", "orbit", "--nu1", "[1,5]", "--start", "5"), {}, "start"),
+        (("growth", "orbit", "--nu1", "[1,5]", "--start", "[[0,1]]"), {}, "start"),
+        (("growth", "orbit", "--nu1", "[1,5]", "--points", "0"), {}, "points"),
+        (("verdict", "kleppner", *TRIVIAL_ON_Z, "--candidates", "5"), {}, "candidates"),
+        (("growth", "class", "--group", '{"family":"zn","n":1}', "--g", "[1]", "--degrees", "3"), {}, "degrees"),
+        (("growth", "class", "--group", '{"family":"zn","n":1}', "--g", "[1]", "--degrees", '"x"'), {}, "degrees"),
+        (("growth", "class", "--group", '{"family":"zn","n":1}', "--g", "[1]", "--kappa", "(1+L)^abc"), {}, "kappa"),
     ],
     ids=[
         "irr_not_object",
@@ -426,6 +433,13 @@ TRIVIAL_ON_Z = ("--group", '{"family":"zn","n":1}', "--cocycle", '{"kind":"trivi
         "f_not_list",
         "theta_window_pair",
         "zn_n_negative",
+        "orbit_start_int",
+        "orbit_start_single",
+        "orbit_points_zero",
+        "candidates_int",
+        "degrees_int",
+        "degrees_str",
+        "kappa_exponent_text",
     ],
 )
 def test_bad_inputs_are_json_spec_errors(argv, env, path, tmp_path, monkeypatch, capsys):
@@ -442,3 +456,29 @@ def test_bad_inputs_are_json_spec_errors(argv, env, path, tmp_path, monkeypatch,
     assert set(rep) == {"error", "path"}
     assert rep["path"] == path
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fixtures", "--seed", "1"),
+        ("classify", *TRIVIAL_ON_Z, "--tol", "1e-3"),
+        ("verdict", "condition-x", *TRIVIAL_ON_Z, "--subgroup", "center", "--candidates", "[]"),
+        ("spectral", "r2", *TRIVIAL_ON_Z, "--f", "f.json", "--radius", "3"),
+        ("growth", "class", "--group", '{"family":"zn","n":1}', "--g", "[1]", "--cocycle", '{"kind":"trivial"}'),
+        ("growth", "orbit", "--nu1", "[1,5]", "--radius", "3"),
+    ],
+    ids=["fixtures_seed", "classify_tol", "condition_x_candidates", "r2_radius", "class_cocycle", "orbit_radius"],
+)
+def test_options_a_command_does_not_read_are_usage_errors(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["path"] == "argv" and "unrecognized arguments" in rep["error"]
+    assert "Traceback" not in err
+
+
+def test_budget_env_is_ignored_without_a_budget(capsys, monkeypatch):
+    monkeypatch.setenv("TWISTLAB_BUDGET", "abc")
+    code, out, _ = run_cli(capsys, "growth", "orbit", "--nu1", "[1,5]", "--points", "10")
+    assert code == 0 and json.loads(out)["finite_certified"]

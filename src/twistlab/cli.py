@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import os
 import sys
 
@@ -95,6 +96,11 @@ def _load_function(group, path: str, field: str) -> FiniteFunction:
         except (TypeError, ValueError) as exc:
             raise SpecError(f"coefficient parts must be finite numbers: {exc}", path=f"{field}[{i}]") from exc
     return FiniteFunction(group, coeffs)
+
+
+def _check_finite(values, what: str) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise SpecError(f"{what} exceeds the float range; scale the coefficients down", path="f")
 
 
 def _all_inconclusive(report: dict) -> bool:
@@ -261,14 +267,17 @@ def _dispatch(args) -> int:
                 raise SpecError("the norm sequence needs a radius of at least 1", path="radius")
             reps = truncated_norm_sequence(f, sigma, args.radius, tol=args.tol, seed=args.seed, node_budget=nodes)
             values = [rep.to_json() for rep in reps]
+            _check_finite([v["value"] for v in values], "a norm")
             report = {"radius": args.radius, "sequence": values, "value": values[-1]["value"]}
             return _emit(report, f"norm lower bound at radius {args.radius}: {report['value']:.9g}")
         if args.which == "r2":
             rep = r2_estimate(f, sigma, args.nmax, budget=nodes)
+            _check_finite(rep.squared_norms, "a squared norm")
             return _emit(rep.to_json(), f"r2 estimate: {rep.estimate:.9g} (exact={rep.exact})")
         if args.which == "domination":
             xi = _load_function(group, args.xi, "xi")
             rows = check_domination(f, xi, sigma, args.nmax, budget=nodes)
+            _check_finite([float(v) for r in rows for v in (r.twisted_sq, r.plain_sq)], "a squared norm")
             report = {
                 "rows": [{**vars(r), "twisted_sq": float(r.twisted_sq), "plain_sq": float(r.plain_sq)} for r in rows],
                 "all_ok": all(r.ok for r in rows),

@@ -126,7 +126,7 @@ class Group:
     def ball(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[Element, ...]:
         """All elements of word length <= radius, sorted canonically."""
         if radius < 0:
-            raise SpecError("ball radius must be nonnegative")
+            raise SpecError("ball radius must be nonnegative", path="radius")
         cached = self._ball_cache.get(radius)
         if cached is not None:
             return cached
@@ -228,7 +228,7 @@ class SumZ(Group):
 
     def ball(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[Element, ...]:
         if radius < 0:
-            raise SpecError("ball radius must be nonnegative")
+            raise SpecError("ball radius must be nonnegative", path="radius")
         cached = self._ball_cache.get(radius)
         if cached is not None:
             return cached
@@ -315,7 +315,7 @@ class SumZ2(Group):
 
     def ball(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[Element, ...]:
         if radius < 0:
-            raise SpecError("ball radius must be nonnegative")
+            raise SpecError("ball radius must be nonnegative", path="radius")
         cached = self._ball_cache.get(radius)
         if cached is not None:
             return cached
@@ -732,7 +732,7 @@ class FreeGroup(Group):
 
     def __init__(self, rank: int):
         if not 1 <= rank <= len(_LETTERS):
-            raise SpecError(f"free group rank must be between 1 and {len(_LETTERS)}")
+            raise SpecError(f"free group rank must be between 1 and {len(_LETTERS)}", path="group.rank")
         self.rank = rank
         super().__init__()
         self.key = f"free[{rank}]"

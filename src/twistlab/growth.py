@@ -46,9 +46,12 @@ class LengthFunction:
         if t.startswith("(1+L)^"):
             exp = t[len("(1+L)^") :].strip("()")
             try:
-                return cls(group, Fraction(exp))
+                power = Fraction(exp)
             except (ValueError, ZeroDivisionError):
                 raise SpecError(f"exponent {exp!r} is not a rational number", path="kappa") from None
+            if power < 0:
+                raise SpecError(f"exponent {exp!r} is negative; the power must be at least 0", path="kappa")
+            return cls(group, power)
         raise SpecError(f"cannot parse length function {text!r}", path="kappa")
 
 

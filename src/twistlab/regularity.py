@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 
 from .cocycles import (
     BitstreamCocycle,
@@ -33,6 +35,7 @@ from .groups import (
     WreathZ,
     Zn,
     ZnSemidirectZ,
+    _index_key,
     commuting_ball,
     resolve_subgroup,
     sanov_word_matrix,
@@ -364,20 +367,59 @@ def regular_vectors_in_box(
     sigma: Cocycle, window: int, height: int
 ) -> tuple[list[Element], bool]:
     """All nonzero regular vectors with support in [-window, window] and
-    entries bounded by height, plus a certification flag."""
+    entries bounded by height, in ``sort_key`` order, plus a certification
+    flag."""
     base = sigma.structural()
     G = base.group
     positions = list(range(-window, window + 1))
     raw, certified = regular_vectors_box_raw(sigma, window, height)
     if isinstance(base, ThetaCocycle):
-        elems = [
-            G.element(tuple((p, int(v)) for p, v in zip(positions, vec) if v)) for vec in raw
-        ]
-        if len(elems) > 20000:  # canonical order is only needed for witness picking
-            return sorted(elems, key=lambda e: e.data), certified
-        return sorted(elems, key=lambda e: G.sort_key(e.data)), certified
+        return _sumz_elements(G, positions, height, raw), certified
     elems = [G.element(v) for v in raw]
     return sorted(elems, key=lambda e: G.sort_key(e.data)), certified
+
+
+def _sumz_elements(G: SumZ, positions: list[int], height: int, raw) -> list[Element]:
+    """The rows of a box array as elements, in ``SumZ.sort_key`` order.
+
+    One lexsort orders the rows: the L1 norm first, then the positions in
+    ``_index_key`` order.  A present entry v is coded 2|v| (+1 when
+    negative); an absent entry is coded above every present code when a
+    later position is nonzero and 0 otherwise, so that a support which is a
+    prefix of another sorts first, as in the tuple comparison of the key.
+
+    Payloads are built per support pattern: each live column is exported
+    with one ``tolist()`` and mapped through a table of interned
+    ``(position, value)`` pairs, and the columns are zipped together.
+    """
+    import numpy as np
+
+    if len(raw) == 0:
+        return []
+    n = len(positions)
+    small = np.min_scalar_type(-2 * height - 3)  # holds every code and every v + height
+    vals = raw.astype(small)
+    ordered = vals[:, sorted(range(n), key=lambda c: _index_key(positions[c]))]
+    later = np.zeros(ordered.shape, dtype=bool)  # some later position is nonzero
+    later[:, :-1] = np.logical_or.accumulate(ordered[:, :0:-1] != 0, axis=1)[:, ::-1]
+    codes = 2 * np.abs(ordered) + (ordered < 0)
+    codes[later & (ordered == 0)] = 2 * height + 2
+    l1 = np.abs(vals).sum(axis=1)
+    # small key types sort by radix
+    vals = vals[np.lexsort([*codes.T[::-1], l1.astype(np.min_scalar_type(l1.max()))])]
+
+    masks = (vals != 0) @ (1 << np.arange(n, dtype=np.int64))
+    by_mask = np.argsort(masks.astype(np.min_scalar_type(masks.max())), kind="stable")
+    starts = np.flatnonzero(np.diff(masks[by_mask])) + 1
+    table = [[(p, v) for v in range(-height, height + 1)] for p in positions]
+    make = partial(Element, G)
+    grouped: list[Element] = []
+    for rows in np.split(by_mask, starts):
+        block = vals[rows] + height
+        cols = np.flatnonzero(block[0] != height)
+        parts = [map(table[c].__getitem__, block[:, c].tolist()) for c in cols.tolist()]
+        grouped.extend(map(make, zip(*parts)))
+    return list(map(grouped.__getitem__, np.argsort(by_mask).tolist()))
 
 
 def regular_subgroup_generators(
@@ -540,32 +582,27 @@ def box_solution_array(sigma: ThetaCocycle, positions: list[int], height: int, r
     right_keys = keys(right, rcols, negate=False)
     left_keys = keys(left, lcols, negate=True)
 
-    rview = np.ascontiguousarray(right_keys).view(
-        np.dtype((np.void, right_keys.dtype.itemsize * right_keys.shape[1]))
-    ).ravel()
-    lview = np.ascontiguousarray(left_keys).view(
-        np.dtype((np.void, left_keys.dtype.itemsize * left_keys.shape[1]))
-    ).ravel()
-
+    width = right_keys.shape[1] * right_keys.dtype.itemsize
+    rbuf = np.ascontiguousarray(right_keys).tobytes()
+    lbuf = np.ascontiguousarray(left_keys).tobytes()
     index: dict[bytes, list[int]] = {}
-    for i, key in enumerate(rview):
-        index.setdefault(key.tobytes(), []).append(i)
+    for i, at in enumerate(range(0, len(rbuf), width)):
+        index.setdefault(rbuf[at : at + width], []).append(i)
 
-    chunks = []
-    for i, key in enumerate(lview):
-        hits = index.get(key.tobytes())
+    lrows: list[int] = []
+    rlists: list[list[int]] = []
+    for i, at in enumerate(range(0, len(lbuf), width)):
+        hits = index.get(lbuf[at : at + width])
         if hits:
-            block = np.empty((len(hits), len(positions)), dtype=np.int64)
-            block[:, :half] = left[i]
-            block[:, half:] = right[hits]
-            chunks.append(block)
-    if not chunks:
-        return np.empty((0, len(positions)), dtype=np.int64)
-    sols = np.concatenate(chunks, axis=0)
-    sols = sols[(sols != 0).any(axis=1)]
-    # deterministic order
-    order = np.lexsort(sols.T[::-1])
-    return sols[order]
+            lrows.append(i)
+            rlists.append(hits)
+    lidx = np.repeat(np.array(lrows, dtype=np.intp), [len(h) for h in rlists])
+    ridx = np.fromiter(chain.from_iterable(rlists), dtype=np.intp, count=len(lidx))
+    nonzero = left.any(axis=1)[lidx] | right.any(axis=1)[ridx]
+    lidx, ridx = lidx[nonzero], ridx[nonzero]
+    # both grids are in lexicographic order and the hits are collected in
+    # index order, so the solutions come out sorted lexicographically
+    return np.concatenate([left[lidx], right[ridx]], axis=1)
 
 
 def _srow_entry(sigma: ThetaCocycle, j: int, k: int) -> Phase:

@@ -113,7 +113,8 @@ class FiniteFunction:
             for re, im in self.coeffs.values():
                 total += re * re + im * im
             return total
-        return float(sum(abs(c) ** 2 for c in self.coeffs.values()))
+        # products, not ** 2, so that a square past the float range is inf, not OverflowError
+        return float(sum(c.real * c.real + c.imag * c.imag for c in self.coeffs.values()))
 
     def l2(self) -> float:
         return math.sqrt(float(self.l2_squared()))
@@ -289,6 +290,25 @@ def operator_norm(
     n = matrix.shape[0]
     if n == 0 or matrix.nnz == 0:
         return NormReport(0.0, True, 0, n)
+    # solve for 2^-shift M, whose largest part lies in [1/2, 1): the power of
+    # two is exact, and the iterates can neither overflow nor underflow
+    parts = matrix.data.view(np.float64)  # real and imaginary parts side by side
+    shift = math.frexp(np.abs(parts).max())[1]
+    if shift:
+        matrix = matrix.copy()
+        matrix.data = np.ldexp(parts, -shift).view(matrix.data.dtype)
+    rep = _power_iteration(matrix, tol, seed, restarts, max_iter)
+    try:
+        rep.value = math.ldexp(rep.value, shift)
+    except OverflowError:  # the norm itself exceeds the float range
+        rep.value = math.inf
+    return rep
+
+
+def _power_iteration(matrix, tol: float, seed: int, restarts: int, max_iter: int) -> NormReport:
+    import numpy as np
+
+    n = matrix.shape[0]
     mh = matrix.getH().tocsr()
     rng = np.random.default_rng(seed)
     best = 0.0

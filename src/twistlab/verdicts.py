@@ -522,7 +522,8 @@ def check_condition_x(
     if not (isinstance(group, ZnSemidirectZ) and subgroup_name == "base"):
         raise SpecError(
             "condition X metadata (FC-center inclusion, FC-hypercentral quotient) "
-            f"is not on file for {group.family!r} with subgroup {subgroup_name!r}"
+            f"is not on file for {group.family!r} with subgroup {subgroup_name!r}",
+            path="subgroup",
         )
     if not group.icc:
         raise SpecError("condition X facts are recorded for the ICC matrices only")

@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, exit codes, determinism."""
 
 import json
+import math
 
 import pytest
 
@@ -149,6 +150,19 @@ def test_spectral_norm_subcommand(tmp_path, capsys):
     assert len(rep["sequence"]) == 5
     vals = [s["value"] for s in rep["sequence"]]
     assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:]))
+
+
+def test_spectral_norm_of_coefficients_near_the_float_limit(tmp_path, capsys):
+    fpath = tmp_path / "f.json"
+    fpath.write_text('[{"g":"a","re":1e308,"im":1e308}]')
+    code, out, _ = run_cli(
+        capsys, "spectral", "norm", "--group", '{"family":"free","rank":2}', "--cocycle", '{"kind":"trivial"}',
+        "--f", str(fpath), "--radius", "2",
+    )
+    assert code == 0
+    rep = json.loads(out)
+    assert all(r["converged"] for r in rep["sequence"])
+    assert rep["value"] == pytest.approx(math.hypot(1e308, 1e308), rel=1e-12)
 
 
 def test_spectral_norm_rejects_nonpositive_radius(tmp_path, capsys):
@@ -372,7 +386,7 @@ def test_free_group_rank_above_eight_is_spec_error(capsys):
         capsys, "verdict", "kleppner", "--group", '{"family":"free","rank":9}', "--cocycle", '{"kind":"trivial"}'
     )
     assert code == 1
-    assert json.loads(out)["error"] == "free group rank must be between 1 and 8"
+    assert json.loads(out) == {"error": "group.rank: free group rank must be between 1 and 8", "path": "group.rank"}
 
 
 def test_relative_kleppner_sanov_base_with_candidate(capsys):
@@ -418,6 +432,12 @@ TRIVIAL_ON_Z = ("--group", '{"family":"zn","n":1}', "--cocycle", '{"kind":"trivi
         (("growth", "class", "--group", '{"family":"zn","n":1}', "--g", "[1]", "--degrees", "3"), {}, "degrees"),
         (("growth", "class", "--group", '{"family":"zn","n":1}', "--g", "[1]", "--degrees", '"x"'), {}, "degrees"),
         (("growth", "class", "--group", '{"family":"zn","n":1}', "--g", "[1]", "--kappa", "(1+L)^abc"), {}, "kappa"),
+        (("growth", "class", "--group", '{"family":"free","rank":2}', "--g", '"a"', "--kappa", "(1+L)^-5"), {}, "kappa"),
+        (("verdict", "kleppner", "--group", '{"family":"free","rank":9}', "--cocycle", '{"kind":"trivial"}'), {}, "group.rank"),
+        (("growth", "class", "--group", '{"family":"free","rank":2}', "--g", '"a"', "--radius", "-1"), {}, "radius"),
+        (("verdict", "condition-x", "--group", '{"family":"bs_nn","n":2}', "--cocycle", '{"kind":"trivial"}', "--subgroup", "center"), {}, "subgroup"),
+        (("spectral", "r2", *TRIVIAL_ON_Z, "--f", "{huge}"), {}, "f"),
+        (("spectral", "domination", *TRIVIAL_ON_Z, "--f", "{huge}", "--xi", "{huge}"), {}, "f"),
     ],
     ids=[
         "irr_not_object",
@@ -440,12 +460,19 @@ TRIVIAL_ON_Z = ("--group", '{"family":"zn","n":1}', "--cocycle", '{"kind":"trivi
         "degrees_int",
         "degrees_str",
         "kappa_exponent_text",
+        "kappa_exponent_negative",
+        "free_rank_nine",
+        "class_radius_negative",
+        "condition_x_no_metadata",
+        "r2_square_overflow",
+        "domination_square_overflow",
     ],
 )
 def test_bad_inputs_are_json_spec_errors(argv, env, path, tmp_path, monkeypatch, capsys):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     files = {"missing": None, "no_g": '[{"re":1}]', "re_text": '[{"g":[1],"re":"x"}]', "not_list": '{"g":[1]}'}
+    files["huge"] = '[{"g":[1],"re":1e308,"im":1e308}]'  # finite parts, squared modulus past the float range
     for name, text in files.items():
         if text is not None:
             (tmp_path / f"{name}.json").write_text(text)

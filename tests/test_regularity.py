@@ -102,6 +102,30 @@ def test_regular_vectors_match_brute_force_small():
     assert (0, 1, 0, 1, 0) in fast  # e_{-1} + e_1 pattern
 
 
+@pytest.mark.parametrize("window, height", [(3, 3), (4, 2)])
+def test_box_vectors_come_in_sort_key_order(window, height):
+    """Canonical order at every size: (4, 2) has 32,384 vectors."""
+    sig = build_cocycle(PERIOD4, SZ, BASIS)
+    positions = list(range(-window, window + 1))
+    rows = list(certified_row_range(sig, positions))
+    brute = brute_force_regular_vectors(sig, window, height, rows)
+    expected = [SZ.element(tuple((p, int(v)) for p, v in zip(positions, vec) if v)) for vec in brute]
+    found, certified = regular_vectors_in_box(sig, window, height)
+    assert certified
+    assert found == sorted(expected, key=lambda e: SZ.sort_key(e.data))
+
+
+def test_box_vector_payloads_are_plain_sorted_int_pairs():
+    sig = build_cocycle(PERIOD4, SZ, BASIS)
+    found, _ = regular_vectors_in_box(sig, 3, 4)
+    assert found
+    for e in found:
+        assert isinstance(e.data, tuple) and [p for p, _ in e.data] == sorted({p for p, _ in e.data})
+        for pair in e.data:
+            assert type(pair) is tuple and len(pair) == 2
+            assert type(pair[0]) is int and type(pair[1]) is int and pair[1] != 0
+
+
 def test_generators_span_found_vectors():
     sig = build_cocycle(PERIOD4, SZ, BASIS)
     gens, complete = regular_subgroup_generators(sig, 4, 4)

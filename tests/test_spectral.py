@@ -152,6 +152,18 @@ def test_operator_norm_stops_at_first_converged_restart():
         assert operator_norm(op.matrix, seed=seed) == once
 
 
+def test_operator_norm_scales_by_powers_of_two_exactly():
+    """The solver runs on 2^-shift M, so M and 2^k M give the same steps."""
+    rng = random.Random(2)
+    f = FiniteFunction(F2, {g: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for g in list(F2.ball(2))[:6]})
+    op = build_truncated(f, TRIV_F2, 3)
+    base = operator_norm(op.matrix, seed=4)
+    for k in (-1000, -40, 7, 1020):
+        scaled = operator_norm(op.matrix * 2.0**k, seed=4)
+        assert (scaled.converged, scaled.iterations) == (base.converged, base.iterations)
+        assert scaled.value == math.ldexp(base.value, k)
+
+
 @pytest.mark.parametrize(
     "G, sigma, f_support",
     [

@@ -198,9 +198,9 @@ class BitstreamCocycle(Cocycle):
 
     def __init__(self, group: SumZ2, pre: tuple[int, ...] = (), period: tuple[int, ...] = ()):
         super().__init__(group)
-        for bit in tuple(pre) + tuple(period):
-            if bit not in (0, 1):
-                raise SpecError("bitstream entries must be 0 or 1", path="cocycle.pre")
+        for name, bits in (("pre", pre), ("period", period)):
+            if any(bit not in (0, 1) for bit in bits):
+                raise SpecError("bitstream entries must be 0 or 1", path=f"cocycle.{name}")
         self.pre = tuple(pre)
         self.period = tuple(period)
 
@@ -689,6 +689,14 @@ def build_cocycle(spec: dict, group: Group, basis: IrrationalBasis | None = None
     def need_phase(name: str) -> Phase:
         return ph(need(name), f"cocycle.{name}")
 
+    def items(name: str) -> list:
+        value = spec.get(name)
+        if value is None:
+            return []
+        if not isinstance(value, list):
+            raise SpecError(f"{name} must be a list, got {value!r}", path=f"cocycle.{name}")
+        return value
+
     if kind == "trivial":
         return TrivialCocycle(group)
     if kind in ("theta_diag", "theta_rule", "theta_window"):
@@ -697,26 +705,32 @@ def build_cocycle(spec: dict, group: Group, basis: IrrationalBasis | None = None
         if kind == "theta_rule":
             return ThetaCocycle(group, rule=spec.get("rule"))
         if kind == "theta_diag":
-            diags = tuple(ph(p, f"cocycle.diagonals[{i}]") for i, p in enumerate(spec.get("diagonals", [])))
-            period = spec.get("period")
-            per = tuple(ph(p, f"cocycle.period[{i}]") for i, p in enumerate(period)) if period else None
+            diags = tuple(ph(p, f"cocycle.diagonals[{i}]") for i, p in enumerate(items("diagonals")))
+            per = tuple(ph(p, f"cocycle.period[{i}]") for i, p in enumerate(items("period")))
             return ThetaCocycle(group, diagonals=diags, period=per)
         entries = {}
-        for i, item in enumerate(spec.get("entries", [])):
-            if not isinstance(item, list) or len(item) != 3:
-                raise SpecError("a theta_window entry is a [j, k, phase] triple", path=f"cocycle.entries[{i}]")
+        for i, item in enumerate(items("entries")):
+            if not (
+                isinstance(item, list)
+                and len(item) == 3
+                and all(isinstance(t, int) and not isinstance(t, bool) for t in item[:2])
+            ):
+                raise SpecError(
+                    "a theta_window entry is a [j, k, phase] triple with integer j, k",
+                    path=f"cocycle.entries[{i}]",
+                )
             j, k, p = item
-            if int(j) >= int(k):
+            if j >= k:
                 raise SpecError(
                     f"theta entry ({j},{k}) lies on or below the diagonal",
                     path=f"cocycle.entries[{i}]",
                 )
-            entries[(int(j), int(k))] = ph(p, f"cocycle.entries[{i}]")
+            entries[(j, k)] = ph(p, f"cocycle.entries[{i}]")
         return ThetaCocycle(group, window=entries)
     if kind == "bitstream":
         if not isinstance(group, SumZ2):
             raise SpecError("bitstream cocycles live on sum_z2", path="cocycle.kind")
-        return BitstreamCocycle(group, tuple(spec.get("pre", ())), tuple(spec.get("period", ())))
+        return BitstreamCocycle(group, tuple(items("pre")), tuple(items("period")))
     if kind == "antisym_theta":
         return AntisymThetaCocycle(group, need_phase("theta"))
     if kind == "half_skew":

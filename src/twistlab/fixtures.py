@@ -39,7 +39,6 @@ class Fixture:
     subgroup: str | None = None
     element: dict | str | None = None
     candidates: list = field(default_factory=list)
-    needs_radius: int = 0
 
 
 FIXTURES: list[Fixture] = [
@@ -260,12 +259,7 @@ def run_fixture_matrix(
     node_budget: int = 10**6,
     corrupt: str | None = None,
 ) -> dict:
-    """Execute the bundled matrix, one fixture after another; returns rows and an overall flag.
-
-    Verdicts that degrade to inconclusive purely because the budget sits
-    below a fixture's declared search radius are flagged as expected
-    divergences, not failures.
-    """
+    """Execute the bundled matrix, one fixture after another; returns rows and an overall flag."""
 
     def one(fx: Fixture) -> dict:
         expected = dict(fx.expected)
@@ -275,20 +269,14 @@ def run_fixture_matrix(
                 for k, v in expected.items()
             }
         got = run_fixture(fx, radius, node_budget)
-        match = _match(expected, got)
-        divergence = False
-        if not match and radius < fx.needs_radius:
-            statuses = [v for v in got.values() if isinstance(v, str)]
-            divergence = "inconclusive" in statuses
         return {
             "fixture": fx.id,
             "description": fx.description,
             "expected": expected,
             "got": got,
-            "match": match,
-            "budget_divergence": divergence,
+            "match": _match(expected, got),
         }
 
     rows = [one(fx) for fx in FIXTURES]
-    ok = all(r["match"] or r["budget_divergence"] for r in rows)
+    ok = all(r["match"] for r in rows)
     return {"rows": rows, "all_match": ok}

@@ -440,14 +440,14 @@ class WreathZ(Group):
 
     def __init__(self, base: str = "Z", acting_modulus: int | None = None):
         if base not in ("Z", "Z2"):
-            raise SpecError(f"wreath base must be Z or Z2, got {base!r}")
+            raise SpecError(f"wreath base must be Z or Z2, got {base!r}", path="group.base")
         self.base = base
         self.m = acting_modulus
         super().__init__()
         self.key = f"wreath[{base},{acting_modulus or 'Z'}]"
         if acting_modulus is not None:
             if base != "Z2":
-                raise SpecError("finite wreath fixtures only support base Z2")
+                raise SpecError("finite wreath fixtures only support base Z2", path="group.acting")
             self.finite = True
             self.icc = False
         else:
@@ -605,7 +605,7 @@ def _int_inverse(A):
     n = len(A)
     d = _det(A)
     if d not in (1, -1):
-        raise SpecError(f"matrix determinant must be +-1, got {d}")
+        raise SpecError(f"matrix determinant must be +-1, got {d}", path="group.A")
     cof = [
         [
             (-1) ** (i + j)
@@ -625,10 +625,17 @@ class ZnSemidirectZ(Group):
     amenable = True
 
     def __init__(self, matrix):
-        A = tuple(tuple(int(x) for x in row) for row in matrix)
+        if not (
+            isinstance(matrix, list)
+            and matrix
+            and all(isinstance(row, list) and len(row) == len(matrix) for row in matrix)
+            and all(isinstance(x, int) and not isinstance(x, bool) for row in matrix for x in row)
+        ):
+            raise SpecError(
+                f"matrix must be a nonempty square list of integer rows, got {matrix!r}", path="group.A"
+            )
+        A = tuple(tuple(row) for row in matrix)
         n = len(A)
-        if any(len(row) != n for row in A):
-            raise SpecError("matrix must be square")
         self.n = n
         self.A = A
         self.A_inv = _int_inverse(A)
@@ -1030,10 +1037,13 @@ class FreeTimesZ(Group):
 _GROUP_CACHE: dict[str, Group] = {}
 
 
-def _int_field(spec: dict, name: str, default: int, least: int | None = None) -> int:
-    """The integer field `name` of a group spec, or `default` when absent;
-    values below `least` are rejected."""
+def _int_field(spec: dict, name: str, default: int | None, least: int | None = None) -> int | None:
+    """The integer field `name` of a group spec, or `default` when absent
+    (or null, for an optional field whose default is None); values below
+    `least` are rejected."""
     value = spec.get(name, default)
+    if value is None and default is None:
+        return None
     if isinstance(value, bool) or not isinstance(value, int):
         raise SpecError(f"{name} must be an integer, got {value!r}", path=f"group.{name}")
     if least is not None and value < least:
@@ -1052,11 +1062,11 @@ def get_group(spec: dict) -> Group:
     if fam == "sum_z":
         g: Group = SumZ()
     elif fam == "sum_z2":
-        g = SumZ2(modulus=spec.get("modulus"))
+        g = SumZ2(modulus=_int_field(spec, "modulus", None, least=1))
     elif fam == "zn":
         g = Zn(_int_field(spec, "n", 2, least=1))
     elif fam == "wreath":
-        g = WreathZ(base=spec.get("base", "Z"), acting_modulus=spec.get("acting"))
+        g = WreathZ(base=spec.get("base", "Z"), acting_modulus=_int_field(spec, "acting", None, least=1))
     elif fam == "zn_semidirect":
         if "A" not in spec:
             raise SpecError("zn_semidirect requires a matrix", path="group.A")
@@ -1096,6 +1106,8 @@ def conjugacy_class_partial(
     g: Element, radius: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> tuple[Element, ...]:
     """{h g h^{-1} : h in ball(radius)} -- a lower bound for the class."""
+    if radius < 0:
+        raise SpecError("ball radius must be nonnegative", path="radius")
     G = g.group
     if G.abelian:
         return (g,)

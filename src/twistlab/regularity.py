@@ -125,10 +125,9 @@ def _theta_row(sigma: ThetaCocycle, data, k: int) -> Phase:
     """Row k of the antisymmetrized matrix applied to a sparse vector."""
     out = ZERO
     for j, xj in data:
-        if j > k:
-            out = out * sigma.entry(k, j).scale(xj)
-        elif j < k:
-            out = out * sigma.entry(j, k).scale(-xj)
+        entry = _srow_entry(sigma, j, k)
+        if not entry.is_zero():
+            out = out * entry.scale(xj)
     return out
 
 
@@ -476,68 +475,59 @@ def _grid(ncols: int, height: int):
     return out
 
 
-def _integer_constraints(sigma: ThetaCocycle, positions: list[int], rows):
-    """The listed rows of the antisymmetrized matrix as integer constraints.
+def _integer_rows(matrix: list[list[Phase]]):
+    """A matrix of phases as integer constraints on integer vectors x.
 
-    A vector x (one entry per position) makes every listed row vanish iff
-    ``rat_w x = 0 (mod D)`` and ``w x = 0`` for each ``w`` in ``sym_ws``:
-    the rational parts are scaled to their common denominator D, and each
-    symbol's coefficients to that symbol's common denominator.  All three
-    are plain Python ints, one matrix row per listed row.
+    Every row angle ``row . x`` vanishes mod 1 iff ``rat_w x = 0 (mod D)``
+    and ``w x = 0`` for each ``w`` in ``sym_ws``: the rational parts are
+    scaled to their common denominator D, and each symbol's coefficients to
+    that symbol's common denominator.  All three are plain Python ints, one
+    matrix row per phase row.
     """
-    if rows is None:
-        raise SpecError("explicit-window evaluation requires bounded bandwidth")
-    row_list = list(rows)
-    phases = {(j, k): _srow_entry(sigma, j, k) for k in row_list for j in positions}
-    symbols = sorted({s for p in phases.values() for s, _ in p.irr})
-    D = math.lcm(*(p.rational.denominator for p in phases.values()), 1)
-    sym_den = {
-        s: math.lcm(*(dict(p.irr).get(s, Fraction(0)).denominator for p in phases.values()), 1)
-        for s in symbols
-    }
-    rat_w = [[int(phases[(j, k)].rational * D) for j in positions] for k in row_list]
+    entries = [p for row in matrix for p in row]
+    symbols = sorted({s for p in entries for s, _ in p.irr})
+    D = math.lcm(*(p.rational.denominator for p in entries), 1)
+    sym_den = {s: math.lcm(*(dict(p.irr).get(s, Fraction(0)).denominator for p in entries), 1) for s in symbols}
+    rat_w = [[int(p.rational * D) for p in row] for row in matrix]
     sym_ws = [
-        [[int(dict(phases[(j, k)].irr).get(s, Fraction(0)) * sym_den[s]) for j in positions] for k in row_list]
-        for s in symbols
+        [[int(dict(p.irr).get(s, Fraction(0)) * sym_den[s]) for p in row] for row in matrix] for s in symbols
     ]
     return D, rat_w, sym_ws
 
 
+def _integer_constraints(sigma: ThetaCocycle, positions: list[int], rows):
+    """The listed rows of the antisymmetrized matrix as ``_integer_rows``."""
+    if rows is None:
+        raise SpecError("explicit-window evaluation requires bounded bandwidth")
+    return _integer_rows([[_srow_entry(sigma, j, k) for j in positions] for k in rows])
+
+
+def integer_kernel(D: int, rat_rows, exact_rows, n: int) -> list[tuple[int, ...]]:
+    """Hermite normal form basis of {x in Z^n : rat x = 0 mod D, exact x = 0}.
+
+    x lies in the lattice iff ``(rat x + D y, exact x)`` vanishes for some
+    integer vector y.  The rows ``(c_i, e_i)``, with c_i column i of the
+    constraints, and ``(D e_t, 0)`` for each rational constraint t span the
+    vectors ``(rat x + D y, exact x, x)``; the echelon basis rows whose
+    constraint part is zero span those with vanishing constraints, and their
+    tracker parts are the kernel (Cohen, GTM 138, section 2.4).  The
+    projection onto x is injective, since D y = 0 forces y = 0.  Constraint
+    rows that vanish identically are dropped.
+    """
+    rat = [r for r in rat_rows if any(r)]
+    cons = rat + [r for r in exact_rows if any(r)]
+    m = len(cons)
+    rows = [[r[i] for r in cons] + [int(t == i) for t in range(n)] for i in range(n)]
+    rows += [[D * (t == i) for t in range(m)] + [0] * n for i in range(len(rat))]
+    echelon = _echelon(rows, m + n)
+    return _hermite_basis([list(b[m:]) for b in echelon if not any(b[:m])], n)
+
+
 def kernel_lattice_basis(sigma: ThetaCocycle, positions: list[int], rows) -> list[tuple[int, ...]]:
     """Hermite normal form basis of the lattice of vectors supported on
-    positions whose listed rows vanish.
-
-    x lies in the lattice iff ``rat_w x + D y = 0`` and ``w x = 0`` for some
-    integer vector y, so the lattice is the projection onto x of the integer
-    kernel of the augmented matrix ``[rat_w | D I ; sym_w | 0]``.  The kernel
-    comes from column elimination with a unimodular tracker (Cohen, GTM 138,
-    section 2.4); the projection is injective because D y = 0 forces y = 0.
-    Rows that vanish identically constrain nothing and are dropped.
-    """
+    positions whose listed rows vanish."""
     D, rat_w, sym_ws = _integer_constraints(sigma, positions, rows)
-    n = len(positions)
-    rat_rows = [r for r in rat_w if any(r)]
-    slack = len(rat_rows)
-    matrix = [r + [D if t == i else 0 for t in range(slack)] for i, r in enumerate(rat_rows)]
-    matrix += [r + [0] * slack for w in sym_ws for r in w if any(r)]
-    m = len(matrix)
-    # column c of the matrix, followed by the x part of the tracker's column c
-    # (the y part is never read: the kernel is projected onto x)
-    cols = [[row[c] for row in matrix] + [int(t == c) for t in range(n)] for c in range(n + slack)]
-    for r in range(m):
-        while True:
-            live = [c for c in cols if c[r]]
-            if len(live) <= 1:
-                break
-            p = min(live, key=lambda c: abs(c[r]))
-            for c in live:
-                q = c[r] // p[r]
-                if c is not p and q:
-                    for t in range(r, len(c)):
-                        c[t] -= q * p[t]
-        if live:
-            cols = [c for c in cols if c is not live[0]]
-    return _hermite_basis([c[m:] for c in cols], n)
+    return integer_kernel(D, rat_w, [r for w in sym_ws for r in w], len(positions))
 
 
 def _hermite_basis(rows: list[list[int]], n: int) -> list[tuple[int, ...]]:
@@ -775,40 +765,21 @@ def _pullback_report(inner: RegularityReport, g: Element, sub: Subgroup) -> Regu
 
 
 def _sanov_base_regularity(base: SanovCocycle, g: Element, sub: Subgroup) -> RegularityReport:
-    """Commuting lattice vectors are the fixed vectors of the word's matrix."""
+    """Commuting lattice vectors are the fixed vectors of the word's matrix,
+    the integer kernel of M - I."""
     (u, x) = g.data
-    G = base.group
     if x == ():
         inner = is_sigma_regular(base.restrict("base"), sub.inner.element(tuple(u)))
         return _pullback_report(inner, g, sub)
     M = sanov_word_matrix(x)
-    a, b = M[0][0] - 1, M[0][1]
-    c, d = M[1][0], M[1][1] - 1
-    # integer kernel of M - I
-    if a == b == c == d == 0:
-        # whole lattice commutes; same test as the rank-2 case below with gens e1,e2
-        gens = [(1, 0), (0, 1)]
-    elif a * d - b * c != 0:
+    gens = integer_kernel(1, [], [[M[0][0] - 1, M[0][1]], [M[1][0], M[1][1] - 1]], 2)
+    if not gens:
         return RegularityReport(g, "regular", rule="no_fixed_lattice_vectors")
-    else:
-        gens = [_kernel_generator(a, b, c, d)]
     for w in gens:
         val = base.mu0.scale(Fraction(u[0] * w[1] - u[1] * w[0])) * base.g(w, x)
         if not val.is_zero():
             return RegularityReport(g, "not_regular", witness=sub.embed(sub.inner.element(w)))
     return RegularityReport(g, "regular", rule="twist_vanishes_on_fixed_vectors")
-
-
-def _kernel_generator(a: int, b: int, c: int, d: int) -> tuple[int, int]:
-    """Primitive integer solution of a*x + b*y = 0 (and c*x + d*y = 0)."""
-    if a == 0 and b == 0:
-        a, b = c, d
-    if a == 0:
-        return (1, 0)
-    if b == 0:
-        return (0, 1)
-    g = math.gcd(a, b)
-    return (b // g, -a // g)
 
 
 def relative_class_partial(

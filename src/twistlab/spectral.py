@@ -271,19 +271,19 @@ def operator_norm(
     matrix: sp.spmatrix,
     tol: float = 1e-8,
     seed: int = 0,
-    restarts: int = 3,
     max_iter: int = 10**4,
 ) -> NormReport:
     """Largest singular value by power iteration on the normal operator,
-    with random complex restarts.
+    from a random complex start vector drawn with `seed`.
 
     Each step carries y = M v forward, so it costs one product with M* and
     one with M; the estimate is ||M v|| for a unit vector v, a lower bound
     for the norm.  A run stops when two successive estimates differ by at
     most `tol` relative: `tol` bounds that step, not the distance to the
     norm, and `converged` says only that this test passed (a slowly
-    converging run stops well short of the norm).  Further restarts run only
-    while none has converged; `iterations` counts the steps taken.
+    converging run stops well short of the norm).  A run that has not
+    converged after `max_iter` steps reports its last estimate; `iterations`
+    counts the steps taken.
     """
     import numpy as np
 
@@ -297,7 +297,7 @@ def operator_norm(
     if shift:
         matrix = matrix.copy()
         matrix.data = np.ldexp(parts, -shift).view(matrix.data.dtype)
-    rep = _power_iteration(matrix, tol, seed, restarts, max_iter)
+    rep = _power_iteration(matrix, tol, seed, max_iter)
     try:
         rep.value = math.ldexp(rep.value, shift)
     except OverflowError:  # the norm itself exceeds the float range
@@ -305,31 +305,26 @@ def operator_norm(
     return rep
 
 
-def _power_iteration(matrix, tol: float, seed: int, restarts: int, max_iter: int) -> NormReport:
+def _power_iteration(matrix, tol: float, seed: int, max_iter: int) -> NormReport:
     import numpy as np
 
     n = matrix.shape[0]
     mh = matrix.getH().tocsr()
     rng = np.random.default_rng(seed)
-    best = 0.0
-    total_iters = 0
-    for _ in range(restarts):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        y = matrix @ (v / np.linalg.norm(v))
-        prev = 0.0
-        for it in range(1, max_iter + 1):
-            w = mh @ y
-            nw = np.linalg.norm(w)
-            if nw == 0.0:  # M v = 0: v lies in the kernel
-                return NormReport(best, True, total_iters + it, n)
-            y = matrix @ (w / nw)
-            est = float(np.linalg.norm(y))
-            if prev > 0 and abs(est - prev) <= tol * prev:
-                return NormReport(max(best, est), True, total_iters + it, n)
-            prev = est
-        total_iters += max_iter
-        best = max(best, prev)
-    return NormReport(best, False, total_iters, n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    y = matrix @ (v / np.linalg.norm(v))
+    prev = 0.0
+    for it in range(1, max_iter + 1):
+        w = mh @ y
+        nw = np.linalg.norm(w)
+        if nw == 0.0:  # M v = 0: v lies in the kernel
+            return NormReport(0.0, True, it, n)
+        y = matrix @ (w / nw)
+        est = float(np.linalg.norm(y))
+        if prev > 0 and abs(est - prev) <= tol * prev:
+            return NormReport(est, True, it, n)
+        prev = est
+    return NormReport(prev, False, max_iter, n)
 
 
 def truncated_norm(

@@ -42,6 +42,8 @@ from .groups import (
 )
 from .phase import Phase
 from .regularity import (
+    _integer_rows,
+    integer_kernel,
     is_regular_wrt_subgroup,
     is_sigma_regular,
     regular_vectors_in_box,
@@ -395,7 +397,6 @@ def decide_relative_kleppner(
         if rel is None:
             return Verdict("certified", rule="f2xz_relk")
         ja, jb = rel
-        word = "a " * abs(ja) + "b " * abs(jb)
         w: tuple[int, ...] = tuple([1 if ja > 0 else -1] * abs(ja) + [2 if jb > 0 else -2] * abs(jb))
         return Verdict("refuted", rule="f2xz_relk", witness=group.pair(w, 0))
 
@@ -456,41 +457,11 @@ def _relative_finite(group: Group, sub, sigma: Cocycle) -> Verdict:
 
 
 def _character_relation(mu: Phase, nu: Phase) -> tuple[int, int] | None:
-    """Nonzero (j,k) with j*angle(mu) + k*angle(nu) = 0 mod 1, when one exists."""
-    symbols = sorted({s for s, _ in mu.irr} | {s for s, _ in nu.irr})
-    cm = dict(mu.irr)
-    cn = dict(nu.irr)
-    from fractions import Fraction
-
-    rows = [(cm.get(s, Fraction(0)), cn.get(s, Fraction(0))) for s in symbols]
-    # integer kernel of the symbol constraint rows
-    kernel: list[tuple[int, int]] = [(1, 0), (0, 1)]
-    for a, b in rows:
-        new_kernel = []
-        vals = [a * u + b * v for (u, v) in kernel]
-        nz = [(i, val) for i, val in enumerate(vals) if val != 0]
-        if not nz:
-            new_kernel = kernel
-        elif len(nz) == 1:
-            new_kernel = [kernel[i] for i, val in enumerate(vals) if val == 0]
-        else:
-            (i, vi), (j, vj) = nz
-            num_i, num_j = vi.numerator * vj.denominator, vj.numerator * vi.denominator
-            g = math.gcd(num_i, num_j)
-            u = tuple(
-                (num_j // g) * kernel[i][t] - (num_i // g) * kernel[j][t] for t in (0, 1)
-            )
-            new_kernel = [u] + [kernel[t] for t, val in enumerate(vals) if val == 0]
-        kernel = new_kernel
-        if not kernel:
-            return None
-    for (u, v) in kernel:
-        if (u, v) == (0, 0):
-            continue
-        w = mu.rational * u + nu.rational * v
-        q = w.denominator
-        return (u * q, v * q)
-    return None
+    """Nonzero (j,k) with j*angle(mu) + k*angle(nu) = 0 mod 1, when one exists:
+    the first Hermite basis vector of the relation lattice."""
+    D, rat_w, sym_ws = _integer_rows([[mu, nu]])
+    kernel = integer_kernel(D, rat_w, [r for w in sym_ws for r in w], 2)
+    return kernel[0] if kernel else None
 
 
 # ---------------------------------------------------------------------------

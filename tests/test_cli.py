@@ -438,6 +438,26 @@ TRIVIAL_ON_Z = ("--group", '{"family":"zn","n":1}', "--cocycle", '{"kind":"trivi
         (("verdict", "condition-x", "--group", '{"family":"bs_nn","n":2}', "--cocycle", '{"kind":"trivial"}', "--subgroup", "center"), {}, "subgroup"),
         (("spectral", "r2", *TRIVIAL_ON_Z, "--f", "{huge}"), {}, "f"),
         (("spectral", "domination", *TRIVIAL_ON_Z, "--f", "{huge}", "--xi", "{huge}"), {}, "f"),
+        (("verdict", "kleppner", "--group", '{"family":"sum_z2","modulus":"x"}', "--cocycle", '{"kind":"trivial"}'), {}, "group.modulus"),
+        (("verdict", "kleppner", "--group", '{"family":"sum_z2","modulus":0}', "--cocycle", '{"kind":"trivial"}'), {}, "group.modulus"),
+        (("verdict", "kleppner", "--group", '{"family":"sum_z2","modulus":-2}', "--cocycle", '{"kind":"trivial"}'), {}, "group.modulus"),
+        (("verdict", "kleppner", "--group", '{"family":"wreath","base":"Z2","acting":"x"}', "--cocycle", '{"kind":"trivial"}'), {}, "group.acting"),
+        (("verdict", "kleppner", "--group", '{"family":"wreath","base":"Z2","acting":0}', "--cocycle", '{"kind":"trivial"}'), {}, "group.acting"),
+        (("verdict", "kleppner", "--group", '{"family":"wreath","base":"Z2","acting":-3}', "--cocycle", '{"kind":"trivial"}'), {}, "group.acting"),
+        (("verdict", "kleppner", "--group", '{"family":"wreath","base":"Q"}', "--cocycle", '{"kind":"trivial"}'), {}, "group.base"),
+        (("verdict", "kleppner", "--group", '{"family":"wreath","base":"Z","acting":3}', "--cocycle", '{"kind":"trivial"}'), {}, "group.acting"),
+        (("verdict", "kleppner", "--group", '{"family":"zn_semidirect","A":"x"}', "--cocycle", '{"kind":"trivial"}'), {}, "group.A"),
+        (("verdict", "kleppner", "--group", '{"family":"zn_semidirect","A":[[1,"x"],[0,1]]}', "--cocycle", '{"kind":"trivial"}'), {}, "group.A"),
+        (("verdict", "kleppner", "--group", '{"family":"zn_semidirect","A":[[1,1.5],[0,1]]}', "--cocycle", '{"kind":"trivial"}'), {}, "group.A"),
+        (("verdict", "kleppner", "--group", '{"family":"zn_semidirect","A":[[2,0],[0,1]]}', "--cocycle", '{"kind":"trivial"}'), {}, "group.A"),
+        (("verdict", "kleppner", "--group", '{"family":"sum_z"}', "--cocycle", '{"kind":"theta_window","entries":[["x",2,[0,1]]]}'), {}, "cocycle.entries[0]"),
+        (("verdict", "kleppner", "--group", '{"family":"sum_z"}', "--cocycle", '{"kind":"theta_window","entries":[[1.5,2,[0,1]]]}'), {}, "cocycle.entries[0]"),
+        (("verdict", "kleppner", "--group", '{"family":"sum_z"}', "--cocycle", '{"kind":"theta_window","entries":5}'), {}, "cocycle.entries"),
+        (("verdict", "kleppner", "--group", '{"family":"sum_z2"}', "--cocycle", '{"kind":"bitstream","pre":5}'), {}, "cocycle.pre"),
+        (("verdict", "kleppner", "--group", '{"family":"sum_z2"}', "--cocycle", '{"kind":"bitstream","period":[2]}'), {}, "cocycle.period"),
+        (("verdict", "kleppner", "--group", '{"family":"sum_z"}', "--cocycle", '{"kind":"theta_diag","diagonals":5}'), {}, "cocycle.diagonals"),
+        (("verdict", "kleppner", "--group", '{"family":"sum_z"}', "--cocycle", '{"kind":"theta_diag","period":5}'), {}, "cocycle.period"),
+        (("growth", "class", "--group", '{"family":"zn","n":1}', "--g", "[1]", "--radius", "-1"), {}, "radius"),
     ],
     ids=[
         "irr_not_object",
@@ -466,6 +486,26 @@ TRIVIAL_ON_Z = ("--group", '{"family":"zn","n":1}', "--cocycle", '{"kind":"trivi
         "condition_x_no_metadata",
         "r2_square_overflow",
         "domination_square_overflow",
+        "sum_z2_modulus_str",
+        "sum_z2_modulus_zero",
+        "sum_z2_modulus_negative",
+        "wreath_acting_str",
+        "wreath_acting_zero",
+        "wreath_acting_negative",
+        "wreath_base_unknown",
+        "wreath_acting_on_base_z",
+        "semidirect_matrix_str",
+        "semidirect_entry_str",
+        "semidirect_entry_float",
+        "semidirect_det_two",
+        "theta_window_index_str",
+        "theta_window_index_float",
+        "theta_window_entries_int",
+        "bitstream_pre_int",
+        "bitstream_period_bit_two",
+        "theta_diag_diagonals_int",
+        "theta_diag_period_int",
+        "abelian_class_radius_negative",
     ],
 )
 def test_bad_inputs_are_json_spec_errors(argv, env, path, tmp_path, monkeypatch, capsys):

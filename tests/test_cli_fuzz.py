@@ -1,8 +1,10 @@
 """Fuzz `cli.main` with argvs drawn from each command's own options.
 
-Values mix valid group, cocycle, element and phase specs with junk.  Every
-run must print exactly one JSON object on stdout, exit 0, 1 or 2 and let no
-exception or traceback out.  Sizes stay small so that the whole test is fast.
+Values mix valid group, cocycle, element and phase specs with junk; now and
+then one parameter field of a valid group or cocycle spec (a modulus, a
+matrix, a bit or phase list) is junk.  Every run must print exactly one JSON
+object on stdout, exit 0, 1 or 2 and let no exception or traceback out.
+Sizes stay small so that the whole test is fast.
 """
 
 import contextlib
@@ -32,6 +34,7 @@ FAMILIES = [
         [{"0": 1}, {"1": -1, "2": 1}, {"x": 1}, {"0": "x"}],
     ),
     ({"family": "sum_z2"}, [{"kind": "bitstream", "pre": [1], "period": [0, 1]}], [[0], [0, 3], ["x"]]),
+    ({"family": "sum_z2", "modulus": 4}, [{"kind": "bitstream", "pre": [1, 0]}], [[1], [0, 3], [0, 4]]),
     ({"family": "bs_nn", "n": 2}, [{"kind": "bs", "lambda": R}, {"kind": "bs", "lambda": [1, 3]}], ["a", "b b", "a c"]),
     (
         {"family": "sanov"},
@@ -44,6 +47,7 @@ FAMILIES = [
         [{"w": "a", "k": 1}, {"w": "b", "k": -1}, {"w": "", "k": "x"}],
     ),
     ({"family": "wreath", "base": "Z"}, [TRIVIAL], [{"x": {"0": 1}, "k": 0}, {"x": {}, "k": 1}, {"x": [1], "k": 0}]),
+    ({"family": "wreath", "base": "Z2", "acting": 3}, [TRIVIAL], [{"x": [0], "k": 0}, {"x": [], "k": 1}, {"x": {}, "k": 0}]),
     (
         {"family": "zn_semidirect", "A": [[2, 1], [1, 1]]},
         [TRIVIAL],
@@ -61,6 +65,10 @@ junk = st.one_of(
     st.just(None),
     st.just({}),
 )
+# Parameter fields of group and cocycle specs, and junk for them: besides
+# `junk`, near misses such as a float index or a text entry in a matrix row.
+PARAMETER_FIELDS = ("modulus", "acting", "A", "pre", "period", "diagonals", "entries")
+field_junk = junk | st.sampled_from([1.5, [[1, "x"], [0, 1]], [[1, 1.5], [0, 1]], [["x", 2, [0, 1]]], [[1.5, 2, [0, 1]]]])
 
 
 def mostly(valid, other):
@@ -75,6 +83,25 @@ phases = mostly(st.sampled_from(PHASES), st.sampled_from(BAD_PHASES))
 def json_text(choices):
     """JSON text of a listed spec; now and then junk or text that is not JSON."""
     return mostly(st.sampled_from(choices).map(json.dumps), junk_text)
+
+
+def fields_of(spec: dict) -> list[str]:
+    return [name for name in PARAMETER_FIELDS if name in spec]
+
+
+def junk_field(spec: dict):
+    """The spec with one of its parameter fields set to junk."""
+    return st.tuples(st.sampled_from(fields_of(spec)), field_junk).map(lambda kv: {**spec, kv[0]: kv[1]})
+
+
+def with_junk_field(spec: dict):
+    """The spec, or now and then the spec with one parameter field set to junk."""
+    return mostly(st.just(spec), junk_field(spec)) if fields_of(spec) else st.just(spec)
+
+
+def spec_text(specs):
+    """`json_text` of a group or cocycle spec whose parameter fields may be junk."""
+    return mostly(st.sampled_from(specs).flatmap(with_junk_field).map(json.dumps), junk_text)
 
 
 def number(lo, hi):
@@ -122,8 +149,8 @@ def family_values(index):
     group, cocycles, elements = FAMILIES[index]
     files = st.sampled_from([f"family{index}_text", f"family{index}_inf", *BAD_COEFFICIENT_FILES, "missing"])
     return {
-        "group": json_text([group]),
-        "cocycle": mostly(json_text(cocycles), st.sampled_from(COCYCLE_JUNK).map(json.dumps)),
+        "group": spec_text([group]),
+        "cocycle": mostly(spec_text(cocycles), st.sampled_from(COCYCLE_JUNK).map(json.dumps)),
         "f": mostly(st.just(f"family{index}"), files),
         "xi": mostly(st.just(f"family{index}"), files),
         "g": json_text(elements),
@@ -162,6 +189,10 @@ def coefficient_dir(tmp_path_factory):
 def test_every_argv_gives_one_json_object(command, data, coefficient_dir):
     argv = data.draw(argvs(command))
     argv = [str(coefficient_dir / a) if prev in ("--f", "--xi") else a for prev, a in zip(["", *argv], argv)]
+    assert_one_json_object(argv)
+
+
+def assert_one_json_object(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -169,3 +200,22 @@ def test_every_argv_gives_one_json_object(command, data, coefficient_dir):
     lines = out.getvalue().splitlines()
     assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
     assert "Traceback" not in err.getvalue()
+
+
+@st.composite
+def junk_field_argvs(draw):
+    """`verdict kleppner` on a family whose group or cocycle spec has a junk parameter field."""
+    pairs = [(group, cocycle) for group, cocycles, _ in FAMILIES for cocycle in cocycles]
+    group, cocycle = draw(st.sampled_from([p for p in pairs if fields_of(p[0]) or fields_of(p[1])]))
+    junk_group = draw(st.booleans()) if fields_of(group) and fields_of(cocycle) else bool(fields_of(group))
+    if junk_group:
+        group = draw(junk_field(group))
+    else:
+        cocycle = draw(junk_field(cocycle))
+    return ["verdict", "kleppner", "--group", json.dumps(group), "--cocycle", json.dumps(cocycle), "--radius", "1"]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(argv=junk_field_argvs())
+def test_junk_parameter_fields_give_one_json_object(argv):
+    assert_one_json_object(argv)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import brute_force_regular_bits, brute_force_regular_vectors, integer_span_reduce
 
@@ -21,6 +22,7 @@ from twistlab.phase import IrrationalBasis, Phase
 from twistlab.regularity import (
     certified_row_range,
     free_root,
+    integer_kernel,
     is_regular_wrt_kH,
     is_regular_wrt_subgroup,
     is_sigma_regular,
@@ -466,3 +468,57 @@ def test_abelian_tmap_agrees_with_search():
                 found = h
                 break
         assert (cert == "regular") == (found is None)
+
+
+def test_sanov_fixed_vector_witness_is_the_hermite_vector():
+    """The fixed vectors of a b A form the line through (2, 1); the witness
+    is its Hermite generator, whose pivot is positive."""
+    sig = build_cocycle({"kind": "sanov", "mu0": [1, 2], "mu1": [1, 3], "mu2": [1, 5]}, SAN)
+    g = SAN.element_from_json({"v": [0, 1], "w": "a b A"})
+    rep = is_regular_wrt_subgroup(sig, g, "base")
+    assert rep.status == "not_regular"
+    assert SAN.element_to_json(rep.witness) == {"v": [2, 1], "w": ""}
+    assert SAN.compose(g, rep.witness) == SAN.compose(rep.witness, g)
+    assert sig.eval(g, rep.witness) != sig.eval(rep.witness, g)
+
+
+def _is_hermite(basis: list[tuple[int, ...]]) -> bool:
+    """Pivots strictly increase and are positive; the entries above each
+    pivot lie in [0, pivot)."""
+    pivots = [next((t for t, v in enumerate(b) if v), None) for b in basis]
+    if None in pivots or pivots != sorted(set(pivots)):
+        return False
+    return all(
+        b[p] > 0 and all(0 <= a[p] < b[p] for a in basis[:i]) for i, (b, p) in enumerate(zip(basis, pivots))
+    )
+
+
+small_rows = lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=2)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_integer_kernel_spans_the_brute_force_solutions(data):
+    """On random small systems the kernel basis is in Hermite form, solves
+    the system, has the rank left by the exact rows, and spans exactly the
+    solutions in [-6, 6]^n (when its own entries fit in that box)."""
+    n = data.draw(st.integers(1, 4))
+    D = data.draw(st.integers(1, 6))
+    rat, exact = data.draw(small_rows(n)), data.draw(small_rows(n))
+    basis = integer_kernel(D, [list(r) for r in rat], [list(r) for r in exact], n)
+    assert _is_hermite(basis)
+    grid = np.array(np.meshgrid(*[np.arange(-6, 7)] * n, indexing="ij")).reshape(n, -1).T
+    ok = grid.any(axis=1)
+    if rat:
+        ok &= ((grid @ np.array(rat).T) % D == 0).all(axis=1)
+    if exact:
+        ok &= (grid @ np.array(exact).T == 0).all(axis=1)
+    brute = grid[ok]
+    rows = np.array(basis, dtype=np.int64).reshape(-1, n)
+    for b in basis:
+        assert all(sum(r * x for r, x in zip(row, b)) % D == 0 for row in rat)
+        assert all(sum(r * x for r, x in zip(row, b)) == 0 for row in exact)
+    assert len(basis) == n - (np.linalg.matrix_rank(np.array(exact)) if exact else 0)
+    assert not integer_span_reduce(rows, brute).any()
+    if rows.size == 0 or np.abs(rows).max() <= 6:
+        assert not integer_span_reduce(brute, rows).any()

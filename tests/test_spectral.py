@@ -143,13 +143,17 @@ def test_truncated_norm_with_twist_matches_dense_oracle():
     assert abs(got - dense_operator_norm(op.matrix)) < 1e-6
 
 
-def test_operator_norm_stops_at_first_converged_restart():
+def test_operator_norm_converges_from_seeded_start():
+    """One run from each seeded start vector converges, well inside the
+    step budget, to the norm of the dense oracle."""
     f = FiniteFunction(F2, {F2.word("a"): 1, F2.word("A"): 1, F2.word("b"): 1, F2.word("B"): 1})
     op = build_truncated(f, TRIV_F2, 4)
+    want = dense_operator_norm(op.matrix)
     for seed in (0, 5):
-        once = operator_norm(op.matrix, seed=seed, restarts=1)
-        assert once.converged
-        assert operator_norm(op.matrix, seed=seed) == once
+        rep = operator_norm(op.matrix, seed=seed)
+        assert rep.converged and 0 < rep.iterations < 10**4
+        assert abs(rep.value - want) < 1e-5
+        assert operator_norm(op.matrix, seed=seed) == rep
 
 
 def test_operator_norm_scales_by_powers_of_two_exactly():

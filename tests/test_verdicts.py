@@ -1,13 +1,17 @@
 """Deciders, the periodicity test, condition X, and the classifier rules."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistlab.cocycles import TrivialCocycle, build_cocycle, similar_transform, CoboundaryFn
 from twistlab.errors import SpecError
 from twistlab.groups import get_group
-from twistlab.phase import IrrationalBasis
+from twistlab.phase import ZERO, IrrationalBasis, Phase
 from twistlab.regularity import is_regular_wrt_subgroup, is_sigma_regular
 from twistlab.verdicts import (
+    _character_relation,
     bitstream_periodic,
     check_condition_x,
     class_finite_certified,
@@ -244,6 +248,48 @@ def test_relative_f2xz_character_relations():
     v2 = decide_relative_kleppner(FZ, "z", same)
     assert v2.status == "refuted"
     assert is_regular_wrt_subgroup(same, v2.witness, "z").is_regular_certified
+
+
+HALF_MINUS_R = {"rat": [1, 2], "irr": {"r": [-1, 1]}}
+
+
+@pytest.mark.parametrize(
+    "mu, nu, word",
+    [([1, 2], [1, 2], "a b"), ([1, 4], [5, 6], "a a b b b"), (R, HALF_MINUS_R, "a a b b")],
+    ids=["half_half", "quarter_five_sixths", "r_half_minus_r"],
+)
+def test_relative_f2xz_witness_is_the_first_hermite_relation(mu, nu, word):
+    """The witness word a^j b^k comes from the first Hermite vector (j, k)
+    of the relation lattice, whose pivot is positive."""
+    sig = build_cocycle({"kind": "f2xz", "mu": mu, "nu": nu}, FZ, BASIS)
+    v = decide_relative_kleppner(FZ, "z", sig)
+    assert (v.status, v.rule) == ("refuted", "f2xz_relk")
+    assert FZ.element_to_json(v.witness) == {"w": word, "k": 0}
+    assert is_regular_wrt_subgroup(sig, v.witness, "z").is_regular_certified
+
+
+def _phases():
+    rational = st.builds(Fraction, st.integers(0, 11), st.sampled_from([1, 2, 3, 4, 6, 12]))
+    coefficient = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+    irr = st.dictionaries(st.sampled_from("rs"), coefficient, max_size=2)
+    return st.builds(Phase, rational, irr)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(mu=_phases(), nu=_phases())
+def test_character_relation_is_a_relation_or_none_exists(mu, nu):
+    rel = _character_relation(mu, nu)
+    if rel is not None:
+        j, k = rel
+        assert (j, k) != (0, 0)
+        assert mu.scale(j) * nu.scale(k) == ZERO
+    else:
+        assert all(
+            (mu.scale(j) * nu.scale(k)) != ZERO
+            for j in range(-12, 13)
+            for k in range(-12, 13)
+            if (j, k) != (0, 0)
+        )
 
 
 # -- condition X ----------------------------------------------------------------

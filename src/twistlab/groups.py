@@ -154,26 +154,26 @@ class Group:
         self._ball_cache[radius] = out
         return out
 
-    def central_candidates(self, radius: int) -> list[Element]:
+    def central_candidates(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> list[Element]:
         """Nontrivial elements whose full conjugacy class is certified finite.
 
         Only rule-based certification: abelian families (all classes are
         singletons), designated central subgroups, finite groups.
         """
         if self.abelian:
-            return [g for g in self.ball(radius) if not g.is_identity()]
+            return [g for g in self.ball(radius, node_budget) if not g.is_identity()]
         if self.finite:
-            full = self.ball(self._finite_diameter())
+            full = self.ball(self._finite_diameter(node_budget), node_budget)
             return [g for g in full if not g.is_identity()]
         return []
 
-    def _finite_diameter(self) -> int:
+    def _finite_diameter(self, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
         if not self.finite:
             raise SpecError(f"{self.family} is not finite")
         r = 1
         while True:
-            a = self.ball(r)
-            b = self.ball(r + 1)
+            a = self.ball(r, node_budget)
+            b = self.ball(r + 1, node_budget)
             if len(a) == len(b):
                 return r + 1
             r += 1
@@ -328,6 +328,12 @@ class SumZ2(Group):
         def rec(pos: int, left: int, acc: list):
             if pos == len(indices):
                 out.append(tuple(acc))
+                if len(out) > node_budget:
+                    raise BudgetExceededError(
+                        f"ball enumeration exceeded {node_budget} nodes",
+                        nodes=len(out),
+                        radius=radius,
+                    )
                 return
             rec(pos + 1, left, acc)
             if left > 0:
@@ -336,8 +342,6 @@ class SumZ2(Group):
                 acc.pop()
 
         rec(0, radius, [])
-        if len(out) > node_budget:
-            raise BudgetExceededError("ball enumeration exceeded budget", nodes=len(out))
         balls = tuple(
             Element(self, tuple(sorted(d))) for d in sorted(out, key=self.sort_key)
         )
@@ -927,7 +931,7 @@ class BaumslagSolitarNN(Group):
     def is_central(self, g: Element) -> bool:
         return g.data[1] == ()
 
-    def central_candidates(self, radius: int) -> list[Element]:
+    def central_candidates(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> list[Element]:
         out = []
         c = 1
         while self.n * c <= radius:
@@ -1004,7 +1008,7 @@ class FreeTimesZ(Group):
         ob = sum(1 if x == 2 else -1 if x == -2 else 0 for x in w)
         return oa, ob
 
-    def central_candidates(self, radius: int) -> list[Element]:
+    def central_candidates(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> list[Element]:
         out = []
         for m in range(1, radius + 1):
             out.append(self.pair((), m))

@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .cocycles import Cocycle, sigma_tilde
 from .errors import BudgetExceededError, ConfigurationError
@@ -21,7 +21,7 @@ from .groups import DEFAULT_NODE_BUDGET, Element, Group
 from .phase import Phase
 
 if TYPE_CHECKING:
-    import scipy.sparse as sp
+    import numpy as np
 
 ExactC = tuple  # (re, im) with int or Fraction components
 
@@ -198,14 +198,44 @@ def conjugation_bridge_check(sigma: Cocycle, g: Element, h: Element) -> bool:
 
 @dataclass
 class TruncatedOperator:
+    """Compression of a twisted convolution operator to a finite set of group
+    elements, held as numpy COO arrays: entry k is M[rows[k], cols[k]] =
+    vals[k] (`intp`, `intp`, `complex128`), no (row, col) pair repeats, and
+    `index` maps each element to its position."""
+
     group: Group
-    radius: int
     index: dict[Element, int]
-    matrix: sp.csr_matrix
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.index)
+
+    @property
+    def nnz(self) -> int:
+        return len(self.vals)
+
+    def restrict(self, elements: Sequence[Element]) -> TruncatedOperator:
+        """Principal compression to `elements`, a subset of `index`, with the
+        positions in the order given."""
+        import numpy as np
+
+        pos = np.full(self.size, -1, dtype=np.intp)
+        pos[[self.index[g] for g in elements]] = np.arange(len(elements))
+        rows, cols = pos[self.rows], pos[self.cols]
+        keep = (rows >= 0) & (cols >= 0)
+        index = {g: i for i, g in enumerate(elements)}
+        return TruncatedOperator(self.group, index, rows[keep], cols[keep], self.vals[keep])
+
+    @property
+    def matrix(self):
+        """The operator as a `scipy.sparse.csr_matrix`, built on demand from
+        the same arrays; the package's only use of scipy."""
+        import scipy.sparse as sp
+
+        return sp.csr_matrix((self.vals, (self.rows, self.cols)), shape=(self.size, self.size))
 
 
 def build_truncated(
@@ -217,15 +247,13 @@ def build_truncated(
     supports (high convolution powers) the ball-pair sweep is cheaper.
     """
     import numpy as np
-    import scipy.sparse as sp
 
     G = f.group
     ball = G.ball(radius, node_budget)
     index = {g: i for i, g in enumerate(ball)}
     rows, cols, vals = [], [], []
     ff = f.to_float()
-    n = len(ball)
-    if len(ff.coeffs) <= n:
+    if len(ff.coeffs) <= len(ball):
         for u, col in index.items():
             for g, cf in ff.coeffs.items():
                 h = G.compose(g, u)
@@ -245,10 +273,13 @@ def build_truncated(
                     rows.append(row)
                     cols.append(col)
                     vals.append(cf * sigma.eval(g, u).to_complex())
-    matrix = sp.csr_matrix(
-        (np.array(vals, dtype=np.complex128), (rows, cols)), shape=(n, n)
+    return TruncatedOperator(
+        G,
+        index,
+        np.array(rows, dtype=np.intp),
+        np.array(cols, dtype=np.intp),
+        np.array(vals, dtype=np.complex128),
     )
-    return TruncatedOperator(G, radius, index, matrix)
 
 
 @dataclass
@@ -268,36 +299,40 @@ class NormReport:
 
 
 def operator_norm(
-    matrix: sp.spmatrix,
+    op: TruncatedOperator,
     tol: float = 1e-8,
     seed: int = 0,
     max_iter: int = 10**4,
 ) -> NormReport:
-    """Largest singular value by power iteration on the normal operator,
-    from a random complex start vector drawn with `seed`.
+    """Largest singular value of the operator by power iteration on its
+    normal operator, from a random complex start vector drawn with `seed`.
 
-    Each step carries y = M v forward, so it costs one product with M* and
-    one with M; the estimate is ||M v|| for a unit vector v, a lower bound
-    for the norm.  A run stops when two successive estimates differ by at
-    most `tol` relative: `tol` bounds that step, not the distance to the
-    norm, and `converged` says only that this test passed (a slowly
-    converging run stops well short of the norm).  A run that has not
-    converged after `max_iter` steps reports its last estimate; `iterations`
-    counts the steps taken.
+    M and M* act through numpy alone (`_matvec`), on the entries sorted
+    once by row and once by column with conjugated values.  Each step
+    carries y = M v forward, so it costs one product with M* and one with
+    M; the estimate is ||M v|| for a unit vector v, a lower bound for the
+    norm.  A run stops when two successive estimates differ by at most
+    `tol` relative: `tol` bounds that step, not the distance to the norm,
+    and `converged` says only that this test passed (a slowly converging
+    run stops well short of the norm).  A run that has not converged after
+    `max_iter` steps reports its last estimate; `iterations` counts the
+    steps taken.
     """
     import numpy as np
 
-    n = matrix.shape[0]
-    if n == 0 or matrix.nnz == 0:
+    n = op.size
+    if op.nnz == 0:
         return NormReport(0.0, True, 0, n)
     # solve for 2^-shift M, whose largest part lies in [1/2, 1): the power of
     # two is exact, and the iterates can neither overflow nor underflow
-    parts = matrix.data.view(np.float64)  # real and imaginary parts side by side
+    parts = op.vals.view(np.float64)  # real and imaginary parts side by side
     shift = math.frexp(np.abs(parts).max())[1]
-    if shift:
-        matrix = matrix.copy()
-        matrix.data = np.ldexp(parts, -shift).view(matrix.data.dtype)
-    rep = _power_iteration(matrix, tol, seed, max_iter)
+    vals = np.ldexp(parts, -shift).view(np.complex128) if shift else op.vals
+    by_row = np.lexsort((op.cols, op.rows))
+    by_col = np.lexsort((op.rows, op.cols))
+    apply = _matvec(op.rows[by_row], op.cols[by_row], vals[by_row], n)
+    apply_h = _matvec(op.cols[by_col], op.rows[by_col], vals[by_col].conj(), n)
+    rep = _power_iteration(apply, apply_h, n, tol, seed, max_iter)
     try:
         rep.value = math.ldexp(rep.value, shift)
     except OverflowError:  # the norm itself exceeds the float range
@@ -305,21 +340,57 @@ def operator_norm(
     return rep
 
 
-def _power_iteration(matrix, tol: float, seed: int, max_iter: int) -> NormReport:
+def _matvec(rows, cols, vals, n: int):
+    """x -> M x for the n x n matrix with entries (rows, cols, vals), sorted
+    by row and, within a row, by column.
+
+    The entries are laid out as jagged diagonals: the rows that have
+    entries are ranked by length, longest first, and slot k holds the k-th
+    entry of every row longer than k, so the rows of a slot are a prefix of
+    that ranking.  A product is one gather and one multiply over all
+    entries, one slice addition per slot and one scatter; each row adds its
+    entries in column order, as a CSR product does.  Rows without entries
+    give zeros.
+    """
     import numpy as np
 
-    n = matrix.shape[0]
-    mh = matrix.getH().tocsr()
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    lengths = np.diff(starts, append=len(rows))
+    ranking = np.argsort(-lengths, kind="stable")
+    rank = np.empty_like(ranking)
+    rank[ranking] = np.arange(len(ranking))
+    row_of = np.repeat(np.arange(len(starts)), lengths)  # per entry, as an index into starts
+    slot = np.arange(len(rows)) - starts[row_of]
+    layout = np.lexsort((rank[row_of], slot))
+    cols, vals, targets = cols[layout], vals[layout], rows[starts[ranking]]
+    counts = len(lengths) - np.searchsorted(np.sort(lengths), np.arange(lengths.max()), side="right")
+    slots = [(int(m), int(e - m)) for m, e in zip(counts, np.cumsum(counts))]
+
+    def apply(x):
+        prod = vals * x[cols]
+        acc = np.zeros(len(targets), dtype=np.complex128)
+        for m, a in slots:
+            acc[:m] += prod[a : a + m]
+        out = np.zeros(n, dtype=np.complex128)
+        out[targets] = acc
+        return out
+
+    return apply
+
+
+def _power_iteration(apply, apply_h, n: int, tol: float, seed: int, max_iter: int) -> NormReport:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    y = matrix @ (v / np.linalg.norm(v))
+    y = apply(v / np.linalg.norm(v))
     prev = 0.0
     for it in range(1, max_iter + 1):
-        w = mh @ y
+        w = apply_h(y)
         nw = np.linalg.norm(w)
         if nw == 0.0:  # M v = 0: v lies in the kernel
             return NormReport(0.0, True, it, n)
-        y = matrix @ (w / nw)
+        y = apply(w / nw)
         est = float(np.linalg.norm(y))
         if prev > 0 and abs(est - prev) <= tol * prev:
             return NormReport(est, True, it, n)
@@ -336,8 +407,7 @@ def truncated_norm(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> NormReport:
     """Certified lower bound for the twisted operator norm of f."""
-    op = build_truncated(f, sigma, radius, node_budget)
-    return operator_norm(op.matrix, tol=tol, seed=seed)
+    return operator_norm(build_truncated(f, sigma, radius, node_budget), tol=tol, seed=seed)
 
 
 def truncated_norm_sequence(
@@ -350,15 +420,14 @@ def truncated_norm_sequence(
 ) -> list[NormReport]:
     """`truncated_norm` at radii 1..radius from one operator.
 
-    The compression to a smaller ball is the principal submatrix of the
-    top-radius compression on that ball, taken in the ball's own order.
+    The compression to a smaller ball is the top-radius compression
+    restricted to that ball, in the ball's own order.
     """
     op = build_truncated(f, sigma, radius, node_budget)
     reports = []
     for r in range(1, radius):
-        idx = [op.index[g] for g in op.group.ball(r, node_budget)]
-        reports.append(operator_norm(op.matrix[idx][:, idx], tol=tol, seed=seed))
-    reports.append(operator_norm(op.matrix, tol=tol, seed=seed))
+        reports.append(operator_norm(op.restrict(op.group.ball(r, node_budget)), tol=tol, seed=seed))
+    reports.append(operator_norm(op, tol=tol, seed=seed))
     return reports
 
 
@@ -539,10 +608,10 @@ def stable_rank_evidence(
                     stopped = "budget"
                     break
             op = build_truncated(power, sigma, radius, node_budget)
-            if op.matrix.nnz == 0:
+            if op.nnz == 0:
                 stopped = "outside_ball"
                 break
-            proxy = operator_norm(op.matrix, seed=seed).value ** (1.0 / n)
+            proxy = operator_norm(op, seed=seed).value ** (1.0 / n)
             proxies.append({"n": n, "proxy": proxy})
             if prev is not None and abs(proxy - prev) <= tol * prev:
                 stopped = "converged"

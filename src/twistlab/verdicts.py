@@ -268,7 +268,7 @@ def decide_kleppner(
     if isinstance(base, ProductCocycle) and isinstance(group, FreeTimesZ):
         return Verdict("refuted", rule="z_factor_fails", witness=group.pair((), 1))
     if group.finite:
-        return _kleppner_finite(group, sigma)
+        return _kleppner_finite(group, sigma, node_budget)
 
     # generic ICC metadata
     if group.icc:
@@ -276,7 +276,7 @@ def decide_kleppner(
 
     # refutation search over rule-certified finite classes
     try:
-        for g in group.central_candidates(radius):
+        for g in group.central_candidates(radius, node_budget):
             if _try_refutation_witness(sigma, g, radius, node_budget):
                 return Verdict("refuted", rule=_refutation_rule(group), witness=g)
     except BudgetExceededError as exc:
@@ -330,8 +330,8 @@ def _kleppner_bitstream(
     )
 
 
-def _kleppner_finite(group: Group, sigma: Cocycle) -> Verdict:
-    full = group.ball(group._finite_diameter())
+def _kleppner_finite(group: Group, sigma: Cocycle, node_budget: int) -> Verdict:
+    full = group.ball(group._finite_diameter(node_budget), node_budget)
     for g in full:
         if g.is_identity():
             continue
@@ -379,7 +379,7 @@ def decide_relative_kleppner(
         if isinstance(base, TrivialCocycle):
             witness = group.element(((), 1))
             return Verdict("refuted", rule="wreath_relk", witness=witness)
-        return _relative_finite(group, sub, sigma)
+        return _relative_finite(group, sub, sigma, node_budget)
     if isinstance(group, ZnSemidirectZ) and subgroup_name == "base":
         if group.icc:
             return Verdict("certified", rule="aperiodic_relk")
@@ -441,9 +441,10 @@ def _relative_class_finite_certified(sub, g: Element) -> bool:
     return False
 
 
-def _relative_finite(group: Group, sub, sigma: Cocycle) -> Verdict:
-    full = group.ball(group._finite_diameter())
-    hball = sub.ball(group._finite_diameter())
+def _relative_finite(group: Group, sub, sigma: Cocycle, node_budget: int) -> Verdict:
+    diameter = group._finite_diameter(node_budget)
+    full = group.ball(diameter, node_budget)
+    hball = sub.ball(diameter, node_budget)
     for g in full:
         if sub.contains(g):
             continue

@@ -219,6 +219,14 @@ def tree_ball_adjacency_norm(rank: int, radius: int) -> float:
     return float(np.linalg.eigvalsh(radial + radial.T)[-1])
 
 
-def dense_operator_norm(matrix) -> float:
-    """Dense two-norm oracle (scipy-free, plain numpy svd)."""
-    return float(np.linalg.norm(matrix.toarray(), 2))
+def dense_matrix(op) -> np.ndarray:
+    """Dense array of a truncated operator, filled from its COO arrays with
+    `np.add.at` (scipy-free, and not through the code under test)."""
+    dense = np.zeros((op.size, op.size), dtype=np.complex128)
+    np.add.at(dense, (op.rows, op.cols), op.vals)
+    return dense
+
+
+def dense_operator_norm(op) -> float:
+    """Dense two-norm oracle of a truncated operator (plain numpy svd)."""
+    return float(np.linalg.norm(dense_matrix(op), 2))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -209,6 +210,29 @@ def test_budget_exhaustion_reports_inconclusive(capsys):
     assert "inconclusive" in err
 
 
+def test_finite_group_honours_the_node_budget(capsys):
+    """The finite-group rule enumerates its balls under the caller's budget:
+    (Z/2)^40 stops at the first ball past 20,000 nodes instead of walking
+    millions of nodes under the default budget."""
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys,
+        "verdict",
+        "kleppner",
+        "--group",
+        '{"family":"sum_z2","modulus":40}',
+        "--cocycle",
+        '{"kind":"trivial"}',
+        "--nodes",
+        "20000",
+    )
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["status"] == "inconclusive"
+    assert rep["nodes"] <= 20001 and rep["radius"] is not None
+
+
 def test_spectral_r2_and_domination(tmp_path, capsys):
     fpath = tmp_path / "f.json"
     fpath.write_text(json.dumps([{"g": "a", "re": 1}, {"g": "b", "re": 1}]))
@@ -341,6 +365,9 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     codes.append(cli.main(["spectral", "norm", "--group", '{"family":"free","rank":1}',
                            "--cocycle", '{"kind":"trivial"}', "--f", F_PATH, "--radius", "2"]))
     seen["norm"] = loaded()
+    codes.append(cli.main(["spectral", "stable-rank", "--group", '{"family":"free","rank":2}',
+                           "--cocycle", '{"kind":"trivial"}', "--f", F_PATH, "--radius", "2"]))
+    seen["stable-rank"] = loaded()
 print(json.dumps({"seen": seen, "codes": codes}))
 """
 
@@ -360,8 +387,8 @@ def test_exact_commands_do_not_import_the_numeric_stack(tmp_path):
     script = f"SANOV_ARGS = {SANOV_ARGS!r}\nF_PATH = {str(fpath)!r}\n" + _IMPORT_PROBE
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
     rep = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert rep["codes"] == [0, 0, 0, 0]
-    assert rep["seen"] == {"import": [], "exact": [], "norm": ["numpy", "scipy"]}
+    assert rep["codes"] == [0, 0, 0, 0, 0]
+    assert rep["seen"] == {"import": [], "exact": [], "norm": ["numpy"], "stable-rank": ["numpy"]}
 
 
 def test_zero_denominator_phase_is_spec_error(capsys):

@@ -1,12 +1,14 @@
 """Twisted convolution, norm growth, truncated norms, domination, semifree sets."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from oracles import dense_operator_norm, path_graph_norm, tree_ball_adjacency_norm
+from oracles import dense_matrix, dense_operator_norm, path_graph_norm, tree_ball_adjacency_norm
 
 from twistlab.cocycles import TrivialCocycle, build_cocycle, sigma_tilde
 from twistlab.errors import BudgetExceededError
@@ -15,6 +17,8 @@ from twistlab.phase import IrrationalBasis, Phase
 from twistlab.spectral import (
     ExactnessLost,
     FiniteFunction,
+    NormReport,
+    _matvec,
     _phase_exact,
     build_truncated,
     check_domination,
@@ -116,7 +120,7 @@ def test_truncated_norm_monotone_and_bounded():
         assert a <= b + 1e-9
     assert values[-1] <= f.l1() + 1e-9
     for r in range(1, 5):
-        dense = dense_operator_norm(build_truncated(f, TRIV_F2, r).matrix)
+        dense = dense_operator_norm(build_truncated(f, TRIV_F2, r))
         assert abs(dense - tree_ball_adjacency_norm(2, r)) < 1e-9
 
 
@@ -127,8 +131,8 @@ def test_operator_norm_matches_dense_oracle():
         {g: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for g in list(F2.ball(2))[:6]},
     )
     op = build_truncated(f, TRIV_F2, 3)
-    got = operator_norm(op.matrix, tol=1e-11, seed=3).value
-    want = dense_operator_norm(op.matrix)
+    got = operator_norm(op, tol=1e-11, seed=3).value
+    want = dense_operator_norm(op)
     assert abs(got - want) < 1e-6
 
 
@@ -139,8 +143,8 @@ def test_truncated_norm_with_twist_matches_dense_oracle():
         AN, {g: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for g in list(AN.ball(1))[:5]}
     )
     op = build_truncated(f, sig, 2)
-    got = operator_norm(op.matrix, tol=1e-11, seed=1).value
-    assert abs(got - dense_operator_norm(op.matrix)) < 1e-6
+    got = operator_norm(op, tol=1e-11, seed=1).value
+    assert abs(got - dense_operator_norm(op)) < 1e-6
 
 
 def test_operator_norm_converges_from_seeded_start():
@@ -148,12 +152,12 @@ def test_operator_norm_converges_from_seeded_start():
     step budget, to the norm of the dense oracle."""
     f = FiniteFunction(F2, {F2.word("a"): 1, F2.word("A"): 1, F2.word("b"): 1, F2.word("B"): 1})
     op = build_truncated(f, TRIV_F2, 4)
-    want = dense_operator_norm(op.matrix)
+    want = dense_operator_norm(op)
     for seed in (0, 5):
-        rep = operator_norm(op.matrix, seed=seed)
+        rep = operator_norm(op, seed=seed)
         assert rep.converged and 0 < rep.iterations < 10**4
         assert abs(rep.value - want) < 1e-5
-        assert operator_norm(op.matrix, seed=seed) == rep
+        assert operator_norm(op, seed=seed) == rep
 
 
 def test_operator_norm_scales_by_powers_of_two_exactly():
@@ -161,9 +165,9 @@ def test_operator_norm_scales_by_powers_of_two_exactly():
     rng = random.Random(2)
     f = FiniteFunction(F2, {g: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for g in list(F2.ball(2))[:6]})
     op = build_truncated(f, TRIV_F2, 3)
-    base = operator_norm(op.matrix, seed=4)
+    base = operator_norm(op, seed=4)
     for k in (-1000, -40, 7, 1020):
-        scaled = operator_norm(op.matrix * 2.0**k, seed=4)
+        scaled = operator_norm(dataclasses.replace(op, vals=op.vals * 2.0**k), seed=4)
         assert (scaled.converged, scaled.iterations) == (base.converged, base.iterations)
         assert scaled.value == math.ldexp(base.value, k)
 
@@ -190,6 +194,78 @@ def test_truncated_norm_sequence_matches_per_radius(G, sigma, f_support):
     if G is BS22:
         # this family's ball order is not shortlex: a smaller ball is not a prefix
         assert G.ball(2) != G.ball(5)[: len(G.ball(2))]
+
+
+@pytest.mark.parametrize(
+    "G, cocycle, f_support",
+    [
+        (BS22, {"kind": "bs", "lambda": R}, ["a", "A", "b", "B", "a b"]),
+        (
+            get_group({"family": "free_times_z"}),
+            {"kind": "f2xz", "mu": R, "nu": [1, 3]},
+            [{"w": "a", "k": 0}, {"w": "B", "k": 1}, {"w": "", "k": -1}],
+        ),
+    ],
+    ids=["bs22", "f2xz"],
+)
+def test_restrict_is_the_principal_submatrix_on_each_ball(G, cocycle, f_support):
+    sigma = build_cocycle(cocycle, G, BASIS)
+    rng = random.Random(5)
+    f = FiniteFunction(
+        G, {G.element_from_json(w): complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for w in f_support}
+    )
+    top = 4
+    op = build_truncated(f, sigma, top)
+    full = dense_matrix(op)
+    for r in range(0, top + 1):
+        ball = G.ball(r)
+        sub = op.restrict(ball)
+        idx = [op.index[g] for g in ball]
+        assert list(sub.index) == list(ball) and sub.size == len(ball)
+        np.testing.assert_array_equal(dense_matrix(sub), full[np.ix_(idx, idx)])
+        np.testing.assert_array_equal(dense_matrix(sub), dense_matrix(build_truncated(f, sigma, r)))
+
+
+def test_matrix_export_has_the_same_entries():
+    f = FiniteFunction(BS22, {BS22.word("a"): 1 + 2j, BS22.word("a b"): -1, BS22.word("B"): 0.5j})
+    op = build_truncated(f, build_cocycle({"kind": "bs", "lambda": R}, BS22, BASIS), 3)
+    m = op.matrix
+    assert m.format == "csr" and m.shape == (op.size, op.size) and m.nnz == op.nnz
+    np.testing.assert_array_equal(m.toarray(), dense_matrix(op))
+
+
+def test_matvec_matches_the_dense_product():
+    """The jagged-diagonal product on rows of uneven length, empty rows
+    included, for M from rows-sorted entries and M* from columns-sorted ones."""
+    rng = np.random.default_rng(7)
+    n = 40
+    dense = np.zeros((n, n), dtype=np.complex128)
+    for i in rng.choice(n, size=30, replace=False):  # ten empty rows
+        k = int(rng.integers(1, n))
+        dense[i, rng.choice(n, size=k, replace=False)] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    rows, cols = np.nonzero(dense)  # row-major: sorted by row, then column
+    vals = dense[rows, cols]
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    np.testing.assert_allclose(_matvec(rows, cols, vals, n)(x), dense @ x, rtol=0, atol=1e-12)
+    by_col = np.lexsort((rows, cols))
+    apply_h = _matvec(cols[by_col], rows[by_col], vals[by_col].conj(), n)
+    np.testing.assert_allclose(apply_h(x), dense.conj().T @ x, rtol=0, atol=1e-12)
+
+
+def test_operator_norm_with_empty_rows_and_columns():
+    """delta_{aa} on the radius-1 ball of F2 has one entry (a <- A): every
+    other row and column is empty."""
+    op = build_truncated(FiniteFunction.delta(F2.word("a a"), exact=False), TRIV_F2, 1)
+    assert op.nnz == 1 and op.size == 5
+    rep = operator_norm(op, tol=1e-12)
+    assert rep.converged
+    assert abs(rep.value - dense_operator_norm(op)) < 1e-12
+
+
+def test_operator_norm_of_an_operator_without_entries():
+    op = build_truncated(FiniteFunction.delta(F2.word("a a a"), exact=False), TRIV_F2, 1)
+    assert op.nnz == 0 and op.size == 5
+    assert operator_norm(op) == NormReport(0.0, True, 0, 5)
 
 
 def test_domination_trivial_sigma_equality():

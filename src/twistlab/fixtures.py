@@ -181,14 +181,14 @@ def _revalidate_refuted(fx: Fixture, group, sigma, witness, radius: int, node_bu
         return rep.is_regular_certified and class_finite_certified(witness)
     if fx.command == "relative_kleppner":
         from .groups import resolve_subgroup
-        from .verdicts import _relative_class_finite_certified
+        from .verdicts import relative_class_finite_certified
 
         sub = resolve_subgroup(group, fx.subgroup or "base")
         rep = is_regular_wrt_subgroup(sigma, witness, sub, radius, node_budget)
         return (
             rep.is_regular_certified
             and not sub.contains(witness)
-            and _relative_class_finite_certified(sub, witness)
+            and relative_class_finite_certified(sub)
         )
     return True
 

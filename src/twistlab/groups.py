@@ -2,15 +2,17 @@
 
 Every element is stored in a canonical normal form (sparse maps without zero
 entries, reduced words, the one-relator normal form for the Baumslag-Solitar
-family), and equality is identity of normal forms.  Ball enumeration is
-breadth-first over the family's standard generating set with normal-form
-deduplication and a hard node budget.
+family), and equality is identity of normal forms.  Balls are enumerated
+shell by shell with a hard node budget: breadth-first over the family's
+standard generating set with normal-form deduplication, or by weight over
+the index window for the abelian sum families.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable
+from itertools import chain, combinations, count, product
+from typing import Iterable, Iterator
 
 from . import _kernels
 from .errors import BudgetExceededError, FamilyMismatchError, SpecError
@@ -28,7 +30,7 @@ class Element:
     def __init__(self, group: Group, data):
         self.group = group
         self.data = data
-        self._hash = hash((group.key, data))
+        self._hash = None  # computed on the first __hash__
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -38,6 +40,8 @@ class Element:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.group.key, self.data))
         return self._hash
 
     def __repr__(self) -> str:
@@ -123,17 +127,17 @@ class Group:
         self.check(h)
         return Element(self, self._mul(self._mul(g.data, h.data), self._inv(g.data)))
 
-    def ball(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[Element, ...]:
-        """All elements of word length <= radius, sorted canonically."""
-        if radius < 0:
-            raise SpecError("ball radius must be nonnegative", path="radius")
-        cached = self._ball_cache.get(radius)
-        if cached is not None:
-            return cached
+    def _nodes(self, radius: int | None) -> Iterator[tuple[int, object]]:
+        """(shell, payload) pairs of the radius ball, shell after shell.
+
+        Breadth-first layers over the generators by default; a radius of
+        None walks a finite group to its last layer.
+        """
         seen = {self._identity_data()}
         frontier = list(seen)
+        yield 0, frontier[0]
         gens = self._generators()
-        for r in range(1, radius + 1):
+        for r in count(1) if radius is None else range(1, radius + 1):
             nxt = []
             for a in frontier:
                 for s in gens:
@@ -141,42 +145,60 @@ class Group:
                     if b not in seen:
                         seen.add(b)
                         nxt.append(b)
-                        if len(seen) > node_budget:
-                            raise BudgetExceededError(
-                                f"ball enumeration exceeded {node_budget} nodes at radius {r}",
-                                nodes=len(seen),
-                                radius=r,
-                            )
+                        yield r, b
             if not nxt:
-                break
+                return
             frontier = nxt
-        out = tuple(Element(self, d) for d in sorted(seen, key=self.sort_key))
+
+    def _shells(self, radius: int | None, node_budget: int) -> Iterator[list]:
+        """The payloads of each shell of the ball in turn, counted against
+        the node budget as they are enumerated."""
+        shell, layer = 0, []
+        for nodes, (r, data) in enumerate(self._nodes(radius), start=1):
+            if nodes > node_budget:
+                raise BudgetExceededError(
+                    f"ball enumeration exceeded {node_budget} nodes at radius {r}",
+                    nodes=nodes,
+                    radius=r,
+                )
+            if r != shell:
+                yield layer
+                shell, layer = r, []
+            layer.append(data)
+        yield layer
+
+    def ball(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[Element, ...]:
+        """All elements of word length <= radius, sorted canonically."""
+        if radius < 0:
+            raise SpecError("ball radius must be nonnegative", path="radius")
+        cached = self._ball_cache.get(radius)
+        if cached is not None:
+            return cached
+        payloads = chain.from_iterable(self._shells(radius, node_budget))
+        out = tuple(Element(self, d) for d in sorted(payloads, key=self.sort_key))
         self._ball_cache[radius] = out
         return out
 
-    def central_candidates(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> list[Element]:
-        """Nontrivial elements whose full conjugacy class is certified finite.
+    def central_candidates(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> Iterator[Element]:
+        """Nontrivial elements of the ball whose full conjugacy class is
+        certified finite by a rule, in ``sort_key`` order.
 
-        Only rule-based certification: abelian families (all classes are
-        singletons), designated central subgroups, finite groups.
+        On an abelian family every class is a singleton and the key leads
+        with the shell, so the shells are enumerated and sorted one at a
+        time and a search can stop in the first shell that holds a witness.
+        Families with a designated central subgroup override this.
         """
         if self.abelian:
-            return [g for g in self.ball(radius, node_budget) if not g.is_identity()]
-        if self.finite:
-            full = self.ball(self._finite_diameter(node_budget), node_budget)
-            return [g for g in full if not g.is_identity()]
-        return []
+            shells = self._shells(radius, node_budget)
+            next(shells)  # the identity
+            for layer in shells:
+                for data in sorted(layer, key=self.sort_key):
+                    yield Element(self, data)
 
     def _finite_diameter(self, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
         if not self.finite:
             raise SpecError(f"{self.family} is not finite")
-        r = 1
-        while True:
-            a = self.ball(r, node_budget)
-            b = self.ball(r + 1, node_budget)
-            if len(a) == len(b):
-                return r + 1
-            r += 1
+        return sum(1 for _ in self._shells(None, node_budget)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -226,42 +248,18 @@ class SumZ(Group):
     def basis_element(self, index: int, value: int = 1) -> Element:
         return self.element(((index, value),) if value else ())
 
-    def ball(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[Element, ...]:
-        if radius < 0:
-            raise SpecError("ball radius must be nonnegative", path="radius")
-        cached = self._ball_cache.get(radius)
-        if cached is not None:
-            return cached
-        indices = list(range(-radius, radius + 1))
-        out: list[tuple] = []
-        count = 0
-
-        def rec(pos: int, weight: int, acc: list):
-            nonlocal count
-            if pos == len(indices):
-                out.append(tuple(acc))
-                count += 1
-                if count > node_budget:
-                    raise BudgetExceededError(
-                        f"ball enumeration exceeded {node_budget} nodes",
-                        nodes=count,
-                        radius=radius,
-                    )
-                return
-            i = indices[pos]
-            rec(pos + 1, weight, acc)
-            for v in range(1, weight + 1):
-                for sv in (v, -v):
-                    acc.append((i, sv))
-                    rec(pos + 1, weight - v, acc)
-                    acc.pop()
-
-        rec(0, radius, [])
-        balls = tuple(
-            Element(self, tuple(sorted(d))) for d in sorted(out, key=self.sort_key)
-        )
-        self._ball_cache[radius] = balls
-        return balls
+    def _nodes(self, radius: int) -> Iterator[tuple[int, tuple]]:
+        """Weight shells over the window [-radius, radius]: a support of k
+        indices, k magnitudes adding up to the weight, and k signs."""
+        window = range(-radius, radius + 1)
+        yield 0, ()
+        for weight in range(1, radius + 1):
+            for k in range(1, weight + 1):
+                for cuts in combinations(range(1, weight), k - 1):
+                    sizes = [b - a for a, b in zip((0, *cuts), (*cuts, weight))]
+                    for support in combinations(window, k):
+                        for signs in product((1, -1), repeat=k):
+                            yield weight, tuple(zip(support, (s * v for s, v in zip(signs, sizes))))
 
     def sort_key(self, data):
         return (
@@ -313,40 +311,18 @@ class SumZ2(Group):
             index %= self.modulus
         return self.element((index,))
 
-    def ball(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[Element, ...]:
-        if radius < 0:
-            raise SpecError("ball radius must be nonnegative", path="radius")
-        cached = self._ball_cache.get(radius)
-        if cached is not None:
-            return cached
+    def _nodes(self, radius: int | None) -> Iterator[tuple[int, tuple]]:
+        """Shells of index sets by size, over the window [-radius, radius]
+        or over the modulus; a radius of None runs to the full modulus."""
         if self.modulus is not None:
-            indices = list(range(self.modulus))
+            indices = range(self.modulus)
+            top = self.modulus if radius is None else min(radius, self.modulus)
         else:
-            indices = list(range(-radius, radius + 1))
-        out: list[tuple] = []
-
-        def rec(pos: int, left: int, acc: list):
-            if pos == len(indices):
-                out.append(tuple(acc))
-                if len(out) > node_budget:
-                    raise BudgetExceededError(
-                        f"ball enumeration exceeded {node_budget} nodes",
-                        nodes=len(out),
-                        radius=radius,
-                    )
-                return
-            rec(pos + 1, left, acc)
-            if left > 0:
-                acc.append(indices[pos])
-                rec(pos + 1, left - 1, acc)
-                acc.pop()
-
-        rec(0, radius, [])
-        balls = tuple(
-            Element(self, tuple(sorted(d))) for d in sorted(out, key=self.sort_key)
-        )
-        self._ball_cache[radius] = balls
-        return balls
+            indices = range(-radius, radius + 1)
+            top = radius
+        for size in range(top + 1):
+            for support in combinations(indices, size):
+                yield size, support
 
     def sort_key(self, data):
         return (len(data), tuple(sorted(_index_key(i) for i in data)))
@@ -542,21 +518,7 @@ class WreathZ(Group):
 
     def _finite_length(self, g: Element) -> int:
         if not hasattr(self, "_lengths"):
-            table: dict = {self._identity_data(): 0}
-            frontier = [self._identity_data()]
-            r = 0
-            gens = self._generators()
-            while frontier:
-                r += 1
-                nxt = []
-                for a in frontier:
-                    for s in gens:
-                        b = self._mul(a, s)
-                        if b not in table:
-                            table[b] = r
-                            nxt.append(b)
-                frontier = nxt
-            self._lengths = table
+            self._lengths = {data: r for r, data in self._nodes(None)}
         return self._lengths[g.data]
 
     def describe(self, data) -> str:

@@ -104,12 +104,6 @@ class Phase:
     def inverse(self) -> Phase:
         return Phase(-self.rational, {s: -c for s, c in self.irr}, self.basis)
 
-    def conj(self) -> Phase:
-        return self.inverse()
-
-    def __truediv__(self, other: Phase) -> Phase:
-        return self * other.inverse()
-
     def scale(self, c: Rational) -> Phase:
         """Multiply the angle by a rational scalar, reduced mod 1."""
         c = Fraction(c)
@@ -167,7 +161,6 @@ class Phase:
 
 
 ZERO = Phase(0)
-HALF = Phase(Fraction(1, 2))
 
 
 def _ratio(pair, literal) -> Fraction:

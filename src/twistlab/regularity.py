@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain
+from typing import Iterable
 
 from .cocycles import (
     BitstreamCocycle,
@@ -316,10 +317,24 @@ def is_sigma_regular(
             return RegularityReport(g, "regular", rule="symmetric_cocycle")
 
     # search fallback: can refute, never certify
-    for h in commuting_ball(g, radius, node_budget):
-        if sigma.eval(g, h) != sigma.eval(h, g):
-            return RegularityReport(g, "not_regular", witness=h)
-    return RegularityReport(g, "no_witness_up_to", radius=radius)
+    return _searched_report(sigma, g, commuting_ball(g, radius, node_budget), radius)
+
+
+def asymmetric_partner(sigma: Cocycle, g: Element, pool: Iterable[Element]) -> Element | None:
+    """The first h in pool with gh = hg and sigma(g,h) != sigma(h,g): a
+    witness that g is not regular with respect to the pool."""
+    G = g.group
+    return next(
+        (h for h in pool if G.compose(g, h) == G.compose(h, g) and sigma.eval(g, h) != sigma.eval(h, g)),
+        None,
+    )
+
+
+def _searched_report(sigma: Cocycle, g: Element, pool: Iterable[Element], radius: int) -> RegularityReport:
+    witness = asymmetric_partner(sigma, g, pool)
+    if witness is None:
+        return RegularityReport(g, "no_witness_up_to", radius=radius)
+    return RegularityReport(g, "not_regular", witness=witness)
 
 
 def _free_times_z_witness(G, root, j: int, l: int) -> Element:
@@ -743,10 +758,7 @@ def is_regular_wrt_subgroup(
     if isinstance(base, SanovCocycle) and sub.name in ("base", "z2"):
         return _sanov_base_regularity(base, g, sub)
 
-    for s in sub.ball(radius, node_budget):
-        if G.compose(g, s) == G.compose(s, g) and sigma.eval(g, s) != sigma.eval(s, g):
-            return RegularityReport(g, "not_regular", witness=s)
-    return RegularityReport(g, "no_witness_up_to", radius=radius)
+    return _searched_report(sigma, g, sub.ball(radius, node_budget), radius)
 
 
 def _base_action_aperiodic(G) -> bool:

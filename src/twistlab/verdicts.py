@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cocycles import (
     BitstreamCocycle,
@@ -33,6 +33,7 @@ from .groups import (
     FreeTimesZ,
     Group,
     Sanov,
+    Subgroup,
     SumZ,
     SumZ2,
     WreathZ,
@@ -43,6 +44,7 @@ from .groups import (
 from .phase import Phase
 from .regularity import (
     _integer_rows,
+    asymmetric_partner,
     integer_kernel,
     is_regular_wrt_subgroup,
     is_sigma_regular,
@@ -221,6 +223,25 @@ def _try_refutation_witness(
     return is_sigma_regular(sigma, g, radius, node_budget).is_regular_certified
 
 
+def _first_witness(
+    draw: Callable[[], Iterable[Element]], is_witness: Callable[[Element], bool], rule: str, radius: int
+) -> Verdict | None:
+    """Refute by `rule` with the first candidate that `is_witness` accepts.
+
+    Candidates are tried in order as `draw()` produces them, so a lazy
+    source stops enumerating at the first witness.  A budget that runs out
+    while a candidate is produced or checked makes the verdict
+    inconclusive; None means the candidates ran out first.
+    """
+    try:
+        for g in draw():
+            if is_witness(g):
+                return Verdict("refuted", rule=rule, witness=g)
+    except BudgetExceededError as exc:
+        return Verdict("inconclusive", bound=exc.radius or radius, detail="search budget exhausted")
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Kleppner's condition
 # ---------------------------------------------------------------------------
@@ -238,9 +259,11 @@ def decide_kleppner(
         raise SpecError("cocycle does not live on the given group")
     base = sigma.structural()
 
-    for g in candidates:
-        if _try_refutation_witness(sigma, g, radius, node_budget):
-            return Verdict("refuted", rule=_refutation_rule(group), witness=g)
+    def refutes(g: Element) -> bool:
+        return _try_refutation_witness(sigma, g, radius, node_budget)
+
+    if found := _first_witness(lambda: candidates, refutes, _refutation_rule(group), radius):
+        return found
 
     # family-specific certificates
     if isinstance(base, ThetaCocycle) and isinstance(group, SumZ):
@@ -268,20 +291,17 @@ def decide_kleppner(
     if isinstance(base, ProductCocycle) and isinstance(group, FreeTimesZ):
         return Verdict("refuted", rule="z_factor_fails", witness=group.pair((), 1))
     if group.finite:
-        return _kleppner_finite(group, sigma, node_budget)
+        return _finite_exhaustive(group, sigma, node_budget)
 
     # generic ICC metadata
     if group.icc:
         return Verdict("certified", rule="icc_family")
 
     # refutation search over rule-certified finite classes
-    try:
-        for g in group.central_candidates(radius, node_budget):
-            if _try_refutation_witness(sigma, g, radius, node_budget):
-                return Verdict("refuted", rule=_refutation_rule(group), witness=g)
-    except BudgetExceededError as exc:
-        return Verdict("inconclusive", bound=exc.radius or radius, detail="search budget exhausted")
-    return Verdict("inconclusive", bound=radius)
+    found = _first_witness(
+        lambda: group.central_candidates(radius, node_budget), refutes, _refutation_rule(group), radius
+    )
+    return found or Verdict("inconclusive", bound=radius)
 
 
 def _refutation_rule(group: Group) -> str:
@@ -330,18 +350,23 @@ def _kleppner_bitstream(
     )
 
 
-def _kleppner_finite(group: Group, sigma: Cocycle, node_budget: int) -> Verdict:
-    full = group.ball(group._finite_diameter(node_budget), node_budget)
-    for g in full:
-        if g.is_identity():
-            continue
-        if all(
-            sigma.eval(g, h) == sigma.eval(h, g)
-            for h in full
-            if group.compose(g, h) == group.compose(h, g)
-        ):
-            return Verdict("refuted", rule="finite_exhaustive", witness=g)
-    return Verdict("certified", rule="finite_exhaustive")
+def _finite_exhaustive(group: Group, sigma: Cocycle, node_budget: int, sub: Subgroup | None = None) -> Verdict:
+    """Decide the condition on a finite group, relative to `sub` when one is
+    given, by enumerating the whole group: the first element outside the
+    subgroup (or nontrivial) with no asymmetric partner in the subgroup (or
+    in the group) refutes it."""
+    diameter = group._finite_diameter(node_budget)
+    full = group.ball(diameter, node_budget)
+    if sub is None:
+        inside, pool = Element.is_identity, full
+    else:
+        inside, pool = sub.contains, sub.ball(diameter, node_budget)
+
+    def refutes(g: Element) -> bool:
+        return not inside(g) and asymmetric_partner(sigma, g, pool) is None
+
+    found = _first_witness(lambda: full, refutes, "finite_exhaustive", diameter)
+    return found or Verdict("certified", rule="finite_exhaustive")
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +394,11 @@ def decide_relative_kleppner(
     sub = resolve_subgroup(group, subgroup_name)
     base = sigma.structural()
 
-    for g in candidates:
-        if _try_relative_witness(sigma, sub, g, radius, node_budget):
-            return Verdict("refuted", rule=_relk_rule(group), witness=g)
+    def refutes(g: Element) -> bool:
+        return _try_relative_witness(sigma, sub, g, radius, node_budget)
+
+    if found := _first_witness(lambda: candidates, refutes, _relk_rule(group), radius):
+        return found
 
     if isinstance(group, WreathZ) and subgroup_name == "base":
         if group.m is None:
@@ -379,7 +406,7 @@ def decide_relative_kleppner(
         if isinstance(base, TrivialCocycle):
             witness = group.element(((), 1))
             return Verdict("refuted", rule="wreath_relk", witness=witness)
-        return _relative_finite(group, sub, sigma, node_budget)
+        return _finite_exhaustive(group, sigma, node_budget, sub)
     if isinstance(group, ZnSemidirectZ) and subgroup_name == "base":
         if group.icc:
             return Verdict("certified", rule="aperiodic_relk")
@@ -401,15 +428,10 @@ def decide_relative_kleppner(
         return Verdict("refuted", rule="f2xz_relk", witness=group.pair(w, 0))
 
     # generic search: subgroup-finite classes come from central/finite subgroups
-    central_sub = subgroup_name in ("center", "z") or (sub.inner is not None and sub.inner.finite)
-    if central_sub or (sub.inner is not None and getattr(sub.inner, "finite", False)):
-        try:
-            for g in group.ball(radius, node_budget):
-                if _try_relative_witness(sigma, sub, g, radius, node_budget):
-                    return Verdict("refuted", rule=_relk_rule(group), witness=g)
-        except BudgetExceededError as exc:
-            return Verdict("inconclusive", bound=exc.radius or radius)
-    return Verdict("inconclusive", bound=radius)
+    if not relative_class_finite_certified(sub):
+        return Verdict("inconclusive", bound=radius)
+    found = _first_witness(lambda: group.ball(radius, node_budget), refutes, _relk_rule(group), radius)
+    return found or Verdict("inconclusive", bound=radius)
 
 
 def _relk_rule(group: Group) -> str:
@@ -422,39 +444,21 @@ def _relk_rule(group: Group) -> str:
     return "central_subgroup_classes"
 
 
-def _try_relative_witness(sigma, sub, g: Element, radius: int, node_budget: int) -> bool:
-    if sub.contains(g):
-        return False
-    if not _relative_class_finite_certified(sub, g):
+def _try_relative_witness(sigma, sub: Subgroup, g: Element, radius: int, node_budget: int) -> bool:
+    if sub.contains(g) or not relative_class_finite_certified(sub):
         return False
     return is_regular_wrt_subgroup(sigma, g, sub, radius, node_budget).is_regular_certified
 
 
-def _relative_class_finite_certified(sub, g: Element) -> bool:
-    G = g.group
+def relative_class_finite_certified(sub: Subgroup) -> bool:
+    """Rule-based finiteness of every sub-conjugacy class: the subgroup is
+    finite, or it is the designated central subgroup of its family."""
     if sub.inner is not None and sub.inner.finite:
         return True
-    if isinstance(G, BaumslagSolitarNN) and sub.name == "center":
-        return True
-    if isinstance(G, FreeTimesZ) and sub.name == "z":
-        return True
-    return False
-
-
-def _relative_finite(group: Group, sub, sigma: Cocycle, node_budget: int) -> Verdict:
-    diameter = group._finite_diameter(node_budget)
-    full = group.ball(diameter, node_budget)
-    hball = sub.ball(diameter, node_budget)
-    for g in full:
-        if sub.contains(g):
-            continue
-        if all(
-            sigma.eval(g, s) == sigma.eval(s, g)
-            for s in hball
-            if group.compose(g, s) == group.compose(s, g)
-        ):
-            return Verdict("refuted", rule="finite_exhaustive", witness=g)
-    return Verdict("certified", rule="finite_exhaustive")
+    G = sub.ambient
+    return (isinstance(G, BaumslagSolitarNN) and sub.name == "center") or (
+        isinstance(G, FreeTimesZ) and sub.name == "z"
+    )
 
 
 def _character_relation(mu: Phase, nu: Phase) -> tuple[int, int] | None:
@@ -512,11 +516,7 @@ def check_condition_x(
     for h in sub.ball(radius, node_budget):
         if h.is_identity():
             continue
-        pool = group.ball(radius, node_budget)
-        if not any(
-            group.compose(h, g) == group.compose(g, h) and sigma.eval(h, g) != sigma.eval(g, h)
-            for g in pool
-        ):
+        if asymmetric_partner(sigma, h, group.ball(radius, node_budget)) is None:
             return Verdict("inconclusive", bound=radius, detail=f"no witness found for {h!r}")
         checked += 1
     return Verdict("inconclusive", bound=radius, detail=f"witnesses found for {checked} elements")

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from twistlab.cocycles import BitstreamCocycle, ThetaCocycle
+from twistlab.groups import SumZ, SumZ2, compose
 from twistlab.phase import Phase
 
 
@@ -230,3 +231,29 @@ def dense_matrix(op) -> np.ndarray:
 def dense_operator_norm(op) -> float:
     """Dense two-norm oracle of a truncated operator (plain numpy svd)."""
     return float(np.linalg.norm(dense_matrix(op), 2))
+
+
+def bfs_ball(G, radius: int) -> set:
+    """Elements of word length at most radius: a breadth-first search with
+    ``compose`` over the generators and their inverses.  The sum families
+    use the basis elements of their index window, [-radius, radius] or
+    every index below the modulus, with their inverses."""
+    if isinstance(G, SumZ):
+        gens = [G.basis_element(i, v) for i in range(-radius, radius + 1) for v in (1, -1)]
+    elif isinstance(G, SumZ2):
+        window = range(G.modulus) if G.modulus is not None else range(-radius, radius + 1)
+        gens = [G.basis_element(i) for i in window]
+    else:
+        gens = G.generators()
+    seen = {G.identity()}
+    frontier = [G.identity()]
+    for _ in range(radius):
+        nxt = []
+        for g in frontier:
+            for s in gens:
+                h = compose(g, s)
+                if h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return seen

@@ -233,6 +233,41 @@ def test_finite_group_honours_the_node_budget(capsys):
     assert rep["nodes"] <= 20001 and rep["radius"] is not None
 
 
+def test_wide_sum_family_windows_give_json_reports(capsys):
+    """Windows of hundreds or thousands of indices are enumerated without a
+    frame per index: the first shell refutes, a finite group's enumeration
+    runs out of budget, and the trivial subgroup's witness comes from the
+    radius-1 ball."""
+    trivial = ("--cocycle", '{"kind":"trivial"}')
+    wide = ("--group", '{"family":"sum_z2","modulus":5000}', *trivial)
+    code, out, _ = run_cli(capsys, "verdict", "kleppner", "--group", '{"family":"sum_z"}', *trivial, "--radius", "600")
+    assert code == 0
+    rep = json.loads(out)["kleppner"]
+    assert (rep["status"], rep["witness"]) == ("refuted", {"0": 1})
+
+    code, out, _ = run_cli(capsys, "verdict", "kleppner", *wide, "--nodes", "20000")
+    assert code == 2
+    assert json.loads(out)["status"] == "inconclusive"
+
+    code, out, _ = run_cli(capsys, "verdict", "relative-kleppner", "--subgroup", "trivial", *wide)
+    assert code == 0
+    rep = json.loads(out)["relative_kleppner"]
+    assert (rep["status"], rep["witness"]) == ("refuted", [0])
+
+
+def test_searches_report_an_exhausted_budget_alike(capsys):
+    exhausted = {"bound": 1, "detail": "search budget exhausted", "status": "inconclusive"}
+    trivial = ("--cocycle", '{"kind":"trivial"}', "--nodes", "3")
+    code, out, _ = run_cli(
+        capsys, "verdict", "relative-kleppner", "--subgroup", "center", "--group", '{"family":"bs_nn","n":2}', *trivial
+    )
+    assert code == 2
+    assert json.loads(out) == {"relative_kleppner": exhausted}
+    code, out, _ = run_cli(capsys, "verdict", "kleppner", "--group", '{"family":"sum_z"}', *trivial)
+    assert code == 2
+    assert json.loads(out) == {"kleppner": exhausted}
+
+
 def test_spectral_r2_and_domination(tmp_path, capsys):
     fpath = tmp_path / "f.json"
     fpath.write_text(json.dumps([{"g": "a", "re": 1}, {"g": "b", "re": 1}]))

@@ -5,9 +5,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import bfs_ball
 from twistlab import _kernels
 from twistlab.errors import BudgetExceededError, FamilyMismatchError, SpecError
 from twistlab.groups import (
+    Group,
     ball,
     commuting_ball,
     compose,
@@ -94,6 +96,45 @@ def test_ball_budget_error():
     with pytest.raises(BudgetExceededError):
         ball(F2, 8, node_budget=100)
     F2._ball_cache.clear()
+
+
+def test_ball_budget_error_reports_the_shell_where_it_ran_out():
+    # radius 9 window: 1 + 38 nodes in shells 0 and 1, then shell 2 overflows
+    with pytest.raises(BudgetExceededError, match="exceeded 100 nodes at radius 2") as exc:
+        ball(SZ, 9, node_budget=100)
+    assert (exc.value.nodes, exc.value.radius) == (101, 2)
+
+
+@pytest.mark.parametrize(
+    "G",
+    ALL + [get_group({"family": "sum_z2", "modulus": 5}), get_group({"family": "wreath", "base": "Z2", "acting": 3})],
+    ids=lambda G: G.key,
+)
+def test_ball_is_the_independent_bfs_ball_in_sort_key_order(G):
+    for r in range(4):
+        b = ball(G, r)
+        assert set(b) == bfs_ball(G, r)
+        keys = [G.sort_key(g.data) for g in b]
+        assert all(a < c for a, c in zip(keys, keys[1:]))
+
+
+@pytest.mark.parametrize(
+    "spec", [{"family": "sum_z"}, {"family": "sum_z2"}, {"family": "zn", "n": 2}], ids=lambda s: s["family"]
+)
+def test_central_candidates_stream_the_ball_shell_by_shell(spec):
+    G = get_group(spec)
+    for r in range(4):
+        assert list(G.central_candidates(r)) == [g for g in ball(G, r) if not g.is_identity()]
+
+
+def test_no_group_family_defines_its_own_ball():
+    families, todo = [], [Group]
+    while todo:
+        cls = todo.pop()
+        families.extend(cls.__subclasses__())
+        todo.extend(cls.__subclasses__())
+    assert families
+    assert [cls.__name__ for cls in families if "ball" in vars(cls)] == []
 
 
 def test_ball_monotone_everywhere():

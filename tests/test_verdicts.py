@@ -175,6 +175,12 @@ def test_kleppner_budget_monotone():
     assert decide_kleppner(SZ, prime, radius=0).status == "certified"
 
 
+def test_kleppner_search_stops_at_the_first_witness_within_the_budget():
+    # the radius-6 ball has 579,125 elements; e0 is the first of shell 1
+    v = decide_kleppner(SZ, TrivialCocycle(SZ), radius=6, node_budget=50)
+    assert (v.status, v.rule, v.witness) == ("refuted", "kernel_scan", SZ.basis_element(0))
+
+
 def test_kleppner_trivial_cocycle_on_bs_refuted_by_central_scan():
     sig = TrivialCocycle(BS)
     v = decide_kleppner(BS, sig, radius=4)

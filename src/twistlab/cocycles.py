@@ -1,8 +1,15 @@
 """Construction and evaluation of the supported 2-cocycle families.
 
-All evaluators return exact Phase values.  Normalization (trivial on the
-identity) and the cocycle identity are checkable through the verification
-helpers at the bottom of the module.
+Each family evaluates on payloads in integer angles (``phase.Angle``): a
+numerator mod D and one integer coefficient per symbol of the cocycle's
+`symbols`, over a denominator D that the constructor fixes from the
+parameters (`den`).  The prime-reciprocal rule and coboundaries have
+unbounded denominators (`den` is None), so each of their values carries its
+own D.  ``Cocycle.eval`` returns the exact Phase of an angle for reports and
+deciders; ``Cocycle.complex_values`` exports a batch of angles to complex
+numbers in one numpy pass.  Normalization (trivial on the identity) and the
+cocycle identity are checkable through the verification helpers at the
+bottom of the module.
 """
 
 from __future__ import annotations
@@ -30,7 +37,23 @@ from .groups import (
     sanov_act,
     _mat_vec,
 )
-from .phase import ZERO, IrrationalBasis, Phase, phase_from_json, phase_to_json
+from .phase import (
+    ZERO,
+    Angle,
+    IrrationalBasis,
+    Phase,
+    _merge_bases,
+    add_angles,
+    angle_denominator,
+    angle_phase,
+    angles_to_complex,
+    negate_angle,
+    phase_angle,
+    phase_angles,
+    phase_from_json,
+    phase_to_json,
+    scale_angle,
+)
 
 _PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -47,9 +70,27 @@ def nth_prime(m: int) -> int:
 
 class Cocycle:
     kind = "abstract"
+    # the angles of `_angle`: over `den` (None when each value carries its
+    # own denominator), with one coefficient per symbol in `symbols`
+    den: int | None = 1
+    symbols: tuple[str, ...] = ()
+    basis: IrrationalBasis | None = None
 
     def __init__(self, group: Group):
         self.group = group
+
+    def _fix(self, params, factor: int = 1) -> list[Angle]:
+        """Fix `symbols`, `basis` and `den` (the parameters' common
+        denominator times `factor`) and return the parameters' angles."""
+        params = list(params)
+        for p in params:
+            self.basis = _merge_bases(self.basis, p.basis)
+        self.symbols, self.den, angles = phase_angles(params, factor)
+        return angles
+
+    def _share(self, other: Cocycle) -> None:
+        """Evaluate over the angles of `other`."""
+        self.den, self.symbols, self.basis = other.den, other.symbols, other.basis
 
     def eval(self, g: Element, h: Element) -> Phase:
         self.group.check(g)
@@ -57,7 +98,23 @@ class Cocycle:
         return self._eval(g.data, h.data)
 
     def _eval(self, a, b) -> Phase:
+        return self.phase(self._angle(a, b))
+
+    def _angle(self, a, b) -> Angle:
+        """sigma on two payloads, as an integer angle."""
         raise NotImplementedError
+
+    def phase(self, angle: Angle) -> Phase:
+        return angle_phase(angle, self.symbols, self.basis)
+
+    def _own_angle(self, p: Phase) -> Angle:
+        """A Phase as an angle over its own denominator."""
+        return phase_angle(p, angle_denominator([p]), self.symbols)
+
+    def complex_values(self, angles):
+        """The circle values of a batch of angles, as a numpy complex128
+        array equal to their Phases' ``to_complex``."""
+        return angles_to_complex(angles, self.symbols, self.basis)
 
     def structural(self) -> Cocycle:
         """Unwrap similarity twists; verdict rules are similarity-invariant."""
@@ -76,8 +133,8 @@ class Cocycle:
 class TrivialCocycle(Cocycle):
     kind = "trivial"
 
-    def _eval(self, a, b) -> Phase:
-        return ZERO
+    def _angle(self, a, b) -> Angle:
+        return 0, (), 1
 
     def restrict(self, subgroup_name: str) -> Cocycle:
         sub = resolve_subgroup(self.group, subgroup_name)
@@ -125,6 +182,17 @@ class ThetaCocycle(Cocycle):
                         f"theta entry ({j},{k}) lies on or below the diagonal",
                         path="cocycle.entries",
                     )
+        if rule is not None:
+            self.den = None
+            return
+        window = self.window or {}
+        angles = iter(
+            a if a[0] or any(a[1]) else None  # zero entries are skipped
+            for a in self._fix([*self.diagonals, *(self.period or ()), *window.values()])
+        )
+        self._diag_angles = [next(angles) for _ in self.diagonals]
+        self._period_angles = [next(angles) for _ in self.period or ()]
+        self._window_angles = {jk: next(angles) for jk in window}
 
     def diagonal_value(self, m: int) -> Phase:
         """Value on the m-th superdiagonal (diagonal-constant modes)."""
@@ -145,6 +213,21 @@ class ThetaCocycle(Cocycle):
             return self.window.get((j, k), ZERO)
         return self.diagonal_value(k - j)
 
+    def entry_angle(self, j: int, k: int) -> Angle | None:
+        """``entry(j, k)`` as an angle, None when it is zero."""
+        if j >= k:
+            return None
+        if self.window is not None:
+            return self._window_angles.get((j, k))
+        m = k - j
+        if self.rule is not None:
+            return 1, (), nth_prime(m)
+        if m <= len(self._diag_angles):
+            return self._diag_angles[m - 1]
+        if self._period_angles:
+            return self._period_angles[(m - 1 - len(self._diag_angles)) % len(self._period_angles)]
+        return None
+
     @property
     def invariant(self) -> bool:
         return self.window is None
@@ -162,15 +245,35 @@ class ThetaCocycle(Cocycle):
                 w = m
         return w
 
-    def _eval(self, a, b) -> Phase:
-        out = ZERO
+    def _angle(self, a, b) -> Angle:
+        if self.rule is not None:
+            return self._prime_angle(a, b)
+        D = self.den
+        k = 0
+        cs = (0,) * len(self.symbols)
         for j, xj in a:
-            for k, yk in b:
-                if j < k:
-                    t = self.entry(j, k)
-                    if not t.is_zero():
-                        out = out * t.scale(xj * yk)
-        return out
+            for l, yl in b:
+                if j < l:
+                    t = self.entry_angle(j, l)
+                    if t is not None:
+                        n = xj * yl
+                        k += t[0] * n
+                        if cs:
+                            cs = tuple(c + n * tc for c, tc in zip(cs, t[1]))
+        return k % D, cs, D
+
+    @staticmethod
+    def _prime_angle(a, b) -> Angle:
+        """The sum of x_j y_l / p_(l-j) over the product D of its primes."""
+        k, D = 0, 1
+        for j, xj in a:
+            for l, yl in b:
+                if j < l:
+                    p = nth_prime(l - j)
+                    if D % p:
+                        k, D = k * p, D * p
+                    k += xj * yl * (D // p)
+        return k % D, (), D
 
     def to_json(self) -> dict:
         if self.rule:
@@ -195,6 +298,7 @@ class BitstreamCocycle(Cocycle):
 
     kind = "bitstream"
     invariant = True  # diagonal-constant by construction
+    den = 2
 
     def __init__(self, group: SumZ2, pre: tuple[int, ...] = (), period: tuple[int, ...] = ()):
         super().__init__(group)
@@ -213,13 +317,13 @@ class BitstreamCocycle(Cocycle):
             return self.period[(m - 1 - len(self.pre)) % len(self.period)]
         return 0
 
-    def _eval(self, a, b) -> Phase:
+    def _angle(self, a, b) -> Angle:
         count = 0
         for j in a:
             for k in b:
                 if j < k:
                     count += self.epsilon(k - j)
-        return Phase(Fraction(count % 2, 2)) if count % 2 else ZERO
+        return count % 2, (), 2
 
     def to_json(self) -> dict:
         return {"kind": "bitstream", "pre": list(self.pre), "period": list(self.period)}
@@ -246,15 +350,23 @@ class AntisymThetaCocycle(SkewFormCocycle):
     def __init__(self, group: Zn, theta: Phase):
         super().__init__(group)
         self.theta = theta
+        [self._theta] = self._fix([theta])
 
-    def _eval(self, a, b) -> Phase:
-        return self.theta.scale(a[0] * b[1] - a[1] * b[0])
+    def _angle(self, a, b) -> Angle:
+        return scale_angle(self._theta, a[0] * b[1] - a[1] * b[0])
 
     def skew_angle(self) -> Phase:
         return self.theta.scale(2)
 
     def to_json(self) -> dict:
         return {"kind": "antisym_theta", "theta": phase_to_json(self.theta)}
+
+
+def _halved(a: Angle) -> Angle:
+    """Half of a parameter's angle over a denominator that doubles the
+    parameter's own, so that every entry is even."""
+    k, cs, D = a
+    return k // 2, tuple(c // 2 for c in cs), D
 
 
 class HalfSkewCocycle(SkewFormCocycle):
@@ -269,9 +381,10 @@ class HalfSkewCocycle(SkewFormCocycle):
     def __init__(self, group: Zn, mu0: Phase):
         super().__init__(group)
         self.mu0 = mu0
+        self._half = _halved(*self._fix([mu0], factor=2))
 
-    def _eval(self, a, b) -> Phase:
-        return self.mu0.scale(Fraction(a[0] * b[1] - a[1] * b[0], 2))
+    def _angle(self, a, b) -> Angle:
+        return scale_angle(self._half, a[0] * b[1] - a[1] * b[0])
 
     def skew_angle(self) -> Phase:
         return self.mu0
@@ -322,6 +435,7 @@ class LiftCocycle(Cocycle):
         else:
             raise SpecError("lift target must be a wreath or semidirect family", path="cocycle")
         self.base = base
+        self._share(base)
 
     def _shifted(self, k: int, y):
         G = self.group
@@ -329,9 +443,9 @@ class LiftCocycle(Cocycle):
             return G._shift(y, k)
         return _mat_vec(G.matrix_power(k), y)
 
-    def _eval(self, a, b) -> Phase:
+    def _angle(self, a, b) -> Angle:
         (x, k), (y, _l) = a, b
-        return self.base._eval(x, self._shifted(k, y))
+        return self.base._angle(x, self._shifted(k, y))
 
     def restrict(self, subgroup_name: str) -> Cocycle:
         if subgroup_name == "base":
@@ -363,34 +477,42 @@ class SanovCocycle(Cocycle):
         self.mu0 = mu0
         self.mu1 = mu1
         self.mu2 = mu2
-        self._memo: dict[tuple, Phase] = {}
+        # sigma0 takes half the mu0 angle per unit of the skew form
+        half0, self._mu1, self._mu2 = self._fix([mu0, mu1, mu2], factor=2)
+        self._half0 = _halved(half0)
+        self._zero = (0, (0,) * len(self.symbols), self.den)
+        self._memo: dict[tuple, Angle] = {}
 
     def g(self, a: tuple[int, int], word: tuple[int, ...]) -> Phase:
         """The twisting function, computed by right-fold recursion with memoization."""
+        return self.phase(self._g(a, word))
+
+    def _g(self, a: tuple[int, int], word: tuple[int, ...]) -> Angle:
         if not word or a == (0, 0):
-            return ZERO
+            return self._zero
         key = (a, word)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         head, last = word[:-1], word[-1]
         if last == 1:
-            val = self.mu1.scale(a[0])
+            val = scale_angle(self._mu1, a[0])
         elif last == 2:
-            val = self.mu2.scale(a[1])
+            val = scale_angle(self._mu2, a[1])
         else:
-            val = self.g(sanov_act((last,), a), (-last,)).inverse()
+            val = negate_angle(self._g(sanov_act((last,), a), (-last,)))
         if head:
-            val = self.g(sanov_act((last,), a), head) * val
+            val = add_angles(self._g(sanov_act((last,), a), head), val)
         self._memo[key] = val
         return val
 
-    def _sigma0(self, u, v) -> Phase:
-        return self.mu0.scale(Fraction(u[0] * v[1] - u[1] * v[0], 2))
-
-    def _eval(self, a, b) -> Phase:
+    def _angle(self, a, b) -> Angle:
         (u, x), (v, _y) = a, b
-        return self._sigma0(u, sanov_act(x, v)) * self.g(v, x)
+        w = sanov_act(x, v)
+        skew = u[0] * w[1] - u[1] * w[0]
+        hk, hc, D = self._half0
+        gk, gc, _ = self._g(v, x)
+        return (hk * skew + gk) % D, tuple(h * skew + c for h, c in zip(hc, gc)), D
 
     def restrict(self, subgroup_name: str) -> Cocycle:
         if subgroup_name in ("base", "z2"):
@@ -419,14 +541,15 @@ class BSInflationCocycle(Cocycle):
     def __init__(self, group: BaumslagSolitarNN, lam: Phase):
         super().__init__(group)
         self.lam = lam
+        [self._lam] = self._fix([lam])
 
-    def _eval(self, a, b) -> Phase:
+    def _angle(self, a, b) -> Angle:
         n = self.group.n
         ca, wa = a
         _cb, wb = b
         x2 = n * ca + sum(wa[i + 1] for i in range(0, len(wa), 2) if wa[i] == 2)
         y1 = sum(wb[i + 1] for i in range(0, len(wb), 2) if wb[i] == 1)
-        return self.lam.scale(x2 * y1)
+        return scale_angle(self._lam, x2 * y1)
 
     def restrict(self, subgroup_name: str) -> Cocycle:
         if subgroup_name == "center":
@@ -448,12 +571,15 @@ class FreeTimesZCharCocycle(Cocycle):
         super().__init__(group)
         self.mu = mu
         self.nu = nu
+        self.mu_angle, self.nu_angle = self._fix([mu, nu])
 
-    def _eval(self, a, b) -> Phase:
+    def _angle(self, a, b) -> Angle:
         m = a[1]
-        G = self.group
-        oa, ob = G.word_exponents(G.element(b))
-        return self.mu.scale(m * oa) * self.nu.scale(m * ob)
+        w = b[0]
+        ma = m * (w.count(1) - w.count(-1))
+        mb = m * (w.count(2) - w.count(-2))
+        (ka, ca, D), (kb, cb, _) = self.mu_angle, self.nu_angle
+        return (ka * ma + kb * mb) % D, tuple(x * ma + y * mb for x, y in zip(ca, cb)), D
 
     def restrict(self, subgroup_name: str) -> Cocycle:
         if subgroup_name in ("z", "center"):
@@ -477,9 +603,12 @@ class ProductCocycle(Cocycle):
             raise SpecError("product right factor must live on zn[1]", path="cocycle.right")
         self.left = left
         self.right = right
+        self.den = None
+        self.symbols = tuple(sorted({*left.symbols, *right.symbols}))
+        self.basis = _merge_bases(left.basis, right.basis)
 
-    def _eval(self, a, b) -> Phase:
-        return self.left._eval(a[0], b[0]) * self.right._eval((a[1],), (b[1],))
+    def _angle(self, a, b) -> Angle:
+        return self._own_angle(self.left._eval(a[0], b[0]) * self.right._eval((a[1],), (b[1],)))
 
     def to_json(self) -> dict:
         return {"kind": "product", "left": self.left.to_json(), "right": self.right.to_json()}
@@ -491,7 +620,11 @@ class ProductCocycle(Cocycle):
 
 
 class CoboundaryFn:
-    """A circle-valued function b with b(identity) = 0, as angles."""
+    """A circle-valued function b with b(identity) = 0, as angles.
+
+    Its values are rational, or use only the symbols of the cocycle that a
+    similarity twists with it.
+    """
 
     def __init__(self, group: Group, fn: Callable[[Element], Phase], label: str = "b"):
         self.group = group
@@ -524,6 +657,8 @@ class CoboundaryCocycle(Cocycle):
 
     kind = "coboundary"
 
+    den = None
+
     def __init__(self, b: CoboundaryFn):
         super().__init__(b.group)
         self.b = b
@@ -533,6 +668,9 @@ class CoboundaryCocycle(Cocycle):
         g = G.element(a)
         h = G.element(bdat)
         return self.b(g) * self.b(h) * self.b(G.compose(g, h)).inverse()
+
+    def _angle(self, a, bdat) -> Angle:
+        return self._own_angle(self._eval(a, bdat))
 
 
 class SimilarTwist(Cocycle):
@@ -547,9 +685,11 @@ class SimilarTwist(Cocycle):
         self.base = base
         self.b = b
         self._db = CoboundaryCocycle(b)
+        self._share(base)
+        self.den = None
 
-    def _eval(self, a, bdat) -> Phase:
-        return self.base._eval(a, bdat) * self._db._eval(a, bdat).inverse()
+    def _angle(self, a, bdat) -> Angle:
+        return add_angles(self.base._angle(a, bdat), negate_angle(self._own_angle(self._db._eval(a, bdat))))
 
     def structural(self) -> Cocycle:
         return self.base.structural()
@@ -569,10 +709,11 @@ class RestrictedCocycle(Cocycle):
         self.sub = resolve_subgroup(base.group, subgroup_name)
         super().__init__(self.sub.inner)
         self.base = base
+        self._share(base)
 
-    def _eval(self, a, b) -> Phase:
+    def _angle(self, a, b) -> Angle:
         H = self.sub.inner
-        return self.base.eval(self.sub.embed(H.element(a)), self.sub.embed(H.element(b)))
+        return self.base._angle(self.sub.embed(H.element(a)).data, self.sub.embed(H.element(b)).data)
 
 
 def sigma_tilde(sigma: Cocycle, g: Element, h: Element) -> Phase:

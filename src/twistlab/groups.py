@@ -11,7 +11,7 @@ the index window for the abelian sum families.
 from __future__ import annotations
 
 import json
-from itertools import chain, combinations, count, product
+from itertools import combinations, count, product
 from typing import Iterable, Iterator
 
 from . import _kernels
@@ -51,6 +51,49 @@ class Element:
         return self.data == self.group.identity().data
 
 
+class _BallCache:
+    """The balls of one group by radius.
+
+    The largest enumerated ball keeps the radius at which each of its
+    elements enters the balls and the shell it was enumerated in, so it
+    serves every smaller radius without a new enumeration: the smaller ball
+    is the elements that have entered by then, in the same order, and the
+    node budget applies as it would to their enumeration.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self._balls: dict[int, tuple[Element, ...]] = {}
+        self._top: tuple[int, tuple[Element, ...], list[int], list[int]] | None = None
+
+    def __contains__(self, radius: int) -> bool:
+        return radius in self._balls or (self._top is not None and radius <= self._top[0])
+
+    def get(self, radius: int, node_budget: int) -> tuple[Element, ...] | None:
+        ball = self._balls.get(radius)
+        if ball is not None or radius not in self:
+            return ball
+        _, elements, entries, shells = self._top
+        inside = [i for i, e in enumerate(entries) if e <= radius]
+        if len(inside) > node_budget:
+            # enumeration runs shell by shell: node budget + 1 lies in this one
+            shell = sorted(shells[i] for i in inside)[node_budget]
+            raise BudgetExceededError(
+                f"ball enumeration exceeded {node_budget} nodes at radius {shell}",
+                nodes=node_budget + 1,
+                radius=shell,
+            )
+        ball = self._balls[radius] = tuple(elements[i] for i in inside)
+        return ball
+
+    def store(self, radius: int, ball: tuple[Element, ...], entries: list[int], shells: list[int]) -> None:
+        self._balls[radius] = ball
+        if self._top is None or radius > self._top[0]:
+            self._top = (radius, ball, entries, shells)
+
+
 class Group:
     """Base class: one instance per family/parameter choice."""
 
@@ -62,7 +105,7 @@ class Group:
 
     def __init__(self):
         self.key = self.family
-        self._ball_cache: dict[int, tuple[Element, ...]] = {}
+        self._ball_cache = _BallCache()
 
     # family-specific primitives -------------------------------------------
 
@@ -167,16 +210,24 @@ class Group:
             layer.append(data)
         yield layer
 
+    def _entry_radius(self, shell: int, data) -> int:
+        """The least radius whose ball holds `data`, found in `shell` of a
+        larger ball: the shell itself for breadth-first layers."""
+        return shell
+
     def ball(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[Element, ...]:
         """All elements of word length <= radius, sorted canonically."""
         if radius < 0:
             raise SpecError("ball radius must be nonnegative", path="radius")
-        cached = self._ball_cache.get(radius)
+        cached = self._ball_cache.get(radius, node_budget)
         if cached is not None:
             return cached
-        payloads = chain.from_iterable(self._shells(radius, node_budget))
-        out = tuple(Element(self, d) for d in sorted(payloads, key=self.sort_key))
-        self._ball_cache[radius] = out
+        found = [(d, r) for r, layer in enumerate(self._shells(radius, node_budget)) for d in layer]
+        key = self.sort_key
+        found.sort(key=lambda node: key(node[0]))
+        out = tuple(Element(self, d) for d, _ in found)
+        shells = [r for _, r in found]
+        self._ball_cache.store(radius, out, [self._entry_radius(r, d) for d, r in found], shells)
         return out
 
     def central_candidates(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> Iterator[Element]:
@@ -261,6 +312,10 @@ class SumZ(Group):
                         for signs in product((1, -1), repeat=k):
                             yield weight, tuple(zip(support, (s * v for s, v in zip(signs, sizes))))
 
+    def _entry_radius(self, shell: int, data) -> int:
+        # the window [-r, r] must also hold the support
+        return max(shell, max((abs(i) for i, _ in data), default=0))
+
     def sort_key(self, data):
         return (
             sum(abs(v) for _, v in data),
@@ -323,6 +378,11 @@ class SumZ2(Group):
         for size in range(top + 1):
             for support in combinations(indices, size):
                 yield size, support
+
+    def _entry_radius(self, shell: int, data) -> int:
+        if self.modulus is not None:
+            return shell
+        return max(shell, max(map(abs, data), default=0))
 
     def sort_key(self, data):
         return (len(data), tuple(sorted(_index_key(i) for i in data)))

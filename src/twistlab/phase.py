@@ -11,6 +11,8 @@ and is never verified.
 from __future__ import annotations
 
 import cmath
+import math
+import operator
 from fractions import Fraction
 from numbers import Real
 from typing import Mapping
@@ -24,7 +26,8 @@ class IrrationalBasis:
     """Named irrational symbols with numeric values used only for export.
 
     Numeric values must lie in (0,1).  They are irrelevant to all exact
-    operations; only ``Phase.to_complex`` reads them.
+    operations; only the complex export (``Phase.to_complex`` and
+    ``angles_to_complex``) reads them.
     """
 
     __slots__ = ("symbols", "_values")
@@ -86,6 +89,17 @@ class Phase:
         object.__setattr__(self, "irr", tuple(coeffs))
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_hash", hash((self.rational, self.irr)))
+
+    @classmethod
+    def _normal(cls, rational: Fraction, irr: tuple, basis: IrrationalBasis | None) -> Phase:
+        """A phase from parts already in normal form: `rational` in [0, 1)
+        and `irr` sorted by symbol, without zero coefficients."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "rational", rational)
+        object.__setattr__(p, "irr", irr)
+        object.__setattr__(p, "basis", basis)
+        object.__setattr__(p, "_hash", hash((rational, irr)))
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Phase is immutable")
@@ -161,6 +175,120 @@ class Phase:
 
 
 ZERO = Phase(0)
+
+
+# ---------------------------------------------------------------------------
+# integer angles
+# ---------------------------------------------------------------------------
+
+# An integer angle (k, cs, D) is the phase k/D + sum_i cs[i]/D * symbols[i]
+# mod 1, with k in [0, D): plain ints over one denominator, for a symbol
+# order that the holder fixes (a cocycle's `symbols`).  Adding angles over
+# the same D adds the ints, so the hot paths never build a Fraction.
+Angle = tuple[int, tuple[int, ...], int]
+
+
+def angle_denominator(phases) -> int:
+    """The least common denominator of the rational parts and symbol
+    coefficients of `phases`."""
+    phases = list(phases)
+    dens = [p.rational.denominator for p in phases] + [c.denominator for p in phases for _, c in p.irr]
+    return math.lcm(1, *dens)
+
+
+def phase_angles(phases, factor: int = 1) -> tuple[tuple[str, ...], int, list[Angle]]:
+    """The sorted symbols of `phases`, their common denominator D times
+    `factor`, and the phases as angles over D."""
+    phases = list(phases)
+    symbols = tuple(sorted({s for p in phases for s, _ in p.irr}))
+    D = factor * angle_denominator(phases)
+    return symbols, D, [phase_angle(p, D, symbols) for p in phases]
+
+
+def phase_angle(p: Phase, D: int, symbols: tuple[str, ...]) -> Angle:
+    """`p` as an integer angle over D, a multiple of its denominators."""
+    coeffs = dict(p.irr)
+    for sym in coeffs:
+        if sym not in symbols:
+            raise ConfigurationError(f"phase uses symbol {sym!r} outside the symbols {list(symbols)}")
+    k = p.rational.numerator * (D // p.rational.denominator)
+    return k, tuple(int(coeffs.get(s, 0) * D) for s in symbols), D
+
+
+def angle_phase(a: Angle, symbols: tuple[str, ...], basis: IrrationalBasis | None) -> Phase:
+    """The Phase of an angle over sorted `symbols`."""
+    k, cs, D = a
+    irr = tuple((s, Fraction(c, D)) for s, c in zip(symbols, cs) if c)
+    return Phase._normal(Fraction(k % D, D), irr, basis)
+
+
+def add_angles(a: Angle, b: Angle) -> Angle:
+    """The sum of two angles over the same symbols, over the lcm of their
+    denominators."""
+    (ka, ca, Da), (kb, cb, Db) = a, b
+    if Da == Db:
+        return (ka + kb) % Da, tuple(map(operator.add, ca, cb)), Da
+    D = math.lcm(Da, Db)
+    sa, sb = D // Da, D // Db
+    return (ka * sa + kb * sb) % D, tuple(x * sa + y * sb for x, y in zip(ca, cb)), D
+
+
+def scale_angle(a: Angle, n: int) -> Angle:
+    """The angle times the integer n."""
+    k, cs, D = a
+    return k * n % D, tuple(c * n for c in cs), D
+
+
+def negate_angle(a: Angle) -> Angle:
+    k, cs, D = a
+    return -k % D, tuple(-c for c in cs), D
+
+
+def quarter_turns(a: Angle) -> int | None:
+    """q when the angle is q/4 of a turn, else None."""
+    k, cs, D = a
+    if any(cs) or 4 * k % D:
+        return None
+    return 4 * k // D
+
+
+def angles_to_complex(angles, symbols: tuple[str, ...], basis: IrrationalBasis | None):
+    """exp(2 pi i x) of each angle as a numpy complex128 array, by the
+    arithmetic of ``Phase.to_complex``: x = k/D, plus (c/D) * value for each
+    symbol in order, then x mod 1.  Every quotient is correctly rounded
+    (numpy divides ints below 2**53 exactly as floats; larger ones divide
+    as Python ints), so the values equal the Phase export bit for bit.  A
+    symbol with a nonzero coefficient and no numeric value raises
+    ConfigurationError, as ``Phase.to_complex`` does."""
+    import numpy as np
+
+    angles = list(angles)
+    dens = [a[2] for a in angles]
+    columns = [[a[1][i] for a in angles] for i in range(len(symbols))]
+    used = [i for i, cs in enumerate(columns) if any(cs)]
+    missing = [i for i in used if basis is None or symbols[i] not in basis.symbols]
+    if missing:  # name the symbol Phase.to_complex would fail on first
+        first = next(a for a in angles if any(a[1][i] for i in missing))
+        sym = symbols[next(i for i in missing if first[1][i])]
+        if basis is None:
+            raise ConfigurationError(f"phase uses symbol {sym!r} but carries no basis")
+        basis.value(sym)
+    x = _quotients([a[0] for a in angles], dens)
+    for i in used:
+        x = x + _quotients(columns[i], dens) * basis.value(symbols[i])
+    return np.exp(2j * cmath.pi * (x % 1.0))
+
+
+_EXACT_FLOAT = 2**53
+
+
+def _quotients(nums: list[int], dens: list[int]):
+    """nums[i] / dens[i], each correctly rounded, as a float64 array."""
+    import numpy as np
+
+    if max(map(abs, nums), default=0) < _EXACT_FLOAT and max(dens, default=0) < _EXACT_FLOAT:
+        return np.array(nums, dtype=np.float64) / np.array(dens, dtype=np.float64)
+    return np.array([n / d for n, d in zip(nums, dens)], dtype=np.float64)
 
 
 def _ratio(pair, literal) -> Fraction:

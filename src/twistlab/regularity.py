@@ -41,7 +41,7 @@ from .groups import (
     resolve_subgroup,
     sanov_word_matrix,
 )
-from .phase import ZERO, Phase
+from .phase import ZERO, Angle, Phase, add_angles, negate_angle, scale_angle
 
 
 @dataclass
@@ -124,12 +124,12 @@ def certified_row_range(sigma: ThetaCocycle | BitstreamCocycle, support: list[in
 
 def _theta_row(sigma: ThetaCocycle, data, k: int) -> Phase:
     """Row k of the antisymmetrized matrix applied to a sparse vector."""
-    out = ZERO
+    out = (0, (0,) * len(sigma.symbols), 1)
     for j, xj in data:
         entry = _srow_entry(sigma, j, k)
-        if not entry.is_zero():
-            out = out * entry.scale(xj)
-    return out
+        if entry is not None:
+            out = add_angles(out, scale_angle(entry, xj))
+    return sigma.phase(out)
 
 
 def _bitstream_row(sigma: BitstreamCocycle, data, k: int) -> Phase:
@@ -490,22 +490,22 @@ def _grid(ncols: int, height: int):
     return out
 
 
-def _integer_rows(matrix: list[list[Phase]]):
-    """A matrix of phases as integer constraints on integer vectors x.
+def _integer_rows(matrix: list[list[Angle]]):
+    """A matrix of integer angles as integer constraints on integer vectors x.
 
     Every row angle ``row . x`` vanishes mod 1 iff ``rat_w x = 0 (mod D)``
-    and ``w x = 0`` for each ``w`` in ``sym_ws``: the rational parts are
-    scaled to their common denominator D, and each symbol's coefficients to
-    that symbol's common denominator.  All three are plain Python ints, one
-    matrix row per phase row.
+    and ``w x = 0`` for each ``w`` in ``sym_ws``: D is the angles' common
+    denominator, ``rat_w`` holds their numerators over D, and ``sym_ws``
+    their coefficients over D of each symbol that occurs.  All three are
+    plain Python ints, one matrix row per angle row.
     """
-    entries = [p for row in matrix for p in row]
-    symbols = sorted({s for p in entries for s, _ in p.irr})
-    D = math.lcm(*(p.rational.denominator for p in entries), 1)
-    sym_den = {s: math.lcm(*(dict(p.irr).get(s, Fraction(0)).denominator for p in entries), 1) for s in symbols}
-    rat_w = [[int(p.rational * D) for p in row] for row in matrix]
+    entries = [a for row in matrix for a in row]
+    D = math.lcm(1, *(a[2] for a in entries))
+    rat_w = [[k * (D // d) for k, _, d in row] for row in matrix]
     sym_ws = [
-        [[int(dict(p.irr).get(s, Fraction(0)) * sym_den[s]) for p in row] for row in matrix] for s in symbols
+        [[cs[i] * (D // d) for _, cs, d in row] for row in matrix]
+        for i in range(len(entries[0][1]) if entries else 0)
+        if any(a[1][i] for a in entries)
     ]
     return D, rat_w, sym_ws
 
@@ -514,7 +514,8 @@ def _integer_constraints(sigma: ThetaCocycle, positions: list[int], rows):
     """The listed rows of the antisymmetrized matrix as ``_integer_rows``."""
     if rows is None:
         raise SpecError("explicit-window evaluation requires bounded bandwidth")
-    return _integer_rows([[_srow_entry(sigma, j, k) for j in positions] for k in rows])
+    zero = (0, (0,) * len(sigma.symbols), 1)
+    return _integer_rows([[_srow_entry(sigma, j, k) or zero for j in positions] for k in rows])
 
 
 def integer_kernel(D: int, rat_rows, exact_rows, n: int) -> list[tuple[int, ...]]:
@@ -610,13 +611,13 @@ def box_solution_array(sigma: ThetaCocycle, positions: list[int], height: int, r
     return np.concatenate([left[lidx], right[ridx]], axis=1)
 
 
-def _srow_entry(sigma: ThetaCocycle, j: int, k: int) -> Phase:
-    """Signed entry of the antisymmetrized matrix at row k, column j."""
+def _srow_entry(sigma: ThetaCocycle, j: int, k: int) -> Angle | None:
+    """Signed entry of the antisymmetrized matrix at row k, column j, as an
+    angle; None when it is zero."""
     if j > k:
-        return sigma.entry(k, j)
-    if j < k:
-        return sigma.entry(j, k).inverse()
-    return ZERO
+        return sigma.entry_angle(k, j)
+    entry = sigma.entry_angle(j, k)
+    return None if entry is None else negate_angle(entry)
 
 
 def _echelon(rows: list[list[int]], n: int) -> list[tuple[int, ...]]:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 from .cocycles import Cocycle, sigma_tilde
 from .errors import BudgetExceededError, ConfigurationError
 from .groups import DEFAULT_NODE_BUDGET, Element, Group
-from .phase import Phase
+from .phase import Phase, phase_angles, quarter_turns
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,10 +38,10 @@ class ExactnessLost(Exception):
 
 
 def _phase_exact(p: Phase) -> ExactC:
-    d = p.rational.denominator
-    if p.irr or 4 % d:
+    q = quarter_turns(phase_angles([p])[2][0])
+    if q is None:
         raise ExactnessLost
-    return UNITS[p.rational.numerator * (4 // d)]
+    return UNITS[q]
 
 
 def _cmul(a: ExactC, b: ExactC) -> ExactC:
@@ -142,13 +142,17 @@ def convolve_sigma(
     G = f.group
     if xi.group.key != G.key or sigma.group.key != G.key:
         raise ConfigurationError("convolution operands live on different groups")
+    angle = sigma._angle
     if f.exact and xi.exact:
         try:
             out: dict = {}
             for g, cf in f.coeffs.items():
                 for u, cx in xi.coeffs.items():
                     h = G.compose(g, u)
-                    term = _cmul(_cmul(cf, cx), _phase_exact(sigma.eval(g, u)))
+                    q = quarter_turns(angle(g.data, u.data))
+                    if q is None:
+                        raise ExactnessLost
+                    term = _cmul(_cmul(cf, cx), UNITS[q])
                     out[h] = _cadd(out[h], term) if h in out else term
                     if len(out) > budget:
                         raise BudgetExceededError("convolution support exceeded budget", nodes=len(out))
@@ -157,13 +161,26 @@ def convolve_sigma(
             pass
     ff, xf = f.to_float(), xi.to_float()
     outf: dict = {}
+    targets, coeffs, angles = [], [], []
     for g, cf in ff.coeffs.items():
         for u, cx in xf.coeffs.items():
             h = G.compose(g, u)
-            outf[h] = outf.get(h, 0j) + cf * cx * sigma.eval(g, u).to_complex()
-            if len(outf) > budget:
-                raise BudgetExceededError("convolution support exceeded budget", nodes=len(outf))
+            if h not in outf:
+                outf[h] = 0j
+                if len(outf) > budget:
+                    raise BudgetExceededError("convolution support exceeded budget", nodes=len(outf))
+            targets.append(h)
+            coeffs.append(cf * cx)
+            angles.append(angle(g.data, u.data))
+    for h, term in zip(targets, _times_phases(coeffs, sigma, angles)):
+        outf[h] += term
     return FiniteFunction(G, outf)
+
+
+def _times_phases(coeffs: list[complex], sigma: Cocycle, angles: list) -> list[complex]:
+    """coeffs[i] times the circle value of angles[i], each product taken in
+    Python as ``coeff * Phase.to_complex()`` was."""
+    return list(map(complex.__mul__, coeffs, sigma.complex_values(angles).tolist()))
 
 
 def convolution_power(
@@ -251,34 +268,42 @@ def build_truncated(
     G = f.group
     ball = G.ball(radius, node_budget)
     index = {g: i for i, g in enumerate(ball)}
-    rows, cols, vals = [], [], []
     ff = f.to_float()
-    if len(ff.coeffs) <= len(ball):
-        for u, col in index.items():
-            for g, cf in ff.coeffs.items():
-                h = G.compose(g, u)
-                row = index.get(h)
+    if ff.coeffs:
+        sigma.group.check(ball[0])
+    # the sweep runs on payloads: `mul` is the group law on normal forms
+    mul, angle = G._mul, sigma._angle
+    at = {g.data: i for i, g in enumerate(ball)}
+    support = [(g.data, cf) for g, cf in ff.coeffs.items()]
+    rows, cols, coeffs, angles = [], [], [], []
+    if len(support) <= len(ball):
+        for col, u in enumerate(ball):
+            ud = u.data
+            for gd, cf in support:
+                row = at.get(mul(gd, ud))
                 if row is not None:
                     rows.append(row)
                     cols.append(col)
-                    vals.append(cf * sigma.eval(g, u).to_complex())
+                    coeffs.append(cf)
+                    angles.append(angle(gd, ud))
     else:
-        inverses = {u: G.invert(u) for u in ball}
-        for u, col in index.items():
-            uinv = inverses[u]
-            for h, row in index.items():
-                g = G.compose(h, uinv)
-                cf = ff.coeffs.get(g)
+        coeff_of = dict(support)
+        for col, u in enumerate(ball):
+            ud, uinv = u.data, G._inv(u.data)
+            for row, h in enumerate(ball):
+                gd = mul(h.data, uinv)
+                cf = coeff_of.get(gd)
                 if cf is not None:
                     rows.append(row)
                     cols.append(col)
-                    vals.append(cf * sigma.eval(g, u).to_complex())
+                    coeffs.append(cf)
+                    angles.append(angle(gd, ud))
     return TruncatedOperator(
         G,
         index,
         np.array(rows, dtype=np.intp),
         np.array(cols, dtype=np.intp),
-        np.array(vals, dtype=np.complex128),
+        np.array(_times_phases(coeffs, sigma, angles), dtype=np.complex128),
     )
 
 

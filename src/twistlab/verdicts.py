@@ -41,7 +41,7 @@ from .groups import (
     ZnSemidirectZ,
     resolve_subgroup,
 )
-from .phase import Phase
+from .phase import Phase, phase_angles
 from .regularity import (
     _integer_rows,
     asymmetric_partner,
@@ -374,6 +374,15 @@ def _finite_exhaustive(group: Group, sigma: Cocycle, node_budget: int, sub: Subg
 # ---------------------------------------------------------------------------
 
 
+def _first_generator(group: Group, node_budget: int) -> Element:
+    """The least nontrivial element of the radius-1 ball, or, when that ball
+    exceeds the budget, the first one its enumeration meets."""
+    try:
+        return next(g for g in group.ball(1, node_budget) if not g.is_identity())
+    except BudgetExceededError:
+        return group.element(next(d for r, d in group._nodes(1) if r == 1))
+
+
 def decide_relative_kleppner(
     group: Group,
     subgroup_name: str,
@@ -389,8 +398,7 @@ def decide_relative_kleppner(
     if subgroup_name == "full":
         return Verdict("certified", rule="relk_full")
     if subgroup_name == "trivial":
-        first = next(g for g in group.ball(1) if not g.is_identity())
-        return Verdict("refuted", rule="relk_trivial", witness=first)
+        return Verdict("refuted", rule="relk_trivial", witness=_first_generator(group, node_budget))
     sub = resolve_subgroup(group, subgroup_name)
     base = sigma.structural()
 
@@ -464,7 +472,7 @@ def relative_class_finite_certified(sub: Subgroup) -> bool:
 def _character_relation(mu: Phase, nu: Phase) -> tuple[int, int] | None:
     """Nonzero (j,k) with j*angle(mu) + k*angle(nu) = 0 mod 1, when one exists:
     the first Hermite basis vector of the relation lattice."""
-    D, rat_w, sym_ws = _integer_rows([[mu, nu]])
+    D, rat_w, sym_ws = _integer_rows([phase_angles([mu, nu])[2]])
     kernel = integer_kernel(D, rat_w, [r for w in sym_ws for r in w], 2)
     return kernel[0] if kernel else None
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from twistlab.cocycles import BitstreamCocycle, ThetaCocycle
-from twistlab.groups import SumZ, SumZ2, compose
+from twistlab.groups import SumZ, SumZ2, compose, sanov_act
 from twistlab.phase import Phase
 
 
@@ -257,3 +257,63 @@ def bfs_ball(G, radius: int) -> set:
                     nxt.append(h)
         frontier = nxt
     return seen
+
+
+# ---------------------------------------------------------------------------
+# cocycle reference evaluators: the defining formulas in Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _terms(*terms) -> Phase:
+    """The phase sum of n * p over (n, p) pairs, with n rational, computed
+    on the Fractions of each p's rational part and symbol coefficients."""
+    rat = Fraction(0)
+    irr: dict[str, Fraction] = {}
+    for n, p in terms:
+        rat += Fraction(n) * p.rational
+        for sym, c in p.irr:
+            irr[sym] = irr.get(sym, Fraction(0)) + Fraction(n) * c
+    return Phase(rat % 1, {s: c for s, c in irr.items() if c})
+
+
+def sanov_reference(mu0: Phase, mu1: Phase, mu2: Phase, a, b) -> Phase:
+    """sigma((u,x),(v,y)) = mu0 * det(u, x.v)/2 + g(v, x), where g adds
+    mu1 * a_1 for each letter v1 and mu2 * a_2 for each letter v2 of the
+    word, at the vector a moved by the letters after it, and subtracts them
+    for inverse letters at the vector moved by that letter too."""
+    (u, x), (v, _y) = a, b
+    w = sanov_act(x, v)
+    terms = [(Fraction(u[0] * w[1] - u[1] * w[0], 2), mu0)]
+    vec = tuple(v)
+    for letter in reversed(x):
+        if letter < 0:
+            vec = sanov_act((letter,), vec)
+        mu, coord = (mu1, 0) if abs(letter) == 1 else (mu2, 1)
+        terms.append((vec[coord] if letter > 0 else -vec[coord], mu))
+        if letter > 0:
+            vec = sanov_act((letter,), vec)
+    return _terms(*terms)
+
+
+def bs_reference(G, lam: Phase, g, h) -> Phase:
+    """lam to the power (b-exponent of g) * (a-exponent of h), read from
+    the abelianization."""
+    return _terms((G.exponents(g)[1] * G.exponents(h)[0], lam))
+
+
+def f2xz_reference(G, mu: Phase, nu: Phase, g, h) -> Phase:
+    """sigma((x,m),(y,n)) = m * (a-exponent of y * mu + b-exponent of y * nu)."""
+    m = g.data[1]
+    oa, ob = G.word_exponents(h)
+    return _terms((m * oa, mu), (m * ob, nu))
+
+
+def theta_diag_reference(diagonals, period, g, h) -> Phase:
+    """The sum of x_j y_k theta_(k-j) over j < k, where theta_m is the m-th
+    diagonal, then the period repeated."""
+    def theta(m: int) -> Phase:
+        if m <= len(diagonals):
+            return diagonals[m - 1]
+        return period[(m - 1 - len(diagonals)) % len(period)] if period else Phase(0)
+
+    return _terms(*((xj * yk, theta(k - j)) for j, xj in g.data for k, yk in h.data if j < k))

@@ -611,3 +611,27 @@ def test_budget_env_is_ignored_without_a_budget(capsys, monkeypatch):
     monkeypatch.setenv("TWISTLAB_BUDGET", "abc")
     code, out, _ = run_cli(capsys, "growth", "orbit", "--nu1", "[1,5]", "--points", "10")
     assert code == 0 and json.loads(out)["finite_certified"]
+
+
+def test_relative_kleppner_trivial_subgroup_honours_the_budget(capsys):
+    """Any generator refutes the relative condition over the trivial
+    subgroup; a radius-1 ball past the budget is not enumerated for it."""
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys,
+        "verdict",
+        "relative-kleppner",
+        "--subgroup",
+        "trivial",
+        "--group",
+        '{"family":"sum_z2","modulus":2000000}',
+        "--cocycle",
+        '{"kind":"trivial"}',
+        "--nodes",
+        "50",
+    )
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    rep = json.loads(out.splitlines()[0])["relative_kleppner"]
+    assert rep["status"] == "refuted" and rep["rule"] == "relk_trivial"
+    assert rep["witness"] == [0]

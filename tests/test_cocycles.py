@@ -3,8 +3,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from oracles import bs_reference, f2xz_reference, sanov_reference, theta_diag_reference
 from twistlab.cocycles import (
     CoboundaryCocycle,
     CoboundaryFn,
@@ -17,7 +19,7 @@ from twistlab.cocycles import (
     verify_invariance,
     verify_normalization,
 )
-from twistlab.errors import SpecError
+from twistlab.errors import ConfigurationError, SpecError
 from twistlab.groups import get_group
 from twistlab.phase import IrrationalBasis, Phase, ZERO
 
@@ -252,3 +254,109 @@ def test_product_cocycle():
         {"kind": "product", "left": {"kind": "trivial"}, "right": {"kind": "trivial"}}, FZ
     )
     assert verify_cocycle_identity(prod, 200, 0, radius=2).passed
+
+
+# ---------------------------------------------------------------------------
+# integer angles: batch export and reference formulas
+# ---------------------------------------------------------------------------
+
+F2 = get_group({"family": "free", "rank": 2})
+BIG = 2**53 + 1  # the first int that a float64 does not hold
+
+
+def norm_job_cocycles():
+    """The cocycles of the benchmark's spectral norm jobs."""
+    return {
+        "norm_free2": build_cocycle({"kind": "trivial"}, F2),
+        "norm_sanov": build_cocycle({"kind": "sanov", "mu0": R, "mu1": [1, 3], "mu2": [1, 5]}, SAN, BASIS),
+        "norm_f2xz": build_cocycle({"kind": "f2xz", "mu": R, "nu": [1, 3]}, FZ, BASIS),
+        "norm_bs22": build_cocycle({"kind": "bs", "lambda": R}, BS, BASIS),
+    }
+
+
+def big_cocycles():
+    """Angles whose numerator, denominator or symbol coefficient is past 2**53."""
+    return {
+        "big_denominator": build_cocycle({"kind": "theta_diag", "diagonals": [[1, BIG], [3, 7]]}, SZ),
+        "big_coefficient": build_cocycle(
+            {"kind": "bs", "lambda": {"rat": [1, 3], "irr": {"r": [BIG, 3]}}}, BS, BASIS
+        ),
+    }
+
+
+EXPORTED = {**build_all(), **norm_job_cocycles(), **big_cocycles()}
+
+
+@pytest.mark.parametrize("name", sorted(EXPORTED))
+def test_batch_export_equals_the_phase_export(name):
+    sigma = EXPORTED[name]
+    G = sigma.group
+    pairs = [(g, h) for g in G.ball(2) for h in G.ball(3)]
+    got = sigma.complex_values([sigma._angle(g.data, h.data) for g, h in pairs])
+    want = np.array([sigma.eval(g, h).to_complex() for g, h in pairs])
+    assert got.dtype == np.complex128
+    assert np.array_equal(got, want)
+
+
+def test_big_angles_leave_the_float_range_of_exact_integers():
+    theta = big_cocycles()["big_denominator"]
+    assert theta.den > 2**53
+    bs = big_cocycles()["big_coefficient"]
+    k, cs, D = bs._angle(BS.word("b").data, BS.word("a").data)
+    assert abs(cs[0]) > 2**53 and D == 3
+
+
+@pytest.mark.parametrize("basis", [None, IrrationalBasis({"s": 0.25})], ids=["no_basis", "other_symbol"])
+def test_batch_export_raises_on_a_symbol_without_a_value(basis):
+    sigma = build_cocycle({"kind": "bs", "lambda": R}, BS, basis)
+    g, h = BS.word("b"), BS.word("a")
+    with pytest.raises(ConfigurationError) as want:
+        sigma.eval(g, h).to_complex()
+    with pytest.raises(ConfigurationError) as got:
+        sigma.complex_values([sigma._angle(BS.word("a").data, h.data), sigma._angle(g.data, h.data)])
+    assert str(got.value) == str(want.value)
+    # a symbol whose coefficients all vanish needs no value
+    assert np.array_equal(sigma.complex_values([sigma._angle(h.data, g.data)]), np.array([1 + 0j]))
+
+
+def _reference_pairs(G):
+    return [(g, h) for g in G.ball(2) for h in G.ball(3)]
+
+
+def test_sanov_eval_matches_the_fraction_reference():
+    mu0, mu1, mu2 = Phase(0, {"r": 1}, BASIS), Phase(Fraction(1, 3)), Phase(Fraction(2, 5), {"r": -2}, BASIS)
+    sigma = build_cocycle(
+        {"kind": "sanov", "mu0": R, "mu1": [1, 3], "mu2": {"rat": [2, 5], "irr": {"r": [-2, 1]}}}, SAN, BASIS
+    )
+    for g, h in _reference_pairs(SAN):
+        assert sigma.eval(g, h) == sanov_reference(mu0, mu1, mu2, g.data, h.data)
+
+
+def test_bs_eval_matches_the_fraction_reference():
+    lam = Phase(Fraction(1, 7), {"r": Fraction(3, 2)}, BASIS)
+    sigma = build_cocycle({"kind": "bs", "lambda": {"rat": [1, 7], "irr": {"r": [3, 2]}}}, BS, BASIS)
+    for g, h in _reference_pairs(BS):
+        assert sigma.eval(g, h) == bs_reference(BS, lam, g, h)
+
+
+def test_f2xz_eval_matches_the_fraction_reference():
+    mu, nu = Phase(Fraction(1, 4), {"r": 1}, BASIS), Phase(Fraction(5, 6))
+    sigma = build_cocycle({"kind": "f2xz", "mu": {"rat": [1, 4], "irr": {"r": [1, 1]}}, "nu": [5, 6]}, FZ, BASIS)
+    for g, h in _reference_pairs(FZ):
+        assert sigma.eval(g, h) == f2xz_reference(FZ, mu, nu, g, h)
+
+
+def test_theta_diag_eval_matches_the_fraction_reference():
+    diagonals = [Phase(Fraction(1, 3)), Phase(0)]
+    period = [Phase(0, {"r": 1}, BASIS), Phase(Fraction(1, 2), {"r": Fraction(-1, 3)}, BASIS)]
+    sigma = build_cocycle(
+        {
+            "kind": "theta_diag",
+            "diagonals": [[1, 3], [0, 1]],
+            "period": [R, {"rat": [1, 2], "irr": {"r": [-1, 3]}}],
+        },
+        SZ,
+        BASIS,
+    )
+    for g, h in _reference_pairs(SZ):
+        assert sigma.eval(g, h) == theta_diag_reference(diagonals, period, g, h)

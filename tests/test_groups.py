@@ -306,3 +306,34 @@ def test_sanov_compose_with_inverse_is_identity(word, v):
     g = SAN.pair(v, word)
     assert compose(g, invert(g)).is_identity()
     assert compose(invert(g), g).is_identity()
+
+
+@pytest.mark.parametrize(
+    "G",
+    ALL + [get_group({"family": "sum_z2", "modulus": 5}), get_group({"family": "wreath", "base": "Z2", "acting": 3})],
+    ids=lambda G: G.key,
+)
+def test_smaller_balls_come_from_a_larger_cached_ball(G):
+    """With the radius-4 ball cached, each smaller ball is read from it: the
+    same tuple as a fresh enumeration, the independent BFS ball in strictly
+    increasing key order, and the same budget error."""
+    G._ball_cache.clear()
+    fresh, errors = [], []
+    for r in range(4):
+        fresh.append(ball(G, r))
+        G._ball_cache.clear()
+        with pytest.raises(BudgetExceededError) as exc:
+            ball(G, r, node_budget=len(fresh[r]) - 1)
+        errors.append((str(exc.value), exc.value.nodes, exc.value.radius))
+    ball(G, 4)
+    for r in range(4):
+        assert r in G._ball_cache
+        with pytest.raises(BudgetExceededError) as exc:
+            ball(G, r, node_budget=len(fresh[r]) - 1)
+        assert (str(exc.value), exc.value.nodes, exc.value.radius) == errors[r]
+        b = ball(G, r)
+        assert b == fresh[r]
+        assert set(b) == bfs_ball(G, r)
+        keys = [G.sort_key(g.data) for g in b]
+        assert all(a < c for a, c in zip(keys, keys[1:]))
+    G._ball_cache.clear()

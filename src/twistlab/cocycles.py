@@ -653,7 +653,12 @@ class CoboundaryFn:
 
 
 class CoboundaryCocycle(Cocycle):
-    """The 2-coboundary of b: (g,h) -> b(g) + b(h) - b(gh) as angles."""
+    """The 2-coboundary of b: (g,h) -> b(g) + b(h) - b(gh) as angles.
+
+    The angles are over the symbols of the values' basis, fixed by the
+    first value that carries one; angles taken before then have no symbol
+    coefficients.
+    """
 
     kind = "coboundary"
 
@@ -670,7 +675,15 @@ class CoboundaryCocycle(Cocycle):
         return self.b(g) * self.b(h) * self.b(G.compose(g, h)).inverse()
 
     def _angle(self, a, bdat) -> Angle:
-        return self._own_angle(self._eval(a, bdat))
+        p = self._eval(a, bdat)
+        if p.basis is not None and p.basis is not self.basis:
+            self.basis = _merge_bases(self.basis, p.basis)
+            self.symbols = tuple(sorted(self.basis.symbols))
+        return self._own_angle(p)
+
+    def complex_values(self, angles):
+        n = len(self.symbols)
+        return super().complex_values([(k, cs + (0,) * (n - len(cs)), d) for k, cs, d in angles])
 
 
 class SimilarTwist(Cocycle):

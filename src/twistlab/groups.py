@@ -55,10 +55,10 @@ class _BallCache:
     """The balls of one group by radius.
 
     The largest enumerated ball keeps the radius at which each of its
-    elements enters the balls and the shell it was enumerated in, so it
-    serves every smaller radius without a new enumeration: the smaller ball
-    is the elements that have entered by then, in the same order, and the
-    node budget applies as it would to their enumeration.
+    elements enters the balls, so it serves every smaller radius without a
+    new enumeration: the smaller ball is the elements that have entered by
+    then, in the same order.  A smaller ball over the node budget is not
+    served, so that its enumeration raises the budget error.
     """
 
     def __init__(self):
@@ -66,7 +66,7 @@ class _BallCache:
 
     def clear(self) -> None:
         self._balls: dict[int, tuple[Element, ...]] = {}
-        self._top: tuple[int, tuple[Element, ...], list[int], list[int]] | None = None
+        self._top: tuple[int, tuple[Element, ...], list[int]] | None = None
 
     def __contains__(self, radius: int) -> bool:
         return radius in self._balls or (self._top is not None and radius <= self._top[0])
@@ -75,23 +75,17 @@ class _BallCache:
         ball = self._balls.get(radius)
         if ball is not None or radius not in self:
             return ball
-        _, elements, entries, shells = self._top
+        _, elements, entries = self._top
         inside = [i for i, e in enumerate(entries) if e <= radius]
         if len(inside) > node_budget:
-            # enumeration runs shell by shell: node budget + 1 lies in this one
-            shell = sorted(shells[i] for i in inside)[node_budget]
-            raise BudgetExceededError(
-                f"ball enumeration exceeded {node_budget} nodes at radius {shell}",
-                nodes=node_budget + 1,
-                radius=shell,
-            )
+            return None
         ball = self._balls[radius] = tuple(elements[i] for i in inside)
         return ball
 
-    def store(self, radius: int, ball: tuple[Element, ...], entries: list[int], shells: list[int]) -> None:
+    def store(self, radius: int, ball: tuple[Element, ...], entries: list[int]) -> None:
         self._balls[radius] = ball
         if self._top is None or radius > self._top[0]:
-            self._top = (radius, ball, entries, shells)
+            self._top = (radius, ball, entries)
 
 
 class Group:
@@ -226,8 +220,7 @@ class Group:
         key = self.sort_key
         found.sort(key=lambda node: key(node[0]))
         out = tuple(Element(self, d) for d, _ in found)
-        shells = [r for _, r in found]
-        self._ball_cache.store(radius, out, [self._entry_radius(r, d) for d, r in found], shells)
+        self._ball_cache.store(radius, out, [self._entry_radius(r, d) for d, r in found])
         return out
 
     def central_candidates(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> Iterator[Element]:

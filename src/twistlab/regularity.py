@@ -494,16 +494,21 @@ def _integer_rows(matrix: list[list[Angle]]):
     """A matrix of integer angles as integer constraints on integer vectors x.
 
     Every row angle ``row . x`` vanishes mod 1 iff ``rat_w x = 0 (mod D)``
-    and ``w x = 0`` for each ``w`` in ``sym_ws``: D is the angles' common
-    denominator, ``rat_w`` holds their numerators over D, and ``sym_ws``
-    their coefficients over D of each symbol that occurs.  All three are
-    plain Python ints, one matrix row per angle row.
+    and ``w x = 0`` for each ``w`` in ``sym_ws``: the rational parts are
+    scaled to their least common denominator D, and each symbol's
+    coefficients to that symbol's least common denominator, so the ints
+    stay as small as the entries allow.  All three are plain Python ints,
+    one matrix row per angle row.
     """
     entries = [a for row in matrix for a in row]
-    D = math.lcm(1, *(a[2] for a in entries))
-    rat_w = [[k * (D // d) for k, _, d in row] for row in matrix]
+
+    def scaled(part):
+        den = math.lcm(1, *(a[2] // math.gcd(part(a), a[2]) for a in entries))
+        return den, [[part(a) * den // a[2] for a in row] for row in matrix]
+
+    D, rat_w = scaled(lambda a: a[0])
     sym_ws = [
-        [[cs[i] * (D // d) for _, cs, d in row] for row in matrix]
+        scaled(lambda a, i=i: a[1][i])[1]
         for i in range(len(entries[0][1]) if entries else 0)
         if any(a[1][i] for a in entries)
     ]

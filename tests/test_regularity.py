@@ -104,6 +104,32 @@ def test_regular_vectors_match_brute_force_small():
     assert (0, 1, 0, 1, 0) in fast  # e_{-1} + e_1 pattern
 
 
+@pytest.mark.parametrize(
+    "q_rat, q_sym, height",
+    [(10**9 + 7, 4 * 10**9 + 7, 4), (10**9 * 1000003 + 7, 4 * 10**18 + 9, 2)],
+    ids=["product_near_2_63", "product_past_2_63"],
+)
+def test_large_rational_and_symbol_denominators_keep_their_own_scale(q_rat, q_sym, height):
+    """Rational rows scale to the rational denominators and symbol rows to
+    the symbol's, never to their product, which may pass 2**63.
+
+    Entry 1/2 at (0, 1) asks for even x_0 and x_1; 1/q_rat at (-2, -1) and
+    r/q_sym at (2, 3) zero x_{-2}, x_{-1} and x_2 inside the box."""
+    r = {"rat": [0, 1], "irr": {"r": [1, q_sym]}}
+    spec = {"kind": "theta_window", "entries": [[0, 1, [1, 2]], [2, 3, r], [-2, -1, [1, q_rat]]]}
+    sig = build_cocycle(spec, SZ, BASIS)
+    evens = range(-height, height + 1, 2)
+    expected = {(0, 0, a, b, 0) for a in evens for b in evens} - {(0,) * 5}
+    found, certified = regular_vectors_in_box(sig, 2, height)
+    assert certified
+    assert {tuple(dict(e.data).get(p, 0) for p in range(-2, 3)) for e in found} == expected
+    gens, certified = regular_subgroup_generators(sig, 2, height)
+    assert certified
+    (a, b), (c, d) = [[dict(e.data).get(p, 0) for p in (0, 1)] for e in gens]
+    assert all(set(dict(e.data)) <= {0, 1} for e in gens)
+    assert abs(a * d - b * c) == 4 and all(v % 2 == 0 for v in (a, b, c, d))  # spans 2Z x 2Z
+
+
 @pytest.mark.parametrize("window, height", [(3, 3), (4, 2)])
 def test_box_vectors_come_in_sort_key_order(window, height):
     """Canonical order at every size: (4, 2) has 32,384 vectors."""

@@ -10,7 +10,7 @@ import pytest
 
 from oracles import dense_matrix, dense_operator_norm, path_graph_norm, tree_ball_adjacency_norm
 
-from twistlab.cocycles import TrivialCocycle, build_cocycle, sigma_tilde
+from twistlab.cocycles import CoboundaryCocycle, CoboundaryFn, TrivialCocycle, build_cocycle, sigma_tilde
 from twistlab.errors import BudgetExceededError
 from twistlab.groups import get_group
 from twistlab.phase import IrrationalBasis, Phase
@@ -103,6 +103,36 @@ def test_truncated_norm_partial_isometry():
     f = FiniteFunction.delta(Z.word("a"))
     for radius in (1, 3, 7):
         assert abs(truncated_norm(f, TRIV_Z, radius).value - 1.0) < 1e-9
+
+
+def test_symbolic_coboundary_exports_its_phases():
+    """The coboundary of b on Z, with b(n) = n/3 for |n| <= 1 and n^2 r
+    otherwise, has rational values before symbolic ones.  Its operator's
+    entries are f(g) sigma(g, u).to_complex(); it is a diagonal unitary
+    conjugate of a phased path graph, so it has the path graph's norm; and
+    the exact convolution falls back to the float one."""
+
+    def b(g):
+        n = sum(g.data)
+        return Phase(Fraction(n, 3)) if abs(n) <= 1 else Phase(0, {"r": n * n}, BASIS)
+
+    db = CoboundaryCocycle(CoboundaryFn(Z, b))
+    f = FiniteFunction(Z, {Z.word("a"): 1, Z.word("A"): 1})
+    op = build_truncated(f, db, 4)
+    ball = list(op.index)
+    want = []
+    for row, col in zip(op.rows, op.cols):
+        h, u = ball[row], ball[col]
+        g = Z.compose(h, Z.invert(u))
+        want.append(f.coeffs[g] * db.eval(g, u).to_complex())
+    assert np.array_equal(op.vals, np.array(want))
+    assert abs(truncated_norm(f, db, 10, tol=1e-10).value - path_graph_norm(21)) < 1e-7
+    fx = FiniteFunction(Z, {Z.word("a"): (1, 0), Z.word("A"): (1, 0)}, exact=True)
+    out = convolve_sigma(fx, fx, db)
+    assert not out.exact
+    for h, c in out.coeffs.items():
+        terms = [db.eval(g, u).to_complex() for g in f.coeffs for u in f.coeffs if Z.compose(g, u) == h]
+        assert c == pytest.approx(sum(terms))
 
 
 def test_truncated_norm_path_graph():

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .errors import ConfigurationError, SpecError
@@ -195,23 +194,12 @@ class ThetaCocycle(Cocycle):
         self._window_angles = {jk: next(angles) for jk in window}
 
     def diagonal_value(self, m: int) -> Phase:
-        """Value on the m-th superdiagonal (diagonal-constant modes)."""
-        if m <= 0:
-            return ZERO
-        if self.rule == "prime_reciprocal":
-            return Phase(Fraction(1, nth_prime(m)))
-        if m <= len(self.diagonals):
-            return self.diagonals[m - 1]
-        if self.period:
-            return self.period[(m - 1 - len(self.diagonals)) % len(self.period)]
-        return ZERO
+        """Value on the m-th superdiagonal (diagonal-constant modes; ZERO for a window)."""
+        return ZERO if self.window is not None else self.entry(0, m)
 
     def entry(self, j: int, k: int) -> Phase:
-        if j >= k:
-            return ZERO
-        if self.window is not None:
-            return self.window.get((j, k), ZERO)
-        return self.diagonal_value(k - j)
+        angle = self.entry_angle(j, k)
+        return ZERO if angle is None else self.phase(angle)
 
     def entry_angle(self, j: int, k: int) -> Angle | None:
         """``entry(j, k)`` as an angle, None when it is zero."""

@@ -11,10 +11,12 @@ from dataclasses import dataclass, field
 
 from .cocycles import build_cocycle
 from .errors import BudgetExceededError
-from .groups import get_group
+from .groups import get_group, resolve_subgroup
 from .phase import IrrationalBasis
-from .regularity import is_regular_wrt_subgroup, is_sigma_regular
+from .regularity import is_sigma_regular
 from .verdicts import (
+    _try_refutation_witness,
+    _try_relative_witness,
     classify,
     decide_kleppner,
     decide_relative_kleppner,
@@ -171,25 +173,15 @@ FIXTURES: list[Fixture] = [
 
 
 def _revalidate_refuted(fx: Fixture, group, sigma, witness, radius: int, node_budget: int) -> bool:
-    """Independent witness check through the regularity module."""
+    """Re-check a witness with the deciders' own witness tests, which go
+    through the regularity module whatever rule produced the witness."""
     if witness is None:
         return False
     if fx.command == "kleppner":
-        from .verdicts import class_finite_certified
-
-        rep = is_sigma_regular(sigma, witness, radius, node_budget)
-        return rep.is_regular_certified and class_finite_certified(witness)
+        return _try_refutation_witness(sigma, witness, radius, node_budget)
     if fx.command == "relative_kleppner":
-        from .groups import resolve_subgroup
-        from .verdicts import relative_class_finite_certified
-
         sub = resolve_subgroup(group, fx.subgroup or "base")
-        rep = is_regular_wrt_subgroup(sigma, witness, sub, radius, node_budget)
-        return (
-            rep.is_regular_certified
-            and not sub.contains(witness)
-            and relative_class_finite_certified(sub)
-        )
+        return _try_relative_witness(sigma, sub, witness, radius, node_budget)
     return True
 
 

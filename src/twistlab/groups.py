@@ -93,7 +93,6 @@ class Group:
 
     family = "abstract"
     abelian = False
-    amenable = False
     icc: bool | None = None
     finite = False
 
@@ -274,7 +273,6 @@ class SumZ(Group):
 
     family = "sum_z"
     abelian = True
-    amenable = True
     icc = False
 
     def _identity_data(self):
@@ -335,7 +333,6 @@ class SumZ2(Group):
 
     family = "sum_z2"
     abelian = True
-    amenable = True
     icc = False
 
     def __init__(self, modulus: int | None = None):
@@ -405,7 +402,6 @@ class Zn(Group):
 
     family = "zn"
     abelian = True
-    amenable = True
     icc = False
 
     def __init__(self, n: int):
@@ -469,7 +465,6 @@ class WreathZ(Group):
     """
 
     family = "wreath"
-    amenable = True
 
     def __init__(self, base: str = "Z", acting_modulus: int | None = None):
         if base not in ("Z", "Z2"):
@@ -552,27 +547,39 @@ class WreathZ(Group):
 
         Walk cost on the line: visit the support starting at 0, ending at the
         final shift position, sweeping left or right first, plus the lamp
-        costs.  For the finite acting group the group is enumerated instead.
+        costs.  On the m-cycle of a finite acting group, see `_cycle_walk`.
         """
         x, k = g.data
-        if self.m is not None:
-            return self._finite_length(g)
         if self.base == "Z":
             positions = [i for i, _ in x]
             lamps = sum(abs(v) for _, v in x)
         else:
             positions = list(x)
             lamps = len(x)
+        if self.m is not None:
+            return lamps + self._cycle_walk(positions, k)
         pts = positions + [0, k]
         lo, hi = min(pts), max(pts)
         left_first = (0 - lo) + (hi - lo) + abs(hi - k)
         right_first = (hi - 0) + (hi - lo) + abs(k - lo)
         return lamps + min(left_first, right_first)
 
-    def _finite_length(self, g: Element) -> int:
-        if not hasattr(self, "_lengths"):
-            self._lengths = {data: r for r, data in self._nodes(None)}
-        return self._lengths[g.data]
+    def _cycle_walk(self, positions: list[int], k: int) -> int:
+        """The shortest walk on the m-cycle from 0 to k through `positions`.
+
+        A walk over every edge costs at least a full turn back to 0 and then
+        the short way to k.  Any other walk misses an edge, so it stays on
+        the arc left by skipping one gap between consecutive points of
+        positions + {0, k}, and walks that arc like the line.
+        """
+        m = self.m
+        best = m + min(k, m - k)
+        pts = sorted({0, k, *positions})
+        for i, start in enumerate(pts):
+            span = (pts[i - 1] - start) % m  # the arc from start forward to the point before it
+            s, e = -start % m, (k - start) % m
+            best = min(best, span + min(s + span - e, span - s + e))
+        return best
 
     def describe(self, data) -> str:
         x, k = data
@@ -641,7 +648,6 @@ class ZnSemidirectZ(Group):
     """Z^n x| Z, the integers acting through powers of an integer matrix."""
 
     family = "zn_semidirect"
-    amenable = True
 
     def __init__(self, matrix):
         if not (
@@ -762,7 +768,6 @@ class FreeGroup(Group):
         self.rank = rank
         super().__init__()
         self.key = f"free[{rank}]"
-        self.amenable = rank == 1
         self.abelian = rank == 1
         self.icc = rank >= 2
 
@@ -838,7 +843,6 @@ class Sanov(Group):
     """Z^2 x| F2 where the free group acts through the Sanov matrices."""
 
     family = "sanov"
-    amenable = False
     icc = True
 
     def _identity_data(self):
@@ -901,7 +905,6 @@ class BaumslagSolitarNN(Group):
     """
 
     family = "bs_nn"
-    amenable = False  # contains free subgroups of infinite rank
     icc = False
 
     def __init__(self, n: int):
@@ -997,7 +1000,6 @@ class FreeTimesZ(Group):
     """F2 x Z: pairs (reduced word, integer)."""
 
     family = "free_times_z"
-    amenable = False
     icc = False
 
     def _identity_data(self):
@@ -1151,67 +1153,67 @@ def commuting_ball(
 
 
 class Subgroup:
-    """A recognized subgroup: its own group representation plus an embedding."""
+    """A recognized subgroup: its own group representation, an embedding
+    into the ambient group and the projection back, None outside it."""
 
-    def __init__(self, name: str, ambient: Group, inner: Group | None, embed):
+    def __init__(self, name: str, ambient: Group, inner: Group | None, embed, project):
         self.name = name
         self.ambient = ambient
         self.inner = inner
-        self._embed = embed
-
-    def embed(self, h: Element) -> Element:
-        return self._embed(h)
+        self.embed = embed
+        self.project = project
 
     def ball(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[Element, ...]:
         """Subgroup elements as ambient-group elements."""
         if self.inner is None:
             return (self.ambient.identity(),)
-        return tuple(self._embed(h) for h in self.inner.ball(radius, node_budget))
+        return tuple(self.embed(h) for h in self.inner.ball(radius, node_budget))
 
     def contains(self, g: Element) -> bool:
         self.ambient.check(g)
         return self.project(g) is not None
 
-    def project(self, g: Element) -> Element | None:
-        """Inverse of embed where defined, else None."""
-        raise NotImplementedError
-
 
 def resolve_subgroup(group: Group, name: str) -> Subgroup:
     """Look up one of the recognized subgroups of a family."""
     if name == "trivial":
-        sub = Subgroup("trivial", group, None, lambda h: group.identity())
-        sub.project = lambda g: group.identity() if g.is_identity() else None
-        return sub
+        identity = group.identity()
+        return Subgroup("trivial", group, None, lambda h: identity, lambda g: identity if g.is_identity() else None)
     if name == "full":
-        sub = Subgroup("full", group, group, lambda h: h)
-        sub.project = lambda g: g
-        return sub
+        return Subgroup("full", group, group, lambda h: h, lambda g: g)
     if isinstance(group, WreathZ) and name == "base":
         inner = group.base_group()
-        sub = Subgroup("base", group, inner, lambda h: group.pair(h, 0))
-        sub.project = lambda g: inner.element(g.data[0]) if g.data[1] == 0 else None
-        return sub
+        return Subgroup(
+            "base", group, inner,
+            lambda h: group.pair(h, 0),
+            lambda g: inner.element(g.data[0]) if g.data[1] == 0 else None,
+        )
     if isinstance(group, ZnSemidirectZ) and name == "base":
         inner = get_group({"family": "zn", "n": group.n})
-        sub = Subgroup("base", group, inner, lambda h: group.pair(h.data, 0))
-        sub.project = lambda g: inner.element(g.data[0]) if g.data[1] == 0 else None
-        return sub
+        return Subgroup(
+            "base", group, inner,
+            lambda h: group.pair(h.data, 0),
+            lambda g: inner.element(g.data[0]) if g.data[1] == 0 else None,
+        )
     if isinstance(group, Sanov) and name in ("base", "z2"):
         inner = get_group({"family": "zn", "n": 2})
-        sub = Subgroup("base", group, inner, lambda h: group.pair(h.data, ()))
-        sub.project = lambda g: inner.element(g.data[0]) if g.data[1] == () else None
-        return sub
+        return Subgroup(
+            "base", group, inner,
+            lambda h: group.pair(h.data, ()),
+            lambda g: inner.element(g.data[0]) if g.data[1] == () else None,
+        )
     if isinstance(group, BaumslagSolitarNN) and name == "center":
         inner = get_group({"family": "zn", "n": 1})
-        sub = Subgroup("center", group, inner, lambda h: group.b_power(group.n * h.data[0]))
-        sub.project = (
-            lambda g: inner.element((g.data[0],)) if g.data[1] == () else None
+        return Subgroup(
+            "center", group, inner,
+            lambda h: group.b_power(group.n * h.data[0]),
+            lambda g: inner.element((g.data[0],)) if g.data[1] == () else None,
         )
-        return sub
     if isinstance(group, FreeTimesZ) and name in ("z", "center"):
         inner = get_group({"family": "zn", "n": 1})
-        sub = Subgroup("z", group, inner, lambda h: group.pair((), h.data[0]))
-        sub.project = lambda g: inner.element((g.data[1],)) if g.data[0] == () else None
-        return sub
+        return Subgroup(
+            "z", group, inner,
+            lambda h: group.pair((), h.data[0]),
+            lambda g: inner.element((g.data[1],)) if g.data[0] == () else None,
+        )
     raise SpecError(f"family {group.family!r} has no recognized subgroup {name!r}", path="subgroup")

@@ -258,26 +258,17 @@ def is_sigma_regular(
     if isinstance(base, TrivialCocycle):
         return RegularityReport(g, "regular", rule="symmetric_cocycle")
 
-    if isinstance(base, ThetaCocycle):
-        if base.rule == "prime_reciprocal":
+    if isinstance(base, (ThetaCocycle, BitstreamCocycle)):
+        theta = isinstance(base, ThetaCocycle)
+        if theta and base.rule == "prime_reciprocal":
             witness, val = _prime_rule_witness(base, g)
-            return RegularityReport(
-                g, "not_regular", witness=witness, detail=f"row phase {val!r}"
-            )
-        img = t_theta_image(sigma, g)
-        bad = img.first_nonzero()
+            return RegularityReport(g, "not_regular", witness=witness, detail=f"row phase {val!r}")
+        bad = t_theta_image(sigma, g).first_nonzero()
         if bad is None:
             return RegularityReport(g, "regular", rule="t_kernel_rows_vanish")
-        return RegularityReport(
-            g, "not_regular", witness=G.basis_element(bad[0]), detail=f"row phase {bad[1]!r}"
-        )
-
-    if isinstance(base, BitstreamCocycle):
-        img = t_theta_image(sigma, g)
-        bad = img.first_nonzero()
-        if bad is None:
-            return RegularityReport(g, "regular", rule="t_kernel_rows_vanish")
-        return RegularityReport(g, "not_regular", witness=G.basis_element(bad[0]))
+        k, val = bad
+        detail = f"row phase {val!r}" if theta else ""  # a bitstream row is always 1/2
+        return RegularityReport(g, "not_regular", witness=G.basis_element(k), detail=detail)
 
     if isinstance(base, SkewFormCocycle):
         x1, x2 = g.data

@@ -271,23 +271,20 @@ def decide_kleppner(
     if isinstance(base, BitstreamCocycle) and isinstance(group, SumZ2) and not group.finite:
         return _kleppner_bitstream(group, sigma, base, radius, node_budget)
     if isinstance(base, SkewFormCocycle) and isinstance(group, Zn):
-        eff = base.skew_angle()
-        if not eff.is_torsion():
+        q = base.skew_angle().torsion_order()
+        if q is None:
             return Verdict("certified", rule="skew_nontorsion")
-        q = eff.rational.denominator
-        witness = group.vector(*([q] + [0] * (group.n - 1)))
-        return Verdict("refuted", rule="skew_torsion", witness=witness)
+        return Verdict("refuted", rule="skew_torsion", witness=group.vector(q, *[0] * (group.n - 1)))
     if isinstance(base, BSInflationCocycle) and isinstance(group, BaumslagSolitarNN):
-        if not base.lam.is_torsion():
+        c0 = _bs_exponent(base, group)
+        if c0 is None:
             return Verdict("certified", rule="bs_nontorsion")
-        t = base.lam.rational.denominator
-        c0 = t // math.gcd(t, group.n)
         return Verdict("refuted", rule="bs_torsion", witness=group.b_power(c0 * group.n))
     if isinstance(base, FreeTimesZCharCocycle) and isinstance(group, FreeTimesZ):
-        if not (base.mu.is_torsion() and base.nu.is_torsion()):
+        orders = (base.mu.torsion_order(), base.nu.torsion_order())
+        if None in orders:
             return Verdict("certified", rule="f2xz_nontorsion")
-        m = math.lcm(base.mu.rational.denominator, base.nu.rational.denominator)
-        return Verdict("refuted", rule="f2xz_torsion", witness=group.pair((), m))
+        return Verdict("refuted", rule="f2xz_torsion", witness=group.pair((), math.lcm(*orders)))
     if isinstance(base, ProductCocycle) and isinstance(group, FreeTimesZ):
         return Verdict("refuted", rule="z_factor_fails", witness=group.pair((), 1))
     if group.finite:
@@ -304,6 +301,13 @@ def decide_kleppner(
     return found or Verdict("inconclusive", bound=radius)
 
 
+def _bs_exponent(base: BSInflationCocycle, group: BaumslagSolitarNN) -> int | None:
+    """The least c > 0 with lambda^(c n) = 1, that is t/gcd(t, n) for a
+    twisting unit of order t; None when the unit is nontorsion."""
+    t = base.lam.torsion_order()
+    return None if t is None else t // math.gcd(t, group.n)
+
+
 def _refutation_rule(group: Group) -> str:
     if group.abelian:
         return "kernel_scan"
@@ -317,12 +321,10 @@ def _kleppner_theta(group: SumZ, sigma: Cocycle, base: ThetaCocycle, radius: int
         return Verdict("certified", rule="prime_reciprocal")
     w = base.finite_bandwidth
     if w is not None:
-        diags = [base.diagonal_value(m) for m in range(1, w + 1)]
-        if any(not d.is_torsion() for d in diags):
+        orders = [base.diagonal_value(m).torsion_order() for m in range(1, w + 1)]
+        if None in orders:
             return Verdict("certified", rule="finite_bandwidth_irrational")
-        orders = [d.rational.denominator for d in diags] or [1]
-        m = math.lcm(*orders)
-        witness = group.basis_element(0, m)
+        witness = group.basis_element(0, math.lcm(1, *orders))
         return Verdict("refuted", rule="finite_bandwidth_torsion", witness=witness)
     # eventually periodic with irrational entries: scan boxes for kernel vectors
     for wdw in range(1, min(radius, 4) + 1):
@@ -421,12 +423,10 @@ def decide_relative_kleppner(
     if isinstance(group, Sanov) and subgroup_name in ("base", "z2"):
         return Verdict("certified", rule="sanov_relk")
     if isinstance(base, BSInflationCocycle) and subgroup_name == "center":
-        if not base.lam.is_torsion():
+        m0 = _bs_exponent(base, group)
+        if m0 is None:
             return Verdict("certified", rule="bs_relk")
-        t = base.lam.rational.denominator
-        m0 = t // math.gcd(t, group.n)
-        witness = group.word(" ".join(["a"] * m0))
-        return Verdict("refuted", rule="bs_relk", witness=witness)
+        return Verdict("refuted", rule="bs_relk", witness=group.word(" ".join(["a"] * m0)))
     if isinstance(base, FreeTimesZCharCocycle) and subgroup_name in ("z", "center"):
         rel = _character_relation(base.mu, base.nu)
         if rel is None:
@@ -512,12 +512,10 @@ def check_condition_x(
     if not group.icc:
         raise SpecError("condition X facts are recorded for the ICC matrices only")
     if isinstance(base, LiftCocycle) and isinstance(base.base, SkewFormCocycle):
-        eff = base.base.skew_angle()
-        if not eff.is_torsion():
+        q = base.base.skew_angle().torsion_order()
+        if q is None:
             return Verdict("certified", rule="condition_x_skew")
-        q = eff.rational.denominator
-        witness = group.pair([q] + [0] * (group.n - 1), 0)
-        return Verdict("refuted", rule="condition_x_torsion", witness=witness)
+        return Verdict("refuted", rule="condition_x_torsion", witness=group.pair([q] + [0] * (group.n - 1), 0))
     # generic: witness search for each subgroup element within the budget
     sub = resolve_subgroup(group, subgroup_name)
     checked = 0
@@ -554,69 +552,50 @@ def classify(
     if kv.rule:
         note(kv.rule, "kleppner")
 
+    def shared(rule: str, status: str | None = None, about: str = "unique_trace,cstar_simple", **kw):
+        """Unique trace and simplicity both decided by `rule`, noted once;
+        with no status they follow the Kleppner verdict and its witness."""
+        note(rule, about)
+        if status is None:
+            status, kw = kv.status, {"witness": kv.witness, "bound": kv.bound}
+        return Verdict(status, rule=rule, **kw), Verdict(status, rule=rule, **kw)
+
     ut = Verdict("inconclusive", bound=radius)
     cs = Verdict("inconclusive", bound=radius)
 
     if group.abelian:
-        ut = Verdict(kv.status, rule="fc_hypercentral", witness=kv.witness, bound=kv.bound)
-        cs = Verdict(kv.status, rule="fc_hypercentral", witness=kv.witness, bound=kv.bound)
-        note("fc_hypercentral", "unique_trace,cstar_simple")
+        ut, cs = shared("fc_hypercentral")
     elif group.finite:
-        ut = Verdict(kv.status, rule="finite_factor", witness=kv.witness, bound=kv.bound)
-        cs = Verdict(kv.status, rule="finite_factor", witness=kv.witness, bound=kv.bound)
-        note("finite_factor", "unique_trace,cstar_simple")
+        ut, cs = shared("finite_factor")
     elif isinstance(group, WreathZ) and group.m is None and isinstance(base, (LiftCocycle, TrivialCocycle)):
         base_group = group.base_group()
         base_sigma = base.base if isinstance(base, LiftCocycle) else TrivialCocycle(base_group)
         kb = decide_kleppner(base_group, base_sigma, radius, node_budget)
-        note("wreath_ut", "unique_trace")
         if kb.status == "certified":
-            ut = Verdict("certified", rule="wreath_ut", detail=f"base rule: {kb.rule}")
-            cs = Verdict("certified", rule="wreath_ut", detail=f"base rule: {kb.rule}")
-        elif kb.status == "refuted":
+            ut, cs = shared("wreath_ut", "certified", "unique_trace", detail=f"base rule: {kb.rule}")
+        else:
+            note("wreath_ut", "unique_trace")
+        if kb.status == "refuted":
             ut = Verdict("refuted", rule="wreath_ut", witness=kb.witness)
             if _is_odd_support_bitstream(base_sigma):
                 cs = Verdict("refuted", rule="lamplighter_odd_periodic")
                 note("lamplighter_odd_periodic", "cstar_simple")
             else:
                 cs = Verdict("inconclusive", bound=radius, detail="minimality of the shift action undetermined")
-        else:
-            ut = Verdict("inconclusive", bound=radius)
-            cs = Verdict("inconclusive", bound=radius)
     elif isinstance(group, ZnSemidirectZ) and group.icc and isinstance(base, LiftCocycle) and isinstance(base.base, SkewFormCocycle):
-        eff = base.base.skew_angle()
-        note("anosov_equiv", "unique_trace,cstar_simple")
-        if not eff.is_torsion():
-            ut = Verdict("certified", rule="anosov_equiv")
-            cs = Verdict("certified", rule="anosov_equiv")
-        else:
-            ut = Verdict("refuted", rule="anosov_equiv")
-            cs = Verdict("refuted", rule="anosov_equiv")
+        ut, cs = shared("anosov_equiv", "refuted" if base.base.skew_angle().is_torsion() else "certified")
     elif isinstance(group, Sanov) and isinstance(base, SanovCocycle):
-        note("sanov_equiv", "unique_trace,cstar_simple")
-        if any(not m.is_torsion() for m in (base.mu0, base.mu1, base.mu2)):
-            ut = Verdict("certified", rule="sanov_equiv")
-            cs = Verdict("certified", rule="sanov_equiv")
-        else:
-            ut = Verdict("refuted", rule="sanov_equiv")
-            cs = Verdict("refuted", rule="sanov_equiv")
+        torsion = all(m.is_torsion() for m in (base.mu0, base.mu1, base.mu2))
+        ut, cs = shared("sanov_equiv", "refuted" if torsion else "certified")
     elif isinstance(group, BaumslagSolitarNN) and isinstance(base, BSInflationCocycle):
-        note("bs_equiv", "unique_trace,cstar_simple")
-        ut = Verdict(kv.status, rule="bs_equiv", witness=kv.witness, bound=kv.bound)
-        cs = Verdict(kv.status, rule="bs_equiv", witness=kv.witness, bound=kv.bound)
+        ut, cs = shared("bs_equiv")
     elif isinstance(group, FreeTimesZ) and isinstance(base, FreeTimesZCharCocycle):
-        note("f2xz_equiv", "unique_trace,cstar_simple")
-        ut = Verdict(kv.status, rule="f2xz_equiv", witness=kv.witness, bound=kv.bound)
-        cs = Verdict(kv.status, rule="f2xz_equiv", witness=kv.witness, bound=kv.bound)
+        ut, cs = shared("f2xz_equiv")
     elif isinstance(group, FreeTimesZ) and isinstance(base, ProductCocycle):
-        note("product_rule", "kleppner,unique_trace,cstar_simple")
+        ut, cs = shared("product_rule", "refuted", "kleppner,unique_trace,cstar_simple", witness=kv.witness)
         note("z_factor_fails", "kleppner")
-        ut = Verdict("refuted", rule="product_rule", witness=kv.witness)
-        cs = Verdict("refuted", rule="product_rule", witness=kv.witness)
     elif isinstance(group, FreeGroup) and group.rank >= 2:
-        note("free_group", "unique_trace,cstar_simple")
-        ut = Verdict("certified", rule="free_group")
-        cs = Verdict("certified", rule="free_group")
+        ut, cs = shared("free_group", "certified")
 
     if kv.status == "refuted":
         if ut.status == "inconclusive":

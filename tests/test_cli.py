@@ -308,6 +308,28 @@ def test_spectral_r2_and_domination(tmp_path, capsys):
     assert json.loads(out)["all_ok"]
 
 
+def test_growth_class_on_a_finite_lamplighter_stays_in_its_budget(capsys):
+    """Lengths on a finite lamplighter come from a closed form, not from a
+    walk over its 30 * 2^30 elements."""
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys,
+        "growth",
+        "class",
+        "--group",
+        '{"family":"wreath","base":"Z2","acting":30}',
+        "--g",
+        '{"x":[0],"k":0}',
+        "--radius",
+        "2",
+        "--nodes",
+        "100",
+    )
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert json.loads(out)["counts"]
+
+
 def test_growth_orbit_subcommand(capsys):
     code, out, _ = run_cli(capsys, "growth", "orbit", "--nu1", "[1,5]", "--points", "100")
     assert code == 0

@@ -240,6 +240,17 @@ def test_wreath_lengths():
     assert W.length(h) == 3
 
 
+@pytest.mark.parametrize("m", range(1, 7))
+def test_finite_wreath_length_is_the_bfs_radius(m):
+    FW = get_group({"family": "wreath", "base": "Z2", "acting": m})
+    radius, shells = 0, {}
+    while len(shells) < m * 2**m:
+        for g in bfs_ball(FW, radius):
+            shells.setdefault(g, radius)
+        radius += 1
+    assert all(FW.length(g) == r for g, r in shells.items())
+
+
 def test_finite_wreath_order():
     FW = get_group({"family": "wreath", "base": "Z2", "acting": 3})
     assert len(ball(FW, FW._finite_diameter())) == 24

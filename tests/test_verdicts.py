@@ -1,5 +1,6 @@
 """Deciders, the periodicity test, condition X, and the classifier rules."""
 
+import contextlib
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from twistlab.cocycles import TrivialCocycle, build_cocycle, similar_transform, CoboundaryFn
 from twistlab.errors import SpecError
+from twistlab.fixtures import FIXTURES, run_fixture_matrix
 from twistlab.groups import get_group
 from twistlab.phase import ZERO, IrrationalBasis, Phase
 from twistlab.regularity import is_regular_wrt_subgroup, is_sigma_regular
 from twistlab.verdicts import (
+    CITES,
     _character_relation,
     bitstream_periodic,
     check_condition_x,
@@ -409,3 +412,148 @@ def test_classify_inconclusive_reports_bound():
     assert rep.kleppner.status == "certified"  # ICC metadata still applies
     assert rep.unique_trace.status == "inconclusive"
     assert rep.unique_trace.bound == 2
+
+
+# -- rule paths and citations ---------------------------------------------------
+
+C = "certified"
+X = "refuted"
+T = {"kind": "trivial"}
+LIFT_ANOSOV = lambda theta: {"kind": "lift", "base": {"kind": "antisym_theta", "theta": theta}}
+LIFT_BITS = lambda period: {"kind": "lift", "base": {"kind": "bitstream", "pre": [], "period": period}}
+
+# group, cocycle, (status, rule) of kleppner / unique trace / simplicity, trace rules
+RULE_PATHS = [
+    pytest.param(
+        SZ, {"kind": "theta_diag", "diagonals": [[1, 3], [1, 5]]},
+        (X, "finite_bandwidth_torsion"), (X, "fc_hypercentral"), (X, "fc_hypercentral"),
+        ["finite_bandwidth_torsion", "fc_hypercentral"], id="fc_hypercentral",
+    ),
+    pytest.param(
+        FW, T,
+        (X, "finite_exhaustive"), (X, "finite_factor"), (X, "finite_factor"),
+        ["finite_exhaustive", "finite_factor"], id="finite_factor",
+    ),
+    pytest.param(
+        W, {"kind": "lift", "base": {"kind": "theta_rule", "rule": "prime_reciprocal"}},
+        (C, "icc_family"), (C, "wreath_ut"), (C, "wreath_ut"),
+        ["icc_family", "wreath_ut"], id="wreath_ut_certified",
+    ),
+    pytest.param(
+        L, LIFT_BITS([1, 0]),
+        (C, "icc_family"), (X, "wreath_ut"), (X, "lamplighter_odd_periodic"),
+        ["icc_family", "wreath_ut", "lamplighter_odd_periodic"], id="wreath_ut_refuted_odd",
+    ),
+    pytest.param(
+        L, LIFT_BITS([1, 1, 0]),
+        (C, "icc_family"), (X, "wreath_ut"), ("inconclusive", ""),
+        ["icc_family", "wreath_ut"], id="wreath_ut_refuted",
+    ),
+    pytest.param(
+        AN, LIFT_ANOSOV(R),
+        (C, "icc_family"), (C, "anosov_equiv"), (C, "anosov_equiv"),
+        ["icc_family", "anosov_equiv"], id="anosov_equiv_certified",
+    ),
+    pytest.param(
+        AN, LIFT_ANOSOV([1, 3]),
+        (C, "icc_family"), (X, "anosov_equiv"), (X, "anosov_equiv"),
+        ["icc_family", "anosov_equiv"], id="anosov_equiv_refuted",
+    ),
+    pytest.param(
+        SAN, {"kind": "sanov", "mu0": R, "mu1": [1, 3], "mu2": [1, 3]},
+        (C, "icc_family"), (C, "sanov_equiv"), (C, "sanov_equiv"),
+        ["icc_family", "sanov_equiv"], id="sanov_equiv_certified",
+    ),
+    pytest.param(
+        SAN, {"kind": "sanov", "mu0": [1, 2], "mu1": [1, 3], "mu2": [1, 5]},
+        (C, "icc_family"), (X, "sanov_equiv"), (X, "sanov_equiv"),
+        ["icc_family", "sanov_equiv"], id="sanov_equiv_refuted",
+    ),
+    pytest.param(
+        BS, {"kind": "bs", "lambda": [1, 3]},
+        (X, "bs_torsion"), (X, "bs_equiv"), (X, "bs_equiv"),
+        ["bs_torsion", "bs_equiv"], id="bs_equiv",
+    ),
+    pytest.param(
+        FZ, {"kind": "f2xz", "mu": R, "nu": [1, 3]},
+        (C, "f2xz_nontorsion"), (C, "f2xz_equiv"), (C, "f2xz_equiv"),
+        ["f2xz_nontorsion", "f2xz_equiv"], id="f2xz_equiv",
+    ),
+    pytest.param(
+        FZ, {"kind": "product", "left": T, "right": T},
+        (X, "z_factor_fails"), (X, "product_rule"), (X, "product_rule"),
+        ["z_factor_fails", "product_rule", "z_factor_fails"], id="product_rule",
+    ),
+    pytest.param(
+        F2, T,
+        (C, "icc_family"), (C, "free_group"), (C, "free_group"),
+        ["icc_family", "free_group"], id="free_group",
+    ),
+    pytest.param(
+        BS, T,
+        (X, "central_regular_witness"), (X, "kleppner_necessary"), (X, "kleppner_necessary"),
+        ["central_regular_witness", "kleppner_necessary", "kleppner_necessary"], id="kleppner_necessary_bs",
+    ),
+    pytest.param(
+        FZ, T,
+        (X, "central_regular_witness"), (X, "kleppner_necessary"), (X, "kleppner_necessary"),
+        ["central_regular_witness", "kleppner_necessary", "kleppner_necessary"], id="kleppner_necessary_f2xz",
+    ),
+]
+
+
+@pytest.mark.parametrize("G, spec, kleppner, unique_trace, cstar_simple, trace", RULE_PATHS)
+def test_classify_rule_path(G, spec, kleppner, unique_trace, cstar_simple, trace):
+    rep = classify(G, build_cocycle(spec, G, BASIS), radius=3)
+    assert (rep.kleppner.status, rep.kleppner.rule) == kleppner
+    assert (rep.unique_trace.status, rep.unique_trace.rule) == unique_trace
+    assert (rep.cstar_simple.status, rep.cstar_simple.rule) == cstar_simple
+    assert [e["rule"] for e in rep.rule_trace] == trace
+
+
+CITED_PAIRS = [(p.values[0], p.values[1]) for p in RULE_PATHS] + [
+    (SZ, {"kind": "theta_rule", "rule": "prime_reciprocal"}),
+    (SZ, {"kind": "theta_diag", "diagonals": [R]}),
+    (SZ, {"kind": "theta_diag", "diagonals": [], "period": [R, [0, 1], ONE_MINUS_R, [0, 1]]}),
+    (SZ2, {"kind": "bitstream", "pre": [1], "period": []}),
+    (SZ2, {"kind": "bitstream", "pre": [], "period": [1, 0]}),
+    (get_group({"family": "zn", "n": 2}), {"kind": "antisym_theta", "theta": R}),
+    (get_group({"family": "zn", "n": 2}), {"kind": "antisym_theta", "theta": [1, 3]}),
+    (BS, {"kind": "bs", "lambda": R}),
+    (FZ, {"kind": "f2xz", "mu": [1, 3], "nu": [1, 5]}),
+    (FZ, {"kind": "f2xz", "mu": R, "nu": ONE_MINUS_R}),
+    (L, T),
+    (get_group({"family": "wreath", "base": "Z2", "acting": 4}), {"kind": "lift", "base": {"kind": "bitstream", "pre": [1, 0]}}),
+]
+
+
+def _rules(node):
+    """Every dict carrying a `rule` in a JSON report: verdicts and trace entries."""
+    if isinstance(node, dict):
+        if "rule" in node:
+            yield node
+        for v in node.values():
+            yield from _rules(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _rules(v)
+
+
+def test_every_decider_rule_is_cited():
+    reports = []
+    for G, spec in CITED_PAIRS:
+        sig = build_cocycle(spec, G, BASIS)
+        reports += [classify(G, sig, radius=3).to_json(), decide_kleppner(G, sig, radius=3).to_json()]
+        for name in ("base", "center", "z", "z2", "full", "trivial"):
+            with contextlib.suppress(SpecError):  # no such subgroup, or no condition X facts
+                reports.append(decide_relative_kleppner(G, name, sig, radius=3).to_json())
+            with contextlib.suppress(SpecError):
+                reports.append(check_condition_x(G, sig, name, radius=3).to_json())
+    rows = run_fixture_matrix(radius=3)["rows"]
+    by_id = {fx.id: fx for fx in FIXTURES}
+    reports += [r["got"]["report"] for r in rows if by_id[r["fixture"]].command != "regular"]
+    entries = [e for rep in reports for e in _rules(rep)]
+    assert len(entries) > 200
+    for e in entries:
+        assert e["rule"] in CITES, e
+        assert e["cite"] == CITES[e["rule"]] and e["cite"], e

@@ -19,13 +19,13 @@ def free_reduce(word) -> tuple:
     return tuple(out)
 
 
-def free_mul(a, b) -> tuple:
+def free_mul(a: tuple, b: tuple) -> tuple:
     """Product of two already-reduced words: only the junction cancels."""
     m = min(len(a), len(b))
     k = 0
     while k < m and a[-1 - k] == -b[k]:
         k += 1
-    return tuple(a[: len(a) - k]) + tuple(b[k:])
+    return a[: len(a) - k] + b[k:]
 
 
 def bs_normalize(syllables, n: int) -> tuple:
@@ -63,7 +63,23 @@ def bs_normalize(syllables, n: int) -> tuple:
     return c, tuple(out)
 
 
-def bs_mul(ca: int, wa, cb: int, wb, n: int) -> tuple:
-    """Multiply two normal forms (c, word) in <a, b | a b^n = b^n a>."""
-    c, w = bs_normalize(tuple(wa) + tuple(wb), n)
-    return ca + cb + c, w
+def bs_mul(ca: int, wa: tuple, cb: int, wb: tuple, n: int) -> tuple:
+    """Multiply two normal forms (c, word) in <a, b | a b^n = b^n a>.
+
+    Both words are already reduced (Britton normal forms), so only their
+    junction can change: the end syllables merge when they have the same
+    generator, a b-exponent sheds its multiples of n into the counter, and
+    a syllable that cancels exposes the next junction.
+    """
+    c = ca + cb
+    i, j = len(wa), 0  # the product is wa[:i] + (merged syllable) + wb[j:]
+    while i and j < len(wb) and wa[i - 2] == wb[j]:
+        gen, exp = wb[j], wa[i - 1] + wb[j + 1]
+        i -= 2
+        j += 2
+        if gen == 2:
+            q, exp = divmod(exp, n)
+            c += q
+        if exp:
+            return c, wa[:i] + (gen, exp) + wb[j:]
+    return c, wa[:i] + wb[j:]

@@ -12,16 +12,19 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from .cocycles import build_cocycle
 from .errors import BudgetExceededError, ConfigurationError, SpecError
-from .fixtures import run_fixture_matrix
 from .groups import get_group
-from .growth import LengthFunction, class_growth_counts, kappa_decay_probe, superpolynomial_probe, torus_orbit_probe
 from .phase import IrrationalBasis, phase_from_json
-from .regularity import is_regular_wrt_kH, is_regular_wrt_subgroup, is_sigma_regular
-from .spectral import FiniteFunction, check_domination, r2_estimate, stable_rank_evidence, truncated_norm_sequence
-from .verdicts import check_condition_x, classify, decide_kleppner, decide_relative_kleppner
+
+if TYPE_CHECKING:
+    from .spectral import FiniteFunction
+
+# The layers (fixtures, growth, regularity, spectral, verdicts) are imported
+# in the branch of _dispatch that runs them, so a process loads only its own.
+
 
 def _emit(report: dict, summary: str, code: int = 0) -> int:
     print(json.dumps(report, sort_keys=True, separators=(",", ":")))
@@ -76,6 +79,8 @@ def _node_budget(args) -> int:
 
 
 def _load_function(group, path: str, field: str) -> FiniteFunction:
+    from .spectral import FiniteFunction
+
     try:
         with open(path) as fh:
             text = fh.read()
@@ -212,6 +217,8 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args) -> int:
     nodes = _node_budget(args) if "nodes" in args else None
     if args.cmd == "fixtures":
+        from .fixtures import run_fixture_matrix
+
         res = run_fixture_matrix(args.radius, nodes, corrupt=args.corrupt or None)
         lines = [
             f"{r['fixture']}: {'ok' if r['match'] else 'MISMATCH'}"
@@ -221,6 +228,8 @@ def _dispatch(args) -> int:
         return _emit(res, "\n".join(lines + [f"all_match={res['all_match']}"]), code)
 
     if args.cmd == "verdict":
+        from .verdicts import check_condition_x, decide_kleppner, decide_relative_kleppner
+
         group, sigma = _build_pair(args)
         if args.which == "kleppner":
             v = decide_kleppner(group, sigma, args.radius, nodes, candidates=_candidates(group, args))
@@ -236,6 +245,8 @@ def _dispatch(args) -> int:
         return _emit(report, f"{args.which}: {v.status}" + (f" ({v.cite})" if v.rule else ""), code)
 
     if args.cmd == "classify":
+        from .verdicts import classify
+
         group, sigma = _build_pair(args)
         rep = classify(group, sigma, args.radius, nodes, kleppner_candidates=_candidates(group, args))
         report = rep.to_json()
@@ -246,6 +257,8 @@ def _dispatch(args) -> int:
         return _emit(report, summary, 2 if _all_inconclusive(report) else 0)
 
     if args.cmd == "regular":
+        from .regularity import is_regular_wrt_kH, is_regular_wrt_subgroup, is_sigma_regular
+
         group, sigma = _build_pair(args)
         g = _parsed(group.element_from_json, _load_json_arg(args.g, "g"), "g")
         if args.k:
@@ -260,6 +273,8 @@ def _dispatch(args) -> int:
         return _emit(report, f"regularity: {rep.status}", code)
 
     if args.cmd == "spectral":
+        from .spectral import check_domination, r2_estimate, stable_rank_evidence, truncated_norm_sequence
+
         group, sigma = _build_pair(args)
         f = _load_function(group, args.f, "f")
         if args.which == "norm":
@@ -290,6 +305,8 @@ def _dispatch(args) -> int:
         return _emit(rep, f"semifree translate found: {rep.get('semifree_translate_found')}")
 
     # the growth probes: orbit, class and decay
+    from .growth import LengthFunction, class_growth_counts, kappa_decay_probe, superpolynomial_probe, torus_orbit_probe
+
     if args.which == "orbit":
         basis = _basis(args)
         nu1 = _parsed(phase_from_json, _load_json_arg(args.nu1, "nu1"), "nu1", basis)

@@ -753,14 +753,21 @@ def word_from_string(s: str, rank: int) -> tuple[int, ...]:
     return _kernels.free_reduce(tuple(word))
 
 
-def _word_key(word) -> tuple:
-    return (len(word), tuple((abs(x), 0 if x > 0 else 1) for x in word))
+# Letter x sorts by the byte 2|x| + (x < 0): a, A, b, B, ... in order.
+_LETTER_CODE = {s * i: 2 * i + (s < 0) for i in range(1, len(_LETTERS) + 1) for s in (1, -1)}
+_CODE_BYTE = [bytes((b,)) for b in range(2 * len(_LETTERS) + 2)]
+
+
+def _word_key(word) -> tuple[int, bytes]:
+    """Shortlex key of a word: its length, then its letter codes."""
+    return (len(word), bytes(map(_LETTER_CODE.__getitem__, word)))
 
 
 class FreeGroup(Group):
     """Free group of finite rank; elements are reduced words."""
 
     family = "free"
+    _mul = staticmethod(_kernels.free_mul)
 
     def __init__(self, rank: int):
         if not 1 <= rank <= len(_LETTERS):
@@ -773,9 +780,6 @@ class FreeGroup(Group):
 
     def _identity_data(self):
         return ()
-
-    def _mul(self, a, b):
-        return _kernels.free_mul(a, b)
 
     def _inv(self, a):
         return tuple(-x for x in reversed(a))
@@ -921,13 +925,21 @@ class BaumslagSolitarNN(Group):
         return _kernels.bs_mul(a[0], a[1], b[0], b[1], self.n)
 
     def _inv(self, a):
+        """Reversed syllables: a^e becomes a^-e and b^e becomes b^(n-e)
+        times the central b^-n, so c drops by one per b-syllable."""
         c, w = a
-        flipped = []
+        n = self.n
+        out = []
         for i in range(len(w) - 2, -2, -2):
-            flipped.append(w[i])
-            flipped.append(-w[i + 1])
-        c2, w2 = _kernels.bs_normalize(tuple(flipped), self.n)
-        return (-c + c2, w2)
+            gen, exp = w[i], w[i + 1]
+            if gen == 2:
+                c += 1
+                exp = n - exp
+            else:
+                exp = -exp
+            out.append(gen)
+            out.append(exp)
+        return (-c, tuple(out))
 
     def _generators(self):
         return [(0, (1, 1)), (0, (1, -1)), self._bpow(1), self._bpow(-1)]
@@ -977,12 +989,19 @@ class BaumslagSolitarNN(Group):
         return tuple(letters)
 
     def sort_key(self, data):
-        letters = self.to_letters(data)
-        return _word_key(letters)
+        """`_word_key` of `to_letters(data)`, built syllable by syllable."""
+        c, w = data
+        m = self.n * c
+        key = _CODE_BYTE[4 if m > 0 else 5] * abs(m)
+        for i in range(0, len(w), 2):
+            exp = w[i + 1]
+            key += _CODE_BYTE[2 * w[i] + (exp < 0)] * abs(exp)
+        return (len(key), key)
 
     def length(self, g: Element) -> int:
         # letter count of the normal form (documented proxy for the word metric)
-        return len(self.to_letters(g.data))
+        c, w = g.data
+        return abs(self.n * c) + sum(abs(w[i]) for i in range(1, len(w), 2))
 
     def describe(self, data) -> str:
         return word_to_string(self.to_letters(data)) or "e"
@@ -1132,8 +1151,9 @@ def conjugacy_class_partial(
     G = g.group
     if G.abelian:
         return (g,)
-    out = {G.conjugate(h, g) for h in G.ball(radius, node_budget)}
-    return tuple(sorted(out, key=lambda e: G.sort_key(e.data)))
+    mul, inv, x = G._mul, G._inv, g.data
+    out = {mul(mul(h.data, x), inv(h.data)) for h in G.ball(radius, node_budget)}
+    return tuple(Element(G, d) for d in sorted(out, key=G.sort_key))
 
 
 def commuting_ball(
@@ -1143,8 +1163,8 @@ def commuting_ball(
     G = g.group
     if G.abelian:
         return G.ball(radius, node_budget)
-    out = [h for h in G.ball(radius, node_budget) if G.compose(g, h) == G.compose(h, g)]
-    return tuple(out)
+    mul, x = G._mul, g.data
+    return tuple(h for h in G.ball(radius, node_budget) if mul(x, h.data) == mul(h.data, x))
 
 
 # ---------------------------------------------------------------------------

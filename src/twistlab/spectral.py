@@ -72,6 +72,14 @@ class FiniteFunction:
         self.coeffs = clean
 
     @classmethod
+    def _trusted(cls, group: Group, coeffs: dict, exact: bool) -> FiniteFunction:
+        """A function whose keys are elements of `group` and whose values are
+        already nonzero and normalised, taken without the per-key checks."""
+        out = cls.__new__(cls)
+        out.group, out.exact, out.coeffs = group, exact, coeffs
+        return out
+
+    @classmethod
     def delta(cls, g: Element, coeff=1, exact: bool = True) -> FiniteFunction:
         if exact:
             if isinstance(coeff, tuple):
@@ -142,39 +150,48 @@ def convolve_sigma(
     G = f.group
     if xi.group.key != G.key or sigma.group.key != G.key:
         raise ConfigurationError("convolution operands live on different groups")
-    angle = sigma._angle
+    angle, mul = sigma._angle, G._mul
     if f.exact and xi.exact:
         try:
+            # out sums by payload; turned pairs g with f(g) * i^q for q = 0..3
             out: dict = {}
-            for g, cf in f.coeffs.items():
-                for u, cx in xi.coeffs.items():
-                    h = G.compose(g, u)
-                    q = quarter_turns(angle(g.data, u.data))
+            turned = [(g.data, [_cmul(cf, unit) for unit in UNITS]) for g, cf in f.coeffs.items()]
+            xs = [(u.data, cx) for u, cx in xi.coeffs.items()]
+            for g, cfs in turned:
+                for u, cx in xs:
+                    q = quarter_turns(angle(g, u))
                     if q is None:
                         raise ExactnessLost
-                    term = _cmul(_cmul(cf, cx), UNITS[q])
-                    out[h] = _cadd(out[h], term) if h in out else term
-                    if len(out) > budget:
-                        raise BudgetExceededError("convolution support exceeded budget", nodes=len(out))
-            return FiniteFunction(G, out, exact=True)
+                    term = _cmul(cfs[q], cx)
+                    h = mul(g, u)
+                    if h in out:
+                        out[h] = _cadd(out[h], term)
+                    else:
+                        out[h] = term
+                        if len(out) > budget:
+                            raise BudgetExceededError("convolution support exceeded budget", nodes=len(out))
+            nonzero = {Element(G, h): c for h, c in out.items() if c != (0, 0)}
+            return FiniteFunction._trusted(G, nonzero, exact=True)
         except ExactnessLost:
             pass
     ff, xf = f.to_float(), xi.to_float()
     outf: dict = {}
     targets, coeffs, angles = [], [], []
-    for g, cf in ff.coeffs.items():
-        for u, cx in xf.coeffs.items():
-            h = G.compose(g, u)
+    fs = [(g.data, cf) for g, cf in ff.coeffs.items()]
+    xs = [(u.data, cx) for u, cx in xf.coeffs.items()]
+    for g, cf in fs:
+        for u, cx in xs:
+            h = mul(g, u)
             if h not in outf:
                 outf[h] = 0j
                 if len(outf) > budget:
                     raise BudgetExceededError("convolution support exceeded budget", nodes=len(outf))
             targets.append(h)
             coeffs.append(cf * cx)
-            angles.append(angle(g.data, u.data))
+            angles.append(angle(g, u))
     for h, term in zip(targets, _times_phases(coeffs, sigma, angles)):
         outf[h] += term
-    return FiniteFunction(G, outf)
+    return FiniteFunction._trusted(G, {Element(G, h): c for h, c in outf.items() if c != 0}, exact=False)
 
 
 def _times_phases(coeffs: list[complex], sigma: Cocycle, angles: list) -> list[complex]:

@@ -593,7 +593,6 @@ def classify(
         ut, cs = shared("f2xz_equiv")
     elif isinstance(group, FreeTimesZ) and isinstance(base, ProductCocycle):
         ut, cs = shared("product_rule", "refuted", "kleppner,unique_trace,cstar_simple", witness=kv.witness)
-        note("z_factor_fails", "kleppner")
     elif isinstance(group, FreeGroup) and group.rank >= 2:
         ut, cs = shared("free_group", "certified")
 

@@ -12,8 +12,21 @@ from fractions import Fraction
 
 import numpy as np
 
+from twistlab._kernels import bs_normalize
 from twistlab.cocycles import BitstreamCocycle, ThetaCocycle
-from twistlab.groups import SumZ, SumZ2, compose, sanov_act
+from twistlab.errors import BudgetExceededError
+from twistlab.groups import (
+    BaumslagSolitarNN,
+    FreeGroup,
+    FreeTimesZ,
+    Sanov,
+    SumZ,
+    SumZ2,
+    compose,
+    conjugate,
+    sanov_act,
+    word_to_string,
+)
 from twistlab.phase import Phase
 
 
@@ -317,3 +330,95 @@ def theta_diag_reference(diagonals, period, g, h) -> Phase:
         return period[(m - 1 - len(diagonals)) % len(period)] if period else Phase(0)
 
     return _terms(*((xj * yk, theta(k - j)) for j, xj in g.data for k, yk in h.data if j < k))
+
+
+# ---------------------------------------------------------------------------
+# word groups: whole-word normal forms, tuple keys and Element-level loops
+# ---------------------------------------------------------------------------
+
+
+def bs_concat_product(ca: int, wa: tuple, cb: int, wb: tuple, n: int) -> tuple:
+    """The BS(n,n) product by renormalising the whole concatenated word."""
+    c, w = bs_normalize(tuple(wa) + tuple(wb), n)
+    return ca + cb + c, w
+
+
+def bs_letter_inverse(G: BaumslagSolitarNN, data) -> tuple:
+    """The inverse normal form through letters: the reversed word with every
+    letter inverted, parsed again."""
+    letters = G.to_letters(data)
+    return G.word(word_to_string(tuple(-x for x in reversed(letters)))).data
+
+
+def tuple_word_key(word) -> tuple:
+    """Shortlex key of a word as a tuple of (generator, inverse flag) pairs."""
+    return (len(word), tuple((abs(x), 0 if x > 0 else 1) for x in word))
+
+
+def tuple_sort_key(G, data) -> tuple:
+    """The canonical key of a word-family payload, built on tuple_word_key."""
+    if isinstance(G, FreeGroup):
+        return tuple_word_key(data)
+    if isinstance(G, Sanov):
+        u, x = data
+        return (abs(u[0]) + abs(u[1]) + len(x), tuple_word_key(x), (abs(u[0]), abs(u[1]), u))
+    if isinstance(G, FreeTimesZ):
+        w, k = data
+        return (len(w) + abs(k), abs(k), 0 if k >= 0 else 1, tuple_word_key(w))
+    if isinstance(G, BaumslagSolitarNN):
+        return tuple_word_key(G.to_letters(data))
+    raise TypeError(f"{G.family} is not a word family")
+
+
+_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def convolve_reference(f, xi, sigma, budget: int) -> dict | None:
+    """Exact twisted convolution over Elements: compose, and sigma.eval read
+    as a power of i.  A dict of element -> (re, im) without zero sums, or
+    None when some phase is not a quarter turn.  The support is counted as
+    it grows and raises BudgetExceededError past `budget`."""
+    G = f.group
+    out: dict = {}
+    for g, (a, b) in f.coeffs.items():
+        for u, (c, d) in xi.coeffs.items():
+            p = sigma.eval(g, u)
+            turns = 4 * p.rational
+            if p.irr or turns.denominator != 1:
+                return None
+            ur, ui = _UNITS[int(turns)]
+            re, im = a * c - b * d, a * d + b * c
+            term = (re * ur - im * ui, re * ui + im * ur)
+            h = compose(g, u)
+            old = out.get(h, (0, 0))
+            out[h] = (old[0] + term[0], old[1] + term[1])
+            if len(out) > budget:
+                raise BudgetExceededError("reference support exceeded budget", nodes=len(out))
+    return {h: v for h, v in out.items() if v != (0, 0)}
+
+
+def float_convolve_reference(f, xi, sigma) -> dict:
+    """Twisted convolution in floats over Elements: f(g) xi(u) times the
+    complex value of sigma.eval(g, u), summed at g u."""
+    out: dict = {}
+    for g, cf in f.coeffs.items():
+        for u, cx in xi.coeffs.items():
+            h = compose(g, u)
+            out[h] = out.get(h, 0j) + complex(*cf) * complex(*cx) * sigma.eval(g, u).to_complex()
+    return out
+
+
+def class_by_compose(g, radius: int) -> tuple:
+    """{h g h^-1 : h in the radius ball}, by ``conjugate`` on Elements, in
+    canonical order."""
+    G = g.group
+    found = {conjugate(h, g) for h in bfs_ball(G, radius)}
+    return tuple(sorted(found, key=lambda e: G.sort_key(e.data)))
+
+
+def commuting_by_compose(g, radius: int) -> tuple:
+    """The elements of the radius ball that commute with g, by ``compose``
+    on Elements, in canonical order."""
+    G = g.group
+    found = [h for h in bfs_ball(G, radius) if compose(g, h) == compose(h, g)]
+    return tuple(sorted(found, key=lambda e: G.sort_key(e.data)))

@@ -410,26 +410,41 @@ _IMPORT_PROBE = """
 import contextlib, io, json, sys
 import twistlab.cli as cli
 
-def loaded():
-    return sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+COMMANDS = {
+    "regular": ["regular", *SANOV_ARGS, "--g", '{"v":[1,0],"w":""}', "--radius", "3"],
+    "growth class": ["growth", "class", "--group", '{"family":"bs_nn","n":2}', "--g", '"a"', "--radius", "6"],
+    "fixtures": ["fixtures"],
+    "spectral norm": ["spectral", "norm", "--group", '{"family":"free","rank":1}',
+                      "--cocycle", '{"kind":"trivial"}', "--f", F_PATH, "--radius", "2"],
+    "spectral stable-rank": ["spectral", "stable-rank", "--group", '{"family":"free","rank":2}',
+                             "--cocycle", '{"kind":"trivial"}', "--f", F_PATH, "--radius", "2"],
+}
 
-seen, codes = {"import": loaded()}, []
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    codes.append(cli.main(["regular", *SANOV_ARGS, "--g", '{"v":[1,0],"w":""}', "--radius", "3"]))
-    codes.append(cli.main(["growth", "class", "--group", '{"family":"bs_nn","n":2}', "--g", '"a"', "--radius", "6"]))
-    codes.append(cli.main(["fixtures"]))
-    seen["exact"] = loaded()
-    codes.append(cli.main(["spectral", "norm", "--group", '{"family":"free","rank":1}',
-                           "--cocycle", '{"kind":"trivial"}', "--f", F_PATH, "--radius", "2"]))
-    seen["norm"] = loaded()
-    codes.append(cli.main(["spectral", "stable-rank", "--group", '{"family":"free","rank":2}',
-                           "--cocycle", '{"kind":"trivial"}', "--f", F_PATH, "--radius", "2"]))
-    seen["stable-rank"] = loaded()
-print(json.dumps({"seen": seen, "codes": codes}))
+code = None
+if COMMAND:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(COMMANDS[COMMAND])
+twistlab = sorted(m.removeprefix("twistlab.") for m in sys.modules if m.startswith("twistlab."))
+numeric = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+print(json.dumps({"code": code, "numeric": numeric, "twistlab": twistlab}))
 """
+
+# the twistlab modules that `import twistlab.cli` loads
+CLI_MODULES = ["_kernels", "_kernels._pyops", "cli", "cocycles", "errors", "groups", "phase"]
+# per command ("" for the import alone): the layers it adds, and numpy/scipy
+COMMAND_MODULES = {
+    "": ([], []),
+    "regular": (["regularity"], []),
+    "growth class": (["growth", "spectral"], []),
+    "fixtures": (["fixtures", "regularity", "verdicts"], []),
+    "spectral norm": (["spectral"], ["numpy"]),
+    "spectral stable-rank": (["spectral"], ["numpy"]),
+}
 
 
 def test_exact_commands_do_not_import_the_numeric_stack(tmp_path):
+    """Each command in a fresh interpreter loads only its own layers, and
+    the exact commands never load numpy or scipy."""
     import os
     import subprocess
     import sys
@@ -441,11 +456,12 @@ def test_exact_commands_do_not_import_the_numeric_stack(tmp_path):
     fpath.write_text(json.dumps([{"g": "a", "re": 1}, {"g": "A", "re": 1}]))
     src = str(Path(twistlab.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    script = f"SANOV_ARGS = {SANOV_ARGS!r}\nF_PATH = {str(fpath)!r}\n" + _IMPORT_PROBE
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-    rep = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert rep["codes"] == [0, 0, 0, 0, 0]
-    assert rep["seen"] == {"import": [], "exact": [], "norm": ["numpy"], "stable-rank": ["numpy"]}
+    for command, (layers, numeric) in COMMAND_MODULES.items():
+        script = f"SANOV_ARGS = {SANOV_ARGS!r}\nF_PATH = {str(fpath)!r}\nCOMMAND = {command!r}\n" + _IMPORT_PROBE
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+        rep = json.loads(proc.stdout.strip().splitlines()[-1])
+        want = {"code": 0 if command else None, "numeric": numeric, "twistlab": sorted(CLI_MODULES + layers)}
+        assert rep == want, command
 
 
 def test_zero_denominator_phase_is_spec_error(capsys):

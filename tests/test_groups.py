@@ -5,7 +5,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import bfs_ball
+from oracles import (
+    bfs_ball,
+    bs_concat_product,
+    bs_letter_inverse,
+    class_by_compose,
+    commuting_by_compose,
+    tuple_sort_key,
+)
 from twistlab import _kernels
 from twistlab.errors import BudgetExceededError, FamilyMismatchError, SpecError
 from twistlab.groups import (
@@ -197,6 +204,63 @@ def test_britton_invariant():
             assert w[i] != w[i + 2]
         for i in range(0, len(w), 2):
             assert w[i + 1] != 0
+
+
+def _bs_syllables(letters) -> tuple:
+    return tuple(v for x in letters for v in (abs(x), 1 if x > 0 else -1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_junction_bs_mul_equals_the_whole_word_normal_form(n):
+    """Random normal forms, the second often starting with the inverse of a
+    tail of the first, so that cancellation runs several syllables deep."""
+    rng = random.Random(n)
+    letters = (1, -1, 2, -2)
+    for _ in range(600):
+        u = [rng.choice(letters) for _ in range(rng.randint(0, 3 * n + 6))]
+        tail = u[rng.randint(0, len(u)) :] if rng.random() < 0.7 else []
+        v = [-x for x in reversed(tail)] + [rng.choice(letters) for _ in range(rng.randint(0, 2 * n))]
+        ca, wa = _kernels.bs_normalize(_bs_syllables(u), n)
+        cb, wb = _kernels.bs_normalize(_bs_syllables(v), n)
+        ca, cb = ca + rng.randint(-2, 2), cb + rng.randint(-2, 2)
+        assert _kernels.bs_mul(ca, wa, cb, wb, n) == bs_concat_product(ca, wa, cb, wb, n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_bs_closed_form_inverse_on_the_radius_7_ball(n):
+    G = get_group({"family": "bs_nn", "n": n})
+    e = G.identity().data
+    for g in G.ball(7):
+        inv = G._inv(g.data)
+        assert G._mul(inv, g.data) == e == G._mul(g.data, inv)
+        assert inv == bs_letter_inverse(G, g.data)
+
+
+@pytest.mark.parametrize(
+    "spec, radius",
+    [
+        ({"family": "free", "rank": 2}, 6),
+        ({"family": "free", "rank": 3}, 6),
+        ({"family": "sanov"}, 4),
+        ({"family": "free_times_z"}, 6),
+        ({"family": "bs_nn", "n": 2}, 6),
+        ({"family": "bs_nn", "n": 3}, 6),
+    ],
+    ids=["free2", "free3", "sanov", "free_times_z", "bs_nn2", "bs_nn3"],
+)
+def test_byte_word_keys_order_balls_as_the_tuple_keys(spec, radius):
+    G = get_group(spec)
+    G._ball_cache.clear()
+    b = G.ball(radius)
+    assert list(b) == sorted(b, key=lambda g: tuple_sort_key(G, g.data))
+    assert len({G.sort_key(g.data) for g in b}) == len(b)
+
+
+@pytest.mark.parametrize("G", ALL + [get_group({"family": "bs_nn", "n": 3})], ids=lambda G: G.key)
+def test_class_and_commuting_ball_equal_the_compose_loops(G):
+    for g in G.ball(2)[:15]:
+        assert conjugacy_class_partial(g, 2) == class_by_compose(g, 2)
+        assert commuting_ball(g, 2) == commuting_by_compose(g, 2)
 
 
 def test_kernel_package_reexports_pure_python_kernels():

@@ -8,7 +8,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import dense_matrix, dense_operator_norm, path_graph_norm, tree_ball_adjacency_norm
+from oracles import (
+    convolve_reference,
+    dense_matrix,
+    dense_operator_norm,
+    float_convolve_reference,
+    path_graph_norm,
+    tree_ball_adjacency_norm,
+)
 
 from twistlab.cocycles import CoboundaryCocycle, CoboundaryFn, TrivialCocycle, build_cocycle, sigma_tilde
 from twistlab.errors import BudgetExceededError
@@ -69,6 +76,64 @@ def test_single_term_convolution_picks_up_the_phase():
     (g2, c2), = out2.coeffs.items()
     assert g2 == Z2.vector(1, 1)
     assert c2 == (0, 1)  # angle 1/4 is the Gaussian unit i
+
+
+FZ = get_group({"family": "free_times_z"})
+EXACT_PAIRS = [
+    (F2, TRIV_F2),
+    (BS22, build_cocycle({"kind": "bs", "lambda": [1, 4]}, BS22)),
+    (FZ, build_cocycle({"kind": "f2xz", "mu": [1, 4], "nu": [1, 2]}, FZ)),
+    (SAN, build_cocycle({"kind": "sanov", "mu0": [1, 2], "mu1": [1, 4], "mu2": [3, 4]}, SAN)),
+]
+
+
+def _random_function(G, rng, size: int) -> FiniteFunction:
+    pool = G.ball(2)
+    values = [1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]
+    return FiniteFunction(
+        G, {g: (rng.choice(values), rng.choice(values + [0])) for g in rng.sample(pool, size)}, exact=True
+    )
+
+
+@pytest.mark.parametrize("G, sig", EXACT_PAIRS, ids=["free2", "bs22", "f2xz", "sanov"])
+def test_exact_convolution_equals_the_element_level_reference(G, sig):
+    rng = random.Random(11)
+    for _ in range(5):
+        f, xi = _random_function(G, rng, 6), _random_function(G, rng, 9)
+        out = convolve_sigma(f, xi, sig)
+        assert out.exact
+        assert list(out.coeffs.items()) == list(convolve_reference(f, xi, sig, 10**6).items())
+
+
+def test_exact_convolution_drops_sums_that_cancel_to_zero():
+    f = FiniteFunction(F2, {F2.word("a"): (1, 0), F2.word("A"): (1, 0)}, exact=True)
+    xi = FiniteFunction(F2, {F2.word("a"): (1, 0), F2.word("A"): (-1, 0)}, exact=True)
+    out = convolve_sigma(f, xi, TRIV_F2)
+    assert F2.identity() not in out.coeffs
+    assert out.coeffs == convolve_reference(f, xi, TRIV_F2, 10**6) == {F2.word("a a"): (1, 0), F2.word("A A"): (-1, 0)}
+
+
+def test_exact_convolution_falls_back_to_floats_off_the_quarter_turns():
+    sig = build_cocycle({"kind": "bs", "lambda": [1, 3]}, BS22)
+    rng = random.Random(5)
+    f, xi = _random_function(BS22, rng, 5), _random_function(BS22, rng, 8)
+    assert convolve_reference(f, xi, sig, 10**6) is None
+    out = convolve_sigma(f, xi, sig)
+    assert not out.exact
+    ref = {h: c for h, c in float_convolve_reference(f, xi, sig).items() if c != 0}
+    assert list(out.coeffs) == list(ref)
+    for h, c in out.coeffs.items():
+        assert c == pytest.approx(ref[h], rel=1e-12, abs=1e-12)
+
+
+def test_exact_convolution_budget_error_counts_the_support():
+    f = FiniteFunction(F2, {g: (1, 0) for g in F2.generators()}, exact=True)
+    xi = FiniteFunction(F2, {g: (1, 0) for g in F2.ball(2)}, exact=True)
+    with pytest.raises(BudgetExceededError) as got:
+        convolve_sigma(f, xi, TRIV_F2, budget=20)
+    with pytest.raises(BudgetExceededError) as want:
+        convolve_reference(f, xi, TRIV_F2, 20)
+    assert got.value.nodes == want.value.nodes == 21
 
 
 def test_free_semigroup_powers_have_unit_coefficients():

@@ -482,7 +482,7 @@ RULE_PATHS = [
     pytest.param(
         FZ, {"kind": "product", "left": T, "right": T},
         (X, "z_factor_fails"), (X, "product_rule"), (X, "product_rule"),
-        ["z_factor_fails", "product_rule", "z_factor_fails"], id="product_rule",
+        ["z_factor_fails", "product_rule"], id="product_rule",
     ),
     pytest.param(
         F2, T,

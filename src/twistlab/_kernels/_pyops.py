@@ -21,8 +21,10 @@ def free_reduce(word) -> tuple:
 
 def free_mul(a: tuple, b: tuple) -> tuple:
     """Product of two already-reduced words: only the junction cancels."""
+    if not (a and b and a[-1] == -b[0]):
+        return a + b
     m = min(len(a), len(b))
-    k = 0
+    k = 1
     while k < m and a[-1 - k] == -b[k]:
         k += 1
     return a[: len(a) - k] + b[k:]

@@ -48,10 +48,6 @@ def _cmul(a: ExactC, b: ExactC) -> ExactC:
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def _cadd(a: ExactC, b: ExactC) -> ExactC:
-    return (a[0] + b[0], a[1] + b[1])
-
-
 class FiniteFunction:
     """Finitely supported function on a group with complex or exact values."""
 
@@ -162,12 +158,14 @@ def convolve_sigma(
                     q = quarter_turns(angle(g, u))
                     if q is None:
                         raise ExactnessLost
-                    term = _cmul(cfs[q], cx)
+                    (a, b), (c, d) = cfs[q], cx
+                    re, im = a * c - b * d, a * d + b * c
                     h = mul(g, u)
-                    if h in out:
-                        out[h] = _cadd(out[h], term)
+                    prev = out.get(h)
+                    if prev is not None:
+                        out[h] = (prev[0] + re, prev[1] + im)
                     else:
-                        out[h] = term
+                        out[h] = (re, im)
                         if len(out) > budget:
                             raise BudgetExceededError("convolution support exceeded budget", nodes=len(out))
             nonzero = {Element(G, h): c for h, c in out.items() if c != (0, 0)}

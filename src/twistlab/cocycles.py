@@ -31,6 +31,7 @@ from .groups import (
     WreathZ,
     Zn,
     ZnSemidirectZ,
+    bs_exponent_sum,
     get_group,
     resolve_subgroup,
     sanov_act,
@@ -532,12 +533,8 @@ class BSInflationCocycle(Cocycle):
         [self._lam] = self._fix([lam])
 
     def _angle(self, a, b) -> Angle:
-        n = self.group.n
-        ca, wa = a
-        _cb, wb = b
-        x2 = n * ca + sum(wa[i + 1] for i in range(0, len(wa), 2) if wa[i] == 2)
-        y1 = sum(wb[i + 1] for i in range(0, len(wb), 2) if wb[i] == 1)
-        return scale_angle(self._lam, x2 * y1)
+        x2 = self.group.n * a[0] + bs_exponent_sum(a[1], 2)
+        return scale_angle(self._lam, x2 * bs_exponent_sum(b[1], 1))
 
     def restrict(self, subgroup_name: str) -> Cocycle:
         if subgroup_name == "center":

@@ -900,6 +900,14 @@ class Sanov(Group):
         return self.pair(obj["v"], word_from_string(obj["w"], 2))
 
 
+def bs_exponent_sum(w: tuple, gen: int) -> int:
+    """Exponent sum of generator `gen` (1 for a, 2 for b) in the syllables
+    ``(gen, exp, gen, exp, ...)`` of a BS(n,n) normal form.  The syllables
+    alternate generators, so one generator's exponents are every other
+    syllable's: ``w[1::4]`` when the word starts with it, else ``w[3::4]``."""
+    return sum(w[1::4] if w and w[0] == gen else w[3::4])
+
+
 class BaumslagSolitarNN(Group):
     """BS(n,n) = <a, b | a b^n = b^n a> for n >= 2.
 
@@ -973,9 +981,7 @@ class BaumslagSolitarNN(Group):
     def exponents(self, g: Element) -> tuple[int, int]:
         """Image under the abelianization sending a -> (1,0), b -> (0,1)."""
         c, w = g.data
-        ae = sum(w[i + 1] for i in range(0, len(w), 2) if w[i] == 1)
-        be = sum(w[i + 1] for i in range(0, len(w), 2) if w[i] == 2)
-        return (ae, self.n * c + be)
+        return (bs_exponent_sum(w, 1), self.n * c + bs_exponent_sum(w, 2))
 
     def to_letters(self, data) -> tuple[int, ...]:
         c, w = data

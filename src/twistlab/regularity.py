@@ -8,11 +8,12 @@ refute with an exact witness or report the exhausted radius.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain
-from typing import Iterable
 
 from .cocycles import (
     BitstreamCocycle,
@@ -32,7 +33,6 @@ from .groups import (
     DEFAULT_NODE_BUDGET,
     Element,
     Subgroup,
-    SumZ,
     WreathZ,
     Zn,
     ZnSemidirectZ,
@@ -368,30 +368,91 @@ def regular_vectors_box_raw(sigma: Cocycle, window: int, height: int):
     raise SpecError("regular-vector scans apply to the bilinear sum families")
 
 
-def regular_vectors_in_box(
-    sigma: Cocycle, window: int, height: int
-) -> tuple[list[Element], bool]:
+class BoxVectors(Sequence):
+    """The regular vectors of a box as a read-only list of Elements, built
+    only where they are read.
+
+    `rows` holds the payload rows in ``sort_key`` order (the lexsorted box
+    array of the integer family, the sorted index tuples of the bit
+    family), and `export` turns a run of rows into their Elements.  `len`
+    and truth build nothing and an index builds one Element; iteration
+    exports `BLOCK` rows at a time, slices come back as lists, and the
+    sequence equals any list or tuple of the same Elements.
+    """
+
+    BLOCK = 1 << 14
+
+    def __init__(self, rows, export):
+        self._rows = rows
+        self._export = export
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self._export(self._rows[i])
+        i = range(len(self._rows))[i]  # negative and out-of-range indices as a list has them
+        return self._export(self._rows[i : i + 1])[0]
+
+    def __iter__(self) -> Iterator[Element]:
+        for at in range(0, len(self._rows), self.BLOCK):
+            yield from self._export(self._rows[at : at + self.BLOCK])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, tuple, BoxVectors)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
+
+
+def regular_vectors_in_box(sigma: Cocycle, window: int, height: int) -> tuple[BoxVectors, bool]:
     """All nonzero regular vectors with support in [-window, window] and
     entries bounded by height, in ``sort_key`` order, plus a certification
-    flag."""
+    flag.
+
+    The vectors come as a `BoxVectors` sequence over the scan's payload
+    rows, so a caller that reads the count or the first vector builds no
+    other Element."""
     base = sigma.structural()
-    G = base.group
+    make = partial(Element, base.group)
     positions = list(range(-window, window + 1))
     raw, certified = regular_vectors_box_raw(sigma, window, height)
     if isinstance(base, ThetaCocycle):
-        return _sumz_elements(G, positions, height, raw), certified
-    elems = [G.element(v) for v in raw]
-    return sorted(elems, key=lambda e: G.sort_key(e.data)), certified
+        export = partial(_sumz_elements, make, positions, height)
+        return BoxVectors(_sumz_sorted(positions, height, raw), export), certified
+    rows = sorted(raw, key=base.group.sort_key)
+    return BoxVectors(rows, lambda block: list(map(make, block))), certified
 
 
-def _sumz_elements(G: SumZ, positions: list[int], height: int, raw) -> list[Element]:
-    """The rows of a box array as elements, in ``SumZ.sort_key`` order.
+def _sumz_sorted(positions: list[int], height: int, raw):
+    """The rows of a box array in ``SumZ.sort_key`` order, in the smallest
+    integer type that holds every code and every v + height.
 
     One lexsort orders the rows: the L1 norm first, then the positions in
     ``_index_key`` order.  A present entry v is coded 2|v| (+1 when
     negative); an absent entry is coded above every present code when a
     later position is nonzero and 0 otherwise, so that a support which is a
     prefix of another sorts first, as in the tuple comparison of the key.
+    """
+    import numpy as np
+
+    vals = raw.astype(np.min_scalar_type(-2 * height - 3))
+    if len(vals) == 0:
+        return vals
+    ordered = vals[:, sorted(range(len(positions)), key=lambda c: _index_key(positions[c]))]
+    later = np.zeros(ordered.shape, dtype=bool)  # some later position is nonzero
+    later[:, :-1] = np.logical_or.accumulate(ordered[:, :0:-1] != 0, axis=1)[:, ::-1]
+    codes = 2 * np.abs(ordered) + (ordered < 0)
+    codes[later & (ordered == 0)] = 2 * height + 2
+    l1 = np.abs(vals).sum(axis=1)
+    # small key types sort by radix
+    return vals[np.lexsort([*codes.T[::-1], l1.astype(np.min_scalar_type(l1.max()))])]
+
+
+def _sumz_elements(make, positions: list[int], height: int, vals) -> list[Element]:
+    """Rows of a `_sumz_sorted` array as elements, in row order.
 
     Payloads are built per support pattern: each live column is exported
     with one ``tolist()`` and mapped through a table of interned
@@ -399,25 +460,12 @@ def _sumz_elements(G: SumZ, positions: list[int], height: int, raw) -> list[Elem
     """
     import numpy as np
 
-    if len(raw) == 0:
+    if len(vals) == 0:
         return []
-    n = len(positions)
-    small = np.min_scalar_type(-2 * height - 3)  # holds every code and every v + height
-    vals = raw.astype(small)
-    ordered = vals[:, sorted(range(n), key=lambda c: _index_key(positions[c]))]
-    later = np.zeros(ordered.shape, dtype=bool)  # some later position is nonzero
-    later[:, :-1] = np.logical_or.accumulate(ordered[:, :0:-1] != 0, axis=1)[:, ::-1]
-    codes = 2 * np.abs(ordered) + (ordered < 0)
-    codes[later & (ordered == 0)] = 2 * height + 2
-    l1 = np.abs(vals).sum(axis=1)
-    # small key types sort by radix
-    vals = vals[np.lexsort([*codes.T[::-1], l1.astype(np.min_scalar_type(l1.max()))])]
-
-    masks = (vals != 0) @ (1 << np.arange(n, dtype=np.int64))
+    masks = (vals != 0) @ (1 << np.arange(len(positions), dtype=np.int64))
     by_mask = np.argsort(masks.astype(np.min_scalar_type(masks.max())), kind="stable")
     starts = np.flatnonzero(np.diff(masks[by_mask])) + 1
     table = [[(p, v) for v in range(-height, height + 1)] for p in positions]
-    make = partial(Element, G)
     grouped: list[Element] = []
     for rows in np.split(by_mask, starts):
         block = vals[rows] + height
@@ -676,20 +724,6 @@ def _lattice_generators_np(arr, n: int) -> list[tuple[int, ...]]:
     # seed from a prefix, then close over the full set (usually a no-op pass)
     basis = saturate(arr[: min(len(arr), 4096)], [])
     return saturate(arr, basis)
-
-
-def lattice_contains(basis: list[tuple[int, ...]], target: tuple[int, ...]) -> bool:
-    """Membership in the integer row span of an echelon basis."""
-    r = list(target)
-    for b in basis:
-        col = next((i for i, v in enumerate(b) if v), None)
-        if col is None:
-            continue
-        if r[col] % b[col] == 0:
-            q = r[col] // b[col]
-            for t in range(len(r)):
-                r[t] -= q * b[t]
-    return not any(r)
 
 
 def _gf2_generators(vectors: list[tuple[int, ...]], positions: list[int]) -> list[tuple[int, ...]]:

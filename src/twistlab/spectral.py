@@ -11,14 +11,16 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from functools import partial
+from typing import TYPE_CHECKING
 
 from .cocycles import Cocycle, sigma_tilde
 from .errors import BudgetExceededError, ConfigurationError
 from .groups import DEFAULT_NODE_BUDGET, Element, Group
-from .phase import Phase, phase_angles, quarter_turns
+from .phase import quarter_turns
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,19 +39,45 @@ class ExactnessLost(Exception):
     """A phase outside the Gaussian units appeared on the exact path."""
 
 
-def _phase_exact(p: Phase) -> ExactC:
-    q = quarter_turns(phase_angles([p])[2][0])
-    if q is None:
-        raise ExactnessLost
-    return UNITS[q]
-
-
 def _cmul(a: ExactC, b: ExactC) -> ExactC:
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
+class Coeffs(Mapping):
+    """Read-only view of a `FiniteFunction`'s coefficients keyed by Element.
+
+    A lookup reads the payload of its key, iteration wraps each payload in
+    the function's insertion order, and `len` builds nothing.  A key of
+    another group is missing, as in a dict keyed by Element.
+    """
+
+    __slots__ = ("group", "_by_payload")
+
+    def __init__(self, group: Group, by_payload: dict):
+        self.group = group
+        self._by_payload = by_payload
+
+    def __len__(self) -> int:
+        return len(self._by_payload)
+
+    def __iter__(self) -> Iterator[Element]:
+        return map(partial(Element, self.group), self._by_payload)
+
+    def __getitem__(self, g: Element):
+        if not (isinstance(g, Element) and g.group.key == self.group.key and g.data in self._by_payload):
+            raise KeyError(g)
+        return self._by_payload[g.data]
+
+
 class FiniteFunction:
-    """Finitely supported function on a group with complex or exact values."""
+    """Finitely supported function on a group with complex or exact values.
+
+    The coefficients are held by normal-form payload (`_coeffs`), so the
+    convolution and the operator assembly read them without wrapping a
+    group element; `coeffs` is their read-only view keyed by Element, and
+    `support()` and `weighted_l2` build Elements as they return or weigh
+    them.
+    """
 
     def __init__(self, group: Group, coeffs: dict, exact: bool = False):
         self.group = group
@@ -60,20 +88,24 @@ class FiniteFunction:
             if exact:
                 c = (_num(c[0]), _num(c[1]))
                 if c != (0, 0):
-                    clean[g] = c
+                    clean[g.data] = c
             else:
                 c = complex(c)
                 if c != 0:
-                    clean[g] = c
-        self.coeffs = clean
+                    clean[g.data] = c
+        self._coeffs = clean
 
     @classmethod
     def _trusted(cls, group: Group, coeffs: dict, exact: bool) -> FiniteFunction:
-        """A function whose keys are elements of `group` and whose values are
-        already nonzero and normalised, taken without the per-key checks."""
+        """A function from payloads of `group` to values that are already
+        nonzero and normalised, taken without the per-key checks."""
         out = cls.__new__(cls)
-        out.group, out.exact, out.coeffs = group, exact, coeffs
+        out.group, out.exact, out._coeffs = group, exact, coeffs
         return out
+
+    @property
+    def coeffs(self) -> Coeffs:
+        return Coeffs(self.group, self._coeffs)
 
     @classmethod
     def delta(cls, g: Element, coeff=1, exact: bool = True) -> FiniteFunction:
@@ -84,55 +116,59 @@ class FiniteFunction:
         return cls(g.group, {g: complex(coeff)}, exact=False)
 
     def support(self) -> list[Element]:
-        return sorted(self.coeffs, key=lambda e: self.group.sort_key(e.data))
+        G = self.group
+        return [Element(G, d) for d in sorted(self._coeffs, key=G.sort_key)]
 
     def to_float(self) -> FiniteFunction:
         if not self.exact:
             return self
-        return FiniteFunction(
-            self.group, {g: complex(float(c[0]), float(c[1])) for g, c in self.coeffs.items()}
-        )
+        out = {}
+        for d, (re, im) in self._coeffs.items():
+            c = complex(float(re), float(im))
+            if c != 0:  # a value below the float range rounds to zero
+                out[d] = c
+        return FiniteFunction._trusted(self.group, out, exact=False)
 
     def abs_function(self) -> FiniteFunction:
         """Pointwise absolute value; stays exact when each |c| is rational."""
         if self.exact:
             try:
                 out = {}
-                for g, (re, im) in self.coeffs.items():
+                for d, (re, im) in self._coeffs.items():
                     if im == 0:
-                        out[g] = (abs(re), 0)
+                        out[d] = (abs(re), 0)
                     elif re == 0:
-                        out[g] = (abs(im), 0)
+                        out[d] = (abs(im), 0)
                     else:
                         raise ExactnessLost
-                return FiniteFunction(self.group, out, exact=True)
+                return FiniteFunction._trusted(self.group, out, exact=True)
             except ExactnessLost:
                 pass
         f = self.to_float()
-        return FiniteFunction(f.group, {g: abs(c) for g, c in f.coeffs.items()})
+        return FiniteFunction._trusted(f.group, {d: complex(abs(c)) for d, c in f._coeffs.items()}, exact=False)
 
     def l2_squared(self):
         if self.exact:
             total = 0
-            for re, im in self.coeffs.values():
+            for re, im in self._coeffs.values():
                 total += re * re + im * im
             return total
         # products, not ** 2, so that a square past the float range is inf, not OverflowError
-        return float(sum(c.real * c.real + c.imag * c.imag for c in self.coeffs.values()))
+        return float(sum(c.real * c.real + c.imag * c.imag for c in self._coeffs.values()))
 
     def l2(self) -> float:
         return math.sqrt(float(self.l2_squared()))
 
     def l1(self) -> float:
         if self.exact:
-            return float(sum(math.hypot(float(a), float(b)) for a, b in self.coeffs.values()))
-        return float(sum(abs(c) for c in self.coeffs.values()))
+            return float(sum(math.hypot(float(a), float(b)) for a, b in self._coeffs.values()))
+        return float(sum(abs(c) for c in self._coeffs.values()))
 
     def weighted_l2(self, weight) -> float:
         """sqrt(sum |c(g) * weight(g)|^2)."""
         total = 0.0
-        for g, c in self.coeffs.items():
-            w = weight(g)
+        for d, c in self._coeffs.items():
+            w = weight(Element(self.group, d))
             mag = math.hypot(float(c[0]), float(c[1])) if self.exact else abs(c)
             term = mag * w  # a product, not ** 2, so that a huge weight gives inf, not OverflowError
             total += term * term
@@ -151,8 +187,8 @@ def convolve_sigma(
         try:
             # out sums by payload; turned pairs g with f(g) * i^q for q = 0..3
             out: dict = {}
-            turned = [(g.data, [_cmul(cf, unit) for unit in UNITS]) for g, cf in f.coeffs.items()]
-            xs = [(u.data, cx) for u, cx in xi.coeffs.items()]
+            turned = [(g, [_cmul(cf, unit) for unit in UNITS]) for g, cf in f._coeffs.items()]
+            xs = list(xi._coeffs.items())
             for g, cfs in turned:
                 for u, cx in xs:
                     q = quarter_turns(angle(g, u))
@@ -168,16 +204,14 @@ def convolve_sigma(
                         out[h] = (re, im)
                         if len(out) > budget:
                             raise BudgetExceededError("convolution support exceeded budget", nodes=len(out))
-            nonzero = {Element(G, h): c for h, c in out.items() if c != (0, 0)}
-            return FiniteFunction._trusted(G, nonzero, exact=True)
+            return FiniteFunction._trusted(G, {h: c for h, c in out.items() if c != (0, 0)}, exact=True)
         except ExactnessLost:
             pass
     ff, xf = f.to_float(), xi.to_float()
     outf: dict = {}
     targets, coeffs, angles = [], [], []
-    fs = [(g.data, cf) for g, cf in ff.coeffs.items()]
-    xs = [(u.data, cx) for u, cx in xf.coeffs.items()]
-    for g, cf in fs:
+    xs = list(xf._coeffs.items())
+    for g, cf in ff._coeffs.items():
         for u, cx in xs:
             h = mul(g, u)
             if h not in outf:
@@ -189,22 +223,13 @@ def convolve_sigma(
             angles.append(angle(g, u))
     for h, term in zip(targets, _times_phases(coeffs, sigma, angles)):
         outf[h] += term
-    return FiniteFunction._trusted(G, {Element(G, h): c for h, c in outf.items() if c != 0}, exact=False)
+    return FiniteFunction._trusted(G, {h: c for h, c in outf.items() if c != 0}, exact=False)
 
 
 def _times_phases(coeffs: list[complex], sigma: Cocycle, angles: list) -> list[complex]:
     """coeffs[i] times the circle value of angles[i], each product taken in
     Python as ``coeff * Phase.to_complex()`` was."""
     return list(map(complex.__mul__, coeffs, sigma.complex_values(angles).tolist()))
-
-
-def convolution_power(
-    f: FiniteFunction, n: int, sigma: Cocycle, budget: int = DEFAULT_NODE_BUDGET
-) -> FiniteFunction:
-    out = f
-    for _ in range(n - 1):
-        out = convolve_sigma(f, out, sigma, budget)
-    return out
 
 
 def conjugation_bridge_check(sigma: Cocycle, g: Element, h: Element) -> bool:
@@ -284,12 +309,12 @@ def build_truncated(
     ball = G.ball(radius, node_budget)
     index = {g: i for i, g in enumerate(ball)}
     ff = f.to_float()
-    if ff.coeffs:
+    if ff._coeffs:
         sigma.group.check(ball[0])
     # the sweep runs on payloads: `mul` is the group law on normal forms
     mul, angle = G._mul, sigma._angle
     at = {g.data: i for i, g in enumerate(ball)}
-    support = [(g.data, cf) for g, cf in ff.coeffs.items()]
+    support = list(ff._coeffs.items())
     rows, cols, coeffs, angles = [], [], [], []
     if len(support) <= len(ball):
         for col, u in enumerate(ball):
@@ -571,14 +596,17 @@ def semifree_check(
     if not S:
         return True, None
     G = S[0].group
-    seen: dict[Element, tuple[int, ...]] = {}
-    frontier: list[tuple[Element, tuple[int, ...]]] = [(G.identity(), ())]
+    for s in S:
+        G.check(s)
+    mul, factors = G._mul, [s.data for s in S]
+    seen: dict = {}  # product payload -> its factor sequence
+    frontier: list[tuple[object, tuple[int, ...]]] = [(G._identity_data(), ())]
     count = 0
     for _ in range(depth):
         nxt = []
         for prod, word in frontier:
-            for i, s in enumerate(S):
-                p = G.compose(prod, s)
+            for i, s in enumerate(factors):
+                p = mul(prod, s)
                 w = word + (i,)
                 if p in seen:
                     return False, (seen[p], w)
@@ -611,11 +639,15 @@ def stable_rank_evidence(
     "converged" (two proxies within `tol`), "max_power", "budget" (the
     power outgrew the node budget) or "outside_ball" (the compression of
     the power to the ball is zero, so it says nothing; no proxy is kept)."""
+    for x in F:
+        group.check(x)
+    mul, payloads = group._mul, [x.data for x in F]
     translate = None
     for g in group.ball(search_radius, node_budget):
-        gF = [group.compose(g, x) for x in F]
+        gF = [mul(g.data, x) for x in payloads]
         if len(set(gF)) < len(gF):
             continue
+        gF = [Element(group, d) for d in gF]
         ok, _ = semifree_check(gF, depth, node_budget)
         if ok:
             translate = (g, gF)

@@ -16,6 +16,7 @@ from twistlab._kernels import bs_normalize
 from twistlab.cocycles import BitstreamCocycle, ThetaCocycle
 from twistlab.errors import BudgetExceededError
 from twistlab.groups import (
+    DEFAULT_NODE_BUDGET,
     BaumslagSolitarNN,
     FreeGroup,
     FreeTimesZ,
@@ -27,7 +28,8 @@ from twistlab.groups import (
     sanov_act,
     word_to_string,
 )
-from twistlab.phase import Phase
+from twistlab.phase import Phase, phase_angles, quarter_turns
+from twistlab.spectral import UNITS, ExactnessLost, convolve_sigma
 
 
 def srow_phase(sigma: ThetaCocycle, j: int, k: int) -> Phase:
@@ -132,6 +134,20 @@ def brute_force_regular_vectors(
     out = np.concatenate(blocks, axis=0)
     out = out[(out != 0).any(axis=1)]
     return out[np.lexsort(out.T[::-1])]
+
+
+def lattice_contains(basis: list[tuple[int, ...]], target: tuple[int, ...]) -> bool:
+    """Membership in the integer row span of an echelon basis."""
+    r = list(target)
+    for b in basis:
+        col = next((i for i, v in enumerate(b) if v), None)
+        if col is None:
+            continue
+        if r[col] % b[col] == 0:
+            q = r[col] // b[col]
+            for t in range(len(r)):
+                r[t] -= q * b[t]
+    return not any(r)
 
 
 def _echelon_rows(rows: list[list[int]], n: int) -> list[list[int]]:
@@ -343,6 +359,13 @@ def bs_concat_product(ca: int, wa: tuple, cb: int, wb: tuple, n: int) -> tuple:
     return ca + cb + c, w
 
 
+def letter_exponents(G: BaumslagSolitarNN, data) -> tuple[int, int]:
+    """(a-exponent, b-exponent) of a BS(n,n) normal form, counted letter by
+    letter in its word."""
+    letters = G.to_letters(data)
+    return letters.count(1) - letters.count(-1), letters.count(2) - letters.count(-2)
+
+
 def bs_letter_inverse(G: BaumslagSolitarNN, data) -> tuple:
     """The inverse normal form through letters: the reversed word with every
     letter inverted, parsed again."""
@@ -371,6 +394,22 @@ def tuple_sort_key(G, data) -> tuple:
 
 
 _UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _phase_exact(p: Phase) -> tuple:
+    """A quarter-turn phase as its Gaussian unit; ExactnessLost otherwise."""
+    q = quarter_turns(phase_angles([p])[2][0])
+    if q is None:
+        raise ExactnessLost
+    return UNITS[q]
+
+
+def convolution_power(f, n: int, sigma, budget: int = DEFAULT_NODE_BUDGET):
+    """f convolved with itself n times, one factor at a time."""
+    out = f
+    for _ in range(n - 1):
+        out = convolve_sigma(f, out, sigma, budget)
+    return out
 
 
 def convolve_reference(f, xi, sigma, budget: int) -> dict | None:

@@ -11,6 +11,7 @@ from oracles import (
     bs_letter_inverse,
     class_by_compose,
     commuting_by_compose,
+    letter_exponents,
     tuple_sort_key,
 )
 from twistlab import _kernels
@@ -18,6 +19,7 @@ from twistlab.errors import BudgetExceededError, FamilyMismatchError, SpecError
 from twistlab.groups import (
     Group,
     ball,
+    bs_exponent_sum,
     commuting_ball,
     compose,
     conjugate,
@@ -234,6 +236,16 @@ def test_bs_closed_form_inverse_on_the_radius_7_ball(n):
         inv = G._inv(g.data)
         assert G._mul(inv, g.data) == e == G._mul(g.data, inv)
         assert inv == bs_letter_inverse(G, g.data)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_bs_exponent_slices_equal_letter_counts_on_the_radius_7_ball(n):
+    G = get_group({"family": "bs_nn", "n": n})
+    for g in G.ball(7):
+        c, w = g.data
+        a, b = letter_exponents(G, g.data)
+        assert bs_exponent_sum(w, 1) == a and n * c + bs_exponent_sum(w, 2) == b
+        assert G.exponents(g) == (a, b)
 
 
 @pytest.mark.parametrize(

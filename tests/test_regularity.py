@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_force_regular_bits, brute_force_regular_vectors, integer_span_reduce
+from oracles import brute_force_regular_bits, brute_force_regular_vectors, integer_span_reduce, lattice_contains
 
 import twistlab
 from twistlab import regularity
 from twistlab.cocycles import build_cocycle, sigma_tilde
 from twistlab.errors import SpecError
-from twistlab.groups import get_group, resolve_subgroup
+from twistlab.groups import SumZ, get_group, resolve_subgroup
 from twistlab.phase import IrrationalBasis, Phase
 from twistlab.regularity import (
     certified_row_range,
@@ -27,7 +27,6 @@ from twistlab.regularity import (
     is_regular_wrt_subgroup,
     is_sigma_regular,
     kernel_lattice_basis,
-    lattice_contains,
     regular_subgroup_generators,
     regular_vectors_in_box,
     relative_class_partial,
@@ -152,6 +151,49 @@ def test_box_vector_payloads_are_plain_sorted_int_pairs():
         for pair in e.data:
             assert type(pair) is tuple and len(pair) == 2
             assert type(pair[0]) is int and type(pair[1]) is int and pair[1] != 0
+
+
+def _eager_box(sig, window, height) -> list:
+    """The box vectors built at once from the raw scan and sorted by key."""
+    G = sig.structural().group
+    raw, _ = regularity.regular_vectors_box_raw(sig, window, height)
+    if isinstance(G, SumZ):
+        positions = range(-window, window + 1)
+        raw = [tuple((p, v) for p, v in zip(positions, row) if v) for row in raw.tolist()]
+    return sorted((G.element(d) for d in raw), key=lambda e: G.sort_key(e.data))
+
+
+@pytest.mark.parametrize(
+    "spec, group, window, height",
+    [
+        (PERIOD4, SZ, 2, 2),
+        (PERIOD4, SZ, 3, 3),
+        (PERIOD4, SZ, 3, 4),
+        ({"kind": "bitstream", "pre": [], "period": [1, 0]}, SZ2, 4, 1),
+        ({"kind": "theta_rule", "rule": "prime_reciprocal"}, SZ, 3, 3),
+    ],
+    ids=["theta_2_2", "theta_3_3", "theta_3_4", "bitstream_4", "prime_reciprocal_empty"],
+)
+def test_box_view_behaves_as_the_eager_list(spec, group, window, height):
+    sig = build_cocycle(spec, group, BASIS)
+    found, _ = regular_vectors_in_box(sig, window, height)
+    ref = _eager_box(sig, window, height)
+    assert found == ref and ref == found and found == tuple(ref)
+    assert len(found) == len(ref) and bool(found) == bool(ref)
+    assert list(found) == ref  # iteration order, across export blocks at (3, 4)
+    for s in [slice(None, None, 3), slice(-7, None), slice(5, 1, -2), slice(None, None, -1)]:
+        part = found[s]
+        assert type(part) is list and part == ref[s]
+    for i in {0, 1, len(ref) // 2, len(ref) - 1, -1, -len(ref)} if ref else ():
+        assert found[i] == ref[i]
+    for i in (len(ref), -len(ref) - 1):
+        with pytest.raises(IndexError):
+            found[i]
+    for e in ref[:: max(1, len(ref) // 3)]:
+        assert e in found
+    assert group.basis_element(window + 1) not in found  # outside the window
+    if len(ref) > 1:
+        assert found != ref[:-1] and found != ref[::-1]
 
 
 def test_generators_span_found_vectors():

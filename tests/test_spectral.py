@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from oracles import (
+    _phase_exact,
+    convolution_power,
     convolve_reference,
     dense_matrix,
     dense_operator_norm,
@@ -17,6 +19,7 @@ from oracles import (
     tree_ball_adjacency_norm,
 )
 
+from twistlab import spectral
 from twistlab.cocycles import CoboundaryCocycle, CoboundaryFn, TrivialCocycle, build_cocycle, sigma_tilde
 from twistlab.errors import BudgetExceededError
 from twistlab.groups import get_group
@@ -26,11 +29,9 @@ from twistlab.spectral import (
     FiniteFunction,
     NormReport,
     _matvec,
-    _phase_exact,
     build_truncated,
     check_domination,
     conjugation_bridge_check,
-    convolution_power,
     convolve_sigma,
     operator_norm,
     r2_estimate,
@@ -111,6 +112,33 @@ def test_exact_convolution_drops_sums_that_cancel_to_zero():
     out = convolve_sigma(f, xi, TRIV_F2)
     assert F2.identity() not in out.coeffs
     assert out.coeffs == convolve_reference(f, xi, TRIV_F2, 10**6) == {F2.word("a a"): (1, 0), F2.word("A A"): (-1, 0)}
+
+
+def test_coeffs_view_reads_the_payload_dict(monkeypatch):
+    rng = random.Random(3)
+    f, xi = _random_function(F2, rng, 6), _random_function(F2, rng, 9)
+    out = convolve_sigma(f, xi, TRIV_F2)
+    ref = convolve_reference(f, xi, TRIV_F2, 10**6)
+    assert out.coeffs == ref and ref == out.coeffs and dict(out.coeffs) == ref
+    assert list(out.coeffs) == list(ref) and list(out.coeffs.values()) == list(ref.values())
+    assert out.coeffs != {**ref, next(iter(ref)): (99, 0)}
+    flipped = dict(reversed(ref.items()))
+    assert list(FiniteFunction(F2, flipped, exact=True).coeffs) == list(flipped)
+    missing = F2.word("a a a a a a")  # the products lie in the radius-4 ball
+    assert missing not in out.coeffs and out.coeffs.get(missing) is None
+    with pytest.raises(KeyError):
+        out.coeffs[missing]
+    # an element of another group with the same payload, a bare payload and
+    # a string are missing keys too
+    a = F2.word("a")
+    delta = FiniteFunction.delta(a)
+    assert delta.coeffs[a] == (1, 0) and Z.word("a").data == a.data
+    for other in (Z.word("a"), a.data, "a"):
+        assert other not in delta.coeffs
+        with pytest.raises(KeyError):
+            delta.coeffs[other]
+    monkeypatch.setattr(spectral, "Element", None)  # building an Element now fails
+    assert len(out.coeffs) == len(ref)
 
 
 def test_exact_convolution_falls_back_to_floats_off_the_quarter_turns():

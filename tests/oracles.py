@@ -29,7 +29,7 @@ from twistlab.groups import (
     word_to_string,
 )
 from twistlab.phase import Phase, phase_angles, quarter_turns
-from twistlab.spectral import UNITS, ExactnessLost, convolve_sigma
+from twistlab.spectral import ExactnessLost, convolve_sigma
 
 
 def srow_phase(sigma: ThetaCocycle, j: int, k: int) -> Phase:
@@ -401,7 +401,7 @@ def _phase_exact(p: Phase) -> tuple:
     q = quarter_turns(phase_angles([p])[2][0])
     if q is None:
         raise ExactnessLost
-    return UNITS[q]
+    return _UNITS[q]
 
 
 def convolution_power(f, n: int, sigma, budget: int = DEFAULT_NODE_BUDGET):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -186,6 +187,7 @@ HELP = {
 }
 
 
+@functools.cache  # built once per process: parsing leaves the parser as it was
 def _parser() -> _Parser:
     parser = _Parser(prog="twistlab", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)

@@ -34,7 +34,6 @@ from .groups import (
     Element,
     Subgroup,
     WreathZ,
-    Zn,
     ZnSemidirectZ,
     _index_key,
     commuting_ball,
@@ -435,20 +434,27 @@ def _sumz_sorted(positions: list[int], height: int, raw):
     negative); an absent entry is coded above every present code when a
     later position is nonzero and 0 otherwise, so that a support which is a
     prefix of another sorts first, as in the tuple comparison of the key.
+    The codes are built one column at a time from the last position in key
+    order, carrying the "some later position is nonzero" mask.
     """
     import numpy as np
 
     vals = raw.astype(np.min_scalar_type(-2 * height - 3))
     if len(vals) == 0:
         return vals
-    ordered = vals[:, sorted(range(len(positions)), key=lambda c: _index_key(positions[c]))]
-    later = np.zeros(ordered.shape, dtype=bool)  # some later position is nonzero
-    later[:, :-1] = np.logical_or.accumulate(ordered[:, :0:-1] != 0, axis=1)[:, ::-1]
-    codes = 2 * np.abs(ordered) + (ordered < 0)
-    codes[later & (ordered == 0)] = 2 * height + 2
-    l1 = np.abs(vals).sum(axis=1)
+    l1 = np.zeros(len(vals), dtype=np.min_scalar_type(-len(positions) * height))
+    later = np.zeros(len(vals), dtype=bool)
+    codes = []  # last key position first, as lexsort reads its keys
+    for c in sorted(range(len(positions)), key=lambda c: _index_key(positions[c]), reverse=True):
+        col = vals[:, c]
+        absent = col == 0
+        code = 2 * np.abs(col) + (col < 0)
+        code[later & absent] = 2 * height + 2
+        codes.append(code)
+        later |= ~absent
+        l1 += np.abs(col)
     # small key types sort by radix
-    return vals[np.lexsort([*codes.T[::-1], l1.astype(np.min_scalar_type(l1.max()))])]
+    return vals[np.lexsort([*codes, l1])]
 
 
 def _sumz_elements(make, positions: list[int], height: int, vals) -> list[Element]:
@@ -536,10 +542,16 @@ def _integer_rows(matrix: list[list[Angle]]):
     and ``w x = 0`` for each ``w`` in ``sym_ws``: the rational parts are
     scaled to their least common denominator D, and each symbol's
     coefficients to that symbol's least common denominator, so the ints
-    stay as small as the entries allow.  All three are plain Python ints,
-    one matrix row per angle row.
+    stay as small as the entries allow.  All three are plain Python ints.
+
+    Only the rows that carry information are kept (``_spanning_rows``): a
+    rational row that enlarges the row module mod D (none when D = 1) and
+    a symbol row that raises its symbol's rank.  They are a subset of the
+    scaled rows, never combinations, so no entry grows, and the solutions
+    are the same.
     """
     entries = [a for row in matrix for a in row]
+    n = len(matrix[0]) if matrix else 0
 
     def scaled(part):
         den = math.lcm(1, *(a[2] // math.gcd(part(a), a[2]) for a in entries))
@@ -547,11 +559,38 @@ def _integer_rows(matrix: list[list[Angle]]):
 
     D, rat_w = scaled(lambda a: a[0])
     sym_ws = [
-        scaled(lambda a, i=i: a[1][i])[1]
+        _spanning_rows(scaled(lambda a, i=i: a[1][i])[1], n, None)
         for i in range(len(entries[0][1]) if entries else 0)
         if any(a[1][i] for a in entries)
     ]
-    return D, rat_w, sym_ws
+    return D, _spanning_rows(rat_w, n, D), sym_ws
+
+
+def _spanning_rows(rows: list[list[int]], n: int, modulus: int | None) -> list[list[int]]:
+    """The rows, in order, that each enlarge the span of the rows kept
+    before them: the integer module mod `modulus`, or the row space over
+    the rationals when `modulus` is None.
+
+    A row is reduced by an echelon basis of the span so far (with
+    ``modulus * Z^n`` included, a full-rank triangular basis, whose
+    residues are unique); it lies in the span iff nothing is left.
+    """
+    basis = [] if modulus is None else [(i, [modulus * (t == i) for t in range(n)]) for i in range(n)]
+    kept = []  # basis holds (pivot column, echelon row) pairs
+    for row in rows:
+        r = list(row) if modulus is None else [x % modulus for x in row]
+        for col, b in basis:
+            if modulus is None:
+                if r[col]:
+                    r = [b[col] * x - r[col] * y for x, y in zip(r, b)]
+            elif not 0 <= r[col] < b[col]:
+                q = r[col] // b[col]
+                r = [x - q * y for x, y in zip(r, b)]
+        if any(r):
+            kept.append(row)
+            echelon = _echelon([list(b) for _, b in basis] + [list(row)], n)
+            basis = [(next(t for t, v in enumerate(b) if v), b) for b in echelon]
+    return kept
 
 
 def _integer_constraints(sigma: ThetaCocycle, positions: list[int], rows):
@@ -614,7 +653,9 @@ def box_solution_array(sigma: ThetaCocycle, positions: list[int], height: int, r
     import numpy as np
 
     D, rat_rows, sym_rows = _integer_constraints(sigma, positions, rows)
-    rat_w = np.array(rat_rows, dtype=np.int64)
+    if not rat_rows and not sym_rows:  # every row vanishes (D = 1): match all on one zero key
+        rat_rows = [[0] * len(positions)]
+    rat_w = np.array(rat_rows, dtype=np.int64).reshape(-1, len(positions))
     sym_ws = [np.array(w, dtype=np.int64) for w in sym_rows]
 
     half = len(positions) // 2

@@ -136,6 +136,22 @@ def brute_force_regular_vectors(
     return out[np.lexsort(out.T[::-1])]
 
 
+def scaled_constraint_rows(sigma: ThetaCocycle, positions: list[int], rows: list[int]):
+    """Every listed row of the antisymmetrized matrix as integer rows:
+    ``(D, rational rows, {symbol: rows})``, the rational parts over their
+    least common denominator D and each symbol's coefficients over that
+    symbol's, one integer row per matrix row."""
+    phases = [[srow_phase(sigma, j, k) for j in positions] for k in rows]
+    flat = [p for row in phases for p in row]
+    D = math.lcm(1, *(p.rational.denominator for p in flat))
+    rat = [[int(p.rational * D) for p in row] for row in phases]
+    syms = {}
+    for s in sorted({s for p in flat for s, _ in p.irr}):
+        den = math.lcm(1, *(dict(p.irr).get(s, Fraction(0)).denominator for p in flat))
+        syms[s] = [[int(dict(p.irr).get(s, Fraction(0)) * den) for p in row] for row in phases]
+    return D, rat, syms
+
+
 def lattice_contains(basis: list[tuple[int, ...]], target: tuple[int, ...]) -> bool:
     """Membership in the integer row span of an echelon basis."""
     r = list(target)

@@ -673,3 +673,42 @@ def test_relative_kleppner_trivial_subgroup_honours_the_budget(capsys):
     rep = json.loads(out.splitlines()[0])["relative_kleppner"]
     assert rep["status"] == "refuted" and rep["rule"] == "relk_trivial"
     assert rep["witness"] == [0]
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
+    """`main` builds its parser once: a sequence of calls with usage errors
+    between them gives each call the stdout and exit code of a fresh
+    process, and no parser is built after the first call."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import twistlab
+    from twistlab import cli
+
+    usage_error = ["verdict", "relative-kleppner", *BS_ARGS]  # no --subgroup
+    sequence = [
+        usage_error,
+        ["verdict", "relative-kleppner", "--subgroup", "center", *BS_ARGS],
+        ["fixtures"],
+        usage_error,
+        ["classify", *BS_ARGS],
+    ]
+    built = []
+    init = cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__", lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+    cli._parser.cache_clear()
+    runs = []
+    for i, argv in enumerate(sequence):
+        runs.append(run_cli(capsys, *argv)[:2])
+        if i == 0:
+            first = len(built)
+    assert first > 0 and len(built) == first
+    assert [code for code, _ in runs] == [1, 0, 0, 1, 0]
+
+    src = str(Path(twistlab.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for argv, run in zip(sequence, runs):
+        proc = subprocess.run([sys.executable, "-m", "twistlab.cli", *argv], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == run, argv

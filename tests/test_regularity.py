@@ -1,5 +1,6 @@
 """Regularity deciders: certificates, witnesses, relative variants."""
 
+import math
 import os
 import random
 import subprocess
@@ -11,7 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_force_regular_bits, brute_force_regular_vectors, integer_span_reduce, lattice_contains
+from oracles import (
+    _echelon_rows,
+    brute_force_regular_bits,
+    brute_force_regular_vectors,
+    integer_span_reduce,
+    lattice_contains,
+    scaled_constraint_rows,
+)
 
 import twistlab
 from twistlab import regularity
@@ -232,6 +240,38 @@ PERIOD4_GENERATORS = {
     ],
 }
 PERIOD4_GENERATORS[(4, 4)] = PERIOD4_GENERATORS[(4, 3)]
+PERIOD4_GENERATORS[(2, 2)] = [((0, 1), (2, 1)), ((-1, 1), (1, 1)), ((-2, 1), (2, -1))]
+PERIOD4_GENERATORS[(3, 3)] = PERIOD4_GENERATORS[(3, 4)]
+
+# Hermite bases of the PERIOD4 kernel lattice by window.  The basis is
+# unique, so any set of constraint rows with the same solutions gives it.
+PERIOD4_KERNELS = {
+    2: [(1, 0, 0, 0, -1), (0, 1, 0, 1, 0), (0, 0, 1, 0, 1)],
+    3: [
+        (1, 0, 0, 0, 0, 0, 1),
+        (0, 1, 0, 0, 0, -1, 0),
+        (0, 0, 1, 0, 0, 0, -1),
+        (0, 0, 0, 1, 0, 1, 0),
+        (0, 0, 0, 0, 1, 0, 1),
+    ],
+    4: [
+        (1, 0, 0, 0, 0, 0, 0, 0, -1),
+        (0, 1, 0, 0, 0, 0, 0, 1, 0),
+        (0, 0, 1, 0, 0, 0, 0, 0, 1),
+        (0, 0, 0, 1, 0, 0, 0, -1, 0),
+        (0, 0, 0, 0, 1, 0, 0, 0, -1),
+        (0, 0, 0, 0, 0, 1, 0, 1, 0),
+        (0, 0, 0, 0, 0, 0, 1, 0, 1),
+    ],
+}
+
+
+@pytest.mark.parametrize("window", sorted(PERIOD4_KERNELS))
+def test_period4_kernel_basis_pinned(window):
+    base = build_cocycle(PERIOD4, SZ, BASIS).structural()
+    positions = list(range(-window, window + 1))
+    rows = certified_row_range(base, positions)
+    assert kernel_lattice_basis(base, positions, rows) == PERIOD4_KERNELS[window]
 
 
 @pytest.mark.parametrize("window, height", sorted(PERIOD4_GENERATORS))
@@ -246,6 +286,83 @@ def test_period4_generators_pinned(window, height, monkeypatch):
     gens, complete = regular_subgroup_generators(sig, window, height)
     assert complete
     assert [g.data for g in gens] == PERIOD4_GENERATORS[(window, height)]
+
+
+TWO_SYMBOLS = IrrationalBasis({"r": 0.3819660112501051, "s": 0.29})
+# Small cocycles for the box scan against the brute-force oracle: each has
+# constraint rows that repeat or depend on others.
+ORACLE_COCYCLES = {
+    "rational_D6": {"kind": "theta_diag", "diagonals": [[1, 3], [1, 2]]},
+    "rational_period": {"kind": "theta_diag", "diagonals": [[1, 4]], "period": [[1, 2], [0, 1]]},
+    "two_symbols": {
+        "kind": "theta_diag",
+        "diagonals": [{"rat": [1, 4], "irr": {"r": [1, 1]}}, {"rat": [0, 1], "irr": {"r": [-1, 3], "s": [1, 2]}}],
+    },
+    "two_symbols_period": {
+        "kind": "theta_diag",
+        "diagonals": [],
+        "period": [{"rat": [1, 2], "irr": {"s": [1, 1]}}, R, [1, 3]],
+    },
+    "period4": PERIOD4,
+    "large_product_near_2_63": {
+        "kind": "theta_window",
+        "entries": [[0, 1, [1, 2]], [2, 3, {"rat": [0, 1], "irr": {"r": [1, 4 * 10**9 + 7]}}], [-2, -1, [1, 10**9 + 7]]],
+    },
+    "large_product_past_2_63": {
+        "kind": "theta_window",
+        "entries": [
+            [0, 1, [1, 2]],
+            [2, 3, {"rat": [0, 1], "irr": {"r": [1, 4 * 10**18 + 9]}}],
+            [-2, -1, [1, 10**9 * 1000003 + 7]],
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("window, height", [(1, 2), (2, 2), (2, 3)])
+@pytest.mark.parametrize("name", sorted(ORACLE_COCYCLES))
+def test_box_solution_array_equals_the_brute_force_oracle(name, window, height):
+    """Row for row, in lexicographic order, on the reduced constraint rows."""
+    base = build_cocycle(ORACLE_COCYCLES[name], SZ, TWO_SYMBOLS).structural()
+    positions = list(range(-window, window + 1))
+    rows = list(certified_row_range(base, positions))
+    found = regularity.box_solution_array(base, positions, height, rows)
+    brute = brute_force_regular_vectors(base, window, height, rows)
+    assert found.shape == brute.shape and np.array_equal(found, brute)
+
+
+def _is_subsequence(part: list, whole: list) -> bool:
+    rest = iter(whole)
+    return all(any(row == other for other in rest) for row in part)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(ORACLE_COCYCLES))
+def test_integer_rows_keep_a_subset_of_the_scaled_rows(name, window):
+    """The constraint rows are the scaled rows that enlarge their span, in
+    order: no combination, so no entry grows; none at all when D = 1."""
+    base = build_cocycle(ORACLE_COCYCLES[name], SZ, TWO_SYMBOLS).structural()
+    positions = list(range(-window, window + 1))
+    rows = list(certified_row_range(base, positions))
+    D, rat, sym = regularity._integer_constraints(base, positions, rows)
+    D_all, rat_all, sym_all = scaled_constraint_rows(base, positions, rows)
+    assert D == D_all and _is_subsequence(rat, rat_all)
+    assert len(sym) == len(sym_all)
+    for kept, (_, every) in zip(sym, sorted(sym_all.items())):
+        assert _is_subsequence(kept, every)
+        assert len(kept) == np.linalg.matrix_rank(np.array(every, dtype=float))
+    if D == 1:
+        assert rat == []
+
+
+def test_period4_keys_on_two_rows():
+    """PERIOD4 has D = 1 and 15 symbol rows of rank 2 at window 3."""
+    base = build_cocycle(PERIOD4, SZ, BASIS).structural()
+    positions = list(range(-3, 4))
+    rows = list(certified_row_range(base, positions))
+    D, rat, sym = regularity._integer_constraints(base, positions, rows)
+    assert (D, rat, [len(w) for w in sym]) == (1, [], [2])
+    assert len(scaled_constraint_rows(base, positions, rows)[2]["r"]) == 15
 
 
 def test_generators_fall_back_to_box_span(monkeypatch):
@@ -590,3 +707,37 @@ def test_integer_kernel_spans_the_brute_force_solutions(data):
     assert not integer_span_reduce(rows, brute).any()
     if rows.size == 0 or np.abs(rows).max() <= 6:
         assert not integer_span_reduce(brute, rows).any()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_spanning_rows_keep_the_integer_kernel(data):
+    """``_spanning_rows`` keeps exactly the rows that lower the index of the
+    module mod D, or raise the rank over the rationals (repeats and sums of
+    drawn rows mixed in), and the kernel basis stays the same."""
+    n = data.draw(st.integers(1, 4))
+    D = data.draw(st.integers(1, 6))
+    row = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+
+    def with_dependents(rows):
+        picks = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=3)) if rows else []
+        extra = [[x + y for x, y in zip(rows[i % len(rows)], rows[j % len(rows)])] for i, j in picks]
+        return rows + extra + rows[:1]
+
+    rat = with_dependents(data.draw(st.lists(row, max_size=3)))
+    exact = with_dependents(data.draw(st.lists(row, max_size=3)))
+
+    def index(rows):  # [Z^n : span(rows) + D Z^n], the product of the echelon pivots
+        lattice = _echelon_rows(rows + [[D * (t == i) for t in range(n)] for i in range(n)], n)
+        return math.prod(abs(next(v for v in b if v)) for b in lattice)
+
+    def rank(rows):
+        return np.linalg.matrix_rank(np.array(rows, dtype=float)) if rows else 0
+
+    kept_rat = regularity._spanning_rows(rat, n, D)
+    kept_exact = regularity._spanning_rows(exact, n, None)
+    assert kept_rat == [r for i, r in enumerate(rat) if index(rat[: i + 1]) < index(rat[:i])]
+    assert kept_exact == [r for i, r in enumerate(exact) if rank(exact[: i + 1]) > rank(exact[:i])]
+    if D == 1:
+        assert kept_rat == []
+    assert integer_kernel(D, kept_rat, kept_exact, n) == integer_kernel(D, rat, exact, n)

@@ -32,10 +32,10 @@ from .groups import (
     Zn,
     ZnSemidirectZ,
     bs_exponent_sum,
+    free_exponents,
     get_group,
     resolve_subgroup,
     sanov_act,
-    _mat_vec,
 )
 from .phase import (
     ZERO,
@@ -278,6 +278,18 @@ class ThetaCocycle(Cocycle):
         return out
 
 
+def stream_bit(pre: tuple[int, ...], period: tuple[int, ...], m: int) -> int:
+    """Bit m of the stream of preperiod bits followed by the repeated
+    period; 0 for m <= 0, and past the preperiod when there is no period."""
+    if m <= 0:
+        return 0
+    if m <= len(pre):
+        return pre[m - 1]
+    if period:
+        return period[(m - 1 - len(pre)) % len(period)]
+    return 0
+
+
 class BitstreamCocycle(Cocycle):
     """Plus/minus-one valued bilinear cocycle on the sum of order-two groups.
 
@@ -298,13 +310,7 @@ class BitstreamCocycle(Cocycle):
         self.period = tuple(period)
 
     def epsilon(self, m: int) -> int:
-        if m <= 0:
-            return 0
-        if m <= len(self.pre):
-            return self.pre[m - 1]
-        if self.period:
-            return self.period[(m - 1 - len(self.pre)) % len(self.period)]
-        return 0
+        return stream_bit(self.pre, self.period, m)
 
     def _angle(self, a, b) -> Angle:
         count = 0
@@ -426,15 +432,9 @@ class LiftCocycle(Cocycle):
         self.base = base
         self._share(base)
 
-    def _shifted(self, k: int, y):
-        G = self.group
-        if isinstance(G, WreathZ):
-            return G._shift(y, k)
-        return _mat_vec(G.matrix_power(k), y)
-
     def _angle(self, a, b) -> Angle:
         (x, k), (y, _l) = a, b
-        return self.base._angle(x, self._shifted(k, y))
+        return self.base._angle(x, self.group.act(k, y))
 
     def restrict(self, subgroup_name: str) -> Cocycle:
         if subgroup_name == "base":
@@ -505,7 +505,7 @@ class SanovCocycle(Cocycle):
 
     def restrict(self, subgroup_name: str) -> Cocycle:
         if subgroup_name in ("base", "z2"):
-            return HalfSkewCocycle(get_group({"family": "zn", "n": 2}), self.mu0)
+            return HalfSkewCocycle(self.group.base_group(), self.mu0)
         return super().restrict(subgroup_name)
 
     def to_json(self) -> dict:
@@ -560,9 +560,8 @@ class FreeTimesZCharCocycle(Cocycle):
 
     def _angle(self, a, b) -> Angle:
         m = a[1]
-        w = b[0]
-        ma = m * (w.count(1) - w.count(-1))
-        mb = m * (w.count(2) - w.count(-2))
+        oa, ob = free_exponents(b[0])
+        ma, mb = m * oa, m * ob
         (ka, ca, D), (kb, cb, _) = self.mu_angle, self.nu_angle
         return (ka * ma + kb * mb) % D, tuple(x * ma + y * mb for x, y in zip(ca, cb)), D
 
@@ -693,10 +692,6 @@ class SimilarTwist(Cocycle):
         return self.base.structural()
 
 
-def similar_transform(sigma: Cocycle, b: CoboundaryFn) -> Cocycle:
-    return SimilarTwist(sigma, b)
-
-
 class RestrictedCocycle(Cocycle):
     """Restriction of a cocycle to a recognized subgroup, presented on the
     subgroup's own family representation."""
@@ -779,9 +774,7 @@ def verify_invariance(sigma: Cocycle, samples: int = 200, seed: int = 0, window:
         raise SpecError("invariance checks apply to the sum families only")
 
     def shifted(g: Element) -> Element:
-        if isinstance(G, SumZ):
-            return G.element(tuple(sorted((i + 1, v) for i, v in g.data)))
-        return G.element(tuple(sorted(i + 1 for i in g.data)))
+        return G.element(G.shift(g.data, 1))
 
     checked = 0
     pairs: list[tuple[Element, Element]] = []
@@ -875,13 +868,9 @@ def build_cocycle(spec: dict, group: Group, basis: IrrationalBasis | None = None
     if kind == "half_skew":
         return HalfSkewCocycle(group, need_phase("mu0"))
     if kind == "lift":
-        if isinstance(group, WreathZ):
-            base = build_cocycle(need("base"), group.base_group(), basis)
-        elif isinstance(group, ZnSemidirectZ):
-            base = build_cocycle(need("base"), get_group({"family": "zn", "n": group.n}), basis)
-        else:
+        if not isinstance(group, (WreathZ, ZnSemidirectZ)):
             raise SpecError("lift target must be wreath or zn_semidirect", path="cocycle.kind")
-        return LiftCocycle(group, base)
+        return LiftCocycle(group, build_cocycle(need("base"), group.base_group(), basis))
     if kind == "sanov":
         if not isinstance(group, Sanov):
             raise SpecError("sanov cocycles live on the sanov family", path="cocycle.kind")

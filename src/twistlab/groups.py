@@ -249,17 +249,6 @@ class Group:
 # ---------------------------------------------------------------------------
 
 
-def _sumz_mul(a, b):
-    d = dict(a)
-    for i, v in b:
-        w = d.get(i, 0) + v
-        if w:
-            d[i] = w
-        elif i in d:
-            del d[i]
-    return tuple(sorted(d.items()))
-
-
 def _index_key(i: int) -> tuple[int, int]:
     return (abs(i), 0 if i >= 0 else 1)
 
@@ -279,7 +268,14 @@ class SumZ(Group):
         return ()
 
     def _mul(self, a, b):
-        return _sumz_mul(a, b)
+        d = dict(a)
+        for i, v in b:
+            w = d.get(i, 0) + v
+            if w:
+                d[i] = w
+            elif i in d:
+                del d[i]
+        return tuple(sorted(d.items()))
 
     def _inv(self, a):
         return tuple((i, -v) for i, v in a)
@@ -289,6 +285,11 @@ class SumZ(Group):
 
     def basis_element(self, index: int, value: int = 1) -> Element:
         return self.element(((index, value),) if value else ())
+
+    def shift(self, x, n: int):
+        """The payload x moved n places along the index line (a translation
+        keeps the index order)."""
+        return tuple((i + n, v) for i, v in x)
 
     def _nodes(self, radius: int) -> Iterator[tuple[int, tuple]]:
         """Weight shells over the window [-radius, radius]: a support of k
@@ -355,6 +356,12 @@ class SumZ2(Group):
         if self.modulus is not None:
             index %= self.modulus
         return self.element((index,))
+
+    def shift(self, x, n: int):
+        """The payload x moved n places, around the modulus when there is one."""
+        if self.modulus is None:
+            return tuple(i + n for i in x)
+        return tuple(sorted((i + n) % self.modulus for i in x))
 
     def _nodes(self, radius: int | None) -> Iterator[tuple[int, tuple]]:
         """Shells of index sets by size, over the window [-radius, radius]
@@ -460,8 +467,9 @@ class WreathZ(Group):
     """Wreath product (sum of base over the acting group) x| acting group.
 
     base is "Z" or "Z2"; acting is the integers, or Z_m when a modulus is
-    given.  The shift action moves the support: shifting by n sends the
-    basis element at k to the one at k+n.
+    given.  The lamp group is the matching sum family (`base_group`), and
+    the action shifts its support: shifting by n sends the basis element at
+    k to the one at k+n.
     """
 
     family = "wreath"
@@ -473,53 +481,38 @@ class WreathZ(Group):
         self.m = acting_modulus
         super().__init__()
         self.key = f"wreath[{base},{acting_modulus or 'Z'}]"
+        lamps = {"family": "sum_z" if base == "Z" else "sum_z2"}
         if acting_modulus is not None:
             if base != "Z2":
                 raise SpecError("finite wreath fixtures only support base Z2", path="group.acting")
             self.finite = True
             self.icc = False
+            lamps["modulus"] = acting_modulus
         else:
             self.icc = True  # acting group is infinite
+        self._lamps = get_group(lamps)
 
     def base_group(self) -> Group:
-        if self.base == "Z":
-            return get_group({"family": "sum_z"})
-        if self.m is None:
-            return get_group({"family": "sum_z2"})
-        return get_group({"family": "sum_z2", "modulus": self.m})
+        return self._lamps
 
-    def _shift(self, x, n: int):
-        if self.base == "Z":
-            if self.m is None:
-                return tuple(sorted((i + n, v) for i, v in x))
-            return tuple(sorted(((i + n) % self.m, v) for i, v in x))
-        if self.m is None:
-            return tuple(sorted(i + n for i in x))
-        return tuple(sorted((i + n) % self.m for i in x))
+    def act(self, k: int, y):
+        """The lamp payload y shifted by k."""
+        return self._lamps.shift(y, k)
 
     def _identity_data(self):
         return ((), 0)
 
     def _mul(self, a, b):
         (x, k), (y, l) = a, b
-        ys = self._shift(y, k)
-        if self.base == "Z":
-            s = _sumz_mul(x, ys)
-        else:
-            s = tuple(sorted(set(x) ^ set(ys)))
         kk = k + l
         if self.m is not None:
             kk %= self.m
-        return (s, kk)
+        return (self._lamps._mul(x, self.act(k, y)), kk)
 
     def _inv(self, a):
         x, k = a
-        if self.base == "Z":
-            neg = tuple((i, -v) for i, v in x)
-        else:
-            neg = x
         kk = -k if self.m is None else (-k) % self.m
-        return (self._shift(neg, kk), kk)
+        return (self.act(kk, self._lamps._inv(x)), kk)
 
     def _generators(self):
         shift = ((), 1)
@@ -550,12 +543,8 @@ class WreathZ(Group):
         costs.  On the m-cycle of a finite acting group, see `_cycle_walk`.
         """
         x, k = g.data
-        if self.base == "Z":
-            positions = [i for i, _ in x]
-            lamps = sum(abs(v) for _, v in x)
-        else:
-            positions = list(x)
-            lamps = len(x)
+        positions = [i for i, _ in x] if self.base == "Z" else list(x)
+        lamps = self._lamps.length(Element(self._lamps, x))
         if self.m is not None:
             return lamps + self._cycle_walk(positions, k)
         pts = positions + [0, k]
@@ -587,15 +576,12 @@ class WreathZ(Group):
 
     def element_to_json(self, g: Element):
         x, k = g.data
-        if self.base == "Z":
-            return {"x": {str(i): v for i, v in x}, "k": k}
-        return {"x": list(x), "k": k}
+        return {"x": self._lamps.element_to_json(Element(self._lamps, x)), "k": k}
 
     def element_from_json(self, obj) -> Element:
         if not isinstance(obj, dict) or "x" not in obj or "k" not in obj:
             raise SpecError('wreath element must be {"x": ..., "k": int}')
-        base = self.base_group().element_from_json(obj["x"])
-        return self.pair(base, int(obj["k"]))
+        return self.pair(self._lamps.element_from_json(obj["x"]), int(obj["k"]))
 
 
 # ---------------------------------------------------------------------------
@@ -672,6 +658,14 @@ class ZnSemidirectZ(Group):
             self.icc = abs(trace) > 1 + _det(A)
         else:
             self.icc = None
+        self._lattice = get_group({"family": "zn", "n": n})
+
+    def base_group(self) -> Group:
+        return self._lattice
+
+    def act(self, k: int, y):
+        """The lattice payload y moved by A^k."""
+        return _mat_vec(self.matrix_power(k), y)
 
     def matrix_power(self, k: int):
         if k not in self._powers:
@@ -686,13 +680,11 @@ class ZnSemidirectZ(Group):
 
     def _mul(self, a, b):
         (x, k), (y, l) = a, b
-        Ay = _mat_vec(self.matrix_power(k), y)
-        return (tuple(u + v for u, v in zip(x, Ay)), k + l)
+        return (self._lattice._mul(x, self.act(k, y)), k + l)
 
     def _inv(self, a):
         x, k = a
-        y = _mat_vec(self.matrix_power(-k), tuple(-u for u in x))
-        return (y, -k)
+        return (self.act(-k, self._lattice._inv(x)), -k)
 
     def _generators(self):
         gens = []
@@ -812,21 +804,6 @@ class FreeGroup(Group):
         return self.element(word_from_string(obj, self.rank))
 
 
-_SANOV_MATS = {
-    1: ((1, 2), (0, 1)),
-    -1: ((1, -2), (0, 1)),
-    2: ((1, 0), (2, 1)),
-    -2: ((1, 0), (-2, 1)),
-}
-
-
-def sanov_word_matrix(word) -> tuple:
-    M = ((1, 0), (0, 1))
-    for x in word:
-        M = _mat_mul(M, _SANOV_MATS[x])
-    return M
-
-
 def sanov_act(word, v) -> tuple[int, int]:
     """The Sanov matrix of `word` applied to v, one letter at a time from
     the right: a^(+-1) maps (p, q) to (p +- 2q, q), b^(+-1) to (p, q +- 2p)."""
@@ -848,6 +825,9 @@ class Sanov(Group):
 
     family = "sanov"
     icc = True
+
+    def base_group(self) -> Group:
+        return get_group({"family": "zn", "n": 2})
 
     def _identity_data(self):
         return ((0, 0), ())
@@ -906,6 +886,11 @@ def bs_exponent_sum(w: tuple, gen: int) -> int:
     alternate generators, so one generator's exponents are every other
     syllable's: ``w[1::4]`` when the word starts with it, else ``w[3::4]``."""
     return sum(w[1::4] if w and w[0] == gen else w[3::4])
+
+
+def free_exponents(w: tuple) -> tuple[int, int]:
+    """Exponent sums of a and b in a free word of letters +-1, +-2."""
+    return w.count(1) - w.count(-1), w.count(2) - w.count(-2)
 
 
 class BaumslagSolitarNN(Group):
@@ -1043,12 +1028,6 @@ class FreeTimesZ(Group):
         if isinstance(word, str):
             word = word_from_string(word, 2)
         return self.element((word, int(k)))
-
-    def word_exponents(self, g: Element) -> tuple[int, int]:
-        w = g.data[0]
-        oa = sum(1 if x == 1 else -1 if x == -1 else 0 for x in w)
-        ob = sum(1 if x == 2 else -1 if x == -2 else 0 for x in w)
-        return oa, ob
 
     def central_candidates(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> list[Element]:
         out = []
@@ -1207,26 +1186,15 @@ def resolve_subgroup(group: Group, name: str) -> Subgroup:
         return Subgroup("trivial", group, None, lambda h: identity, lambda g: identity if g.is_identity() else None)
     if name == "full":
         return Subgroup("full", group, group, lambda h: h, lambda g: g)
-    if isinstance(group, WreathZ) and name == "base":
-        inner = group.base_group()
+    if (name == "base" and isinstance(group, (WreathZ, ZnSemidirectZ, Sanov))) or (
+        name == "z2" and isinstance(group, Sanov)
+    ):
+        # the normal subgroup of a semidirect family: payloads (x, e) over the acting identity e
+        inner, e = group.base_group(), group.identity().data[1]
         return Subgroup(
             "base", group, inner,
-            lambda h: group.pair(h, 0),
-            lambda g: inner.element(g.data[0]) if g.data[1] == 0 else None,
-        )
-    if isinstance(group, ZnSemidirectZ) and name == "base":
-        inner = get_group({"family": "zn", "n": group.n})
-        return Subgroup(
-            "base", group, inner,
-            lambda h: group.pair(h.data, 0),
-            lambda g: inner.element(g.data[0]) if g.data[1] == 0 else None,
-        )
-    if isinstance(group, Sanov) and name in ("base", "z2"):
-        inner = get_group({"family": "zn", "n": 2})
-        return Subgroup(
-            "base", group, inner,
-            lambda h: group.pair(h.data, ()),
-            lambda g: inner.element(g.data[0]) if g.data[1] == () else None,
+            lambda h: group.element((h.data, e)),
+            lambda g: inner.element(g.data[0]) if g.data[1] == e else None,
         )
     if isinstance(group, BaumslagSolitarNN) and name == "center":
         inner = get_group({"family": "zn", "n": 1})

@@ -33,12 +33,11 @@ from .groups import (
     DEFAULT_NODE_BUDGET,
     Element,
     Subgroup,
-    WreathZ,
-    ZnSemidirectZ,
     _index_key,
     commuting_ball,
+    free_exponents,
     resolve_subgroup,
-    sanov_word_matrix,
+    sanov_act,
 )
 from .phase import ZERO, Angle, Phase, add_angles, negate_angle, scale_angle
 
@@ -291,8 +290,7 @@ def is_sigma_regular(
             bad = G.pair("a", 0) if not base.mu.scale(m).is_zero() else G.pair("b", 0)
             return RegularityReport(g, "not_regular", witness=bad)
         root, d = free_root(x)
-        oa = sum(1 if t == 1 else -1 if t == -1 else 0 for t in root)
-        ob = sum(1 if t == 2 else -1 if t == -2 else 0 for t in root)
+        oa, ob = free_exponents(root)
         w = base.mu.scale(oa) * base.nu.scale(ob)
         step = math.gcd(m, d)
         if w.scale(step).is_zero():
@@ -813,7 +811,7 @@ def is_regular_wrt_subgroup(
         return RegularityReport(g, "not_regular", witness=G.b_power(G.n))
 
     if isinstance(base, FreeTimesZCharCocycle) and sub.name == "z":
-        oa, ob = G.word_exponents(g)
+        oa, ob = free_exponents(g.data[0])
         v = base.mu.scale(oa) * base.nu.scale(ob)
         if v.is_zero():
             return RegularityReport(g, "regular", rule="character_vanishes_on_word")
@@ -821,7 +819,7 @@ def is_regular_wrt_subgroup(
 
     if isinstance(base, LiftCocycle) and sub.name == "base":
         x, k = g.data
-        if k != 0 and _base_action_aperiodic(G):
+        if k != 0 and G.icc:
             return RegularityReport(g, "regular", rule="no_nontrivial_commuting_base_elements")
         if k == 0:
             inner_report = is_sigma_regular(base.base, sub.inner.element(x), radius, node_budget)
@@ -831,14 +829,6 @@ def is_regular_wrt_subgroup(
         return _sanov_base_regularity(base, g, sub)
 
     return _searched_report(sigma, g, sub.ball(radius, node_budget), radius)
-
-
-def _base_action_aperiodic(G) -> bool:
-    if isinstance(G, WreathZ):
-        return G.m is None
-    if isinstance(G, ZnSemidirectZ):
-        return bool(G.icc)
-    return False
 
 
 def _pullback_report(inner: RegularityReport, g: Element, sub: Subgroup) -> RegularityReport:
@@ -855,8 +845,8 @@ def _sanov_base_regularity(base: SanovCocycle, g: Element, sub: Subgroup) -> Reg
     if x == ():
         inner = is_sigma_regular(base.restrict("base"), sub.inner.element(tuple(u)))
         return _pullback_report(inner, g, sub)
-    M = sanov_word_matrix(x)
-    gens = integer_kernel(1, [], [[M[0][0] - 1, M[0][1]], [M[1][0], M[1][1] - 1]], 2)
+    (a, c), (b, d) = sanov_act(x, (1, 0)), sanov_act(x, (0, 1))  # the columns of the word's matrix
+    gens = integer_kernel(1, [], [[a - 1, b], [c, d - 1]], 2)
     if not gens:
         return RegularityReport(g, "regular", rule="no_fixed_lattice_vectors")
     for w in gens:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .cocycles import (
@@ -23,6 +24,7 @@ from .cocycles import (
     SkewFormCocycle,
     ThetaCocycle,
     TrivialCocycle,
+    stream_bit,
 )
 from .errors import BudgetExceededError, SpecError
 from .groups import (
@@ -74,7 +76,6 @@ CITES = {
     "sanov_relk": "the lattice classes of elements outside the lattice are infinite for the matrix action",
     "bs_relk": "over a central subgroup, the relative condition holds exactly when no outside element is regular; the inflated cocycle decides this by torsion of the twisting unit",
     "f2xz_relk": "over the central integer factor, regular outside elements correspond to integer relations among the character angles",
-    "central_subgroup_classes": "conjugation by central elements fixes everything, so the relative classes are singletons",
     "condition_x_skew": "an irrational skew parameter provides, for every nontrivial lattice element, a commuting partner with asymmetric phases",
     "condition_x_torsion": "a rational skew parameter kills all phase asymmetry on a multiple of a basis vector",
     "condition_x_reduce": "for FC-hypercentral groups condition X with the full subgroup reduces to Kleppner's condition",
@@ -163,13 +164,7 @@ def bitstream_periodic(pre: Sequence[int], period: Sequence[int]) -> Periodicity
     """
     pre = tuple(int(b) for b in pre)
     per = tuple(int(b) for b in period)
-
-    def bit(m: int) -> int:
-        if m <= len(pre):
-            return pre[m - 1]
-        if per:
-            return per[(m - 1 - len(pre)) % len(per)]
-        return 0
+    bit = partial(stream_bit, pre, per)
 
     infinite = bool(per) and any(per)
     if not infinite:
@@ -443,13 +438,15 @@ def decide_relative_kleppner(
 
 
 def _relk_rule(group: Group) -> str:
+    """The rule a relative witness refutes by.  Apart from the full
+    subgroup, which has no element outside it, `relative_class_finite_certified`
+    holds only over the BS(n,n) center, the F2 x Z factor and the finite
+    wreath base, so no other family refutes this way."""
     if isinstance(group, BaumslagSolitarNN):
         return "bs_relk"
     if isinstance(group, FreeTimesZ):
         return "f2xz_relk"
-    if isinstance(group, WreathZ):
-        return "wreath_relk"
-    return "central_subgroup_classes"
+    return "wreath_relk"
 
 
 def _try_relative_witness(sigma, sub: Subgroup, g: Element, radius: int, node_budget: int) -> bool:

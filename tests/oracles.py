@@ -23,6 +23,7 @@ from twistlab.groups import (
     Sanov,
     SumZ,
     SumZ2,
+    _mat_mul,
     compose,
     conjugate,
     sanov_act,
@@ -321,6 +322,22 @@ def _terms(*terms) -> Phase:
     return Phase(rat % 1, {s: c for s, c in irr.items() if c})
 
 
+_SANOV_MATS = {
+    1: ((1, 2), (0, 1)),
+    -1: ((1, -2), (0, 1)),
+    2: ((1, 0), (2, 1)),
+    -2: ((1, 0), (-2, 1)),
+}
+
+
+def sanov_word_matrix(word) -> tuple:
+    """The Sanov matrix of a word: the product of its letters' matrices."""
+    M = ((1, 0), (0, 1))
+    for x in word:
+        M = _mat_mul(M, _SANOV_MATS[x])
+    return M
+
+
 def sanov_reference(mu0: Phase, mu1: Phase, mu2: Phase, a, b) -> Phase:
     """sigma((u,x),(v,y)) = mu0 * det(u, x.v)/2 + g(v, x), where g adds
     mu1 * a_1 for each letter v1 and mu2 * a_2 for each letter v2 of the
@@ -349,7 +366,9 @@ def bs_reference(G, lam: Phase, g, h) -> Phase:
 def f2xz_reference(G, mu: Phase, nu: Phase, g, h) -> Phase:
     """sigma((x,m),(y,n)) = m * (a-exponent of y * mu + b-exponent of y * nu)."""
     m = g.data[1]
-    oa, ob = G.word_exponents(h)
+    w = h.data[0]  # counted letter by letter, apart from the library's count
+    oa = sum((x == 1) - (x == -1) for x in w)
+    ob = sum((x == 2) - (x == -2) for x in w)
     return _terms((m * oa, mu), (m * ob, nu))
 
 

@@ -6,15 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import bs_reference, f2xz_reference, sanov_reference, theta_diag_reference
+from oracles import bs_reference, f2xz_reference, sanov_reference, sanov_word_matrix, theta_diag_reference
 from twistlab.cocycles import (
     CoboundaryCocycle,
     CoboundaryFn,
+    SimilarTwist,
     TrivialCocycle,
     build_cocycle,
     nth_prime,
     sigma_tilde,
-    similar_transform,
     verify_cocycle_identity,
     verify_invariance,
     verify_normalization,
@@ -102,7 +102,7 @@ def test_sanov_g_values():
         if not word:
             continue
         head, last = word[:-1], word[-1:]
-        from twistlab.groups import sanov_word_matrix, _mat_vec
+        from twistlab.groups import _mat_vec
 
         la = _mat_vec(sanov_word_matrix(last), a)
         assert sig.g(a, word) == sig.g((la[0], la[1]), head) * sig.g(a, last)
@@ -166,6 +166,17 @@ def test_invariance_certificates_and_witness():
     assert (x, y) == (SZ.basis_element(0), SZ.basis_element(1))
 
 
+def test_invariance_on_a_finite_lamp_group_wraps_around():
+    """On sum_z2[3] the shift moves e2 to e0, not to an index outside the group."""
+    S3 = get_group({"family": "sum_z2", "modulus": 3})
+    lamps = CoboundaryCocycle(CoboundaryFn(S3, lambda g: Phase(Fraction(sum(i in (0, 1, 2) for i in g.data), 3))))
+    assert verify_invariance(lamps).passed
+    at_zero = CoboundaryCocycle(CoboundaryFn(S3, lambda g: Phase(Fraction(int(0 in g.data), 3))))
+    rep = verify_invariance(at_zero)
+    assert not rep.passed
+    assert rep.counterexample == (S3.basis_element(2), S3.basis_element(2))  # the window starts at -4 = 2 mod 3
+
+
 def test_lift_requires_invariant_base():
     window = {"kind": "theta_window", "entries": [[0, 1, [1, 3]]]}
     with pytest.raises(SpecError):
@@ -179,7 +190,7 @@ def test_window_below_diagonal_rejected():
 
 def test_similar_transform_zero_and_self():
     sig = build_cocycle({"kind": "theta_diag", "diagonals": [[1, 5]]}, SZ)
-    same = similar_transform(sig, CoboundaryFn.zero(SZ))
+    same = SimilarTwist(sig, CoboundaryFn.zero(SZ))
     rng = random.Random(0)
     pool = SZ.ball(2)
     for _ in range(50):
@@ -189,7 +200,7 @@ def test_similar_transform_zero_and_self():
     b = CoboundaryFn(SZ, lambda g: Phase(Fraction(sum(v for _, v in g.data), 7)))
     db = CoboundaryCocycle(b)
     assert verify_cocycle_identity(db, 200, 0, radius=2).passed
-    trivial = similar_transform(db, b)
+    trivial = SimilarTwist(db, b)
     for _ in range(50):
         g, h = rng.choice(pool), rng.choice(pool)
         assert trivial.eval(g, h) == ZERO
@@ -198,7 +209,7 @@ def test_similar_transform_zero_and_self():
 def test_similar_transform_keeps_cocycle_identity():
     sig = build_cocycle({"kind": "bitstream", "pre": [], "period": [1, 0]}, SZ2)
     b = CoboundaryFn.bitstream_parity(sig)
-    twisted = similar_transform(sig, b)
+    twisted = SimilarTwist(sig, b)
     assert verify_cocycle_identity(twisted, 300, 3, radius=3).passed
 
 
@@ -207,7 +218,7 @@ def test_parity_coboundary_trivializes_on_regular_subgroup():
     cocycle agrees with the coboundary of the parity-split function."""
     sig = build_cocycle({"kind": "bitstream", "pre": [], "period": [1, 0]}, SZ2)
     b = CoboundaryFn.bitstream_parity(sig)
-    twisted = similar_transform(sig, b)
+    twisted = SimilarTwist(sig, b)
     rng = random.Random(5)
     gens = [SZ2.element((i, i + 2)) for i in range(-4, 3)]
     for _ in range(200):
@@ -240,7 +251,7 @@ def test_restrictions():
 def test_regularity_invariant_under_similarity_on_commuting_pairs():
     sig = build_cocycle({"kind": "theta_diag", "diagonals": [[1, 3], [2, 5]]}, SZ)
     b = CoboundaryFn(SZ, lambda g: Phase(Fraction(sum(i * v for i, v in g.data) % 11, 11)))
-    twisted = similar_transform(sig, b)
+    twisted = SimilarTwist(sig, b)
     rng = random.Random(9)
     pool = SZ.ball(2)
     for _ in range(100):

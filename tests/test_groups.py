@@ -12,6 +12,7 @@ from oracles import (
     class_by_compose,
     commuting_by_compose,
     letter_exponents,
+    sanov_word_matrix,
     tuple_sort_key,
 )
 from twistlab import _kernels
@@ -28,7 +29,6 @@ from twistlab.groups import (
     invert,
     resolve_subgroup,
     sanov_act,
-    sanov_word_matrix,
     _mat_vec,
 )
 
@@ -367,6 +367,33 @@ def test_subgroup_embeddings():
     assert not sub.contains(BS.word("a"))
     base = resolve_subgroup(W, "base")
     assert {g.data[1] for g in base.ball(2)} == {0}
+
+
+L3 = get_group({"family": "wreath", "base": "Z2", "acting": 3})
+ROT = get_group({"family": "zn_semidirect", "A": [[0, -1], [1, 0]]})
+
+
+@pytest.mark.parametrize("G", [W, L, L3, AN, ROT], ids=lambda G: G.key)
+def test_acting_part_moves_the_base_by_act(G):
+    """(e, k)(y, e) = (k.y, k) for the lamp shift and for A^k."""
+    e, one = G.identity().data
+    pool = G.ball(2)
+    for k in sorted({g.data[1] for g in pool}):
+        for y in {g.data[0] for g in pool}:
+            assert compose(G.element((e, k)), G.element((y, one))) == G.element((G.act(k, y), k))
+
+
+@pytest.mark.parametrize("G, name", [(W, "base"), (L, "base"), (L3, "base"), (AN, "base"), (SAN, "base"), (SAN, "z2")])
+def test_base_subgroup_embeds_and_projects_back(G, name):
+    sub = resolve_subgroup(G, name)
+    assert sub.inner is G.base_group()
+    one = G.identity().data[1]
+    for h in sub.inner.ball(2):
+        g = sub.embed(h)
+        assert g.data == (h.data, one)
+        assert sub.project(g) == h and sub.contains(g)
+    for g in G.generators():
+        assert (sub.project(g) is None) == (g.data[1] != one)
 
 
 def test_free_group_rank_bounded_by_letters():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistlab.cocycles import TrivialCocycle, build_cocycle, similar_transform, CoboundaryFn
+from twistlab.cocycles import TrivialCocycle, build_cocycle, SimilarTwist, CoboundaryFn
 from twistlab.errors import SpecError
 from twistlab.fixtures import FIXTURES, run_fixture_matrix
 from twistlab.groups import get_group
@@ -159,7 +159,7 @@ def test_kleppner_icc_families():
 
 def test_kleppner_similarity_invariant():
     lam3 = build_cocycle({"kind": "bs", "lambda": [1, 3]}, BS)
-    twisted = similar_transform(lam3, CoboundaryFn.zero(BS))
+    twisted = SimilarTwist(lam3, CoboundaryFn.zero(BS))
     v = decide_kleppner(BS, twisted)
     assert v.status == "refuted" and v.witness == BS.b_power(6)
 
@@ -400,7 +400,7 @@ def test_classify_product_cocycle():
 
 def test_classify_inconclusive_reports_bound():
     # no rule knows this pair: a parity-split twist of the odd bitstream lifted nowhere
-    sig = similar_transform(TrivialCocycle(SAN), CoboundaryFn.zero(SAN))
+    sig = SimilarTwist(TrivialCocycle(SAN), CoboundaryFn.zero(SAN))
 
     class Opaque(TrivialCocycle):
         def structural(self):
@@ -557,3 +557,4 @@ def test_every_decider_rule_is_cited():
     for e in entries:
         assert e["rule"] in CITES, e
         assert e["cite"] == CITES[e["rule"]] and e["cite"], e
+    assert {e["rule"] for e in entries} == set(CITES)

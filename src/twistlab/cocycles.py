@@ -409,13 +409,21 @@ class LiftCocycle(Cocycle):
                     f"lift base must live on {expected.key}, got {base.group.key}",
                     path="cocycle.base",
                 )
-            if isinstance(base, (ThetaCocycle, BitstreamCocycle)) and not getattr(
-                base, "invariant", True
-            ):
+            if isinstance(base, (ThetaCocycle, BitstreamCocycle)) and not base.invariant:
                 raise SpecError(
                     "lift base must be shift-invariant (diagonal-constant)",
                     path="cocycle.base",
                 )
+            # around the m-cycle a diagonal-constant base need not be invariant;
+            # a bilinear base is invariant exactly when every basis pair is
+            for j in range(group.m or 0):
+                for k in range(group.m):
+                    if base._angle((j,), (k,)) != base._angle(group.act(1, (j,)), group.act(1, (k,))):
+                        raise SpecError(
+                            f"lift base is not invariant under the cyclic shift of {expected.key}: "
+                            f"it changes on the basis pair (e{j}, e{k})",
+                            path="cocycle.base",
+                        )
         elif isinstance(group, ZnSemidirectZ):
             if not isinstance(base.group, Zn) or base.group.n != group.n:
                 raise SpecError("lift base must live on the translation lattice", path="cocycle.base")
@@ -763,12 +771,13 @@ def verify_normalization(sigma: Cocycle, samples: int = 200, seed: int = 0, radi
 def verify_invariance(sigma: Cocycle, samples: int = 200, seed: int = 0, window: int = 4) -> CheckReport:
     """Shift-invariance of a cocycle on one of the sum families.
 
-    Diagonal-constant parameterizations are certified exactly; explicit
-    windows are checked pairwise on basis elements (deterministic witness
-    first) and then on random pairs.
+    Diagonal-constant parameterizations are certified exactly on the
+    integer index line (not around a modulus, where the shift wraps);
+    otherwise the pairs of basis elements are checked (a window's declared
+    entries first, as the natural witnesses) and then random pairs.
     """
     G = sigma.group
-    if isinstance(sigma, (ThetaCocycle, BitstreamCocycle)) and getattr(sigma, "invariant", False):
+    if isinstance(sigma, (ThetaCocycle, BitstreamCocycle)) and sigma.invariant and not G.finite:
         return CheckReport(True, 0, certified=True, note="diagonal-constant parameters")
     if not isinstance(G, (SumZ, SumZ2)):
         raise SpecError("invariance checks apply to the sum families only")
@@ -779,13 +788,8 @@ def verify_invariance(sigma: Cocycle, samples: int = 200, seed: int = 0, window:
     checked = 0
     pairs: list[tuple[Element, Element]] = []
     if isinstance(sigma, ThetaCocycle) and sigma.window is not None:
-        # declared entries first: the natural witnesses live there
         pairs += [(G.basis_element(j), G.basis_element(k)) for j, k in sorted(sigma.window)]
-    basis = (
-        [G.basis_element(i) for i in range(-window, window + 1)]
-        if hasattr(G, "basis_element")
-        else []
-    )
+    basis = [G.basis_element(i) for i in range(-window, window + 1)]
     pairs += [(x, y) for x in basis for y in basis]
     for x, y in pairs:
         checked += 1

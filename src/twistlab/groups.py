@@ -95,6 +95,7 @@ class Group:
     abelian = False
     icc: bool | None = None
     finite = False
+    _center: Subgroup | None = None
 
     def __init__(self):
         self.key = self.family
@@ -135,6 +136,15 @@ class Group:
 
     def element(self, data) -> Element:
         return Element(self, data)
+
+    def sorted_elements(self, payloads: Iterable) -> list[Element]:
+        """The payloads as Elements in ``sort_key`` order."""
+        return [Element(self, d) for d in sorted(payloads, key=self.sort_key)]
+
+    def center(self) -> Subgroup | None:
+        """The family's designated central subgroup, a copy of the integers
+        whose conjugacy classes are singletons, or None."""
+        return self._center
 
     def identity(self) -> Element:
         return Element(self, self._identity_data())
@@ -229,14 +239,18 @@ class Group:
         On an abelian family every class is a singleton and the key leads
         with the shell, so the shells are enumerated and sorted one at a
         time and a search can stop in the first shell that holds a witness.
-        Families with a designated central subgroup override this.
+        Otherwise they are the nontrivial elements of `center()` of length
+        at most the radius.  Its c-th element has length at least |c| in
+        both central families, so c runs over [-radius, radius].
         """
         if self.abelian:
             shells = self._shells(radius, node_budget)
             next(shells)  # the identity
             for layer in shells:
-                for data in sorted(layer, key=self.sort_key):
-                    yield Element(self, data)
+                yield from self.sorted_elements(layer)
+        elif (center := self.center()) is not None:
+            powers = (center.embed(center.inner.element((c,))) for c in range(-radius, radius + 1) if c)
+            yield from self.sorted_elements(g.data for g in powers if self.length(g) <= radius)
 
     def _finite_diameter(self, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
         if not self.finite:
@@ -687,16 +701,8 @@ class ZnSemidirectZ(Group):
         return (self.act(-k, self._lattice._inv(x)), -k)
 
     def _generators(self):
-        gens = []
-        for i in range(self.n):
-            e = [0] * self.n
-            e[i] = 1
-            gens.append((tuple(e), 0))
-            e[i] = -1
-            gens.append((tuple(e), 0))
-        gens.append(((0,) * self.n, 1))
-        gens.append(((0,) * self.n, -1))
-        return gens
+        zero = self._lattice._identity_data()
+        return [(e, 0) for e in self._lattice._generators()] + [(zero, 1), (zero, -1)]
 
     def pair(self, vector, k: int) -> Element:
         return self.element((tuple(int(v) for v in vector), int(k)))
@@ -910,6 +916,12 @@ class BaumslagSolitarNN(Group):
         self.n = n
         super().__init__()
         self.key = f"bs_nn[{n}]"
+        inner = get_group({"family": "zn", "n": 1})
+        self._center = Subgroup(  # <b^n>
+            "center", self, inner,
+            lambda h: self.b_power(n * h.data[0]),
+            lambda g: inner.element((g.data[0],)) if g.data[1] == () else None,
+        )
 
     def _identity_data(self):
         return (0, ())
@@ -950,18 +962,6 @@ class BaumslagSolitarNN(Group):
 
     def b_power(self, m: int) -> Element:
         return self.element(self._bpow(m))
-
-    def is_central(self, g: Element) -> bool:
-        return g.data[1] == ()
-
-    def central_candidates(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> list[Element]:
-        out = []
-        c = 1
-        while self.n * c <= radius:
-            out.append(self.b_power(self.n * c))
-            out.append(self.b_power(-self.n * c))
-            c += 1
-        return sorted(out, key=lambda e: self.sort_key(e.data))
 
     def exponents(self, g: Element) -> tuple[int, int]:
         """Image under the abelianization sending a -> (1,0), b -> (0,1)."""
@@ -1012,6 +1012,15 @@ class FreeTimesZ(Group):
     family = "free_times_z"
     icc = False
 
+    def __init__(self):
+        super().__init__()
+        inner = get_group({"family": "zn", "n": 1})
+        self._center = Subgroup(  # the integer factor
+            "z", self, inner,
+            lambda h: self.pair((), h.data[0]),
+            lambda g: inner.element((g.data[1],)) if g.data[0] == () else None,
+        )
+
     def _identity_data(self):
         return ((), 0)
 
@@ -1028,13 +1037,6 @@ class FreeTimesZ(Group):
         if isinstance(word, str):
             word = word_from_string(word, 2)
         return self.element((word, int(k)))
-
-    def central_candidates(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> list[Element]:
-        out = []
-        for m in range(1, radius + 1):
-            out.append(self.pair((), m))
-            out.append(self.pair((), -m))
-        return sorted(out, key=lambda e: self.sort_key(e.data))
 
     def sort_key(self, data):
         w, k = data
@@ -1137,8 +1139,7 @@ def conjugacy_class_partial(
     if G.abelian:
         return (g,)
     mul, inv, x = G._mul, G._inv, g.data
-    out = {mul(mul(h.data, x), inv(h.data)) for h in G.ball(radius, node_budget)}
-    return tuple(Element(G, d) for d in sorted(out, key=G.sort_key))
+    return tuple(G.sorted_elements({mul(mul(h.data, x), inv(h.data)) for h in G.ball(radius, node_budget)}))
 
 
 def commuting_ball(
@@ -1196,18 +1197,7 @@ def resolve_subgroup(group: Group, name: str) -> Subgroup:
             lambda h: group.element((h.data, e)),
             lambda g: inner.element(g.data[0]) if g.data[1] == e else None,
         )
-    if isinstance(group, BaumslagSolitarNN) and name == "center":
-        inner = get_group({"family": "zn", "n": 1})
-        return Subgroup(
-            "center", group, inner,
-            lambda h: group.b_power(group.n * h.data[0]),
-            lambda g: inner.element((g.data[0],)) if g.data[1] == () else None,
-        )
-    if isinstance(group, FreeTimesZ) and name in ("z", "center"):
-        inner = get_group({"family": "zn", "n": 1})
-        return Subgroup(
-            "z", group, inner,
-            lambda h: group.pair((), h.data[0]),
-            lambda g: inner.element((g.data[1],)) if g.data[0] == () else None,
-        )
+    center = group.center()
+    if center is not None and name in ("center", center.name):
+        return center
     raise SpecError(f"family {group.family!r} has no recognized subgroup {name!r}", path="subgroup")

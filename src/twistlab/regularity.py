@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from itertools import chain
@@ -77,7 +77,6 @@ class RegularityReport:
 class RowImage:
     rows: list[tuple[int, Phase]]
     certified: bool
-    note: str = ""
 
     def all_zero(self) -> bool:
         return all(p.is_zero() for _, p in self.rows)
@@ -276,7 +275,7 @@ def is_sigma_regular(
         _, y1, y2 = _gcd_pair(x1, x2)
         return RegularityReport(g, "not_regular", witness=G.vector(y1, y2))
 
-    if isinstance(base, BSInflationCocycle) and G.is_central(g):
+    if isinstance(base, BSInflationCocycle) and G.center().contains(g):
         m = g.data[0] * G.n  # exponent of b
         if base.lam.scale(m).is_zero():
             return RegularityReport(g, "regular", rule="central_power_kills_twist")
@@ -505,8 +504,7 @@ def regular_subgroup_generators(
     positions = list(range(-window, window + 1))
 
     def elements(vectors) -> list[Element]:
-        elems = [G.element(tuple((p, v) for p, v in zip(positions, vec) if v)) for vec in vectors]
-        return sorted(elems, key=lambda e: G.sort_key(e.data))
+        return G.sorted_elements(tuple((p, v) for p, v in zip(positions, vec) if v) for vec in vectors)
 
     if isinstance(base, ThetaCocycle) and base.rule is None:
         basis = kernel_lattice_basis(base, positions, certified_row_range(base, positions))
@@ -515,9 +513,7 @@ def regular_subgroup_generators(
     raw, certified = regular_vectors_box_raw(sigma, window, height)
     if isinstance(base, ThetaCocycle):
         return elements(_lattice_generators_np(raw, len(positions))), certified
-    gens = _gf2_generators(raw, positions)
-    elems = [G.element(v) for v in gens]
-    return sorted(elems, key=lambda e: G.sort_key(e.data)), certified
+    return G.sorted_elements(_gf2_generators(raw, positions)), certified
 
 
 def _grid(ncols: int, height: int):
@@ -825,7 +821,7 @@ def is_regular_wrt_subgroup(
             inner_report = is_sigma_regular(base.base, sub.inner.element(x), radius, node_budget)
             return _pullback_report(inner_report, g, sub)
 
-    if isinstance(base, SanovCocycle) and sub.name in ("base", "z2"):
+    if isinstance(base, SanovCocycle) and sub.name == "base":
         return _sanov_base_regularity(base, g, sub)
 
     return _searched_report(sigma, g, sub.ball(radius, node_budget), radius)
@@ -833,9 +829,7 @@ def is_regular_wrt_subgroup(
 
 def _pullback_report(inner: RegularityReport, g: Element, sub: Subgroup) -> RegularityReport:
     witness = sub.embed(inner.witness) if inner.witness is not None else None
-    return RegularityReport(
-        g, inner.status, rule=inner.rule, witness=witness, radius=inner.radius, detail=inner.detail
-    )
+    return replace(inner, subject=g, witness=witness)
 
 
 def _sanov_base_regularity(base: SanovCocycle, g: Element, sub: Subgroup) -> RegularityReport:
@@ -867,10 +861,11 @@ def relative_class_partial(
     G = k.group
     G.check(t)
     sub = subgroup if isinstance(subgroup, Subgroup) else resolve_subgroup(G, subgroup)
-    out = set()
-    for s in sub.ball(radius, node_budget):
-        out.add(G.compose(G.compose(G.conjugate(k, s), t), G.invert(s)))
-    return tuple(sorted(out, key=lambda e: G.sort_key(e.data)))
+    G.check(sub.ambient.identity())  # the payloads below are composed unchecked
+    mul, inv, kd, td = G._mul, G._inv, k.data, t.data
+    ki = inv(kd)
+    out = {mul(mul(mul(mul(kd, s.data), ki), td), inv(s.data)) for s in sub.ball(radius, node_budget)}
+    return tuple(G.sorted_elements(out))
 
 
 def is_regular_wrt_kH(
@@ -888,11 +883,4 @@ def is_regular_wrt_kH(
     G.check(t)
     shifted = G.compose(G.invert(k), t)
     inner = is_regular_wrt_subgroup(sigma, shifted, subgroup, radius, node_budget)
-    return RegularityReport(
-        t,
-        inner.status,
-        rule=inner.rule,
-        witness=inner.witness,
-        radius=inner.radius,
-        detail=f"via k^-1 t = {shifted!r}",
-    )
+    return replace(inner, subject=t, detail=f"via k^-1 t = {shifted!r}")

@@ -116,8 +116,7 @@ class FiniteFunction:
         return cls(g.group, {g: complex(coeff)}, exact=False)
 
     def support(self) -> list[Element]:
-        G = self.group
-        return [Element(G, d) for d in sorted(self._coeffs, key=G.sort_key)]
+        return self.group.sorted_elements(self._coeffs)
 
     def to_float(self) -> FiniteFunction:
         if not self.exact:

@@ -202,11 +202,8 @@ def class_finite_certified(g: Element) -> bool:
     G = g.group
     if G.abelian or G.finite:
         return True
-    if isinstance(G, BaumslagSolitarNN):
-        return G.is_central(g)
-    if isinstance(G, FreeTimesZ):
-        return g.data[0] == ()
-    return False
+    center = G.center()
+    return center is not None and center.contains(g)
 
 
 def _try_refutation_witness(
@@ -405,24 +402,24 @@ def decide_relative_kleppner(
     if found := _first_witness(lambda: candidates, refutes, _relk_rule(group), radius):
         return found
 
-    if isinstance(group, WreathZ) and subgroup_name == "base":
+    if isinstance(group, WreathZ) and sub.name == "base":
         if group.m is None:
             return Verdict("certified", rule="wreath_relk")
         if isinstance(base, TrivialCocycle):
             witness = group.element(((), 1))
             return Verdict("refuted", rule="wreath_relk", witness=witness)
         return _finite_exhaustive(group, sigma, node_budget, sub)
-    if isinstance(group, ZnSemidirectZ) and subgroup_name == "base":
+    if isinstance(group, ZnSemidirectZ) and sub.name == "base":
         if group.icc:
             return Verdict("certified", rule="aperiodic_relk")
-    if isinstance(group, Sanov) and subgroup_name in ("base", "z2"):
+    if isinstance(group, Sanov) and sub.name == "base":
         return Verdict("certified", rule="sanov_relk")
-    if isinstance(base, BSInflationCocycle) and subgroup_name == "center":
+    if isinstance(base, BSInflationCocycle) and sub.name == "center":
         m0 = _bs_exponent(base, group)
         if m0 is None:
             return Verdict("certified", rule="bs_relk")
         return Verdict("refuted", rule="bs_relk", witness=group.word(" ".join(["a"] * m0)))
-    if isinstance(base, FreeTimesZCharCocycle) and subgroup_name in ("z", "center"):
+    if isinstance(base, FreeTimesZCharCocycle) and sub.name == "z":
         rel = _character_relation(base.mu, base.nu)
         if rel is None:
             return Verdict("certified", rule="f2xz_relk")
@@ -460,10 +457,8 @@ def relative_class_finite_certified(sub: Subgroup) -> bool:
     finite, or it is the designated central subgroup of its family."""
     if sub.inner is not None and sub.inner.finite:
         return True
-    G = sub.ambient
-    return (isinstance(G, BaumslagSolitarNN) and sub.name == "center") or (
-        isinstance(G, FreeTimesZ) and sub.name == "z"
-    )
+    center = sub.ambient.center()
+    return center is not None and sub.name == center.name
 
 
 def _character_relation(mu: Phase, nu: Phase) -> tuple[int, int] | None:

@@ -98,6 +98,21 @@ def test_malformed_spec_exit_one(capsys):
     assert "specification error" in err
 
 
+@pytest.mark.parametrize("stream", ['"pre":[1,0]', '"pre":[1]', '"period":[1,0]'])
+def test_non_invariant_lift_to_a_finite_wreath_product_is_refused(capsys, stream):
+    code, out, err = run_cli(
+        capsys,
+        "classify",
+        "--group",
+        '{"family":"wreath","base":"Z2","acting":4}',
+        "--cocycle",
+        '{"kind":"lift","base":{"kind":"bitstream",%s}}' % stream,
+    )
+    assert code == 1
+    assert json.loads(out)["path"] == "cocycle.base"
+    assert "specification error" in err
+
+
 def test_usage_error_exit_one(capsys):
     code, out, _ = run_cli(capsys, "verdict", "kleppner", "--group", '{"family":"sum_z"}')
     assert code == 1

@@ -175,12 +175,28 @@ def test_invariance_on_a_finite_lamp_group_wraps_around():
     rep = verify_invariance(at_zero)
     assert not rep.passed
     assert rep.counterexample == (S3.basis_element(2), S3.basis_element(2))  # the window starts at -4 = 2 mod 3
+    # a diagonal-constant stream is not certified around the modulus
+    rep = verify_invariance(build_cocycle({"kind": "bitstream", "pre": [1]}, S3))
+    assert not rep.passed and not rep.certified and rep.counterexample is not None
 
 
 def test_lift_requires_invariant_base():
     window = {"kind": "theta_window", "entries": [[0, 1, [1, 3]]]}
     with pytest.raises(SpecError):
         build_cocycle({"kind": "lift", "base": window}, W)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_lift_to_a_finite_wreath_product_must_be_invariant_on_the_cycle(m):
+    """A diagonal-constant stream is shift-invariant on the integers but not
+    around the m-cycle, where the lift would not be a 2-cocycle."""
+    G = get_group({"family": "wreath", "base": "Z2", "acting": m})
+    for stream in ({"pre": [1, 0]}, {"pre": [1]}, {"period": [1, 0]}):
+        with pytest.raises(SpecError) as err:
+            build_cocycle({"kind": "lift", "base": {"kind": "bitstream", **stream}}, G)
+        assert err.value.path == "cocycle.base"
+    for base in ({"kind": "bitstream", "pre": [0]}, {"kind": "trivial"}):
+        assert verify_cocycle_identity(build_cocycle({"kind": "lift", "base": base}, G), samples=2000, radius=4).passed
 
 
 def test_window_below_diagonal_rejected():

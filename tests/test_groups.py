@@ -136,6 +136,16 @@ def test_central_candidates_stream_the_ball_shell_by_shell(spec):
         assert list(G.central_candidates(r)) == [g for g in ball(G, r) if not g.is_identity()]
 
 
+BS3 = get_group({"family": "bs_nn", "n": 3})
+
+
+@pytest.mark.parametrize("G", [BS, BS3, FZ], ids=lambda G: G.key)
+def test_central_candidates_are_the_center_of_the_ball(G):
+    center = G.center()
+    for r in range(6):
+        assert list(G.central_candidates(r)) == [g for g in ball(G, r) if not g.is_identity() and center.contains(g)]
+
+
 def test_no_group_family_defines_its_own_ball():
     families, todo = [], [Group]
     while todo:
@@ -367,6 +377,10 @@ def test_subgroup_embeddings():
     assert not sub.contains(BS.word("a"))
     base = resolve_subgroup(W, "base")
     assert {g.data[1] for g in base.ball(2)} == {0}
+    assert sub is BS.center()
+    assert resolve_subgroup(FZ, "center").name == resolve_subgroup(FZ, "z").name == "z"
+    assert resolve_subgroup(SAN, "z2").name == "base"
+    assert all(G.center() is None for G in ALL if G not in (BS, FZ))
 
 
 L3 = get_group({"family": "wreath", "base": "Z2", "acting": 3})

@@ -188,7 +188,13 @@ def test_kleppner_trivial_cocycle_on_bs_refuted_by_central_scan():
     sig = TrivialCocycle(BS)
     v = decide_kleppner(BS, sig, radius=4)
     assert v.status == "refuted"
-    assert BS.is_central(v.witness)
+    assert BS.center().contains(v.witness)
+
+
+@pytest.mark.parametrize("G", [BS, get_group({"family": "bs_nn", "n": 3}), FZ], ids=lambda G: G.key)
+def test_class_finiteness_is_certified_exactly_on_the_center(G):
+    for g in G.ball(5):
+        assert class_finite_certified(g) == G.center().contains(g)
 
 
 def test_f2xz_kleppner():
@@ -523,7 +529,7 @@ CITED_PAIRS = [(p.values[0], p.values[1]) for p in RULE_PATHS] + [
     (FZ, {"kind": "f2xz", "mu": [1, 3], "nu": [1, 5]}),
     (FZ, {"kind": "f2xz", "mu": R, "nu": ONE_MINUS_R}),
     (L, T),
-    (get_group({"family": "wreath", "base": "Z2", "acting": 4}), {"kind": "lift", "base": {"kind": "bitstream", "pre": [1, 0]}}),
+    (get_group({"family": "wreath", "base": "Z2", "acting": 4}), {"kind": "lift", "base": {"kind": "bitstream", "pre": [0]}}),
 ]
 
 

@@ -26,6 +26,7 @@ from .groups import (
     FreeTimesZ,
     Group,
     Sanov,
+    Subgroup,
     SumZ,
     SumZ2,
     WreathZ,
@@ -51,7 +52,6 @@ from .phase import (
     phase_angle,
     phase_angles,
     phase_from_json,
-    phase_to_json,
     scale_angle,
 )
 
@@ -121,13 +121,16 @@ class Cocycle:
         return self
 
     def restrict(self, subgroup_name: str) -> Cocycle:
+        """sigma on one of the group's recognized subgroups, presented on
+        the subgroup's own family."""
         sub = resolve_subgroup(self.group, subgroup_name)
         if sub.inner is None:
             raise SpecError("cannot restrict to the trivial subgroup")
-        return RestrictedCocycle(self, subgroup_name)
+        return self._restriction(sub) or RestrictedCocycle(self, sub)
 
-    def to_json(self) -> dict:
-        raise NotImplementedError(f"no serialization for {self.kind}")
+    def _restriction(self, sub: Subgroup) -> Cocycle | None:
+        """A family's closed form of its restriction to `sub`, or None."""
+        return None
 
 
 class TrivialCocycle(Cocycle):
@@ -136,12 +139,8 @@ class TrivialCocycle(Cocycle):
     def _angle(self, a, b) -> Angle:
         return 0, (), 1
 
-    def restrict(self, subgroup_name: str) -> Cocycle:
-        sub = resolve_subgroup(self.group, subgroup_name)
+    def _restriction(self, sub: Subgroup) -> Cocycle:
         return TrivialCocycle(sub.inner)
-
-    def to_json(self) -> dict:
-        return {"kind": "trivial"}
 
 
 # ---------------------------------------------------------------------------
@@ -264,19 +263,6 @@ class ThetaCocycle(Cocycle):
                     k += xj * yl * (D // p)
         return k % D, (), D
 
-    def to_json(self) -> dict:
-        if self.rule:
-            return {"kind": "theta_rule", "rule": self.rule}
-        if self.window is not None:
-            return {
-                "kind": "theta_window",
-                "entries": [[j, k, phase_to_json(p)] for (j, k), p in sorted(self.window.items())],
-            }
-        out = {"kind": "theta_diag", "diagonals": [phase_to_json(p) for p in self.diagonals]}
-        if self.period:
-            out["period"] = [phase_to_json(p) for p in self.period]
-        return out
-
 
 def stream_bit(pre: tuple[int, ...], period: tuple[int, ...], m: int) -> int:
     """Bit m of the stream of preperiod bits followed by the repeated
@@ -320,9 +306,6 @@ class BitstreamCocycle(Cocycle):
                     count += self.epsilon(k - j)
         return count % 2, (), 2
 
-    def to_json(self) -> dict:
-        return {"kind": "bitstream", "pre": list(self.pre), "period": list(self.period)}
-
 
 class SkewFormCocycle(Cocycle):
     """A cocycle on Z^2 whose value is a power of the skew form x1 y2 - x2 y1."""
@@ -353,9 +336,6 @@ class AntisymThetaCocycle(SkewFormCocycle):
     def skew_angle(self) -> Phase:
         return self.theta.scale(2)
 
-    def to_json(self) -> dict:
-        return {"kind": "antisym_theta", "theta": phase_to_json(self.theta)}
-
 
 def _halved(a: Angle) -> Angle:
     """Half of a parameter's angle over a denominator that doubles the
@@ -383,9 +363,6 @@ class HalfSkewCocycle(SkewFormCocycle):
 
     def skew_angle(self) -> Phase:
         return self.mu0
-
-    def to_json(self) -> dict:
-        return {"kind": "half_skew", "mu0": phase_to_json(self.mu0)}
 
 
 # ---------------------------------------------------------------------------
@@ -444,13 +421,8 @@ class LiftCocycle(Cocycle):
         (x, k), (y, _l) = a, b
         return self.base._angle(x, self.group.act(k, y))
 
-    def restrict(self, subgroup_name: str) -> Cocycle:
-        if subgroup_name == "base":
-            return self.base
-        return super().restrict(subgroup_name)
-
-    def to_json(self) -> dict:
-        return {"kind": "lift", "base": self.base.to_json()}
+    def _restriction(self, sub: Subgroup) -> Cocycle | None:
+        return self.base if sub.name == "base" else None
 
 
 # ---------------------------------------------------------------------------
@@ -511,18 +483,8 @@ class SanovCocycle(Cocycle):
         gk, gc, _ = self._g(v, x)
         return (hk * skew + gk) % D, tuple(h * skew + c for h, c in zip(hc, gc)), D
 
-    def restrict(self, subgroup_name: str) -> Cocycle:
-        if subgroup_name in ("base", "z2"):
-            return HalfSkewCocycle(self.group.base_group(), self.mu0)
-        return super().restrict(subgroup_name)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "sanov",
-            "mu0": phase_to_json(self.mu0),
-            "mu1": phase_to_json(self.mu1),
-            "mu2": phase_to_json(self.mu2),
-        }
+    def _restriction(self, sub: Subgroup) -> Cocycle | None:
+        return HalfSkewCocycle(sub.inner, self.mu0) if sub.name == "base" else None
 
 
 # ---------------------------------------------------------------------------
@@ -544,13 +506,9 @@ class BSInflationCocycle(Cocycle):
         x2 = self.group.n * a[0] + bs_exponent_sum(a[1], 2)
         return scale_angle(self._lam, x2 * bs_exponent_sum(b[1], 1))
 
-    def restrict(self, subgroup_name: str) -> Cocycle:
-        if subgroup_name == "center":
-            return TrivialCocycle(get_group({"family": "zn", "n": 1}))
-        return super().restrict(subgroup_name)
-
-    def to_json(self) -> dict:
-        return {"kind": "bs", "lambda": phase_to_json(self.lam)}
+    def _restriction(self, sub: Subgroup) -> Cocycle | None:
+        # lambda^(b-exp(x) a-exp(y)) vanishes where y is a power of b^n
+        return TrivialCocycle(sub.inner) if sub is self.group.center() else None
 
 
 class FreeTimesZCharCocycle(Cocycle):
@@ -573,13 +531,9 @@ class FreeTimesZCharCocycle(Cocycle):
         (ka, ca, D), (kb, cb, _) = self.mu_angle, self.nu_angle
         return (ka * ma + kb * mb) % D, tuple(x * ma + y * mb for x, y in zip(ca, cb)), D
 
-    def restrict(self, subgroup_name: str) -> Cocycle:
-        if subgroup_name in ("z", "center"):
-            return TrivialCocycle(get_group({"family": "zn", "n": 1}))
-        return super().restrict(subgroup_name)
-
-    def to_json(self) -> dict:
-        return {"kind": "f2xz", "mu": phase_to_json(self.mu), "nu": phase_to_json(self.nu)}
+    def _restriction(self, sub: Subgroup) -> Cocycle | None:
+        # gamma^m(y) vanishes where y has no free part
+        return TrivialCocycle(sub.inner) if sub is self.group.center() else None
 
 
 class ProductCocycle(Cocycle):
@@ -601,9 +555,6 @@ class ProductCocycle(Cocycle):
 
     def _angle(self, a, b) -> Angle:
         return self._own_angle(self.left._eval(a[0], b[0]) * self.right._eval((a[1],), (b[1],)))
-
-    def to_json(self) -> dict:
-        return {"kind": "product", "left": self.left.to_json(), "right": self.right.to_json()}
 
 
 # ---------------------------------------------------------------------------
@@ -706,9 +657,9 @@ class RestrictedCocycle(Cocycle):
 
     kind = "restricted"
 
-    def __init__(self, base: Cocycle, subgroup_name: str):
-        self.sub = resolve_subgroup(base.group, subgroup_name)
-        super().__init__(self.sub.inner)
+    def __init__(self, base: Cocycle, sub: Subgroup):
+        self.sub = sub
+        super().__init__(sub.inner)
         self.base = base
         self._share(base)
 
@@ -891,7 +842,7 @@ def build_cocycle(spec: dict, group: Group, basis: IrrationalBasis | None = None
         if not isinstance(group, FreeTimesZ):
             raise SpecError("product cocycles are supported on free_times_z", path="cocycle.kind")
         left = build_cocycle(need("left"), get_group({"family": "free", "rank": 2}), basis)
-        right = build_cocycle(need("right"), get_group({"family": "zn", "n": 1}), basis)
+        right = build_cocycle(need("right"), group.center().inner, basis)
         return ProductCocycle(group, left, right)
     raise SpecError(f"unknown cocycle kind {kind!r}", path="cocycle.kind")
 

@@ -148,12 +148,6 @@ class PeriodicityResult:
     period: int | None = None
     reason: str = ""
 
-    def to_json(self) -> dict:
-        out: dict = {"periodic": self.periodic, "reason": self.reason}
-        if self.period is not None:
-            out["period"] = self.period
-        return out
-
 
 def bitstream_periodic(pre: Sequence[int], period: Sequence[int]) -> PeriodicityResult:
     """Decide periodicity of the symmetrized support set of a bitstream.

@@ -66,6 +66,35 @@ def test_relative_kleppner_subcommand(capsys):
     assert json.loads(out)["relative_kleppner"]["witness"] == "a a a"
 
 
+@pytest.mark.parametrize(
+    "g, status, rule",
+    [("a a a a", "regular", "central_twist_vanishes_on_power"), ("a a", "not_regular", None)],
+)
+def test_regular_relative_to_k_and_the_subgroup(capsys, g, status, rule):
+    """--k decides t relative to (k, H) through k^-1 t relative to H: on the
+    BS(2,2) center with lambda = 1/3, a^3 is regular and a is not."""
+    code, out, _ = run_cli(
+        capsys,
+        "regular",
+        "--group",
+        '{"family":"bs_nn","n":2}',
+        "--cocycle",
+        '{"kind":"bs","lambda":[1,3]}',
+        "--g",
+        json.dumps(g),
+        "--k",
+        '"a"',
+        "--subgroup",
+        "center",
+    )
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["status"] == status and rep.get("rule") == rule
+    assert rep["subject"] == g and rep["detail"].startswith("via k^-1 t = ")
+    if status == "not_regular":
+        assert rep["witness"] == "b b"
+
+
 def test_regular_subcommand(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -350,6 +379,17 @@ def test_growth_orbit_subcommand(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["finite_certified"] and rep["orbit_size"] == 5
+
+
+def test_growth_orbit_second_map(capsys):
+    """phi2(z1, z2) = (z1 z2^2, nu2 z2) closes from (0, 0) after three steps
+    for nu2 = 1/3: (0, 1/3), (2/3, 2/3), (0, 0)."""
+    code, out, _ = run_cli(capsys, "growth", "orbit", "--nu1", "[1,5]", "--nu2", "[1,3]", "--map", "phi2", "--points", "100")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["which"] == "phi2" and rep["finite_certified"] and rep["orbit_size"] == 3
+    code, out, _ = run_cli(capsys, "growth", "orbit", "--nu1", "[1,5]", "--map", "phi2")
+    assert code == 1 and json.loads(out)["path"] == "nu2"
 
 
 def test_growth_orbit_irrational_start_is_not_certified(capsys):

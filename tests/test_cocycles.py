@@ -10,6 +10,8 @@ from oracles import bs_reference, f2xz_reference, sanov_reference, sanov_word_ma
 from twistlab.cocycles import (
     CoboundaryCocycle,
     CoboundaryFn,
+    HalfSkewCocycle,
+    RestrictedCocycle,
     SimilarTwist,
     TrivialCocycle,
     build_cocycle,
@@ -262,6 +264,52 @@ def test_restrictions():
     assert s0.eval(s0.group.vector(1, 0), s0.group.vector(0, 1)) == Phase(Fraction(1, 6))
     with pytest.raises(SpecError):
         bs.restrict("unknown_subgroup")
+
+
+def test_restriction_to_the_trivial_subgroup_is_refused():
+    for sig in (TrivialCocycle(BS), build_cocycle({"kind": "bs", "lambda": [1, 3]}, BS)):
+        with pytest.raises(SpecError, match="trivial subgroup"):
+            sig.restrict("trivial")
+
+
+def _same_values(a, b, radius=2):
+    pool = a.group.ball(radius)
+    return all(a.eval(g, h) == b.eval(g, h) for g in pool for h in pool)
+
+
+def test_named_restrictions_resolve_the_subgroup_once():
+    sanov = build_cocycle({"kind": "sanov", "mu0": [1, 3], "mu1": [1, 3], "mu2": [1, 5]}, SAN)
+    z2, base = sanov.restrict("z2"), sanov.restrict("base")
+    assert type(z2) is type(base) is HalfSkewCocycle
+    assert z2.group is base.group is Z2
+    assert _same_values(z2, base)
+    f2xz = build_cocycle({"kind": "f2xz", "mu": [1, 3], "nu": [1, 5]}, FZ)
+    for G, sig, name in (
+        (FZ, f2xz, "z"),
+        (FZ, f2xz, "center"),
+        (BS, build_cocycle({"kind": "bs", "lambda": [1, 3]}, BS), "center"),
+        (BS, TrivialCocycle(BS), "center"),
+    ):
+        restricted = sig.restrict(name)
+        assert type(restricted) is TrivialCocycle
+        assert restricted.group is G.center().inner
+
+
+def test_restriction_fallback_is_a_cocycle():
+    lift = build_cocycle({"kind": "lift", "base": {"kind": "theta_diag", "diagonals": [[1, 3], [2, 5]]}}, W)
+    cases = [
+        (build_cocycle({"kind": "product", "left": {"kind": "trivial"}, "right": {"kind": "trivial"}}, FZ), "z"),
+        (build_cocycle({"kind": "f2xz", "mu": [1, 3], "nu": [1, 5]}, FZ), "full"),
+        (build_cocycle({"kind": "sanov", "mu0": [1, 3], "mu1": [1, 3], "mu2": [1, 5]}, SAN), "full"),
+        (lift, "full"),
+    ]
+    for sig, name in cases:
+        restricted = sig.restrict(name)
+        assert type(restricted) is RestrictedCocycle
+        assert restricted.sub.name == name
+        assert verify_cocycle_identity(restricted, samples=200, radius=2).passed
+        if name == "full":
+            assert _same_values(restricted, sig)
 
 
 def test_regularity_invariant_under_similarity_on_commuting_pairs():

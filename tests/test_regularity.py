@@ -1,5 +1,6 @@
 """Regularity deciders: certificates, witnesses, relative variants."""
 
+import ast
 import math
 import os
 import random
@@ -741,3 +742,46 @@ def test_spanning_rows_keep_the_integer_kernel(data):
     if D == 1:
         assert kept_rat == []
     assert integer_kernel(D, kept_rat, kept_exact, n) == integer_kernel(D, rat, exact, n)
+
+
+def _regularity_rule_literals() -> set[str]:
+    """Every ``rule="..."`` string that regularity.py passes to a call."""
+    tree = ast.parse(Path(regularity.__file__).read_text())
+    return {
+        kw.value.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for kw in node.keywords
+        if kw.arg == "rule" and isinstance(kw.value, ast.Constant)
+    }
+
+
+def test_every_regularity_rule_fires_on_a_pinned_input():
+    Z2 = get_group({"family": "zn", "n": 2})
+    trivial = build_cocycle({"kind": "trivial"}, FZ)
+    theta = build_cocycle({"kind": "theta_diag", "diagonals": [[1, 2]]}, SZ)
+    skew = build_cocycle({"kind": "half_skew", "mu0": [1, 2]}, Z2)
+    bs = build_cocycle({"kind": "bs", "lambda": [1, 2]}, BS)
+    f2xz = build_cocycle({"kind": "f2xz", "mu": [1, 3], "nu": [1, 5]}, FZ)
+    f2xz_half = build_cocycle({"kind": "f2xz", "mu": [1, 2], "nu": [1, 2]}, FZ)
+    lift = build_cocycle({"kind": "lift", "base": {"kind": "theta_diag", "diagonals": [[1, 3]]}}, W)
+    sanov = build_cocycle({"kind": "sanov", "mu0": [1, 3], "mu1": [1, 3], "mu2": [1, 5]}, SAN)
+    sanov_mu1_zero = build_cocycle({"kind": "sanov", "mu0": [1, 3], "mu1": [0, 1], "mu2": [1, 5]}, SAN)
+    pinned = {
+        "identity": is_sigma_regular(f2xz, FZ.identity()),
+        "symmetric_cocycle": is_sigma_regular(trivial, FZ.pair("a", 1)),
+        "t_kernel_rows_vanish": is_sigma_regular(theta, SZ.element(((0, 2),))),
+        "skew_form_kernel": is_sigma_regular(skew, Z2.vector(2, 0)),
+        "central_power_kills_twist": is_sigma_regular(bs, BS.b_power(2)),
+        "characters_trivial_on_power": is_sigma_regular(f2xz_half, FZ.pair((), 2)),
+        "character_on_centralizer_vanishes": is_sigma_regular(f2xz, FZ.pair("a a a", 0)),
+        "trivial_subgroup": is_regular_wrt_subgroup(f2xz, FZ.pair("a", 1), "trivial"),
+        "central_twist_vanishes_on_power": is_regular_wrt_subgroup(bs, BS.word("b a a"), "center"),
+        "character_vanishes_on_word": is_regular_wrt_subgroup(f2xz, FZ.pair("b b b b b", 0), "z"),
+        "no_nontrivial_commuting_base_elements": is_regular_wrt_subgroup(lift, W.element(((), 1)), "base"),
+        "no_fixed_lattice_vectors": is_regular_wrt_subgroup(sanov, SAN.pair((1, 0), "a b"), "base"),
+        "twist_vanishes_on_fixed_vectors": is_regular_wrt_subgroup(sanov_mu1_zero, SAN.pair((1, 0), "a"), "base"),
+    }
+    for rule, report in pinned.items():
+        assert report.status == "regular" and report.rule == rule, (rule, report)
+    assert set(pinned) == _regularity_rule_literals()

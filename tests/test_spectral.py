@@ -228,6 +228,26 @@ def test_symbolic_coboundary_exports_its_phases():
         assert c == pytest.approx(sum(terms))
 
 
+def test_wide_support_branch_matches_the_dense_oracle():
+    """The indicator of F2 x Z's radius-2 ball has more points (29) than
+    the radius-1 ball it is compressed to (7), so the ball-pair sweep
+    fills the columns: every pair lands in the support."""
+    FZ = get_group({"family": "free_times_z"})
+    sig = build_cocycle({"kind": "f2xz", "mu": [1, 3], "nu": [1, 5]}, FZ)
+    f = FiniteFunction(FZ, {g: 1 for g in FZ.ball(2)})
+    assert len(f.coeffs) == 29
+    op = build_truncated(f, sig, 1)
+    ball = list(op.index)
+    assert op.size == 7 and op.nnz == 49
+    want = np.zeros((7, 7), dtype=np.complex128)
+    for i, h in enumerate(ball):
+        for j, u in enumerate(ball):
+            g = FZ.compose(h, FZ.invert(u))
+            want[i, j] = f.coeffs[g] * sig.eval(g, u).to_complex()
+    assert np.array_equal(dense_matrix(op), want)
+    assert len(set(op.vals.tolist())) == 5
+
+
 def test_truncated_norm_path_graph():
     f = FiniteFunction(Z, {Z.word("a"): 1, Z.word("A"): 1})
     for radius in (3, 10, 25):

@@ -237,6 +237,18 @@ def test_relative_bs():
     assert decide_relative_kleppner(BS, "center", lam_irr).status == "certified"
 
 
+def test_relative_bs_refutes_through_a_candidate():
+    """A candidate that is regular outside the center refutes before the
+    closed form: a is not regular for lambda = 1/3, a^3 and a^6 are."""
+    lam3 = build_cocycle({"kind": "bs", "lambda": [1, 3]}, BS)
+    for candidates, witness in (
+        ([BS.word("a"), BS.word("a a a")], BS.word("a a a")),
+        ([BS.word("a a a a a a")], BS.word("a a a a a a")),
+    ):
+        v = decide_relative_kleppner(BS, "center", lam3, candidates=candidates)
+        assert (v.status, v.rule, v.witness) == ("refuted", "bs_relk", witness)
+
+
 def test_relative_sanov_and_semidirect():
     ss = build_cocycle({"kind": "sanov", "mu0": [1, 2], "mu1": [1, 3], "mu2": [1, 5]}, SAN)
     assert decide_relative_kleppner(SAN, "base", ss).status == "certified"

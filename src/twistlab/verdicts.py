@@ -4,6 +4,12 @@ Every Certified or Refuted verdict is produced by a named rule with a
 citation string describing the mathematical fact it encodes; searches alone
 never certify.  Refuted verdicts carry witnesses that re-validate through the
 regularity module.
+
+The deciders are generic: candidate witnesses, exhaustive enumeration of a
+finite group, ICC metadata, budgeted searches and the classifier's chain.
+What one family knows in closed form sits in `DECIDERS`, a table keyed by
+the group's family and the structural cocycle's kind, so this module names
+no group family or cocycle class.
 """
 
 from __future__ import annotations
@@ -11,38 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypedDict
 
-from .cocycles import (
-    BitstreamCocycle,
-    BSInflationCocycle,
-    Cocycle,
-    FreeTimesZCharCocycle,
-    LiftCocycle,
-    ProductCocycle,
-    SanovCocycle,
-    SkewFormCocycle,
-    ThetaCocycle,
-    TrivialCocycle,
-    stream_bit,
-)
+from .cocycles import Cocycle, stream_bit
 from .errors import BudgetExceededError, SpecError
-from .groups import (
-    DEFAULT_NODE_BUDGET,
-    BaumslagSolitarNN,
-    Element,
-    FreeGroup,
-    FreeTimesZ,
-    Group,
-    Sanov,
-    Subgroup,
-    SumZ,
-    SumZ2,
-    WreathZ,
-    Zn,
-    ZnSemidirectZ,
-    resolve_subgroup,
-)
+from .groups import DEFAULT_NODE_BUDGET, Element, Group, Subgroup, resolve_subgroup
 from .phase import Phase, phase_angles
 from .regularity import (
     _integer_rows,
@@ -228,6 +207,12 @@ def _first_witness(
     return None
 
 
+def _table(group: Group, base: Cocycle, slot: str):
+    """The pair's `DECIDERS` slot, else its family's, else None."""
+    own = DECIDERS.get((group.family, base.kind), {})
+    return own[slot] if slot in own else DECIDERS.get((group.family, None), {}).get(slot)
+
+
 # ---------------------------------------------------------------------------
 # Kleppner's condition
 # ---------------------------------------------------------------------------
@@ -252,27 +237,9 @@ def decide_kleppner(
         return found
 
     # family-specific certificates
-    if isinstance(base, ThetaCocycle) and isinstance(group, SumZ):
-        return _kleppner_theta(group, sigma, base, radius)
-    if isinstance(base, BitstreamCocycle) and isinstance(group, SumZ2) and not group.finite:
-        return _kleppner_bitstream(group, sigma, base, radius, node_budget)
-    if isinstance(base, SkewFormCocycle) and isinstance(group, Zn):
-        q = base.skew_angle().torsion_order()
-        if q is None:
-            return Verdict("certified", rule="skew_nontorsion")
-        return Verdict("refuted", rule="skew_torsion", witness=group.vector(q, *[0] * (group.n - 1)))
-    if isinstance(base, BSInflationCocycle) and isinstance(group, BaumslagSolitarNN):
-        c0 = _bs_exponent(base, group)
-        if c0 is None:
-            return Verdict("certified", rule="bs_nontorsion")
-        return Verdict("refuted", rule="bs_torsion", witness=group.b_power(c0 * group.n))
-    if isinstance(base, FreeTimesZCharCocycle) and isinstance(group, FreeTimesZ):
-        orders = (base.mu.torsion_order(), base.nu.torsion_order())
-        if None in orders:
-            return Verdict("certified", rule="f2xz_nontorsion")
-        return Verdict("refuted", rule="f2xz_torsion", witness=group.pair((), math.lcm(*orders)))
-    if isinstance(base, ProductCocycle) and isinstance(group, FreeTimesZ):
-        return Verdict("refuted", rule="z_factor_fails", witness=group.pair((), 1))
+    rule = _table(group, base, "kleppner")
+    if rule is not None and (found := rule(group, sigma, base, radius, node_budget)):
+        return found
     if group.finite:
         return _finite_exhaustive(group, sigma, node_budget)
 
@@ -287,7 +254,7 @@ def decide_kleppner(
     return found or Verdict("inconclusive", bound=radius)
 
 
-def _bs_exponent(base: BSInflationCocycle, group: BaumslagSolitarNN) -> int | None:
+def _bs_exponent(base: Cocycle, group: Group) -> int | None:
     """The least c > 0 with lambda^(c n) = 1, that is t/gcd(t, n) for a
     twisting unit of order t; None when the unit is nontorsion."""
     t = base.lam.torsion_order()
@@ -302,7 +269,7 @@ def _refutation_rule(group: Group) -> str:
     return "central_regular_witness"
 
 
-def _kleppner_theta(group: SumZ, sigma: Cocycle, base: ThetaCocycle, radius: int) -> Verdict:
+def _kleppner_theta(group: Group, sigma: Cocycle, base: Cocycle, radius: int, node_budget: int) -> Verdict:
     if base.rule == "prime_reciprocal":
         return Verdict("certified", rule="prime_reciprocal")
     w = base.finite_bandwidth
@@ -321,8 +288,10 @@ def _kleppner_theta(group: SumZ, sigma: Cocycle, base: ThetaCocycle, radius: int
 
 
 def _kleppner_bitstream(
-    group: SumZ2, sigma: Cocycle, base: BitstreamCocycle, radius: int, node_budget: int
-) -> Verdict:
+    group: Group, sigma: Cocycle, base: Cocycle, radius: int, node_budget: int
+) -> Verdict | None:
+    if group.finite:  # a finite sum is decided by enumeration
+        return None
     res = bitstream_periodic(base.pre, base.period)
     if not res.periodic:
         return Verdict("certified", rule="bitstream_nonperiodic", detail=res.reason)
@@ -336,6 +305,27 @@ def _kleppner_bitstream(
     return Verdict(
         "refuted", rule="bitstream_periodic", witness=witness, detail=f"period {res.period}"
     )
+
+
+def _kleppner_skew(group: Group, sigma: Cocycle, base: Cocycle, radius: int, node_budget: int) -> Verdict:
+    q = base.skew_angle().torsion_order()
+    if q is None:
+        return Verdict("certified", rule="skew_nontorsion")
+    return Verdict("refuted", rule="skew_torsion", witness=group.vector(q, *[0] * (group.n - 1)))
+
+
+def _kleppner_bs(group: Group, sigma: Cocycle, base: Cocycle, radius: int, node_budget: int) -> Verdict:
+    c0 = _bs_exponent(base, group)
+    if c0 is None:
+        return Verdict("certified", rule="bs_nontorsion")
+    return Verdict("refuted", rule="bs_torsion", witness=group.b_power(c0 * group.n))
+
+
+def _kleppner_f2xz(group: Group, sigma: Cocycle, base: Cocycle, radius: int, node_budget: int) -> Verdict:
+    orders = (base.mu.torsion_order(), base.nu.torsion_order())
+    if None in orders:
+        return Verdict("certified", rule="f2xz_nontorsion")
+    return Verdict("refuted", rule="f2xz_torsion", witness=group.pair((), math.lcm(*orders)))
 
 
 def _finite_exhaustive(group: Group, sigma: Cocycle, node_budget: int, sub: Subgroup | None = None) -> Verdict:
@@ -389,55 +379,24 @@ def decide_relative_kleppner(
         return Verdict("refuted", rule="relk_trivial", witness=_first_generator(group, node_budget))
     sub = resolve_subgroup(group, subgroup_name)
     base = sigma.structural()
+    # None where no subgroup's classes are certified finite, so no witness is found
+    relk_rule = _table(group, base, "relk_rule")
 
     def refutes(g: Element) -> bool:
         return _try_relative_witness(sigma, sub, g, radius, node_budget)
 
-    if found := _first_witness(lambda: candidates, refutes, _relk_rule(group), radius):
+    if found := _first_witness(lambda: candidates, refutes, relk_rule, radius):
         return found
 
-    if isinstance(group, WreathZ) and sub.name == "base":
-        if group.m is None:
-            return Verdict("certified", rule="wreath_relk")
-        if isinstance(base, TrivialCocycle):
-            witness = group.element(((), 1))
-            return Verdict("refuted", rule="wreath_relk", witness=witness)
-        return _finite_exhaustive(group, sigma, node_budget, sub)
-    if isinstance(group, ZnSemidirectZ) and sub.name == "base":
-        if group.icc:
-            return Verdict("certified", rule="aperiodic_relk")
-    if isinstance(group, Sanov) and sub.name == "base":
-        return Verdict("certified", rule="sanov_relk")
-    if isinstance(base, BSInflationCocycle) and sub.name == "center":
-        m0 = _bs_exponent(base, group)
-        if m0 is None:
-            return Verdict("certified", rule="bs_relk")
-        return Verdict("refuted", rule="bs_relk", witness=group.word(" ".join(["a"] * m0)))
-    if isinstance(base, FreeTimesZCharCocycle) and sub.name == "z":
-        rel = _character_relation(base.mu, base.nu)
-        if rel is None:
-            return Verdict("certified", rule="f2xz_relk")
-        ja, jb = rel
-        w: tuple[int, ...] = tuple([1 if ja > 0 else -1] * abs(ja) + [2 if jb > 0 else -2] * abs(jb))
-        return Verdict("refuted", rule="f2xz_relk", witness=group.pair(w, 0))
+    rule = (_table(group, base, "relative") or {}).get(sub.name)
+    if rule is not None and (found := rule(group, sigma, base, sub, node_budget)):
+        return found
 
     # generic search: subgroup-finite classes come from central/finite subgroups
     if not relative_class_finite_certified(sub):
         return Verdict("inconclusive", bound=radius)
-    found = _first_witness(lambda: group.ball(radius, node_budget), refutes, _relk_rule(group), radius)
+    found = _first_witness(lambda: group.ball(radius, node_budget), refutes, relk_rule, radius)
     return found or Verdict("inconclusive", bound=radius)
-
-
-def _relk_rule(group: Group) -> str:
-    """The rule a relative witness refutes by.  Apart from the full
-    subgroup, which has no element outside it, `relative_class_finite_certified`
-    holds only over the BS(n,n) center, the F2 x Z factor and the finite
-    wreath base, so no other family refutes this way."""
-    if isinstance(group, BaumslagSolitarNN):
-        return "bs_relk"
-    if isinstance(group, FreeTimesZ):
-        return "f2xz_relk"
-    return "wreath_relk"
 
 
 def _try_relative_witness(sigma, sub: Subgroup, g: Element, radius: int, node_budget: int) -> bool:
@@ -453,6 +412,30 @@ def relative_class_finite_certified(sub: Subgroup) -> bool:
         return True
     center = sub.ambient.center()
     return center is not None and sub.name == center.name
+
+
+def _relk_wreath(group: Group, sigma: Cocycle, base: Cocycle, sub: Subgroup, node_budget: int) -> Verdict:
+    if group.m is None:
+        return Verdict("certified", rule="wreath_relk")
+    if base.kind == "trivial":
+        return Verdict("refuted", rule="wreath_relk", witness=group.element(((), 1)))
+    return _finite_exhaustive(group, sigma, node_budget, sub)
+
+
+def _relk_bs(group: Group, sigma: Cocycle, base: Cocycle, sub: Subgroup, node_budget: int) -> Verdict:
+    m0 = _bs_exponent(base, group)
+    if m0 is None:
+        return Verdict("certified", rule="bs_relk")
+    return Verdict("refuted", rule="bs_relk", witness=group.word(" ".join(["a"] * m0)))
+
+
+def _relk_f2xz(group: Group, sigma: Cocycle, base: Cocycle, sub: Subgroup, node_budget: int) -> Verdict:
+    rel = _character_relation(base.mu, base.nu)
+    if rel is None:
+        return Verdict("certified", rule="f2xz_relk")
+    ja, jb = rel
+    w: tuple[int, ...] = tuple([1 if ja > 0 else -1] * abs(ja) + [2 if jb > 0 else -2] * abs(jb))
+    return Verdict("refuted", rule="f2xz_relk", witness=group.pair(w, 0))
 
 
 def _character_relation(mu: Phase, nu: Phase) -> tuple[int, int] | None:
@@ -489,7 +472,7 @@ def check_condition_x(
             raise SpecError("full-subgroup reduction requires an FC-hypercentral family")
         inner = decide_kleppner(group, sigma, radius, node_budget)
         return Verdict(inner.status, rule="condition_x_reduce", witness=inner.witness, bound=inner.bound)
-    if not (isinstance(group, ZnSemidirectZ) and subgroup_name == "base"):
+    if _table(group, base, "condition_x_facts") != subgroup_name:
         raise SpecError(
             "condition X metadata (FC-center inclusion, FC-hypercentral quotient) "
             f"is not on file for {group.family!r} with subgroup {subgroup_name!r}",
@@ -497,11 +480,9 @@ def check_condition_x(
         )
     if not group.icc:
         raise SpecError("condition X facts are recorded for the ICC matrices only")
-    if isinstance(base, LiftCocycle) and isinstance(base.base, SkewFormCocycle):
-        q = base.base.skew_angle().torsion_order()
-        if q is None:
-            return Verdict("certified", rule="condition_x_skew")
-        return Verdict("refuted", rule="condition_x_torsion", witness=group.pair([q] + [0] * (group.n - 1), 0))
+    rule = _table(group, base, "condition_x")
+    if rule is not None and (found := rule(group, base)):
+        return found
     # generic: witness search for each subgroup element within the budget
     sub = resolve_subgroup(group, subgroup_name)
     checked = 0
@@ -514,9 +495,45 @@ def check_condition_x(
     return Verdict("inconclusive", bound=radius, detail=f"witnesses found for {checked} elements")
 
 
+def _skew_base(lift: Cocycle) -> Cocycle | None:
+    """The base of a lift to the semidirect family when it is a skew form."""
+    return lift.base if lift.base.kind in ("antisym_theta", "half_skew") else None
+
+
+def _condition_x_skew(group: Group, base: Cocycle) -> Verdict | None:
+    if (skew := _skew_base(base)) is None:
+        return None
+    q = skew.skew_angle().torsion_order()
+    if q is None:
+        return Verdict("certified", rule="condition_x_skew")
+    return Verdict("refuted", rule="condition_x_torsion", witness=group.pair([q] + [0] * (group.n - 1), 0))
+
+
 # ---------------------------------------------------------------------------
 # the property classifier
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Chain:
+    """What the classifier's steps share: the Kleppner verdict, the limits
+    of their own searches and the trace of the rules that fired."""
+
+    kv: Verdict
+    radius: int
+    node_budget: int
+    trace: list[dict] = field(default_factory=list)
+
+    def note(self, rule: str, about: str) -> None:
+        self.trace.append({"rule": rule, "about": about, "cite": CITES.get(rule, "")})
+
+    def shared(self, rule: str, status: str | None = None, about: str = "unique_trace,cstar_simple", **kw):
+        """Unique trace and simplicity both decided by `rule`, noted once;
+        with no status they follow the Kleppner verdict and its witness."""
+        self.note(rule, about)
+        if status is None:
+            status, kw = self.kv.status, {"witness": self.kv.witness, "bound": self.kv.bound}
+        return Verdict(status, rule=rule, **kw), Verdict(status, rule=rule, **kw)
 
 
 def classify(
@@ -527,77 +544,122 @@ def classify(
     kleppner_candidates: Sequence[Element] = (),
 ) -> PropertyReport:
     """Chain the encoded theorems into verdicts for Kleppner's condition,
-    unique trace, and simplicity."""
-    base = sigma.structural()
-    trace: list[dict] = []
-
-    def note(rule: str, about: str) -> None:
-        trace.append({"rule": rule, "about": about, "cite": CITES.get(rule, "")})
-
+    unique trace, and simplicity.  A family's own step runs only for
+    infinite nonabelian groups."""
     kv = decide_kleppner(group, sigma, radius, node_budget, candidates=kleppner_candidates)
+    chain = _Chain(kv, radius, node_budget)
     if kv.rule:
-        note(kv.rule, "kleppner")
-
-    def shared(rule: str, status: str | None = None, about: str = "unique_trace,cstar_simple", **kw):
-        """Unique trace and simplicity both decided by `rule`, noted once;
-        with no status they follow the Kleppner verdict and its witness."""
-        note(rule, about)
-        if status is None:
-            status, kw = kv.status, {"witness": kv.witness, "bound": kv.bound}
-        return Verdict(status, rule=rule, **kw), Verdict(status, rule=rule, **kw)
+        chain.note(kv.rule, "kleppner")
 
     ut = Verdict("inconclusive", bound=radius)
     cs = Verdict("inconclusive", bound=radius)
 
+    base = sigma.structural()
     if group.abelian:
-        ut, cs = shared("fc_hypercentral")
+        ut, cs = chain.shared("fc_hypercentral")
     elif group.finite:
-        ut, cs = shared("finite_factor")
-    elif isinstance(group, WreathZ) and group.m is None and isinstance(base, (LiftCocycle, TrivialCocycle)):
-        base_group = group.base_group()
-        base_sigma = base.base if isinstance(base, LiftCocycle) else TrivialCocycle(base_group)
-        kb = decide_kleppner(base_group, base_sigma, radius, node_budget)
-        if kb.status == "certified":
-            ut, cs = shared("wreath_ut", "certified", "unique_trace", detail=f"base rule: {kb.rule}")
-        else:
-            note("wreath_ut", "unique_trace")
-        if kb.status == "refuted":
-            ut = Verdict("refuted", rule="wreath_ut", witness=kb.witness)
-            if _is_odd_support_bitstream(base_sigma):
-                cs = Verdict("refuted", rule="lamplighter_odd_periodic")
-                note("lamplighter_odd_periodic", "cstar_simple")
-            else:
-                cs = Verdict("inconclusive", bound=radius, detail="minimality of the shift action undetermined")
-    elif isinstance(group, ZnSemidirectZ) and group.icc and isinstance(base, LiftCocycle) and isinstance(base.base, SkewFormCocycle):
-        ut, cs = shared("anosov_equiv", "refuted" if base.base.skew_angle().is_torsion() else "certified")
-    elif isinstance(group, Sanov) and isinstance(base, SanovCocycle):
-        torsion = all(m.is_torsion() for m in (base.mu0, base.mu1, base.mu2))
-        ut, cs = shared("sanov_equiv", "refuted" if torsion else "certified")
-    elif isinstance(group, BaumslagSolitarNN) and isinstance(base, BSInflationCocycle):
-        ut, cs = shared("bs_equiv")
-    elif isinstance(group, FreeTimesZ) and isinstance(base, FreeTimesZCharCocycle):
-        ut, cs = shared("f2xz_equiv")
-    elif isinstance(group, FreeTimesZ) and isinstance(base, ProductCocycle):
-        ut, cs = shared("product_rule", "refuted", "kleppner,unique_trace,cstar_simple", witness=kv.witness)
-    elif isinstance(group, FreeGroup) and group.rank >= 2:
-        ut, cs = shared("free_group", "certified")
+        ut, cs = chain.shared("finite_factor")
+    elif (step := _table(group, base, "classify")) and (decided := step(group, base, chain)):
+        ut, cs = decided
 
     if kv.status == "refuted":
         if ut.status == "inconclusive":
             ut = Verdict("refuted", rule="kleppner_necessary", witness=kv.witness)
-            note("kleppner_necessary", "unique_trace")
+            chain.note("kleppner_necessary", "unique_trace")
         if cs.status == "inconclusive":
             cs = Verdict("refuted", rule="kleppner_necessary", witness=kv.witness)
-            note("kleppner_necessary", "cstar_simple")
+            chain.note("kleppner_necessary", "cstar_simple")
 
     if kv.status == "refuted" and (ut.status == "certified" or cs.status == "certified"):
         raise AssertionError("inconsistent report: a certified property alongside refuted Kleppner")
-    return PropertyReport(kv, ut, cs, trace)
+    return PropertyReport(kv, ut, cs, chain.trace)
+
+
+def _classify_wreath(group: Group, base: Cocycle, chain: _Chain) -> tuple[Verdict, Verdict] | None:
+    base_sigma = base.restrict("base")
+    kb = decide_kleppner(base_sigma.group, base_sigma, chain.radius, chain.node_budget)
+    if kb.status == "certified":
+        return chain.shared("wreath_ut", "certified", "unique_trace", detail=f"base rule: {kb.rule}")
+    chain.note("wreath_ut", "unique_trace")
+    if kb.status != "refuted":
+        return None
+    ut = Verdict("refuted", rule="wreath_ut", witness=kb.witness)
+    if _is_odd_support_bitstream(base_sigma):
+        chain.note("lamplighter_odd_periodic", "cstar_simple")
+        return ut, Verdict("refuted", rule="lamplighter_odd_periodic")
+    return ut, Verdict("inconclusive", bound=chain.radius, detail="minimality of the shift action undetermined")
 
 
 def _is_odd_support_bitstream(sigma: Cocycle) -> bool:
+    """A bitstream of period 2: a periodic symmetrized support set has
+    bit 2 clear, so the support is the odd numbers."""
     base = sigma.structural()
-    if not isinstance(base, BitstreamCocycle):
-        return False
-    res = bitstream_periodic(base.pre, base.period)
-    return bool(res.periodic and res.period == 2 and base.epsilon(1) == 1)
+    return base.kind == "bitstream" and bitstream_periodic(base.pre, base.period).period == 2
+
+
+def _classify_anosov(group: Group, base: Cocycle, chain: _Chain) -> tuple[Verdict, Verdict] | None:
+    if not group.icc or (skew := _skew_base(base)) is None:
+        return None
+    return chain.shared("anosov_equiv", "refuted" if skew.skew_angle().is_torsion() else "certified")
+
+
+def _classify_sanov(group: Group, base: Cocycle, chain: _Chain) -> tuple[Verdict, Verdict]:
+    torsion = all(m.is_torsion() for m in (base.mu0, base.mu1, base.mu2))
+    return chain.shared("sanov_equiv", "refuted" if torsion else "certified")
+
+
+# ---------------------------------------------------------------------------
+# the decider table
+# ---------------------------------------------------------------------------
+
+
+class _Entry(TypedDict, total=False):
+    """What one (group family, structural cocycle kind) pair knows in closed
+    form.  A handler's None falls through to the generic search."""
+
+    kleppner: Callable[[Group, Cocycle, Cocycle, int, int], Verdict | None]  # group, sigma, base, radius, budget
+    relative: dict[str, Callable[[Group, Cocycle, Cocycle, Subgroup, int], Verdict | None]]  # by subgroup name
+    relk_rule: str  # the rule a relative witness refutes by
+    classify: Callable[[Group, Cocycle, _Chain], tuple[Verdict, Verdict] | None]  # unique trace, simplicity
+    condition_x: Callable[[Group, Cocycle], Verdict | None]
+    condition_x_facts: str  # the subgroup whose condition X facts are on file
+
+
+# Kind None holds what holds for every cocycle on the family; a pair's own
+# entry replaces its family's slot by slot.
+DECIDERS: dict[tuple[str, str | None], _Entry] = {
+    ("sum_z", "theta"): {"kleppner": _kleppner_theta},
+    ("sum_z2", "bitstream"): {"kleppner": _kleppner_bitstream},
+    ("zn", "antisym_theta"): {"kleppner": _kleppner_skew},
+    ("zn", "half_skew"): {"kleppner": _kleppner_skew},
+    ("wreath", None): {"relative": {"base": _relk_wreath}, "relk_rule": "wreath_relk"},
+    ("wreath", "lift"): {"classify": _classify_wreath},
+    ("wreath", "trivial"): {"classify": _classify_wreath},
+    ("zn_semidirect", None): {
+        "relative": {"base": lambda group, *_: Verdict("certified", rule="aperiodic_relk") if group.icc else None},
+        "condition_x_facts": "base",
+    },
+    ("zn_semidirect", "lift"): {"classify": _classify_anosov, "condition_x": _condition_x_skew},
+    ("sanov", None): {"relative": {"base": lambda *_: Verdict("certified", rule="sanov_relk")}},
+    ("sanov", "sanov"): {"classify": _classify_sanov},
+    ("bs_nn", None): {"relk_rule": "bs_relk"},
+    ("bs_nn", "bs"): {
+        "kleppner": _kleppner_bs,
+        "relative": {"center": _relk_bs},
+        "classify": lambda group, base, chain: chain.shared("bs_equiv"),
+    },
+    ("free_times_z", None): {"relk_rule": "f2xz_relk"},
+    ("free_times_z", "f2xz"): {
+        "kleppner": _kleppner_f2xz,
+        "relative": {"z": _relk_f2xz},
+        "classify": lambda group, base, chain: chain.shared("f2xz_equiv"),
+    },
+    ("free_times_z", "product"): {
+        "kleppner": lambda group, *_: Verdict("refuted", rule="z_factor_fails", witness=group.pair((), 1)),
+        "classify": lambda group, base, chain: chain.shared(
+            "product_rule", "refuted", "kleppner,unique_trace,cstar_simple", witness=chain.kv.witness
+        ),
+    },
+    # rank 1 is abelian and stops at fc_hypercentral
+    ("free", None): {"classify": lambda group, base, chain: chain.shared("free_group", "certified")},
+}

@@ -142,6 +142,16 @@ def test_non_invariant_lift_to_a_finite_wreath_product_is_refused(capsys, stream
     assert "specification error" in err
 
 
+@pytest.mark.parametrize("kind", ["bitstream", "lift", "sanov", "bs", "f2xz", "product"])
+def test_cocycle_on_the_wrong_family_is_refused(capsys, kind):
+    code, out, err = run_cli(
+        capsys, "classify", "--group", '{"family":"zn","n":2}', "--cocycle", '{"kind":"%s"}' % kind
+    )
+    assert code == 1
+    assert json.loads(out)["path"] == "cocycle.kind"
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_one(capsys):
     code, out, _ = run_cli(capsys, "verdict", "kleppner", "--group", '{"family":"sum_z"}')
     assert code == 1

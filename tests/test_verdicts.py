@@ -2,6 +2,7 @@
 
 import contextlib
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -191,6 +192,20 @@ def test_kleppner_trivial_cocycle_on_bs_refuted_by_central_scan():
     assert BS.center().contains(v.witness)
 
 
+def test_a_candidate_witness_needs_a_nontrivial_element_with_a_certified_finite_class():
+    """Both candidates are regular for the trivial cocycle, but the identity
+    is trivial and the class of a is not certified finite, so the search
+    goes on to the central b b."""
+    v = decide_kleppner(BS, TrivialCocycle(BS), radius=2, candidates=[BS.identity(), BS.word("a")])
+    assert (v.status, v.rule, v.witness) == ("refuted", "central_regular_witness", BS.word("b b"))
+
+
+@pytest.mark.parametrize("decide", [decide_kleppner, partial(decide_relative_kleppner, subgroup_name="center")])
+def test_deciders_refuse_a_cocycle_on_another_group(decide):
+    with pytest.raises(SpecError, match="cocycle does not live on the given group"):
+        decide(BS, sigma=TrivialCocycle(FZ))
+
+
 @pytest.mark.parametrize("G", [BS, get_group({"family": "bs_nn", "n": 3}), FZ], ids=lambda G: G.key)
 def test_class_finiteness_is_certified_exactly_on_the_center(G):
     for g in G.ball(5):
@@ -346,6 +361,20 @@ def test_condition_x_full_reduces_to_kleppner():
     assert v.status == "certified" and v.rule == "condition_x_reduce"
 
 
+def test_condition_x_generic_search_counts_the_elements_with_a_partner():
+    # restricted to the full subgroup the lift is no longer a lift, so no
+    # family rule applies and every base element of the ball is searched
+    sig = build_cocycle({"kind": "lift", "base": {"kind": "antisym_theta", "theta": R}}, AN, BASIS)
+    v = check_condition_x(AN, sig.restrict("full"), "base", radius=2)
+    assert (v.status, v.rule, v.bound, v.detail) == ("inconclusive", "", 2, "witnesses found for 12 elements")
+
+
+def test_condition_x_on_a_lift_of_a_non_skew_base_falls_back_to_the_search():
+    sig = build_cocycle({"kind": "lift", "base": T}, AN)
+    v = check_condition_x(AN, sig, "base", radius=2)
+    assert (v.status, v.rule, v.detail) == ("inconclusive", "", f"no witness found for {AN.pair((0, 1), 0)!r}")
+
+
 def test_condition_x_metadata_missing():
     with pytest.raises(SpecError):
         check_condition_x(BS, TrivialCocycle(BS), "center")
@@ -406,6 +435,15 @@ def test_classify_wreath_trivial_cocycle():
     assert rep.kleppner.status == "certified"  # the group is ICC
     assert rep.unique_trace.status == "refuted"  # base pair fails Kleppner
     assert rep.cstar_simple.status == "inconclusive"
+
+
+def test_classify_wreath_with_an_undecided_base_pair_notes_the_rule_and_decides_nothing():
+    # all diagonals irrational: no box up to radius 2 holds a regular vector
+    sig = build_cocycle({"kind": "lift", "base": {"kind": "theta_diag", "diagonals": [], "period": [R]}}, W, BASIS)
+    rep = classify(W, sig, radius=2)
+    assert (rep.unique_trace.status, rep.unique_trace.rule, rep.unique_trace.bound) == ("inconclusive", "", 2)
+    assert (rep.cstar_simple.status, rep.cstar_simple.rule) == ("inconclusive", "")
+    assert [e["rule"] for e in rep.rule_trace] == ["icc_family", "wreath_ut"]
 
 
 def test_classify_product_cocycle():
@@ -576,3 +614,57 @@ def test_every_decider_rule_is_cited():
         assert e["rule"] in CITES, e
         assert e["cite"] == CITES[e["rule"]] and e["cite"], e
     assert {e["rule"] for e in entries} == set(CITES)
+
+
+def test_every_decider_rule_fires_on_a_pinned_input():
+    Z2 = get_group({"family": "zn", "n": 2})
+    sig = lambda G, spec: build_cocycle(spec, G, BASIS)
+    theta = lambda *diagonals: sig(SZ, {"kind": "theta_diag", "diagonals": list(diagonals)})
+    bits = lambda pre, period: sig(SZ2, {"kind": "bitstream", "pre": pre, "period": period})
+    bs, bs_irr = sig(BS, {"kind": "bs", "lambda": [1, 3]}), sig(BS, {"kind": "bs", "lambda": R})
+    f2xz = sig(FZ, {"kind": "f2xz", "mu": [1, 3], "nu": [1, 5]})
+    anosov_irr, anosov_rat = sig(AN, LIFT_ANOSOV(R)), sig(AN, LIFT_ANOSOV([1, 3]))
+    sanov = sig(SAN, {"kind": "sanov", "mu0": R, "mu1": [1, 3], "mu2": [1, 5]})
+    product = sig(FZ, {"kind": "product", "left": T, "right": T})
+    pinned = {
+        "icc_family": (C, decide_kleppner(F2, TrivialCocycle(F2))),
+        "prime_reciprocal": (C, decide_kleppner(SZ, sig(SZ, {"kind": "theta_rule", "rule": "prime_reciprocal"}))),
+        "finite_bandwidth_irrational": (C, decide_kleppner(SZ, theta(R))),
+        "finite_bandwidth_torsion": (X, decide_kleppner(SZ, theta([1, 3]))),
+        "kernel_scan": (X, decide_kleppner(SZ2, TrivialCocycle(SZ2), radius=2)),
+        "bitstream_nonperiodic": (C, decide_kleppner(SZ2, bits([1], []))),
+        "bitstream_periodic": (X, decide_kleppner(SZ2, bits([], [1, 0]))),
+        "skew_nontorsion": (C, decide_kleppner(Z2, sig(Z2, {"kind": "antisym_theta", "theta": R}))),
+        "skew_torsion": (X, decide_kleppner(Z2, sig(Z2, {"kind": "half_skew", "mu0": [1, 3]}))),
+        "bs_nontorsion": (C, decide_kleppner(BS, bs_irr)),
+        "bs_torsion": (X, decide_kleppner(BS, bs)),
+        "f2xz_nontorsion": (C, decide_kleppner(FZ, sig(FZ, {"kind": "f2xz", "mu": R, "nu": [1, 3]}))),
+        "f2xz_torsion": (X, decide_kleppner(FZ, f2xz)),
+        "z_factor_fails": (X, decide_kleppner(FZ, product)),
+        "finite_exhaustive": (X, decide_kleppner(FW, TrivialCocycle(FW))),
+        "central_regular_witness": (X, decide_kleppner(BS, TrivialCocycle(BS), radius=2)),
+        "relk_full": (C, decide_relative_kleppner(BS, "full", bs)),
+        "relk_trivial": (X, decide_relative_kleppner(BS, "trivial", bs)),
+        "wreath_relk": (C, decide_relative_kleppner(W, "base", TrivialCocycle(W))),
+        "aperiodic_relk": (C, decide_relative_kleppner(AN, "base", TrivialCocycle(AN))),
+        "sanov_relk": (C, decide_relative_kleppner(SAN, "base", sanov)),
+        "bs_relk": (X, decide_relative_kleppner(BS, "center", bs)),
+        "f2xz_relk": (X, decide_relative_kleppner(FZ, "z", f2xz)),
+        "condition_x_skew": (C, check_condition_x(AN, anosov_irr, "base")),
+        "condition_x_torsion": (X, check_condition_x(AN, anosov_rat, "base")),
+        "condition_x_reduce": (X, check_condition_x(SZ, theta([1, 3]), "full")),
+        "fc_hypercentral": (X, classify(SZ, theta([1, 3])).unique_trace),
+        "finite_factor": (X, classify(FW, TrivialCocycle(FW)).cstar_simple),
+        "wreath_ut": (X, classify(W, TrivialCocycle(W), radius=3).unique_trace),
+        "lamplighter_odd_periodic": (X, classify(L, sig(L, LIFT_BITS([1, 0]))).cstar_simple),
+        "anosov_equiv": (C, classify(AN, anosov_irr).cstar_simple),
+        "sanov_equiv": (C, classify(SAN, sanov).unique_trace),
+        "bs_equiv": (X, classify(BS, bs).cstar_simple),
+        "f2xz_equiv": (X, classify(FZ, f2xz).unique_trace),
+        "free_group": (C, classify(F2, TrivialCocycle(F2)).cstar_simple),
+        "product_rule": (X, classify(FZ, product).unique_trace),
+        "kleppner_necessary": (X, classify(BS, TrivialCocycle(BS), radius=3).unique_trace),
+    }
+    for rule, (status, verdict) in pinned.items():
+        assert (verdict.status, verdict.rule) == (status, rule), (rule, verdict)
+    assert set(pinned) == set(CITES)

@@ -13,7 +13,6 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from itertools import chain
 
 from .cocycles import (
     BitstreamCocycle,
@@ -28,7 +27,7 @@ from .cocycles import (
     TrivialCocycle,
     nth_prime,
 )
-from .errors import SpecError
+from .errors import BudgetExceededError, SpecError
 from .groups import (
     DEFAULT_NODE_BUDGET,
     Element,
@@ -422,36 +421,33 @@ def regular_vectors_in_box(sigma: Cocycle, window: int, height: int) -> tuple[Bo
     return BoxVectors(rows, lambda block: list(map(make, block))), certified
 
 
-def _sumz_sorted(positions: list[int], height: int, raw):
-    """The rows of a box array in ``SumZ.sort_key`` order, in the smallest
-    integer type that holds every code and every v + height.
+def _sumz_sorted(positions: list[int], height: int, vals):
+    """The rows of a `box_solution_array` array in ``SumZ.sort_key`` order;
+    its integer type holds every code below and every v + height.
 
     One lexsort orders the rows: the L1 norm first, then the positions in
     ``_index_key`` order.  A present entry v is coded 2|v| (+1 when
     negative); an absent entry is coded above every present code when a
     later position is nonzero and 0 otherwise, so that a support which is a
     prefix of another sorts first, as in the tuple comparison of the key.
-    The codes are built one column at a time from the last position in key
-    order, carrying the "some later position is nonzero" mask.
+    The codes are built one row of the transposed array at a time from the
+    last position in key order, carrying the "some later is nonzero" mask.
     """
     import numpy as np
 
-    vals = raw.astype(np.min_scalar_type(-2 * height - 3))
     if len(vals) == 0:
         return vals
-    l1 = np.zeros(len(vals), dtype=np.min_scalar_type(-len(positions) * height))
+    keyed = vals.T[sorted(range(len(positions)), key=lambda c: _index_key(positions[c]))]
+    size = np.abs(keyed)
+    codes = 2 * size + (keyed < 0)
     later = np.zeros(len(vals), dtype=bool)
-    codes = []  # last key position first, as lexsort reads its keys
-    for c in sorted(range(len(positions)), key=lambda c: _index_key(positions[c]), reverse=True):
-        col = vals[:, c]
-        absent = col == 0
-        code = 2 * np.abs(col) + (col < 0)
+    for code in codes[::-1]:
+        absent = code == 0
         code[later & absent] = 2 * height + 2
-        codes.append(code)
         later |= ~absent
-        l1 += np.abs(col)
-    # small key types sort by radix
-    return vals[np.lexsort([*codes, l1])]
+    l1 = size.sum(axis=0, dtype=np.min_scalar_type(-len(positions) * height))
+    # small key types sort by radix; lexsort reads its last key first
+    return np.take(vals, np.lexsort([*codes[::-1], l1]), axis=0)
 
 
 def _sumz_elements(make, positions: list[int], height: int, vals) -> list[Element]:
@@ -517,16 +513,16 @@ def regular_subgroup_generators(
 
 
 def _grid(ncols: int, height: int):
-    """All integer vectors with entries in [-height, height], as an array."""
+    """All integer vectors with entries in [-height, height], in
+    lexicographic order, as an array of `box_solution_array`'s type."""
     import numpy as np
 
     base = 2 * height + 1
-    vals = np.arange(-height, height + 1, dtype=np.int64)
-    idx = np.arange(base**ncols)
-    out = np.empty((base**ncols, ncols), dtype=np.int64)
-    for c in range(ncols):
-        out[:, ncols - 1 - c] = vals[(idx // (base**c)) % base]
-    return out
+    vals = np.arange(-height, height + 1, dtype=np.min_scalar_type(-2 * height - 3))
+    out = np.empty((base,) * ncols + (ncols,), dtype=vals.dtype)
+    for c in range(ncols):  # column c runs along axis c
+        out[..., c] = vals.reshape((base,) + (1,) * (ncols - 1 - c))
+    return out.reshape(base**ncols, ncols)
 
 
 def _integer_rows(matrix: list[list[Angle]]):
@@ -542,19 +538,20 @@ def _integer_rows(matrix: list[list[Angle]]):
     rational row that enlarges the row module mod D (none when D = 1) and
     a symbol row that raises its symbol's rank.  They are a subset of the
     scaled rows, never combinations, so no entry grows, and the solutions
-    are the same.
+    are the same.  A repeated row never does, so each is read once.
     """
-    entries = [a for row in matrix for a in row]
+    matrix = list(dict.fromkeys(map(tuple, matrix)))
+    entries = set().union(*matrix)
     n = len(matrix[0]) if matrix else 0
 
     def scaled(part):
-        den = math.lcm(1, *(a[2] // math.gcd(part(a), a[2]) for a in entries))
+        den = math.lcm(1, *{a[2] // math.gcd(part(a), a[2]) for a in entries})
         return den, [[part(a) * den // a[2] for a in row] for row in matrix]
 
     D, rat_w = scaled(lambda a: a[0])
     sym_ws = [
         _spanning_rows(scaled(lambda a, i=i: a[1][i])[1], n, None)
-        for i in range(len(entries[0][1]) if entries else 0)
+        for i in range(len(matrix[0][0][1]) if matrix else 0)
         if any(a[1][i] for a in entries)
     ]
     return D, _spanning_rows(rat_w, n, D), sym_ws
@@ -638,56 +635,55 @@ def _hermite_basis(rows: list[list[int]], n: int) -> list[tuple[int, ...]]:
 
 
 def box_solution_array(sigma: ThetaCocycle, positions: list[int], height: int, rows):
-    """All nonzero vectors in the box whose listed rows vanish.
+    """All nonzero vectors in the box whose listed rows vanish, in
+    lexicographic order, in the smallest type that holds -2 * height - 3.
 
-    Meet-in-the-middle with vectorized constraint evaluation over the
-    integer constraints of ``_integer_constraints``: rational parts matched
-    mod D, symbolic coefficients matched exactly.
+    Meet-in-the-middle (Horowitz & Sahni, J. ACM 1974) on the constraints
+    of ``_integer_constraints``: a vector solves them iff the int64 keys of
+    its halves agree (rational parts mod D, symbolic parts exactly, the left
+    half negated).  A stable lexsort of both halves' keys lists each key's
+    left rows, then its right rows; the run number is the key's dense code,
+    and a left row's matches are a range of the right rows sorted by code.
+    No key wraps while height times each half's absolute row sum stays
+    below 2**63; past that, or when D does not fit, `BudgetExceededError`.
     """
     import numpy as np
 
     D, rat_rows, sym_rows = _integer_constraints(sigma, positions, rows)
-    if not rat_rows and not sym_rows:  # every row vanishes (D = 1): match all on one zero key
-        rat_rows = [[0] * len(positions)]
-    rat_w = np.array(rat_rows, dtype=np.int64).reshape(-1, len(positions))
-    sym_ws = [np.array(w, dtype=np.int64) for w in sym_rows]
+    n, half = len(positions), len(positions) // 2
+    weights = rat_rows + [r for w in sym_rows for r in w] or [[0] * n]  # no rows: one zero key matches all
+    limit, reach = 1 << 63, max(height, 1)  # an entry must fit even in a one-point box
+    halves = (slice(half), slice(half, n))
+    if D >= limit or any(reach * sum(map(abs, w[cut])) >= limit for w in weights for cut in halves):
+        raise BudgetExceededError(f"the box scan's int64 keys would overflow at height {height}")
+    W = np.array(weights, dtype=np.int64)
+    left, right = _grid(half, height), _grid(n - half, height)
+    keys = np.concatenate([-(left @ W[:, :half].T), right @ W[:, half:].T])
+    keys[:, : len(rat_rows)] %= D
 
-    half = len(positions) // 2
-    left = _grid(half, height)
-    right = _grid(len(positions) - half, height)
-
-    def keys(vals, cols, negate: bool):
-        sign = -1 if negate else 1
-        parts = [(sign * (vals @ rat_w[:, cols].T)) % D]
-        parts += [sign * (vals @ w[:, cols].T) for w in sym_ws]
-        return np.concatenate(parts, axis=1)
-
-    lcols = slice(0, half)
-    rcols = slice(half, len(positions))
-    right_keys = keys(right, rcols, negate=False)
-    left_keys = keys(left, lcols, negate=True)
-
-    width = right_keys.shape[1] * right_keys.dtype.itemsize
-    rbuf = np.ascontiguousarray(right_keys).tobytes()
-    lbuf = np.ascontiguousarray(left_keys).tobytes()
-    index: dict[bytes, list[int]] = {}
-    for i, at in enumerate(range(0, len(rbuf), width)):
-        index.setdefault(rbuf[at : at + width], []).append(i)
-
-    lrows: list[int] = []
-    rlists: list[list[int]] = []
-    for i, at in enumerate(range(0, len(lbuf), width)):
-        hits = index.get(lbuf[at : at + width])
-        if hits:
-            lrows.append(i)
-            rlists.append(hits)
-    lidx = np.repeat(np.array(lrows, dtype=np.intp), [len(h) for h in rlists])
-    ridx = np.fromiter(chain.from_iterable(rlists), dtype=np.intp, count=len(lidx))
-    nonzero = left.any(axis=1)[lidx] | right.any(axis=1)[ridx]
-    lidx, ridx = lidx[nonzero], ridx[nonzero]
-    # both grids are in lexicographic order and the hits are collected in
-    # index order, so the solutions come out sorted lexicographically
-    return np.concatenate([left[lidx], right[ridx]], axis=1)
+    order = np.lexsort(keys.T)
+    ranked = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    run = new.cumsum()
+    code = np.empty_like(run)
+    code[order] = run
+    on_right = order >= len(left)
+    rorder, rcode, lcode = order[on_right] - len(left), run[on_right], code[: len(left)]
+    lo, hi = rcode.searchsorted(lcode), rcode.searchsorted(lcode, side="right")
+    counts = hi - lo
+    ends = counts.cumsum()
+    # left rows in index order, each with its matches in index order: the
+    # pairs come out lexicographically.  They are written one contiguous row
+    # per position (fast to gather), then transposed into the result.
+    cols = np.empty((n, ends[-1]), dtype=left.dtype)
+    cols[:half] = left.T.repeat(counts, axis=1)
+    cols[half:] = np.take(right.T, rorder[np.arange(ends[-1]) + (lo - ends + counts).repeat(counts)], axis=1)
+    # negation keeps the solutions and reverses their order: zero is the middle one
+    z = ends[-1] // 2
+    out = np.empty((ends[-1] - 1, n), dtype=left.dtype)
+    out[:z], out[z:] = cols[:, :z].T, cols[:, z + 1 :].T
+    return out
 
 
 def _srow_entry(sigma: ThetaCocycle, j: int, k: int) -> Angle | None:

@@ -281,7 +281,10 @@ def _kleppner_theta(group: Group, sigma: Cocycle, base: Cocycle, radius: int, no
         return Verdict("refuted", rule="finite_bandwidth_torsion", witness=witness)
     # eventually periodic with irrational entries: scan boxes for kernel vectors
     for wdw in range(1, min(radius, 4) + 1):
-        found, certified = regular_vectors_in_box(sigma, wdw, min(wdw, 2))
+        try:
+            found, certified = regular_vectors_in_box(sigma, wdw, min(wdw, 2))
+        except BudgetExceededError as exc:  # keys past int64: refuse, never refute on wrapped keys
+            return Verdict("inconclusive", bound=radius, detail=str(exc))
         if found and certified:
             return Verdict("refuted", rule="kernel_scan", witness=found[0])
     return Verdict("inconclusive", bound=radius)

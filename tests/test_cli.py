@@ -184,6 +184,36 @@ def test_inconclusive_exit_two(capsys):
     assert json.loads(out)["relative_kleppner"]["status"] == "inconclusive"
 
 
+def _period_pair(first: dict, second: dict) -> tuple[str, ...]:
+    period = [{"rat": [0, 1], "irr": {}, **first}, {"rat": [0, 1], "irr": {}, **second}]
+    cocycle = json.dumps({"kind": "theta_diag", "diagonals": [], "period": period})
+    return ("--group", '{"family":"sum_z"}', "--cocycle", cocycle, "--basis", '{"r":0.3819660112501051}')
+
+
+# The scaled row entries are 2**62 + 1 and 2**62 - 1, so the int64 key of
+# x_1 = x_2 = 2 is 2 * (2**62 + 1) + 2 * (2**62 - 1) = 2**64, which wraps to 0.
+KEYS_PAST_INT64 = _period_pair({"irr": {"r": [1, 2**62 - 1]}}, {"irr": {"r": [1, 2**62 + 1]}})
+# The rational parts' common denominator D does not fit in int64.
+DENOMINATOR_PAST_INT64 = _period_pair({"rat": [1, 2**63 + 9], "irr": {"r": [1, 1]}}, {"irr": {"r": [1, 1]}})
+
+
+@pytest.mark.parametrize("pair", [KEYS_PAST_INT64, DENOMINATOR_PAST_INT64], ids=["keys", "denominator"])
+@pytest.mark.parametrize("command", [("verdict", "kleppner"), ("classify",)], ids=["kleppner", "classify"])
+def test_box_scan_past_int64_is_inconclusive(capsys, pair, command):
+    """A box scan whose int64 keys could wrap refuses; it neither refutes
+    on wrapped keys nor leaves a traceback."""
+    code, out, err = run_cli(capsys, *command, *pair, "--radius", "4")
+    assert code == 2 and "Traceback" not in err
+    rep = json.loads(out)["kleppner"]
+    assert rep == {"status": "inconclusive", "bound": 4, "detail": "the box scan's int64 keys would overflow at height 1"}
+
+
+def test_the_wrapped_key_vector_is_not_regular(capsys):
+    """The vector that wrapped keys would certify, e_1 + e_2 times 2."""
+    code, out, _ = run_cli(capsys, "regular", *KEYS_PAST_INT64, "--g", '{"1":2,"2":2}')
+    assert code == 0 and json.loads(out)["status"] == "not_regular"
+
+
 def test_spectral_norm_subcommand(tmp_path, capsys):
     fpath = tmp_path / "f.json"
     fpath.write_text(json.dumps([{"g": "a", "re": 1}, {"g": "A", "re": 1}]))
@@ -218,6 +248,17 @@ def test_spectral_norm_of_coefficients_near_the_float_limit(tmp_path, capsys):
     rep = json.loads(out)
     assert all(r["converged"] for r in rep["sequence"])
     assert rep["value"] == pytest.approx(math.hypot(1e308, 1e308), rel=1e-12)
+
+
+def test_spectral_norm_past_the_float_range_is_a_spec_error(tmp_path, capsys):
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps([{"g": g, "re": 1e308} for g in ("a", "A", "b", "B")]))
+    code, out, _ = run_cli(
+        capsys, "spectral", "norm", "--group", '{"family":"free","rank":2}', "--cocycle", '{"kind":"trivial"}',
+        "--f", str(fpath), "--radius", "2",
+    )
+    assert code == 1
+    assert json.loads(out) == {"error": "f: a norm exceeds the float range; scale the coefficients down", "path": "f"}
 
 
 def test_spectral_norm_rejects_nonpositive_radius(tmp_path, capsys):

@@ -25,7 +25,7 @@ from oracles import (
 import twistlab
 from twistlab import regularity
 from twistlab.cocycles import build_cocycle, sigma_tilde
-from twistlab.errors import SpecError
+from twistlab.errors import BudgetExceededError, SpecError
 from twistlab.groups import SumZ, get_group, resolve_subgroup
 from twistlab.phase import IrrationalBasis, Phase
 from twistlab.regularity import (
@@ -317,16 +317,39 @@ ORACLE_COCYCLES = {
             [-2, -1, [1, 10**9 * 1000003 + 7]],
         ],
     },
+    # x_0, x_1 and x_2 must vanish, with int64 keys just under the bound: at
+    # window 2, height 3 a right-half key entry reaches 3 * ((2**63 - 1) // 3),
+    # which is 2**63 - 2
+    "keys_near_2_63": {
+        "kind": "theta_window",
+        "entries": [
+            [0, 1, {"rat": [0, 1], "irr": {"r": [1, (2**63 - 1) // 3]}}],
+            [2, 3, {"rat": [0, 1], "irr": {"r": [1, 2**61 - 1]}}],
+        ],
+    },
+    # scaled entries 2**62 + 1 and 2**62 - 1: keys past int64 at every box
+    # here, so the scan refuses (they would wrap, and match non-solutions)
+    "keys_past_2_63": {
+        "kind": "theta_diag",
+        "diagonals": [],
+        "period": [{"rat": [0, 1], "irr": {"r": [1, 2**62 - 1]}}, {"rat": [0, 1], "irr": {"r": [1, 2**62 + 1]}}],
+    },
 }
+REFUSED_COCYCLES = {"keys_past_2_63"}
 
 
 @pytest.mark.parametrize("window, height", [(1, 2), (2, 2), (2, 3)])
 @pytest.mark.parametrize("name", sorted(ORACLE_COCYCLES))
 def test_box_solution_array_equals_the_brute_force_oracle(name, window, height):
-    """Row for row, in lexicographic order, on the reduced constraint rows."""
+    """Row for row, in lexicographic order, on the reduced constraint rows;
+    or a refusal where the int64 keys could wrap."""
     base = build_cocycle(ORACLE_COCYCLES[name], SZ, TWO_SYMBOLS).structural()
     positions = list(range(-window, window + 1))
     rows = list(certified_row_range(base, positions))
+    if name in REFUSED_COCYCLES:
+        with pytest.raises(BudgetExceededError, match="int64 keys would overflow"):
+            regularity.box_solution_array(base, positions, height, rows)
+        return
     found = regularity.box_solution_array(base, positions, height, rows)
     brute = brute_force_regular_vectors(base, window, height, rows)
     assert found.shape == brute.shape and np.array_equal(found, brute)

@@ -315,6 +315,14 @@ def test_operator_norm_scales_by_powers_of_two_exactly():
         assert scaled.value == math.ldexp(base.value, k)
 
 
+def test_operator_norm_past_the_float_range_is_inf():
+    """The solver runs on 2^-shift M, so only the final rescaling can pass
+    the float range; the norm is then reported as inf."""
+    f = FiniteFunction(F2, {F2.word(w): 1e308 for w in ("a", "A", "b", "B")})
+    rep = operator_norm(build_truncated(f, TRIV_F2, 2))
+    assert rep.value == math.inf and rep.converged
+
+
 @pytest.mark.parametrize(
     "G, sigma, f_support",
     [

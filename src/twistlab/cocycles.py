@@ -45,11 +45,8 @@ from .phase import (
     Phase,
     _merge_bases,
     add_angles,
-    angle_denominator,
-    angle_phase,
     angles_to_complex,
     negate_angle,
-    phase_angle,
     phase_angles,
     phase_from_json,
     scale_angle,
@@ -75,6 +72,8 @@ class Cocycle:
     den: int | None = 1
     symbols: tuple[str, ...] = ()
     basis: IrrationalBasis | None = None
+    # the earlier `symbols` of a cocycle that `_own_angle` widened, by length
+    _earlier: dict[int, tuple[str, ...]] = {}
 
     def __init__(self, group: Group):
         self.group = group
@@ -105,15 +104,24 @@ class Cocycle:
         raise NotImplementedError
 
     def phase(self, angle: Angle) -> Phase:
-        return angle_phase(angle, self.symbols, self.basis)
+        return Phase.of_angle(angle, self._earlier.get(len(angle[1]), self.symbols), self.basis)
 
     def _own_angle(self, p: Phase) -> Angle:
-        """A Phase as an angle over its own denominator."""
-        return phase_angle(p, angle_denominator([p]), self.symbols)
+        """A Phase as an angle over its own denominator, first taking in its
+        basis and symbols; `phase` and `complex_values` read angles over the
+        earlier symbols by name."""
+        if p.basis is not None and p.basis is not self.basis:
+            self.basis = _merge_bases(self.basis, p.basis)
+        if p.syms != self.symbols and not set(p.syms).issubset(self.symbols):
+            self._earlier = {**self._earlier, len(self.symbols): self.symbols}
+            self.symbols = tuple(sorted({*self.symbols, *p.syms}))
+        return p.angle(p.den, self.symbols)
 
     def complex_values(self, angles):
         """The circle values of a batch of angles, as a numpy complex128
         array equal to their Phases' ``to_complex``."""
+        if self._earlier:
+            angles = [self.phase(a).angle(a[2], self.symbols) for a in angles]
         return angles_to_complex(angles, self.symbols, self.basis)
 
     def structural(self) -> Cocycle:
@@ -596,12 +604,8 @@ class CoboundaryFn:
 
 
 class CoboundaryCocycle(Cocycle):
-    """The 2-coboundary of b: (g,h) -> b(g) + b(h) - b(gh) as angles.
-
-    The angles are over the symbols of the values' basis, fixed by the
-    first value that carries one; angles taken before then have no symbol
-    coefficients.
-    """
+    """The 2-coboundary of b: (g,h) -> b(g) + b(h) - b(gh) as angles, over
+    the symbols of the values met so far (``Cocycle._own_angle``)."""
 
     kind = "coboundary"
 
@@ -618,15 +622,7 @@ class CoboundaryCocycle(Cocycle):
         return self.b(g) * self.b(h) * self.b(G.compose(g, h)).inverse()
 
     def _angle(self, a, bdat) -> Angle:
-        p = self._eval(a, bdat)
-        if p.basis is not None and p.basis is not self.basis:
-            self.basis = _merge_bases(self.basis, p.basis)
-            self.symbols = tuple(sorted(self.basis.symbols))
-        return self._own_angle(p)
-
-    def complex_values(self, angles):
-        n = len(self.symbols)
-        return super().complex_values([(k, cs + (0,) * (n - len(cs)), d) for k, cs, d in angles])
+        return self._own_angle(self._eval(a, bdat))
 
 
 class SimilarTwist(Cocycle):
@@ -645,7 +641,7 @@ class SimilarTwist(Cocycle):
         self.den = None
 
     def _angle(self, a, bdat) -> Angle:
-        return add_angles(self.base._angle(a, bdat), negate_angle(self._own_angle(self._db._eval(a, bdat))))
+        return self._own_angle(self.base._eval(a, bdat) * self._db._eval(a, bdat).inverse())
 
     def structural(self) -> Cocycle:
         return self.base.structural()

@@ -73,7 +73,7 @@ class _BallCache:
 
     def get(self, radius: int, node_budget: int) -> tuple[Element, ...] | None:
         ball = self._balls.get(radius)
-        if ball is not None or radius not in self:
+        if (ball is not None and len(ball) <= node_budget) or radius not in self:
             return ball
         _, elements, entries = self._top
         inside = [i for i, e in enumerate(entries) if e <= radius]

@@ -6,6 +6,10 @@ unit complex numbers makes equality, torsion tests and regularity questions
 exact rational linear algebra.  The declared symbols are assumed, jointly with
 1, to be linearly independent over the rationals; this is an input contract
 and is never verified.
+
+A ``Phase`` holds its angle as integers over one denominator (``Angle``) in
+lowest terms; its group law is the integer angle arithmetic.  The float
+export refuses a coefficient too large for a float (ConfigurationError).
 """
 
 from __future__ import annotations
@@ -35,13 +39,10 @@ class IrrationalBasis:
     def __init__(self, values: Mapping[str, float]):
         if not isinstance(values, Mapping):
             raise ConfigurationError(f"basis must map symbols to numbers, got {values!r}")
-        syms = tuple(values)
-        if len(set(syms)) != len(syms):
-            raise ConfigurationError("duplicate basis symbols")
         for sym, val in values.items():
             if isinstance(val, bool) or not isinstance(val, Real) or not (0.0 < val < 1.0):
                 raise ConfigurationError(f"numeric value for {sym!r} must be in (0,1), got {val!r}")
-        self.symbols = syms
+        self.symbols = tuple(values)
         self._values = {s: float(v) for s, v in values.items()}
 
     def value(self, symbol: str) -> float:
@@ -53,12 +54,6 @@ class IrrationalBasis:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IrrationalBasis) and self._values == other._values
 
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self._values.items())))
-
-    def __repr__(self) -> str:
-        return f"IrrationalBasis({self._values})"
-
 
 def _merge_bases(a: IrrationalBasis | None, b: IrrationalBasis | None) -> IrrationalBasis | None:
     if a is None:
@@ -69,40 +64,60 @@ def _merge_bases(a: IrrationalBasis | None, b: IrrationalBasis | None) -> Irrati
 
 
 class Phase:
-    """An element of the circle group, stored as an exact angle mod 1."""
+    """An element of the circle group, stored as the exact angle
+    (k + sum_i cs[i] * syms[i]) / den mod 1 in lowest terms: 0 <= k < den,
+    `syms` sorted, no zero in `cs`, and gcd(k, *cs, den) = 1."""
 
-    __slots__ = ("rational", "irr", "basis", "_hash")
+    __slots__ = ("k", "syms", "cs", "den", "basis")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         rational: Rational = 0,
         irr: Mapping[str, Rational] | None = None,
         basis: IrrationalBasis | None = None,
     ):
-        object.__setattr__(self, "rational", Fraction(rational) % 1)
-        coeffs = []
-        if irr:
-            for sym in sorted(irr):
-                c = Fraction(irr[sym])
-                if c != 0:
-                    coeffs.append((sym, c))
-        object.__setattr__(self, "irr", tuple(coeffs))
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_hash", hash((self.rational, self.irr)))
+        syms = tuple(sorted(irr or ()))
+        parts = [Fraction(rational), *(Fraction(irr[s]) for s in syms)]
+        D = math.lcm(*(q.denominator for q in parts))
+        k, *cs = (q.numerator * (D // q.denominator) for q in parts)
+        return cls.of_angle((k, tuple(cs), D), syms, basis)
 
     @classmethod
-    def _normal(cls, rational: Fraction, irr: tuple, basis: IrrationalBasis | None) -> Phase:
-        """A phase from parts already in normal form: `rational` in [0, 1)
-        and `irr` sorted by symbol, without zero coefficients."""
+    def of_angle(cls, a: Angle, symbols: tuple[str, ...], basis: IrrationalBasis | None) -> Phase:
+        """The Phase of an angle over sorted `symbols`, reduced to lowest terms."""
+        k, cs, D = a
+        if 0 in cs:
+            symbols = tuple(s for s, c in zip(symbols, cs) if c)
+            cs = tuple(c for c in cs if c)
+        g = math.gcd(k, D, *cs)
+        if g != 1:
+            k, cs, D = k // g, tuple(c // g for c in cs), D // g
         p = object.__new__(cls)
-        object.__setattr__(p, "rational", rational)
-        object.__setattr__(p, "irr", irr)
-        object.__setattr__(p, "basis", basis)
-        object.__setattr__(p, "_hash", hash((rational, irr)))
+        for name, value in zip(cls.__slots__, (k % D, symbols, cs, D, basis)):
+            object.__setattr__(p, name, value)
         return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Phase is immutable")
+
+    def angle(self, D: int, symbols: tuple[str, ...]) -> Angle:
+        """The phase as an angle over D, a multiple of `den`, and `symbols`."""
+        m = D // self.den
+        if symbols == self.syms:
+            return self.k * m, tuple(c * m for c in self.cs), D
+        outside = [s for s in self.syms if s not in symbols]
+        if outside:
+            raise ConfigurationError(f"phase uses symbol {outside[0]!r} outside the symbols {list(symbols)}")
+        coeffs = dict(zip(self.syms, self.cs))
+        return self.k * m, tuple(coeffs.get(s, 0) * m for s in symbols), D
+
+    @property
+    def rational(self) -> Fraction:
+        return Fraction(self.k, self.den)
+
+    @property
+    def irr(self) -> tuple[tuple[str, Fraction], ...]:
+        return tuple((s, Fraction(c, self.den)) for s, c in zip(self.syms, self.cs))
 
     # -- group structure (angles add; circle values multiply) --------------
 
@@ -110,23 +125,21 @@ class Phase:
         if not isinstance(other, Phase):
             return NotImplemented
         basis = _merge_bases(self.basis, other.basis)
-        irr = dict(self.irr)
-        for sym, c in other.irr:
-            irr[sym] = irr.get(sym, Fraction(0)) + c
-        return Phase(self.rational + other.rational, irr, basis)
+        syms = self.syms if self.syms == other.syms else tuple(sorted({*self.syms, *other.syms}))
+        return Phase.of_angle(add_angles(self.angle(self.den, syms), other.angle(other.den, syms)), syms, basis)
 
     def inverse(self) -> Phase:
-        return Phase(-self.rational, {s: -c for s, c in self.irr}, self.basis)
+        return Phase.of_angle(negate_angle((self.k, self.cs, self.den)), self.syms, self.basis)
 
     def scale(self, c: Rational) -> Phase:
         """Multiply the angle by a rational scalar, reduced mod 1."""
-        c = Fraction(c)
-        return Phase(self.rational * c, {s: k * c for s, k in self.irr}, self.basis)
+        a = (self.k, self.cs, self.den * c.denominator)
+        return Phase.of_angle(scale_angle(a, c.numerator), self.syms, self.basis)
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.rational == 0 and not self.irr
+        return self.den == 1 and not self.cs
 
     def is_torsion(self) -> bool:
         """True iff the angle is rational, i.e. the circle value has finite order.
@@ -134,22 +147,20 @@ class Phase:
         Relies on the declared independence of the basis symbols: any nonzero
         symbolic coefficient makes the angle irrational.
         """
-        return not self.irr
+        return not self.cs
 
     def torsion_order(self) -> int | None:
         """Order of the circle value when torsion, else None."""
-        if self.irr:
-            return None
-        return self.rational.denominator
+        return None if self.cs else self.den
 
     # -- export -------------------------------------------------------------
 
     def angle_float(self) -> float:
-        x = float(self.rational)
-        for sym, c in self.irr:
+        x = self.k / self.den
+        for sym, c in zip(self.syms, self.cs):
             if self.basis is None:
                 raise ConfigurationError(f"phase uses symbol {sym!r} but carries no basis")
-            x += float(c) * self.basis.value(sym)
+            x += _quotient(c, self.den, sym) * self.basis.value(sym)
         return x % 1.0
 
     def to_complex(self) -> complex:
@@ -159,17 +170,15 @@ class Phase:
     # -- plumbing -----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Phase)
-            and self.rational == other.rational
-            and self.irr == other.irr
+        return isinstance(other, Phase) and (self.k, self.den, self.cs, self.syms) == (
+            other.k, other.den, other.cs, other.syms
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.k, self.syms, self.cs, self.den))
 
     def __repr__(self) -> str:
-        parts = [str(self.rational)] if (self.rational or not self.irr) else []
+        parts = [str(self.rational)] if (self.k or not self.cs) else []
         parts += [f"{c}*{s}" for s, c in self.irr]
         return f"Phase({' + '.join(parts)})"
 
@@ -183,43 +192,18 @@ ZERO = Phase(0)
 
 # An integer angle (k, cs, D) is the phase k/D + sum_i cs[i]/D * symbols[i]
 # mod 1, with k in [0, D): plain ints over one denominator, for a symbol
-# order that the holder fixes (a cocycle's `symbols`).  Adding angles over
-# the same D adds the ints, so the hot paths never build a Fraction.
+# order that the holder fixes (a Phase's `syms`, a cocycle's `symbols`).
+# Adding angles over the same D adds the ints; ``Phase.of_angle`` reduces.
 Angle = tuple[int, tuple[int, ...], int]
-
-
-def angle_denominator(phases) -> int:
-    """The least common denominator of the rational parts and symbol
-    coefficients of `phases`."""
-    phases = list(phases)
-    dens = [p.rational.denominator for p in phases] + [c.denominator for p in phases for _, c in p.irr]
-    return math.lcm(1, *dens)
 
 
 def phase_angles(phases, factor: int = 1) -> tuple[tuple[str, ...], int, list[Angle]]:
     """The sorted symbols of `phases`, their common denominator D times
     `factor`, and the phases as angles over D."""
     phases = list(phases)
-    symbols = tuple(sorted({s for p in phases for s, _ in p.irr}))
-    D = factor * angle_denominator(phases)
-    return symbols, D, [phase_angle(p, D, symbols) for p in phases]
-
-
-def phase_angle(p: Phase, D: int, symbols: tuple[str, ...]) -> Angle:
-    """`p` as an integer angle over D, a multiple of its denominators."""
-    coeffs = dict(p.irr)
-    for sym in coeffs:
-        if sym not in symbols:
-            raise ConfigurationError(f"phase uses symbol {sym!r} outside the symbols {list(symbols)}")
-    k = p.rational.numerator * (D // p.rational.denominator)
-    return k, tuple(int(coeffs.get(s, 0) * D) for s in symbols), D
-
-
-def angle_phase(a: Angle, symbols: tuple[str, ...], basis: IrrationalBasis | None) -> Phase:
-    """The Phase of an angle over sorted `symbols`."""
-    k, cs, D = a
-    irr = tuple((s, Fraction(c, D)) for s, c in zip(symbols, cs) if c)
-    return Phase._normal(Fraction(k % D, D), irr, basis)
+    symbols = tuple(sorted({s for p in phases for s in p.syms}))
+    D = factor * math.lcm(1, *(p.den for p in phases))
+    return symbols, D, [p.angle(D, symbols) for p in phases]
 
 
 def add_angles(a: Angle, b: Angle) -> Angle:
@@ -267,28 +251,33 @@ def angles_to_complex(angles, symbols: tuple[str, ...], basis: IrrationalBasis |
     columns = [[a[1][i] for a in angles] for i in range(len(symbols))]
     used = [i for i, cs in enumerate(columns) if any(cs)]
     missing = [i for i in used if basis is None or symbols[i] not in basis.symbols]
-    if missing:  # name the symbol Phase.to_complex would fail on first
-        first = next(a for a in angles if any(a[1][i] for i in missing))
-        sym = symbols[next(i for i in missing if first[1][i])]
-        if basis is None:
-            raise ConfigurationError(f"phase uses symbol {sym!r} but carries no basis")
-        basis.value(sym)
+    if missing:  # fail as Phase.to_complex does, on the first angle that must
+        Phase.of_angle(next(a for a in angles if any(a[1][i] for i in missing)), symbols, basis).to_complex()
     x = _quotients([a[0] for a in angles], dens)
     for i in used:
-        x = x + _quotients(columns[i], dens) * basis.value(symbols[i])
+        x = x + _quotients(columns[i], dens, symbols[i]) * basis.value(symbols[i])
     return np.exp(2j * cmath.pi * (x % 1.0))
 
 
 _EXACT_FLOAT = 2**53
 
 
-def _quotients(nums: list[int], dens: list[int]):
+def _quotient(n: int, d: int, symbol: str | None) -> float:
+    """n / d, correctly rounded; a quotient past the float range raises
+    ConfigurationError naming the symbol whose coefficient it is."""
+    try:
+        return n / d
+    except OverflowError:
+        raise ConfigurationError(f"the coefficient of symbol {symbol!r} is too large for a float") from None
+
+
+def _quotients(nums: list[int], dens: list[int], symbol: str | None = None):
     """nums[i] / dens[i], each correctly rounded, as a float64 array."""
     import numpy as np
 
     if max(map(abs, nums), default=0) < _EXACT_FLOAT and max(dens, default=0) < _EXACT_FLOAT:
         return np.array(nums, dtype=np.float64) / np.array(dens, dtype=np.float64)
-    return np.array([n / d for n, d in zip(nums, dens)], dtype=np.float64)
+    return np.array([_quotient(n, d, symbol) for n, d in zip(nums, dens)], dtype=np.float64)
 
 
 def _ratio(pair, literal) -> Fraction:

@@ -11,7 +11,6 @@ import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import partial
 
 from .cocycles import (
@@ -38,7 +37,7 @@ from .groups import (
     resolve_subgroup,
     sanov_act,
 )
-from .phase import ZERO, Angle, Phase, add_angles, negate_angle, scale_angle
+from .phase import Angle, Phase, add_angles, negate_angle, scale_angle
 
 
 @dataclass
@@ -130,7 +129,7 @@ def _theta_row(sigma: ThetaCocycle, data, k: int) -> Phase:
 
 def _bitstream_row(sigma: BitstreamCocycle, data, k: int) -> Phase:
     count = sum(sigma.epsilon(abs(j - k)) for j in data if j != k)
-    return Phase(Fraction(1, 2)) if count % 2 else ZERO
+    return sigma.phase((count % 2, (), 2))
 
 
 def t_theta_image(sigma: Cocycle, x: Element, window: range | None = None) -> RowImage:
@@ -840,7 +839,7 @@ def _sanov_base_regularity(base: SanovCocycle, g: Element, sub: Subgroup) -> Reg
     if not gens:
         return RegularityReport(g, "regular", rule="no_fixed_lattice_vectors")
     for w in gens:
-        val = base.mu0.scale(Fraction(u[0] * w[1] - u[1] * w[0])) * base.g(w, x)
+        val = base.mu0.scale(u[0] * w[1] - u[1] * w[0]) * base.g(w, x)
         if not val.is_zero():
             return RegularityReport(g, "not_regular", witness=sub.embed(sub.inner.element(w)))
     return RegularityReport(g, "regular", rule="twist_vanishes_on_fixed_vectors")

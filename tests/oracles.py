@@ -8,12 +8,13 @@ scan below evaluates every candidate's row image by direct arithmetic
 from __future__ import annotations
 
 import math
+import zlib
 from fractions import Fraction
 
 import numpy as np
 
 from twistlab._kernels import bs_normalize
-from twistlab.cocycles import BitstreamCocycle, ThetaCocycle
+from twistlab.cocycles import BitstreamCocycle, CoboundaryFn, ThetaCocycle
 from twistlab.errors import BudgetExceededError
 from twistlab.groups import (
     DEFAULT_NODE_BUDGET,
@@ -303,6 +304,42 @@ def bfs_ball(G, radius: int) -> set:
                     nxt.append(h)
         frontier = nxt
     return seen
+
+
+# ---------------------------------------------------------------------------
+# the circle group on Fractions: a reference for Phase's integer arithmetic
+# ---------------------------------------------------------------------------
+
+
+def fraction_combination(*terms) -> tuple[Fraction, tuple[tuple[str, Fraction], ...]]:
+    """sum n * angle over (n, (rational, {symbol: coefficient})) pairs with n
+    rational, in Fractions, as the canonical (rational mod 1, sorted nonzero
+    (symbol, coefficient) pairs) that ``Phase.rational`` and ``Phase.irr``
+    read.  Each angle enters at its rational part mod 1, the representative
+    a Phase scales.  p * q, p.inverse() and p.scale(c) are its (1, p),
+    (1, q); (-1, p); and (c, p)."""
+    rat = Fraction(0)
+    irr: dict[str, Fraction] = {}
+    for n, (r, coeffs) in terms:
+        rat += Fraction(n) * (Fraction(r) % 1)
+        for sym, c in coeffs.items():
+            irr[sym] = irr.get(sym, Fraction(0)) + Fraction(n) * Fraction(c)
+    return rat % 1, tuple(sorted((s, c) for s, c in irr.items() if c))
+
+
+def crc_coboundary(group, basis=None) -> CoboundaryFn:
+    """b(g) = crc32(repr(g.data)) mod 7 / 7 and b(e) = 0: a fixed, scattered
+    function to twist a cocycle by.  With `basis`, b(g) is that number times
+    the symbol "r" instead, a symbolic coboundary."""
+    e = group.identity()
+
+    def b(g):
+        if g == e:
+            return Phase(0)
+        c = Fraction(zlib.crc32(repr(g.data).encode()) % 7, 7)
+        return Phase(0, {"r": c}, basis) if basis else Phase(c)
+
+    return CoboundaryFn(group, b, label="crc7")
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,29 @@ def test_spectral_norm_past_the_float_range_is_a_spec_error(tmp_path, capsys):
     assert json.loads(out) == {"error": "f: a norm exceeds the float range; scale the coefficients down", "path": "f"}
 
 
+HUGE_R = '{"irr":{"r":[%d,1]}}' % 10**400  # a coefficient past the float range
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectral", "norm", "--group", '{"family":"bs_nn","n":2}', "--cocycle", '{"kind":"bs","lambda":%s}' % HUGE_R),
+        ("spectral", "r2", "--group", '{"family":"bs_nn","n":2}', "--cocycle", '{"kind":"bs","lambda":%s}' % HUGE_R),
+        ("growth", "orbit", "--nu1", HUGE_R),
+    ],
+    ids=["spectral_norm", "spectral_r2", "growth_orbit"],
+)
+def test_a_coefficient_past_the_float_range_is_a_json_error(argv, tmp_path, capsys):
+    """The exact phase is fine; its float export refuses, naming the symbol."""
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps([{"g": "a", "re": 1}, {"g": "b", "re": 1}]))
+    files = ("--f", str(fpath)) if argv[0] == "spectral" else ()
+    code, out, err = run_cli(capsys, *argv, "--basis", '{"r":0.3}', *files)
+    assert code == 1
+    assert json.loads(out) == {"error": "the coefficient of symbol 'r' is too large for a float", "path": ""}
+    assert "Traceback" not in err
+
+
 def test_spectral_norm_rejects_nonpositive_radius(tmp_path, capsys):
     fpath = tmp_path / "f.json"
     fpath.write_text(json.dumps([{"g": "a", "re": 1}]))
@@ -439,8 +462,9 @@ def test_growth_orbit_second_map(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["which"] == "phi2" and rep["finite_certified"] and rep["orbit_size"] == 3
-    code, out, _ = run_cli(capsys, "growth", "orbit", "--nu1", "[1,5]", "--map", "phi2")
-    assert code == 1 and json.loads(out)["path"] == "nu2"
+    for which in ("phi2", "both"):
+        code, out, _ = run_cli(capsys, "growth", "orbit", "--nu1", "[1,5]", "--map", which)
+        assert code == 1 and json.loads(out)["path"] == "nu2"
 
 
 def test_growth_orbit_irrational_start_is_not_certified(capsys):

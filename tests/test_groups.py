@@ -444,7 +444,7 @@ def test_sanov_compose_with_inverse_is_identity(word, v):
 def test_smaller_balls_come_from_a_larger_cached_ball(G):
     """With the radius-4 ball cached, each smaller ball is read from it: the
     same tuple as a fresh enumeration, the independent BFS ball in strictly
-    increasing key order, and the same budget error."""
+    increasing key order, and the same budget error, also once the smaller ball is stored."""
     G._ball_cache.clear()
     fresh, errors = [], []
     for r in range(4):
@@ -461,6 +461,8 @@ def test_smaller_balls_come_from_a_larger_cached_ball(G):
         assert (str(exc.value), exc.value.nodes, exc.value.radius) == errors[r]
         b = ball(G, r)
         assert b == fresh[r]
+        with pytest.raises(BudgetExceededError):  # a served ball still honours the budget
+            ball(G, r, node_budget=len(b) - 1)
         assert set(b) == bfs_ball(G, r)
         keys = [G.sort_key(g.data) for g in b]
         assert all(a < c for a, c in zip(keys, keys[1:]))

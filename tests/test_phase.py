@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import fraction_combination
 
 from twistlab.errors import ConfigurationError
 from twistlab.phase import IrrationalBasis, Phase, ZERO, phase_from_json, phase_to_json
@@ -124,3 +125,70 @@ def test_canonical_representative():
     assert P(Fraction(7, 2)).rational == Fraction(1, 2)
     assert P(Fraction(-1, 3)).rational == Fraction(2, 3)
     assert Phase(0, {"r": 0}).irr == ()
+
+
+def test_a_phase_is_immutable_and_multiplies_only_phases():
+    p = P(Fraction(1, 3), {"r": 1}, BASIS)
+    with pytest.raises(AttributeError, match="immutable"):
+        p.k = 0
+    with pytest.raises(TypeError):
+        p * 2
+
+
+# -- the canonical integer angle ---------------------------------------------
+
+SYMBOLS = ("r", "s", "t")
+parts = st.tuples(rationals, st.dictionaries(st.sampled_from(SYMBOLS), rationals, max_size=3))
+
+
+def _phase(part):
+    return Phase(part[0], part[1], BASIS)
+
+
+def _is_canonical(p):
+    return (
+        0 <= p.k < p.den
+        and list(p.syms) == sorted(set(p.syms))
+        and len(p.cs) == len(p.syms)
+        and 0 not in p.cs
+        and math.gcd(p.k, p.den, *p.cs) == 1
+    )
+
+
+@given(parts, st.integers(1, 30), st.integers(-3, 3))
+def test_of_angle_reduces_any_angle_to_the_fraction_built_phase(part, m, turns):
+    """An angle over any multiple of its denominator, with any number of
+    whole turns added and zero coefficients kept, reduces to the phase built
+    from the Fractions, with the same fields and hash."""
+    rat, irr = part
+    syms = tuple(sorted(irr))
+    D = math.lcm(Fraction(rat).denominator, *(Fraction(c).denominator for c in irr.values())) * m
+    a = (int(rat * D) + turns * D, tuple(int(irr[s] * D) for s in syms), D)
+    p, q = Phase.of_angle(a, syms, BASIS), _phase(part)
+    assert _is_canonical(p) and p == q and hash(p) == hash(q)
+    assert (p.rational, p.irr) == fraction_combination((1, part))
+
+
+@given(parts, st.integers(1, 30))
+def test_angle_round_trips_over_any_multiple_of_the_denominator(part, m):
+    p = _phase(part)
+    for symbols in (p.syms, SYMBOLS):
+        a = p.angle(p.den * m, symbols)
+        assert a[2] == p.den * m and len(a[1]) == len(symbols)
+        assert Phase.of_angle(a, symbols, BASIS) == p
+    if p.syms:
+        with pytest.raises(ConfigurationError, match="outside the symbols"):
+            p.angle(p.den, ())
+
+
+@given(parts, parts, rationals)
+def test_group_law_matches_the_fraction_reference(a, b, c):
+    p, q = _phase(a), _phase(b)
+    for got, want in [
+        (p * q, fraction_combination((1, a), (1, b))),
+        (p.inverse(), fraction_combination((-1, a))),
+        (p.scale(c), fraction_combination((c, a))),
+    ]:
+        assert _is_canonical(got)
+        assert (got.rational, got.irr) == want
+        assert got.is_zero() == (want == (0, ())) and got.is_torsion() == (not want[1])

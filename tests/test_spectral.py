@@ -12,6 +12,7 @@ from oracles import (
     _phase_exact,
     convolution_power,
     convolve_reference,
+    crc_coboundary,
     dense_matrix,
     dense_operator_norm,
     float_convolve_reference,
@@ -20,7 +21,14 @@ from oracles import (
 )
 
 from twistlab import spectral
-from twistlab.cocycles import CoboundaryCocycle, CoboundaryFn, TrivialCocycle, build_cocycle, sigma_tilde
+from twistlab.cocycles import (
+    CoboundaryCocycle,
+    CoboundaryFn,
+    SimilarTwist,
+    TrivialCocycle,
+    build_cocycle,
+    sigma_tilde,
+)
 from twistlab.errors import BudgetExceededError
 from twistlab.groups import get_group
 from twistlab.phase import IrrationalBasis, Phase
@@ -196,6 +204,26 @@ def test_truncated_norm_partial_isometry():
     f = FiniteFunction.delta(Z.word("a"))
     for radius in (1, 3, 7):
         assert abs(truncated_norm(f, TRIV_Z, radius).value - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "G, spec",
+    [(F2, {"kind": "trivial"}), (BS22, {"kind": "bs", "lambda": [1, 3]}), (BS22, {"kind": "bs", "lambda": R})],
+    ids=["free2_trivial", "bs_third", "bs_r"],
+)
+def test_compressed_norms_depend_only_on_the_cohomology_class(G, spec):
+    """For sigma' = sigma conj(db), U = diag(e(b)) commutes with every ball
+    projection and U lambda_sigma'(f) U* = lambda_sigma(f e(-b)), so the two
+    compressions have one norm at every radius.  b is rational, then uses
+    the symbol r, which the first two cocycles do not."""
+    sig = build_cocycle(spec, G, BASIS)
+    f = FiniteFunction(G, {g: 1.0 for g in G.ball(1)})
+    for b in (crc_coboundary(G), crc_coboundary(G, BASIS)):
+        twisted = SimilarTwist(sig, b)
+        fb = FiniteFunction(G, {g: b(g).inverse().to_complex() for g in G.ball(1)})
+        for radius in (3, 5):
+            want = truncated_norm(fb, sig, radius, tol=1e-13).value
+            assert truncated_norm(f, twisted, radius, tol=1e-13).value == pytest.approx(want, rel=1e-10)
 
 
 def test_symbolic_coboundary_exports_its_phases():

@@ -6,6 +6,7 @@ from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import crc_coboundary
 
 from twistlab.cocycles import TrivialCocycle, build_cocycle, SimilarTwist, CoboundaryFn
 from twistlab.errors import SpecError
@@ -581,6 +582,26 @@ CITED_PAIRS = [(p.values[0], p.values[1]) for p in RULE_PATHS] + [
     (L, T),
     (get_group({"family": "wreath", "base": "Z2", "acting": 4}), {"kind": "lift", "base": {"kind": "bitstream", "pre": [0]}}),
 ]
+
+
+def _without_witnesses(node):
+    if isinstance(node, dict):
+        return {k: _without_witnesses(v) for k, v in node.items() if k != "witness"}
+    if isinstance(node, list):
+        return [_without_witnesses(v) for v in node]
+    return node
+
+
+def test_verdicts_depend_only_on_the_cohomology_class():
+    """The twisted algebras of sigma and of sigma conj(db) are isomorphic
+    (Zeller-Meier), so every verdict is the same for both; a witness found
+    by a search may differ and is left out."""
+    for G, spec in CITED_PAIRS:
+        sig = build_cocycle(spec, G, BASIS)
+        twisted = SimilarTwist(sig, crc_coboundary(G))
+        for decide in (classify, decide_kleppner):
+            want = _without_witnesses(decide(G, sig, radius=3).to_json())
+            assert _without_witnesses(decide(G, twisted, radius=3).to_json()) == want, (G.key, spec, decide)
 
 
 def _rules(node):

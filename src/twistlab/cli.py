@@ -135,8 +135,12 @@ OPTIONS = {
     "basis": {"default": "", "help": 'numeric values for symbols, e.g. {"r":0.38}'},
     "radius": {"type": int, "default": 6, "help": "search/ball radius"},
     "nodes": {"type": int, "default": 10**6, "help": "node budget cap (TWISTLAB_BUDGET overrides it)"},
-    "seed": {"type": int, "default": 0, "help": "seed of the solver's random start vector and of the random samples"},
-    "tol": {"type": float, "default": 1e-8, "help": "stop at this relative step between estimates, not an error bound"},
+    "seed": {"type": int, "default": 0, "help": "seed of the norm solver's random start vector and of the random samples"},
+    "tol": {
+        "type": float,
+        "default": 1e-8,
+        "help": "stop the Lanczos norm solver at this relative step between Ritz values, not an error bound",
+    },
     "candidates": {"default": "[]", "help": "witness suspects to validate first"},
     "subgroup": {"required": True},
     "g": {"required": True, "help": "element JSON"},

@@ -9,7 +9,9 @@ and is never verified.
 
 A ``Phase`` holds its angle as integers over one denominator (``Angle``) in
 lowest terms; its group law is the integer angle arithmetic.  The float
-export refuses a coefficient too large for a float (ConfigurationError).
+export refuses a coefficient too large for a float, and a symbol term
+(c/D) * value of 2**53 or more, whose float has no digit of the angle
+(ConfigurationError).
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ class Phase:
         for sym, c in zip(self.syms, self.cs):
             if self.basis is None:
                 raise ConfigurationError(f"phase uses symbol {sym!r} but carries no basis")
-            x += _quotient(c, self.den, sym) * self.basis.value(sym)
+            x += _term(_quotient(c, self.den, sym) * self.basis.value(sym), sym)
         return x % 1.0
 
     def to_complex(self) -> complex:
@@ -255,11 +257,24 @@ def angles_to_complex(angles, symbols: tuple[str, ...], basis: IrrationalBasis |
         Phase.of_angle(next(a for a in angles if any(a[1][i] for i in missing)), symbols, basis).to_complex()
     x = _quotients([a[0] for a in angles], dens)
     for i in used:
-        x = x + _quotients(columns[i], dens, symbols[i]) * basis.value(symbols[i])
+        terms = _quotients(columns[i], dens, symbols[i]) * basis.value(symbols[i])
+        _term(float(np.abs(terms).max()), symbols[i])
+        x = x + terms
     return np.exp(2j * cmath.pi * (x % 1.0))
 
 
 _EXACT_FLOAT = 2**53
+
+
+def _term(t: float, symbol: str) -> float:
+    """The term (c/D) * value of a symbol, refused from 2**53 on: a float
+    there is an even integer, so the term has no digit of its angle left
+    (from about 2**50 on it keeps only a few bits of it)."""
+    if abs(t) >= _EXACT_FLOAT:
+        raise ConfigurationError(
+            f"the coefficient of symbol {symbol!r} times its value reaches 2**53: its angle has no float digit"
+        )
+    return t
 
 
 def _quotient(n: int, d: int, symbol: str | None) -> float:

@@ -284,6 +284,24 @@ def test_a_coefficient_past_the_float_range_is_a_json_error(argv, tmp_path, caps
     assert "Traceback" not in err
 
 
+def test_a_symbol_term_past_2_53_is_a_json_error(tmp_path, capsys):
+    """lambda = 10^20 r is a fine exact phase, but (c/D) * value is past
+    2^53, where a float keeps no digit of the angle: the export refuses."""
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps([{"g": "a", "re": 1}, {"g": "b", "re": 1}]))
+    code, out, err = run_cli(
+        capsys, "spectral", "norm", "--group", '{"family":"bs_nn","n":2}',
+        "--cocycle", '{"kind":"bs","lambda":{"irr":{"r":[%d,1]}}}' % 10**20,
+        "--basis", '{"r":0.3819660112501051}', "--f", str(fpath), "--radius", "3",
+    )
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "the coefficient of symbol 'r' times its value reaches 2**53: its angle has no float digit",
+        "path": "",
+    }
+    assert "Traceback" not in err
+
+
 def test_spectral_norm_rejects_nonpositive_radius(tmp_path, capsys):
     fpath = tmp_path / "f.json"
     fpath.write_text(json.dumps([{"g": "a", "re": 1}]))
@@ -555,13 +573,14 @@ if COMMAND:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(COMMANDS[COMMAND])
 twistlab = sorted(m.removeprefix("twistlab.") for m in sys.modules if m.startswith("twistlab."))
-numeric = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+numeric = sorted(m for m in ("numpy", "numpy.random", "scipy") if m in sys.modules)
 print(json.dumps({"code": code, "numeric": numeric, "twistlab": twistlab}))
 """
 
 # the twistlab modules that `import twistlab.cli` loads
 CLI_MODULES = ["_kernels", "_kernels._pyops", "cli", "cocycles", "errors", "groups", "phase"]
-# per command ("" for the import alone): the layers it adds, and numpy/scipy
+# per command ("" for the import alone): the layers it adds, and which of numpy,
+# numpy.random (about 11 ms to import) and scipy it loads
 COMMAND_MODULES = {
     "": ([], []),
     "regular": (["regularity"], []),
@@ -573,8 +592,9 @@ COMMAND_MODULES = {
 
 
 def test_exact_commands_do_not_import_the_numeric_stack(tmp_path):
-    """Each command in a fresh interpreter loads only its own layers, and
-    the exact commands never load numpy or scipy."""
+    """Each command in a fresh interpreter loads only its own layers, the
+    exact commands never load numpy or scipy, and the norm commands never
+    load numpy.random."""
     import os
     import subprocess
     import sys

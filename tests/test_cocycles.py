@@ -394,6 +394,24 @@ def test_batch_export_raises_on_a_symbol_without_a_value(basis):
     assert np.array_equal(sigma.complex_values([sigma._angle(h.data, g.data)]), np.array([1 + 0j]))
 
 
+def test_both_exports_refuse_a_symbol_term_from_2_53_on():
+    """lambda = 10^20 r: the float product 10^20 * r is an even integer, so
+    its angle would export as 0.0 (the exact product of the same float r
+    has angle 0.426).  The batch and the Phase export refuse it alike."""
+    sigma = build_cocycle({"kind": "bs", "lambda": {"irr": {"r": [10**20, 1]}}}, BS, BASIS)
+    g, h = BS.word("b"), BS.word("a")
+    with pytest.raises(ConfigurationError, match=r"symbol 'r' times its value reaches 2\*\*53") as want:
+        sigma.eval(g, h).to_complex()
+    with pytest.raises(ConfigurationError) as got:
+        sigma.complex_values([sigma._angle(h.data, g.data), sigma._angle(g.data, h.data)])
+    assert str(got.value) == str(want.value)
+    # the bound itself: a term of 2^53 is refused, one of 2^53 - 1 exports
+    half = IrrationalBasis({"s": 0.5})
+    with pytest.raises(ConfigurationError, match=r"2\*\*53"):
+        Phase(0, {"s": 2**54}, half).angle_float()
+    assert Phase(0, {"s": 2**54 - 2}, half).angle_float() == 0.0
+
+
 def _reference_pairs(G):
     return [(g, h) for g in G.ball(2) for h in G.ball(3)]
 

@@ -447,6 +447,64 @@ def test_operator_norm_of_an_operator_without_entries():
     assert operator_norm(op) == NormReport(0.0, True, 0, 5)
 
 
+RANDOM_TWISTS = [
+    (F2, TRIV_F2, 3),
+    (BS22, build_cocycle({"kind": "bs", "lambda": R}, BS22, BASIS), 3),
+    (SAN, build_cocycle({"kind": "sanov", "mu0": R, "mu1": [1, 3], "mu2": [1, 5]}, SAN, BASIS), 2),
+    (AN, build_cocycle({"kind": "lift", "base": {"kind": "antisym_theta", "theta": R}}, AN, BASIS), 2),
+]
+
+
+@pytest.mark.parametrize("G, sigma, radius", RANDOM_TWISTS, ids=["free2", "bs22", "sanov", "an_lift"])
+def test_operator_norm_never_exceeds_the_dense_norm(G, sigma, radius):
+    """The value is ||M x|| for a unit vector x: on random twisted operators
+    it is at most the dense SVD norm, up to rounding, at every tolerance and
+    step budget."""
+    rng = random.Random(11)
+    for trial in range(4):
+        support = rng.sample(list(G.ball(2)), 6)
+        f = FiniteFunction(G, {g: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for g in support})
+        op = build_truncated(f, sigma, radius)
+        want = dense_operator_norm(op)
+        for tol, max_iter in ((1e-13, 10**4), (1e-8, 10**4), (1e-2, 10**4), (1e-13, 2)):
+            rep = operator_norm(op, tol=tol, seed=trial, max_iter=max_iter)
+            assert rep.value <= want * (1 + 1e-12)
+            if max_iter > 2 and tol < 1e-8:
+                assert rep.converged and rep.value >= want * (1 - 1e-9)
+
+
+def test_a_rank_two_operator_breaks_down_at_the_exact_norm():
+    """The radius-1 star of F2 (the identity joined to a, A, b and B) has
+    rank 2 and norm 2: the Krylov space closes after two steps, and that
+    breakdown stops the run as converged with the exact value."""
+    f = FiniteFunction(F2, {F2.word(w): 1 for w in ("a", "A", "b", "B")})
+    op = build_truncated(f, TRIV_F2, 1)
+    assert np.linalg.matrix_rank(dense_matrix(op)) == 2
+    rep = operator_norm(op)
+    assert (rep.value, rep.converged, rep.iterations) == (2.0, True, 2)
+
+
+def test_a_run_out_of_steps_is_not_converged_and_stays_below_the_norm():
+    f = FiniteFunction(F2, {F2.word(w): 1 for w in ("a", "A", "b", "B")})
+    op = build_truncated(f, TRIV_F2, 5)
+    rep = operator_norm(op, max_iter=3)
+    assert (rep.converged, rep.iterations) == (False, 3)
+    assert 0 < rep.value < dense_operator_norm(op)
+
+
+def test_the_warm_started_sequence_takes_fewer_steps_than_cold_solves():
+    """Radius r starts from radius r - 1's Ritz vector, placed by element
+    into the larger ball of BS(2,2), which is not a prefix of it."""
+    sigma = build_cocycle({"kind": "bs", "lambda": R}, BS22, BASIS)
+    f = FiniteFunction(BS22, {BS22.word(w): 1 for w in ("a", "A", "b", "B")})
+    warm = truncated_norm_sequence(f, sigma, 5, seed=5)
+    cold = [truncated_norm(f, sigma, r, seed=5) for r in range(1, 6)]
+    assert sum(rep.iterations for rep in warm) < sum(rep.iterations for rep in cold)
+    for w, c in zip(warm, cold):
+        assert w.converged and c.converged
+        assert abs(w.value - c.value) <= 1e-7 * c.value
+
+
 def test_domination_trivial_sigma_equality():
     f = FiniteFunction(Z2, {Z2.vector(1, 0): (2, 0), Z2.vector(0, 1): (1, 0)}, exact=True)
     xi = FiniteFunction.delta(Z2.identity())

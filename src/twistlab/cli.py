@@ -104,9 +104,9 @@ def _load_function(group, path: str, field: str) -> FiniteFunction:
     return FiniteFunction(group, coeffs)
 
 
-def _check_finite(values, what: str) -> None:
+def _check_finite(values, what: str, path: str = "f", remedy: str = "scale the coefficients down") -> None:
     if not all(math.isfinite(v) for v in values):
-        raise SpecError(f"{what} exceeds the float range; scale the coefficients down", path="f")
+        raise SpecError(f"{what} exceeds the float range; {remedy}", path=path)
 
 
 def _all_inconclusive(report: dict) -> bool:
@@ -341,6 +341,8 @@ def _dispatch(args) -> int:
     group, sigma = _build_pair(args)
     kappa = LengthFunction.parse(group, args.kappa)
     rep = kappa_decay_probe(group, sigma, kappa, args.M, args.trials, args.radius, seed=args.seed, node_budget=nodes)
+    # the numbers of the violations are finite when these two are
+    _check_finite([rep.bound, rep.max_ratio], "the bound or a ratio", path="M", remedy="choose a bound M nearer 1")
     summary = f"max ratio {rep.max_ratio:.4g}; violations: {len(rep.violations)}"
     return _emit(rep.to_json(), summary)
 

@@ -168,9 +168,10 @@ def kappa_decay_probe(
         if wnorm == 0.0:
             continue
         lower = truncated_norm(f, sigma, radius, seed=seed, node_budget=node_budget).value
-        ratio = lower / (bound * wnorm)
+        scale = bound * wnorm
+        ratio = lower / scale if scale else math.inf  # the product underflowed to zero
         max_ratio = max(max_ratio, ratio)
-        if lower > bound * wnorm * (1 + 1e-12):
+        if lower > scale * (1 + 1e-12):
             recheck = truncated_norm(f, sigma, radius + 2, seed=seed, node_budget=node_budget).value
             violations.append(
                 {
@@ -178,7 +179,7 @@ def kappa_decay_probe(
                     "lower_bound": lower,
                     "weighted_norm": wnorm,
                     "ratio": ratio,
-                    "revalidated_at_radius_plus_2": recheck > bound * wnorm * (1 + 1e-12),
+                    "revalidated_at_radius_plus_2": recheck > scale * (1 + 1e-12),
                 }
             )
     return DecayReport(bound, trials, max_ratio, violations)

@@ -261,6 +261,21 @@ def test_spectral_norm_past_the_float_range_is_a_spec_error(tmp_path, capsys):
     assert json.loads(out) == {"error": "f: a norm exceeds the float range; scale the coefficients down", "path": "f"}
 
 
+@pytest.mark.parametrize("M", ["inf", "5e-324"], ids=["infinite", "underflowing"])
+def test_growth_decay_bound_past_the_float_range_is_a_spec_error(capsys, M):
+    """An infinite bound would print `Infinity`; the smallest subnormal one
+    makes bound * weighted norm round to zero, so every ratio is infinite."""
+    code, out, err = run_cli(
+        capsys, "growth", "decay", "--group", '{"family":"zn","n":1}', "--cocycle", '{"kind":"trivial"}',
+        "--M", M, "--kappa", "1",
+    )
+    assert code == 1 and len(out.splitlines()) == 1 and "Traceback" not in err
+    assert json.loads(out) == {
+        "error": "M: the bound or a ratio exceeds the float range; choose a bound M nearer 1",
+        "path": "M",
+    }
+
+
 HUGE_R = '{"irr":{"r":[%d,1]}}' % 10**400  # a coefficient past the float range
 
 

@@ -125,7 +125,7 @@ VALUES = {
     "kmax": number(-1, 3),
     "kappa": st.sampled_from(["1", "1+L", "(1+L)^2", "(1+L)^(3/2)", "(1+L)^-1", "(1+L)^1000", "(1+L)^x", "L"]),
     "degrees": mostly(st.lists(st.integers(-1, 3), max_size=3).map(json.dumps), json_text([["x"], 3, [1.5]])),
-    "M": st.sampled_from(["10", "0", "-1", "1e300", "nan", "x"]),
+    "M": st.sampled_from(["10", "0", "-1", "1e300", "inf", "5e-324", "nan", "x"]),
     "trials": number(-1, 3),
     "nu1": mostly(phases.map(json.dumps), junk_text),
     "nu2": mostly(phases.map(json.dumps), junk_text),
@@ -193,13 +193,17 @@ def test_every_argv_gives_one_json_object(command, data, coefficient_dir):
     assert_one_json_object(argv)
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def assert_one_json_object(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert code in (0, 1, 2)
     lines = out.getvalue().splitlines()
-    assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
+    assert len(lines) == 1 and isinstance(json.loads(lines[0], parse_constant=refuse_constant), dict)
     assert "Traceback" not in err.getvalue()
 
 

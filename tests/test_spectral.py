@@ -29,14 +29,14 @@ from twistlab.cocycles import (
     build_cocycle,
     sigma_tilde,
 )
-from twistlab.errors import BudgetExceededError
+from twistlab.errors import BudgetExceededError, ConfigurationError
 from twistlab.groups import get_group
 from twistlab.phase import IrrationalBasis, Phase
 from twistlab.spectral import (
     ExactnessLost,
     FiniteFunction,
     NormReport,
-    _matvec,
+    _product,
     build_truncated,
     check_domination,
     conjugation_bridge_check,
@@ -69,6 +69,28 @@ def test_delta_identity_is_neutral():
     de = FiniteFunction.delta(Z2.identity())
     out = convolve_sigma(de, xi, sig)
     assert out.coeffs == xi.coeffs
+
+
+def test_exact_norms_and_absolute_values():
+    """An exact Gaussian coefficient given as a pair keeps its parts; l1
+    adds the moduli; |c| stays exact for a real or imaginary c and falls
+    back to floats for any other."""
+    a, b = F2.word("a"), F2.word("b")
+    assert FiniteFunction.delta(a, (1, Fraction(-1, 2))).coeffs[a] == (1, Fraction(-1, 2))
+    f = FiniteFunction(F2, {a: (3, 4), b: (0, -2)}, exact=True)
+    assert f.l1() == 7.0
+    g = FiniteFunction(F2, {a: (-3, 0), b: (0, -2)}, exact=True).abs_function()
+    assert g.exact and g.coeffs == {a: (3, 0), b: (2, 0)}
+    h = f.abs_function()
+    assert not h.exact and h.coeffs == {a: 5.0, b: 2.0}
+
+
+def test_convolution_of_functions_on_different_groups_is_refused():
+    f = FiniteFunction.delta(F2.word("a"), exact=False)
+    with pytest.raises(ConfigurationError, match="different groups"):
+        convolve_sigma(f, FiniteFunction.delta(Z.word("a"), exact=False), TRIV_F2)
+    with pytest.raises(ConfigurationError, match="different groups"):
+        convolve_sigma(f, f, TRIV_Z)
 
 
 def test_single_term_convolution_picks_up_the_phase():
@@ -240,7 +262,7 @@ def test_symbolic_coboundary_exports_its_phases():
     db = CoboundaryCocycle(CoboundaryFn(Z, b))
     f = FiniteFunction(Z, {Z.word("a"): 1, Z.word("A"): 1})
     op = build_truncated(f, db, 4)
-    ball = list(op.index)
+    ball = op.elements
     want = []
     for row, col in zip(op.rows, op.cols):
         h, u = ball[row], ball[col]
@@ -265,7 +287,7 @@ def test_wide_support_branch_matches_the_dense_oracle():
     f = FiniteFunction(FZ, {g: 1 for g in FZ.ball(2)})
     assert len(f.coeffs) == 29
     op = build_truncated(f, sig, 1)
-    ball = list(op.index)
+    ball = op.elements
     assert op.size == 7 and op.nnz == 49
     want = np.zeros((7, 7), dtype=np.complex128)
     for i, h in enumerate(ball):
@@ -398,9 +420,9 @@ def test_restrict_is_the_principal_submatrix_on_each_ball(G, cocycle, f_support)
     full = dense_matrix(op)
     for r in range(0, top + 1):
         ball = G.ball(r)
-        sub = op.restrict(ball)
-        idx = [op.index[g] for g in ball]
-        assert list(sub.index) == list(ball) and sub.size == len(ball)
+        idx = np.array([op.elements.index(g) for g in ball], dtype=np.intp)
+        sub = op.restrict(idx)
+        assert sub.elements == ball and sub.size == len(ball)
         np.testing.assert_array_equal(dense_matrix(sub), full[np.ix_(idx, idx)])
         np.testing.assert_array_equal(dense_matrix(sub), dense_matrix(build_truncated(f, sigma, r)))
 
@@ -414,21 +436,22 @@ def test_matrix_export_has_the_same_entries():
 
 
 def test_matvec_matches_the_dense_product():
-    """The jagged-diagonal product on rows of uneven length, empty rows
-    included, for M from rows-sorted entries and M* from columns-sorted ones."""
+    """The bincount product on rows of uneven length, empty rows included,
+    with the entries in no particular order; M* is the same product with
+    rows and columns swapped and the values conjugated."""
     rng = np.random.default_rng(7)
     n = 40
     dense = np.zeros((n, n), dtype=np.complex128)
     for i in rng.choice(n, size=30, replace=False):  # ten empty rows
         k = int(rng.integers(1, n))
         dense[i, rng.choice(n, size=k, replace=False)] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    rows, cols = np.nonzero(dense)  # row-major: sorted by row, then column
+    rows, cols = np.nonzero(dense)
+    shuffle = rng.permutation(len(rows))
+    rows, cols = rows[shuffle], cols[shuffle]
     vals = dense[rows, cols]
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    np.testing.assert_allclose(_matvec(rows, cols, vals, n)(x), dense @ x, rtol=0, atol=1e-12)
-    by_col = np.lexsort((rows, cols))
-    apply_h = _matvec(cols[by_col], rows[by_col], vals[by_col].conj(), n)
-    np.testing.assert_allclose(apply_h(x), dense.conj().T @ x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_product(rows, cols, vals, n)(x), dense @ x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_product(cols, rows, vals.conj(), n)(x), dense.conj().T @ x, rtol=0, atol=1e-12)
 
 
 def test_operator_norm_with_empty_rows_and_columns():
@@ -614,10 +637,19 @@ def test_semifree_examples():
     assert prod(w1) == prod(w2) and w1 != w2
 
 
+def test_semifree_check_of_no_factors_and_its_budget():
+    assert semifree_check([], 3) == (True, None)
+    # {a, b} is semifree, so depth 4 forms 2 + 4 + 8 + 16 products; the 21st passes a budget of 20
+    with pytest.raises(BudgetExceededError) as exc:
+        semifree_check([F2.word("a"), F2.word("b")], 4, budget=20)
+    assert exc.value.nodes == 21
+
+
 def test_convolution_budget_guard():
     f = FiniteFunction(F2, {F2.word("a"): (1, 0), F2.word("b"): (1, 0)}, exact=True)
-    with pytest.raises(BudgetExceededError):
-        convolution_power(f, 12, TRIV_F2, budget=1000)
+    for g in (f, f.to_float()):  # the exact path and the float one
+        with pytest.raises(BudgetExceededError):
+            convolution_power(g, 12, TRIV_F2, budget=1000)
 
 
 def test_stable_rank_evidence_f2():
@@ -626,6 +658,17 @@ def test_stable_rank_evidence_f2():
     assert rep["semifree_translate_found"]
     for run in rep["runs"]:
         assert run["margin"] is not None and run["margin"] >= -1e-9
+
+
+def test_stable_rank_evidence_stops_when_the_power_outgrows_the_budget():
+    """{a, b a, b b a, b b b a} is a prefix code, so it is semifree and f^4
+    has 4^4 = 256 points: more than the budget of 200, which the radius-4
+    ball (161 elements) and the depth-3 check (84 products) stay within."""
+    F = [F2.word(w) for w in ("a", "b a", "b b a", "b b b a")]
+    rep = stable_rank_evidence(F2, TRIV_F2, F, search_radius=0, radius=4, tol=1e-12, depth=3, node_budget=200, samples=1)
+    assert rep["translate"] == ["a", "b a", "b b a", "b b b a"]
+    (run,) = rep["runs"]
+    assert run["stopped"] == "budget" and [row["n"] for row in run["proxies"]] == [1, 2]
 
 
 def test_stable_rank_evidence_singleton():

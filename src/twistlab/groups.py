@@ -104,33 +104,33 @@ class Group:
     # family-specific primitives -------------------------------------------
 
     def _identity_data(self):
-        raise NotImplementedError
+        raise NotImplementedError("Group._identity_data")
 
     def _mul(self, a, b):
-        raise NotImplementedError
+        raise NotImplementedError("Group._mul")
 
     def _inv(self, a):
-        raise NotImplementedError
+        raise NotImplementedError("Group._inv")
 
     def _generators(self) -> list:
         """Generator payloads including inverses."""
-        raise NotImplementedError
+        raise NotImplementedError("Group._generators")
 
     def sort_key(self, data):
-        raise NotImplementedError
+        raise NotImplementedError("Group.sort_key")
 
     def describe(self, data) -> str:
         return repr(data)
 
     def length(self, g: Element) -> int:
         """Proper length function used by the growth probes (documented per family)."""
-        raise NotImplementedError
+        raise NotImplementedError("Group.length")
 
     def element_to_json(self, g: Element):
-        raise NotImplementedError
+        raise NotImplementedError("Group.element_to_json")
 
     def element_from_json(self, obj) -> Element:
-        raise NotImplementedError
+        raise NotImplementedError("Group.element_from_json")
 
     # shared API -------------------------------------------------------------
 

@@ -11,7 +11,7 @@ import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 
 from .cocycles import (
     BitstreamCocycle,
@@ -366,31 +366,38 @@ class BoxVectors(Sequence):
     """The regular vectors of a box as a read-only list of Elements, built
     only where they are read.
 
-    `rows` holds the payload rows in ``sort_key`` order (the lexsorted box
-    array of the integer family, the sorted index tuples of the bit
-    family), and `export` turns a run of rows into their Elements.  `len`
-    and truth build nothing and an index builds one Element; iteration
-    exports `BLOCK` rows at a time, slices come back as lists, and the
-    sequence equals any list or tuple of the same Elements.
+    `rows` holds the payload rows in scan order (the box array of the
+    integer family, the index tuples of the bit family), `order` returns
+    them in ``sort_key`` order, and `export` turns a run of ordered rows
+    into their Elements.  `len` and truth read the scan and never order it;
+    the first index, slice, iteration or comparison orders the rows once.
+    An index builds one Element; iteration exports `BLOCK` rows at a time,
+    slices come back as lists, and the sequence equals any list or tuple of
+    the same Elements.
     """
 
     BLOCK = 1 << 14
 
-    def __init__(self, rows, export):
-        self._rows = rows
+    def __init__(self, rows, order, export):
+        self._scan = rows
+        self._order = order
         self._export = export
 
+    @cached_property
+    def _rows(self):
+        return self._order(self._scan)
+
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._scan)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return self._export(self._rows[i])
-        i = range(len(self._rows))[i]  # negative and out-of-range indices as a list has them
+        i = range(len(self))[i]  # negative and out-of-range indices as a list has them
         return self._export(self._rows[i : i + 1])[0]
 
     def __iter__(self) -> Iterator[Element]:
-        for at in range(0, len(self._rows), self.BLOCK):
+        for at in range(0, len(self), self.BLOCK):
             yield from self._export(self._rows[at : at + self.BLOCK])
 
     def __eq__(self, other) -> bool:
@@ -407,17 +414,17 @@ def regular_vectors_in_box(sigma: Cocycle, window: int, height: int) -> tuple[Bo
     flag.
 
     The vectors come as a `BoxVectors` sequence over the scan's payload
-    rows, so a caller that reads the count or the first vector builds no
-    other Element."""
+    rows, so a caller that reads the count sorts nothing and one that reads
+    the first vector builds no other Element."""
     base = sigma.structural()
     make = partial(Element, base.group)
     positions = list(range(-window, window + 1))
     raw, certified = regular_vectors_box_raw(sigma, window, height)
     if isinstance(base, ThetaCocycle):
-        export = partial(_sumz_elements, make, positions, height)
-        return BoxVectors(_sumz_sorted(positions, height, raw), export), certified
-    rows = sorted(raw, key=base.group.sort_key)
-    return BoxVectors(rows, lambda block: list(map(make, block))), certified
+        order = partial(_sumz_sorted, positions, height)
+        return BoxVectors(raw, order, partial(_sumz_elements, make, positions, height)), certified
+    order = partial(sorted, key=base.group.sort_key)
+    return BoxVectors(raw, order, lambda block: list(map(make, block))), certified
 
 
 def _sumz_sorted(positions: list[int], height: int, vals):

@@ -23,7 +23,7 @@ from .groups import DEFAULT_NODE_BUDGET, Element, Group
 from .phase import quarter_turns
 
 if TYPE_CHECKING:
-    import numpy as np
+    import numpy as np  # for annotations only
 
 ExactC = tuple  # (re, im) with int or Fraction components
 

@@ -188,6 +188,7 @@ def test_box_view_behaves_as_the_eager_list(spec, group, window, height):
     found, _ = regular_vectors_in_box(sig, window, height)
     ref = _eager_box(sig, window, height)
     assert found == ref and ref == found and found == tuple(ref)
+    assert found.__eq__(5) is NotImplemented and (found == 5) is False
     assert len(found) == len(ref) and bool(found) == bool(ref)
     assert list(found) == ref  # iteration order, across export blocks at (3, 4)
     for s in [slice(None, None, 3), slice(-7, None), slice(5, 1, -2), slice(None, None, -1)]:
@@ -203,6 +204,45 @@ def test_box_view_behaves_as_the_eager_list(spec, group, window, height):
     assert group.basis_element(window + 1) not in found  # outside the window
     if len(ref) > 1:
         assert found != ref[:-1] and found != ref[::-1]
+
+
+@pytest.mark.parametrize("family", ["theta", "bitstream"])
+def test_box_view_orders_its_rows_once_and_only_when_read_in_order(family, monkeypatch):
+    """`len` and truth read the scan as it came; the first ordered read
+    sorts the rows, once for every later read."""
+    calls: list = []
+    if family == "theta":
+        sig, window, height = build_cocycle(PERIOD4, SZ, BASIS), 3, 3
+        order = regularity._sumz_sorted
+        monkeypatch.setattr(regularity, "_sumz_sorted", lambda *a: calls.append(a) or order(*a))
+    else:
+        sig, window, height = build_cocycle({"kind": "bitstream", "pre": [], "period": [1, 0]}, SZ2, BASIS), 4, 1
+
+        def counted(rows, **kwargs):  # the bit family's order: `sorted` by the group's key
+            if kwargs.get("key") == SZ2.sort_key:
+                calls.append(rows)
+            return sorted(rows, **kwargs)
+
+        monkeypatch.setattr(regularity, "sorted", counted, raising=False)
+    found, _ = regular_vectors_in_box(sig, window, height)
+    assert len(found) > 5 and bool(found)
+    assert calls == []
+    ref = _eager_box(sig, window, height)
+    assert found[0] == ref[0] and found[2:5] == ref[2:5]
+    assert list(found) == ref and found == ref
+    assert len(calls) == 1
+
+
+def test_box_scan_refuses_a_cocycle_outside_the_sum_families():
+    sig = build_cocycle({"kind": "trivial"}, get_group({"family": "free", "rank": 2}), BASIS)
+    with pytest.raises(SpecError, match="bilinear sum families"):
+        regular_vectors_in_box(sig, 1, 1)
+
+
+def test_box_solution_array_refuses_an_unbounded_row_range():
+    base = build_cocycle(PERIOD4, SZ, BASIS).structural()
+    with pytest.raises(SpecError, match="bounded bandwidth"):
+        regularity.box_solution_array(base, [-1, 0, 1], 2, None)
 
 
 def test_generators_span_found_vectors():

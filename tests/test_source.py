@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import line_trace
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "twistlab"
 # package __init__ files import names to re-export them
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
@@ -65,3 +67,11 @@ def test_verdicts_names_no_group_family_or_cocycle_class():
             kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
             named += [(node.lineno, k.id) for k in kinds if isinstance(k, ast.Name) and k.id in classes]
     assert not named, f"verdicts.py tests objects against group or cocycle classes: {named}"
+
+
+@pytest.mark.parametrize("module, text", sorted(line_trace.ALLOWLIST), ids=lambda v: v[:40])
+def test_line_trace_allowlist_names_exactly_one_executable_line(module, text):
+    """Each deliberate exception of `tests/line_trace.py` still exists, once,
+    as a line some instruction of its module maps to."""
+    lines = line_trace.allowlisted(PACKAGE / module)[text]
+    assert len(lines) == 1, f"{module}: {text!r} is on executable lines {lines}"

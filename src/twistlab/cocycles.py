@@ -532,6 +532,11 @@ class FreeTimesZCharCocycle(Cocycle):
         self.nu = nu
         self.mu_angle, self.nu_angle = self._fix([mu, nu])
 
+    def character(self, word) -> Phase:
+        """gamma on a free word: mu^(a-exponent) nu^(b-exponent)."""
+        oa, ob = free_exponents(word)
+        return self.mu.scale(oa) * self.nu.scale(ob)
+
     def _angle(self, a, b) -> Angle:
         m = a[1]
         oa, ob = free_exponents(b[0])

@@ -831,6 +831,7 @@ class Sanov(Group):
 
     family = "sanov"
     icc = True
+    act = staticmethod(sanov_act)
 
     def base_group(self) -> Group:
         return get_group({"family": "zn", "n": 2})

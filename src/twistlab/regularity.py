@@ -13,30 +13,9 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
-from .cocycles import (
-    BitstreamCocycle,
-    BSInflationCocycle,
-    Cocycle,
-    FreeTimesZCharCocycle,
-    LiftCocycle,
-    ProductCocycle,
-    SanovCocycle,
-    SkewFormCocycle,
-    ThetaCocycle,
-    TrivialCocycle,
-    nth_prime,
-)
+from .cocycles import Cocycle, nth_prime
 from .errors import BudgetExceededError, SpecError
-from .groups import (
-    DEFAULT_NODE_BUDGET,
-    Element,
-    Subgroup,
-    _index_key,
-    commuting_ball,
-    free_exponents,
-    resolve_subgroup,
-    sanov_act,
-)
+from .groups import DEFAULT_NODE_BUDGET, Element, Subgroup, commuting_ball, resolve_subgroup
 from .phase import Angle, Phase, add_angles, negate_angle, scale_angle
 
 
@@ -86,7 +65,7 @@ class RowImage:
         return None
 
 
-def certified_row_range(sigma: ThetaCocycle | BitstreamCocycle, support: list[int]) -> range | None:
+def certified_row_range(sigma: Cocycle, support: list[int]) -> range | None:
     """Row indices that provably cover every regularity constraint.
 
     Finite-bandwidth matrices only constrain rows near the support; for
@@ -96,7 +75,7 @@ def certified_row_range(sigma: ThetaCocycle | BitstreamCocycle, support: list[in
     """
     lo = min(support) if support else 0
     hi = max(support) if support else 0
-    if isinstance(sigma, ThetaCocycle):
+    if sigma.kind == "theta":
         if sigma.rule is not None:
             return None
         if sigma.window is not None:
@@ -117,7 +96,7 @@ def certified_row_range(sigma: ThetaCocycle | BitstreamCocycle, support: list[in
     return range(lo - pre - per, hi + pre + per + 1)
 
 
-def _theta_row(sigma: ThetaCocycle, data, k: int) -> Phase:
+def _theta_row(sigma: Cocycle, data, k: int) -> Phase:
     """Row k of the antisymmetrized matrix applied to a sparse vector."""
     out = (0, (0,) * len(sigma.symbols), 1)
     for j, xj in data:
@@ -127,7 +106,7 @@ def _theta_row(sigma: ThetaCocycle, data, k: int) -> Phase:
     return sigma.phase(out)
 
 
-def _bitstream_row(sigma: BitstreamCocycle, data, k: int) -> Phase:
+def _bitstream_row(sigma: Cocycle, data, k: int) -> Phase:
     count = sum(sigma.epsilon(abs(j - k)) for j in data if j != k)
     return sigma.phase((count % 2, (), 2))
 
@@ -140,11 +119,11 @@ def t_theta_image(sigma: Cocycle, x: Element, window: range | None = None) -> Ro
     supply an explicit window and only those rows are evaluated.
     """
     base = sigma.structural()
-    if isinstance(base, ThetaCocycle):
+    if base.kind == "theta":
         support = [j for j, _ in x.data]
         rows = certified_row_range(base, support)
         rower = lambda k: _theta_row(base, x.data, k)
-    elif isinstance(base, BitstreamCocycle):
+    elif base.kind == "bitstream":
         support = list(x.data)
         rows = certified_row_range(base, support)
         rower = lambda k: _bitstream_row(base, x.data, k)
@@ -160,7 +139,7 @@ def t_theta_image(sigma: Cocycle, x: Element, window: range | None = None) -> Ro
     return RowImage([(k, rower(k)) for k in rows], certified)
 
 
-def _prime_rule_witness(sigma: ThetaCocycle, x: Element) -> tuple[Element, Phase]:
+def _prime_rule_witness(sigma: Cocycle, x: Element) -> tuple[Element, Phase]:
     """Nonzero row for the prime-reciprocal matrix: pick a row beyond the
     support whose prime denominators exceed the coefficient mass."""
     G = sigma.group
@@ -184,8 +163,6 @@ def _prime_rule_witness(sigma: ThetaCocycle, x: Element) -> tuple[Element, Phase
 
 def free_root(word: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Primitive root: the reduced word r and d >= 1 with word = r^d."""
-    if not word:
-        return (), 1
     # cyclically reduce: word = c * v * c^{-1}
     c: list[int] = []
     v = list(word)
@@ -202,16 +179,6 @@ def free_root(word: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
             full = tuple(c) + tuple(root) + tuple(-t for t in reversed(c))
             return full, d
     return tuple(word), 1
-
-
-def _gcd_pair(x1: int, x2: int) -> tuple[int, int, int]:
-    """g = gcd and a vector y with x1*y2 - x2*y1 = g."""
-    g = math.gcd(x1, x2)
-    if g == 0:
-        return 0, 0, 0
-    # u*x1 + w*x2 = g  ->  y = (-w, u)
-    u, w = _ext_gcd(x1, x2)
-    return g, -w, u
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int]:
@@ -250,11 +217,11 @@ def is_sigma_regular(
         return RegularityReport(g, "regular", rule="identity")
     base = sigma.structural()
 
-    if isinstance(base, TrivialCocycle):
+    if base.kind == "trivial":
         return RegularityReport(g, "regular", rule="symmetric_cocycle")
 
-    if isinstance(base, (ThetaCocycle, BitstreamCocycle)):
-        theta = isinstance(base, ThetaCocycle)
+    if base.kind in ("theta", "bitstream"):
+        theta = base.kind == "theta"
         if theta and base.rule == "prime_reciprocal":
             witness, val = _prime_rule_witness(base, g)
             return RegularityReport(g, "not_regular", witness=witness, detail=f"row phase {val!r}")
@@ -265,21 +232,21 @@ def is_sigma_regular(
         detail = f"row phase {val!r}" if theta else ""  # a bitstream row is always 1/2
         return RegularityReport(g, "not_regular", witness=G.basis_element(k), detail=detail)
 
-    if isinstance(base, SkewFormCocycle):
+    if base.kind in ("antisym_theta", "half_skew"):
         x1, x2 = g.data
         content = math.gcd(x1, x2)
         if base.skew_angle().scale(content).is_zero():
             return RegularityReport(g, "regular", rule="skew_form_kernel")
-        _, y1, y2 = _gcd_pair(x1, x2)
-        return RegularityReport(g, "not_regular", witness=G.vector(y1, y2))
+        u, w = _ext_gcd(x1, x2)  # y = (-w, u) has x1*y2 - x2*y1 = u*x1 + w*x2 = +-content
+        return RegularityReport(g, "not_regular", witness=G.vector(-w, u))
 
-    if isinstance(base, BSInflationCocycle) and G.center().contains(g):
+    if base.kind == "bs" and G.center().contains(g):
         m = g.data[0] * G.n  # exponent of b
         if base.lam.scale(m).is_zero():
             return RegularityReport(g, "regular", rule="central_power_kills_twist")
         return RegularityReport(g, "not_regular", witness=G.word("a"))
 
-    if isinstance(base, FreeTimesZCharCocycle):
+    if base.kind == "f2xz":
         x, m = g.data
         if x == ():
             if base.mu.scale(m).is_zero() and base.nu.scale(m).is_zero():
@@ -287,8 +254,7 @@ def is_sigma_regular(
             bad = G.pair("a", 0) if not base.mu.scale(m).is_zero() else G.pair("b", 0)
             return RegularityReport(g, "not_regular", witness=bad)
         root, d = free_root(x)
-        oa, ob = free_exponents(root)
-        w = base.mu.scale(oa) * base.nu.scale(ob)
+        w = base.character(root)
         step = math.gcd(m, d)
         if w.scale(step).is_zero():
             return RegularityReport(g, "regular", rule="character_on_centralizer_vanishes")
@@ -297,8 +263,8 @@ def is_sigma_regular(
         wit = _free_times_z_witness(G, root, u, -v)
         return RegularityReport(g, "not_regular", witness=wit)
 
-    if isinstance(base, ProductCocycle):
-        if isinstance(base.left, TrivialCocycle) and isinstance(base.right, TrivialCocycle):
+    if base.kind == "product":
+        if base.left.kind == base.right.kind == "trivial":
             return RegularityReport(g, "regular", rule="symmetric_cocycle")
 
     # search fallback: can refute, never certify
@@ -346,12 +312,12 @@ def regular_vectors_box_raw(sigma: Cocycle, window: int, height: int):
 
     base = sigma.structural()
     positions = list(range(-window, window + 1))
-    if isinstance(base, ThetaCocycle):
+    if base.kind == "theta":
         if base.rule == "prime_reciprocal":
             return np.empty((0, len(positions)), dtype=np.int64), True
         rows = certified_row_range(base, positions)
         return box_solution_array(base, positions, height, rows), rows is not None
-    if isinstance(base, BitstreamCocycle):
+    if base.kind == "bitstream":
         rows = certified_row_range(base, positions)
         found = []
         for mask in range(1, 1 << len(positions)):
@@ -420,22 +386,23 @@ def regular_vectors_in_box(sigma: Cocycle, window: int, height: int) -> tuple[Bo
     make = partial(Element, base.group)
     positions = list(range(-window, window + 1))
     raw, certified = regular_vectors_box_raw(sigma, window, height)
-    if isinstance(base, ThetaCocycle):
-        order = partial(_sumz_sorted, positions, height)
+    if base.kind == "theta":
+        order = partial(_sumz_sorted, base.group.sort_key, positions, height)
         return BoxVectors(raw, order, partial(_sumz_elements, make, positions, height)), certified
     order = partial(sorted, key=base.group.sort_key)
     return BoxVectors(raw, order, lambda block: list(map(make, block))), certified
 
 
-def _sumz_sorted(positions: list[int], height: int, vals):
+def _sumz_sorted(sort_key, positions: list[int], height: int, vals):
     """The rows of a `box_solution_array` array in ``SumZ.sort_key`` order;
     its integer type holds every code below and every v + height.
 
     One lexsort orders the rows: the L1 norm first, then the positions in
-    ``_index_key`` order.  A present entry v is coded 2|v| (+1 when
-    negative); an absent entry is coded above every present code when a
-    later position is nonzero and 0 otherwise, so that a support which is a
-    prefix of another sorts first, as in the tuple comparison of the key.
+    the ``sort_key`` order of their basis vectors.  A present entry v is
+    coded 2|v| (+1 when negative); an absent entry is coded above every
+    present code when a later position is nonzero and 0 otherwise, so that
+    a support which is a prefix of another sorts first, as in the tuple
+    comparison of the key.
     The codes are built one row of the transposed array at a time from the
     last position in key order, carrying the "some later is nonzero" mask.
     """
@@ -443,7 +410,7 @@ def _sumz_sorted(positions: list[int], height: int, vals):
 
     if len(vals) == 0:
         return vals
-    keyed = vals.T[sorted(range(len(positions)), key=lambda c: _index_key(positions[c]))]
+    keyed = vals.T[sorted(range(len(positions)), key=lambda c: sort_key(((positions[c], 1),)))]
     size = np.abs(keyed)
     codes = 2 * size + (keyed < 0)
     later = np.zeros(len(vals), dtype=bool)
@@ -508,12 +475,12 @@ def regular_subgroup_generators(
     def elements(vectors) -> list[Element]:
         return G.sorted_elements(tuple((p, v) for p, v in zip(positions, vec) if v) for vec in vectors)
 
-    if isinstance(base, ThetaCocycle) and base.rule is None:
+    if base.kind == "theta" and base.rule is None:
         basis = kernel_lattice_basis(base, positions, certified_row_range(base, positions))
         if all(abs(v) <= height for vec in basis for v in vec):
             return elements(basis), True
     raw, certified = regular_vectors_box_raw(sigma, window, height)
-    if isinstance(base, ThetaCocycle):
+    if base.kind == "theta":
         return elements(_lattice_generators_np(raw, len(positions))), certified
     return G.sorted_elements(_gf2_generators(raw, positions)), certified
 
@@ -590,7 +557,7 @@ def _spanning_rows(rows: list[list[int]], n: int, modulus: int | None) -> list[l
     return kept
 
 
-def _integer_constraints(sigma: ThetaCocycle, positions: list[int], rows):
+def _integer_constraints(sigma: Cocycle, positions: list[int], rows):
     """The listed rows of the antisymmetrized matrix as ``_integer_rows``."""
     if rows is None:
         raise SpecError("explicit-window evaluation requires bounded bandwidth")
@@ -619,7 +586,7 @@ def integer_kernel(D: int, rat_rows, exact_rows, n: int) -> list[tuple[int, ...]
     return _hermite_basis([list(b[m:]) for b in echelon if not any(b[:m])], n)
 
 
-def kernel_lattice_basis(sigma: ThetaCocycle, positions: list[int], rows) -> list[tuple[int, ...]]:
+def kernel_lattice_basis(sigma: Cocycle, positions: list[int], rows) -> list[tuple[int, ...]]:
     """Hermite normal form basis of the lattice of vectors supported on
     positions whose listed rows vanish."""
     D, rat_w, sym_ws = _integer_constraints(sigma, positions, rows)
@@ -640,7 +607,7 @@ def _hermite_basis(rows: list[list[int]], n: int) -> list[tuple[int, ...]]:
     return [tuple(b) for b in basis]
 
 
-def box_solution_array(sigma: ThetaCocycle, positions: list[int], height: int, rows):
+def box_solution_array(sigma: Cocycle, positions: list[int], height: int, rows):
     """All nonzero vectors in the box whose listed rows vanish, in
     lexicographic order, in the smallest type that holds -2 * height - 3.
 
@@ -692,7 +659,7 @@ def box_solution_array(sigma: ThetaCocycle, positions: list[int], height: int, r
     return out
 
 
-def _srow_entry(sigma: ThetaCocycle, j: int, k: int) -> Angle | None:
+def _srow_entry(sigma: Cocycle, j: int, k: int) -> Angle | None:
     """Signed entry of the antisymmetrized matrix at row k, column j, as an
     angle; None when it is zero."""
     if j > k:
@@ -799,23 +766,21 @@ def is_regular_wrt_subgroup(
         return is_sigma_regular(sigma, g, radius, node_budget)
     base = sigma.structural()
 
-    if isinstance(base, TrivialCocycle):
+    if base.kind == "trivial":
         return RegularityReport(g, "regular", rule="symmetric_cocycle")
 
-    if isinstance(base, BSInflationCocycle) and sub.name == "center":
+    if base.kind == "bs" and sub.name == "center":
         a_exp, _ = G.exponents(g)
         if base.lam.scale(G.n * a_exp).is_zero():
             return RegularityReport(g, "regular", rule="central_twist_vanishes_on_power")
         return RegularityReport(g, "not_regular", witness=G.b_power(G.n))
 
-    if isinstance(base, FreeTimesZCharCocycle) and sub.name == "z":
-        oa, ob = free_exponents(g.data[0])
-        v = base.mu.scale(oa) * base.nu.scale(ob)
-        if v.is_zero():
+    if base.kind == "f2xz" and sub.name == "z":
+        if base.character(g.data[0]).is_zero():
             return RegularityReport(g, "regular", rule="character_vanishes_on_word")
         return RegularityReport(g, "not_regular", witness=G.pair((), 1))
 
-    if isinstance(base, LiftCocycle) and sub.name == "base":
+    if base.kind == "lift" and sub.name == "base":
         x, k = g.data
         if k != 0 and G.icc:
             return RegularityReport(g, "regular", rule="no_nontrivial_commuting_base_elements")
@@ -823,7 +788,7 @@ def is_regular_wrt_subgroup(
             inner_report = is_sigma_regular(base.base, sub.inner.element(x), radius, node_budget)
             return _pullback_report(inner_report, g, sub)
 
-    if isinstance(base, SanovCocycle) and sub.name == "base":
+    if base.kind == "sanov" and sub.name == "base":
         return _sanov_base_regularity(base, g, sub)
 
     return _searched_report(sigma, g, sub.ball(radius, node_budget), radius)
@@ -834,14 +799,15 @@ def _pullback_report(inner: RegularityReport, g: Element, sub: Subgroup) -> Regu
     return replace(inner, subject=g, witness=witness)
 
 
-def _sanov_base_regularity(base: SanovCocycle, g: Element, sub: Subgroup) -> RegularityReport:
+def _sanov_base_regularity(base: Cocycle, g: Element, sub: Subgroup) -> RegularityReport:
     """Commuting lattice vectors are the fixed vectors of the word's matrix,
     the integer kernel of M - I."""
     (u, x) = g.data
     if x == ():
         inner = is_sigma_regular(base.restrict("base"), sub.inner.element(tuple(u)))
         return _pullback_report(inner, g, sub)
-    (a, c), (b, d) = sanov_act(x, (1, 0)), sanov_act(x, (0, 1))  # the columns of the word's matrix
+    act = base.group.act
+    (a, c), (b, d) = act(x, (1, 0)), act(x, (0, 1))  # the columns of the word's matrix
     gens = integer_kernel(1, [], [[a - 1, b], [c, d - 1]], 2)
     if not gens:
         return RegularityReport(g, "regular", rule="no_fixed_lattice_vectors")

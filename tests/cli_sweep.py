@@ -6,15 +6,26 @@ the files to show that a change leaves every report byte-identical:
 
     PYTHONHASHSEED=0 PYTHONPATH=src python tests/cli_sweep.py > out.jsonl
 
-pytest does not collect this file; it runs in a few seconds.
+With ``--digests`` it prints instead, per run, the first 16 hex digits of
+the sha256 of its exit code (or exception), stdout and stderr.
+``tests/test_cli.py`` runs it so and compares the lines with the reference
+``tests/cli_sweep_digests.txt``.  A change that alters an output on purpose
+regenerates the reference and says in CHANGES.md which outputs changed and
+why:
+
+    PYTHONHASHSEED=0 PYTHONPATH=src python tests/cli_sweep.py --digests > tests/cli_sweep_digests.txt
+
+pytest does not collect this file; it runs in about a second.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import sys
 
 from twistlab.cli import main
 
@@ -126,7 +137,15 @@ def run(argv: list[str]) -> dict:
     return row
 
 
+def digest(row: dict) -> str:
+    """A short digest of everything a run printed or returned."""
+    outcome = {k: v for k, v in row.items() if k != "argv"}
+    return hashlib.sha256(json.dumps(outcome, sort_keys=True).encode()).hexdigest()[:16]
+
+
 if __name__ == "__main__":
     os.environ.pop("TWISTLAB_BUDGET", None)
+    digests = "--digests" in sys.argv[1:]
     for argv in argvs():
-        print(json.dumps(run(argv), sort_keys=True), flush=True)
+        row = run(argv)
+        print(digest(row) if digests else json.dumps(row, sort_keys=True), flush=True)

@@ -629,6 +629,29 @@ def test_exact_commands_do_not_import_the_numeric_stack(tmp_path):
         assert rep == want, command
 
 
+def test_cli_sweep_matches_its_reference():
+    """Each of the sweep's runs prints what its reference digest says.  The
+    sweep's docstring says how to regenerate the reference after a change
+    that alters an output on purpose."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import cli_sweep
+
+    root = Path(cli_sweep.__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=path)
+    cmd = [sys.executable, str(root / "tests" / "cli_sweep.py"), "--digests"]
+    got = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=root, check=True).stdout.split()
+    want = (root / "tests" / "cli_sweep_digests.txt").read_text().split()
+    argvs = list(cli_sweep.argvs())
+    assert len(want) == len(argvs), "the reference lists another set of runs than the sweep makes"
+    first = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), len(got))
+    assert got == want, f"run {first} of {len(want)} differs from the reference: {argvs[min(first, len(argvs) - 1)]}"
+
+
 def test_zero_denominator_phase_is_spec_error(capsys):
     code, out, err = run_cli(
         capsys,

@@ -92,6 +92,8 @@ def test_t_image_examples():
     assert img.rows == [(1, Phase(Fraction(1, 2)))]
     with pytest.raises(SpecError):
         t_theta_image(prime, SZ.basis_element(0))
+    with pytest.raises(SpecError, match="bilinear sum-family"):
+        t_theta_image(build_cocycle({"kind": "bs", "lambda": [1, 3]}, BS), BS.word("a"))
 
 
 def test_certified_rows_cover_bandwidth():
@@ -574,11 +576,20 @@ def test_f2xz_certificates():
     assert sig.eval(g, w) != sig.eval(w, g)
     # a nonzero integer part re-enables witnesses: gcd(m, d) drops to 1
     assert is_sigma_regular(sig, FZ.pair("a a a", 1)).status == "not_regular"
+    # 2*j - 3*l = 1 at j = -1: the witness walks the root backwards
+    g = FZ.pair("a a a", 2)
+    rep = is_sigma_regular(sig, g)
+    assert rep.status == "not_regular" and rep.witness == FZ.pair("A", -1)
+    w = rep.witness
+    assert FZ.compose(g, w) == FZ.compose(w, g)
+    assert sig.eval(g, w) != sig.eval(w, g)
 
 
 def test_free_root():
     assert free_root((1, 1, 1)) == ((1,), 3)
     assert free_root((1, 2)) == ((1, 2), 1)
+    assert free_root((1, 2, 1, 2)) == ((1, 2), 2)
+    assert free_root(()) == ((), 1)
     # cyclically non-reduced powers: (aba^{-1})^2 written reduced
     word = (1, 2, 2, -1)
     root, d = free_root(word)

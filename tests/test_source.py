@@ -46,19 +46,32 @@ def _subclasses(roots: set[str], *modules: str) -> set[str]:
     return found
 
 
-def test_verdicts_names_no_group_family_or_cocycle_class():
-    """The deciders reach a family's closed forms through their table keyed
-    by (family, cocycle kind), so they import only the shared names and test
-    no object against a group or cocycle class."""
-    tree = ast.parse((PACKAGE / "verdicts.py").read_text())
+# Each decider module's exact imports from the family modules: the shared
+# names only, no family class and no single-family helper.
+BOUNDARY = {
+    "verdicts.py": {
+        "groups": {"DEFAULT_NODE_BUDGET", "Element", "Group", "Subgroup", "resolve_subgroup"},
+        "cocycles": {"Cocycle", "stream_bit"},
+    },
+    "regularity.py": {
+        "groups": {"DEFAULT_NODE_BUDGET", "Element", "Subgroup", "commuting_ball", "resolve_subgroup"},
+        "cocycles": {"Cocycle", "nth_prime"},
+    },
+}
+
+
+@pytest.mark.parametrize("module", sorted(BOUNDARY))
+def test_deciders_name_no_group_family_or_cocycle_class(module):
+    """The deciders reach a family's closed forms through the structural
+    cocycle's kind (`verdicts` by its table keyed by (family, kind),
+    `regularity` by testing the kind in place), so they import only the
+    shared names and test no object against a group or cocycle class."""
+    tree = ast.parse((PACKAGE / module).read_text())
     imported: dict[str, set[str]] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in ("groups", "cocycles"):
             imported.setdefault(node.module, set()).update(alias.name for alias in node.names)
-    assert imported == {
-        "groups": {"DEFAULT_NODE_BUDGET", "Element", "Group", "Subgroup", "resolve_subgroup"},
-        "cocycles": {"Cocycle", "stream_bit"},
-    }
+    assert imported == BOUNDARY[module]
     classes = _subclasses({"Group", "Cocycle"}, "groups.py", "cocycles.py")
     assert {"SumZ", "WreathZ", "FreeTimesZ", "LiftCocycle", "AntisymThetaCocycle"} <= classes
     named = []
@@ -66,7 +79,43 @@ def test_verdicts_names_no_group_family_or_cocycle_class():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
             kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
             named += [(node.lineno, k.id) for k in kinds if isinstance(k, ast.Name) and k.id in classes]
-    assert not named, f"verdicts.py tests objects against group or cocycle classes: {named}"
+    assert not named, f"{module} tests objects against group or cocycle classes: {named}"
+
+
+def _strings(node: ast.expr) -> set[str]:
+    """The string constants of an expression or of its tuple, list or set."""
+    parts = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+    return {p.value for p in parts if isinstance(p, ast.Constant) and isinstance(p.value, str)}
+
+
+def test_every_kind_a_decider_names_is_a_cocycle_kind():
+    """A misspelt kind string fails silently, where a misspelt class name
+    fails loudly: the rule just stops firing.  So every string compared
+    with a `.kind` in `regularity` and `verdicts`, and every kind in the
+    `DECIDERS` keys, is the `kind` of a class in `cocycles`."""
+    kinds = {
+        stmt.value.value
+        for node in ast.parse((PACKAGE / "cocycles.py").read_text()).body
+        if isinstance(node, ast.ClassDef)
+        for stmt in node.body
+        if isinstance(stmt, ast.Assign)
+        and [t.id for t in stmt.targets if isinstance(t, ast.Name)] == ["kind"]
+        and isinstance(stmt.value, ast.Constant)
+    }
+    assert {"theta", "bitstream", "antisym_theta", "half_skew", "f2xz", "sanov"} <= kinds
+    named: dict[str, set[str]] = {}
+    for module in ("regularity.py", "verdicts.py"):
+        tree = ast.parse((PACKAGE / module).read_text())
+        for node in ast.walk(tree):
+            operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+            if any(isinstance(o, ast.Attribute) and o.attr == "kind" for o in operands):
+                named.setdefault(module, set()).update(*map(_strings, operands))
+            if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "DECIDERS":
+                named.setdefault("DECIDERS", set()).update(*(_strings(k.elts[1]) for k in node.value.keys))
+    unknown = {where: found - kinds for where, found in named.items() if found - kinds}
+    assert not unknown, f"kind strings that no cocycle class has: {unknown}"
+    assert set(named) == {"regularity.py", "verdicts.py", "DECIDERS"}
+    assert {"theta", "f2xz", "sanov", "lift"} <= named["regularity.py"]
 
 
 @pytest.mark.parametrize("module, text", sorted(line_trace.ALLOWLIST), ids=lambda v: v[:40])

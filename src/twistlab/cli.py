@@ -21,7 +21,7 @@ from .groups import get_group
 from .phase import IrrationalBasis, phase_from_json
 
 if TYPE_CHECKING:
-    from .spectral import FiniteFunction
+    from .spectral import FiniteFunction  # for annotations only
 
 # The layers (fixtures, growth, regularity, spectral, verdicts) are imported
 # in the branch of _dispatch that runs them, so a process loads only its own.

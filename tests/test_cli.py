@@ -184,6 +184,24 @@ def test_inconclusive_exit_two(capsys):
     assert json.loads(out)["relative_kleppner"]["status"] == "inconclusive"
 
 
+def test_rank_three_semidirect_product_is_built_and_left_undecided(capsys):
+    """A 3x3 matrix passes the determinant check by cofactor expansion, and
+    no Kleppner rule decides the group, so the verdict is inconclusive."""
+    group = '{"family":"zn_semidirect","A":[[2,1,0],[1,1,0],[0,0,1]]}'
+    code, out, _ = run_cli(capsys, "verdict", "kleppner", "--group", group, "--cocycle", '{"kind":"trivial"}')
+    assert code == 2
+    assert json.loads(out)["kleppner"]["status"] == "inconclusive"
+
+
+def test_theta_window_has_no_finite_bandwidth_and_the_kernel_scan_refutes(capsys):
+    """Only e_1 and e_2 twist, so e_0 is regular and central."""
+    window = '{"kind":"theta_window","entries":[[1,2,[1,3]]]}'
+    code, out, _ = run_cli(capsys, "verdict", "kleppner", "--group", '{"family":"sum_z"}', "--cocycle", window)
+    assert code == 0
+    rep = json.loads(out)["kleppner"]
+    assert (rep["status"], rep["rule"], rep["witness"]) == ("refuted", "kernel_scan", {"0": 1})
+
+
 def _period_pair(first: dict, second: dict) -> tuple[str, ...]:
     period = [{"rat": [0, 1], "irr": {}, **first}, {"rat": [0, 1], "irr": {}, **second}]
     cocycle = json.dumps({"kind": "theta_diag", "diagonals": [], "period": period})
@@ -746,6 +764,20 @@ TRIVIAL_ON_Z = ("--group", '{"family":"zn","n":1}', "--cocycle", '{"kind":"trivi
         (("verdict", "kleppner", "--group", '{"family":"sum_z"}', "--cocycle", '{"kind":"theta_diag","diagonals":5}'), {}, "cocycle.diagonals"),
         (("verdict", "kleppner", "--group", '{"family":"sum_z"}', "--cocycle", '{"kind":"theta_diag","period":5}'), {}, "cocycle.period"),
         (("growth", "class", "--group", '{"family":"zn","n":1}', "--g", "[1]", "--radius", "-1"), {}, "radius"),
+        (("growth", "class", "--group", '{"family":"zn","n":1}', "--g", "[1]", "--degrees", '["x"]'), {}, "degrees"),
+        (("regular", "--group", '{"family":"sum_z2"}', "--cocycle", '{"kind":"trivial"}', "--g", "[1,1]"), {}, "g"),
+        (("regular", "--group", '{"family":"zn","n":2}', "--cocycle", '{"kind":"trivial"}', "--g", "[1]"), {}, "g"),
+        (("regular", "--group", '{"family":"wreath","base":"Z2"}', "--cocycle", '{"kind":"trivial"}', "--g", "[1]"), {}, "g"),
+        (("regular", "--group", '{"family":"zn_semidirect","A":[[2,1],[1,1]]}', "--cocycle", '{"kind":"trivial"}', "--g", "[1]"), {}, "g"),
+        (("regular", "--group", '{"family":"free","rank":2}', "--cocycle", '{"kind":"trivial"}', "--g", '"a z"'), {}, "g"),
+        (("regular", "--group", '{"family":"free","rank":2}', "--cocycle", '{"kind":"trivial"}', "--g", "5"), {}, "g"),
+        (("regular", "--group", '{"family":"sanov"}', "--cocycle", '{"kind":"trivial"}', "--g", "5"), {}, "g"),
+        (("regular", "--group", '{"family":"bs_nn","n":2}', "--cocycle", '{"kind":"trivial"}', "--g", "5"), {}, "g"),
+        (("regular", "--group", '{"family":"free_times_z"}', "--cocycle", '{"kind":"trivial"}', "--g", "5"), {}, "g"),
+        (("verdict", "kleppner", "--group", '{"family":"zn_semidirect"}', "--cocycle", '{"kind":"trivial"}'), {}, "group.A"),
+        (("verdict", "kleppner", "--group", '{"family":"sum_z"}', "--cocycle", '{"kind":"theta_rule","rule":"nope"}'), {}, "cocycle.rule"),
+        (("verdict", "kleppner", "--group", '{"family":"sum_z"}', "--cocycle", '{"kind":"theta_rule"}'), {}, "cocycle.rule"),
+        (("verdict", "kleppner", "--group", '{"family":"zn_semidirect","A":[[1,1],[1,0]]}', "--cocycle", '{"kind":"lift","base":{"kind":"half_skew","mu0":[1,3]}}'), {}, "cocycle.base"),
     ],
     ids=[
         "irr_not_object",
@@ -794,6 +826,20 @@ TRIVIAL_ON_Z = ("--group", '{"family":"zn","n":1}', "--cocycle", '{"kind":"trivi
         "theta_diag_diagonals_int",
         "theta_diag_period_int",
         "abelian_class_radius_negative",
+        "degrees_entry_str",
+        "sum_z2_element_repeated_index",
+        "zn_element_short",
+        "wreath_element_not_object",
+        "semidirect_element_not_object",
+        "free_element_bad_letter",
+        "free_element_not_str",
+        "sanov_element_not_object",
+        "bs_element_not_str",
+        "free_times_z_element_not_object",
+        "semidirect_matrix_missing",
+        "theta_rule_unknown",
+        "theta_rule_missing",
+        "skew_lift_det_minus_one",
     ],
 )
 def test_bad_inputs_are_json_spec_errors(argv, env, path, tmp_path, monkeypatch, capsys):

@@ -10,9 +10,13 @@ from oracles import bs_reference, f2xz_reference, sanov_reference, sanov_word_ma
 from twistlab.cocycles import (
     CoboundaryCocycle,
     CoboundaryFn,
+    Cocycle,
     HalfSkewCocycle,
+    LiftCocycle,
+    ProductCocycle,
     RestrictedCocycle,
     SimilarTwist,
+    ThetaCocycle,
     TrivialCocycle,
     build_cocycle,
     nth_prime,
@@ -204,6 +208,67 @@ def test_lift_to_a_finite_wreath_product_must_be_invariant_on_the_cycle(m):
 def test_window_below_diagonal_rejected():
     with pytest.raises(SpecError):
         build_cocycle({"kind": "theta_window", "entries": [[2, 1, [1, 2]]]}, SZ)
+    with pytest.raises(SpecError) as err:  # the same check for library callers
+        ThetaCocycle(SZ, window={(2, 1): Phase(Fraction(1, 2))})
+    assert err.value.path == "cocycle.entries"
+
+
+@pytest.mark.parametrize(
+    "build, error, path",
+    [
+        (lambda: LiftCocycle(W, TrivialCocycle(SZ2)), SpecError, "cocycle.base"),
+        (lambda: LiftCocycle(AN, TrivialCocycle(SZ)), SpecError, "cocycle.base"),
+        (lambda: LiftCocycle(SZ, TrivialCocycle(SZ)), SpecError, "cocycle"),
+        (lambda: ProductCocycle(FZ, TrivialCocycle(Z2), TrivialCocycle(Z2)), SpecError, "cocycle.left"),
+        (lambda: ProductCocycle(FZ, TrivialCocycle(F2), TrivialCocycle(Z2)), SpecError, "cocycle.right"),
+        (lambda: CoboundaryFn(SZ, lambda g: Phase(Fraction(1, 3))), ConfigurationError, None),
+        (lambda: SimilarTwist(TrivialCocycle(SZ), CoboundaryFn.zero(SZ2)), ConfigurationError, None),
+        (lambda: verify_invariance(TrivialCocycle(Z2)), SpecError, None),
+    ],
+    ids=[
+        "wreath_lift_base_on_other_group",
+        "semidirect_lift_base_off_lattice",
+        "lift_onto_sum_z",
+        "product_left_not_free2",
+        "product_right_not_z",
+        "coboundary_nonzero_at_identity",
+        "similar_twist_across_groups",
+        "invariance_off_the_sum_families",
+    ],
+)
+def test_library_callers_get_the_constructor_refusals(build, error, path):
+    """Checks that only library callers reach: a JSON spec is refused
+    earlier, in `build_cocycle`, or cannot express the input."""
+    with pytest.raises(error) as err:
+        build()
+    if path is not None:
+        assert err.value.path == path
+
+
+class AngleMap(Cocycle):
+    """A two-valued map given by an angle function, to feed the checkers
+    maps that are not normalized or not shift-invariant."""
+
+    den = 2
+
+    def __init__(self, group, bit):
+        super().__init__(group)
+        self.bit = bit
+
+    def _angle(self, a, b):
+        return self.bit(a, b), (), 2
+
+
+def test_checkers_return_their_counterexamples():
+    rep = verify_normalization(AngleMap(SZ2, lambda a, b: 1), samples=5)
+    assert (rep.passed, rep.checked) == (False, 1) and len(rep.counterexample) == 1
+    # basis pairs pass: the map moves only on a left factor of two or more
+    # indices that holds index 0, so only the random pairs expose it
+    at_zero = AngleMap(SZ2, lambda a, b: int(len(a) > 1 and 0 in a))
+    rep = verify_invariance(at_zero)
+    assert not rep.passed and rep.checked > 81
+    x, y = rep.counterexample
+    assert 0 in x.data and len(x.data) > 1
 
 
 def test_similar_transform_zero_and_self():

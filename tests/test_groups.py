@@ -367,6 +367,14 @@ def test_bad_specs_rejected():
         get_group({"family": "bs_nn", "n": 1})
     with pytest.raises(SpecError):
         resolve_subgroup(F2, "center")
+    with pytest.raises(SpecError):
+        get_group({"family": "zn", "n": 2}).vector(1)
+
+
+def test_zn_elements_print_as_their_coordinate_tuple():
+    Z2 = get_group({"family": "zn", "n": 2})
+    assert repr(Z2.vector(1, 2)) == "<zn:(1, 2)>"
+    assert repr(get_group({"family": "zn", "n": 1}).vector(-3)) == "<zn:(-3,)>"
 
 
 def test_subgroup_embeddings():
@@ -380,6 +388,7 @@ def test_subgroup_embeddings():
     assert sub is BS.center()
     assert resolve_subgroup(FZ, "center").name == resolve_subgroup(FZ, "z").name == "z"
     assert resolve_subgroup(SAN, "z2").name == "base"
+    assert resolve_subgroup(BS, "trivial").ball(2) == (BS.identity(),)
     assert all(G.center() is None for G in ALL if G not in (BS, FZ))
 
 

@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
+import pytest
+
 from twistlab.cocycles import TrivialCocycle, build_cocycle
+from twistlab.errors import SpecError
 from twistlab.groups import get_group
 from twistlab.growth import (
     LengthFunction,
@@ -118,6 +121,23 @@ def test_decay_single_point_never_violates():
     assert not rep.violated
 
 
+def test_decay_probe_stops_at_the_given_functions_and_skips_the_zero_one():
+    triv = TrivialCocycle(Z)
+    kappa = LengthFunction(Z, Fraction(2))
+    f = FiniteFunction.delta(Z.word("a"), 1.0, exact=False)
+    one = kappa_decay_probe(Z, triv, kappa, 10.0, 1, 4, functions=[f])
+    short = kappa_decay_probe(Z, triv, kappa, 10.0, 3, 4, functions=[f])
+    assert (short.max_ratio, short.violations) == (one.max_ratio, one.violations) and one.max_ratio > 0
+    empty = kappa_decay_probe(Z, triv, kappa, 10.0, 1, 4, functions=[FiniteFunction(Z, {})])
+    assert (empty.max_ratio, empty.violations) == (0.0, [])
+
+
+def test_torus_orbit_refuses_an_unknown_map():
+    with pytest.raises(SpecError) as err:
+        torus_orbit_probe(Phase(0), None, (Phase(0), Phase(0)), 10, which="nope")
+    assert err.value.path == "which"
+
+
 def test_torus_orbit_torsion_first_coordinate():
     nu1 = Phase(Fraction(1, 5))
     rep = torus_orbit_probe(nu1, None, (Phase(0), Phase(0)), 200, which="phi1")
@@ -154,6 +174,8 @@ def test_torus_orbit_both_maps_trivial_parameters():
     rep2 = torus_orbit_probe(third, third, (Phase(0), Phase(0)), 50, which="both")
     assert rep2["finite_certified"] and rep2["orbit_size"] is not None
     assert rep2["orbit_size"] > 1
+    capped = torus_orbit_probe(third, third, (Phase(0), Phase(0)), 50, which="both", orbit_cap=1)
+    assert capped["orbit_size"] is None and not capped["finite_certified"]
 
 
 def test_finite_flag_agrees_with_torsion():

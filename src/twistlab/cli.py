@@ -94,6 +94,8 @@ def _load_function(group, path: str, field: str) -> FiniteFunction:
     for i, row in enumerate(data):
         if not isinstance(row, dict) or "g" not in row:
             raise SpecError("each coefficient row must be an object with a 'g' field", path=f"{field}[{i}].g")
+        if not set(row) <= {"g", "re", "im"} or None in row.values():
+            raise SpecError('a coefficient row takes "g", "re" and "im", none of them null', path=f"{field}[{i}]")
         g = _parsed(group.element_from_json, row["g"], f"{field}[{i}].g")
         try:
             coeffs[g] = complex(float(row.get("re", 0.0)), float(row.get("im", 0.0)))

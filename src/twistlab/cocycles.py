@@ -20,6 +20,7 @@ from typing import Callable
 
 from .errors import ConfigurationError, SpecError
 from .groups import (
+    REQUIRED,
     BaumslagSolitarNN,
     Element,
     FreeGroup,
@@ -32,9 +33,13 @@ from .groups import (
     WreathZ,
     Zn,
     ZnSemidirectZ,
+    _as_is,
+    _int,
+    _list,
     bs_exponent_sum,
     free_exponents,
     get_group,
+    read_spec,
     resolve_subgroup,
     sanov_act,
 )
@@ -760,94 +765,55 @@ def verify_invariance(sigma: Cocycle, samples: int = 200, seed: int = 0, window:
 # ---------------------------------------------------------------------------
 
 
-def build_cocycle(spec: dict, group: Group, basis: IrrationalBasis | None = None) -> Cocycle:
-    """Build the cocycle described by a spec dict on the given group."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise SpecError("cocycle spec must be an object with a 'kind' field", path="cocycle.kind")
-    kind = spec["kind"]
-    ph = lambda obj, path: _parse_phase(obj, basis, path)
-
-    def need(name: str):
-        if name not in spec:
-            raise SpecError(f"{kind} cocycles need a {name!r} field", path=f"cocycle.{name}")
-        return spec[name]
-
-    def need_phase(name: str) -> Phase:
-        return ph(need(name), f"cocycle.{name}")
-
-    def items(name: str) -> list:
-        value = spec.get(name)
-        if value is None:
-            return []
-        if not isinstance(value, list):
-            raise SpecError(f"{name} must be a list, got {value!r}", path=f"cocycle.{name}")
-        return value
-
-    if kind == "trivial":
-        return TrivialCocycle(group)
-    if kind in ("theta_diag", "theta_rule", "theta_window"):
-        if not isinstance(group, SumZ):
-            raise SpecError("theta cocycles live on sum_z", path="cocycle.kind")
-        if kind == "theta_rule":
-            return ThetaCocycle(group, rule=need("rule"))
-        if kind == "theta_diag":
-            diags = tuple(ph(p, f"cocycle.diagonals[{i}]") for i, p in enumerate(items("diagonals")))
-            per = tuple(ph(p, f"cocycle.period[{i}]") for i, p in enumerate(items("period")))
-            return ThetaCocycle(group, diagonals=diags, period=per)
-        entries = {}
-        for i, item in enumerate(items("entries")):
-            if not (
-                isinstance(item, list)
-                and len(item) == 3
-                and all(isinstance(t, int) and not isinstance(t, bool) for t in item[:2])
-            ):
-                raise SpecError(
-                    "a theta_window entry is a [j, k, phase] triple with integer j, k",
-                    path=f"cocycle.entries[{i}]",
-                )
-            j, k, p = item
-            if j >= k:
-                raise SpecError(
-                    f"theta entry ({j},{k}) lies on or below the diagonal",
-                    path=f"cocycle.entries[{i}]",
-                )
-            entries[(j, k)] = ph(p, f"cocycle.entries[{i}]")
-        return ThetaCocycle(group, window=entries)
-    if kind == "bitstream":
-        if not isinstance(group, SumZ2):
-            raise SpecError("bitstream cocycles live on sum_z2", path="cocycle.kind")
-        return BitstreamCocycle(group, tuple(items("pre")), tuple(items("period")))
-    if kind == "antisym_theta":
-        return AntisymThetaCocycle(group, need_phase("theta"))
-    if kind == "half_skew":
-        return HalfSkewCocycle(group, need_phase("mu0"))
-    if kind == "lift":
-        if not isinstance(group, (WreathZ, ZnSemidirectZ)):
-            raise SpecError("lift target must be wreath or zn_semidirect", path="cocycle.kind")
-        return LiftCocycle(group, build_cocycle(need("base"), group.base_group(), basis))
-    if kind == "sanov":
-        if not isinstance(group, Sanov):
-            raise SpecError("sanov cocycles live on the sanov family", path="cocycle.kind")
-        return SanovCocycle(group, need_phase("mu0"), need_phase("mu1"), need_phase("mu2"))
-    if kind == "bs":
-        if not isinstance(group, BaumslagSolitarNN):
-            raise SpecError("bs cocycles live on bs_nn", path="cocycle.kind")
-        return BSInflationCocycle(group, need_phase("lambda"))
-    if kind == "f2xz":
-        if not isinstance(group, FreeTimesZ):
-            raise SpecError("f2xz cocycles live on free_times_z", path="cocycle.kind")
-        return FreeTimesZCharCocycle(group, need_phase("mu"), need_phase("nu"))
-    if kind == "product":
-        if not isinstance(group, FreeTimesZ):
-            raise SpecError("product cocycles are supported on free_times_z", path="cocycle.kind")
-        left = build_cocycle(need("left"), get_group({"family": "free", "rank": 2}), basis)
-        right = build_cocycle(need("right"), group.center().inner, basis)
-        return ProductCocycle(group, left, right)
-    raise SpecError(f"unknown cocycle kind {kind!r}", path="cocycle.kind")
-
-
-def _parse_phase(obj, basis: IrrationalBasis | None, path: str) -> Phase:
+def _phase(obj, path: str, group: Group, basis: IrrationalBasis | None) -> Phase:
     try:
         return phase_from_json(obj, basis)
     except ConfigurationError as exc:
         raise SpecError(str(exc), path=path) from exc
+
+
+def _phases(items, path: str, group: Group, basis: IrrationalBasis | None) -> tuple[Phase, ...]:
+    return tuple(_phase(p, f"{path}[{i}]", group, basis) for i, p in enumerate(_list(items, path)))
+
+
+def _window(items, path: str, group: Group, basis: IrrationalBasis | None) -> dict[tuple[int, int], Phase]:
+    entries = {}
+    for i, item in enumerate(_list(items, path)):
+        if not (isinstance(item, list) and len(item) == 3):
+            raise SpecError("a theta_window entry is a [j, k, phase] triple", path=f"{path}[{i}]")
+        j, k = (_int(t, f"{path}[{i}]") for t in item[:2])
+        if j >= k:  # the constructor's check, at the entry's path
+            raise SpecError(f"theta entry ({j},{k}) lies on or below the diagonal", path=f"{path}[{i}]")
+        entries[(j, k)] = _phase(item[2], f"{path}[{i}]", group, basis)
+    return entries
+
+
+def _nested(target: Callable[[Group], Group]):
+    """A required cocycle spec field, built on the group that `target` picks."""
+    return (lambda spec, path, group, basis: build_cocycle(spec, target(group), basis, path)), REQUIRED
+
+
+KINDS = {  # kind: (the group classes it lives on, {field: (parser, default or REQUIRED)}, constructor)
+    "trivial": ((Group,), {}, TrivialCocycle),
+    "theta_diag": ((SumZ,), {"diagonals": (_phases, ()), "period": (_phases, ())}, ThetaCocycle),
+    "theta_rule": ((SumZ,), {"rule": (_as_is, REQUIRED)}, lambda G, rule: ThetaCocycle(G, rule=rule)),
+    "theta_window": ((SumZ,), {"entries": (_window, {})}, lambda G, window: ThetaCocycle(G, window=window)),
+    "bitstream": ((SumZ2,), {"pre": (_list, ()), "period": (_list, ())}, BitstreamCocycle),
+    "antisym_theta": ((Group,), {"theta": (_phase, REQUIRED)}, AntisymThetaCocycle),
+    "half_skew": ((Group,), {"mu0": (_phase, REQUIRED)}, HalfSkewCocycle),
+    "lift": ((WreathZ, ZnSemidirectZ), {"base": _nested(lambda G: G.base_group())}, LiftCocycle),
+    "sanov": ((Sanov,), dict.fromkeys(("mu0", "mu1", "mu2"), (_phase, REQUIRED)), SanovCocycle),
+    "bs": ((BaumslagSolitarNN,), {"lambda": (_phase, REQUIRED)}, BSInflationCocycle),
+    "f2xz": ((FreeTimesZ,), dict.fromkeys(("mu", "nu"), (_phase, REQUIRED)), FreeTimesZCharCocycle),
+    "product": (
+        (FreeTimesZ,),
+        {"left": _nested(lambda G: get_group({"family": "free"})), "right": _nested(lambda G: G.center().inner)},
+        ProductCocycle,
+    ),
+}
+
+
+def build_cocycle(spec: dict, group: Group, basis: IrrationalBasis | None = None, path: str = "cocycle") -> Cocycle:
+    """Build the cocycle that a spec dict at the JSON `path` describes on the given group."""
+    (_, _, build), values = read_spec(spec, "kind", KINDS, path, on=group, context=(group, basis))
+    return build(group, *values)

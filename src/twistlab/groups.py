@@ -336,7 +336,10 @@ class SumZ(Group):
     def element_from_json(self, obj) -> Element:
         if not isinstance(obj, dict):
             raise SpecError("sum_z element must be a {index: value} map")
-        return self.element(tuple(sorted((int(k), int(v)) for k, v in obj.items() if int(v))))
+        items = [(int(k), _int(v, k)) for k, v in obj.items()]
+        if [str(i) for i, _ in items] != list(obj):  # "01" or "+1" would repeat an index
+            raise SpecError(f"sum_z indices must be integers written plainly, got {list(obj)}")
+        return self.element(tuple(sorted((i, v) for i, v in items if v)))
 
 
 class SumZ2(Group):
@@ -406,7 +409,7 @@ class SumZ2(Group):
     def element_from_json(self, obj) -> Element:
         if not isinstance(obj, list):
             raise SpecError("sum_z2 element must be a list of indices")
-        idx = [int(i) for i in obj]
+        idx = [_int(i, "") for i in obj]
         if self.modulus is not None:
             idx = [i % self.modulus for i in idx]
         if len(set(idx)) != len(idx):
@@ -462,7 +465,7 @@ class Zn(Group):
     def element_from_json(self, obj) -> Element:
         if not isinstance(obj, list) or len(obj) != self.n:
             raise SpecError(f"zn element must be a list of {self.n} integers")
-        return self.element(tuple(int(v) for v in obj))
+        return self.element(tuple(_int(v, "") for v in obj))
 
 
 # ---------------------------------------------------------------------------
@@ -586,9 +589,9 @@ class WreathZ(Group):
         return {"x": self._lamps.element_to_json(Element(self._lamps, x)), "k": k}
 
     def element_from_json(self, obj) -> Element:
-        if not isinstance(obj, dict) or "x" not in obj or "k" not in obj:
+        if not isinstance(obj, dict) or set(obj) != {"x", "k"}:
             raise SpecError('wreath element must be {"x": ..., "k": int}')
-        return self.pair(self._lamps.element_from_json(obj["x"]), int(obj["k"]))
+        return self.pair(self._lamps.element_from_json(obj["x"]), _int(obj["k"], "k"))
 
 
 # ---------------------------------------------------------------------------
@@ -716,9 +719,9 @@ class ZnSemidirectZ(Group):
         return {"v": list(g.data[0]), "k": g.data[1]}
 
     def element_from_json(self, obj) -> Element:
-        if not isinstance(obj, dict) or "v" not in obj or "k" not in obj:
+        if not isinstance(obj, dict) or set(obj) != {"v", "k"}:
             raise SpecError('zn_semidirect element must be {"v": [...], "k": int}')
-        return self.pair(obj["v"], obj["k"])
+        return self.pair(self._lattice.element_from_json(obj["v"]).data, _int(obj["k"], "k"))
 
 
 # ---------------------------------------------------------------------------
@@ -875,9 +878,9 @@ class Sanov(Group):
         return {"v": list(g.data[0]), "w": word_to_string(g.data[1])}
 
     def element_from_json(self, obj) -> Element:
-        if not isinstance(obj, dict) or "v" not in obj or "w" not in obj:
+        if not isinstance(obj, dict) or set(obj) != {"v", "w"} or not isinstance(obj["w"], str):
             raise SpecError('sanov element must be {"v": [a, b], "w": "word"}')
-        return self.pair(obj["v"], word_from_string(obj["w"], 2))
+        return self.pair(self.base_group().element_from_json(obj["v"]).data, obj["w"])
 
 
 def bs_exponent_sum(w: tuple, gen: int) -> int:
@@ -906,7 +909,7 @@ class BaumslagSolitarNN(Group):
 
     def __init__(self, n: int):
         if n < 2:
-            raise SpecError("bs_nn parameter must be >= 2")
+            raise SpecError(f"bs_nn parameter must be at least 2, got {n}", path="group.n")
         self.n = n
         super().__init__()
         self.key = f"bs_nn[{n}]"
@@ -1046,64 +1049,92 @@ class FreeTimesZ(Group):
         return {"w": word_to_string(g.data[0]), "k": g.data[1]}
 
     def element_from_json(self, obj) -> Element:
-        if not isinstance(obj, dict) or "w" not in obj or "k" not in obj:
+        if not isinstance(obj, dict) or set(obj) != {"w", "k"} or not isinstance(obj["w"], str):
             raise SpecError('free_times_z element must be {"w": "word", "k": int}')
-        return self.pair(word_from_string(obj["w"], 2), obj["k"])
+        return self.pair(obj["w"], _int(obj["k"], "k"))
 
 
 # ---------------------------------------------------------------------------
 # registry, module-level operation helpers
 # ---------------------------------------------------------------------------
 
-_GROUP_CACHE: dict[str, Group] = {}
+REQUIRED = object()  # the default of a spec field that must be given
 
 
-def _int_field(spec: dict, name: str, default: int | None, least: int | None = None) -> int | None:
-    """The integer field `name` of a group spec, or `default` when absent
-    (or null, for an optional field whose default is None); values below
-    `least` are rejected."""
-    value = spec.get(name, default)
-    if value is None and default is None:
-        return None
+def _int(value, path: str, *_) -> int:
+    """A JSON integer, not a bool or a float: the spec tables' integer parser."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SpecError(f"{name} must be an integer, got {value!r}", path=f"group.{name}")
-    if least is not None and value < least:
-        raise SpecError(f"{name} must be at least {least}, got {value}", path=f"group.{name}")
+        raise SpecError(f"must be an integer, got {value!r}", path=path)
     return value
+
+
+def _positive(value, path: str, *_) -> int:
+    if _int(value, path) < 1:
+        raise SpecError(f"must be at least 1, got {value}", path=path)
+    return value
+
+
+def _list(value, path: str, *_) -> list:
+    if not isinstance(value, list):
+        raise SpecError(f"must be a list, got {value!r}", path=path)
+    return value
+
+
+def _as_is(value, path: str, *_):  # a field that its constructor checks
+    return value
+
+
+def read_spec(spec, tag: str, table: dict, path: str, on: Group | None = None, context: tuple = ()):
+    """The `table` entry that the `tag` field of a JSON spec names, and its
+    field values: parser(value, path, *context) for each (parser, default or
+    REQUIRED) of the entry's second item, or the default if absent.
+
+    A missing or unknown tag, a group `on` not of the entry's first item
+    (the classes a cocycle kind lives on), an unknown key or a null (the
+    first in sorted order) and a missing required field are each refused,
+    in that order, as a SpecError at the JSON path.
+    """
+    if not isinstance(spec, dict) or tag not in spec:
+        raise SpecError(f"must be an object with a {tag!r} field", path=f"{path}.{tag}")
+    name = spec[tag]
+    if not isinstance(name, str) or name not in table:
+        raise SpecError(f"unknown {tag} {name!r}; choose one of {', '.join(table)}", path=f"{path}.{tag}")
+    entry = table[name]
+    if on is not None and not isinstance(on, entry[0]):
+        raise SpecError(f"{name} lives on {' or '.join(c.family for c in entry[0])}, not {on.key}", path=f"{path}.{tag}")
+    fields = entry[1]
+    bad = sorted(k for k, v in spec.items() if k != tag and (k not in fields or v is None))
+    if bad:
+        if bad[0] in fields:
+            raise SpecError("must not be null; leave an optional field out for its default", path=f"{path}.{bad[0]}")
+        raise SpecError(f"unknown field; {name} takes {', '.join(fields) or 'no field'}", path=f"{path}.{bad[0]}")
+    missing = [f for f, (_, default) in fields.items() if default is REQUIRED and f not in spec]
+    if missing:
+        raise SpecError(f"{name} needs a {missing[0]!r} field", path=f"{path}.{missing[0]}")
+    return entry, [parse(spec[f], f"{path}.{f}", *context) if f in spec else d for f, (parse, d) in fields.items()]
+
+
+FAMILIES = {  # family: (class, {field: (parser, default or REQUIRED)} in constructor order)
+    "sum_z": (SumZ, {}),
+    "sum_z2": (SumZ2, {"modulus": (_positive, None)}),
+    "zn": (Zn, {"n": (_positive, 2)}),
+    "wreath": (WreathZ, {"base": (_as_is, "Z"), "acting": (_positive, None)}),
+    "zn_semidirect": (ZnSemidirectZ, {"A": (_as_is, REQUIRED)}),
+    "sanov": (Sanov, {}),
+    "bs_nn": (BaumslagSolitarNN, {"n": (_int, 2)}),
+    "free": (FreeGroup, {"rank": (_int, 2)}),
+    "free_times_z": (FreeTimesZ, {}),
+}
+_GROUP_CACHE: dict[str, Group] = {}  # keyed by the family and its field values, defaults filled in
 
 
 def get_group(spec: dict) -> Group:
     """Build (or fetch) the group described by a family spec dict."""
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise SpecError("group spec must be an object with a 'family' field", path="group.family")
-    fam = spec["family"]
-    cache_key = json.dumps(spec, sort_keys=True)
-    if cache_key in _GROUP_CACHE:
-        return _GROUP_CACHE[cache_key]
-    if fam == "sum_z":
-        g: Group = SumZ()
-    elif fam == "sum_z2":
-        g = SumZ2(modulus=_int_field(spec, "modulus", None, least=1))
-    elif fam == "zn":
-        g = Zn(_int_field(spec, "n", 2, least=1))
-    elif fam == "wreath":
-        g = WreathZ(base=spec.get("base", "Z"), acting_modulus=_int_field(spec, "acting", None, least=1))
-    elif fam == "zn_semidirect":
-        if "A" not in spec:
-            raise SpecError("zn_semidirect requires a matrix", path="group.A")
-        g = ZnSemidirectZ(spec["A"])
-    elif fam == "sanov":
-        g = Sanov()
-    elif fam == "bs_nn":
-        g = BaumslagSolitarNN(_int_field(spec, "n", 2))
-    elif fam == "free":
-        g = FreeGroup(_int_field(spec, "rank", 2))
-    elif fam == "free_times_z":
-        g = FreeTimesZ()
-    else:
-        raise SpecError(f"unknown group family {fam!r}", path="group.family")
-    _GROUP_CACHE[cache_key] = g
-    return g
+    (cls, _), values = read_spec(spec, "family", FAMILIES, "group")
+    key = json.dumps([cls.family, *values])
+    if key not in _GROUP_CACHE:
+        _GROUP_CACHE[key] = cls(*values)
+    return _GROUP_CACHE[key]
 
 
 def compose(g: Element, h: Element) -> Element:

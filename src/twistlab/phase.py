@@ -297,7 +297,7 @@ def _quotients(nums: list[int], dens: list[int], symbol: str | None = None):
 
 def _ratio(pair, literal) -> Fraction:
     """The fraction p/q of a [p, q] pair found in the phase literal `literal`."""
-    if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, int) for v in pair)):
+    if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, int) and not isinstance(v, bool) for v in pair)):
         raise ConfigurationError(f"rational literal must be [p, q], got {pair!r} in {literal!r}")
     if pair[1] == 0:
         raise ConfigurationError(f"phase literal {literal!r} has a zero denominator")
@@ -308,16 +308,16 @@ def phase_from_json(obj, basis: IrrationalBasis | None = None) -> Phase:
     """Parse the phase literal syntax {"rat": [p, q], "irr": {"r": [a, b]}}.
 
     Plain integers and [p, q] pairs are accepted as shorthand for rational
-    angles.
+    angles; a key other than "rat" and "irr", or a null part, is refused.
     """
-    if isinstance(obj, int):
+    if isinstance(obj, int) and not isinstance(obj, bool):
         return Phase(obj)
     if isinstance(obj, list):
         return Phase(_ratio(obj, obj))
-    if not isinstance(obj, dict):
-        raise ConfigurationError(f"cannot parse phase literal {obj!r}")
+    if not isinstance(obj, dict) or not set(obj) <= {"rat", "irr"} or None in obj.values():
+        raise ConfigurationError(f'cannot parse phase literal {obj!r}: it takes "rat" and "irr", neither null')
     rat = _ratio(obj["rat"], obj) if "rat" in obj else Fraction(0)
-    irr_obj = obj.get("irr") or {}
+    irr_obj = obj.get("irr", {})
     if not isinstance(irr_obj, dict):
         raise ConfigurationError(f"irrational part must be an object, got {irr_obj!r} in {obj!r}")
     irr = {sym: _ratio(pair, obj) for sym, pair in irr_obj.items()}

@@ -778,6 +778,33 @@ TRIVIAL_ON_Z = ("--group", '{"family":"zn","n":1}', "--cocycle", '{"kind":"trivi
         (("verdict", "kleppner", "--group", '{"family":"sum_z"}', "--cocycle", '{"kind":"theta_rule","rule":"nope"}'), {}, "cocycle.rule"),
         (("verdict", "kleppner", "--group", '{"family":"sum_z"}', "--cocycle", '{"kind":"theta_rule"}'), {}, "cocycle.rule"),
         (("verdict", "kleppner", "--group", '{"family":"zn_semidirect","A":[[1,1],[1,0]]}', "--cocycle", '{"kind":"lift","base":{"kind":"half_skew","mu0":[1,3]}}'), {}, "cocycle.base"),
+        (("verdict", "kleppner", "--group", '{"family":"sum_z"}', "--cocycle", '{"kind":"theta_diag","diagonal":[[1,3]]}'), {}, "cocycle.diagonal"),
+        (("verdict", "kleppner", "--group", '{"family":"bs_nn","n":2}', "--cocycle", '{"kind":"bs","lambda":{"rat":[0,1],"irr":null}}'), {}, "cocycle.lambda"),
+        (("verdict", "kleppner", "--group", '{"family":"bs_nn","n":2,"m":5}', "--cocycle", '{"kind":"trivial"}'), {}, "group.m"),
+        (("verdict", "kleppner", "--group", '{"family":"sum_z"}', "--cocycle", '{"kind":"theta_rule","rule":null}'), {}, "cocycle.rule"),
+        (("verdict", "kleppner", "--group", '{"family":"bs_nn","n":2}', "--cocycle", '{"kind":"bs","lambda":{"rational":[1,3]}}'), {}, "cocycle.lambda"),
+        (("verdict", "kleppner", "--group", '{"family":"bs_nn","n":1}', "--cocycle", '{"kind":"trivial"}'), {}, "group.n"),
+        (("verdict", "kleppner", "--group", '{"family":"bs_nn","n":2}', "--cocycle", '{"kind":"bs","lambda":[true,3]}'), {}, "cocycle.lambda"),
+        (("verdict", "kleppner", "--group", '{"family":"zn","n":2,"z":1,"b":2}', "--cocycle", '{"kind":"trivial"}'), {}, "group.b"),
+        (("verdict", "kleppner", "--group", '{"family":"sum_z2","modulus":null}', "--cocycle", '{"kind":"trivial"}'), {}, "group.modulus"),
+        (("verdict", "kleppner", "--group", '{"family":"wreath"}', "--cocycle", '{"kind":"lift","base":{"kind":"theta_diag","diagonal":[]}}'), {}, "cocycle.base.diagonal"),
+        (("verdict", "kleppner", "--group", '{"family":"free_times_z"}', "--cocycle", '{"kind":"product","left":{"kind":"bs","lambda":[1,3]},"right":{"kind":"trivial"}}'), {}, "cocycle.left.kind"),
+        (("regular", "--group", '{"family":"wreath"}', "--cocycle", '{"kind":"trivial"}', "--g", '{"x":{"0":1},"k":1.7}'), {}, "g"),
+        (("regular", "--group", '{"family":"wreath"}', "--cocycle", '{"kind":"trivial"}', "--g", '{"x":{"0":1},"k":"2"}'), {}, "g"),
+        (("regular", "--group", '{"family":"sum_z"}', "--cocycle", '{"kind":"trivial"}', "--g", '{"0":1.5}'), {}, "g"),
+        (("regular", "--group", '{"family":"sum_z"}', "--cocycle", '{"kind":"trivial"}', "--g", '{"1":1,"01":1}'), {}, "g"),
+        (("regular", "--group", '{"family":"zn","n":1}', "--cocycle", '{"kind":"trivial"}', "--g", "[1.5]"), {}, "g"),
+        (("regular", "--group", '{"family":"sum_z2"}', "--cocycle", '{"kind":"trivial"}', "--g", "[1.5]"), {}, "g"),
+        (("regular", "--group", '{"family":"sanov"}', "--cocycle", '{"kind":"trivial"}', "--g", '{"v":[1.5,0],"w":""}'), {}, "g"),
+        (("regular", "--group", '{"family":"sanov"}', "--cocycle", '{"kind":"trivial"}', "--g", '{"v":[1,0],"w":5}'), {}, "g"),
+        (("regular", "--group", '{"family":"free_times_z"}', "--cocycle", '{"kind":"trivial"}', "--g", '{"w":5,"k":1}'), {}, "g"),
+        (("regular", "--group", '{"family":"zn_semidirect","A":[[2,1],[1,1]]}', "--cocycle", '{"kind":"trivial"}', "--g", '{"v":[1],"k":1}'), {}, "g"),
+        (("regular", "--group", '{"family":"wreath"}', "--cocycle", '{"kind":"trivial"}', "--g", '{"x":{},"k":0,"y":1}'), {}, "g"),
+        (("regular", "--group", '{"family":"zn_semidirect","A":[[2,1],[1,1]]}', "--cocycle", '{"kind":"trivial"}', "--g", '{"v":[1,0],"k":0,"w":""}'), {}, "g"),
+        (("regular", "--group", '{"family":"sanov"}', "--cocycle", '{"kind":"trivial"}', "--g", '{"v":[1,0],"w":"","k":0}'), {}, "g"),
+        (("regular", "--group", '{"family":"free_times_z"}', "--cocycle", '{"kind":"trivial"}', "--g", '{"w":"a","k":1,"v":[]}'), {}, "g"),
+        (("spectral", "r2", *TRIVIAL_ON_Z, "--f", "{unknown_part}"), {}, "f[0]"),
+        (("spectral", "r2", *TRIVIAL_ON_Z, "--f", "{null_part}"), {}, "f[0]"),
     ],
     ids=[
         "irr_not_object",
@@ -840,6 +867,33 @@ TRIVIAL_ON_Z = ("--group", '{"family":"zn","n":1}', "--cocycle", '{"kind":"trivi
         "theta_rule_unknown",
         "theta_rule_missing",
         "skew_lift_det_minus_one",
+        "theta_diag_key_misspelled",
+        "phase_irr_null",
+        "bs_nn_unknown_key",
+        "theta_rule_null",
+        "phase_key_misspelled",
+        "bs_nn_n_one",
+        "phase_ratio_bool",
+        "first_unknown_key_in_sorted_order",
+        "sum_z2_modulus_null",
+        "lift_base_key_misspelled",
+        "product_left_on_the_wrong_family",
+        "wreath_element_k_float",
+        "wreath_element_k_str",
+        "sum_z_element_value_float",
+        "sum_z_element_index_repeated",
+        "zn_element_float",
+        "sum_z2_element_float",
+        "sanov_element_vector_float",
+        "sanov_element_word_int",
+        "free_times_z_element_word_int",
+        "semidirect_element_vector_short",
+        "wreath_element_unknown_key",
+        "semidirect_element_unknown_key",
+        "sanov_element_unknown_key",
+        "free_times_z_element_unknown_key",
+        "f_row_unknown_key",
+        "f_row_null_part",
     ],
 )
 def test_bad_inputs_are_json_spec_errors(argv, env, path, tmp_path, monkeypatch, capsys):
@@ -847,6 +901,7 @@ def test_bad_inputs_are_json_spec_errors(argv, env, path, tmp_path, monkeypatch,
         monkeypatch.setenv(name, value)
     files = {"missing": None, "no_g": '[{"re":1}]', "re_text": '[{"g":[1],"re":"x"}]', "not_list": '{"g":[1]}'}
     files["huge"] = '[{"g":[1],"re":1e308,"im":1e308}]'  # finite parts, squared modulus past the float range
+    files["unknown_part"], files["null_part"] = '[{"g":[1],"c":[1,0]}]', '[{"g":[1],"re":null}]'
     for name, text in files.items():
         if text is not None:
             (tmp_path / f"{name}.json").write_text(text)

@@ -5,6 +5,10 @@ then one parameter field of a valid group or cocycle spec (a modulus, a
 matrix, a bit or phase list) is junk.  Every run must print exactly one JSON
 object on stdout, exit 0, 1 or 2 and let no exception or traceback out.
 Sizes stay small so that the whole test is fast.
+
+A last test reads the spec tables, `groups.FAMILIES` and `cocycles.KINDS`:
+every field they name, misspelled or set to null, is a spec error at the
+path of the key.
 """
 
 import contextlib
@@ -15,6 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistlab import cli
+from twistlab.cocycles import KINDS
+from twistlab.groups import FAMILIES as FAMILY_TABLE, REQUIRED
 
 R = {"rat": [0, 1], "irr": {"r": [1, 1]}}
 HUGE = {"irr": {"r": [10**400, 1]}}  # exact arithmetic takes it; the float export refuses it
@@ -224,3 +230,51 @@ def junk_field_argvs(draw):
 @given(argv=junk_field_argvs())
 def test_junk_parameter_fields_give_one_json_object(argv):
     assert_one_json_object(argv)
+
+
+# (option, tag, name, field) for every field of every group family and cocycle kind
+TABLE_FIELDS = [("group", "family", name, field) for name, (_, fields) in FAMILY_TABLE.items() for field in fields]
+TABLE_FIELDS += [("cocycle", "kind", name, field) for name, (_, fields, _) in KINDS.items() for field in fields]
+
+
+def misspellings(field: str, taken: set[str]) -> list[str]:
+    """Keys one slip away from `field` (a letter dropped, doubled or swapped
+    with the next, the case flipped, a letter added) that are not in `taken`."""
+    slips = {field[:i] + field[i + 1 :] for i in range(len(field))}
+    slips |= {field[:i] + field[i] + field[i:] for i in range(len(field))}
+    slips |= {field[:i] + field[i + 1] + field[i] + field[i + 2 :] for i in range(len(field) - 1)}
+    slips |= {field.swapcase(), field + "s", field + "_"}
+    return sorted(slips - taken - {""})
+
+
+def group_for(kind: str) -> dict:
+    """The spec of the first family that `kind` lives on whose fields all have defaults."""
+    on = KINDS[kind][0]
+    return next(
+        {"family": family}
+        for family, (cls, fields) in FAMILY_TABLE.items()
+        if issubclass(cls, on) and all(default is not REQUIRED for _, default in fields.values())
+    )
+
+
+def refused_at(option: str, spec: dict) -> str:
+    """The error path of `verdict kleppner` with the spec as its group or cocycle."""
+    cocycle = spec if option == "cocycle" else {"kind": "trivial"}
+    group = group_for(cocycle["kind"]) if option == "cocycle" else spec
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        argv = ["verdict", "kleppner", "--group", json.dumps(group), "--cocycle", json.dumps(cocycle), "--radius", "1"]
+        code = cli.main(argv)
+    assert code == 1 and "Traceback" not in err.getvalue(), argv
+    return json.loads(out.getvalue())["path"]
+
+
+@pytest.mark.parametrize("option, tag, name, field", TABLE_FIELDS, ids=lambda v: v)
+@settings(max_examples=6, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_a_misspelled_or_null_table_field_is_refused_at_its_path(option, tag, name, field, data):
+    table = FAMILY_TABLE if tag == "family" else KINDS
+    key = data.draw(st.sampled_from(misspellings(field, {tag, *table[name][1]})))
+    value = data.draw(junk)
+    assert refused_at(option, {tag: name, key: value}) == f"{option}.{key}"
+    assert refused_at(option, {tag: name, field: None}) == f"{option}.{field}"

@@ -18,6 +18,7 @@ from oracles import (
 from twistlab import _kernels
 from twistlab.errors import BudgetExceededError, FamilyMismatchError, SpecError
 from twistlab.groups import (
+    BaumslagSolitarNN,
     Group,
     ball,
     bs_exponent_sum,
@@ -369,6 +370,21 @@ def test_bad_specs_rejected():
         resolve_subgroup(F2, "center")
     with pytest.raises(SpecError):
         get_group({"family": "zn", "n": 2}).vector(1)
+
+
+def test_bs_nn_constructor_refuses_n_below_two_for_library_callers():
+    with pytest.raises(SpecError) as err:
+        BaumslagSolitarNN(1)
+    assert err.value.path == "group.n"
+
+
+def test_the_group_cache_is_keyed_by_the_spec_with_its_defaults_filled_in():
+    """A spec that leaves an optional field out and one that gives it its
+    default are the same group, with one ball cache."""
+    assert get_group({"family": "free"}) is get_group({"family": "free", "rank": 2})
+    assert get_group({"family": "zn"}) is get_group({"family": "zn", "n": 2})
+    assert get_group({"family": "wreath"}) is get_group({"family": "wreath", "base": "Z"})
+    assert get_group({"family": "bs_nn", "n": 3}) is not get_group({"family": "bs_nn"})
 
 
 def test_zn_elements_print_as_their_coordinate_tuple():

@@ -130,3 +130,18 @@ def test_line_trace_allowlist_stays_short():
     """At most 20 lines may stay unreached on purpose; any other line is
     reached by a pinned test or deleted."""
     assert len(line_trace.ALLOWLIST) <= 20
+
+
+def test_readme_spec_formats_name_every_table_field():
+    """README's "Spec formats" section names, in quotes, every group family,
+    every cocycle kind and every field of the spec tables."""
+    from twistlab.cocycles import KINDS
+    from twistlab.groups import FAMILIES
+
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    section = readme.split("### Spec formats", 1)[1].split("\n## ", 1)[0]
+    names = {*FAMILIES, *KINDS, "family", "kind"}
+    names |= {field for table in (FAMILIES, KINDS) for entry in table.values() for field in entry[1]}
+    assert {"modulus", "acting", "A", "diagonals", "lambda", "left"} <= names
+    missing = sorted(name for name in names if f'`"{name}"`' not in section)
+    assert not missing, f"README's Spec formats section does not name {missing}"

@@ -784,8 +784,15 @@ def _window(items, path: str, group: Group, basis: IrrationalBasis | None) -> di
         j, k = (_int(t, f"{path}[{i}]") for t in item[:2])
         if j >= k:  # the constructor's check, at the entry's path
             raise SpecError(f"theta entry ({j},{k}) lies on or below the diagonal", path=f"{path}[{i}]")
+        if (j, k) in entries:
+            raise SpecError(f"theta entry ({j},{k}) is given twice", path=f"{path}[{i}]")
         entries[(j, k)] = _phase(item[2], f"{path}[{i}]", group, basis)
     return entries
+
+
+def _bits(items, path: str, *_) -> tuple[int, ...]:
+    """A list of JSON integers; the constructor checks that each is 0 or 1."""
+    return tuple(_int(bit, f"{path}[{i}]") for i, bit in enumerate(_list(items, path)))
 
 
 def _nested(target: Callable[[Group], Group]):
@@ -798,7 +805,7 @@ KINDS = {  # kind: (the group classes it lives on, {field: (parser, default or R
     "theta_diag": ((SumZ,), {"diagonals": (_phases, ()), "period": (_phases, ())}, ThetaCocycle),
     "theta_rule": ((SumZ,), {"rule": (_as_is, REQUIRED)}, lambda G, rule: ThetaCocycle(G, rule=rule)),
     "theta_window": ((SumZ,), {"entries": (_window, {})}, lambda G, window: ThetaCocycle(G, window=window)),
-    "bitstream": ((SumZ2,), {"pre": (_list, ()), "period": (_list, ())}, BitstreamCocycle),
+    "bitstream": ((SumZ2,), {"pre": (_bits, ()), "period": (_bits, ())}, BitstreamCocycle),
     "antisym_theta": ((Group,), {"theta": (_phase, REQUIRED)}, AntisymThetaCocycle),
     "half_skew": ((Group,), {"mu0": (_phase, REQUIRED)}, HalfSkewCocycle),
     "lift": ((WreathZ, ZnSemidirectZ), {"base": _nested(lambda G: G.base_group())}, LiftCocycle),
@@ -814,6 +821,15 @@ KINDS = {  # kind: (the group classes it lives on, {field: (parser, default or R
 
 
 def build_cocycle(spec: dict, group: Group, basis: IrrationalBasis | None = None, path: str = "cocycle") -> Cocycle:
-    """Build the cocycle that a spec dict at the JSON `path` describes on the given group."""
+    """Build the cocycle that a spec dict at the JSON `path` describes on the given group.
+
+    The constructors report their errors under ``cocycle``; for a spec
+    nested at another path, such an error is moved under that path."""
     (_, _, build), values = read_spec(spec, "kind", KINDS, path, on=group, context=(group, basis))
-    return build(group, *values)
+    try:
+        return build(group, *values)
+    except SpecError as exc:
+        if path == "cocycle" or not exc.path.startswith("cocycle"):
+            raise
+        message = str(exc).removeprefix(f"{exc.path}: ")
+        raise SpecError(message, path=path + exc.path.removeprefix("cocycle")) from exc

@@ -12,6 +12,7 @@ import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
+from itertools import compress
 
 from .cocycles import Cocycle, nth_prime
 from .errors import BudgetExceededError, SpecError
@@ -334,15 +335,13 @@ class BoxVectors(Sequence):
 
     `rows` holds the payload rows in scan order (the box array of the
     integer family, the index tuples of the bit family), `order` returns
-    them in ``sort_key`` order, and `export` turns a run of ordered rows
-    into their Elements.  `len` and truth read the scan and never order it;
-    the first index, slice, iteration or comparison orders the rows once.
-    An index builds one Element; iteration exports `BLOCK` rows at a time,
-    slices come back as lists, and the sequence equals any list or tuple of
+    them in ``sort_key`` order, and `export` builds the Element of one
+    ordered row.  `len` and truth read the scan and never order it; the
+    first index, slice, iteration or comparison orders the rows once.  An
+    index, a slice (returned as a list) and iteration map `export` over the
+    ordered rows they read, and the sequence equals any list or tuple of
     the same Elements.
     """
-
-    BLOCK = 1 << 14
 
     def __init__(self, rows, order, export):
         self._scan = rows
@@ -358,13 +357,12 @@ class BoxVectors(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return self._export(self._rows[i])
+            return list(map(self._export, self._rows[i]))
         i = range(len(self))[i]  # negative and out-of-range indices as a list has them
-        return self._export(self._rows[i : i + 1])[0]
+        return self._export(self._rows[i])
 
     def __iter__(self) -> Iterator[Element]:
-        for at in range(0, len(self), self.BLOCK):
-            yield from self._export(self._rows[at : at + self.BLOCK])
+        return map(self._export, self._rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (list, tuple, BoxVectors)):
@@ -383,19 +381,22 @@ def regular_vectors_in_box(sigma: Cocycle, window: int, height: int) -> tuple[Bo
     rows, so a caller that reads the count sorts nothing and one that reads
     the first vector builds no other Element."""
     base = sigma.structural()
-    make = partial(Element, base.group)
-    positions = list(range(-window, window + 1))
+    G = base.group
     raw, certified = regular_vectors_box_raw(sigma, window, height)
     if base.kind == "theta":
-        order = partial(_sumz_sorted, base.group.sort_key, positions, height)
-        return BoxVectors(raw, order, partial(_sumz_elements, make, positions, height)), certified
-    order = partial(sorted, key=base.group.sort_key)
-    return BoxVectors(raw, order, lambda block: list(map(make, block))), certified
+        positions = list(range(-window, window + 1))
+
+        def export(row) -> Element:
+            vals = row.tolist()
+            return Element(G, tuple(compress(zip(positions, vals), vals)))  # the (position, value) pairs with v != 0
+
+        return BoxVectors(raw, partial(_sumz_sorted, G.sort_key, positions, height), export), certified
+    return BoxVectors(raw, partial(sorted, key=G.sort_key), partial(Element, G)), certified
 
 
 def _sumz_sorted(sort_key, positions: list[int], height: int, vals):
     """The rows of a `box_solution_array` array in ``SumZ.sort_key`` order;
-    its integer type holds every code below and every v + height.
+    its integer type holds every code below.
 
     One lexsort orders the rows: the L1 norm first, then the positions in
     the ``sort_key`` order of their basis vectors.  A present entry v is
@@ -423,30 +424,6 @@ def _sumz_sorted(sort_key, positions: list[int], height: int, vals):
     return np.take(vals, np.lexsort([*codes[::-1], l1]), axis=0)
 
 
-def _sumz_elements(make, positions: list[int], height: int, vals) -> list[Element]:
-    """Rows of a `_sumz_sorted` array as elements, in row order.
-
-    Payloads are built per support pattern: each live column is exported
-    with one ``tolist()`` and mapped through a table of interned
-    ``(position, value)`` pairs, and the columns are zipped together.
-    """
-    import numpy as np
-
-    if len(vals) == 0:
-        return []
-    masks = (vals != 0) @ (1 << np.arange(len(positions), dtype=np.int64))
-    by_mask = np.argsort(masks.astype(np.min_scalar_type(masks.max())), kind="stable")
-    starts = np.flatnonzero(np.diff(masks[by_mask])) + 1
-    table = [[(p, v) for v in range(-height, height + 1)] for p in positions]
-    grouped: list[Element] = []
-    for rows in np.split(by_mask, starts):
-        block = vals[rows] + height
-        cols = np.flatnonzero(block[0] != height)
-        parts = [map(table[c].__getitem__, block[:, c].tolist()) for c in cols.tolist()]
-        grouped.extend(map(make, zip(*parts)))
-    return list(map(grouped.__getitem__, np.argsort(by_mask).tolist()))
-
-
 def regular_subgroup_generators(
     sigma: Cocycle, window: int, height: int
 ) -> tuple[list[Element], bool]:
@@ -465,8 +442,9 @@ def regular_subgroup_generators(
     and every box vector lies in L.  The basis is then returned without
     scanning the box.  Otherwise the box span may be a proper sublattice of
     L (``theta_diag [[1,5]]`` at window 2, height 2 has kernel entries up
-    to 5 and no box vectors at all), so the generators are derived from
-    the box vectors themselves.
+    to 5 and no box vectors at all), so the generators are the Hermite
+    basis of the box vectors, from the same Python-int echelon as the
+    kernel basis.
     """
     base = sigma.structural()
     G = base.group
@@ -481,7 +459,7 @@ def regular_subgroup_generators(
             return elements(basis), True
     raw, certified = regular_vectors_box_raw(sigma, window, height)
     if base.kind == "theta":
-        return elements(_lattice_generators_np(raw, len(positions))), certified
+        return elements(_hermite_basis(raw.tolist(), len(positions))), certified
     return G.sorted_elements(_gf2_generators(raw, positions)), certified
 
 
@@ -694,40 +672,6 @@ def _echelon(rows: list[list[int]], n: int) -> list[tuple[int, ...]]:
             basis.append(tuple(p))
             rows.remove(p)
     return basis
-
-
-def _lattice_generators_np(arr, n: int) -> list[tuple[int, ...]]:
-    """Generating set of the lattice spanned by the rows of an array.
-
-    Saturation loop: reduce every row by the current echelon basis at once
-    (vectorized), adopt the first nonzero residual, repeat.  Each round
-    strictly enlarges the lattice, so the loop ends after a handful of
-    iterations regardless of how many input vectors there are.
-    """
-    import numpy as np
-
-    arr = np.asarray(arr, dtype=np.int64)
-    if arr.size == 0:
-        return []
-
-    def saturate(rows, basis):
-        while True:
-            V = rows.copy()
-            for b in basis:
-                col = next(i for i, v in enumerate(b) if v)
-                q = V[:, col] // b[col]
-                nz = np.flatnonzero(q)
-                if nz.size:
-                    V[nz] -= np.outer(q[nz], np.array(b, dtype=np.int64))
-            residual = np.flatnonzero((V != 0).any(axis=1))
-            if residual.size == 0:
-                return basis
-            vec = [int(x) for x in V[residual[0]]]
-            basis = _echelon([list(b) for b in basis] + [vec], n)
-
-    # seed from a prefix, then close over the full set (usually a no-op pass)
-    basis = saturate(arr[: min(len(arr), 4096)], [])
-    return saturate(arr, basis)
 
 
 def _gf2_generators(vectors: list[tuple[int, ...]], positions: list[int]) -> list[tuple[int, ...]]:

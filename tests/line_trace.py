@@ -1,16 +1,19 @@
 """List the lines of src/twistlab that no run reaches, using only the
 standard library (``sys.settrace``).
 
-It runs the Tier-1 suite, the CLI sweep (``tests/cli_sweep.py``, with its
-output discarded) or both, in this process, and records every line that a
-frame of a ``src/twistlab`` module executes.  Then it prints, per module,
-the executable lines (those the compiled code maps an instruction to) that
+It runs any of the Tier-1 suite, the CLI sweep (``tests/cli_sweep.py``,
+with its output discarded) and the benchmark's jobs (every job of
+``perfbench/jobs.py:WORKLOADS`` once, through ``jobs.prepare``, with
+``jobs.COEFFS`` written to a temporary directory), in this process, and
+records every line that a frame of a ``src/twistlab`` module executes.
+Then it prints, per module, the executable lines (those the compiled code maps an instruction to) that
 no frame reached, with the lines on `ALLOWLIST` printed apart.  It exits
 with pytest's status when pytest fails, else 1 when a line off the
 allowlist is unreached, else 0:
 
     PYTHONPATH=src python tests/line_trace.py            # Tier-1 and the sweep
     PYTHONPATH=src python tests/line_trace.py sweep      # the sweep alone
+    PYTHONPATH=src python tests/line_trace.py sweep bench  # what no command or workload reaches
     PYTHONPATH=src python tests/line_trace.py tier1 -- -k cocycles
 
 Arguments after ``--`` go to pytest.  Child processes that tests start are
@@ -23,9 +26,11 @@ this file; ``tests/test_source.py`` checks, without tracing, that every
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import runpy
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -151,14 +156,27 @@ def report(hits: dict[str, set[int]]) -> int:
     return unlisted
 
 
+def run_bench() -> None:
+    """Every job of the benchmark's workloads, once, as its child process
+    would run it (solver seed 0).  `perfbench/jobs.py` is run as a path, so
+    no bytecode is written under `perfbench/`."""
+    jobs = runpy.run_path(str(ROOT / "perfbench" / "jobs.py"))
+    with tempfile.TemporaryDirectory() as coeff_dir:
+        for name, rows in jobs["COEFFS"].items():
+            Path(coeff_dir, f"{name}.json").write_text(json.dumps(rows))
+        for deck in jobs["WORKLOADS"].values():
+            for job in deck:
+                jobs["prepare"](job, coeff_dir, seed=0)()
+
+
 def main(argv: list[str]) -> int:
     runs, pytest_args = argv, []
     if "--" in argv:
         cut = argv.index("--")
         runs, pytest_args = argv[:cut], argv[cut + 1 :]
     runs = runs or ["tier1", "sweep"]
-    if unknown := set(runs) - {"tier1", "sweep"}:
-        raise SystemExit(f"unknown run(s) {sorted(unknown)}; choose tier1 and/or sweep")
+    if unknown := set(runs) - {"tier1", "sweep", "bench"}:
+        raise SystemExit(f"unknown run(s) {sorted(unknown)}; choose among tier1, sweep and bench")
     os.chdir(ROOT)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     tracer = LineTracer()
@@ -171,6 +189,8 @@ def main(argv: list[str]) -> int:
         if "sweep" in runs:
             with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
                 runpy.run_path(str(ROOT / "tests" / "cli_sweep.py"), run_name="__main__")
+        if "bench" in runs:
+            run_bench()
     unlisted = report(tracer.hits)
     return int(code) or int(unlisted > 0)
 

@@ -805,6 +805,11 @@ TRIVIAL_ON_Z = ("--group", '{"family":"zn","n":1}', "--cocycle", '{"kind":"trivi
         (("regular", "--group", '{"family":"free_times_z"}', "--cocycle", '{"kind":"trivial"}', "--g", '{"w":"a","k":1,"v":[]}'), {}, "g"),
         (("spectral", "r2", *TRIVIAL_ON_Z, "--f", "{unknown_part}"), {}, "f[0]"),
         (("spectral", "r2", *TRIVIAL_ON_Z, "--f", "{null_part}"), {}, "f[0]"),
+        (("verdict", "kleppner", "--group", '{"family":"sum_z"}', "--cocycle", '{"kind":"theta_window","entries":[[0,1,[1,3]],[0,1,[1,2]]]}'), {}, "cocycle.entries[1]"),
+        (("verdict", "kleppner", "--group", '{"family":"sum_z2"}', "--cocycle", '{"kind":"bitstream","pre":[true]}'), {}, "cocycle.pre[0]"),
+        (("verdict", "kleppner", "--group", '{"family":"sum_z2"}', "--cocycle", '{"kind":"bitstream","pre":[1.0]}'), {}, "cocycle.pre[0]"),
+        (("verdict", "kleppner", "--group", '{"family":"wreath"}', "--cocycle", '{"kind":"lift","base":{"kind":"theta_rule","rule":"nope"}}'), {}, "cocycle.base.rule"),
+        (("verdict", "kleppner", "--group", '{"family":"wreath","base":"Z2"}', "--cocycle", '{"kind":"lift","base":{"kind":"bitstream","pre":[2]}}'), {}, "cocycle.base.pre"),
     ],
     ids=[
         "irr_not_object",
@@ -894,6 +899,11 @@ TRIVIAL_ON_Z = ("--group", '{"family":"zn","n":1}', "--cocycle", '{"kind":"trivi
         "free_times_z_element_unknown_key",
         "f_row_unknown_key",
         "f_row_null_part",
+        "theta_window_entry_repeated",
+        "bitstream_bit_bool",
+        "bitstream_bit_float",
+        "nested_theta_rule_unknown",
+        "nested_bitstream_bit_two",
     ],
 )
 def test_bad_inputs_are_json_spec_errors(argv, env, path, tmp_path, monkeypatch, capsys):

@@ -451,6 +451,22 @@ def test_generators_fall_back_to_box_span(monkeypatch):
     assert not integer_span_reduce(brute, gen_rows).any()
 
 
+def test_box_span_generators_are_the_hermite_basis_of_the_box_rows():
+    """The window cocycle of the large-denominator test at height 2: the
+    kernel basis has entries 1000003000000007, past the height, so the
+    generators come from the box rows, as their Hermite basis 2e_0, 2e_1."""
+    r = {"rat": [0, 1], "irr": {"r": [1, 4 * 10**18 + 9]}}
+    spec = {"kind": "theta_window", "entries": [[0, 1, [1, 2]], [2, 3, r], [-2, -1, [1, 10**9 * 1000003 + 7]]]}
+    sig = build_cocycle(spec, SZ, BASIS)
+    positions = list(range(-2, 3))
+    kernel = kernel_lattice_basis(sig.structural(), positions, certified_row_range(sig, positions))
+    assert max(abs(v) for vec in kernel for v in vec) > 2
+    raw, _ = regularity.regular_vectors_box_raw(sig, 2, 2)
+    assert regularity._hermite_basis(raw.tolist(), 5) == [(0, 0, 2, 0, 0), (0, 0, 0, 2, 0)]
+    gens, complete = regular_subgroup_generators(sig, 2, 2)
+    assert complete and gens == [SZ.element(((0, 2),)), SZ.element(((1, 2),))]
+
+
 def test_generators_span_brute_force_box_random(monkeypatch):
     """On random diagonal cocycles, on both the kernel path and the box
     fallback, the generators span exactly the lattice of the brute-force

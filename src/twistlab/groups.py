@@ -52,40 +52,42 @@ class Element:
 
 
 class _BallCache:
-    """The balls of one group by radius.
+    """The balls of one group by radius, each with the radius at which each
+    of its elements enters the balls.
 
-    The largest enumerated ball keeps the radius at which each of its
-    elements enters the balls, so it serves every smaller radius without a
-    new enumeration: the smaller ball is the elements that have entered by
-    then, in the same order.  A smaller ball over the node budget is not
-    served, so that its enumeration raises the budget error.
+    The largest enumerated ball serves every smaller radius without a new
+    enumeration: the smaller ball is the elements that have entered by
+    then, in the same order, with their entry radii.  A smaller ball over
+    the node budget is not served, so that its enumeration raises the
+    budget error.
     """
 
     def __init__(self):
         self.clear()
 
     def clear(self) -> None:
-        self._balls: dict[int, tuple[Element, ...]] = {}
-        self._top: tuple[int, tuple[Element, ...], list[int]] | None = None
+        self._balls: dict[int, tuple[tuple[Element, ...], tuple[int, ...]]] = {}
+        self._top = -1  # the largest radius stored
 
     def __contains__(self, radius: int) -> bool:
-        return radius in self._balls or (self._top is not None and radius <= self._top[0])
+        return radius in self._balls or 0 <= radius <= self._top
 
-    def get(self, radius: int, node_budget: int) -> tuple[Element, ...] | None:
-        ball = self._balls.get(radius)
-        if (ball is not None and len(ball) <= node_budget) or radius not in self:
-            return ball
-        _, elements, entries = self._top
+    def get(self, radius: int, node_budget: int) -> tuple[tuple[Element, ...], tuple[int, ...]] | None:
+        found = self._balls.get(radius)
+        if (found is not None and len(found[0]) <= node_budget) or radius not in self:
+            return found
+        ball, entries = self._balls[self._top]
         inside = [i for i, e in enumerate(entries) if e <= radius]
         if len(inside) > node_budget:
             return None
-        ball = self._balls[radius] = tuple(elements[i] for i in inside)
-        return ball
+        return self.store(radius, tuple(ball[i] for i in inside), tuple(entries[i] for i in inside))
 
-    def store(self, radius: int, ball: tuple[Element, ...], entries: list[int]) -> None:
-        self._balls[radius] = ball
-        if self._top is None or radius > self._top[0]:
-            self._top = (radius, ball, entries)
+    def store(
+        self, radius: int, ball: tuple[Element, ...], entries: tuple[int, ...]
+    ) -> tuple[tuple[Element, ...], tuple[int, ...]]:
+        found = self._balls[radius] = (ball, entries)
+        self._top = max(self._top, radius)
+        return found
 
 
 class Group:
@@ -220,17 +222,27 @@ class Group:
 
     def ball(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[Element, ...]:
         """All elements of word length <= radius, sorted canonically."""
+        found = self._ball_cache.get(radius, node_budget)
+        if found is None:
+            found = self.ball_entries(radius, node_budget)
+        return found[0]
+
+    def ball_entries(
+        self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET
+    ) -> tuple[tuple[Element, ...], tuple[int, ...]]:
+        """`ball(radius)` and the radius at which each of its elements enters
+        the balls: for r <= radius, ball(r) is the elements whose entry is at
+        most r, in the same order."""
         if radius < 0:
             raise SpecError("ball radius must be nonnegative", path="radius")
-        cached = self._ball_cache.get(radius, node_budget)
-        if cached is not None:
-            return cached
-        found = [(d, r) for r, layer in enumerate(self._shells(radius, node_budget)) for d in layer]
+        found = self._ball_cache.get(radius, node_budget)
+        if found is not None:
+            return found
+        nodes = [(d, r) for r, layer in enumerate(self._shells(radius, node_budget)) for d in layer]
         key = self.sort_key
-        found.sort(key=lambda node: key(node[0]))
-        out = tuple(Element(self, d) for d, _ in found)
-        self._ball_cache.store(radius, out, [self._entry_radius(r, d) for d, r in found])
-        return out
+        nodes.sort(key=lambda node: key(node[0]))
+        out = tuple(Element(self, d) for d, _ in nodes)
+        return self._ball_cache.store(radius, out, tuple(self._entry_radius(r, d) for d, r in nodes))
 
     def central_candidates(self, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> Iterator[Element]:
         """Nontrivial elements of the ball whose full conjugacy class is
@@ -1135,23 +1147,6 @@ def get_group(spec: dict) -> Group:
     if key not in _GROUP_CACHE:
         _GROUP_CACHE[key] = cls(*values)
     return _GROUP_CACHE[key]
-
-
-def compose(g: Element, h: Element) -> Element:
-    return g.group.compose(g, h)
-
-
-def invert(g: Element) -> Element:
-    return g.group.invert(g)
-
-
-def conjugate(g: Element, h: Element) -> Element:
-    """g . h = g h g^{-1}."""
-    return g.group.conjugate(g, h)
-
-
-def ball(group: Group, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[Element, ...]:
-    return group.ball(radius, node_budget)
 
 
 def conjugacy_class_partial(

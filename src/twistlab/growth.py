@@ -20,6 +20,10 @@ from .groups import DEFAULT_NODE_BUDGET, Element, Group, conjugacy_class_partial
 from .phase import Phase
 from .spectral import FiniteFunction, truncated_norm
 
+SAMPLE_RADIUS = 4  # kappa_decay_probe's random samples lie in this ball
+MAX_SUPPORT = 6  # on at most this many of its elements
+GRID = 32  # corners per side of star_discrepancy_grid's grid
+
 
 @dataclass
 class LengthFunction:
@@ -134,8 +138,6 @@ def kappa_decay_probe(
     trials: int,
     radius: int,
     seed: int = 0,
-    sample_radius: int = 4,
-    max_support: int = 6,
     node_budget: int = DEFAULT_NODE_BUDGET,
     functions: list[FiniteFunction] | None = None,
 ) -> DecayReport:
@@ -146,13 +148,13 @@ def kappa_decay_probe(
     re-validated at radius + 2.
     """
     rng = random.Random(seed)
-    pool = list(group.ball(sample_radius, node_budget))
+    pool = list(group.ball(SAMPLE_RADIUS, node_budget))
     max_ratio = 0.0
     violations = []
     samples = functions if functions is not None else []
     for t in range(trials):
         if functions is None:
-            size = rng.randint(1, max_support)
+            size = rng.randint(1, MAX_SUPPORT)
             support = rng.sample(pool, k=min(size, len(pool)))
             coeffs = {}
             for x in support:
@@ -220,9 +222,9 @@ def phi2_iterate_angles(start: tuple[float, float], nu2: float, n: int) -> tuple
     return ((n * (n - 1) * nu2 + a1 + 2 * n * a2) % 1.0, (n * nu2 + a2) % 1.0)
 
 
-def star_discrepancy_grid(points: list[tuple[float, float]], grid: int = 32) -> float:
-    """Anchored-box discrepancy evaluated on a grid of corners."""
-    n = len(points)
+def star_discrepancy_grid(points: list[tuple[float, float]]) -> float:
+    """Anchored-box discrepancy evaluated on a `GRID` x `GRID` grid of corners."""
+    n, grid = len(points), GRID
     counts = [[0] * (grid + 1) for _ in range(grid + 1)]
     for x, y in points:
         i = min(grid, int(x * grid) + 1)
@@ -247,7 +249,6 @@ def torus_orbit_probe(
     start: tuple[Phase, Phase],
     n_points: int,
     which: str = "phi1",
-    grid: int = 32,
     orbit_cap: int = 100_000,
 ) -> dict:
     """Iterate the torus homeomorphisms and report an equidistribution
@@ -281,7 +282,7 @@ def torus_orbit_probe(
             pts.append(cur)
     else:
         raise SpecError(f"unknown map selection {which!r}", path="which")
-    report["discrepancy"] = star_discrepancy_grid(pts, grid)
+    report["discrepancy"] = star_discrepancy_grid(pts)
     torsion = all(p.is_torsion() for p in (nu1, *start, *([nu2] if nu2 is not None else [])))
     if torsion:
         report["orbit_size"] = _exact_orbit_size(nu1, nu2, start, which, orbit_cap)

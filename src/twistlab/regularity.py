@@ -458,8 +458,8 @@ def regular_subgroup_generators(
         if all(abs(v) <= height for vec in basis for v in vec):
             return elements(basis), True
     raw, certified = regular_vectors_box_raw(sigma, window, height)
-    if base.kind == "theta":
-        return elements(_hermite_basis(raw.tolist(), len(positions))), certified
+    if base.kind == "theta":  # the first half of the rows is the second half negated
+        return elements(_hermite_basis(raw[len(raw) // 2 :].tolist(), len(positions))), certified
     return G.sorted_elements(_gf2_generators(raw, positions)), certified
 
 

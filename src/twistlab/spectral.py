@@ -28,6 +28,7 @@ if TYPE_CHECKING:
 ExactC = tuple  # (re, im) with int or Fraction components
 
 UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^k for the quarter turn k/4
+DOMINATION_TOL = 1e-9  # slack of check_domination's float comparison when a side is not rational
 
 
 def _num(v):
@@ -528,18 +529,19 @@ def truncated_norm_sequence(
     """`truncated_norm` at radii 1..radius from one operator.
 
     The compression to a smaller ball is the top-radius compression
-    restricted to the positions of that ball, in the ball's own order.
-    Each radius starts from the previous radius's Ritz vector, placed on
-    the top ball by position and read back at the new ball's positions (the
-    smaller ball need not be a prefix of the larger one).
+    restricted to that ball's positions in the top ball: those whose entry
+    radius (``Group.ball_entries``) is at most the smaller radius.  Each
+    radius starts from the previous radius's Ritz vector, placed on the top
+    ball by position and read back at the new ball's positions (the smaller
+    ball need not be a prefix of the larger one).
     """
     import numpy as np
 
     op = build_truncated(f, sigma, radius, node_budget)
-    at = {g.data: i for i, g in enumerate(op.elements)}
+    entries = np.array(op.group.ball_entries(radius, node_budget)[1])
     reports, x = [], None  # x: the previous Ritz vector on the top ball's positions
     for r in range(1, radius):
-        positions = np.array([at[g.data] for g in op.group.ball(r, node_budget)], dtype=np.intp)
+        positions = np.flatnonzero(entries <= r)
         start = None if x is None else x[positions]
         reports.append(operator_norm(op.restrict(positions), tol=tol, seed=seed, start=start))
         if reports[-1].vector is not None:
@@ -608,12 +610,11 @@ def check_domination(
     sigma: Cocycle,
     n_max: int,
     budget: int = DEFAULT_NODE_BUDGET,
-    float_tol: float = 1e-9,
 ) -> list[DominationRow]:
     """Compare ||a^n xi|| (twisted) against ||b^n |xi||| (plain, with |f|).
 
     Exact comparison of squared norms when both sides stay rational,
-    otherwise a floating comparison with a small tolerance.
+    otherwise a floating comparison with slack `DOMINATION_TOL`.
     """
     from .cocycles import TrivialCocycle
 
@@ -632,7 +633,7 @@ def check_domination(
         if exact:
             ok = ls <= rs
         else:
-            ok = float(ls) <= float(rs) + float_tol
+            ok = float(ls) <= float(rs) + DOMINATION_TOL
         rows.append(DominationRow(n, ls, rs, ok, exact))
     return rows
 

@@ -25,8 +25,6 @@ from twistlab.groups import (
     SumZ,
     SumZ2,
     _mat_mul,
-    compose,
-    conjugate,
     sanov_act,
     word_to_string,
 )
@@ -168,29 +166,40 @@ def lattice_contains(basis: list[tuple[int, ...]], target: tuple[int, ...]) -> b
     return not any(r)
 
 
-def _echelon_rows(rows: list[list[int]], n: int) -> list[list[int]]:
+def _gcdext(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) >= 0 and a x + b y = g."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def _echelon_rows(rows: list[list[int]]) -> list[list[int]]:
     """Echelon basis (pivot columns increasing) of the integer span of a few
-    rows, by pivot-by-pivot Euclidean reduction."""
-    rows = [list(r) for r in rows if any(r)]
-    basis = []
-    for col in range(n):
-        while True:
-            work = [r for r in rows if r[col] != 0]
-            if len(work) <= 1:
+    rows, by extended-gcd row insertion into a basis keyed by pivot column.
+
+    At a taken pivot the basis row b and the inserted row r become
+    x b + y r, whose pivot is g = gcd(b_c, r_c), and (b_c r - r_c b) / g,
+    which vanishes there and moves on to its next pivot: a unimodular
+    change, so the span is kept.
+    """
+    basis: dict[int, list[int]] = {}
+    for row in rows:
+        r = list(row)
+        while any(r):
+            col = next(i for i, v in enumerate(r) if v)
+            b = basis.get(col)
+            if b is None:
+                basis[col] = r
                 break
-            work.sort(key=lambda r: abs(r[col]))
-            p = work[0]
-            for r in work[1:]:
-                q = r[col] // p[col]
-                if q:
-                    for t in range(n):
-                        r[t] -= q * p[t]
-            rows = [r for r in rows if any(r)]
-        work = [r for r in rows if r[col] != 0]
-        if work:
-            basis.append(work[0])
-            rows.remove(work[0])
-    return basis
+            g, x, y = _gcdext(b[col], r[col])
+            u, v = b[col] // g, r[col] // g
+            basis[col] = [x * p + y * q for p, q in zip(b, r)]
+            r = [u * q - v * p for p, q in zip(b, r)]
+    return [basis[col] for col in sorted(basis)]
 
 
 def _reduce_rows(rows: np.ndarray, basis: list[list[int]]) -> np.ndarray:
@@ -210,14 +219,14 @@ def _reduce_rows(rows: np.ndarray, basis: list[list[int]]) -> np.ndarray:
 def integer_span_reduce(basis_rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Reduce target rows modulo the integer row span of basis_rows.
 
-    The span of basis_rows is echelonized here, independently of the
-    library's lattice code, by saturation: every row of basis_rows is
-    reduced by the current echelon basis at once (vectorized), the first
-    nonzero residual joins the basis, and the basis is re-echelonized.
-    Each round strictly enlarges the spanned lattice, and the loop ends
-    only when every row of basis_rows reduces to zero, so no row is
-    skipped.  Returns the residual matrix of the targets: all-zero rows
-    are members of the span.
+    The span of basis_rows is echelonized here by saturation, with an
+    algorithm of its own (extended-gcd row insertion, not the library's
+    Euclidean column passes): every row of basis_rows is reduced by the
+    current echelon basis at once (vectorized), and the first nonzero
+    residual joins the basis.  Each round strictly enlarges the spanned
+    lattice, and the loop ends only when every row of basis_rows reduces
+    to zero, so no row is skipped.  Returns the residual matrix of the
+    targets: all-zero rows are members of the span.
     """
     n = targets.shape[1]
     rows = np.asarray(basis_rows, dtype=np.int64).reshape(-1, n)
@@ -227,7 +236,7 @@ def integer_span_reduce(basis_rows: np.ndarray, targets: np.ndarray) -> np.ndarr
         left = np.flatnonzero(res.any(axis=1))
         if left.size == 0:
             break
-        basis = _echelon_rows(basis + [[int(x) for x in res[left[0]]]], n)
+        basis = _echelon_rows(basis + [[int(x) for x in res[left[0]]]])
     return _reduce_rows(targets, basis)
 
 
@@ -298,7 +307,7 @@ def bfs_ball(G, radius: int) -> set:
         nxt = []
         for g in frontier:
             for s in gens:
-                h = compose(g, s)
+                h = G.compose(g, s)
                 if h not in seen:
                     seen.add(h)
                     nxt.append(h)
@@ -500,7 +509,7 @@ def convolve_reference(f, xi, sigma, budget: int) -> dict | None:
             ur, ui = _UNITS[int(turns)]
             re, im = a * c - b * d, a * d + b * c
             term = (re * ur - im * ui, re * ui + im * ur)
-            h = compose(g, u)
+            h = G.compose(g, u)
             old = out.get(h, (0, 0))
             out[h] = (old[0] + term[0], old[1] + term[1])
             if len(out) > budget:
@@ -511,10 +520,11 @@ def convolve_reference(f, xi, sigma, budget: int) -> dict | None:
 def float_convolve_reference(f, xi, sigma) -> dict:
     """Twisted convolution in floats over Elements: f(g) xi(u) times the
     complex value of sigma.eval(g, u), summed at g u."""
+    G = f.group
     out: dict = {}
     for g, cf in f.coeffs.items():
         for u, cx in xi.coeffs.items():
-            h = compose(g, u)
+            h = G.compose(g, u)
             out[h] = out.get(h, 0j) + complex(*cf) * complex(*cx) * sigma.eval(g, u).to_complex()
     return out
 
@@ -523,7 +533,7 @@ def class_by_compose(g, radius: int) -> tuple:
     """{h g h^-1 : h in the radius ball}, by ``conjugate`` on Elements, in
     canonical order."""
     G = g.group
-    found = {conjugate(h, g) for h in bfs_ball(G, radius)}
+    found = {G.conjugate(h, g) for h in bfs_ball(G, radius)}
     return tuple(sorted(found, key=lambda e: G.sort_key(e.data)))
 
 
@@ -531,5 +541,5 @@ def commuting_by_compose(g, radius: int) -> tuple:
     """The elements of the radius ball that commute with g, by ``compose``
     on Elements, in canonical order."""
     G = g.group
-    found = [h for h in bfs_ball(G, radius) if compose(g, h) == compose(h, g)]
+    found = [h for h in bfs_ball(G, radius) if G.compose(g, h) == G.compose(h, g)]
     return tuple(sorted(found, key=lambda e: G.sort_key(e.data)))

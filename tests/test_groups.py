@@ -20,14 +20,10 @@ from twistlab.errors import BudgetExceededError, FamilyMismatchError, SpecError
 from twistlab.groups import (
     BaumslagSolitarNN,
     Group,
-    ball,
     bs_exponent_sum,
     commuting_ball,
-    compose,
-    conjugate,
     conjugacy_class_partial,
     get_group,
-    invert,
     resolve_subgroup,
     sanov_act,
     _mat_vec,
@@ -48,55 +44,55 @@ ALL = [F2, Z, SZ, SZ2, W, L, AN, SAN, BS, FZ]
 
 def test_sum_z_compose():
     e1 = SZ.basis_element(1)
-    assert compose(e1, e1) == SZ.element(((1, 2),))
+    assert SZ.compose(e1, e1) == SZ.element(((1, 2),))
 
 
 def test_semidirect_matrix_compose():
     t = AN.pair((0, 0), 1)
     x = AN.pair((1, 0), 0)
-    assert compose(t, x) == AN.pair((2, 1), 1)
+    assert AN.compose(t, x) == AN.pair((2, 1), 1)
 
 
 def test_bs_relation_forces_reduction():
     assert BS.word("a b b A") == BS.b_power(2)
     # sliding the central power: a b^2 a equals b^2 a^2
-    assert BS.word("a b b a") == compose(BS.b_power(2), BS.word("a a"))
+    assert BS.word("a b b a") == BS.compose(BS.b_power(2), BS.word("a a"))
 
 
 def test_invert_examples():
-    assert invert(SZ.identity()) == SZ.identity()
+    assert SZ.invert(SZ.identity()) == SZ.identity()
     g = SZ.element(((0, 1), (3, 2)))
-    assert invert(g) == SZ.element(((0, -1), (3, -2)))
+    assert SZ.invert(g) == SZ.element(((0, -1), (3, -2)))
     x = W.pair(W.base_group().element_from_json({"2": 5, "-1": -3}), 4)
-    assert compose(x, invert(x)) == W.identity()
-    assert compose(invert(x), x) == W.identity()
+    assert W.compose(x, W.invert(x)) == W.identity()
+    assert W.compose(W.invert(x), x) == W.identity()
 
 
 def test_conjugate_examples():
     g = BS.word("a b")
-    assert conjugate(g, BS.identity()) == BS.identity()
+    assert BS.conjugate(g, BS.identity()) == BS.identity()
     h = BS.word("b a")
-    assert conjugate(BS.identity(), h) == h
+    assert BS.conjugate(BS.identity(), h) == h
     # shift moves the lamp position by one
     t = W.element(((), 1))
     e0 = W.element((((0, 1),), 0))
-    assert conjugate(t, e0) == W.element((((1, 1),), 0))
+    assert W.conjugate(t, e0) == W.element((((1, 1),), 0))
     # matrix action on the translation lattice
     v1 = SAN.pair((0, 0), (1,))
     x = SAN.pair((0, 1), ())
-    assert conjugate(v1, x) == SAN.pair((2, 1), ())
+    assert SAN.conjugate(v1, x) == SAN.pair((2, 1), ())
 
 
 def test_ball_sizes_free_group():
-    assert len(ball(F2, 0)) == 1
-    assert len(ball(F2, 1)) == 5
-    assert len(ball(F2, 2)) == 17
+    assert len(F2.ball(0)) == 1
+    assert len(F2.ball(1)) == 5
+    assert len(F2.ball(2)) == 17
     for r in range(5):
-        assert len(ball(F2, r)) == 2 * 3**r - 1
+        assert len(F2.ball(r)) == 2 * 3**r - 1
 
 
 def test_ball_rank_one():
-    b = ball(Z, 3)
+    b = Z.ball(3)
     assert len(b) == 7
     assert {g.data for g in b} == {tuple([1] * k) if k >= 0 else tuple([-1] * -k) for k in range(-3, 4)}
 
@@ -104,14 +100,14 @@ def test_ball_rank_one():
 def test_ball_budget_error():
     F2._ball_cache.clear()
     with pytest.raises(BudgetExceededError):
-        ball(F2, 8, node_budget=100)
+        F2.ball(8, node_budget=100)
     F2._ball_cache.clear()
 
 
 def test_ball_budget_error_reports_the_shell_where_it_ran_out():
     # radius 9 window: 1 + 38 nodes in shells 0 and 1, then shell 2 overflows
     with pytest.raises(BudgetExceededError, match="exceeded 100 nodes at radius 2") as exc:
-        ball(SZ, 9, node_budget=100)
+        SZ.ball(9, node_budget=100)
     assert (exc.value.nodes, exc.value.radius) == (101, 2)
 
 
@@ -122,7 +118,7 @@ def test_ball_budget_error_reports_the_shell_where_it_ran_out():
 )
 def test_ball_is_the_independent_bfs_ball_in_sort_key_order(G):
     for r in range(4):
-        b = ball(G, r)
+        b = G.ball(r)
         assert set(b) == bfs_ball(G, r)
         keys = [G.sort_key(g.data) for g in b]
         assert all(a < c for a, c in zip(keys, keys[1:]))
@@ -134,7 +130,7 @@ def test_ball_is_the_independent_bfs_ball_in_sort_key_order(G):
 def test_central_candidates_stream_the_ball_shell_by_shell(spec):
     G = get_group(spec)
     for r in range(4):
-        assert list(G.central_candidates(r)) == [g for g in ball(G, r) if not g.is_identity()]
+        assert list(G.central_candidates(r)) == [g for g in G.ball(r) if not g.is_identity()]
 
 
 BS3 = get_group({"family": "bs_nn", "n": 3})
@@ -144,7 +140,7 @@ BS3 = get_group({"family": "bs_nn", "n": 3})
 def test_central_candidates_are_the_center_of_the_ball(G):
     center = G.center()
     for r in range(6):
-        assert list(G.central_candidates(r)) == [g for g in ball(G, r) if not g.is_identity() and center.contains(g)]
+        assert list(G.central_candidates(r)) == [g for g in G.ball(r) if not g.is_identity() and center.contains(g)]
 
 
 def test_no_group_family_defines_its_own_ball():
@@ -160,7 +156,7 @@ def test_no_group_family_defines_its_own_ball():
 def test_ball_monotone_everywhere():
     for G in ALL:
         radii = [0, 1, 2]
-        balls = [set(ball(G, r)) for r in radii]
+        balls = [set(G.ball(r)) for r in radii]
         for small, big in zip(balls, balls[1:]):
             assert small <= big
 
@@ -174,27 +170,27 @@ def test_conjugacy_class_partial_examples():
 
 
 def test_commuting_ball_examples():
-    assert commuting_ball(SZ2.basis_element(0), 2) == ball(SZ2, 2)
+    assert commuting_ball(SZ2.basis_element(0), 2) == SZ2.ball(2)
     cb = commuting_ball(F2.word("a"), 2)
     assert set(cb) == {F2.identity(), F2.word("a"), F2.word("A"), F2.word("a a"), F2.word("A A")}
     # central element commutes with the whole ball
-    assert set(commuting_ball(BS.b_power(2), 1)) == set(ball(BS, 1))
+    assert set(commuting_ball(BS.b_power(2), 1)) == set(BS.ball(1))
 
 
 def test_family_mismatch():
     with pytest.raises(FamilyMismatchError):
-        compose(F2.word("a"), Z.word("a"))
+        F2.compose(F2.word("a"), Z.word("a"))
 
 
 def test_normal_form_idempotence_and_group_laws():
     rng = random.Random(7)
     for G in ALL:
-        pool = list(ball(G, 2))
+        pool = list(G.ball(2))
         for _ in range(30):
             g, h, k = (rng.choice(pool) for _ in range(3))
-            assert compose(compose(g, h), k) == compose(g, compose(h, k))
-            assert compose(g, invert(g)) == G.identity()
-            assert conjugate(compose(g, h), k) == conjugate(g, conjugate(h, k))
+            assert G.compose(G.compose(g, h), k) == G.compose(g, G.compose(h, k))
+            assert G.compose(g, G.invert(g)) == G.identity()
+            assert G.conjugate(G.compose(g, h), k) == G.conjugate(g, G.conjugate(h, k))
             # re-normalization is the identity map
             assert G.element(g.data) == g
 
@@ -320,7 +316,7 @@ def test_free_mul_matches_reduce(a, b):
 
 def test_wreath_lengths():
     # lamp at the origin then step right: a t has length 2
-    g = compose(W.element((((0, 1),), 0)), W.element(((), 1)))
+    g = W.compose(W.element((((0, 1),), 0)), W.element(((), 1)))
     assert W.length(g) == 2
     # lamp at +1 requires walking there and back or staying: t a t^-1
     h = W.element((((1, 1),), 0))
@@ -340,7 +336,7 @@ def test_finite_wreath_length_is_the_bfs_radius(m):
 
 def test_finite_wreath_order():
     FW = get_group({"family": "wreath", "base": "Z2", "acting": 3})
-    assert len(ball(FW, FW._finite_diameter())) == 24
+    assert len(FW.ball(FW._finite_diameter())) == 24
 
 
 def test_element_json_roundtrip():
@@ -419,7 +415,7 @@ def test_acting_part_moves_the_base_by_act(G):
     pool = G.ball(2)
     for k in sorted({g.data[1] for g in pool}):
         for y in {g.data[0] for g in pool}:
-            assert compose(G.element((e, k)), G.element((y, one))) == G.element((G.act(k, y), k))
+            assert G.compose(G.element((e, k)), G.element((y, one))) == G.element((G.act(k, y), k))
 
 
 @pytest.mark.parametrize("G, name", [(W, "base"), (L, "base"), (L3, "base"), (AN, "base"), (SAN, "base"), (SAN, "z2")])
@@ -457,8 +453,8 @@ def test_sanov_act_matches_word_matrix(word, v):
 @given(_SANOV_WORDS, _SANOV_VECTORS)
 def test_sanov_compose_with_inverse_is_identity(word, v):
     g = SAN.pair(v, word)
-    assert compose(g, invert(g)).is_identity()
-    assert compose(invert(g), g).is_identity()
+    assert SAN.compose(g, SAN.invert(g)).is_identity()
+    assert SAN.compose(SAN.invert(g), g).is_identity()
 
 
 @pytest.mark.parametrize(
@@ -473,22 +469,44 @@ def test_smaller_balls_come_from_a_larger_cached_ball(G):
     G._ball_cache.clear()
     fresh, errors = [], []
     for r in range(4):
-        fresh.append(ball(G, r))
+        fresh.append(G.ball(r))
         G._ball_cache.clear()
         with pytest.raises(BudgetExceededError) as exc:
-            ball(G, r, node_budget=len(fresh[r]) - 1)
+            G.ball(r, node_budget=len(fresh[r]) - 1)
         errors.append((str(exc.value), exc.value.nodes, exc.value.radius))
-    ball(G, 4)
+    G.ball(4)
     for r in range(4):
         assert r in G._ball_cache
         with pytest.raises(BudgetExceededError) as exc:
-            ball(G, r, node_budget=len(fresh[r]) - 1)
+            G.ball(r, node_budget=len(fresh[r]) - 1)
         assert (str(exc.value), exc.value.nodes, exc.value.radius) == errors[r]
-        b = ball(G, r)
+        b = G.ball(r)
         assert b == fresh[r]
         with pytest.raises(BudgetExceededError):  # a served ball still honours the budget
-            ball(G, r, node_budget=len(b) - 1)
+            G.ball(r, node_budget=len(b) - 1)
         assert set(b) == bfs_ball(G, r)
         keys = [G.sort_key(g.data) for g in b]
         assert all(a < c for a, c in zip(keys, keys[1:]))
+    G._ball_cache.clear()
+
+
+@pytest.mark.parametrize(
+    "G", [F2, SZ, SZ2, get_group({"family": "zn", "n": 2}), W, AN, SAN, BS, FZ], ids=lambda G: G.family
+)
+def test_a_smaller_ball_is_the_elements_of_the_larger_that_entered_by_its_radius(G):
+    """For r <= R, ball(r) and its entry radii are the elements of
+    ball_entries(R) whose entry is at most r, in order: when ball(R) is
+    enumerated first and when ball(r) was cached before it."""
+    R = 3
+    G._ball_cache.clear()
+    ball, entries = G.ball_entries(R)
+    served = [G.ball_entries(r) for r in range(R + 1)]
+    for r in range(R + 1):
+        G._ball_cache.clear()
+        fresh = G.ball_entries(r)
+        assert G.ball_entries(R) == (ball, entries)
+        inside = [i for i, e in enumerate(entries) if e <= r]
+        want = (tuple(ball[i] for i in inside), tuple(entries[i] for i in inside))
+        assert fresh == served[r] == want == G.ball_entries(r)
+        assert G.ball(r) == want[0]
     G._ball_cache.clear()

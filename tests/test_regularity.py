@@ -819,7 +819,7 @@ def test_spanning_rows_keep_the_integer_kernel(data):
     exact = with_dependents(data.draw(st.lists(row, max_size=3)))
 
     def index(rows):  # [Z^n : span(rows) + D Z^n], the product of the echelon pivots
-        lattice = _echelon_rows(rows + [[D * (t == i) for t in range(n)] for i in range(n)], n)
+        lattice = _echelon_rows(rows + [[D * (t == i) for t in range(n)] for i in range(n)])
         return math.prod(abs(next(v for v in b if v)) for b in lattice)
 
     def rank(rows):

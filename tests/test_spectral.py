@@ -528,6 +528,19 @@ def test_the_warm_started_sequence_takes_fewer_steps_than_cold_solves():
         assert abs(w.value - c.value) <= 1e-7 * c.value
 
 
+def test_the_sequence_does_not_depend_on_a_larger_cached_ball():
+    """With a larger ball of BS(2,2) cached, the operator's ball is served
+    from it; the smaller balls' positions are still those in the operator's
+    own ball (this family's balls are not prefixes of each other)."""
+    sigma = build_cocycle({"kind": "bs", "lambda": R}, BS22, BASIS)
+    f = FiniteFunction(BS22, {BS22.word(w): 1 for w in ("a", "A", "b", "B")})
+    BS22._ball_cache.clear()
+    alone = truncated_norm_sequence(f, sigma, 4, seed=5)
+    BS22.ball(6)
+    assert truncated_norm_sequence(f, sigma, 4, seed=5) == alone
+    BS22._ball_cache.clear()
+
+
 def test_domination_trivial_sigma_equality():
     f = FiniteFunction(Z2, {Z2.vector(1, 0): (2, 0), Z2.vector(0, 1): (1, 0)}, exact=True)
     xi = FiniteFunction.delta(Z2.identity())

@@ -224,6 +224,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args) -> int:
     nodes = _node_budget(args) if "nodes" in args else None
+    if args.cmd in ("verdict", "classify", "regular"):
+        group, sigma = _build_pair(args)
+        if args.radius < 0:
+            raise SpecError("the search radius must be nonnegative", path="radius")
     if args.cmd == "fixtures":
         from .fixtures import run_fixture_matrix
 
@@ -238,7 +242,6 @@ def _dispatch(args) -> int:
     if args.cmd == "verdict":
         from .verdicts import check_condition_x, decide_kleppner, decide_relative_kleppner
 
-        group, sigma = _build_pair(args)
         if args.which == "kleppner":
             v = decide_kleppner(group, sigma, args.radius, nodes, candidates=_candidates(group, args))
             report = {"kleppner": v.to_json()}
@@ -255,7 +258,6 @@ def _dispatch(args) -> int:
     if args.cmd == "classify":
         from .verdicts import classify
 
-        group, sigma = _build_pair(args)
         rep = classify(group, sigma, args.radius, nodes, kleppner_candidates=_candidates(group, args))
         report = rep.to_json()
         summary = (
@@ -267,7 +269,6 @@ def _dispatch(args) -> int:
     if args.cmd == "regular":
         from .regularity import is_regular_wrt_kH, is_regular_wrt_subgroup, is_sigma_regular
 
-        group, sigma = _build_pair(args)
         g = _parsed(group.element_from_json, _load_json_arg(args.g, "g"), "g")
         if args.k:
             k = _parsed(group.element_from_json, _load_json_arg(args.k, "k"), "k")
@@ -293,6 +294,8 @@ def _dispatch(args) -> int:
             _check_finite([v["value"] for v in values], "a norm")
             report = {"radius": args.radius, "sequence": values, "value": values[-1]["value"]}
             return _emit(report, f"norm lower bound at radius {args.radius}: {report['value']:.9g}")
+        if args.which in ("r2", "domination") and args.nmax < 1:
+            raise SpecError("the number of powers must be at least 1", path="nmax")
         if args.which == "r2":
             rep = r2_estimate(f, sigma, args.nmax, budget=nodes)
             _check_finite(rep.squared_norms, "a squared norm")

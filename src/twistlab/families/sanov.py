@@ -1,0 +1,146 @@
+"""The Sanov semidirect product Z^2 x| F2 and its three-parameter cocycles."""
+
+from __future__ import annotations
+
+from .. import _kernels
+from ..cocycles import Cocycle
+from ..errors import SpecError
+from ..groups import Element, Group, Subgroup, get_group
+from ..phase import Angle, Phase, add_angles, negate_angle, scale_angle
+from ..words import word_from_string, word_key, word_to_string
+from .zn import HalfSkewCocycle, halved
+
+
+def sanov_act(word, v) -> tuple[int, int]:
+    """The Sanov matrix of `word` applied to v, one letter at a time from
+    the right: a^(+-1) maps (p, q) to (p +- 2q, q), b^(+-1) to (p, q +- 2p)."""
+    p, q = v
+    for x in reversed(word):
+        if x == 1:
+            p += 2 * q
+        elif x == -1:
+            p -= 2 * q
+        elif x == 2:
+            q += 2 * p
+        else:
+            q -= 2 * p
+    return (p, q)
+
+
+class Sanov(Group):
+    """Z^2 x| F2 where the free group acts through the Sanov matrices."""
+
+    family = "sanov"
+    icc = True
+    base_names = ("base", "z2")
+    act = staticmethod(sanov_act)
+
+    def base_group(self) -> Group:
+        return get_group({"family": "zn", "n": 2})
+
+    def _identity_data(self):
+        return ((0, 0), ())
+
+    def _mul(self, a, b):
+        (u, x), (v, y) = a, b
+        p, q = sanov_act(x, v)
+        return ((u[0] + p, u[1] + q), _kernels.free_mul(x, y))
+
+    def _inv(self, a):
+        u, x = a
+        xi = tuple(-t for t in reversed(x))
+        return (sanov_act(xi, (-u[0], -u[1])), xi)
+
+    def _generators(self):
+        return [
+            ((1, 0), ()),
+            ((-1, 0), ()),
+            ((0, 1), ()),
+            ((0, -1), ()),
+            ((0, 0), (1,)),
+            ((0, 0), (-1,)),
+            ((0, 0), (2,)),
+            ((0, 0), (-2,)),
+        ]
+
+    def pair(self, vector, word: str | tuple) -> Element:
+        if isinstance(word, str):
+            word = word_from_string(word, 2)
+        return self.element(((int(vector[0]), int(vector[1])), word))
+
+    def sort_key(self, data):
+        u, x = data
+        return (abs(u[0]) + abs(u[1]) + len(x), word_key(x), (abs(u[0]), abs(u[1]), u))
+
+    def length(self, g: Element) -> int:
+        # documented proxy: L1 of the vector part plus the word length
+        u, x = g.data
+        return abs(u[0]) + abs(u[1]) + len(x)
+
+    def describe(self, data) -> str:
+        return f"({data[0]}, {word_to_string(data[1]) or 'e'})"
+
+    def element_to_json(self, g: Element):
+        return {"v": list(g.data[0]), "w": word_to_string(g.data[1])}
+
+    def element_from_json(self, obj) -> Element:
+        if not isinstance(obj, dict) or set(obj) != {"v", "w"} or not isinstance(obj["w"], str):
+            raise SpecError('sanov element must be {"v": [a, b], "w": "word"}')
+        return self.pair(self.base_group().element_from_json(obj["v"]).data, obj["w"])
+
+
+class SanovCocycle(Cocycle):
+    """Cocycle on Z^2 x| F2 determined by three circle parameters.
+
+    sigma((u,x),(v,y)) = sigma0(u, x.v) * g(v, x) where sigma0 is the
+    half-skew cocycle with parameter mu0 and g is the bihomomorphism fixed by
+    g(e1,v1)=mu1, g(e2,v2)=mu2, g(e1,v2)=g(e2,v1)=1 together with the
+    recursion g(a, wl) = g(l.a, w) g(a, l).
+    """
+
+    kind = "sanov"
+
+    def __init__(self, group: Sanov, mu0: Phase, mu1: Phase, mu2: Phase):
+        super().__init__(group)
+        self.mu0 = mu0
+        self.mu1 = mu1
+        self.mu2 = mu2
+        # sigma0 takes half the mu0 angle per unit of the skew form
+        half0, self._mu1, self._mu2 = self._fix([mu0, mu1, mu2], factor=2)
+        self._half0 = halved(half0)
+        self._zero = (0, (0,) * len(self.symbols), self.den)
+        self._memo: dict[tuple, Angle] = {}
+
+    def g(self, a: tuple[int, int], word: tuple[int, ...]) -> Phase:
+        """The twisting function, computed by right-fold recursion with memoization."""
+        return self.phase(self._g(a, word))
+
+    def _g(self, a: tuple[int, int], word: tuple[int, ...]) -> Angle:
+        if not word or a == (0, 0):
+            return self._zero
+        key = (a, word)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        head, last = word[:-1], word[-1]
+        if last == 1:
+            val = scale_angle(self._mu1, a[0])
+        elif last == 2:
+            val = scale_angle(self._mu2, a[1])
+        else:
+            val = negate_angle(self._g(sanov_act((last,), a), (-last,)))
+        if head:
+            val = add_angles(self._g(sanov_act((last,), a), head), val)
+        self._memo[key] = val
+        return val
+
+    def _angle(self, a, b) -> Angle:
+        (u, x), (v, _y) = a, b
+        w = sanov_act(x, v)
+        skew = u[0] * w[1] - u[1] * w[0]
+        hk, hc, D = self._half0
+        gk, gc, _ = self._g(v, x)
+        return (hk * skew + gk) % D, tuple(h * skew + c for h, c in zip(hc, gc)), D
+
+    def _restriction(self, sub: Subgroup) -> Cocycle | None:
+        return HalfSkewCocycle(sub.inner, self.mu0) if sub.name == "base" else None

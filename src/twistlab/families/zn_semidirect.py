@@ -1,0 +1,144 @@
+"""Z^n x| Z via a GL(n, Z) matrix."""
+
+from __future__ import annotations
+
+from ..errors import SpecError
+from ..groups import Element, Group, _int, get_group
+from .zn import SkewFormCocycle, Zn
+
+
+def _mat_mul(A, B):
+    n = len(A)
+    return tuple(
+        tuple(sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)) for i in range(n)
+    )
+
+
+def _mat_vec(A, v):
+    return tuple(sum(A[i][j] * v[j] for j in range(len(v))) for i in range(len(A)))
+
+
+def _det(A) -> int:
+    n = len(A)
+    if n == 1:
+        return A[0][0]
+    if n == 2:
+        return A[0][0] * A[1][1] - A[0][1] * A[1][0]
+    total = 0
+    for j in range(n):
+        minor = tuple(row[:j] + row[j + 1 :] for row in A[1:])
+        total += (-1) ** j * A[0][j] * _det(minor)
+    return total
+
+
+def _int_inverse(A):
+    n = len(A)
+    d = _det(A)
+    if d not in (1, -1):
+        raise SpecError(f"matrix determinant must be +-1, got {d}", path="group.A")
+    cof = [
+        [
+            (-1) ** (i + j)
+            * _det(tuple(row[:j] + row[j + 1 :] for k, row in enumerate(A) if k != i))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    adj = tuple(tuple(cof[j][i] for j in range(n)) for i in range(n))
+    return tuple(tuple(x * d for x in row) for row in adj)
+
+
+class ZnSemidirectZ(Group):
+    """Z^n x| Z, the integers acting through powers of an integer matrix."""
+
+    family = "zn_semidirect"
+    base_names = ("base",)
+
+    def __init__(self, matrix):
+        if not (
+            isinstance(matrix, list)
+            and matrix
+            and all(isinstance(row, list) and len(row) == len(matrix) for row in matrix)
+            and all(isinstance(x, int) and not isinstance(x, bool) for row in matrix for x in row)
+        ):
+            raise SpecError(
+                f"matrix must be a nonempty square list of integer rows, got {matrix!r}", path="group.A"
+            )
+        A = tuple(tuple(row) for row in matrix)
+        n = len(A)
+        self.n = n
+        self.A = A
+        self.A_inv = _int_inverse(A)
+        self._powers: dict[int, tuple] = {0: tuple(tuple(int(i == j) for j in range(n)) for i in range(n))}
+        super().__init__()
+        self.key = f"zn_semidirect[{A}]"
+        if n == 2:
+            trace = A[0][0] + A[1][1]
+            self.icc = abs(trace) > 1 + _det(A)
+        else:
+            self.icc = None
+        self._lattice = get_group({"family": "zn", "n": n})
+
+    def base_group(self) -> Group:
+        return self._lattice
+
+    def act(self, k: int, y):
+        """The lattice payload y moved by A^k."""
+        return _mat_vec(self.matrix_power(k), y)
+
+    def check_lift_base(self, base) -> None:
+        """Refuse a base cocycle that lives off the lattice, or a skew form
+        that the matrix does not preserve."""
+        if not isinstance(base.group, Zn) or base.group.n != self.n:
+            raise SpecError("lift base must live on the translation lattice", path="cocycle.base")
+        if isinstance(base, SkewFormCocycle) and _det(self.A) != 1:
+            raise SpecError(
+                "skew base cocycles are invariant only for determinant +1",
+                path="cocycle.base",
+            )
+
+    def matrix_power(self, k: int):
+        if k not in self._powers:
+            if k > 0:
+                self._powers[k] = _mat_mul(self.matrix_power(k - 1), self.A)
+            else:
+                self._powers[k] = _mat_mul(self.matrix_power(k + 1), self.A_inv)
+        return self._powers[k]
+
+    def _identity_data(self):
+        return ((0,) * self.n, 0)
+
+    def _mul(self, a, b):
+        (x, k), (y, l) = a, b
+        return (self._lattice._mul(x, self.act(k, y)), k + l)
+
+    def _inv(self, a):
+        x, k = a
+        return (self.act(-k, self._lattice._inv(x)), -k)
+
+    def _generators(self):
+        zero = self._lattice._identity_data()
+        return [(e, 0) for e in self._lattice._generators()] + [(zero, 1), (zero, -1)]
+
+    def pair(self, vector, k: int) -> Element:
+        return self.element((tuple(int(v) for v in vector), int(k)))
+
+    def sort_key(self, data):
+        x, k = data
+        return (sum(abs(v) for v in x) + abs(k), abs(k), 0 if k >= 0 else 1, x)
+
+    def length(self, g: Element) -> int:
+        # documented proxy: translation part in the L1 norm plus the shift
+        x, k = g.data
+        return sum(abs(v) for v in x) + abs(k)
+
+    def describe(self, data) -> str:
+        return f"({data[0]}, t^{data[1]})"
+
+    def element_to_json(self, g: Element):
+        return {"v": list(g.data[0]), "k": g.data[1]}
+
+    def element_from_json(self, obj) -> Element:
+        if not isinstance(obj, dict) or set(obj) != {"v", "k"}:
+            raise SpecError('zn_semidirect element must be {"v": [...], "k": int}')
+        return self.pair(self._lattice.element_from_json(obj["v"]).data, _int(obj["k"], "k"))

@@ -580,7 +580,9 @@ def r2_estimate(
     f: FiniteFunction, sigma: Cocycle, n_max: int, budget: int = DEFAULT_NODE_BUDGET
 ) -> R2Report:
     """Norm growth of powers applied to the point mass at the identity:
-    the sequence ||a^n delta||^(1/n) and its last value as the estimate."""
+    the sequence ||a^n delta||^(1/n) and its last value as the estimate.
+    A float squared norm past the float range ends the sequence, as its
+    last value, since every later power is past it too."""
     sq = []
     roots = []
     cur = f
@@ -590,6 +592,8 @@ def r2_estimate(
         sq.append(s)
         exact = exact and isinstance(s, (int, Fraction))
         roots.append(float(s) ** (1.0 / (2 * n)))
+        if not math.isfinite(roots[-1]):  # so is s
+            break
         if n < n_max:
             cur = convolve_sigma(f, cur, sigma, budget)
     return R2Report(sq, roots, roots[-1] if roots else 0.0, exact)
@@ -614,7 +618,8 @@ def check_domination(
     """Compare ||a^n xi|| (twisted) against ||b^n |xi||| (plain, with |f|).
 
     Exact comparison of squared norms when both sides stay rational,
-    otherwise a floating comparison with slack `DOMINATION_TOL`.
+    otherwise a floating comparison with slack `DOMINATION_TOL`.  A float
+    squared norm past the float range ends the rows, as the last row.
     """
     from .cocycles import TrivialCocycle
 
@@ -635,6 +640,8 @@ def check_domination(
         else:
             ok = float(ls) <= float(rs) + DOMINATION_TOL
         rows.append(DominationRow(n, ls, rs, ok, exact))
+        if not exact and not (math.isfinite(float(ls)) and math.isfinite(float(rs))):
+            break
     return rows
 
 

@@ -14,22 +14,19 @@ from fractions import Fraction
 import numpy as np
 
 from twistlab._kernels import bs_normalize
-from twistlab.cocycles import BitstreamCocycle, CoboundaryFn, ThetaCocycle
+from twistlab.cocycles import CoboundaryFn
 from twistlab.errors import BudgetExceededError
-from twistlab.groups import (
-    DEFAULT_NODE_BUDGET,
-    BaumslagSolitarNN,
-    FreeGroup,
-    FreeTimesZ,
-    Sanov,
-    SumZ,
-    SumZ2,
-    _mat_mul,
-    sanov_act,
-    word_to_string,
-)
+from twistlab.families.bs_nn import BaumslagSolitarNN
+from twistlab.families.free import FreeGroup
+from twistlab.families.free_times_z import FreeTimesZ
+from twistlab.families.sanov import Sanov, sanov_act
+from twistlab.families.sum_z import SumZ, ThetaCocycle
+from twistlab.families.sum_z2 import BitstreamCocycle, SumZ2
+from twistlab.families.zn_semidirect import _mat_mul
+from twistlab.groups import DEFAULT_NODE_BUDGET
 from twistlab.phase import Phase, phase_angles, quarter_turns
 from twistlab.spectral import ExactnessLost, convolve_sigma
+from twistlab.words import word_to_string
 
 
 def srow_phase(sigma: ThetaCocycle, j: int, k: int) -> Phase:

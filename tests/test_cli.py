@@ -612,22 +612,31 @@ print(json.dumps({"code": code, "numeric": numeric, "twistlab": twistlab}))
 
 # the twistlab modules that `import twistlab.cli` loads
 CLI_MODULES = ["_kernels", "_kernels._pyops", "cli", "cocycles", "errors", "groups", "phase"]
-# per command ("" for the import alone): the layers it adds, and which of numpy,
-# numpy.random (about 11 ms to import) and scipy it loads
+# what a word family's module adds besides itself: the families package and the free words
+WORDS = ["families", "words"]
+# per command ("" for the import alone): the layers and family modules it adds, and
+# which of numpy, numpy.random (about 11 ms to import) and scipy it loads
 COMMAND_MODULES = {
     "": ([], []),
-    "regular": (["regularity"], []),
-    "growth class": (["growth", "spectral"], []),
-    "fixtures": (["fixtures", "regularity", "verdicts"], []),
-    "spectral norm": (["spectral"], ["numpy"]),
-    "spectral stable-rank": (["spectral"], ["numpy"]),
+    # the sanov cocycle restricts to the half-skew cocycle of zn, its base
+    "regular": (["regularity", *WORDS, "families.sanov", "families.zn"], []),
+    "growth class": (["growth", "spectral", *WORDS, "families.bs_nn"], []),
+    # every family but free and zn_semidirect: those of the fixtures, and zn under sanov
+    "fixtures": (
+        [
+            "fixtures", "regularity", "verdicts", *WORDS, "families.bs_nn", "families.free_times_z",
+            "families.sanov", "families.sum_z", "families.sum_z2", "families.wreath", "families.zn",
+        ],
+        [],
+    ),
+    "spectral norm": (["spectral", *WORDS, "families.free"], ["numpy"]),
+    "spectral stable-rank": (["spectral", *WORDS, "families.free"], ["numpy"]),
 }
 
 
-def test_exact_commands_do_not_import_the_numeric_stack(tmp_path):
-    """Each command in a fresh interpreter loads only its own layers, the
-    exact commands never load numpy or scipy, and the norm commands never
-    load numpy.random."""
+def _fresh_interpreter(script: str) -> dict:
+    """The JSON object on the last stdout line of `script`, run by a fresh
+    interpreter that imports twistlab from this tree."""
     import os
     import subprocess
     import sys
@@ -635,16 +644,36 @@ def test_exact_commands_do_not_import_the_numeric_stack(tmp_path):
 
     import twistlab
 
-    fpath = tmp_path / "f.json"
-    fpath.write_text(json.dumps([{"g": "a", "re": 1}, {"g": "A", "re": 1}]))
     src = str(Path(twistlab.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_exact_commands_do_not_import_the_numeric_stack(tmp_path):
+    """Each command in a fresh interpreter loads only its own layers and the
+    modules of the families it names, the exact commands never load numpy
+    or scipy, and the norm commands never load numpy.random."""
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps([{"g": "a", "re": 1}, {"g": "A", "re": 1}]))
     for command, (layers, numeric) in COMMAND_MODULES.items():
         script = f"SANOV_ARGS = {SANOV_ARGS!r}\nF_PATH = {str(fpath)!r}\nCOMMAND = {command!r}\n" + _IMPORT_PROBE
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-        rep = json.loads(proc.stdout.strip().splitlines()[-1])
         want = {"code": 0 if command else None, "numeric": numeric, "twistlab": sorted(CLI_MODULES + layers)}
-        assert rep == want, command
+        assert _fresh_interpreter(script) == want, command
+
+
+def test_a_family_loads_only_its_own_module():
+    """Building a bs_nn pair imports the bs_nn module and the free words,
+    and no other family's module: the spec tables load a family on first use."""
+    script = (
+        "import json, sys\n"
+        "from twistlab.cocycles import build_cocycle\n"
+        "from twistlab.groups import get_group\n"
+        "G = get_group({'family': 'bs_nn', 'n': 2})\n"
+        "sigma = build_cocycle({'kind': 'bs', 'lambda': [1, 3]}, G)\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith(('twistlab.families', 'twistlab.words')))))\n"
+    )
+    assert _fresh_interpreter(script) == ["twistlab.families", "twistlab.families.bs_nn", "twistlab.words"]
 
 
 def test_cli_sweep_matches_its_reference():
@@ -810,6 +839,15 @@ TRIVIAL_ON_Z = ("--group", '{"family":"zn","n":1}', "--cocycle", '{"kind":"trivi
         (("verdict", "kleppner", "--group", '{"family":"sum_z2"}', "--cocycle", '{"kind":"bitstream","pre":[1.0]}'), {}, "cocycle.pre[0]"),
         (("verdict", "kleppner", "--group", '{"family":"wreath"}', "--cocycle", '{"kind":"lift","base":{"kind":"theta_rule","rule":"nope"}}'), {}, "cocycle.base.rule"),
         (("verdict", "kleppner", "--group", '{"family":"wreath","base":"Z2"}', "--cocycle", '{"kind":"lift","base":{"kind":"bitstream","pre":[2]}}'), {}, "cocycle.base.pre"),
+        (("spectral", "r2", *TRIVIAL_ON_Z, "--f", "{unit}", "--nmax", "0"), {}, "nmax"),
+        (("spectral", "r2", *TRIVIAL_ON_Z, "--f", "{unit}", "--nmax", "-3"), {}, "nmax"),
+        (("spectral", "domination", *TRIVIAL_ON_Z, "--f", "{unit}", "--xi", "{unit}", "--nmax", "0"), {}, "nmax"),
+        (("spectral", "domination", *TRIVIAL_ON_Z, "--f", "{unit}", "--xi", "{unit}", "--nmax", "-3"), {}, "nmax"),
+        (("verdict", "kleppner", *TRIVIAL_ON_Z, "--radius", "-1"), {}, "radius"),
+        (("verdict", "relative-kleppner", *TRIVIAL_ON_Z, "--subgroup", "full", "--radius", "-1"), {}, "radius"),
+        (("verdict", "condition-x", *TRIVIAL_ON_Z, "--subgroup", "full", "--radius", "-1"), {}, "radius"),
+        (("classify", *TRIVIAL_ON_Z, "--radius", "-1"), {}, "radius"),
+        (("regular", *TRIVIAL_ON_Z, "--g", "[1]", "--radius", "-1"), {}, "radius"),
     ],
     ids=[
         "irr_not_object",
@@ -904,6 +942,15 @@ TRIVIAL_ON_Z = ("--group", '{"family":"zn","n":1}', "--cocycle", '{"kind":"trivi
         "bitstream_bit_float",
         "nested_theta_rule_unknown",
         "nested_bitstream_bit_two",
+        "r2_nmax_zero",
+        "r2_nmax_negative",
+        "domination_nmax_zero",
+        "domination_nmax_negative",
+        "kleppner_radius_negative",
+        "relative_kleppner_radius_negative",
+        "condition_x_radius_negative",
+        "classify_radius_negative",
+        "regular_radius_negative",
     ],
 )
 def test_bad_inputs_are_json_spec_errors(argv, env, path, tmp_path, monkeypatch, capsys):
@@ -912,6 +959,7 @@ def test_bad_inputs_are_json_spec_errors(argv, env, path, tmp_path, monkeypatch,
     files = {"missing": None, "no_g": '[{"re":1}]', "re_text": '[{"g":[1],"re":"x"}]', "not_list": '{"g":[1]}'}
     files["huge"] = '[{"g":[1],"re":1e308,"im":1e308}]'  # finite parts, squared modulus past the float range
     files["unknown_part"], files["null_part"] = '[{"g":[1],"c":[1,0]}]', '[{"g":[1],"re":null}]'
+    files["unit"] = '[{"g":[1],"re":1}]'
     for name, text in files.items():
         if text is not None:
             (tmp_path / f"{name}.json").write_text(text)

@@ -252,8 +252,8 @@ def group_for(kind: str) -> dict:
     on = KINDS[kind][0]
     return next(
         {"family": family}
-        for family, (cls, fields) in FAMILY_TABLE.items()
-        if issubclass(cls, on) and all(default is not REQUIRED for _, default in fields.values())
+        for family, (_, fields) in FAMILY_TABLE.items()
+        if (on is None or family in on) and all(default is not REQUIRED for _, default in fields.values())
     )
 
 

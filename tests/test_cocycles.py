@@ -11,23 +11,22 @@ from twistlab.cocycles import (
     CoboundaryCocycle,
     CoboundaryFn,
     Cocycle,
-    HalfSkewCocycle,
     LiftCocycle,
-    ProductCocycle,
     RestrictedCocycle,
     SimilarTwist,
-    ThetaCocycle,
     TrivialCocycle,
     build_cocycle,
     nth_prime,
     sigma_tilde,
-    verify_cocycle_identity,
-    verify_invariance,
-    verify_normalization,
 )
 from twistlab.errors import ConfigurationError, SpecError
+from twistlab.families.free_times_z import ProductCocycle
+from twistlab.families.sum_z import ThetaCocycle
+from twistlab.families.zn import HalfSkewCocycle
+from twistlab.families.zn_semidirect import _mat_vec
 from twistlab.groups import get_group
 from twistlab.phase import IrrationalBasis, Phase, ZERO
+from twistlab.verification import verify_cocycle_identity, verify_invariance, verify_normalization
 
 BASIS = IrrationalBasis({"r": 0.3819660112501051})
 R = {"rat": [0, 1], "irr": {"r": [1, 1]}}
@@ -108,8 +107,6 @@ def test_sanov_g_values():
         if not word:
             continue
         head, last = word[:-1], word[-1:]
-        from twistlab.groups import _mat_vec
-
         la = _mat_vec(sanov_word_matrix(last), a)
         assert sig.g(a, word) == sig.g((la[0], la[1]), head) * sig.g(a, last)
 

@@ -17,17 +17,10 @@ from oracles import (
 )
 from twistlab import _kernels
 from twistlab.errors import BudgetExceededError, FamilyMismatchError, SpecError
-from twistlab.groups import (
-    BaumslagSolitarNN,
-    Group,
-    bs_exponent_sum,
-    commuting_ball,
-    conjugacy_class_partial,
-    get_group,
-    resolve_subgroup,
-    sanov_act,
-    _mat_vec,
-)
+from twistlab.families.bs_nn import BaumslagSolitarNN, bs_exponent_sum
+from twistlab.families.sanov import sanov_act
+from twistlab.families.zn_semidirect import _mat_vec
+from twistlab.groups import Group, commuting_ball, conjugacy_class_partial, get_group, resolve_subgroup
 
 F2 = get_group({"family": "free", "rank": 2})
 Z = get_group({"family": "free", "rank": 1})

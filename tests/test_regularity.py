@@ -26,7 +26,8 @@ import twistlab
 from twistlab import regularity
 from twistlab.cocycles import build_cocycle, sigma_tilde
 from twistlab.errors import BudgetExceededError, SpecError
-from twistlab.groups import SumZ, get_group, resolve_subgroup
+from twistlab.families.sum_z import SumZ
+from twistlab.groups import get_group, resolve_subgroup
 from twistlab.phase import IrrationalBasis, Phase
 from twistlab.regularity import (
     certified_row_range,

@@ -46,7 +46,11 @@ def _subclasses(roots: set[str], *modules: str) -> set[str]:
     return found
 
 
-# Each decider module's exact imports from the family modules: the shared
+# the family modules, relative to PACKAGE
+FAMILY_MODULES = sorted(p.relative_to(PACKAGE).as_posix() for p in (PACKAGE / "families").glob("*.py") if p.name != "__init__.py")
+
+
+# Each decider module's exact imports from `groups` and `cocycles`: the shared
 # names only, no family class and no single-family helper.
 BOUNDARY = {
     "verdicts.py": {
@@ -72,7 +76,7 @@ def test_deciders_name_no_group_family_or_cocycle_class(module):
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in ("groups", "cocycles"):
             imported.setdefault(node.module, set()).update(alias.name for alias in node.names)
     assert imported == BOUNDARY[module]
-    classes = _subclasses({"Group", "Cocycle"}, "groups.py", "cocycles.py")
+    classes = _subclasses({"Group", "Cocycle"}, "groups.py", "cocycles.py", *FAMILY_MODULES)
     assert {"SumZ", "WreathZ", "FreeTimesZ", "LiftCocycle", "AntisymThetaCocycle"} <= classes
     named = []
     for node in ast.walk(tree):
@@ -88,14 +92,25 @@ def _strings(node: ast.expr) -> set[str]:
     return {p.value for p in parts if isinstance(p, ast.Constant) and isinstance(p.value, str)}
 
 
+def _module_path(where: str) -> Path:
+    """The file of the module that a spec table entry "module:name" names."""
+    return PACKAGE / (where.split(":")[0].replace(".", "/") + ".py")
+
+
 def test_every_kind_a_decider_names_is_a_cocycle_kind():
     """A misspelt kind string fails silently, where a misspelt class name
     fails loudly: the rule just stops firing.  So every string compared
     with a `.kind` in `regularity` and `verdicts`, and every kind in the
-    `DECIDERS` keys, is the `kind` of a class in `cocycles`."""
+    `DECIDERS` keys, is the `kind` of a class in a module that
+    `cocycles.KINDS` names (`cocycles` itself among them)."""
+    from twistlab.cocycles import KINDS
+
+    paths = {_module_path(where) for _, _, where in KINDS.values()}
+    assert PACKAGE / "cocycles.py" in paths
     kinds = {
         stmt.value.value
-        for node in ast.parse((PACKAGE / "cocycles.py").read_text()).body
+        for path in paths
+        for node in ast.parse(path.read_text()).body
         if isinstance(node, ast.ClassDef)
         for stmt in node.body
         if isinstance(stmt, ast.Assign)
@@ -116,6 +131,24 @@ def test_every_kind_a_decider_names_is_a_cocycle_kind():
     assert not unknown, f"kind strings that no cocycle class has: {unknown}"
     assert set(named) == {"regularity.py", "verdicts.py", "DECIDERS"}
     assert {"theta", "f2xz", "sanov", "lift"} <= named["regularity.py"]
+
+
+def test_the_spec_tables_name_every_family_module_and_only_existing_names():
+    """Each family is one module under `families`, named after it: every
+    "module:name" in `FAMILIES` and `KINDS` is a top-level definition of an
+    existing module, and every module under `families` is a family's."""
+    from twistlab.cocycles import KINDS
+    from twistlab.groups import FAMILIES
+
+    for where in [where for where, _ in FAMILIES.values()] + [where for _, _, where in KINDS.values()]:
+        path = _module_path(where)
+        assert path.is_file(), where
+        defined = {n.name for n in ast.parse(path.read_text()).body if isinstance(n, (ast.ClassDef, ast.FunctionDef))}
+        assert where.split(":")[1] in defined, where
+    assert {family: where.split(":")[0] for family, (where, _) in FAMILIES.items()} == {
+        family: f"families.{family}" for family in FAMILIES
+    }
+    assert sorted(f"families/{family}.py" for family in FAMILIES) == FAMILY_MODULES
 
 
 @pytest.mark.parametrize("module, text", sorted(line_trace.ALLOWLIST), ids=lambda v: v[:40])

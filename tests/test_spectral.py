@@ -222,6 +222,19 @@ def test_r2_central_binomials():
     assert rep.squared_norms == [math.comb(2 * n, n) for n in range(1, 11)]
 
 
+def test_powers_stop_at_the_first_squared_norm_past_the_float_range():
+    """(c a + c A)^n has squared norm c^(2n) C(2n,n): with c = 1e50 it is
+    2e301 at n = 3 and past the float range at n = 4, where both sequences
+    end, with that value last, however many powers were asked for."""
+    f = FiniteFunction(Z, {Z.word("a"): 1e50, Z.word("A"): 1e50})
+    rep = r2_estimate(f, TRIV_Z, 1000)
+    assert len(rep.squared_norms) == len(rep.roots) == 4
+    assert all(math.isfinite(s) for s in rep.squared_norms[:3]) and rep.squared_norms[3] == math.inf
+    rows = check_domination(f, FiniteFunction.delta(Z.identity()), TRIV_Z, 1000)
+    assert [r.n for r in rows] == [1, 2, 3, 4]
+    assert rows[3].twisted_sq == rows[3].plain_sq == math.inf
+
+
 def test_truncated_norm_partial_isometry():
     f = FiniteFunction.delta(Z.word("a"))
     for radius in (1, 3, 7):

@@ -210,6 +210,9 @@ def _parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # before any command imports numpy: OpenBLAS's thread pool only costs a
+    # CLI run (see README, CLI), and a value the user set is kept
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = _parser().parse_args(argv)
         return _dispatch(args)
@@ -305,7 +308,7 @@ def _dispatch(args) -> int:
             rows = check_domination(f, xi, sigma, args.nmax, budget=nodes)
             _check_finite([float(v) for r in rows for v in (r.twisted_sq, r.plain_sq)], "a squared norm")
             report = {
-                "rows": [{**vars(r), "twisted_sq": float(r.twisted_sq), "plain_sq": float(r.plain_sq)} for r in rows],
+                "rows": [{**r._asdict(), "twisted_sq": float(r.twisted_sq), "plain_sq": float(r.plain_sq)} for r in rows],
                 "all_ok": all(r.ok for r in rows),
             }
             return _emit(report, f"domination holds for all n <= {args.nmax}: {report['all_ok']}")

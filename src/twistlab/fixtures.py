@@ -7,7 +7,7 @@ independently of the decider's internal path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .cocycles import build_cocycle
 from .errors import BudgetExceededError
@@ -30,8 +30,7 @@ IRR_R = {"rat": [0, 1], "irr": {"r": [1, 1]}}
 ONE_MINUS_R = {"rat": [1, 1], "irr": {"r": [-1, 1]}}
 
 
-@dataclass
-class Fixture:
+class Fixture(NamedTuple):
     id: str
     description: str
     group: dict
@@ -40,7 +39,7 @@ class Fixture:
     expected: dict
     subgroup: str | None = None
     element: dict | str | None = None
-    candidates: list = field(default_factory=list)
+    candidates: tuple = ()
 
 
 FIXTURES: list[Fixture] = [
@@ -75,7 +74,7 @@ FIXTURES: list[Fixture] = [
             "period": [IRR_R, [0, 1], ONE_MINUS_R, [0, 1]],
         },
         command="kleppner",
-        candidates=[{"1": 1, "3": 1}],
+        candidates=({"1": 1, "3": 1},),
         expected={"kleppner": "refuted", "witness": {"1": 1, "3": 1}},
     ),
     Fixture(

@@ -11,8 +11,8 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cocycles import Cocycle
 from .errors import SpecError
@@ -25,8 +25,7 @@ MAX_SUPPORT = 6  # on at most this many of its elements
 GRID = 32  # corners per side of star_discrepancy_grid's grid
 
 
-@dataclass
-class LengthFunction:
+class LengthFunction(NamedTuple):
     """kappa(g) = (1 + word length)^s for a rational power s >= 0."""
 
     group: Group
@@ -59,8 +58,7 @@ class LengthFunction:
         raise SpecError(f"cannot parse length function {text!r}", path="kappa")
 
 
-@dataclass
-class GrowthProfile:
+class GrowthProfile(NamedTuple):
     subject: Element
     counts: dict[int, int]
     k_max: int
@@ -110,12 +108,11 @@ def superpolynomial_probe(profile: GrowthProfile, degrees: list[int]) -> dict:
     return out
 
 
-@dataclass
-class DecayReport:
+class DecayReport(NamedTuple):
     bound: float
     trials: int
     max_ratio: float
-    violations: list[dict] = field(default_factory=list)
+    violations: list[dict]
 
     @property
     def violated(self) -> bool:

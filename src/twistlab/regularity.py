@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from itertools import compress
+from typing import NamedTuple
 
 from .cocycles import Cocycle, nth_prime
 from .errors import BudgetExceededError, SpecError
@@ -20,8 +20,7 @@ from .groups import DEFAULT_NODE_BUDGET, Element, Subgroup, commuting_ball, reso
 from .phase import Angle, Phase, add_angles, negate_angle, scale_angle
 
 
-@dataclass
-class RegularityReport:
+class RegularityReport(NamedTuple):
     subject: Element
     status: str  # "regular" | "not_regular" | "no_witness_up_to"
     rule: str = ""
@@ -51,8 +50,7 @@ class RegularityReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RowImage:
+class RowImage(NamedTuple):
     rows: list[tuple[int, Phase]]
     certified: bool
 
@@ -740,7 +738,7 @@ def is_regular_wrt_subgroup(
 
 def _pullback_report(inner: RegularityReport, g: Element, sub: Subgroup) -> RegularityReport:
     witness = sub.embed(inner.witness) if inner.witness is not None else None
-    return replace(inner, subject=g, witness=witness)
+    return inner._replace(subject=g, witness=witness)
 
 
 def _sanov_base_regularity(base: Cocycle, g: Element, sub: Subgroup) -> RegularityReport:
@@ -795,4 +793,4 @@ def is_regular_wrt_kH(
     G.check(t)
     shifted = G.compose(G.invert(k), t)
     inner = is_regular_wrt_subgroup(sigma, shifted, subgroup, radius, node_budget)
-    return replace(inner, subject=t, detail=f"via k^-1 t = {shifted!r}")
+    return inner._replace(subject=t, detail=f"via k^-1 t = {shifted!r}")

@@ -12,10 +12,9 @@ import cmath
 import math
 import random
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cocycles import Cocycle, sigma_tilde
 from .errors import BudgetExceededError, ConfigurationError
@@ -253,8 +252,7 @@ def conjugation_bridge_check(sigma: Cocycle, g: Element, h: Element) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TruncatedOperator:
+class TruncatedOperator(NamedTuple):
     """Compression of a twisted convolution operator to a finite set of group
     elements, held as numpy COO arrays over their positions in `elements`:
     entry k is M[rows[k], cols[k]] = vals[k] (`intp`, `intp`, `complex128`),
@@ -346,14 +344,15 @@ def build_truncated(
     )
 
 
-@dataclass
 class NormReport:
-    value: float
-    converged: bool
-    iterations: int
-    size: int
-    # the unit vector x whose ||M x|| is `value`; it warm-starts the next radius
-    vector: np.ndarray | None = field(default=None, compare=False, repr=False)
+    # `vector`, the unit x whose ||M x|| is `value`, warm-starts the next radius; == skips it
+    __slots__ = ("value", "converged", "iterations", "size", "vector")
+
+    def __init__(self, value: float, converged: bool, iterations: int, size: int, vector: np.ndarray | None = None):
+        self.value, self.converged, self.iterations, self.size, self.vector = value, converged, iterations, size, vector
+
+    def __eq__(self, other) -> bool:
+        return type(other) is NormReport and self.to_json() == other.to_json()
 
     def to_json(self) -> dict:
         return {
@@ -493,7 +492,8 @@ def _orthogonalise(w, Q):
     Comp. 1976).  The products are `vecdot` and a broadcast sum, which run
     on one thread: a BLAS matrix-vector product (`@`) spreads over OpenBLAS
     threads, and on a 2-core machine such a call took about 2.4 ms against
-    0.13 ms on one thread."""
+    0.13 ms on one thread.  The CLI runs OpenBLAS on one thread anyway; a
+    library caller's process may not."""
     import numpy as np
 
     before = np.linalg.norm(w)
@@ -557,8 +557,7 @@ def truncated_norm_sequence(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class R2Report:
+class R2Report(NamedTuple):
     squared_norms: list
     roots: list[float]
     estimate: float
@@ -581,8 +580,9 @@ def r2_estimate(
 ) -> R2Report:
     """Norm growth of powers applied to the point mass at the identity:
     the sequence ||a^n delta||^(1/n) and its last value as the estimate.
-    A float squared norm past the float range ends the sequence, as its
-    last value, since every later power is past it too."""
+    A root past the float range ends the sequence, as its last value, since
+    every later power is past it too: so does a float squared norm past
+    that range, while an exact one keeps a finite root."""
     sq = []
     roots = []
     cur = f
@@ -591,7 +591,7 @@ def r2_estimate(
         s = cur.l2_squared()
         sq.append(s)
         exact = exact and isinstance(s, (int, Fraction))
-        roots.append(float(s) ** (1.0 / (2 * n)))
+        roots.append(_root(s, 2 * n))
         if not math.isfinite(roots[-1]):  # so is s
             break
         if n < n_max:
@@ -599,8 +599,21 @@ def r2_estimate(
     return R2Report(sq, roots, roots[-1] if roots else 0.0, exact)
 
 
-@dataclass
-class DominationRow:
+def _root(s, k: int) -> float:
+    """s^(1/k) as a float.  An exact s past the float range takes the root
+    from the logarithms of its numerator and denominator; a root past that
+    range too is infinite."""
+    try:
+        return float(s) ** (1.0 / k)
+    except OverflowError:
+        q = Fraction(s)
+        try:
+            return math.exp((math.log(q.numerator) - math.log(q.denominator)) / k)
+        except OverflowError:
+            return math.inf
+
+
+class DominationRow(NamedTuple):
     n: int
     twisted_sq: object
     plain_sq: object

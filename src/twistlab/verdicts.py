@@ -15,9 +15,8 @@ no group family or cocycle class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Sequence, TypedDict
+from typing import Callable, Iterable, NamedTuple, Sequence, TypedDict
 
 from .cocycles import Cocycle, stream_bit
 from .errors import BudgetExceededError, SpecError
@@ -74,8 +73,7 @@ CITES = {
 }
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     status: str  # "certified" | "refuted" | "inconclusive"
     rule: str = ""
     witness: Element | None = None
@@ -100,12 +98,11 @@ class Verdict:
         return out
 
 
-@dataclass
-class PropertyReport:
+class PropertyReport(NamedTuple):
     kleppner: Verdict
     unique_trace: Verdict
     cstar_simple: Verdict
-    rule_trace: list[dict] = field(default_factory=list)
+    rule_trace: list[dict]
 
     def to_json(self) -> dict:
         return {
@@ -121,8 +118,7 @@ class PropertyReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PeriodicityResult:
+class PeriodicityResult(NamedTuple):
     periodic: bool
     period: int | None = None
     reason: str = ""
@@ -517,15 +513,14 @@ def _condition_x_skew(group: Group, base: Cocycle) -> Verdict | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Chain:
+class _Chain(NamedTuple):
     """What the classifier's steps share: the Kleppner verdict, the limits
     of their own searches and the trace of the rules that fired."""
 
     kv: Verdict
     radius: int
     node_budget: int
-    trace: list[dict] = field(default_factory=list)
+    trace: list[dict]
 
     def note(self, rule: str, about: str) -> None:
         self.trace.append({"rule": rule, "about": about, "cite": CITES.get(rule, "")})
@@ -550,7 +545,7 @@ def classify(
     unique trace, and simplicity.  A family's own step runs only for
     infinite nonabelian groups."""
     kv = decide_kleppner(group, sigma, radius, node_budget, candidates=kleppner_candidates)
-    chain = _Chain(kv, radius, node_budget)
+    chain = _Chain(kv, radius, node_budget, [])
     if kv.rule:
         chain.note(kv.rule, "kleppner")
 

@@ -8,7 +8,7 @@ these checks confirm on samples that a constructor builds a normalized
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cocycles import Cocycle
 from .errors import SpecError
@@ -17,8 +17,7 @@ from .families.sum_z2 import BitstreamCocycle, SumZ2
 from .groups import Element
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     passed: bool
     checked: int
     counterexample: tuple | None = None

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import time
 
 import pytest
@@ -588,7 +589,7 @@ SANOV_ARGS = (
 )
 
 _IMPORT_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 import twistlab.cli as cli
 
 COMMANDS = {
@@ -607,7 +608,9 @@ if COMMAND:
         code = cli.main(COMMANDS[COMMAND])
 twistlab = sorted(m.removeprefix("twistlab.") for m in sys.modules if m.startswith("twistlab."))
 numeric = sorted(m for m in ("numpy", "numpy.random", "scipy") if m in sys.modules)
-print(json.dumps({"code": code, "numeric": numeric, "twistlab": twistlab}))
+openblas = os.environ.get("OPENBLAS_NUM_THREADS")
+print(json.dumps({"code": code, "numeric": numeric, "twistlab": twistlab,
+                  "dataclasses": "dataclasses" in sys.modules, "openblas": openblas}))
 """
 
 # the twistlab modules that `import twistlab.cli` loads
@@ -634,10 +637,10 @@ COMMAND_MODULES = {
 }
 
 
-def _fresh_interpreter(script: str) -> dict:
+def _fresh_interpreter(script: str, unset: tuple[str, ...] = ()) -> dict:
     """The JSON object on the last stdout line of `script`, run by a fresh
-    interpreter that imports twistlab from this tree."""
-    import os
+    interpreter that imports twistlab from this tree, with the environment
+    variables named in `unset` removed."""
     import subprocess
     import sys
     from pathlib import Path
@@ -646,20 +649,45 @@ def _fresh_interpreter(script: str) -> dict:
 
     src = str(Path(twistlab.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for name in unset:
+        env.pop(name, None)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def test_exact_commands_do_not_import_the_numeric_stack(tmp_path):
     """Each command in a fresh interpreter loads only its own layers and the
-    modules of the families it names, the exact commands never load numpy
-    or scipy, and the norm commands never load numpy.random."""
+    modules of the families it names, the exact commands never load numpy,
+    scipy or dataclasses, and the norm commands never load numpy.random.
+    With OPENBLAS_NUM_THREADS unset, importing the CLI leaves it unset and
+    every command runs with it set to 1."""
     fpath = tmp_path / "f.json"
     fpath.write_text(json.dumps([{"g": "a", "re": 1}, {"g": "A", "re": 1}]))
     for command, (layers, numeric) in COMMAND_MODULES.items():
         script = f"SANOV_ARGS = {SANOV_ARGS!r}\nF_PATH = {str(fpath)!r}\nCOMMAND = {command!r}\n" + _IMPORT_PROBE
-        want = {"code": 0 if command else None, "numeric": numeric, "twistlab": sorted(CLI_MODULES + layers)}
-        assert _fresh_interpreter(script) == want, command
+        want = {
+            "code": 0 if command else None,
+            "numeric": numeric,
+            "twistlab": sorted(CLI_MODULES + layers),
+            "dataclasses": False,
+            "openblas": "1" if command else None,
+        }
+        got = _fresh_interpreter(script, unset=("OPENBLAS_NUM_THREADS",))
+        if numeric:  # what numpy's own imports load is not the package's to pin
+            del want["dataclasses"], got["dataclasses"]
+        assert got == want, command
+
+
+@pytest.mark.parametrize("user, want", [(None, "1"), ("3", "3")], ids=["unset", "user_value"])
+def test_main_runs_openblas_on_one_thread_unless_the_user_set_it(user, want, capsys, monkeypatch):
+    """`main` sets OPENBLAS_NUM_THREADS to 1 when it is unset and keeps a
+    value the user set.  Teardown undoes the delenv, then the setenv, so it
+    also removes what `main` set."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", user or "")
+    if user is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    code, _, _ = run_cli(capsys, "growth", "orbit", "--nu1", "[1,5]", "--points", "1")
+    assert code == 0 and os.environ["OPENBLAS_NUM_THREADS"] == want
 
 
 def test_a_family_loads_only_its_own_module():

@@ -1,6 +1,5 @@
 """Twisted convolution, norm growth, truncated norms, domination, semifree sets."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -235,6 +234,22 @@ def test_powers_stop_at_the_first_squared_norm_past_the_float_range():
     assert rows[3].twisted_sq == rows[3].plain_sq == math.inf
 
 
+def test_exact_squared_norms_past_the_float_range_keep_finite_roots():
+    """With exact c = 10^50 the squared norms c^(2n) C(2n,n) leave the
+    float range at n = 4 but stay exact, and each root, taken from their
+    logarithms there, is finite and matches c C(2n,n)^(1/2n)."""
+    c = 10**50
+    f = FiniteFunction(Z, {Z.word("a"): (c, 0), Z.word("A"): (c, 0)}, exact=True)
+    rep = r2_estimate(f, TRIV_Z, 10)
+    assert rep.exact and rep.squared_norms == [math.comb(2 * n, n) * 10 ** (100 * n) for n in range(1, 11)]
+    assert all(math.isfinite(r) for r in rep.roots) and rep.estimate == rep.roots[-1]
+    for n, r in enumerate(rep.roots, 1):
+        assert math.isclose(r, 1e50 * math.comb(2 * n, n) ** (1 / (2 * n)), rel_tol=1e-12)
+    # with c = 10^400 the first root is past the float range too, and ends the sequence
+    rep = r2_estimate(FiniteFunction.delta(Z.word("a"), 10**400), TRIV_Z, 10)
+    assert (rep.squared_norms, rep.roots, rep.estimate) == ([10**800], [math.inf], math.inf)
+
+
 def test_truncated_norm_partial_isometry():
     f = FiniteFunction.delta(Z.word("a"))
     for radius in (1, 3, 7):
@@ -373,7 +388,7 @@ def test_operator_norm_scales_by_powers_of_two_exactly():
     op = build_truncated(f, TRIV_F2, 3)
     base = operator_norm(op, seed=4)
     for k in (-1000, -40, 7, 1020):
-        scaled = operator_norm(dataclasses.replace(op, vals=op.vals * 2.0**k), seed=4)
+        scaled = operator_norm(op._replace(vals=op.vals * 2.0**k), seed=4)
         assert (scaled.converged, scaled.iterations) == (base.converged, base.iterations)
         assert scaled.value == math.ldexp(base.value, k)
 

@@ -1,6 +1,7 @@
 """Pure-Python word kernels: free reduction and the one-relator normal form.
 
-Letters are nonzero ints: +k and -k are the k-th generator and its inverse.
+A free word is `bytes` of letter codes: generator k is 2k and its inverse
+2k + 1, so a letter and its inverse differ in the lowest bit.
 """
 
 from __future__ import annotations
@@ -8,24 +9,26 @@ from __future__ import annotations
 IMPL = "python"
 
 
-def free_reduce(word) -> tuple:
-    """Freely reduce a letter sequence."""
-    out: list[int] = []
-    for x in word:
-        if out and out[-1] == -x:
+def free_reduce(letters) -> bytes:
+    """The reduced code word of a sequence of signed letters: +k and -k
+    are the k-th generator and its inverse."""
+    out = bytearray()
+    for x in letters:
+        c = 2 * x if x > 0 else 1 - 2 * x
+        if out and out[-1] == c ^ 1:
             out.pop()
         else:
-            out.append(x)
-    return tuple(out)
+            out.append(c)
+    return bytes(out)
 
 
-def free_mul(a: tuple, b: tuple) -> tuple:
-    """Product of two already-reduced words: only the junction cancels."""
-    if not (a and b and a[-1] == -b[0]):
+def free_mul(a: bytes, b: bytes) -> bytes:
+    """Product of two reduced code words: only the junction cancels."""
+    if not (a and b and a[-1] == b[0] ^ 1):
         return a + b
     m = min(len(a), len(b))
     k = 1
-    while k < m and a[-1 - k] == -b[k]:
+    while k < m and a[-1 - k] == b[k] ^ 1:
         k += 1
     return a[: len(a) - k] + b[k:]
 

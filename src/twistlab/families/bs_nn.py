@@ -8,7 +8,7 @@ from ..cocycles import Cocycle, TrivialCocycle
 from ..errors import SpecError
 from ..groups import Element, Group, Subgroup, get_group
 from ..phase import Angle, Phase, scale_angle
-from ..words import CODE_BYTE, word_from_string, word_to_string
+from ..words import CODE_BYTE, word_from_string, word_key, word_to_string
 
 
 def bs_exponent_sum(w: tuple, gen: int) -> int:
@@ -78,11 +78,10 @@ class BaumslagSolitarNN(Group):
         return _kernels.bs_normalize((2, m), self.n)
 
     def word(self, s: str) -> Element:
-        letters = word_from_string(s, 2)
         flat = []
-        for x in letters:
-            flat.append(abs(x))
-            flat.append(1 if x > 0 else -1)
+        for c in word_from_string(s, 2):
+            flat.append(c >> 1)
+            flat.append(-1 if c & 1 else 1)
         return self.element(_kernels.bs_normalize(tuple(flat), self.n))
 
     def b_power(self, m: int) -> Element:
@@ -93,26 +92,18 @@ class BaumslagSolitarNN(Group):
         c, w = g.data
         return (bs_exponent_sum(w, 1), self.n * c + bs_exponent_sum(w, 2))
 
-    def to_letters(self, data) -> tuple[int, ...]:
-        c, w = data
-        letters = []
-        m = self.n * c
-        if m:
-            letters.extend([2 if m > 0 else -2] * abs(m))
-        for i in range(0, len(w), 2):
-            gen, exp = w[i], w[i + 1]
-            letters.extend([gen if exp > 0 else -gen] * abs(exp))
-        return tuple(letters)
-
-    def sort_key(self, data):
-        """`word_key` of `to_letters(data)`, built syllable by syllable."""
+    def to_letters(self, data) -> bytes:
+        """The code word of a normal form, built syllable by syllable."""
         c, w = data
         m = self.n * c
-        key = CODE_BYTE[4 if m > 0 else 5] * abs(m)
+        word = CODE_BYTE[4 if m > 0 else 5] * abs(m)
         for i in range(0, len(w), 2):
             exp = w[i + 1]
-            key += CODE_BYTE[2 * w[i] + (exp < 0)] * abs(exp)
-        return (len(key), key)
+            word += CODE_BYTE[2 * w[i] + (exp < 0)] * abs(exp)
+        return word
+
+    def sort_key(self, data):
+        return word_key(self.to_letters(data))
 
     def length(self, g: Element) -> int:
         # letter count of the normal form (documented proxy for the word metric)

@@ -5,11 +5,11 @@ from __future__ import annotations
 from .. import _kernels
 from ..errors import SpecError
 from ..groups import Element, Group
-from ..words import LETTERS, word_from_string, word_key, word_to_string
+from ..words import CODE_BYTE, LETTERS, word_from_string, word_inverse, word_key, word_to_string
 
 
 class FreeGroup(Group):
-    """Free group of finite rank; elements are reduced words."""
+    """Free group of finite rank; elements are reduced code words."""
 
     family = "free"
     _mul = staticmethod(_kernels.free_mul)
@@ -24,17 +24,12 @@ class FreeGroup(Group):
         self.icc = rank >= 2
 
     def _identity_data(self):
-        return ()
+        return b""
 
-    def _inv(self, a):
-        return tuple(-x for x in reversed(a))
+    _inv = staticmethod(word_inverse)
 
     def _generators(self):
-        out = []
-        for i in range(1, self.rank + 1):
-            out.append((i,))
-            out.append((-i,))
-        return out
+        return CODE_BYTE[2 : 2 * self.rank + 2]
 
     def word(self, s: str) -> Element:
         return self.element(word_from_string(s, self.rank))

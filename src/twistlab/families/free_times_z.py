@@ -8,16 +8,16 @@ from ..cocycles import Cocycle, TrivialCocycle
 from ..errors import SpecError
 from ..groups import Element, Group, Subgroup, _int, get_group
 from ..phase import Angle, Phase, _merge_bases
-from ..words import word_from_string, word_key, word_to_string
+from ..words import CODE_BYTE, word_from_string, word_inverse, word_key, word_to_string
 
 
-def free_exponents(w: tuple) -> tuple[int, int]:
-    """Exponent sums of a and b in a free word of letters +-1, +-2."""
-    return w.count(1) - w.count(-1), w.count(2) - w.count(-2)
+def free_exponents(w: bytes) -> tuple[int, int]:
+    """Exponent sums of a and b in a code word of F2."""
+    return w.count(2) - w.count(3), w.count(4) - w.count(5)
 
 
 class FreeTimesZ(Group):
-    """F2 x Z: pairs (reduced word, integer)."""
+    """F2 x Z: pairs (reduced code word, integer)."""
 
     family = "free_times_z"
     icc = False
@@ -28,24 +28,24 @@ class FreeTimesZ(Group):
             inner = get_group({"family": "zn", "n": 1})
             self._center = Subgroup(
                 "z", self, inner,
-                lambda h: self.pair((), h.data[0]),
-                lambda g: inner.element((g.data[1],)) if g.data[0] == () else None,
+                lambda h: self.pair(b"", h.data[0]),
+                lambda g: inner.element((g.data[1],)) if g.data[0] == b"" else None,
             )
         return self._center
 
     def _identity_data(self):
-        return ((), 0)
+        return (b"", 0)
 
     def _mul(self, a, b):
         return (_kernels.free_mul(a[0], b[0]), a[1] + b[1])
 
     def _inv(self, a):
-        return (tuple(-x for x in reversed(a[0])), -a[1])
+        return (word_inverse(a[0]), -a[1])
 
     def _generators(self):
-        return [((1,), 0), ((-1,), 0), ((2,), 0), ((-2,), 0), ((), 1), ((), -1)]
+        return [(CODE_BYTE[c], 0) for c in (2, 3, 4, 5)] + [(b"", 1), (b"", -1)]
 
-    def pair(self, word: str | tuple, k: int) -> Element:
+    def pair(self, word: str | bytes, k: int) -> Element:
         if isinstance(word, str):
             word = word_from_string(word, 2)
         return self.element((word, int(k)))
@@ -82,8 +82,8 @@ class FreeTimesZCharCocycle(Cocycle):
         self.nu = nu
         self.mu_angle, self.nu_angle = self._fix([mu, nu])
 
-    def character(self, word) -> Phase:
-        """gamma on a free word: mu^(a-exponent) nu^(b-exponent)."""
+    def character(self, word: bytes) -> Phase:
+        """gamma on a code word: mu^(a-exponent) nu^(b-exponent)."""
         oa, ob = free_exponents(word)
         return self.mu.scale(oa) * self.nu.scale(ob)
 

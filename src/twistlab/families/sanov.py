@@ -7,20 +7,21 @@ from ..cocycles import Cocycle
 from ..errors import SpecError
 from ..groups import Element, Group, Subgroup, get_group
 from ..phase import Angle, Phase, add_angles, negate_angle, scale_angle
-from ..words import word_from_string, word_key, word_to_string
+from ..words import CODE_BYTE, word_from_string, word_inverse, word_key, word_to_string
 from .zn import HalfSkewCocycle, halved
 
 
-def sanov_act(word, v) -> tuple[int, int]:
-    """The Sanov matrix of `word` applied to v, one letter at a time from
-    the right: a^(+-1) maps (p, q) to (p +- 2q, q), b^(+-1) to (p, q +- 2p)."""
+def sanov_act(word: bytes, v) -> tuple[int, int]:
+    """The Sanov matrix of the code word `word` applied to v, one letter at
+    a time from the right: a^(+-1) maps (p, q) to (p +- 2q, q), b^(+-1) to
+    (p, q +- 2p)."""
     p, q = v
     for x in reversed(word):
-        if x == 1:
+        if x == 2:
             p += 2 * q
-        elif x == -1:
+        elif x == 3:
             p -= 2 * q
-        elif x == 2:
+        elif x == 4:
             q += 2 * p
         else:
             q -= 2 * p
@@ -39,7 +40,7 @@ class Sanov(Group):
         return get_group({"family": "zn", "n": 2})
 
     def _identity_data(self):
-        return ((0, 0), ())
+        return ((0, 0), b"")
 
     def _mul(self, a, b):
         (u, x), (v, y) = a, b
@@ -48,22 +49,14 @@ class Sanov(Group):
 
     def _inv(self, a):
         u, x = a
-        xi = tuple(-t for t in reversed(x))
+        xi = word_inverse(x)
         return (sanov_act(xi, (-u[0], -u[1])), xi)
 
     def _generators(self):
-        return [
-            ((1, 0), ()),
-            ((-1, 0), ()),
-            ((0, 1), ()),
-            ((0, -1), ()),
-            ((0, 0), (1,)),
-            ((0, 0), (-1,)),
-            ((0, 0), (2,)),
-            ((0, 0), (-2,)),
-        ]
+        vectors = [((1, 0), b""), ((-1, 0), b""), ((0, 1), b""), ((0, -1), b"")]
+        return vectors + [((0, 0), CODE_BYTE[c]) for c in (2, 3, 4, 5)]
 
-    def pair(self, vector, word: str | tuple) -> Element:
+    def pair(self, vector, word: str | bytes) -> Element:
         if isinstance(word, str):
             word = word_from_string(word, 2)
         return self.element(((int(vector[0]), int(vector[1])), word))
@@ -111,11 +104,11 @@ class SanovCocycle(Cocycle):
         self._zero = (0, (0,) * len(self.symbols), self.den)
         self._memo: dict[tuple, Angle] = {}
 
-    def g(self, a: tuple[int, int], word: tuple[int, ...]) -> Phase:
+    def g(self, a: tuple[int, int], word: bytes) -> Phase:
         """The twisting function, computed by right-fold recursion with memoization."""
         return self.phase(self._g(a, word))
 
-    def _g(self, a: tuple[int, int], word: tuple[int, ...]) -> Angle:
+    def _g(self, a: tuple[int, int], word: bytes) -> Angle:
         if not word or a == (0, 0):
             return self._zero
         key = (a, word)
@@ -123,14 +116,14 @@ class SanovCocycle(Cocycle):
         if hit is not None:
             return hit
         head, last = word[:-1], word[-1]
-        if last == 1:
+        if last == 2:
             val = scale_angle(self._mu1, a[0])
-        elif last == 2:
+        elif last == 4:
             val = scale_angle(self._mu2, a[1])
         else:
-            val = negate_angle(self._g(sanov_act((last,), a), (-last,)))
+            val = negate_angle(self._g(sanov_act(CODE_BYTE[last], a), CODE_BYTE[last ^ 1]))
         if head:
-            val = add_angles(self._g(sanov_act((last,), a), head), val)
+            val = add_angles(self._g(sanov_act(CODE_BYTE[last], a), head), val)
         self._memo[key] = val
         return val
 

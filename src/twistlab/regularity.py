@@ -160,24 +160,17 @@ def _prime_rule_witness(sigma: Cocycle, x: Element) -> tuple[Element, Phase]:
 # ---------------------------------------------------------------------------
 
 
-def free_root(word: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Primitive root: the reduced word r and d >= 1 with word = r^d."""
-    # cyclically reduce: word = c * v * c^{-1}
-    c: list[int] = []
-    v = list(word)
-    while len(v) >= 2 and v[0] == -v[-1]:
-        c.append(v[0])
-        v = v[1:-1]
-    n = len(v)
-    for d in range(n, 0, -1):
-        if n % d:
-            continue
-        plen = n // d
-        if all(v[i] == v[i % plen] for i in range(n)):
-            root = v[:plen]
-            full = tuple(c) + tuple(root) + tuple(-t for t in reversed(c))
-            return full, d
-    return tuple(word), 1
+def free_root(word: bytes) -> tuple[bytes, int]:
+    """Primitive root: the reduced code word r and d >= 1 with word = r^d."""
+    # cyclically reduce: word = c * v * c^{-1} with c the first k letters
+    n, k = len(word), 0
+    while n - 2 * k >= 2 and word[k] == word[n - 1 - k] ^ 1:
+        k += 1
+    v = word[k : n - k]
+    for d in range(len(v), 0, -1):
+        if len(v) % d == 0 and v == v[: len(v) // d] * d:
+            return word[:k] + v[: len(v) // d] + word[n - k :], d
+    return word, 1
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int]:
@@ -247,7 +240,7 @@ def is_sigma_regular(
 
     if base.kind == "f2xz":
         x, m = g.data
-        if x == ():
+        if not x:
             if base.mu.scale(m).is_zero() and base.nu.scale(m).is_zero():
                 return RegularityReport(g, "regular", rule="characters_trivial_on_power")
             bad = G.pair("a", 0) if not base.mu.scale(m).is_zero() else G.pair("b", 0)
@@ -287,15 +280,13 @@ def _searched_report(sigma: Cocycle, g: Element, pool: Iterable[Element], radius
     return RegularityReport(g, "not_regular", witness=witness)
 
 
-def _free_times_z_witness(G, root, j: int, l: int) -> Element:
-    word: tuple[int, ...] = ()
-    r = tuple(root)
-    if j < 0:
-        r = tuple(-t for t in reversed(r))
-        j = -j
-    for _ in range(j):
-        word = word + r
-    return G.pair(word, l)
+def _free_times_z_witness(G, root: bytes, j: int, l: int) -> Element:
+    """(root^j, l), multiplied out by the group law."""
+    step = (root, 0) if j >= 0 else G._inv((root, 0))
+    data = (b"", l)
+    for _ in range(abs(j)):
+        data = G._mul(data, step)
+    return G.element(data)
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +711,7 @@ def is_regular_wrt_subgroup(
     if base.kind == "f2xz" and sub.name == "z":
         if base.character(g.data[0]).is_zero():
             return RegularityReport(g, "regular", rule="character_vanishes_on_word")
-        return RegularityReport(g, "not_regular", witness=G.pair((), 1))
+        return RegularityReport(g, "not_regular", witness=G.pair(b"", 1))
 
     if base.kind == "lift" and sub.name == "base":
         x, k = g.data
@@ -745,7 +736,7 @@ def _sanov_base_regularity(base: Cocycle, g: Element, sub: Subgroup) -> Regulari
     """Commuting lattice vectors are the fixed vectors of the word's matrix,
     the integer kernel of M - I."""
     (u, x) = g.data
-    if x == ():
+    if not x:
         inner = is_sigma_regular(base.restrict("base"), sub.inner.element(tuple(u)))
         return _pullback_report(inner, g, sub)
     act = base.group.act

@@ -187,7 +187,7 @@ def convolve_sigma(
             # out sums by payload; turned pairs g with f(g) * i^q for q = 0..3
             out: dict = {}
             turned = [(g, [_cmul(cf, unit) for unit in UNITS]) for g, cf in f._coeffs.items()]
-            xs = list(xi._coeffs.items())
+            xs = xi._coeffs.items()
             for g, cfs in turned:
                 for u, cx in xs:
                     q = quarter_turns(angle(g, u))
@@ -203,7 +203,9 @@ def convolve_sigma(
                         out[h] = (re, im)
                         if len(out) > budget:
                             raise BudgetExceededError("convolution support exceeded budget", nodes=len(out))
-            return FiniteFunction._trusted(G, {h: c for h, c in out.items() if c != (0, 0)}, exact=True)
+            for h in [h for h, c in out.items() if c == (0, 0)]:
+                del out[h]
+            return FiniteFunction._trusted(G, out, exact=True)
         except ExactnessLost:
             pass
     ff, xf = f.to_float(), xi.to_float()

@@ -324,7 +324,7 @@ def _kleppner_f2xz(group: Group, sigma: Cocycle, base: Cocycle, radius: int, nod
     orders = (base.mu.torsion_order(), base.nu.torsion_order())
     if None in orders:
         return Verdict("certified", rule="f2xz_nontorsion")
-    return Verdict("refuted", rule="f2xz_torsion", witness=group.pair((), math.lcm(*orders)))
+    return Verdict("refuted", rule="f2xz_torsion", witness=group.pair(b"", math.lcm(*orders)))
 
 
 def _finite_exhaustive(group: Group, sigma: Cocycle, node_budget: int, sub: Subgroup | None = None) -> Verdict:
@@ -433,7 +433,7 @@ def _relk_f2xz(group: Group, sigma: Cocycle, base: Cocycle, sub: Subgroup, node_
     if rel is None:
         return Verdict("certified", rule="f2xz_relk")
     ja, jb = rel
-    w: tuple[int, ...] = tuple([1 if ja > 0 else -1] * abs(ja) + [2 if jb > 0 else -2] * abs(jb))
+    w = " ".join(["a" if ja > 0 else "A"] * abs(ja) + ["b" if jb > 0 else "B"] * abs(jb))
     return Verdict("refuted", rule="f2xz_relk", witness=group.pair(w, 0))
 
 
@@ -653,7 +653,7 @@ DECIDERS: dict[tuple[str, str | None], _Entry] = {
         "classify": lambda group, base, chain: chain.shared("f2xz_equiv"),
     },
     ("free_times_z", "product"): {
-        "kleppner": lambda group, *_: Verdict("refuted", rule="z_factor_fails", witness=group.pair((), 1)),
+        "kleppner": lambda group, *_: Verdict("refuted", rule="z_factor_fails", witness=group.pair(b"", 1)),
         "classify": lambda group, base, chain: chain.shared(
             "product_rule", "refuted", "kleppner,unique_trace,cstar_simple", witness=chain.kv.witness
         ),

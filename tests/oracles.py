@@ -376,7 +376,7 @@ _SANOV_MATS = {
 def sanov_word_matrix(word) -> tuple:
     """The Sanov matrix of a word: the product of its letters' matrices."""
     M = ((1, 0), (0, 1))
-    for x in word:
+    for x in letters(word):
         M = _mat_mul(M, _SANOV_MATS[x])
     return M
 
@@ -390,13 +390,13 @@ def sanov_reference(mu0: Phase, mu1: Phase, mu2: Phase, a, b) -> Phase:
     w = sanov_act(x, v)
     terms = [(Fraction(u[0] * w[1] - u[1] * w[0], 2), mu0)]
     vec = tuple(v)
-    for letter in reversed(x):
+    for letter in reversed(letters(x)):
         if letter < 0:
-            vec = sanov_act((letter,), vec)
+            vec = sanov_act(code_word((letter,)), vec)
         mu, coord = (mu1, 0) if abs(letter) == 1 else (mu2, 1)
         terms.append((vec[coord] if letter > 0 else -vec[coord], mu))
         if letter > 0:
-            vec = sanov_act((letter,), vec)
+            vec = sanov_act(code_word((letter,)), vec)
     return _terms(*terms)
 
 
@@ -409,7 +409,7 @@ def bs_reference(G, lam: Phase, g, h) -> Phase:
 def f2xz_reference(G, mu: Phase, nu: Phase, g, h) -> Phase:
     """sigma((x,m),(y,n)) = m * (a-exponent of y * mu + b-exponent of y * nu)."""
     m = g.data[1]
-    w = h.data[0]  # counted letter by letter, apart from the library's count
+    w = letters(h.data[0])  # counted letter by letter, apart from the library's count
     oa = sum((x == 1) - (x == -1) for x in w)
     ob = sum((x == 2) - (x == -2) for x in w)
     return _terms((m * oa, mu), (m * ob, nu))
@@ -431,6 +431,27 @@ def theta_diag_reference(diagonals, period, g, h) -> Phase:
 # ---------------------------------------------------------------------------
 
 
+def letters(word: bytes) -> tuple[int, ...]:
+    """The signed letters of a code word: byte 2k is +k, byte 2k + 1 is -k."""
+    return tuple(-(c // 2) if c % 2 else c // 2 for c in word)
+
+
+def code_word(signed) -> bytes:
+    """The code word of a sequence of signed letters, as it stands."""
+    return bytes(2 * x if x > 0 else 1 - 2 * x for x in signed)
+
+
+def reduce_letters(signed) -> bytes:
+    """Free reduction with a stack of signed letters, then encoded."""
+    stack: list[int] = []
+    for x in signed:
+        if stack and stack[-1] == -x:
+            stack.pop()
+        else:
+            stack.append(x)
+    return code_word(stack)
+
+
 def bs_concat_product(ca: int, wa: tuple, cb: int, wb: tuple, n: int) -> tuple:
     """The BS(n,n) product by renormalising the whole concatenated word."""
     c, w = bs_normalize(tuple(wa) + tuple(wb), n)
@@ -440,20 +461,22 @@ def bs_concat_product(ca: int, wa: tuple, cb: int, wb: tuple, n: int) -> tuple:
 def letter_exponents(G: BaumslagSolitarNN, data) -> tuple[int, int]:
     """(a-exponent, b-exponent) of a BS(n,n) normal form, counted letter by
     letter in its word."""
-    letters = G.to_letters(data)
-    return letters.count(1) - letters.count(-1), letters.count(2) - letters.count(-2)
+    ls = letters(G.to_letters(data))
+    return ls.count(1) - ls.count(-1), ls.count(2) - ls.count(-2)
 
 
 def bs_letter_inverse(G: BaumslagSolitarNN, data) -> tuple:
     """The inverse normal form through letters: the reversed word with every
     letter inverted, parsed again."""
-    letters = G.to_letters(data)
-    return G.word(word_to_string(tuple(-x for x in reversed(letters)))).data
+    inverse = code_word(-x for x in reversed(letters(G.to_letters(data))))
+    return G.word(word_to_string(inverse)).data
 
 
-def tuple_word_key(word) -> tuple:
-    """Shortlex key of a word as a tuple of (generator, inverse flag) pairs."""
-    return (len(word), tuple((abs(x), 0 if x > 0 else 1) for x in word))
+def tuple_word_key(word: bytes) -> tuple:
+    """Shortlex key of a code word as a tuple of (generator, inverse flag)
+    pairs, read from its decoded letters."""
+    ls = letters(word)
+    return (len(ls), tuple((abs(x), 0 if x > 0 else 1) for x in ls))
 
 
 def tuple_sort_key(G, data) -> tuple:

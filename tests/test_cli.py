@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from conftest import SESSION_OPENBLAS_THREADS
 from twistlab.cli import main
 
 
@@ -637,10 +638,10 @@ COMMAND_MODULES = {
 }
 
 
-def _fresh_interpreter(script: str, unset: tuple[str, ...] = ()) -> dict:
+def _fresh_interpreter(script: str, unset: tuple[str, ...] = (), **setenv: str) -> dict:
     """The JSON object on the last stdout line of `script`, run by a fresh
     interpreter that imports twistlab from this tree, with the environment
-    variables named in `unset` removed."""
+    variables named in `unset` removed and those in `setenv` set."""
     import subprocess
     import sys
     from pathlib import Path
@@ -651,6 +652,7 @@ def _fresh_interpreter(script: str, unset: tuple[str, ...] = ()) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     for name in unset:
         env.pop(name, None)
+    env.update(setenv)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -688,6 +690,47 @@ def test_main_runs_openblas_on_one_thread_unless_the_user_set_it(user, want, cap
         monkeypatch.delenv("OPENBLAS_NUM_THREADS")
     code, _, _ = run_cli(capsys, "growth", "orbit", "--nu1", "[1,5]", "--points", "1")
     assert code == 0 and os.environ["OPENBLAS_NUM_THREADS"] == want
+
+
+def test_an_in_process_main_call_sets_openblas_threads(capsys):
+    """The next test checks that this test's setting does not outlive it."""
+    code, _, _ = run_cli(capsys, "growth", "orbit", "--nu1", "[1,5]", "--points", "1")
+    assert code == 0 and os.environ.get("OPENBLAS_NUM_THREADS") == (SESSION_OPENBLAS_THREADS or "1")
+
+
+def test_a_later_test_sees_the_session_openblas_threads():
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == SESSION_OPENBLAS_THREADS
+
+
+_HASH_SEED_PROBE = """
+import contextlib, io, json
+import twistlab.cli as cli
+
+outputs = []
+for argv in ARGVS:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    outputs.append([code, out.getvalue()])
+print(json.dumps(outputs))
+"""
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    """Word payloads are bytes, whose hashes the hash seed salts: an order
+    read off a set of payloads would differ between these two interpreters."""
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps([{"g": {"w": w, "k": k}, "re": 1} for w, k in (("a", 0), ("b", 0), ("", 1), ("B", 0))]))
+    argvs = [
+        ["spectral", "r2", "--group", '{"family":"free_times_z"}', "--cocycle", '{"kind":"f2xz","mu":[1,4],"nu":[1,2]}',
+         "--f", str(fpath), "--nmax", "4"],
+        ["regular", *SANOV_ARGS, "--g", '{"v":[0,0],"w":"a a"}', "--radius", "3"],
+        ["growth", "class", "--group", '{"family":"free","rank":2}', "--g", '"a b"', "--radius", "5"],
+    ]
+    script = f"ARGVS = {argvs!r}\n" + _HASH_SEED_PROBE
+    first, second = (_fresh_interpreter(script, PYTHONHASHSEED=seed) for seed in ("1", "2"))
+    assert [code for code, _ in first] == [0, 0, 0]
+    assert first == second
 
 
 def test_a_family_loads_only_its_own_module():

@@ -6,7 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import bs_reference, f2xz_reference, sanov_reference, sanov_word_matrix, theta_diag_reference
+from oracles import (
+    bs_reference,
+    code_word,
+    f2xz_reference,
+    sanov_reference,
+    sanov_word_matrix,
+    theta_diag_reference,
+)
 from twistlab.cocycles import (
     CoboundaryCocycle,
     CoboundaryFn,
@@ -92,13 +99,14 @@ def test_half_skew_half_exponent():
 
 def test_sanov_g_values():
     sig = build_cocycle({"kind": "sanov", "mu0": R, "mu1": [1, 3], "mu2": [1, 5]}, SAN, BASIS)
-    assert sig.g((1, 0), (1,)) == Phase(Fraction(1, 3))
-    assert sig.g((0, 1), (2,)) == Phase(Fraction(1, 5))
-    assert sig.g((1, 0), (2,)) == ZERO
-    assert sig.g((0, 1), (1,)) == ZERO
-    assert sig.g((1, 0), ()) == ZERO
+    a, b, a_inv = (code_word((x,)) for x in (1, 2, -1))
+    assert sig.g((1, 0), a) == Phase(Fraction(1, 3))
+    assert sig.g((0, 1), b) == Phase(Fraction(1, 5))
+    assert sig.g((1, 0), b) == ZERO
+    assert sig.g((0, 1), a) == ZERO
+    assert sig.g((1, 0), b"") == ZERO
     # inverse letter: v1^{-1} fixes e1, so the angle flips sign
-    assert sig.g((1, 0), (-1,)) == Phase(Fraction(2, 3))
+    assert sig.g((1, 0), a_inv) == Phase(Fraction(2, 3))
     # the defining recursion g(a, wl) = g(l.a, w) g(a, l) on random data
     rng = random.Random(2)
     for _ in range(100):
@@ -113,8 +121,8 @@ def test_sanov_g_values():
 
 def test_sanov_eval_uses_g():
     sig = build_cocycle({"kind": "sanov", "mu0": R, "mu1": [1, 3], "mu2": [1, 5]}, SAN, BASIS)
-    v1 = SAN.pair((0, 0), (1,))
-    e1 = SAN.pair((1, 0), ())
+    v1 = SAN.pair((0, 0), "a")
+    e1 = SAN.pair((1, 0), "")
     assert sig.eval(v1, e1) == Phase(Fraction(1, 3))
 
 

@@ -10,8 +10,11 @@ from oracles import (
     bs_concat_product,
     bs_letter_inverse,
     class_by_compose,
+    code_word,
     commuting_by_compose,
     letter_exponents,
+    letters,
+    reduce_letters,
     sanov_word_matrix,
     tuple_sort_key,
 )
@@ -23,6 +26,7 @@ from twistlab.families.zn_semidirect import _mat_vec
 from twistlab.groups import Group, commuting_ball, conjugacy_class_partial, get_group, resolve_subgroup
 
 F2 = get_group({"family": "free", "rank": 2})
+F3 = get_group({"family": "free", "rank": 3})
 Z = get_group({"family": "free", "rank": 1})
 SZ = get_group({"family": "sum_z"})
 SZ2 = get_group({"family": "sum_z2"})
@@ -71,9 +75,9 @@ def test_conjugate_examples():
     e0 = W.element((((0, 1),), 0))
     assert W.conjugate(t, e0) == W.element((((1, 1),), 0))
     # matrix action on the translation lattice
-    v1 = SAN.pair((0, 0), (1,))
-    x = SAN.pair((0, 1), ())
-    assert SAN.conjugate(v1, x) == SAN.pair((2, 1), ())
+    v1 = SAN.pair((0, 0), "a")
+    x = SAN.pair((0, 1), "")
+    assert SAN.conjugate(v1, x) == SAN.pair((2, 1), "")
 
 
 def test_ball_sizes_free_group():
@@ -87,7 +91,7 @@ def test_ball_sizes_free_group():
 def test_ball_rank_one():
     b = Z.ball(3)
     assert len(b) == 7
-    assert {g.data for g in b} == {tuple([1] * k) if k >= 0 else tuple([-1] * -k) for k in range(-3, 4)}
+    assert {g.data for g in b} == {code_word([1] * k if k >= 0 else [-1] * -k) for k in range(-3, 4)}
 
 
 def test_ball_budget_error():
@@ -285,11 +289,12 @@ def test_kernel_package_reexports_pure_python_kernels():
 
 
 @given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=30))
-def test_free_reduction_is_idempotent_and_sound(letters):
-    red = _kernels.free_reduce(tuple(letters))
-    assert _kernels.free_reduce(red) == red
+def test_free_reduction_is_idempotent_and_sound(signed):
+    red = _kernels.free_reduce(signed)
+    assert red == reduce_letters(signed)
+    assert _kernels.free_reduce(letters(red)) == red
     # no adjacent cancelling pair survives
-    assert all(red[i] != -red[i + 1] for i in range(len(red) - 1))
+    assert all(red[i] != red[i + 1] ^ 1 for i in range(len(red) - 1))
 
 
 @given(
@@ -297,14 +302,24 @@ def test_free_reduction_is_idempotent_and_sound(letters):
     st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=15),
 )
 def test_free_mul_matches_reduce(a, b):
-    ra = _kernels.free_reduce(tuple(a))
-    rb = _kernels.free_reduce(tuple(b))
-    assert _kernels.free_mul(ra, rb) == _kernels.free_reduce(tuple(a) + tuple(b))
+    ra = _kernels.free_reduce(a)
+    rb = _kernels.free_reduce(b)
+    assert _kernels.free_mul(ra, rb) == _kernels.free_reduce(letters(ra) + letters(rb)) == reduce_letters(a + b)
     # full cancellation against the inverse, on either side
-    inv = tuple(-x for x in reversed(ra))
-    assert _kernels.free_mul(ra, inv) == () == _kernels.free_mul(inv, ra)
+    inv = F3._inv(ra)
+    assert inv == code_word(-x for x in reversed(letters(ra)))
+    assert _kernels.free_mul(ra, inv) == b"" == _kernels.free_mul(inv, ra)
     # (a b^-1) b = a: the junction cancels all of b
-    assert _kernels.free_mul(_kernels.free_mul(ra, tuple(-x for x in reversed(rb))), rb) == ra
+    assert _kernels.free_mul(_kernels.free_mul(ra, F3._inv(rb)), rb) == ra
+
+
+@pytest.mark.parametrize(
+    "G, word",
+    [(F2, lambda d: d), (F3, lambda d: d), (SAN, lambda d: d[1]), (FZ, lambda d: d[0])],
+    ids=["free2", "free3", "sanov", "free_times_z"],
+)
+def test_ball_words_are_code_bytes(G, word):
+    assert all(type(word(g.data)) is bytes for g in G.ball(3))
 
 
 def test_wreath_lengths():
@@ -433,7 +448,7 @@ def test_free_group_rank_bounded_by_letters():
 
 
 _SANOV_WORDS = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12).map(
-    lambda w: _kernels.free_reduce(tuple(w))
+    _kernels.free_reduce
 )
 _SANOV_VECTORS = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
 

@@ -17,6 +17,7 @@ from oracles import (
     _echelon_rows,
     brute_force_regular_bits,
     brute_force_regular_vectors,
+    code_word,
     integer_span_reduce,
     lattice_contains,
     scaled_constraint_rows,
@@ -580,8 +581,8 @@ def test_wreath_base_regularity():
 def test_f2xz_certificates():
     sig = build_cocycle({"kind": "f2xz", "mu": [1, 3], "nu": [1, 5]}, FZ)
     # central powers: regular exactly when both characters die on the power
-    assert is_sigma_regular(sig, FZ.pair((), 15)).status == "regular"
-    assert is_sigma_regular(sig, FZ.pair((), 3)).status == "not_regular"
+    assert is_sigma_regular(sig, FZ.pair("", 15)).status == "regular"
+    assert is_sigma_regular(sig, FZ.pair("", 3)).status == "not_regular"
     # noncentral certificates through the primitive root of the word:
     # a^3 commutes only with (a^j, l) and the character kills 3*(1/3) exactly
     assert is_sigma_regular(sig, FZ.pair("a a a", 0)).status == "regular"
@@ -600,17 +601,24 @@ def test_f2xz_certificates():
     w = rep.witness
     assert FZ.compose(g, w) == FZ.compose(w, g)
     assert sig.eval(g, w) != sig.eval(w, g)
+    # a conjugated root a b A: the witness's root power (j = 2) is reduced
+    g = FZ.pair("a b b b b b A", 3)
+    rep = is_sigma_regular(sig, g)
+    assert rep.status == "not_regular" and rep.witness == FZ.pair("a b b A", 1)
+    w = rep.witness
+    assert FZ.compose(g, w) == FZ.compose(w, g)
+    assert sig.eval(g, w) != sig.eval(w, g)
 
 
 def test_free_root():
-    assert free_root((1, 1, 1)) == ((1,), 3)
-    assert free_root((1, 2)) == ((1, 2), 1)
-    assert free_root((1, 2, 1, 2)) == ((1, 2), 2)
-    assert free_root(()) == ((), 1)
+    assert free_root(code_word((1, 1, 1))) == (code_word((1,)), 3)
+    assert free_root(code_word((1, 2))) == (code_word((1, 2)), 1)
+    assert free_root(code_word((1, 2, 1, 2))) == (code_word((1, 2)), 2)
+    assert free_root(b"") == (b"", 1)
     # cyclically non-reduced powers: (aba^{-1})^2 written reduced
-    word = (1, 2, 2, -1)
+    word = code_word((1, 2, 2, -1))
     root, d = free_root(word)
-    assert root == (1, 2, -1) and d == 2
+    assert root == code_word((1, 2, -1)) and d == 2
 
 
 def test_relative_class_partial():
@@ -725,7 +733,7 @@ def test_reg_class_lemma_relative_variant():
 def test_sanov_base_certificates():
     sig = build_cocycle({"kind": "sanov", "mu0": [1, 3], "mu1": [1, 3], "mu2": [1, 5]}, SAN)
     # v1 fixes the first basis vector; g((1,0), v1) = mu1 = 1/3 gives a witness
-    g = SAN.pair((0, 0), (1,))
+    g = SAN.pair((0, 0), "a")
     rep = is_regular_wrt_subgroup(sig, g, "base")
     assert rep.status == "not_regular"
     w = rep.witness
@@ -864,7 +872,7 @@ def test_every_regularity_rule_fires_on_a_pinned_input():
         "t_kernel_rows_vanish": is_sigma_regular(theta, SZ.element(((0, 2),))),
         "skew_form_kernel": is_sigma_regular(skew, Z2.vector(2, 0)),
         "central_power_kills_twist": is_sigma_regular(bs, BS.b_power(2)),
-        "characters_trivial_on_power": is_sigma_regular(f2xz_half, FZ.pair((), 2)),
+        "characters_trivial_on_power": is_sigma_regular(f2xz_half, FZ.pair("", 2)),
         "character_on_centralizer_vanishes": is_sigma_regular(f2xz, FZ.pair("a a a", 0)),
         "trivial_subgroup": is_regular_wrt_subgroup(f2xz, FZ.pair("a", 1), "trivial"),
         "central_twist_vanishes_on_power": is_regular_wrt_subgroup(bs, BS.word("b a a"), "center"),

@@ -216,7 +216,7 @@ def test_class_finiteness_is_certified_exactly_on_the_center(G):
 def test_f2xz_kleppner():
     tors = build_cocycle({"kind": "f2xz", "mu": [1, 3], "nu": [1, 5]}, FZ)
     v = decide_kleppner(FZ, tors)
-    assert v.status == "refuted" and v.witness == FZ.pair((), 15)
+    assert v.status == "refuted" and v.witness == FZ.pair("", 15)
     non = build_cocycle({"kind": "f2xz", "mu": R, "nu": [0, 1]}, FZ, BASIS)
     assert decide_kleppner(FZ, non).status == "certified"
 

@@ -111,20 +111,6 @@ def _check_finite(values, what: str, path: str = "f", remedy: str = "scale the c
         raise SpecError(f"{what} exceeds the float range; {remedy}", path=path)
 
 
-def _all_inconclusive(report: dict) -> bool:
-    statuses = []
-
-    def walk(node):
-        if isinstance(node, dict):
-            if "status" in node and isinstance(node["status"], str):
-                statuses.append(node["status"])
-            for v in node.values():
-                walk(v)
-
-    walk(report)
-    return bool(statuses) and all(s == "inconclusive" for s in statuses)
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are spec errors (exit 1)
         raise SpecError(message, path="argv")
@@ -255,7 +241,7 @@ def _dispatch(args) -> int:
         else:
             v = check_condition_x(group, sigma, args.subgroup, args.radius, nodes)
             report = {"condition_x": v.to_json()}
-        code = 2 if _all_inconclusive(report) else 0
+        code = 2 if v.status == "inconclusive" else 0
         return _emit(report, f"{args.which}: {v.status}" + (f" ({v.cite})" if v.rule else ""), code)
 
     if args.cmd == "classify":
@@ -267,7 +253,8 @@ def _dispatch(args) -> int:
             f"kleppner={rep.kleppner.status} unique_trace={rep.unique_trace.status} "
             f"cstar_simple={rep.cstar_simple.status}"
         )
-        return _emit(report, summary, 2 if _all_inconclusive(report) else 0)
+        statuses = {v.status for v in (rep.kleppner, rep.unique_trace, rep.cstar_simple)}
+        return _emit(report, summary, 2 if statuses == {"inconclusive"} else 0)
 
     if args.cmd == "regular":
         from .regularity import is_regular_wrt_kH, is_regular_wrt_subgroup, is_sigma_regular
@@ -312,6 +299,8 @@ def _dispatch(args) -> int:
                 "all_ok": all(r.ok for r in rows),
             }
             return _emit(report, f"domination holds for all n <= {args.nmax}: {report['all_ok']}")
+        if args.search_radius < 0:
+            raise SpecError("the search radius must be nonnegative", path="search-radius")
         rep = stable_rank_evidence(
             group, sigma, f.support(), search_radius=args.search_radius, radius=args.radius,
             tol=args.tol, seed=args.seed, node_budget=nodes,

@@ -502,25 +502,16 @@ def _spanning_rows(rows: list[list[int]], n: int, modulus: int | None) -> list[l
     before them: the integer module mod `modulus`, or the row space over
     the rationals when `modulus` is None.
 
-    A row is reduced by an echelon basis of the span so far (with
-    ``modulus * Z^n`` included, a full-rank triangular basis, whose
-    residues are unique); it lies in the span iff nothing is left.
+    Every row joins one echelon basis (``_insert``), which starts from
+    ``modulus * Z^n`` when a modulus is given.  Mod `modulus` a row is kept
+    when the lattice grows; over the rationals, when it gains a pivot.
     """
-    basis = [] if modulus is None else [(i, [modulus * (t == i) for t in range(n)]) for i in range(n)]
-    kept = []  # basis holds (pivot column, echelon row) pairs
+    basis = {} if modulus is None else {i: [modulus * (t == i) for t in range(n)] for i in range(n)}
+    kept = []
     for row in rows:
-        r = list(row) if modulus is None else [x % modulus for x in row]
-        for col, b in basis:
-            if modulus is None:
-                if r[col]:
-                    r = [b[col] * x - r[col] * y for x, y in zip(r, b)]
-            elif not 0 <= r[col] < b[col]:
-                q = r[col] // b[col]
-                r = [x - q * y for x, y in zip(r, b)]
-        if any(r):
+        rank = len(basis)
+        if _insert(basis, row) and (modulus is not None or len(basis) > rank):
             kept.append(row)
-            echelon = _echelon([list(b) for _, b in basis] + [list(row)], n)
-            basis = [(next(t for t, v in enumerate(b) if v), b) for b in echelon]
     return kept
 
 
@@ -538,19 +529,18 @@ def integer_kernel(D: int, rat_rows, exact_rows, n: int) -> list[tuple[int, ...]
     x lies in the lattice iff ``(rat x + D y, exact x)`` vanishes for some
     integer vector y.  The rows ``(c_i, e_i)``, with c_i column i of the
     constraints, and ``(D e_t, 0)`` for each rational constraint t span the
-    vectors ``(rat x + D y, exact x, x)``; the echelon basis rows whose
-    constraint part is zero span those with vanishing constraints, and their
-    tracker parts are the kernel (Cohen, GTM 138, section 2.4).  The
-    projection onto x is injective, since D y = 0 forces y = 0.  Constraint
-    rows that vanish identically are dropped.
+    vectors ``(rat x + D y, exact x, x)``; the Hermite basis rows whose
+    constraint part is zero span those with vanishing constraints, and
+    their tracker parts are the kernel's Hermite basis (Cohen, GTM 138,
+    section 2.4).  The projection onto x is injective, since D y = 0
+    forces y = 0.  Constraint rows that vanish identically are dropped.
     """
     rat = [r for r in rat_rows if any(r)]
     cons = rat + [r for r in exact_rows if any(r)]
     m = len(cons)
     rows = [[r[i] for r in cons] + [int(t == i) for t in range(n)] for i in range(n)]
     rows += [[D * (t == i) for t in range(m)] + [0] * n for i in range(len(rat))]
-    echelon = _echelon(rows, m + n)
-    return _hermite_basis([list(b[m:]) for b in echelon if not any(b[:m])], n)
+    return [b[m:] for b in _hermite_basis(rows, m + n) if not any(b[:m])]
 
 
 def kernel_lattice_basis(sigma: Cocycle, positions: list[int], rows) -> list[tuple[int, ...]]:
@@ -560,18 +550,52 @@ def kernel_lattice_basis(sigma: Cocycle, positions: list[int], rows) -> list[tup
     return integer_kernel(D, rat_w, [r for w in sym_ws for r in w], len(positions))
 
 
+def _insert(basis: dict[int, list[int]], row) -> bool:
+    """Add an integer row, in place, to an echelon basis held as {pivot
+    column: row}, and say whether the lattice grew (Cohen, GTM 138, §2.4).
+
+    At a pivot p the row's entry x is cleared by a multiple of the basis
+    row b when p divides x, else by one unimodular step: with s p + t x =
+    g = gcd(p, x), b becomes s b + t r, of pivot g, and r becomes
+    (p r - x b) / g.  The row goes on to its next nonzero column; a free
+    column takes it, made positive, as a new pivot.
+    """
+    r, grew = list(row), False
+    for col in range(len(r)):
+        x = r[col]
+        if not x:
+            continue
+        b = basis.get(col)
+        if b is None:
+            basis[col] = r if x > 0 else [-v for v in r]
+            return True
+        p = b[col]
+        if x % p:
+            t, s = _ext_gcd(x, p)  # p > 0 keeps every remainder, and so g, positive
+            g = s * p + t * x
+            basis[col] = [s * u + t * v for u, v in zip(b, r)]
+            r, grew = [p // g * v - x // g * u for u, v in zip(b, r)], True
+        else:
+            q = x // p
+            for j in range(col, len(r)):  # both rows vanish before col
+                r[j] -= q * b[j]
+    return grew
+
+
 def _hermite_basis(rows: list[list[int]], n: int) -> list[tuple[int, ...]]:
-    """Hermite normal form: the echelon basis with every entry above a pivot
-    reduced into [0, pivot)."""
-    basis = [list(b) for b in _echelon(rows, n)]
-    for i, b in enumerate(basis):
-        col = next(t for t, v in enumerate(b) if v)
-        for a in basis[:i]:
+    """Hermite normal form: the echelon basis of the rows (``_insert``) with
+    every entry above a pivot reduced into [0, pivot)."""
+    basis: dict[int, list[int]] = {}
+    for row in rows:
+        _insert(basis, row)
+    pivots = sorted(basis)
+    for i, col in enumerate(pivots):
+        b = basis[col]
+        for a in map(basis.get, pivots[:i]):
             q = a[col] // b[col]
-            if q:
-                for t in range(col, n):
-                    a[t] -= q * b[t]
-    return [tuple(b) for b in basis]
+            for t in range(col, n):
+                a[t] -= q * b[t]
+    return [tuple(basis[col]) for col in pivots]
 
 
 def box_solution_array(sigma: Cocycle, positions: list[int], height: int, rows):
@@ -633,34 +657,6 @@ def _srow_entry(sigma: Cocycle, j: int, k: int) -> Angle | None:
         return sigma.entry_angle(k, j)
     entry = sigma.entry_angle(j, k)
     return None if entry is None else negate_angle(entry)
-
-
-def _echelon(rows: list[list[int]], n: int) -> list[tuple[int, ...]]:
-    """Echelon generating set (over the integers) of the lattice spanned by rows."""
-    rows = [r for r in rows if any(r)]
-    basis: list[tuple[int, ...]] = []
-    for col in range(n):
-        while True:
-            work = [r for r in rows if r[col] != 0]
-            if len(work) <= 1:
-                break
-            work.sort(key=lambda r: abs(r[col]))
-            p = work[0]
-            for r in work[1:]:
-                q = r[col] // p[col]
-                if q:
-                    for t in range(n):
-                        r[t] -= q * p[t]
-            rows = [r for r in rows if any(r)]
-        work = [r for r in rows if r[col] != 0]
-        if work:
-            p = work[0]
-            if p[col] < 0:
-                for t in range(n):
-                    p[t] = -p[t]
-            basis.append(tuple(p))
-            rows.remove(p)
-    return basis
 
 
 def _gf2_generators(vectors: list[tuple[int, ...]], positions: list[int]) -> list[tuple[int, ...]]:

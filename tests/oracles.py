@@ -181,7 +181,10 @@ def _echelon_rows(rows: list[list[int]]) -> list[list[int]]:
     At a taken pivot the basis row b and the inserted row r become
     x b + y r, whose pivot is g = gcd(b_c, r_c), and (b_c r - r_c b) / g,
     which vanishes there and moves on to its next pivot: a unimodular
-    change, so the span is kept.
+    change, so the span is kept.  This is also the library's algorithm
+    (``regularity._insert``); the lattice tests stay independent of it
+    through the brute-force enumerations they compare with and the
+    vectorised saturation of ``integer_span_reduce``.
     """
     basis: dict[int, list[int]] = {}
     for row in rows:
@@ -216,14 +219,17 @@ def _reduce_rows(rows: np.ndarray, basis: list[list[int]]) -> np.ndarray:
 def integer_span_reduce(basis_rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Reduce target rows modulo the integer row span of basis_rows.
 
-    The span of basis_rows is echelonized here by saturation, with an
-    algorithm of its own (extended-gcd row insertion, not the library's
-    Euclidean column passes): every row of basis_rows is reduced by the
-    current echelon basis at once (vectorized), and the first nonzero
-    residual joins the basis.  Each round strictly enlarges the spanned
-    lattice, and the loop ends only when every row of basis_rows reduces
-    to zero, so no row is skipped.  Returns the residual matrix of the
-    targets: all-zero rows are members of the span.
+    The span of basis_rows is echelonized here by saturation: every row of
+    basis_rows is reduced by the current echelon basis at once
+    (vectorized), and the first nonzero residual joins the basis.  Each
+    round strictly enlarges the spanned lattice, and the loop ends only
+    when every row of basis_rows reduces to zero, so no row is skipped.
+    The insertion (``_echelon_rows``) is the library's algorithm; the
+    lattice tests stay independent through this saturation check, which
+    tests every row against the finished basis rather than one row at a
+    time, and through the brute-force enumerations they compare with.
+    Returns the residual matrix of the targets: all-zero rows are members
+    of the span.
     """
     n = targets.shape[1]
     rows = np.asarray(basis_rows, dtype=np.int64).reshape(-1, n)

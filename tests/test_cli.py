@@ -919,6 +919,8 @@ TRIVIAL_ON_Z = ("--group", '{"family":"zn","n":1}', "--cocycle", '{"kind":"trivi
         (("verdict", "condition-x", *TRIVIAL_ON_Z, "--subgroup", "full", "--radius", "-1"), {}, "radius"),
         (("classify", *TRIVIAL_ON_Z, "--radius", "-1"), {}, "radius"),
         (("regular", *TRIVIAL_ON_Z, "--g", "[1]", "--radius", "-1"), {}, "radius"),
+        (("spectral", "stable-rank", *TRIVIAL_ON_Z, "--f", "{unit}", "--search-radius", "-1"), {}, "search-radius"),
+        (("spectral", "stable-rank", *TRIVIAL_ON_Z, "--f", "{unit}", "--radius", "-1"), {}, "radius"),
     ],
     ids=[
         "irr_not_object",
@@ -1022,6 +1024,8 @@ TRIVIAL_ON_Z = ("--group", '{"family":"zn","n":1}', "--cocycle", '{"kind":"trivi
         "condition_x_radius_negative",
         "classify_radius_negative",
         "regular_radius_negative",
+        "stable_rank_search_radius_negative",
+        "stable_rank_radius_negative",
     ],
 )
 def test_bad_inputs_are_json_spec_errors(argv, env, path, tmp_path, monkeypatch, capsys):

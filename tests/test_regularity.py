@@ -843,6 +843,47 @@ def test_spanning_rows_keep_the_integer_kernel(data):
     assert integer_kernel(D, kept_rat, kept_exact, n) == integer_kernel(D, rat, exact, n)
 
 
+def _small_matrix(data, n: int, max_rows: int) -> list[list[int]]:
+    """Up to max_rows drawn integer rows of length n, then an integer
+    combination of them, so that rows inside the span come up too."""
+    rows = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=max_rows))
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+    return rows + [[sum(c * r[t] for c, r in zip(coeffs, rows)) for t in range(n)]]
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_hermite_basis_is_the_hermite_form_of_the_rows(data):
+    """``_hermite_basis`` is in Hermite form (positive pivots, entries above
+    each pivot in [0, pivot), no zero rows) and spans exactly the rows;
+    since a lattice has one Hermite form, shuffling the rows or appending
+    an integer combination of them leaves it unchanged."""
+    n = data.draw(st.integers(1, 4))
+    rows = _small_matrix(data, n, 4)
+    basis = regularity._hermite_basis([list(r) for r in rows], n)
+    assert _is_hermite(basis)
+    assert all(lattice_contains(basis, tuple(r)) for r in rows)
+    assert not integer_span_reduce(np.array(rows), np.array(basis, dtype=np.int64).reshape(-1, n)).any()
+    shuffled = data.draw(st.permutations(rows))
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+    extra = [sum(c * r[t] for c, r in zip(coeffs, rows)) for t in range(n)]
+    assert regularity._hermite_basis([list(r) for r in shuffled] + [extra], n) == basis
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_insert_grows_the_lattice_exactly_by_rows_outside_its_span(data):
+    """``_insert`` returns False exactly when the row already lies in the
+    integer span of the rows inserted before it (``integer_span_reduce``)."""
+    n = data.draw(st.integers(1, 3))
+    rows = _small_matrix(data, n, 4)
+    rows.append(rows[0])
+    basis: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        inside = not integer_span_reduce(np.array(rows[:i], dtype=np.int64).reshape(-1, n), np.array([row])).any()
+        assert regularity._insert(basis, row) == (not inside), (rows[:i], row)
+
+
 def _regularity_rule_literals() -> set[str]:
     """Every ``rule="..."`` string that regularity.py passes to a call."""
     tree = ast.parse(Path(regularity.__file__).read_text())

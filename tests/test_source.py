@@ -178,3 +178,43 @@ def test_readme_spec_formats_name_every_table_field():
     assert {"modulus", "acting", "A", "diagonals", "lambda", "left"} <= names
     missing = sorted(name for name in names if f'`"{name}"`' not in section)
     assert not missing, f"README's Spec formats section does not name {missing}"
+
+
+# where each call of `verdicts` takes its rule: the position among its
+# arguments (a keyword `rule=` counts too)
+RULE_ARGUMENT = {"Verdict": 1, "shared": 0, "note": 0, "_first_witness": 2}
+
+
+def test_every_rule_verdicts_name_is_a_cited_rule():
+    """A misspelt rule string fails silently: the report just carries an
+    empty cite, and only a pinned pair that fires the rule would notice.
+    So every string that `verdicts` passes as a rule (to `Verdict`,
+    `_Chain.shared`, `_Chain.note` and `_first_witness`), every `relk_rule`
+    in `DECIDERS` and every rule that `_refutation_rule` returns is a key
+    of `CITES`."""
+    tree = ast.parse((PACKAGE / "verdicts.py").read_text())
+    cites: set[str] = set()
+    named: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["CITES"]:
+            cites = set().union(*map(_strings, node.value.keys))
+        elif isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "DECIDERS":
+            for entry in ast.walk(node.value):
+                if isinstance(entry, ast.Dict):
+                    for key, value in zip(entry.keys, entry.values):
+                        if isinstance(key, ast.Constant) and key.value == "relk_rule":
+                            named.setdefault("DECIDERS", set()).update(_strings(value))
+        elif isinstance(node, ast.FunctionDef) and node.name == "_refutation_rule":
+            returns = [r.value for r in ast.walk(node) if isinstance(r, ast.Return)]
+            named["_refutation_rule"] = set().union(*map(_strings, returns))
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in RULE_ARGUMENT:
+                at = RULE_ARGUMENT[name]
+                args = node.args[at : at + 1] + [k.value for k in node.keywords if k.arg == "rule"]
+                named.setdefault(name, set()).update(*map(_strings, args))
+    assert {"kernel_scan", "f2xz_relk", "kleppner_necessary"} <= cites
+    assert set(named) == {*RULE_ARGUMENT, "DECIDERS", "_refutation_rule"}
+    assert {"bs_relk", "f2xz_relk", "wreath_relk"} <= named["DECIDERS"]
+    unknown = {where: found - cites for where, found in named.items() if found - cites}
+    assert not unknown, f"rules that CITES does not name: {unknown}"

@@ -276,6 +276,8 @@ def _dispatch(args) -> int:
 
         group, sigma = _build_pair(args)
         f = _load_function(group, args.f, "f")
+        if "tol" in args and not args.tol >= 0:  # a NaN fails every comparison, so no step would stop a run
+            raise SpecError(f"the tolerance must be a nonnegative number, got {args.tol}", path="tol")
         if args.which == "norm":
             if args.radius < 1:
                 raise SpecError("the norm sequence needs a radius of at least 1", path="radius")

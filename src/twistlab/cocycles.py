@@ -29,6 +29,7 @@ from .groups import (
     _int,
     _list,
     get_group,
+    intern,
     load,
     read_spec,
     resolve_subgroup,
@@ -346,10 +347,21 @@ KINDS = {  # kind: (the families it lives on or None for all, {field: (parser, d
 
 
 def build_cocycle(spec: dict, group: Group, basis: IrrationalBasis | None = None, path: str = "cocycle") -> Cocycle:
-    """Build the cocycle that a spec dict at the JSON `path` describes on the given group.
+    """Build (or fetch) the cocycle that a spec dict at the JSON `path` describes on the given group.
 
+    The group interns what it builds, keyed by ``repr(spec)`` and the
+    basis values: ``repr`` tells ``(1,)``, ``[1]``, ``[1.0]`` and
+    ``[True]`` apart, where ``json.dumps`` would not.  A cocycle is shared
+    by every build of its spec, so a caller must never set an attribute on
+    one; the package keeps only data derived from it there
+    (``regularity._integer_constraints``).
     The constructors report their errors under ``cocycle``; for a spec
     nested at another path, such an error is moved under that path."""
+    key = repr(spec), None if basis is None else tuple(basis._values.items())
+    return intern(group._cocycles, key, lambda: _build(spec, group, basis, path))
+
+
+def _build(spec: dict, group: Group, basis: IrrationalBasis | None, path: str) -> Cocycle:
     (_, _, where), values = read_spec(spec, "kind", KINDS, path, on=group, context=(group, basis))
     try:
         return load(where)(group, *values)

@@ -15,11 +15,12 @@ import json
 from functools import cache
 from importlib import import_module
 from itertools import count
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetExceededError, FamilyMismatchError, SpecError
 
 DEFAULT_NODE_BUDGET = 10**6
+TABLE_SIZE = 256  # entries kept in each spec table (groups, and each group's cocycles)
 
 
 class Element:
@@ -103,6 +104,7 @@ class Group:
     def __init__(self):
         self.key = self.family
         self._ball_cache = _BallCache()
+        self._cocycles: dict = {}  # the cocycles built from specs on this group, by `cocycles.build_cocycle`
 
     # family-specific primitives -------------------------------------------
 
@@ -362,13 +364,25 @@ FAMILIES = {  # family: ("module:class", {field: (parser, default or REQUIRED)} 
 _GROUP_CACHE: dict[str, Group] = {}  # keyed by the family and its field values, defaults filled in
 
 
+def intern(table: dict, key, build: Callable[[], object]):
+    """The entry of a spec table under `key`, built and stored on a miss.
+
+    A table keeps at most `TABLE_SIZE` entries and evicts the oldest first;
+    an evicted entry is rebuilt on its next use.  A build that raises
+    stores nothing."""
+    found = table.get(key)
+    if found is None:
+        found = build()
+        if len(table) >= TABLE_SIZE:
+            del table[next(iter(table))]
+        table[key] = found
+    return found
+
+
 def get_group(spec: dict) -> Group:
     """Build (or fetch) the group described by a family spec dict."""
     (where, _), values = read_spec(spec, "family", FAMILIES, "group")
-    key = json.dumps([spec["family"], *values])
-    if key not in _GROUP_CACHE:
-        _GROUP_CACHE[key] = load(where)(*values)
-    return _GROUP_CACHE[key]
+    return intern(_GROUP_CACHE, json.dumps([spec["family"], *values]), lambda: load(where)(*values))
 
 
 def conjugacy_class_partial(

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property, partial
 from itertools import compress
 from typing import NamedTuple
 
 from .cocycles import Cocycle, nth_prime
 from .errors import BudgetExceededError, SpecError
-from .groups import DEFAULT_NODE_BUDGET, Element, Subgroup, commuting_ball, resolve_subgroup
+from .groups import DEFAULT_NODE_BUDGET, Element, Subgroup, commuting_ball, intern, resolve_subgroup
 from .phase import Angle, Phase, add_angles, negate_angle, scale_angle
 
 
@@ -322,27 +322,27 @@ class BoxVectors(Sequence):
     """The regular vectors of a box as a read-only list of Elements, built
     only where they are read.
 
-    `rows` holds the payload rows in scan order (the box array of the
-    integer family, the index tuples of the bit family), `order` returns
-    them in ``sort_key`` order, and `export` builds the Element of one
-    ordered row.  `len` and truth read the scan and never order it; the
-    first index, slice, iteration or comparison orders the rows once.  An
-    index, a slice (returned as a list) and iteration map `export` over the
-    ordered rows they read, and the sequence equals any list or tuple of
-    the same Elements.
+    `count` is their number, `rows` builds the payload rows in ``sort_key``
+    order (the box array of the integer family, the index tuples of the bit
+    family), and `export` builds the Element of one ordered row.  `len` and
+    truth read the count and build no row; the first index, slice,
+    iteration or comparison builds and orders the rows once.  An index, a
+    slice (returned as a list) and iteration map `export` over the ordered
+    rows they read, and the sequence equals any list or tuple of the same
+    Elements.
     """
 
-    def __init__(self, rows, order, export):
-        self._scan = rows
-        self._order = order
+    def __init__(self, count: int, rows: Callable[[], Sequence], export: Callable[[object], Element]):
+        self._count = count
+        self._build = rows
         self._export = export
 
     @cached_property
     def _rows(self):
-        return self._order(self._scan)
+        return self._build()
 
     def __len__(self) -> int:
-        return len(self._scan)
+        return self._count
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -366,21 +366,24 @@ def regular_vectors_in_box(sigma: Cocycle, window: int, height: int) -> tuple[Bo
     entries bounded by height, in ``sort_key`` order, plus a certification
     flag.
 
-    The vectors come as a `BoxVectors` sequence over the scan's payload
-    rows, so a caller that reads the count sorts nothing and one that reads
-    the first vector builds no other Element."""
+    The vectors come as a `BoxVectors` sequence.  For the integer family it
+    holds the scan's match, so a caller that reads the count builds no row
+    and one that reads the first vector builds no other Element."""
     base = sigma.structural()
     G = base.group
-    raw, certified = regular_vectors_box_raw(sigma, window, height)
-    if base.kind == "theta":
+    if base.kind == "theta" and base.rule != "prime_reciprocal":
         positions = list(range(-window, window + 1))
+        rows = certified_row_range(base, positions)
+        match = _box_match(base, positions, height, rows)
 
         def export(row) -> Element:
             vals = row.tolist()
             return Element(G, tuple(compress(zip(positions, vals), vals)))  # the (position, value) pairs with v != 0
 
-        return BoxVectors(raw, partial(_sumz_sorted, G.sort_key, positions, height), export), certified
-    return BoxVectors(raw, partial(sorted, key=G.sort_key), partial(Element, G)), certified
+        ordered = lambda: _sumz_sorted(G.sort_key, positions, height, _box_rows(*match))
+        return BoxVectors(int(match[-1][-1]) - 1, ordered, export), rows is not None  # the zero vector is not counted
+    raw, certified = regular_vectors_box_raw(sigma, window, height)
+    return BoxVectors(len(raw), partial(sorted, raw, key=G.sort_key), partial(Element, G)), certified
 
 
 def _sumz_sorted(sort_key, positions: list[int], height: int, vals):
@@ -516,11 +519,19 @@ def _spanning_rows(rows: list[list[int]], n: int, modulus: int | None) -> list[l
 
 
 def _integer_constraints(sigma: Cocycle, positions: list[int], rows):
-    """The listed rows of the antisymmetrized matrix as ``_integer_rows``."""
+    """The listed rows of the antisymmetrized matrix as ``_integer_rows``.
+
+    They are kept on the structural cocycle `sigma`, whose entry angles are
+    fixed when it is built, so a warm session derives them once per
+    (positions, rows); the caller must not change them."""
     if rows is None:
         raise SpecError("explicit-window evaluation requires bounded bandwidth")
     zero = (0, (0,) * len(sigma.symbols), 1)
-    return _integer_rows([[_srow_entry(sigma, j, k) or zero for j in positions] for k in rows])
+    return intern(
+        vars(sigma).setdefault("_constraints", {}),
+        (tuple(positions), tuple(rows)),
+        lambda: _integer_rows([[_srow_entry(sigma, j, k) or zero for j in positions] for k in rows]),
+    )
 
 
 def integer_kernel(D: int, rat_rows, exact_rows, n: int) -> list[tuple[int, ...]]:
@@ -600,9 +611,13 @@ def _hermite_basis(rows: list[list[int]], n: int) -> list[tuple[int, ...]]:
 
 def box_solution_array(sigma: Cocycle, positions: list[int], height: int, rows):
     """All nonzero vectors in the box whose listed rows vanish, in
-    lexicographic order, in the smallest type that holds -2 * height - 3.
+    lexicographic order, in the smallest type that holds -2 * height - 3:
+    the rows of ``_box_match``."""
+    return _box_rows(*_box_match(sigma, positions, height, rows))
 
-    Meet-in-the-middle (Horowitz & Sahni, J. ACM 1974) on the constraints
+
+def _box_match(sigma: Cocycle, positions: list[int], height: int, rows) -> tuple:
+    """Meet-in-the-middle (Horowitz & Sahni, J. ACM 1974) on the constraints
     of ``_integer_constraints``: a vector solves them iff the int64 keys of
     its halves agree (rational parts mod D, symbolic parts exactly, the left
     half negated).  A stable lexsort of both halves' keys lists each key's
@@ -610,6 +625,10 @@ def box_solution_array(sigma: Cocycle, positions: list[int], height: int, rows):
     and a left row's matches are a range of the right rows sorted by code.
     No key wraps while height times each half's absolute row sum stays
     below 2**63; past that, or when D does not fit, `BudgetExceededError`.
+
+    The match is the two half grids, the right rows in key order, and each
+    left row's first match there, number of matches and running total of
+    matches.  The total counts the zero vector, which matches itself.
     """
     import numpy as np
 
@@ -634,18 +653,26 @@ def box_solution_array(sigma: Cocycle, positions: list[int], height: int, rows):
     code[order] = run
     on_right = order >= len(left)
     rorder, rcode, lcode = order[on_right] - len(left), run[on_right], code[: len(left)]
-    lo, hi = rcode.searchsorted(lcode), rcode.searchsorted(lcode, side="right")
-    counts = hi - lo
-    ends = counts.cumsum()
-    # left rows in index order, each with its matches in index order: the
-    # pairs come out lexicographically.  They are written one contiguous row
-    # per position (fast to gather), then transposed into the result.
-    cols = np.empty((n, ends[-1]), dtype=left.dtype)
+    lo = rcode.searchsorted(lcode)
+    counts = rcode.searchsorted(lcode, side="right") - lo
+    return left, right, rorder, lo, counts, counts.cumsum()
+
+
+def _box_rows(left, right, rorder, lo, counts, ends):
+    """The nonzero solutions of a ``_box_match`` as one array, a row each.
+
+    Left rows in index order, each with its matches in index order: the
+    pairs come out lexicographically.  They are written one contiguous row
+    per position (fast to gather), then transposed into the result."""
+    import numpy as np
+
+    half, total = left.shape[1], ends[-1]
+    cols = np.empty((half + right.shape[1], total), dtype=left.dtype)
     cols[:half] = left.T.repeat(counts, axis=1)
-    cols[half:] = np.take(right.T, rorder[np.arange(ends[-1]) + (lo - ends + counts).repeat(counts)], axis=1)
+    cols[half:] = np.take(right.T, rorder[np.arange(total) + (lo - ends + counts).repeat(counts)], axis=1)
     # negation keeps the solutions and reverses their order: zero is the middle one
-    z = ends[-1] // 2
-    out = np.empty((ends[-1] - 1, n), dtype=left.dtype)
+    z = total // 2
+    out = np.empty((total - 1, len(cols)), dtype=left.dtype)
     out[:z], out[z:] = cols[:, :z].T, cols[:, z + 1 :].T
     return out
 

@@ -921,6 +921,10 @@ TRIVIAL_ON_Z = ("--group", '{"family":"zn","n":1}', "--cocycle", '{"kind":"trivi
         (("regular", *TRIVIAL_ON_Z, "--g", "[1]", "--radius", "-1"), {}, "radius"),
         (("spectral", "stable-rank", *TRIVIAL_ON_Z, "--f", "{unit}", "--search-radius", "-1"), {}, "search-radius"),
         (("spectral", "stable-rank", *TRIVIAL_ON_Z, "--f", "{unit}", "--radius", "-1"), {}, "radius"),
+        (("spectral", "norm", *TRIVIAL_ON_Z, "--f", "{unit}", "--tol", "nan"), {}, "tol"),
+        (("spectral", "norm", *TRIVIAL_ON_Z, "--f", "{unit}", "--tol", "-1"), {}, "tol"),
+        (("spectral", "stable-rank", *TRIVIAL_ON_Z, "--f", "{unit}", "--tol", "nan"), {}, "tol"),
+        (("spectral", "stable-rank", *TRIVIAL_ON_Z, "--f", "{unit}", "--tol", "-0.5"), {}, "tol"),
     ],
     ids=[
         "irr_not_object",
@@ -1026,6 +1030,10 @@ TRIVIAL_ON_Z = ("--group", '{"family":"zn","n":1}', "--cocycle", '{"kind":"trivi
         "regular_radius_negative",
         "stable_rank_search_radius_negative",
         "stable_rank_radius_negative",
+        "norm_tol_nan",
+        "norm_tol_negative",
+        "stable_rank_tol_nan",
+        "stable_rank_tol_negative",
     ],
 )
 def test_bad_inputs_are_json_spec_errors(argv, env, path, tmp_path, monkeypatch, capsys):

@@ -9,6 +9,7 @@ import pytest
 from oracles import (
     bs_reference,
     code_word,
+    crc_coboundary,
     f2xz_reference,
     sanov_reference,
     sanov_word_matrix,
@@ -28,10 +29,10 @@ from twistlab.cocycles import (
 )
 from twistlab.errors import ConfigurationError, SpecError
 from twistlab.families.free_times_z import ProductCocycle
-from twistlab.families.sum_z import ThetaCocycle
+from twistlab.families.sum_z import SumZ, ThetaCocycle
 from twistlab.families.zn import HalfSkewCocycle
 from twistlab.families.zn_semidirect import _mat_vec
-from twistlab.groups import get_group
+from twistlab.groups import TABLE_SIZE, get_group, intern
 from twistlab.phase import IrrationalBasis, Phase, ZERO
 from twistlab.verification import verify_cocycle_identity, verify_invariance, verify_normalization
 
@@ -399,6 +400,98 @@ def test_product_cocycle():
         {"kind": "product", "left": {"kind": "trivial"}, "right": {"kind": "trivial"}}, FZ
     )
     assert verify_cocycle_identity(prod, 200, 0, radius=2).passed
+
+
+# ---------------------------------------------------------------------------
+# the spec table: a group interns the cocycles built from its specs
+# ---------------------------------------------------------------------------
+
+SZ2 = get_group({"family": "sum_z2"})
+
+
+def test_a_spec_is_built_once_per_group_and_basis():
+    spec = {"kind": "theta_diag", "diagonals": [R]}
+    sig = build_cocycle(spec, SZ, BASIS)
+    same_basis = IrrationalBasis({"r": 0.3819660112501051})
+    assert build_cocycle({"kind": "theta_diag", "diagonals": [R]}, SZ, same_basis) is sig
+    other = build_cocycle(spec, SZ, IrrationalBasis({"r": 0.25}))
+    assert other is not sig and other.basis.value("r") == 0.25
+    g, h = SZ.basis_element(0), SZ.basis_element(1)
+    assert sig.complex_values([sig._angle(g.data, h.data)]) != other.complex_values([other._angle(g.data, h.data)])
+    assert build_cocycle(spec, SumZ()) is not build_cocycle(spec, SumZ())  # each group has its own table
+
+
+def test_an_interned_spec_does_not_serve_a_spec_of_other_types():
+    """repr tells apart what json.dumps does not: (1,) is not [1]."""
+    assert build_cocycle({"kind": "bitstream", "pre": [1]}, SZ2).pre == (1,)
+    for pre, path in [([True], "cocycle.pre[0]"), ([1.0], "cocycle.pre[0]"), ((1,), "cocycle.pre")]:
+        with pytest.raises(SpecError) as info:
+            build_cocycle({"kind": "bitstream", "pre": pre}, SZ2)
+        assert info.value.path == path
+
+
+@pytest.mark.parametrize(
+    "spec, group, path",
+    [
+        ({"kind": "bitstream", "pre": [2]}, SZ2, "cocycle.pre"),
+        ({"kind": "theta_window", "entries": [[1, 0, [1, 2]]]}, SZ, "cocycle.entries[0]"),
+        ({"kind": "lift", "base": {"kind": "theta_rule", "rule": "nope"}}, W, "cocycle.base.rule"),
+    ],
+    ids=["constructor", "walker", "nested_constructor"],
+)
+def test_a_refused_spec_is_refused_again_at_the_same_path(spec, group, path):
+    for _ in range(2):
+        with pytest.raises(SpecError) as info:
+            build_cocycle(spec, group)
+        assert info.value.path == path
+    assert repr(spec) not in {key for key, _ in group._cocycles}
+
+
+def test_a_full_cocycle_table_evicts_its_oldest_entry():
+    G = SumZ()
+    specs = [{"kind": "theta_diag", "diagonals": [[1, k + 2]]} for k in range(TABLE_SIZE + 1)]
+    built = [build_cocycle(spec, G) for spec in specs[:TABLE_SIZE]]
+    assert build_cocycle(specs[0], G) is built[0] and len(G._cocycles) == TABLE_SIZE
+    build_cocycle(specs[TABLE_SIZE], G)
+    assert len(G._cocycles) == TABLE_SIZE
+    assert build_cocycle(specs[1], G) is built[1]
+    rebuilt = build_cocycle(specs[0], G)  # evicted, so built anew
+    assert rebuilt is not built[0]
+    ball = G.ball(2)
+    assert [rebuilt.eval(g, h) for g in ball for h in ball] == [built[0].eval(g, h) for g in ball for h in ball]
+
+
+def test_a_shared_cocycle_that_widened_its_symbols_answers_as_a_fresh_one():
+    """A `product` cocycle widens `symbols` when a factor's value carries a
+    symbol it has not met (``Cocycle._own_angle``).  From a spec both factors
+    are trivial, since no kind with symbols lives on free[2] or zn[1], so
+    here the factors are symbolic coboundaries.  The product is evaluated
+    through the group's table, fetched again and evaluated once more; its
+    values and complex values equal a fresh product's, met in reverse."""
+    two = IrrationalBasis({"r": 0.3819660112501051, "s": 0.25})
+    Z1 = FZ.center().inner
+
+    def product():
+        left = CoboundaryCocycle(crc_coboundary(F2, two))  # values in r
+        s = lambda g: Phase(0, {"s": Fraction(g.data[0] ** 2, 5)}, two) if g.data[0] else ZERO
+        return ProductCocycle(FZ, left, CoboundaryCocycle(CoboundaryFn(Z1, s)))
+
+    ball = FZ.ball(2)
+    pairs = [(g, h) for g in ball for h in ball]
+    shared = intern(FZ._cocycles, "symbolic product", product)
+    first = [shared.eval(g, h) for g, h in pairs]
+    assert set(shared.symbols) == {"r", "s"} and shared._earlier
+    again = intern(FZ._cocycles, "symbolic product", product)
+    assert again is shared
+    fresh = product()
+    want = [fresh.eval(g, h) for g, h in reversed(pairs)][::-1]
+    assert [again.eval(g, h) for g, h in pairs] == first == want
+    assert any(p.syms == ("r", "s") for p in want)
+    angles = [again._angle(g.data, h.data) for g, h in pairs]
+    fresh_angles = [fresh._angle(g.data, h.data) for g, h in pairs]
+    assert np.array_equal(again.complex_values(angles), fresh.complex_values(fresh_angles))
+    assert np.allclose(again.complex_values(angles), [p.to_complex() for p in want], rtol=0, atol=1e-12)
+    del FZ._cocycles["symbolic product"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Normal forms, multiplication, conjugation, balls and lengths per family."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +20,7 @@ from oracles import (
     sanov_word_matrix,
     tuple_sort_key,
 )
-from twistlab import _kernels
+from twistlab import _kernels, groups
 from twistlab.errors import BudgetExceededError, FamilyMismatchError, SpecError
 from twistlab.families.bs_nn import BaumslagSolitarNN, bs_exponent_sum
 from twistlab.families.sanov import sanov_act
@@ -389,6 +391,26 @@ def test_the_group_cache_is_keyed_by_the_spec_with_its_defaults_filled_in():
     assert get_group({"family": "zn"}) is get_group({"family": "zn", "n": 2})
     assert get_group({"family": "wreath"}) is get_group({"family": "wreath", "base": "Z"})
     assert get_group({"family": "bs_nn", "n": 3}) is not get_group({"family": "bs_nn"})
+
+
+def test_a_full_group_cache_evicts_its_oldest_group_and_its_balls(monkeypatch):
+    """The group cache keeps `TABLE_SIZE` groups; one more evicts the oldest,
+    whose balls go with it, and a rebuilt group gives the same balls."""
+    monkeypatch.setattr(groups, "_GROUP_CACHE", {})
+    specs = [{"family": "zn", "n": n} for n in range(1, groups.TABLE_SIZE + 2)]
+    for spec in specs[: groups.TABLE_SIZE]:
+        get_group(spec)
+    oldest = get_group(specs[0])
+    old_ball = [g.data for g in oldest.ball(3)]
+    assert 3 in oldest._ball_cache
+    gone = weakref.ref(oldest)
+    del oldest
+    get_group(specs[-1])
+    assert len(groups._GROUP_CACHE) == groups.TABLE_SIZE and specs[1]["n"] == get_group(specs[1]).n
+    gc.collect()
+    assert gone() is None  # nothing holds the evicted group or its ball cache
+    rebuilt = get_group(specs[0])
+    assert 3 not in rebuilt._ball_cache and [g.data for g in rebuilt.ball(3)] == old_ball
 
 
 def test_zn_elements_print_as_their_coordinate_tuple():

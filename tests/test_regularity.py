@@ -237,6 +237,36 @@ def test_box_view_orders_its_rows_once_and_only_when_read_in_order(family, monke
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "spec, group, window, height",
+    [(PERIOD4, SZ, 2, 2), (PERIOD4, SZ, 3, 3), (PERIOD4, SZ, 3, 4)],
+    ids=["theta_2_2", "theta_3_3", "theta_3_4"],
+)
+def test_box_view_counts_from_the_match_and_builds_its_rows_once(spec, group, window, height, monkeypatch):
+    """`len` and truth read the match's count and build no row array; the
+    first ordered read builds the rows once, and they are the eager
+    `box_solution_array` rows."""
+    built: list = []
+    rows = regularity._box_rows
+    monkeypatch.setattr(regularity, "_box_rows", lambda *match: built.append(1) or rows(*match))
+    sig = build_cocycle(spec, group, BASIS)
+    found, _ = regular_vectors_in_box(sig, window, height)
+    assert len(found) > 5 and bool(found) and built == []
+    ref = _eager_box(sig, window, height)  # through `box_solution_array`, which builds once more
+    assert len(built) == 1 and len(found) == len(ref)
+    assert found[0] == ref[0] and found[-1] == ref[-1] and found[2:5] == ref[2:5]
+    assert list(found) == ref and found == ref and found == tuple(ref)
+    assert len(built) == 2
+
+
+def test_the_box_count_refuses_keys_past_int64_when_called():
+    """The overflow check belongs to the match, so the call itself raises,
+    before any row is read."""
+    sig = build_cocycle(ORACLE_COCYCLES["keys_past_2_63"], SZ, TWO_SYMBOLS)
+    with pytest.raises(BudgetExceededError, match="int64 keys would overflow"):
+        regular_vectors_in_box(sig, 1, 1)
+
+
 def test_box_scan_refuses_a_cocycle_outside_the_sum_families():
     sig = build_cocycle({"kind": "trivial"}, get_group({"family": "free", "rank": 2}), BASIS)
     with pytest.raises(SpecError, match="bilinear sum families"):

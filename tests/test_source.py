@@ -58,7 +58,7 @@ BOUNDARY = {
         "cocycles": {"Cocycle", "stream_bit"},
     },
     "regularity.py": {
-        "groups": {"DEFAULT_NODE_BUDGET", "Element", "Subgroup", "commuting_ball", "resolve_subgroup"},
+        "groups": {"DEFAULT_NODE_BUDGET", "Element", "Subgroup", "commuting_ball", "intern", "resolve_subgroup"},
         "cocycles": {"Cocycle", "nth_prime"},
     },
 }

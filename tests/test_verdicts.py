@@ -11,6 +11,7 @@ from oracles import crc_coboundary
 from twistlab.cocycles import TrivialCocycle, build_cocycle, SimilarTwist, CoboundaryFn
 from twistlab.errors import SpecError
 from twistlab.fixtures import FIXTURES, run_fixture_matrix
+from twistlab import groups
 from twistlab.groups import get_group
 from twistlab.phase import ZERO, IrrationalBasis, Phase
 from twistlab.regularity import is_regular_wrt_subgroup, is_sigma_regular
@@ -455,6 +456,16 @@ def test_classify_product_cocycle():
     assert (rep.kleppner.status, rep.unique_trace.status, rep.cstar_simple.status) == ("refuted",) * 3
 
 
+def test_kleppner_is_inconclusive_where_the_box_keys_would_pass_int64():
+    """Period entries r/(2^62 - 1) and r/(2^62 + 1) scale to keys past int64
+    at every box, so the scan refuses and the verdict says why."""
+    two = IrrationalBasis({"r": 0.3819660112501051, "s": 0.25})
+    period = [{"rat": [0, 1], "irr": {"r": [1, 2**62 - 1]}}, {"rat": [0, 1], "irr": {"r": [1, 2**62 + 1]}}]
+    v = decide_kleppner(SZ, build_cocycle({"kind": "theta_diag", "diagonals": [], "period": period}, SZ, two))
+    assert (v.status, v.rule, v.bound) == ("inconclusive", "", 6)
+    assert "int64 keys would overflow" in v.detail
+
+
 def test_classify_inconclusive_reports_bound():
     # no rule knows this pair: a parity-split twist of the odd bitstream lifted nowhere
     sig = SimilarTwist(TrivialCocycle(SAN), CoboundaryFn.zero(SAN))
@@ -602,6 +613,25 @@ def test_verdicts_depend_only_on_the_cohomology_class():
         for decide in (classify, decide_kleppner):
             want = _without_witnesses(decide(G, sig, radius=3).to_json())
             assert _without_witnesses(decide(G, twisted, radius=3).to_json()) == want, (G.key, spec, decide)
+
+
+def test_an_interned_cocycle_answers_as_a_fresh_build():
+    """A second build of a spec is the first one, fetched from the group's
+    table after it has answered; its verdicts equal those of a fresh build
+    with every table cleared."""
+    assert len(CITED_PAIRS) == 27
+    for G, spec in CITED_PAIRS:
+        first = build_cocycle(spec, G, BASIS)
+        for decide in (classify, decide_kleppner):
+            decide(G, first, radius=3)
+        hit = build_cocycle(spec, G, BASIS)
+        assert hit is first
+        warm = [decide(G, hit, radius=3).to_json() for decide in (classify, decide_kleppner)]
+        for group in {G, *groups._GROUP_CACHE.values()}:
+            group._cocycles.clear()
+        fresh = build_cocycle(spec, G, BASIS)
+        assert fresh is not first
+        assert [decide(G, fresh, radius=3).to_json() for decide in (classify, decide_kleppner)] == warm, (G.key, spec)
 
 
 def _rules(node):

@@ -115,6 +115,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are spec errors (exit 1)
         raise SpecError(message, path="argv")
 
+    def _parse_optional(self, arg_string):
+        # a token that reads as a number is a value: argparse's own test
+        # takes "-1e-3" for an option, so `--tol -1e-3` lost its value
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 # Every option, declared once; each command below picks the ones it reads.
 OPTIONS = {

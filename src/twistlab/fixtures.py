@@ -25,6 +25,7 @@ from .verdicts import (
 # numeric stand-ins for the declared irrationals (export only; all decisions
 # are exact and independent of these values)
 BASIS = {"r": 0.3819660112501051, "s": 0.7071067811865476}
+_BASIS = IrrationalBasis(BASIS)  # checked once per process
 
 IRR_R = {"rat": [0, 1], "irr": {"r": [1, 1]}}
 ONE_MINUS_R = {"rat": [1, 1], "irr": {"r": [-1, 1]}}
@@ -181,9 +182,8 @@ def _revalidate_refuted(fx: Fixture, group, sigma, witness, radius: int, node_bu
 
 
 def run_fixture(fx: Fixture, radius: int = 6, node_budget: int = 10**6) -> dict:
-    basis = IrrationalBasis(BASIS)
     group = get_group(fx.group)
-    sigma = build_cocycle(fx.cocycle, group, basis)
+    sigma = build_cocycle(fx.cocycle, group, _BASIS)
     got: dict = {}
     witness = None
     try:

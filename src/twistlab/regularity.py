@@ -57,12 +57,6 @@ class RowImage(NamedTuple):
     def all_zero(self) -> bool:
         return all(p.is_zero() for _, p in self.rows)
 
-    def first_nonzero(self) -> tuple[int, Phase] | None:
-        for k, p in self.rows:
-            if not p.is_zero():
-                return (k, p)
-        return None
-
 
 def certified_row_range(sigma: Cocycle, support: list[int]) -> range | None:
     """Row indices that provably cover every regularity constraint.
@@ -95,19 +89,43 @@ def certified_row_range(sigma: Cocycle, support: list[int]) -> range | None:
     return range(lo - pre - per, hi + pre + per + 1)
 
 
-def _theta_row(sigma: Cocycle, data, k: int) -> Phase:
-    """Row k of the antisymmetrized matrix applied to a sparse vector."""
+def _row_angle(sigma: Cocycle, data, k: int) -> Angle:
+    """Row k of the antisymmetrized form of a structural sum-family cocycle
+    applied to an element's data, as an angle over the cocycle's symbols."""
+    if sigma.kind == "bitstream":
+        return sum(sigma.epsilon(abs(j - k)) for j in data if j != k) % 2, (), 2
     out = (0, (0,) * len(sigma.symbols), 1)
     for j, xj in data:
         entry = _srow_entry(sigma, j, k)
         if entry is not None:
             out = add_angles(out, scale_angle(entry, xj))
-    return sigma.phase(out)
+    return out
 
 
-def _bitstream_row(sigma: Cocycle, data, k: int) -> Phase:
-    count = sum(sigma.epsilon(abs(j - k)) for j in data if j != k)
-    return sigma.phase((count % 2, (), 2))
+def _is_zero_angle(a: Angle) -> bool:
+    k, cs, D = a
+    return not (k % D or any(cs))
+
+
+def _row_angles(sigma: Cocycle, x: Element, window: range | None = None):
+    """The structural cocycle, the (row, angle) pairs of ``t_theta_image``,
+    computed as they are read, and its certification flag."""
+    base = sigma.structural()
+    if base.kind == "theta":
+        support = [j for j, _ in x.data]
+    elif base.kind == "bitstream":
+        support = list(x.data)
+    else:
+        raise SpecError("row images are defined for the bilinear sum-family cocycles")
+    rows = certified_row_range(base, support)
+    certified = rows is not None
+    if rows is None:
+        if window is None:
+            raise SpecError(
+                "this cocycle has unbounded bandwidth; an explicit row window is required"
+            )
+        rows = window
+    return base, ((k, _row_angle(base, x.data, k)) for k in rows), certified
 
 
 def t_theta_image(sigma: Cocycle, x: Element, window: range | None = None) -> RowImage:
@@ -117,25 +135,8 @@ def t_theta_image(sigma: Cocycle, x: Element, window: range | None = None) -> Ro
     parameters admit a finite covering row set, otherwise the caller must
     supply an explicit window and only those rows are evaluated.
     """
-    base = sigma.structural()
-    if base.kind == "theta":
-        support = [j for j, _ in x.data]
-        rows = certified_row_range(base, support)
-        rower = lambda k: _theta_row(base, x.data, k)
-    elif base.kind == "bitstream":
-        support = list(x.data)
-        rows = certified_row_range(base, support)
-        rower = lambda k: _bitstream_row(base, x.data, k)
-    else:
-        raise SpecError("row images are defined for the bilinear sum-family cocycles")
-    certified = rows is not None
-    if rows is None:
-        if window is None:
-            raise SpecError(
-                "this cocycle has unbounded bandwidth; an explicit row window is required"
-            )
-        rows = window
-    return RowImage([(k, rower(k)) for k in rows], certified)
+    base, angles, certified = _row_angles(sigma, x, window)
+    return RowImage([(k, base.phase(a)) for k, a in angles], certified)
 
 
 def _prime_rule_witness(sigma: Cocycle, x: Element) -> tuple[Element, Phase]:
@@ -149,9 +150,9 @@ def _prime_rule_witness(sigma: Cocycle, x: Element) -> tuple[Element, Phase]:
         m += 1
     while True:
         k = kmax + m
-        val = _theta_row(sigma, x.data, k)
-        if not val.is_zero():
-            return G.basis_element(k), val
+        val = _row_angle(sigma, x.data, k)
+        if not _is_zero_angle(val):
+            return G.basis_element(k), sigma.phase(val)
         m += 1  # unreachable for nonzero x; kept as a safety net
 
 
@@ -217,11 +218,12 @@ def is_sigma_regular(
         if theta and base.rule == "prime_reciprocal":
             witness, val = _prime_rule_witness(base, g)
             return RegularityReport(g, "not_regular", witness=witness, detail=f"row phase {val!r}")
-        bad = t_theta_image(sigma, g).first_nonzero()
+        _, angles, _ = _row_angles(sigma, g)
+        bad = next(((k, a) for k, a in angles if not _is_zero_angle(a)), None)
         if bad is None:
             return RegularityReport(g, "regular", rule="t_kernel_rows_vanish")
         k, val = bad
-        detail = f"row phase {val!r}" if theta else ""  # a bitstream row is always 1/2
+        detail = f"row phase {base.phase(val)!r}" if theta else ""  # a bitstream row is always 1/2
         return RegularityReport(g, "not_regular", witness=G.basis_element(k), detail=detail)
 
     if base.kind in ("antisym_theta", "half_skew"):
@@ -312,7 +314,7 @@ def regular_vectors_box_raw(sigma: Cocycle, window: int, height: int):
         found = []
         for mask in range(1, 1 << len(positions)):
             data = tuple(p for i, p in enumerate(positions) if mask >> i & 1)
-            if all(_bitstream_row(base, data, k).is_zero() for k in rows):
+            if all(_is_zero_angle(_row_angle(base, data, k)) for k in rows):
                 found.append(data)
         return found, True
     raise SpecError("regular-vector scans apply to the bilinear sum families")
@@ -618,44 +620,89 @@ def box_solution_array(sigma: Cocycle, positions: list[int], height: int, rows):
 
 def _box_match(sigma: Cocycle, positions: list[int], height: int, rows) -> tuple:
     """Meet-in-the-middle (Horowitz & Sahni, J. ACM 1974) on the constraints
-    of ``_integer_constraints``: a vector solves them iff the int64 keys of
+    of ``_integer_constraints``: a vector solves them iff the key columns of
     its halves agree (rational parts mod D, symbolic parts exactly, the left
-    half negated).  A stable lexsort of both halves' keys lists each key's
-    left rows, then its right rows; the run number is the key's dense code,
-    and a left row's matches are a range of the right rows sorted by code.
-    No key wraps while height times each half's absolute row sum stays
-    below 2**63; past that, or when D does not fit, `BudgetExceededError`.
+    half negated).  The key columns (one matmul per half) fold into one
+    int64 key per half-row; the right keys are sorted by one stable argsort,
+    and a left row's matches are its `searchsorted` range there.
+
+    The fold is mixed-radix, the last column most significant.  A rational
+    column has span D.  A symbolic column w is at most b = height *
+    sum(|w|) in absolute value over the right half; a left key outside
+    [-b, b] matches no right row, so it is pinned to -b - 1 or b + 1,
+    which keeps its order against every right key, and the column has span
+    2b + 3.  The spans are multiplied in Python ints, before any numpy
+    arithmetic, and the columns fold in runs whose span product stays below
+    2**63, one product against the run's strides.  Where the product would
+    pass 2**63, the key so far and the next run are replaced by their dense
+    ranks over both halves, whose product is at most the square of the
+    number of half-rows, so no key wraps.  The keys are sorted in the
+    smallest unsigned type that holds the span product (numpy sorts keys of
+    16 bits or less by radix).  No column entry wraps while height times
+    each half's absolute row sum stays below 2**63; past that, or when D
+    does not fit, `BudgetExceededError`.
 
     The match is the two half grids, the right rows in key order, and each
-    left row's first match there, number of matches and running total of
+    left row's first match there (for a left row without one, the number of
+    right keys below its key), number of matches and running total of
     matches.  The total counts the zero vector, which matches itself.
     """
     import numpy as np
 
     D, rat_rows, sym_rows = _integer_constraints(sigma, positions, rows)
     n, half = len(positions), len(positions) // 2
-    weights = rat_rows + [r for w in sym_rows for r in w] or [[0] * n]  # no rows: one zero key matches all
+    sym = [r for w in sym_rows for r in w] or ([] if rat_rows else [[0] * n])  # no rows: one zero key matches all
     limit, reach = 1 << 63, max(height, 1)  # an entry must fit even in a one-point box
     halves = (slice(half), slice(half, n))
-    if D >= limit or any(reach * sum(map(abs, w[cut])) >= limit for w in weights for cut in halves):
+    if D >= limit or any(reach * sum(map(abs, w[cut])) >= limit for w in rat_rows + sym for cut in halves):
         raise BudgetExceededError(f"the box scan's int64 keys would overflow at height {height}")
-    W = np.array(weights, dtype=np.int64)
+    pins = [min(height * sum(map(abs, w[half:])) + 1, limit - 1) for w in sym]  # b + 1; b when b = 2**63 - 1
+    spans = [D] * len(rat_rows) + [2 * p + 1 for p in pins]
+    offsets = [0] * len(rat_rows) + pins
+    W = np.array(rat_rows + sym, dtype=np.int64)
     left, right = _grid(half, height), _grid(n - half, height)
     keys = np.concatenate([-(left @ W[:, :half].T), right @ W[:, half:].T])
     keys[:, : len(rat_rows)] %= D
+    if any(height * sum(map(abs, w[:half])) >= p for w, p in zip(sym, pins)):  # a left key may leave the range
+        lsym, pin = keys[: len(left), len(rat_rows) :], np.array(pins, dtype=np.int64)
+        np.clip(lsym, -pin, pin, out=lsym)
 
-    order = np.lexsort(keys.T)
-    ranked = keys[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    run = new.cumsum()
-    code = np.empty_like(run)
-    code[order] = run
-    on_right = order >= len(left)
-    rorder, rcode, lcode = order[on_right] - len(left), run[on_right], code[: len(left)]
-    lo = rcode.searchsorted(lcode)
-    counts = rcode.searchsorted(lcode, side="right") - lo
+    runs = []  # [first column, strides, span product], least significant first
+    for c, s in enumerate(spans):
+        if not runs or runs[-1][2] * s >= limit:
+            runs.append([c, [], 1])
+        run = runs[-1]
+        run[1].append(run[2])
+        run[2] *= s
+    key = None
+    for c, strides, size in runs:
+        cols = keys[:, c : c + len(strides)]
+        if size >= limit:  # one column whose span alone passes 2**63
+            part, size = _dense_rank(cols[:, 0])
+        else:
+            part = cols @ np.array(strides, dtype=np.int64) + sum(map(operator.mul, strides, offsets[c:]))
+        if key is None:
+            key, span = part, size
+            continue
+        if span * size >= limit:
+            (key, span), (part, size) = _dense_rank(key), _dense_rank(part)
+        key, span = part * span + key, span * size
+
+    key = key.astype(np.min_scalar_type(span - 1))
+    rkey = key[len(left) :]
+    rorder = rkey.argsort(kind="stable")
+    ranked = rkey[rorder]
+    lo = ranked.searchsorted(key[: len(left)])
+    counts = ranked.searchsorted(key[: len(left)], side="right") - lo
     return left, right, rorder, lo, counts, counts.cumsum()
+
+
+def _dense_rank(values) -> tuple:
+    """Each value's rank among the distinct values, and their number."""
+    import numpy as np
+
+    distinct, rank = np.unique(values, return_inverse=True)
+    return rank, len(distinct)
 
 
 def _box_rows(left, right, rorder, lo, counts, ends):

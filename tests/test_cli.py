@@ -1055,6 +1055,38 @@ def test_bad_inputs_are_json_spec_errors(argv, env, path, tmp_path, monkeypatch,
     assert "Traceback" not in err
 
 
+def _bad_int(option: str, value: str = "-1e3") -> str:
+    return f"argv: argument --{option}: invalid int value: '{value}'"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("verdict", "kleppner", *TRIVIAL_ON_Z, "--radius", "-1e3"), _bad_int("radius")),
+        (("verdict", "kleppner", *TRIVIAL_ON_Z, "--nodes", "-1E+3"), _bad_int("nodes", "-1E+3")),
+        (("spectral", "norm", *TRIVIAL_ON_Z, "--f", "{unit}", "--seed", "-1e3"), _bad_int("seed")),
+        (
+            ("spectral", "norm", *TRIVIAL_ON_Z, "--f", "{unit}", "--tol", "-1e-3"),
+            "tol: the tolerance must be a nonnegative number, got -0.001",
+        ),
+        (("spectral", "r2", *TRIVIAL_ON_Z, "--f", "{unit}", "--nmax", "-1e3"), _bad_int("nmax")),
+        (("spectral", "stable-rank", *TRIVIAL_ON_Z, "--f", "{unit}", "--search-radius", "-1e3"), _bad_int("search-radius")),
+        (("growth", "class", "--group", '{"family":"zn","n":1}', "--g", "[1]", "--kmax", "-1e3"), _bad_int("kmax")),
+        (("growth", "decay", *TRIVIAL_ON_Z, "--M", "-1e3"), "M: the decay bound must be positive"),
+        (("growth", "decay", *TRIVIAL_ON_Z, "--trials", "-1e3"), _bad_int("trials")),
+        (("growth", "orbit", "--nu1", "[1,5]", "--points", "-.5e1"), _bad_int("points", "-.5e1")),
+    ],
+    ids=["radius", "nodes", "seed", "tol", "nmax", "search_radius", "kmax", "M", "trials", "points"],
+)
+def test_a_negative_number_with_an_exponent_is_the_option_value(argv, error, tmp_path, capsys):
+    """Each numeric option reads such a token as its value, which its own
+    check then refuses: the token is not taken for an unknown option."""
+    (tmp_path / "unit.json").write_text('[{"g":[1],"re":1}]')
+    code, out, err = run_cli(capsys, *(a.replace("{unit}", str(tmp_path / "unit.json")) for a in argv))
+    assert code == 1 and "Traceback" not in err
+    assert json.loads(out) == {"error": error, "path": error.partition(":")[0]}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -60,3 +60,14 @@ def test_a_budget_that_runs_out_gives_a_budget_row():
     got = run_fixture(fx, radius=9, node_budget=1000)
     assert got == {"budget_exceeded": True, "bound": 1001}
     assert not _match(fx.expected, got)
+
+
+def test_the_matrix_checks_its_numeric_basis_once_per_process(monkeypatch):
+    """The basis is built at import; running the matrix builds no other."""
+
+    def refuse(values):
+        raise AssertionError("an IrrationalBasis was built while running the matrix")
+
+    monkeypatch.setattr(fixtures, "IrrationalBasis", refuse)
+    report = fixtures.run_fixture_matrix()
+    assert report["all_match"] and len(report["rows"]) == len(fixtures.FIXTURES)

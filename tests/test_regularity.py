@@ -1,6 +1,8 @@
 """Regularity deciders: certificates, witnesses, relative variants."""
 
 import ast
+import hashlib
+import itertools
 import math
 import os
 import random
@@ -96,6 +98,35 @@ def test_t_image_examples():
         t_theta_image(prime, SZ.basis_element(0))
     with pytest.raises(SpecError, match="bilinear sum-family"):
         t_theta_image(build_cocycle({"kind": "bs", "lambda": [1, 3]}, BS), BS.word("a"))
+
+
+@pytest.mark.parametrize(
+    "spec, group, elements",
+    [
+        (PERIOD4, SZ, [SZ.element(tuple((p, v) for p, v in zip((-1, 0, 1), vec) if v)) for vec in itertools.product((-1, 0, 1), repeat=3)]),
+        (
+            {"kind": "theta_diag", "diagonals": [[1, 3], {"rat": [1, 4], "irr": {"r": [1, 1]}}]},
+            SZ,
+            [SZ.element(((0, a), (1, b))) for a in (-2, 1, 3) for b in (-1, 0, 2)],
+        ),
+        ({"kind": "bitstream", "pre": [], "period": [1, 0]}, SZ2, [SZ2.element(d) for d in ((0,), (0, 2), (0, 1), (1, 2, 3))]),
+    ],
+    ids=["period4", "two_diagonals", "bitstream"],
+)
+def test_the_report_names_the_first_nonzero_row_of_the_image(spec, group, elements):
+    """The decider stops at the first nonzero row angle and builds only its
+    Phase; its witness and detail are those read off the full image."""
+    sig = build_cocycle(spec, group, BASIS)
+    theta = spec["kind"] != "bitstream"
+    for g in elements:
+        rep = is_sigma_regular(sig, g)
+        bad = [(k, p) for k, p in t_theta_image(sig, g).rows if not p.is_zero()]
+        if g.is_identity() or not bad:
+            assert rep.status == "regular"
+            continue
+        k, p = bad[0]
+        assert (rep.status, rep.witness) == ("not_regular", group.basis_element(k))
+        assert rep.detail == (f"row phase {p!r}" if theta else "")
 
 
 def test_certified_rows_cover_bandwidth():
@@ -401,6 +432,19 @@ ORACLE_COCYCLES = {
             [2, 3, {"rat": [0, 1], "irr": {"r": [1, 2**61 - 1]}}],
         ],
     },
+    # the symbol-r row is 5 x_{-1} + x_0 and the symbol-s row is x_1, from
+    # rows 5 and 6: a left key -5 x_{-1} leaves the right half's range
+    # [-height, height], and folded unpinned into the span 2 * height + 3 it
+    # would carry into the s column (at height 2, x_{-1} = 1 would match
+    # x_0 = 2, x_1 = -1)
+    "left_keys_outside_the_right_range": {
+        "kind": "theta_window",
+        "entries": [
+            [-1, 5, {"rat": [0, 1], "irr": {"r": [-5, 1]}}],
+            [0, 5, {"rat": [0, 1], "irr": {"r": [-1, 1]}}],
+            [1, 6, {"rat": [0, 1], "irr": {"s": [-1, 1]}}],
+        ],
+    },
     # scaled entries 2**62 + 1 and 2**62 - 1: keys past int64 at every box
     # here, so the scan refuses (they would wrap, and match non-solutions)
     "keys_past_2_63": {
@@ -427,6 +471,39 @@ def test_box_solution_array_equals_the_brute_force_oracle(name, window, height):
     found = regularity.box_solution_array(base, positions, height, rows)
     brute = brute_force_regular_vectors(base, window, height, rows)
     assert found.shape == brute.shape and np.array_equal(found, brute)
+
+
+# sha256 (first 16 hex digits) of each `_box_match` array of PERIOD4, with
+# its dtype and shape, recorded from the two-column lexsort join that the
+# folded key replaced: the fold must keep every array, `lo` of the left rows
+# without a match included.
+FROZEN_PERIOD4_MATCH = {
+    (3, 4): [
+        ("int8", (729, 3), "4690f7c41cb7e114"),
+        ("int8", (6561, 4), "3c5b0abcaf4692cc"),
+        ("int64", (6561,), "1499cd8a97136ade"),
+        ("int64", (729,), "5e706b923190d9fb"),
+        ("int64", (729,), "3313ee92ffa7ae22"),
+        ("int64", (729,), "1e52bf6b23510f11"),
+    ],
+    (4, 3): [
+        ("int8", (2401, 4), "2426818a2fae6585"),
+        ("int8", (16807, 5), "3ab7d89d5370fd20"),
+        ("int64", (16807,), "c5f3ccdc995a51a4"),
+        ("int64", (2401,), "deb65a00466997ce"),
+        ("int64", (2401,), "821f5661a558e640"),
+        ("int64", (2401,), "64a07a6c2486704f"),
+    ],
+}
+
+
+@pytest.mark.parametrize("window, height", sorted(FROZEN_PERIOD4_MATCH))
+def test_period4_box_match_keeps_its_frozen_arrays(window, height):
+    base = build_cocycle(PERIOD4, SZ, BASIS).structural()
+    positions = list(range(-window, window + 1))
+    match = regularity._box_match(base, positions, height, list(certified_row_range(base, positions)))
+    got = [(str(a.dtype), a.shape, hashlib.sha256(a.tobytes()).hexdigest()[:16]) for a in match]
+    assert got == FROZEN_PERIOD4_MATCH[(window, height)]
 
 
 def _is_subsequence(part: list, whole: list) -> bool:

@@ -207,17 +207,6 @@ class CoboundaryFn:
     def zero(cls, group: Group) -> CoboundaryFn:
         return cls(group, lambda g: ZERO, label="0")
 
-    @classmethod
-    def bitstream_parity(cls, sigma_mu: Cocycle) -> CoboundaryFn:
-        """b(x) = sigma_mu(x_even, x_odd) for a bitstream cocycle: splits x by index parity."""
-
-        def fn(g: Element) -> Phase:
-            x0 = tuple(i for i in g.data if i % 2 == 0)
-            x1 = tuple(i for i in g.data if i % 2 != 0)
-            return sigma_mu._eval(x0, x1)
-
-        return cls(sigma_mu.group, fn, label="parity_split")
-
 
 class CoboundaryCocycle(Cocycle):
     """The 2-coboundary of b: (g,h) -> b(g) + b(h) - b(gh) as angles, over

@@ -109,6 +109,10 @@ class BitstreamCocycle(Cocycle):
     def epsilon(self, m: int) -> int:
         return stream_bit(self.pre, self.period, m)
 
+    def entry_angle(self, j: int, k: int) -> Angle | None:
+        """The sign at row j, column k as an angle over 2, None when it is +1."""
+        return (1, (), 2) if j < k and self.epsilon(k - j) else None
+
     def _angle(self, a, b) -> Angle:
         count = 0
         for j in a:

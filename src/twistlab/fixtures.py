@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .cocycles import build_cocycle
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, SpecError
 from .groups import get_group, resolve_subgroup
 from .phase import IrrationalBasis
 from .regularity import is_sigma_regular
@@ -233,7 +233,14 @@ def run_fixture_matrix(
     node_budget: int = 10**6,
     corrupt: str | None = None,
 ) -> dict:
-    """Execute the bundled matrix, one fixture after another; returns rows and an overall flag."""
+    """Execute the bundled matrix, one fixture after another; returns rows and an overall flag.
+
+    A negative radius, and a `corrupt` id that names no fixture (a negative
+    control that would flip nothing), are refused as a SpecError."""
+    if radius < 0:
+        raise SpecError("the search radius must be nonnegative", path="radius")
+    if corrupt is not None and corrupt not in {fx.id for fx in FIXTURES}:
+        raise SpecError(f"no fixture has the id {corrupt!r}", path="corrupt")
 
     def one(fx: Fixture) -> dict:
         expected = dict(fx.expected)

@@ -362,6 +362,7 @@ FAMILIES = {  # family: ("module:class", {field: (parser, default or REQUIRED)} 
     "free_times_z": ("families.free_times_z:FreeTimesZ", {}),
 }
 _GROUP_CACHE: dict[str, Group] = {}  # keyed by the family and its field values, defaults filled in
+_SPEC_KEYS: dict[str, str] = {}  # the `_GROUP_CACHE` key of each spec read, by ``repr(spec)``
 
 
 def intern(table: dict, key, build: Callable[[], object]):
@@ -380,9 +381,22 @@ def intern(table: dict, key, build: Callable[[], object]):
 
 
 def get_group(spec: dict) -> Group:
-    """Build (or fetch) the group described by a family spec dict."""
+    """Build (or fetch) the group described by a family spec dict.
+
+    The group table is keyed by the family and its field values, so every
+    spec of one group gives one object.  A spec read before is answered
+    from its ``repr`` without a new read: ``repr`` tells ``True``, ``1``
+    and ``1.0`` apart, where ``json.dumps`` would not.  That memo holds
+    table keys, not groups, so a group evicted from the table is rebuilt
+    as before; a spec that raises stores nothing."""
+    seen = _SPEC_KEYS.get(text := repr(spec))
+    if seen is not None and (group := _GROUP_CACHE.get(seen)) is not None:
+        return group
     (where, _), values = read_spec(spec, "family", FAMILIES, "group")
-    return intern(_GROUP_CACHE, json.dumps([spec["family"], *values]), lambda: load(where)(*values))
+    key = json.dumps([spec["family"], *values])
+    group = intern(_GROUP_CACHE, key, lambda: load(where)(*values))
+    intern(_SPEC_KEYS, text, lambda: key)
+    return group
 
 
 def conjugacy_class_partial(

@@ -322,10 +322,3 @@ def phase_from_json(obj, basis: IrrationalBasis | None = None) -> Phase:
         raise ConfigurationError(f"irrational part must be an object, got {irr_obj!r} in {obj!r}")
     irr = {sym: _ratio(pair, obj) for sym, pair in irr_obj.items()}
     return Phase(rat, irr, basis)
-
-
-def phase_to_json(p: Phase) -> dict:
-    out: dict = {"rat": [p.rational.numerator, p.rational.denominator]}
-    if p.irr:
-        out["irr"] = {s: [c.numerator, c.denominator] for s, c in p.irr}
-    return out

@@ -11,13 +11,13 @@ import math
 import operator
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property, partial
-from itertools import compress
+from itertools import compress, repeat
 from typing import NamedTuple
 
 from .cocycles import Cocycle, nth_prime
 from .errors import BudgetExceededError, SpecError
 from .groups import DEFAULT_NODE_BUDGET, Element, Subgroup, commuting_ball, intern, resolve_subgroup
-from .phase import Angle, Phase, add_angles, negate_angle, scale_angle
+from .phase import Angle, Phase, negate_angle
 
 
 class RegularityReport(NamedTuple):
@@ -54,9 +54,6 @@ class RowImage(NamedTuple):
     rows: list[tuple[int, Phase]]
     certified: bool
 
-    def all_zero(self) -> bool:
-        return all(p.is_zero() for _, p in self.rows)
-
 
 def certified_row_range(sigma: Cocycle, support: list[int]) -> range | None:
     """Row indices that provably cover every regularity constraint.
@@ -89,35 +86,61 @@ def certified_row_range(sigma: Cocycle, support: list[int]) -> range | None:
     return range(lo - pre - per, hi + pre + per + 1)
 
 
-def _row_angle(sigma: Cocycle, data, k: int) -> Angle:
-    """Row k of the antisymmetrized form of a structural sum-family cocycle
-    applied to an element's data, as an angle over the cocycle's symbols."""
+def _entry_matrix(sigma: Cocycle, positions: tuple[int, ...], rows: tuple[int, ...]):
+    """The signed entries of the antisymmetrized matrix of a structural
+    sum-family cocycle at the listed rows and position columns, as
+    ``_over_one_denominator`` gives them.
+
+    They are kept on `sigma`, whose entry angles are fixed when it is
+    built, so a warm session derives them once per (positions, rows); the
+    caller must not change them."""
+    return intern(
+        vars(sigma).setdefault("_entries", {}),
+        (positions, rows),
+        lambda: _over_one_denominator(
+            [[_srow_entry(sigma, j, k) for j in positions] for k in rows], len(sigma.symbols)
+        ),
+    )
+
+
+def _over_one_denominator(matrix: list[list[Angle | None]], nsym: int):
+    """A matrix of angles (None for zero) over `nsym` symbols as plain ints
+    over the least common denominator D of its entries: D, then the
+    matrix's rational part and one part per symbol, each a list of rows."""
+    D = math.lcm(1, *(a[2] for row in matrix for a in row if a is not None))
+    zero = (0,) * (1 + nsym)
+    scaled = [[zero if a is None else (a[0] * (m := D // a[2]), *(c * m for c in a[1])) for a in row] for row in matrix]
+    return D, [[tuple(e[i] for e in row) for row in scaled] for i in range(1 + nsym)]
+
+
+def _row_sums(sigma: Cocycle, positions: tuple[int, ...], rows: Sequence[int], values: tuple[int, ...]):
+    """The listed rows of the antisymmetrized form of a structural
+    sum-family cocycle applied to the vector with `values` at `positions`,
+    read from ``_entry_matrix``: D, then iterators over the rows of their
+    rational numerators mod D and, per symbol, of their coefficients.  The
+    iterators compute a row as it is read, so a search that stops at a
+    nonzero row computes none after it."""
+    D, parts = _entry_matrix(sigma, positions, tuple(rows))
+    rat, *syms = (map(sum, map(map, repeat(operator.mul), part, repeat(values))) for part in parts)
+    return D, (r % D for r in rat), syms
+
+
+def _support(sigma: Cocycle, x: Element) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The positions and values of an element of a sum family, for a
+    structural cocycle of a bilinear kind."""
+    if sigma.kind == "theta":
+        return tuple(j for j, _ in x.data), tuple(v for _, v in x.data)
     if sigma.kind == "bitstream":
-        return sum(sigma.epsilon(abs(j - k)) for j in data if j != k) % 2, (), 2
-    out = (0, (0,) * len(sigma.symbols), 1)
-    for j, xj in data:
-        entry = _srow_entry(sigma, j, k)
-        if entry is not None:
-            out = add_angles(out, scale_angle(entry, xj))
-    return out
-
-
-def _is_zero_angle(a: Angle) -> bool:
-    k, cs, D = a
-    return not (k % D or any(cs))
+        return x.data, (1,) * len(x.data)
+    raise SpecError("row images are defined for the bilinear sum-family cocycles")
 
 
 def _row_angles(sigma: Cocycle, x: Element, window: range | None = None):
-    """The structural cocycle, the (row, angle) pairs of ``t_theta_image``,
-    computed as they are read, and its certification flag."""
+    """The structural cocycle, the rows of ``t_theta_image`` with their
+    ``_row_sums``, and its certification flag."""
     base = sigma.structural()
-    if base.kind == "theta":
-        support = [j for j, _ in x.data]
-    elif base.kind == "bitstream":
-        support = list(x.data)
-    else:
-        raise SpecError("row images are defined for the bilinear sum-family cocycles")
-    rows = certified_row_range(base, support)
+    positions, values = _support(base, x)
+    rows = certified_row_range(base, positions)
     certified = rows is not None
     if rows is None:
         if window is None:
@@ -125,7 +148,7 @@ def _row_angles(sigma: Cocycle, x: Element, window: range | None = None):
                 "this cocycle has unbounded bandwidth; an explicit row window is required"
             )
         rows = window
-    return base, ((k, _row_angle(base, x.data, k)) for k in rows), certified
+    return base, rows, _row_sums(base, positions, rows, values), certified
 
 
 def t_theta_image(sigma: Cocycle, x: Element, window: range | None = None) -> RowImage:
@@ -135,24 +158,24 @@ def t_theta_image(sigma: Cocycle, x: Element, window: range | None = None) -> Ro
     parameters admit a finite covering row set, otherwise the caller must
     supply an explicit window and only those rows are evaluated.
     """
-    base, angles, certified = _row_angles(sigma, x, window)
-    return RowImage([(k, base.phase(a)) for k, a in angles], certified)
+    base, rows, (D, rat, syms), certified = _row_angles(sigma, x, window)
+    return RowImage([(k, base.phase((r, tuple(cs), D))) for k, r, *cs in zip(rows, rat, *syms)], certified)
 
 
 def _prime_rule_witness(sigma: Cocycle, x: Element) -> tuple[Element, Phase]:
     """Nonzero row for the prime-reciprocal matrix: pick a row beyond the
     support whose prime denominators exceed the coefficient mass."""
     G = sigma.group
-    total = sum(abs(v) for _, v in x.data)
-    kmax = max(j for j, _ in x.data)
+    positions, values = _support(sigma, x)
+    total = sum(map(abs, values))
     m = 1
     while nth_prime(m) <= total:
         m += 1
     while True:
-        k = kmax + m
-        val = _row_angle(sigma, x.data, k)
-        if not _is_zero_angle(val):
-            return G.basis_element(k), sigma.phase(val)
+        k = positions[-1] + m
+        D, rat, _ = _row_sums(sigma, positions, (k,), values)  # the rule's angles carry no symbol
+        if r := next(rat):
+            return G.basis_element(k), sigma.phase((r, (), D))
         m += 1  # unreachable for nonzero x; kept as a safety net
 
 
@@ -218,12 +241,12 @@ def is_sigma_regular(
         if theta and base.rule == "prime_reciprocal":
             witness, val = _prime_rule_witness(base, g)
             return RegularityReport(g, "not_regular", witness=witness, detail=f"row phase {val!r}")
-        _, angles, _ = _row_angles(sigma, g)
-        bad = next(((k, a) for k, a in angles if not _is_zero_angle(a)), None)
+        _, rows, (D, rat, syms), _ = _row_angles(sigma, g)
+        bad = next((row for row in zip(rows, rat, *syms) if any(row[1:])), None)
         if bad is None:
             return RegularityReport(g, "regular", rule="t_kernel_rows_vanish")
-        k, val = bad
-        detail = f"row phase {base.phase(val)!r}" if theta else ""  # a bitstream row is always 1/2
+        k, r, *cs = bad
+        detail = f"row phase {base.phase((r, tuple(cs), D))!r}" if theta else ""  # a bitstream row is always 1/2
         return RegularityReport(g, "not_regular", witness=G.basis_element(k), detail=detail)
 
     if base.kind in ("antisym_theta", "half_skew"):
@@ -310,12 +333,16 @@ def regular_vectors_box_raw(sigma: Cocycle, window: int, height: int):
         rows = certified_row_range(base, positions)
         return box_solution_array(base, positions, height, rows), rows is not None
     if base.kind == "bitstream":
-        rows = certified_row_range(base, positions)
-        found = []
+        # the row parities of a support are the xor of its columns' parities,
+        # each column held as one int with a bit per row
+        _, (matrix,) = _entry_matrix(base, tuple(positions), tuple(certified_row_range(base, positions)))
+        columns = [sum(row[j] << i for i, row in enumerate(matrix)) for j in range(len(positions))]
+        parity, found = [0] * (1 << len(positions)), []
         for mask in range(1, 1 << len(positions)):
-            data = tuple(p for i, p in enumerate(positions) if mask >> i & 1)
-            if all(_is_zero_angle(_row_angle(base, data, k)) for k in rows):
-                found.append(data)
+            low = mask & -mask
+            parity[mask] = parity[mask ^ low] ^ columns[low.bit_length() - 1]
+            if not parity[mask]:
+                found.append(tuple(p for i, p in enumerate(positions) if mask >> i & 1))
         return found, True
     raise SpecError("regular-vector scans apply to the bilinear sum families")
 
@@ -457,49 +484,71 @@ def regular_subgroup_generators(
     return G.sorted_elements(_gf2_generators(raw, positions)), certified
 
 
+_GRIDS: dict = {}  # the read-only half grids of the box scan, by (ncols, height)
+
+
 def _grid(ncols: int, height: int):
     """All integer vectors with entries in [-height, height], in
-    lexicographic order, as an array of `box_solution_array`'s type."""
+    lexicographic order, as a read-only array of `box_solution_array`'s
+    type, built once per (ncols, height)."""
     import numpy as np
 
-    base = 2 * height + 1
-    vals = np.arange(-height, height + 1, dtype=np.min_scalar_type(-2 * height - 3))
-    out = np.empty((base,) * ncols + (ncols,), dtype=vals.dtype)
-    for c in range(ncols):  # column c runs along axis c
-        out[..., c] = vals.reshape((base,) + (1,) * (ncols - 1 - c))
-    return out.reshape(base**ncols, ncols)
+    def build():
+        base = 2 * height + 1
+        vals = np.arange(-height, height + 1, dtype=np.min_scalar_type(-2 * height - 3))
+        out = np.empty((base,) * ncols + (ncols,), dtype=vals.dtype)
+        for c in range(ncols):  # column c runs along axis c
+            out[..., c] = vals.reshape((base,) + (1,) * (ncols - 1 - c))
+        out.flags.writeable = False
+        return out.reshape(base**ncols, ncols)
+
+    return intern(_GRIDS, (ncols, height), build)
 
 
-def _integer_rows(matrix: list[list[Angle]]):
+def _grid_dot(vals, w: list[int], const: int = 0):
+    """``_grid(len(w), height) @ w + const`` as int64, for `vals` the int64
+    range [-height, height]: one outer sum per column over the grid's
+    product structure, without the grid."""
+    import numpy as np
+
+    out = vals * w[0] + const if w else np.array([const], dtype=np.int64)
+    for c in w[1:]:
+        out = (out[:, None] + vals * c).ravel()
+    return out
+
+
+def _integer_rows(D: int, parts: list[list[tuple[int, ...]]]):
     """A matrix of integer angles as integer constraints on integer vectors x.
 
-    Every row angle ``row . x`` vanishes mod 1 iff ``rat_w x = 0 (mod D)``
-    and ``w x = 0`` for each ``w`` in ``sym_ws``: the rational parts are
-    scaled to their least common denominator D, and each symbol's
-    coefficients to that symbol's least common denominator, so the ints
-    stay as small as the entries allow.  All three are plain Python ints.
+    The matrix is plain ints over one denominator D, as
+    ``_over_one_denominator`` gives it: its rational part and one part per
+    symbol.  Every row angle ``row . x`` vanishes mod 1 iff
+    ``rat_w x = 0 (mod D')`` and ``w x = 0`` for each ``w`` in ``sym_ws``:
+    the rational parts are scaled to their least common denominator D',
+    and each symbol's coefficients to that symbol's least common
+    denominator, so the ints stay as small as the entries allow.  All three
+    are plain Python ints.
 
     Only the rows that carry information are kept (``_spanning_rows``): a
-    rational row that enlarges the row module mod D (none when D = 1) and
+    rational row that enlarges the row module mod D' (none when D' = 1) and
     a symbol row that raises its symbol's rank.  They are a subset of the
     scaled rows, never combinations, so no entry grows, and the solutions
     are the same.  A repeated row never does, so each is read once.
     """
-    matrix = list(dict.fromkeys(map(tuple, matrix)))
-    entries = set().union(*matrix)
-    n = len(matrix[0]) if matrix else 0
+    matrix = list(dict.fromkeys(zip(*parts)))  # the rows, each with all its parts
+    n = len(parts[0][0]) if matrix else 0
 
-    def scaled(part):
-        den = math.lcm(1, *{a[2] // math.gcd(part(a), a[2]) for a in entries})
-        return den, [[part(a) * den // a[2] for a in row] for row in matrix]
+    def scaled(i):
+        den = math.lcm(1, *{D // math.gcd(v, D) for row in matrix for v in row[i]})
+        return den, [[v * den // D for v in row[i]] for row in matrix]
 
-    D, rat_w = scaled(lambda a: a[0])
+    D_rat, rat_w = scaled(0)
     sym_ws = [
-        _spanning_rows(scaled(lambda a, i=i: a[1][i])[1], n, None)
-        for i in range(len(matrix[0][0][1]) if matrix else 0)
-        if any(a[1][i] for a in entries)
+        _spanning_rows(scaled(i)[1], n, None)
+        for i in range(1, len(parts))
+        if any(any(row[i]) for row in matrix)
     ]
-    return D, _spanning_rows(rat_w, n, D), sym_ws
+    return D_rat, _spanning_rows(rat_w, n, D_rat), sym_ws
 
 
 def _spanning_rows(rows: list[list[int]], n: int, modulus: int | None) -> list[list[int]]:
@@ -521,19 +570,16 @@ def _spanning_rows(rows: list[list[int]], n: int, modulus: int | None) -> list[l
 
 
 def _integer_constraints(sigma: Cocycle, positions: list[int], rows):
-    """The listed rows of the antisymmetrized matrix as ``_integer_rows``.
+    """The listed rows of the antisymmetrized matrix (``_entry_matrix``) as
+    ``_integer_rows``.
 
     They are kept on the structural cocycle `sigma`, whose entry angles are
     fixed when it is built, so a warm session derives them once per
     (positions, rows); the caller must not change them."""
     if rows is None:
         raise SpecError("explicit-window evaluation requires bounded bandwidth")
-    zero = (0, (0,) * len(sigma.symbols), 1)
-    return intern(
-        vars(sigma).setdefault("_constraints", {}),
-        (tuple(positions), tuple(rows)),
-        lambda: _integer_rows([[_srow_entry(sigma, j, k) or zero for j in positions] for k in rows]),
-    )
+    key = tuple(positions), tuple(rows)
+    return intern(vars(sigma).setdefault("_constraints", {}), key, lambda: _integer_rows(*_entry_matrix(sigma, *key)))
 
 
 def integer_kernel(D: int, rat_rows, exact_rows, n: int) -> list[tuple[int, ...]]:
@@ -622,18 +668,23 @@ def _box_match(sigma: Cocycle, positions: list[int], height: int, rows) -> tuple
     """Meet-in-the-middle (Horowitz & Sahni, J. ACM 1974) on the constraints
     of ``_integer_constraints``: a vector solves them iff the key columns of
     its halves agree (rational parts mod D, symbolic parts exactly, the left
-    half negated).  The key columns (one matmul per half) fold into one
-    int64 key per half-row; the right keys are sorted by one stable argsort,
-    and a left row's matches are its `searchsorted` range there.
+    half negated).  The key columns fold into one int64 key per half-row;
+    the right keys are sorted by one stable argsort, and a left row's
+    matches are its `searchsorted` range there.
 
     The fold is mixed-radix, the last column most significant.  A rational
-    column has span D.  A symbolic column w is at most b = height *
-    sum(|w|) in absolute value over the right half; a left key outside
+    column has span D.  A symbolic column w is at most b = max(height, 1)
+    * sum(|w|) in absolute value over the right half; a left key outside
     [-b, b] matches no right row, so it is pinned to -b - 1 or b + 1,
     which keeps its order against every right key, and the column has span
     2b + 3.  The spans are multiplied in Python ints, before any numpy
     arithmetic, and the columns fold in runs whose span product stays below
-    2**63, one product against the run's strides.  Where the product would
+    2**63.  Within a run, the columns that need no reduction mod D and, on
+    the left, no pin fold in Python ints into one coefficient vector per
+    half, so that half's run key is one product with its grid
+    (``_grid_dot``); a column that needs either adds its own key, times its
+    stride.  The folded coefficients stay below 2**63, since their sum
+    times max(height, 1) is below the span product.  Where the product would
     pass 2**63, the key so far and the next run are replaced by their dense
     ranks over both halves, whose product is at most the square of the
     number of half-rows, so no key wraps.  The keys are sorted in the
@@ -642,7 +693,8 @@ def _box_match(sigma: Cocycle, positions: list[int], height: int, rows) -> tuple
     each half's absolute row sum stays below 2**63; past that, or when D
     does not fit, `BudgetExceededError`.
 
-    The match is the two half grids, the right rows in key order, and each
+    The match is the two read-only half grids (``_grid``), the right rows
+    in key order, and each
     left row's first match there (for a left row without one, the number of
     right keys below its key), number of matches and running total of
     matches.  The total counts the zero vector, which matches itself.
@@ -651,21 +703,40 @@ def _box_match(sigma: Cocycle, positions: list[int], height: int, rows) -> tuple
 
     D, rat_rows, sym_rows = _integer_constraints(sigma, positions, rows)
     n, half = len(positions), len(positions) // 2
-    sym = [r for w in sym_rows for r in w] or ([] if rat_rows else [[0] * n])  # no rows: one zero key matches all
-    limit, reach = 1 << 63, max(height, 1)  # an entry must fit even in a one-point box
-    halves = (slice(half), slice(half, n))
-    if D >= limit or any(reach * sum(map(abs, w[cut])) >= limit for w in rat_rows + sym for cut in halves):
+    W = rat_rows + ([r for w in sym_rows for r in w] or ([] if rat_rows else [[0] * n]))  # no rows: one zero key matches all
+    nrat, limit, reach = len(rat_rows), 1 << 63, max(height, 1)  # an entry must fit even in a one-point box
+    sums = [(sum(map(abs, w[:half])), sum(map(abs, w[half:]))) for w in W]  # each half's absolute row sum
+    if D >= limit or any(reach * max(t) >= limit for t in sums):
         raise BudgetExceededError(f"the box scan's int64 keys would overflow at height {height}")
-    pins = [min(height * sum(map(abs, w[half:])) + 1, limit - 1) for w in sym]  # b + 1; b when b = 2**63 - 1
-    spans = [D] * len(rat_rows) + [2 * p + 1 for p in pins]
-    offsets = [0] * len(rat_rows) + pins
-    W = np.array(rat_rows + sym, dtype=np.int64)
-    left, right = _grid(half, height), _grid(n - half, height)
-    keys = np.concatenate([-(left @ W[:, :half].T), right @ W[:, half:].T])
-    keys[:, : len(rat_rows)] %= D
-    if any(height * sum(map(abs, w[:half])) >= p for w, p in zip(sym, pins)):  # a left key may leave the range
-        lsym, pin = keys[: len(left), len(rat_rows) :], np.array(pins, dtype=np.int64)
-        np.clip(lsym, -pin, pin, out=lsym)
+    offsets = [0] * nrat + [min(reach * r + 1, limit - 1) for _, r in sums[nrat:]]  # b + 1; b when b = 2**63 - 1
+    spans = [D] * nrat + [2 * p + 1 for p in offsets[nrat:]]
+    # a rational column needs % D, and a symbolic one a pin where a left key
+    # may leave [-b, b]: those keep a key of their own on that half, and
+    # every other column of a run folds into one coefficient vector
+    own = [c < nrat or reach * t[0] >= p for c, (t, p) in enumerate(zip(sums, offsets))]
+    halves = ((slice(0, half), -1, own), (slice(half, n), 1, [c < nrat for c in range(len(W))]))  # cut, sign, own
+    vals = np.arange(-height, height + 1, dtype=np.int64)
+
+    def column(c: int, cut: slice, sign: int):
+        """Key column c over one half."""
+        key = _grid_dot(vals, [sign * v for v in W[c][cut]])
+        if c < nrat:
+            key %= D
+        elif sign < 0:  # a left key outside [-b, b] matches no right row
+            np.clip(key, -offsets[c], offsets[c], out=key)
+        return key
+
+    def run_key(c0: int, strides: list[int], cut: slice, sign: int, own: list[bool]):
+        """The key of the run of columns from c0 over one half."""
+        fold = [0] * (cut.stop - cut.start)
+        for c, s in enumerate(strides, start=c0):
+            if not own[c]:
+                fold = [f + sign * s * v for f, v in zip(fold, W[c][cut])]
+        key = _grid_dot(vals, fold, sum(map(operator.mul, strides, offsets[c0:])))
+        for c, s in enumerate(strides, start=c0):
+            if own[c]:
+                key += column(c, cut, sign) * s
+        return key
 
     runs = []  # [first column, strides, span product], least significant first
     for c, s in enumerate(spans):
@@ -676,11 +747,10 @@ def _box_match(sigma: Cocycle, positions: list[int], height: int, rows) -> tuple
         run[2] *= s
     key = None
     for c, strides, size in runs:
-        cols = keys[:, c : c + len(strides)]
         if size >= limit:  # one column whose span alone passes 2**63
-            part, size = _dense_rank(cols[:, 0])
+            part, size = _dense_rank(np.concatenate([column(c, cut, sign) for cut, sign, _ in halves]))
         else:
-            part = cols @ np.array(strides, dtype=np.int64) + sum(map(operator.mul, strides, offsets[c:]))
+            part = np.concatenate([run_key(c, strides, *half_) for half_ in halves])
         if key is None:
             key, span = part, size
             continue
@@ -688,6 +758,7 @@ def _box_match(sigma: Cocycle, positions: list[int], height: int, rows) -> tuple
             (key, span), (part, size) = _dense_rank(key), _dense_rank(part)
         key, span = part * span + key, span * size
 
+    left, right = _grid(half, height), _grid(n - half, height)
     key = key.astype(np.min_scalar_type(span - 1))
     rkey = key[len(left) :]
     rorder = rkey.argsort(kind="stable")
@@ -819,24 +890,6 @@ def _sanov_base_regularity(base: Cocycle, g: Element, sub: Subgroup) -> Regulari
         if not val.is_zero():
             return RegularityReport(g, "not_regular", witness=sub.embed(sub.inner.element(w)))
     return RegularityReport(g, "regular", rule="twist_vanishes_on_fixed_vectors")
-
-
-def relative_class_partial(
-    k: Element,
-    t: Element,
-    subgroup: str | Subgroup,
-    radius: int = 6,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> tuple[Element, ...]:
-    """{(k.s) t s^{-1} : s in a subgroup ball} with k.s = k s k^{-1}."""
-    G = k.group
-    G.check(t)
-    sub = subgroup if isinstance(subgroup, Subgroup) else resolve_subgroup(G, subgroup)
-    G.check(sub.ambient.identity())  # the payloads below are composed unchecked
-    mul, inv, kd, td = G._mul, G._inv, k.data, t.data
-    ki = inv(kd)
-    out = {mul(mul(mul(mul(kd, s.data), ki), td), inv(s.data)) for s in sub.ball(radius, node_budget)}
-    return tuple(G.sorted_elements(out))
 
 
 def is_regular_wrt_kH(

@@ -24,6 +24,7 @@ from .groups import DEFAULT_NODE_BUDGET, Element, Group, Subgroup, resolve_subgr
 from .phase import Phase, phase_angles
 from .regularity import (
     _integer_rows,
+    _over_one_denominator,
     asymmetric_partner,
     integer_kernel,
     is_regular_wrt_subgroup,
@@ -440,7 +441,8 @@ def _relk_f2xz(group: Group, sigma: Cocycle, base: Cocycle, sub: Subgroup, node_
 def _character_relation(mu: Phase, nu: Phase) -> tuple[int, int] | None:
     """Nonzero (j,k) with j*angle(mu) + k*angle(nu) = 0 mod 1, when one exists:
     the first Hermite basis vector of the relation lattice."""
-    D, rat_w, sym_ws = _integer_rows([phase_angles([mu, nu])[2]])
+    symbols, _, angles = phase_angles([mu, nu])
+    D, rat_w, sym_ws = _integer_rows(*_over_one_denominator([angles], len(symbols)))
     kernel = integer_kernel(D, rat_w, [r for w in sym_ws for r in w], 2)
     return kernel[0] if kernel else None
 

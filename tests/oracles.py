@@ -23,8 +23,9 @@ from twistlab.families.sanov import Sanov, sanov_act
 from twistlab.families.sum_z import SumZ, ThetaCocycle
 from twistlab.families.sum_z2 import BitstreamCocycle, SumZ2
 from twistlab.families.zn_semidirect import _mat_mul
-from twistlab.groups import DEFAULT_NODE_BUDGET
+from twistlab.groups import DEFAULT_NODE_BUDGET, Subgroup, resolve_subgroup
 from twistlab.phase import Phase, phase_angles, quarter_turns
+from twistlab.regularity import RowImage
 from twistlab.spectral import ExactnessLost, convolve_sigma
 from twistlab.words import word_to_string
 
@@ -569,3 +570,39 @@ def commuting_by_compose(g, radius: int) -> tuple:
     G = g.group
     found = [h for h in bfs_ball(G, radius) if G.compose(g, h) == G.compose(h, g)]
     return tuple(sorted(found, key=lambda e: G.sort_key(e.data)))
+
+
+def relative_class_partial(k, t, subgroup, radius: int = 6, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple:
+    """{(k.s) t s^{-1} : s in a subgroup ball} with k.s = k s k^{-1}."""
+    G = k.group
+    G.check(t)
+    sub = subgroup if isinstance(subgroup, Subgroup) else resolve_subgroup(G, subgroup)
+    G.check(sub.ambient.identity())  # the payloads below are composed unchecked
+    mul, inv, kd, td = G._mul, G._inv, k.data, t.data
+    ki = inv(kd)
+    out = {mul(mul(mul(mul(kd, s.data), ki), td), inv(s.data)) for s in sub.ball(radius, node_budget)}
+    return tuple(G.sorted_elements(out))
+
+
+def row_image_all_zero(image: RowImage) -> bool:
+    """Every row of a `t_theta_image` vanishes."""
+    return all(p.is_zero() for _, p in image.rows)
+
+
+def phase_to_json(p: Phase) -> dict:
+    """The phase literal that ``phase_from_json`` reads back as p."""
+    out: dict = {"rat": [p.rational.numerator, p.rational.denominator]}
+    if p.irr:
+        out["irr"] = {s: [c.numerator, c.denominator] for s, c in p.irr}
+    return out
+
+
+def bitstream_parity(sigma_mu) -> CoboundaryFn:
+    """b(x) = sigma_mu(x_even, x_odd) for a bitstream cocycle: splits x by index parity."""
+
+    def fn(g) -> Phase:
+        x0 = tuple(i for i in g.data if i % 2 == 0)
+        x1 = tuple(i for i in g.data if i % 2 != 0)
+        return sigma_mu._eval(x0, x1)
+
+    return CoboundaryFn(sigma_mu.group, fn, label="parity_split")

@@ -925,6 +925,8 @@ TRIVIAL_ON_Z = ("--group", '{"family":"zn","n":1}', "--cocycle", '{"kind":"trivi
         (("spectral", "norm", *TRIVIAL_ON_Z, "--f", "{unit}", "--tol", "-1"), {}, "tol"),
         (("spectral", "stable-rank", *TRIVIAL_ON_Z, "--f", "{unit}", "--tol", "nan"), {}, "tol"),
         (("spectral", "stable-rank", *TRIVIAL_ON_Z, "--f", "{unit}", "--tol", "-0.5"), {}, "tol"),
+        (("fixtures", "--radius", "-1"), {}, "radius"),
+        (("fixtures", "--corrupt", "nope"), {}, "corrupt"),
     ],
     ids=[
         "irr_not_object",
@@ -1034,6 +1036,8 @@ TRIVIAL_ON_Z = ("--group", '{"family":"zn","n":1}', "--cocycle", '{"kind":"trivi
         "norm_tol_negative",
         "stable_rank_tol_nan",
         "stable_rank_tol_negative",
+        "fixtures_radius_negative",
+        "fixtures_corrupt_unknown",
     ],
 )
 def test_bad_inputs_are_json_spec_errors(argv, env, path, tmp_path, monkeypatch, capsys):

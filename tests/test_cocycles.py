@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    bitstream_parity,
     bs_reference,
     code_word,
     crc_coboundary,
@@ -297,7 +298,7 @@ def test_similar_transform_zero_and_self():
 
 def test_similar_transform_keeps_cocycle_identity():
     sig = build_cocycle({"kind": "bitstream", "pre": [], "period": [1, 0]}, SZ2)
-    b = CoboundaryFn.bitstream_parity(sig)
+    b = bitstream_parity(sig)
     twisted = SimilarTwist(sig, b)
     assert verify_cocycle_identity(twisted, 300, 3, radius=3).passed
 
@@ -306,7 +307,7 @@ def test_parity_coboundary_trivializes_on_regular_subgroup():
     """On the subgroup generated by distance-two pairs, the odd bitstream
     cocycle agrees with the coboundary of the parity-split function."""
     sig = build_cocycle({"kind": "bitstream", "pre": [], "period": [1, 0]}, SZ2)
-    b = CoboundaryFn.bitstream_parity(sig)
+    b = bitstream_parity(sig)
     twisted = SimilarTwist(sig, b)
     rng = random.Random(5)
     gens = [SZ2.element((i, i + 2)) for i in range(-4, 3)]

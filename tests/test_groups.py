@@ -413,6 +413,48 @@ def test_a_full_group_cache_evicts_its_oldest_group_and_its_balls(monkeypatch):
     assert 3 not in rebuilt._ball_cache and [g.data for g in rebuilt.ball(3)] == old_ball
 
 
+def test_a_spec_read_before_keeps_its_types_and_its_group(monkeypatch):
+    """A spec read before is answered from its repr: `True` and `1.0` are
+    still refused after `1` is in the table, every spelling of one group
+    gives one object, and a spec that raises stores nothing."""
+    monkeypatch.setattr(groups, "_GROUP_CACHE", {})
+    monkeypatch.setattr(groups, "_SPEC_KEYS", {})
+    one = get_group({"family": "zn", "n": 1})
+    assert get_group({"family": "zn", "n": 1}) is one
+    for value in (True, 1.0):
+        with pytest.raises(SpecError, match="must be an integer") as exc:
+            get_group({"family": "zn", "n": value})
+        assert exc.value.path == "group.n"
+    free = get_group({"family": "free"})
+    assert get_group({"family": "free", "rank": 2}) is free
+    assert get_group({"rank": 2, "family": "free"}) is get_group({"family": "free"}) is free
+    tables = dict(groups._GROUP_CACHE), dict(groups._SPEC_KEYS)
+    for bad in ({"family": "zn", "n": True}, {"family": "wreath", "base": "Q"}, {"family": "nope"}, "zn", [1]):
+        with pytest.raises(SpecError):
+            get_group(bad)
+    assert (groups._GROUP_CACHE, groups._SPEC_KEYS) == tables
+
+
+def test_a_spec_whose_group_was_evicted_builds_it_again(monkeypatch):
+    """The spec memo holds table keys, not groups: once the table drops a
+    group, a spec read before builds it again, and the memo is bounded."""
+    monkeypatch.setattr(groups, "_GROUP_CACHE", {})
+    monkeypatch.setattr(groups, "_SPEC_KEYS", {})
+    monkeypatch.setattr(groups, "TABLE_SIZE", 3)
+    first = get_group({"family": "zn", "n": 1})
+    gone = weakref.ref(first)
+    del first
+    for n in range(2, 9):
+        get_group({"family": "zn", "n": n})
+    assert len(groups._GROUP_CACHE) == len(groups._SPEC_KEYS) == 3
+    gc.collect()
+    assert gone() is None
+    assert get_group({"family": "zn", "n": 1}).n == 1
+    groups._GROUP_CACHE.clear()  # every group evicted, every memo entry kept
+    rebuilt = get_group({"family": "zn", "n": 8})
+    assert rebuilt.n == 8 and get_group({"family": "zn", "n": 8}) is rebuilt
+
+
 def test_zn_elements_print_as_their_coordinate_tuple():
     Z2 = get_group({"family": "zn", "n": 2})
     assert repr(Z2.vector(1, 2)) == "<zn:(1, 2)>"

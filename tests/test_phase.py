@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
-from oracles import fraction_combination
+from oracles import fraction_combination, phase_to_json
 
 from twistlab.errors import ConfigurationError
-from twistlab.phase import IrrationalBasis, Phase, ZERO, phase_from_json, phase_to_json
+from twistlab.phase import IrrationalBasis, Phase, ZERO, phase_from_json
 
 BASIS = IrrationalBasis({"r": 0.25, "s": 0.6180339887498949})
 

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import itertools
+import json
 import math
 import os
 import random
@@ -22,14 +23,18 @@ from oracles import (
     code_word,
     integer_span_reduce,
     lattice_contains,
+    relative_class_partial,
+    row_image_all_zero,
     scaled_constraint_rows,
+    srow_phase,
 )
 
 import twistlab
-from twistlab import regularity
+from twistlab import groups, regularity
 from twistlab.cocycles import build_cocycle, sigma_tilde
 from twistlab.errors import BudgetExceededError, SpecError
 from twistlab.families.sum_z import SumZ
+from twistlab.fixtures import FIXTURES, _BASIS
 from twistlab.groups import get_group, resolve_subgroup
 from twistlab.phase import IrrationalBasis, Phase
 from twistlab.regularity import (
@@ -42,7 +47,6 @@ from twistlab.regularity import (
     kernel_lattice_basis,
     regular_subgroup_generators,
     regular_vectors_in_box,
-    relative_class_partial,
     t_theta_image,
 )
 
@@ -87,9 +91,9 @@ def test_prime_reciprocal_witness():
 def test_t_image_examples():
     sig = build_cocycle(PERIOD4, SZ, BASIS)
     img = t_theta_image(sig, SZ.identity())
-    assert img.certified and img.all_zero()
+    assert img.certified and row_image_all_zero(img)
     img = t_theta_image(sig, SZ.element(((1, 1), (3, 1))))
-    assert img.certified and img.all_zero()
+    assert img.certified and row_image_all_zero(img)
     prime = build_cocycle({"kind": "theta_rule", "rule": "prime_reciprocal"}, SZ)
     img = t_theta_image(prime, SZ.basis_element(0), window=range(1, 2))
     assert not img.certified
@@ -506,6 +510,43 @@ def test_period4_box_match_keeps_its_frozen_arrays(window, height):
     assert got == FROZEN_PERIOD4_MATCH[(window, height)]
 
 
+def test_the_half_grids_are_built_once_and_read_only():
+    """A warm scan reads each (ncols, height) grid from one read-only
+    array, and the key of a half is the grid's product with the folded
+    coefficients, by outer sums."""
+    base = build_cocycle(PERIOD4, SZ, BASIS).structural()
+    positions = list(range(-2, 3))
+    rows = list(certified_row_range(base, positions))
+    first = regularity._box_match(base, positions, 2, rows)
+    again = regularity._box_match(base, positions, 2, rows)
+    assert first[0] is again[0] is regularity._grid(2, 2) and first[1] is again[1] is regularity._grid(3, 2)
+    for grid in first[:2]:
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0, 0] = 0
+    assert regularity._grid(3, 2).tolist() == [list(v) for v in itertools.product(range(-2, 3), repeat=3)]
+    rng = random.Random(4)
+    for ncols, height in [(0, 1), (1, 3), (3, 2), (4, 1)]:
+        w = [rng.randrange(-10**6, 10**6) for _ in range(ncols)]
+        grid = regularity._grid(ncols, height).astype(np.int64)
+        vals = np.arange(-height, height + 1, dtype=np.int64)
+        assert regularity._grid_dot(vals, w, 7).tolist() == (grid @ np.array(w, dtype=np.int64) + 7).tolist()
+
+
+@pytest.mark.parametrize("name", ["keys_near_2_63", "large_product_past_2_63", "two_symbols"])
+def test_a_one_point_box_matches_the_zero_vector_with_itself(name):
+    """At height 0 the box is the zero vector alone, which matches itself:
+    no nonzero solution, also where the folded coefficients would pass
+    2**63 if the spans were taken at height 0."""
+    base = build_cocycle(ORACLE_COCYCLES[name], SZ, TWO_SYMBOLS).structural()
+    for window in (1, 2, 3):
+        positions = list(range(-window, window + 1))
+        rows = list(certified_row_range(base, positions))
+        left, right, rorder, lo, counts, ends = regularity._box_match(base, positions, 0, rows)
+        assert (left.shape[0], right.shape[0], rorder.tolist(), lo.tolist(), counts.tolist(), ends.tolist()) == (1, 1, [0], [0], [1], [1])
+        assert regularity.box_solution_array(base, positions, 0, rows).shape == (0, len(positions))
+
+
 def _is_subsequence(part: list, whole: list) -> bool:
     rest = iter(whole)
     return all(any(row == other for other in rest) for row in part)
@@ -538,6 +579,94 @@ def test_period4_keys_on_two_rows():
     D, rat, sym = regularity._integer_constraints(base, positions, rows)
     assert (D, rat, [len(w) for w in sym]) == (1, [], [2])
     assert len(scaled_constraint_rows(base, positions, rows)[2]["r"]) == 15
+
+
+ROW_WALK_BITSTREAMS = [
+    {"kind": "bitstream", "pre": [1], "period": []},
+    {"kind": "bitstream", "pre": [], "period": [1, 0]},
+    {"kind": "bitstream", "pre": [0, 1], "period": [1, 1, 0]},
+]
+PRIME = {"kind": "theta_rule", "rule": "prime_reciprocal"}
+# (number of records, first 16 hex digits of the sha256 of their lines) of
+# `_row_walk_records`, recorded from the per-row angle sums that the entry
+# table replaced
+ROW_WALK_RECORD = (1012, "67ad1e436dfdac45")
+
+
+def _row_walk_sample():
+    """(cocycle, elements) pairs: each fixture with its element, candidates
+    and witness (and, on a sum family, the radius-2 ball), every
+    `ORACLE_COCYCLES` entry (symbolic rows, explicit windows) and three
+    bitstreams on a ball, and the prime-reciprocal rule."""
+    for fx in FIXTURES:
+        G = get_group(fx.group)
+        given = [fx.element, *fx.candidates, fx.expected.get("witness")]
+        elements = [G.element_from_json(e) for e in given if isinstance(e, (dict, list))]
+        if G.family in ("sum_z", "sum_z2"):
+            elements += G.ball(2)
+        yield build_cocycle(fx.cocycle, G, _BASIS), elements
+    for name in sorted(ORACLE_COCYCLES):
+        yield build_cocycle(ORACLE_COCYCLES[name], SZ, TWO_SYMBOLS), SZ.ball(2)
+    for spec in ROW_WALK_BITSTREAMS:
+        yield build_cocycle(spec, SZ2), SZ2.ball(3)
+    yield build_cocycle(PRIME, SZ), SZ.ball(2)
+
+
+def _row_walk_records() -> list[str]:
+    """Each sample report's status, rule, witness and detail, then the
+    prime rule's images over an explicit row window."""
+
+    def record(rep) -> str:
+        witness = None if rep.witness is None else rep.witness.group.element_to_json(rep.witness)
+        return json.dumps([rep.status, rep.rule, witness, rep.detail], sort_keys=True)
+
+    lines = [record(is_sigma_regular(sig, g)) for sig, elements in _row_walk_sample() for g in elements]
+    prime = build_cocycle(PRIME, SZ)
+    return lines + [repr(t_theta_image(prime, g, window=range(-3, 4))) for g in SZ.ball(1)]
+
+
+def _digest(lines: list[str]) -> tuple[int, str]:
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("table_size", [groups.TABLE_SIZE, 3])
+def test_row_walk_reports_are_equal_cold_warm_and_as_recorded(table_size, monkeypatch):
+    """The reports read off the entry table equal those of the per-row
+    sums on a cold first call (no table on any cocycle) and on a warm
+    repeat, also when the table evicts; no table passes `TABLE_SIZE`."""
+    monkeypatch.setattr(groups, "TABLE_SIZE", table_size)
+    bases = {id(b): b for b in (sig.structural() for sig, _ in _row_walk_sample())}.values()
+    for base in bases:
+        vars(base).pop("_entries", None)
+        vars(base).pop("_constraints", None)
+    cold = _row_walk_records()
+    assert any("_entries" in vars(b) for b in bases)
+    assert _row_walk_records() == cold
+    assert _digest(cold) == ROW_WALK_RECORD
+    assert all(len(vars(b).get("_entries", ())) <= table_size for b in bases)
+
+
+def test_the_box_scan_and_the_row_walk_share_one_entry_table():
+    """`_integer_constraints` reads the entries that the row sums read:
+    one table entry per (positions, rows)."""
+    base = build_cocycle(ORACLE_COCYCLES["two_symbols"], SZ, TWO_SYMBOLS).structural()
+    positions = list(range(-2, 3))
+    rows = certified_row_range(base, positions)
+    vars(base).pop("_entries", None)
+    vars(base).pop("_constraints", None)
+    regularity._integer_constraints(base, positions, rows)
+    entries = dict(vars(base)["_entries"])
+    assert list(entries) == [(tuple(positions), tuple(rows))]
+    D = entries[(tuple(positions), tuple(rows))][0]
+    values = (1, -2, 0, 3, 1)
+    D_sums, rat, syms = regularity._row_sums(base, tuple(positions), rows, values)
+    angles = list(zip(rows, rat, *syms))
+    assert vars(base)["_entries"] == entries and D_sums == D and len(angles) == len(rows)
+    for k, r, *cs in angles:
+        want = Phase(0)
+        for j, v in zip(positions, values):
+            want = want * srow_phase(base, j, k).scale(v)
+        assert base.phase((r, tuple(cs), D)) == want
 
 
 def test_generators_fall_back_to_box_span(monkeypatch):

@@ -17,7 +17,7 @@ imports on first use through `KINDS`.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import ConfigurationError, SpecError
 from .groups import (
@@ -144,14 +144,23 @@ class TrivialCocycle(Cocycle):
         return TrivialCocycle(sub.inner)
 
 
-def stream_bit(pre: tuple[int, ...], period: tuple[int, ...], m: int) -> int:
-    """Bit m >= 1 of the stream of preperiod bits followed by the repeated
-    period; 0 past the preperiod when there is no period."""
+def stream_bit(pre: Sequence, period: Sequence, m: int):
+    """Entry m >= 1 of the stream of preperiod entries followed by the
+    repeated period; 0 past the preperiod when there is no period."""
     if m <= len(pre):
         return pre[m - 1]
     if period:
         return period[(m - 1 - len(pre)) % len(period)]
     return 0
+
+
+def stream_reach(pre: Sequence, period: Sequence) -> int:
+    """How many diagonals from a support the rows of a cocycle with this
+    stream of diagonals (a falsy entry is zero) must reach: the last nonzero
+    one, or one preperiod and one period, past which the rows repeat."""
+    if any(period):
+        return len(pre) + len(period)
+    return max((m for m, x in enumerate(pre, start=1) if x), default=0)
 
 
 # ---------------------------------------------------------------------------

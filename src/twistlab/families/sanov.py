@@ -6,7 +6,7 @@ from .. import _kernels
 from ..cocycles import Cocycle
 from ..errors import SpecError
 from ..groups import Element, Group, Subgroup, get_group
-from ..phase import Angle, Phase, add_angles, negate_angle, scale_angle
+from ..phase import Angle, Phase, add_angles, scale_angle
 from ..words import CODE_BYTE, word_from_string, word_inverse, word_key, word_to_string
 from .zn import HalfSkewCocycle, halved
 
@@ -105,26 +105,33 @@ class SanovCocycle(Cocycle):
         self._memo: dict[tuple, Angle] = {}
 
     def g(self, a: tuple[int, int], word: bytes) -> Phase:
-        """The twisting function, computed by right-fold recursion with memoization."""
+        """The twisting function, computed by a memoized right fold (`_g`)."""
         return self.phase(self._g(a, word))
 
     def _g(self, a: tuple[int, int], word: bytes) -> Angle:
+        """g(a, word) folded from the right, g(a, w l) = g(l.a, w) g(a, l):
+        the walk drops letters until it meets a prefix in the memo, then
+        adds the letters' values back up, keeping each prefix's value."""
         if not word or a == (0, 0):
             return self._zero
-        key = (a, word)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        head, last = word[:-1], word[-1]
-        if last == 2:
-            val = scale_angle(self._mu1, a[0])
-        elif last == 4:
-            val = scale_angle(self._mu2, a[1])
-        else:
-            val = negate_angle(self._g(sanov_act(CODE_BYTE[last], a), CODE_BYTE[last ^ 1]))
-        if head:
-            val = add_angles(self._g(sanov_act(CODE_BYTE[last], a), head), val)
-        self._memo[key] = val
+        memo = self._memo
+        val = memo.get((a, word))
+        if val is not None:
+            return val
+        steps = []
+        while val is None and word:
+            steps.append((a, word))
+            a, word = sanov_act(CODE_BYTE[word[-1]], a), word[:-1]
+            val = memo.get((a, word))
+        for a, word in reversed(steps):
+            # g(a, l) for one letter; g(a, l^-1) = g(l^-1.a, l)^-1
+            (p, q), last = a, word[-1]
+            if last < 4:
+                own = scale_angle(self._mu1, p if last == 2 else 2 * q - p)
+            else:
+                own = scale_angle(self._mu2, q if last == 4 else 2 * p - q)
+            val = own if val is None else add_angles(val, own)
+            memo[a, word] = val
         return val
 
     def _angle(self, a, b) -> Angle:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Iterator
 
-from ..cocycles import Cocycle, nth_prime
+from ..cocycles import Cocycle, nth_prime, stream_bit, stream_reach
 from ..errors import SpecError
 from ..groups import Element, Group, _index_key, _int
 from ..phase import ZERO, Angle, Phase
@@ -120,6 +120,10 @@ class ThetaCocycle(Cocycle):
                         f"theta entry ({j},{k}) lies on or below the diagonal",
                         path="cocycle.entries",
                     )
+        # rows within row_reach of a support hold its regularity constraints
+        # (None: unbounded); finite_bandwidth is the last nonzero diagonal of
+        # a stream whose period is zero, else None
+        self.row_reach = self.finite_bandwidth = None
         if rule is not None:
             self.den = None
             return
@@ -131,6 +135,12 @@ class ThetaCocycle(Cocycle):
         self._diag_angles = [next(angles) for _ in self.diagonals]
         self._period_angles = [next(angles) for _ in self.period or ()]
         self._window_angles = {jk: next(angles) for jk in window}
+        if self.window is not None:
+            self.row_reach = max(k - j for (j, k) in window)
+        else:
+            self.row_reach = stream_reach(self._diag_angles, self._period_angles)
+            if not any(self._period_angles):
+                self.finite_bandwidth = self.row_reach
 
     def diagonal_value(self, m: int) -> Phase:
         """Value on the m-th superdiagonal (diagonal-constant modes; ZERO for a window)."""
@@ -146,31 +156,13 @@ class ThetaCocycle(Cocycle):
             return None
         if self.window is not None:
             return self._window_angles.get((j, k))
-        m = k - j
         if self.rule is not None:
-            return 1, (), nth_prime(m)
-        if m <= len(self._diag_angles):
-            return self._diag_angles[m - 1]
-        if self._period_angles:
-            return self._period_angles[(m - 1 - len(self._diag_angles)) % len(self._period_angles)]
-        return None
+            return 1, (), nth_prime(k - j)
+        return stream_bit(self._diag_angles, self._period_angles, k - j) or None
 
     @property
     def invariant(self) -> bool:
         return self.window is None
-
-    @property
-    def finite_bandwidth(self) -> int | None:
-        """Largest nonzero diagonal when that is finite, else None."""
-        if self.window is not None or self.rule is not None:
-            return None
-        if self.period and any(not p.is_zero() for p in self.period):
-            return None
-        w = 0
-        for m, p in enumerate(self.diagonals, start=1):
-            if not p.is_zero():
-                w = m
-        return w
 
     def _angle(self, a, b) -> Angle:
         if self.rule is not None:

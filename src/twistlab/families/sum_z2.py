@@ -6,7 +6,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator
 
-from ..cocycles import Cocycle, stream_bit
+from ..cocycles import Cocycle, stream_bit, stream_reach
 from ..errors import SpecError
 from ..groups import Element, Group, _index_key, _int
 from ..phase import Angle
@@ -105,6 +105,7 @@ class BitstreamCocycle(Cocycle):
                 raise SpecError("bitstream entries must be 0 or 1", path=f"cocycle.{name}")
         self.pre = tuple(pre)
         self.period = tuple(period)
+        self.row_reach = stream_reach(self.pre, self.period)
 
     def epsilon(self, m: int) -> int:
         return stream_bit(self.pre, self.period, m)

@@ -98,12 +98,13 @@ class ZnSemidirectZ(Group):
             )
 
     def matrix_power(self, k: int):
-        if k not in self._powers:
-            if k > 0:
-                self._powers[k] = _mat_mul(self.matrix_power(k - 1), self.A)
-            else:
-                self._powers[k] = _mat_mul(self.matrix_power(k + 1), self.A_inv)
-        return self._powers[k]
+        """A^k, built step by step from the nearest kept power on its side of 0."""
+        powers, step, j = self._powers, 1 if k > 0 else -1, k
+        while j not in powers:
+            j -= step
+        for j in range(j, k, step):
+            powers[j + step] = _mat_mul(powers[j], self.A if step == 1 else self.A_inv)
+        return powers[k]
 
     def _identity_data(self):
         return ((0,) * self.n, 0)

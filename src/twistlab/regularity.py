@@ -56,34 +56,15 @@ class RowImage(NamedTuple):
 
 
 def certified_row_range(sigma: Cocycle, support: list[int]) -> range | None:
-    """Row indices that provably cover every regularity constraint.
-
-    Finite-bandwidth matrices only constrain rows near the support; for
-    diagonal data that is eventually periodic with period p the constraints
-    repeat with period p once the support is out of reach of the preperiod, so
-    one extra period on each side covers everything.
-    """
+    """Row indices that provably cover every regularity constraint: the
+    rows within the bilinear cocycle's `row_reach` of the support, or None
+    when its reach is unbounded."""
+    w = sigma.row_reach
+    if w is None:
+        return None
     lo = min(support) if support else 0
     hi = max(support) if support else 0
-    if sigma.kind == "theta":
-        if sigma.rule is not None:
-            return None
-        if sigma.window is not None:
-            span = max((k - j for (j, k) in sigma.window), default=0)
-            return range(lo - span, hi + span + 1)
-        w = sigma.finite_bandwidth
-        if w is not None:
-            return range(lo - w, hi + w + 1)
-        pre, per = len(sigma.diagonals), len(sigma.period or ())
-        return range(lo - pre - per, hi + pre + per + 1)
-    pre, per = len(sigma.pre), len(sigma.period)
-    if per == 0 or not any(sigma.period):
-        w = 0
-        for m in range(1, pre + 1):
-            if sigma.epsilon(m):
-                w = m
-        return range(lo - w, hi + w + 1)
-    return range(lo - pre - per, hi + pre + per + 1)
+    return range(lo - w, hi + w + 1)
 
 
 def _entry_matrix(sigma: Cocycle, positions: tuple[int, ...], rows: tuple[int, ...]):

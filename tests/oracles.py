@@ -606,3 +606,43 @@ def bitstream_parity(sigma_mu) -> CoboundaryFn:
         return sigma_mu._eval(x0, x1)
 
     return CoboundaryFn(sigma_mu.group, fn, label="parity_split")
+
+
+def finite_bandwidth_reference(sigma: ThetaCocycle) -> int | None:
+    """The largest nonzero diagonal of a diagonal-constant theta cocycle
+    whose period is zero; None for a window, a rule or a nonzero period."""
+    if sigma.window is not None or sigma.rule is not None:
+        return None
+    if sigma.period and any(not p.is_zero() for p in sigma.period):
+        return None
+    w = 0
+    for m, p in enumerate(sigma.diagonals, start=1):
+        if not p.is_zero():
+            w = m
+    return w
+
+
+def certified_row_range_reference(sigma, support: list[int]) -> range | None:
+    """The rows that cover every regularity constraint of a theta or
+    bitstream cocycle, read off its family fields kind by kind."""
+    lo = min(support) if support else 0
+    hi = max(support) if support else 0
+    if sigma.kind == "theta":
+        if sigma.rule is not None:
+            return None
+        if sigma.window is not None:
+            span = max((k - j for (j, k) in sigma.window), default=0)
+            return range(lo - span, hi + span + 1)
+        w = finite_bandwidth_reference(sigma)
+        if w is not None:
+            return range(lo - w, hi + w + 1)
+        pre, per = len(sigma.diagonals), len(sigma.period or ())
+        return range(lo - pre - per, hi + pre + per + 1)
+    pre, per = len(sigma.pre), len(sigma.period)
+    if per == 0 or not any(sigma.period):
+        w = 0
+        for m in range(1, pre + 1):
+            if sigma.epsilon(m):
+                w = m
+        return range(lo - w, hi + w + 1)
+    return range(lo - pre - per, hi + pre + per + 1)

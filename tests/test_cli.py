@@ -426,6 +426,35 @@ def test_wide_sum_family_windows_give_json_reports(capsys):
     assert (rep["status"], rep["witness"]) == ("refuted", [0])
 
 
+@pytest.mark.parametrize(
+    "group, cocycle, g, code, status",
+    [
+        (
+            '{"family":"zn_semidirect","A":[[2,1],[1,1]]}',
+            '{"kind":"lift","base":{"kind":"antisym_theta","theta":{"irr":{"r":[1,1]}}}}',
+            {"v": [1, 0], "k": 5000},
+            2,
+            "no_witness_up_to",
+        ),
+        (
+            '{"family":"sanov"}',
+            '{"kind":"sanov","mu0":[1,3],"mu1":[1,3],"mu2":[1,5]}',
+            {"v": [1, 0], "w": " ".join(["a"] * 1500)},
+            0,
+            "not_regular",
+        ),
+    ],
+    ids=["zn_semidirect_k5000", "sanov_1500_letters"],
+)
+def test_long_elements_give_json_reports(capsys, group, cocycle, g, code, status):
+    """A matrix power and a Sanov twist are built without a frame per
+    step, so a shift of 5,000 or a word of 1,500 letters gets a report."""
+    got, out, err = run_cli(
+        capsys, "regular", "--group", group, "--cocycle", cocycle, "--g", json.dumps(g), "--radius", "1"
+    )
+    assert (got, json.loads(out)["status"]) == (code, status) and "Traceback" not in err
+
+
 def test_searches_report_an_exhausted_budget_alike(capsys):
     exhausted = {"bound": 1, "detail": "search budget exhausted", "status": "inconclusive"}
     trivial = ("--cocycle", '{"kind":"trivial"}', "--nodes", "3")

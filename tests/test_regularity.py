@@ -20,7 +20,9 @@ from oracles import (
     _echelon_rows,
     brute_force_regular_bits,
     brute_force_regular_vectors,
+    certified_row_range_reference,
     code_word,
+    finite_bandwidth_reference,
     integer_span_reduce,
     lattice_contains,
     relative_class_partial,
@@ -137,6 +139,40 @@ def test_certified_rows_cover_bandwidth():
     diag = build_cocycle({"kind": "theta_diag", "diagonals": [[1, 3], [0, 1], [1, 5]]}, SZ)
     rows = certified_row_range(diag, [0, 2])
     assert rows is not None and set(rows) >= {-3, -1, 0, 2, 3, 5}
+
+
+# a theta entry as a spec literal: zero (rational or symbolic), rational or symbolic
+_theta_phases = st.one_of(
+    st.sampled_from([[0, 1], [3, 1], {"irr": {"r": [0, 1]}}]),
+    st.tuples(st.integers(1, 6), st.integers(2, 7)).map(list),
+    st.builds(lambda a, b, c: {"rat": [a, 5], "irr": {"r": [b, c]}}, st.integers(0, 4), st.integers(1, 3), st.integers(1, 4)),
+)
+_bits = st.lists(st.integers(0, 1), max_size=5)
+_row_reach_specs = st.one_of(
+    st.builds(
+        lambda d, p: {"kind": "theta_diag", "diagonals": d, "period": p},
+        st.lists(_theta_phases, max_size=5),
+        st.lists(_theta_phases, max_size=3),
+    ),
+    st.builds(
+        lambda entries: {"kind": "theta_window", "entries": [[j, j + m, e] for j, m, e in entries]},
+        st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 6), _theta_phases), max_size=4, unique_by=lambda t: t[:2]),
+    ),
+    st.just({"kind": "theta_rule", "rule": "prime_reciprocal"}),
+    st.builds(lambda pre, per: {"kind": "bitstream", "pre": pre, "period": per}, _bits, _bits),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(spec=_row_reach_specs, support=st.lists(st.integers(-8, 8), max_size=4))
+def test_row_reach_gives_the_reference_row_range(spec, support):
+    """Each bilinear cocycle fixes its row reach when built: the rows of
+    ``certified_row_range`` and a theta cocycle's ``finite_bandwidth`` are
+    the ones that the per-kind rule on its family fields gives."""
+    sig = build_cocycle(spec, SZ2 if spec["kind"] == "bitstream" else SZ, BASIS)
+    assert certified_row_range(sig, support) == certified_row_range_reference(sig, support)
+    if sig.kind == "theta":
+        assert sig.finite_bandwidth == finite_bandwidth_reference(sig)
 
 
 def test_regular_vectors_match_brute_force_small():

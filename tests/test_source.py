@@ -86,6 +86,16 @@ def test_deciders_name_no_group_family_or_cocycle_class(module):
     assert not named, f"{module} tests objects against group or cocycle classes: {named}"
 
 
+def test_regularity_reads_no_diagonal_data_of_a_family():
+    """How far the rows of a bilinear sum-family cocycle reach is fixed by
+    the cocycle when built (`row_reach`), so `regularity` reads none of the
+    fields that the rule is computed from."""
+    tree = ast.parse((PACKAGE / "regularity.py").read_text())
+    fields = {"window", "diagonals", "period", "pre", "epsilon"}
+    read = [(node.lineno, node.attr) for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in fields]
+    assert not read, f"regularity.py reads family fields: {read}"
+
+
 def _strings(node: ast.expr) -> set[str]:
     """The string constants of an expression or of its tuple, list or set."""
     parts = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]

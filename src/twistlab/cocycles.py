@@ -202,10 +202,9 @@ class CoboundaryFn:
     similarity twists with it.
     """
 
-    def __init__(self, group: Group, fn: Callable[[Element], Phase], label: str = "b"):
+    def __init__(self, group: Group, fn: Callable[[Element], Phase]):
         self.group = group
         self.fn = fn
-        self.label = label
         if not fn(group.identity()).is_zero():
             raise ConfigurationError("coboundary function must vanish on the identity")
 
@@ -214,7 +213,7 @@ class CoboundaryFn:
 
     @classmethod
     def zero(cls, group: Group) -> CoboundaryFn:
-        return cls(group, lambda g: ZERO, label="0")
+        return cls(group, lambda g: ZERO)
 
 
 class CoboundaryCocycle(Cocycle):
@@ -352,7 +351,7 @@ def build_cocycle(spec: dict, group: Group, basis: IrrationalBasis | None = None
     ``[True]`` apart, where ``json.dumps`` would not.  A cocycle is shared
     by every build of its spec, so a caller must never set an attribute on
     one; the package keeps only data derived from it there
-    (``regularity._integer_constraints``).
+    (``regularity._row_table``).
     The constructors report their errors under ``cocycle``; for a spec
     nested at another path, such an error is moved under that path."""
     key = repr(spec), None if basis is None else tuple(basis._values.items())

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..errors import SpecError
-from ..groups import Element, Group, _int, get_group
+from ..groups import Element, Group, _int, get_group, intern
 from .zn import SkewFormCocycle, Zn
 
 
@@ -12,6 +12,18 @@ def _mat_mul(A, B):
     return tuple(
         tuple(sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)) for i in range(n)
     )
+
+
+def _mat_pow(A, e: int):
+    """A^e for e >= 0, by binary exponentiation."""
+    out = tuple(tuple(int(i == j) for j in range(len(A))) for i in range(len(A)))
+    while e:
+        if e & 1:
+            out = _mat_mul(out, A)
+        e >>= 1
+        if e:
+            A = _mat_mul(A, A)
+    return out
 
 
 def _mat_vec(A, v):
@@ -69,7 +81,7 @@ class ZnSemidirectZ(Group):
         self.n = n
         self.A = A
         self.A_inv = _int_inverse(A)
-        self._powers: dict[int, tuple] = {0: tuple(tuple(int(i == j) for j in range(n)) for i in range(n))}
+        self._powers: dict[int, tuple] = {}
         super().__init__()
         self.key = f"zn_semidirect[{A}]"
         if n == 2:
@@ -98,13 +110,9 @@ class ZnSemidirectZ(Group):
             )
 
     def matrix_power(self, k: int):
-        """A^k, built step by step from the nearest kept power on its side of 0."""
-        powers, step, j = self._powers, 1 if k > 0 else -1, k
-        while j not in powers:
-            j -= step
-        for j in range(j, k, step):
-            powers[j + step] = _mat_mul(powers[j], self.A if step == 1 else self.A_inv)
-        return powers[k]
+        """A^k, by binary exponentiation from A, or from A^-1 when k < 0.
+        The group keeps at most `TABLE_SIZE` powers."""
+        return intern(self._powers, k, lambda: _mat_pow(self.A if k > 0 else self.A_inv, abs(k)))
 
     def _identity_data(self):
         return ((0,) * self.n, 0)

@@ -198,16 +198,6 @@ def _phi2(a: tuple[Phase, Phase], nu2: Phase) -> tuple[Phase, Phase]:
     return (a[0] * a[1].scale(2), nu2 * a[1])
 
 
-def _phi1_inv(a: tuple[Phase, Phase], nu1: Phase) -> tuple[Phase, Phase]:
-    z1 = a[0] * nu1.inverse()
-    return (z1, a[1] * z1.scale(2).inverse())
-
-
-def _phi2_inv(a: tuple[Phase, Phase], nu2: Phase) -> tuple[Phase, Phase]:
-    z2 = a[1] * nu2.inverse()
-    return (a[0] * z2.scale(2).inverse(), z2)
-
-
 def phi1_iterate_angles(start: tuple[float, float], nu1: float, n: int) -> tuple[float, float]:
     """Closed form: the n-th iterate of the first torus map on angle coordinates."""
     a1, a2 = start
@@ -290,6 +280,13 @@ def torus_orbit_probe(
 def _exact_orbit_size(
     nu1: Phase, nu2: Phase | None, start: tuple[Phase, Phase], which: str, cap: int
 ) -> int | None:
+    """The size of the orbit of a torsion start under torsion maps, or None
+    once it passes `cap`.
+
+    The maps send the finite subgroup of the torus that holds the
+    parameters and the start into itself, and are injective there, so
+    each permutes it and its inverse is one of its powers: the points
+    reached by the maps alone are the whole orbit."""
     seen = {start}
     frontier = [start]
     while frontier:
@@ -298,10 +295,8 @@ def _exact_orbit_size(
             images = []
             if which in ("phi1", "both"):
                 images.append(_phi1(a, nu1))
-                images.append(_phi1_inv(a, nu1))
             if which in ("phi2", "both") and nu2 is not None:
                 images.append(_phi2(a, nu2))
-                images.append(_phi2_inv(a, nu2))
             for b in images:
                 if b not in seen:
                     seen.add(b)

@@ -46,13 +46,8 @@ class RegularityReport(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# row images for the bilinear families
+# row tables for the bilinear families
 # ---------------------------------------------------------------------------
-
-
-class RowImage(NamedTuple):
-    rows: list[tuple[int, Phase]]
-    certified: bool
 
 
 def certified_row_range(sigma: Cocycle, support: list[int]) -> range | None:
@@ -67,42 +62,98 @@ def certified_row_range(sigma: Cocycle, support: list[int]) -> range | None:
     return range(lo - w, hi + w + 1)
 
 
-def _entry_matrix(sigma: Cocycle, positions: tuple[int, ...], rows: tuple[int, ...]):
-    """The signed entries of the antisymmetrized matrix of a structural
-    sum-family cocycle at the listed rows and position columns, as
-    ``_over_one_denominator`` gives them.
+class RowTable:
+    """An n-column matrix of angles, and what regularity derives from it.
 
-    They are kept on `sigma`, whose entry angles are fixed when it is
-    built, so a warm session derives them once per (positions, rows); the
-    caller must not change them."""
+    `D` and `parts` are its entries as plain ints over their least common
+    denominator D: the matrix's rational part and one part per symbol,
+    each a list of rows.  `constraints` and `kernel` are derived on their
+    first read.  For a sum-family cocycle the matrix is its antisymmetrized
+    matrix at (positions, rows), and ``_row_table`` keeps the record on
+    the cocycle, so a caller must not change what it reads.
+    """
+
+    def __init__(self, matrix: list[list[Angle | None]], nsym: int, n: int):
+        D = math.lcm(1, *(a[2] for row in matrix for a in row if a is not None))
+        zero = (0,) * (1 + nsym)
+        scaled = [[zero if a is None else (a[0] * (m := D // a[2]), *(c * m for c in a[1])) for a in row] for row in matrix]
+        self.D, self.n = D, n
+        self.parts = [[tuple(e[i] for e in row) for row in scaled] for i in range(1 + nsym)]
+
+    @cached_property
+    def constraints(self) -> tuple[int, list[list[int]], list[list[list[int]]]]:
+        """The rows as integer constraints on integer vectors x.
+
+        Every row angle ``row . x`` vanishes mod 1 iff ``rat_w x = 0 (mod
+        D')`` and ``w x = 0`` for each ``w`` in ``sym_ws``: the rational
+        parts are scaled to their least common denominator D', and each
+        symbol's coefficients to that symbol's least common denominator, so
+        the ints stay as small as the entries allow.  The result is (D',
+        rat_w, sym_ws), all plain Python ints.
+
+        Only the rows that carry information are kept (``_spanning_rows``):
+        a rational row that enlarges the row module mod D' (none when D' =
+        1) and a symbol row that raises its symbol's rank.  They are a
+        subset of the scaled rows, never combinations, so no entry grows,
+        and the solutions are the same.  A repeated row never does, so each
+        is read once.
+        """
+        D, parts = self.D, self.parts
+        matrix = list(dict.fromkeys(zip(*parts)))  # the rows, each with all its parts
+
+        def scaled(i):
+            den = math.lcm(1, *{D // math.gcd(v, D) for row in matrix for v in row[i]})
+            return den, [[v * den // D for v in row[i]] for row in matrix]
+
+        D_rat, rat_w = scaled(0)
+        sym_ws = [
+            _spanning_rows(scaled(i)[1], self.n, None)
+            for i in range(1, len(parts))
+            if any(any(row[i]) for row in matrix)
+        ]
+        return D_rat, _spanning_rows(rat_w, self.n, D_rat), sym_ws
+
+    @cached_property
+    def kernel(self) -> list[tuple[int, ...]]:
+        """Hermite normal form basis of the lattice of integer vectors at
+        which every row angle vanishes (``integer_kernel``)."""
+        D, rat_w, sym_ws = self.constraints
+        return integer_kernel(D, rat_w, [r for w in sym_ws for r in w], self.n)
+
+
+def _row_table(sigma: Cocycle, positions: tuple[int, ...], rows: tuple[int, ...]) -> RowTable:
+    """The `RowTable` of the antisymmetrized matrix of a structural
+    sum-family cocycle at the listed rows and position columns.
+
+    It is kept on `sigma`, whose entry angles are fixed when it is built,
+    so a warm session derives each of its fields once per (positions,
+    rows)."""
     return intern(
-        vars(sigma).setdefault("_entries", {}),
+        vars(sigma).setdefault("_tables", {}),
         (positions, rows),
-        lambda: _over_one_denominator(
-            [[_srow_entry(sigma, j, k) for j in positions] for k in rows], len(sigma.symbols)
+        lambda: RowTable(
+            [[_srow_entry(sigma, j, k) for j in positions] for k in rows], len(sigma.symbols), len(positions)
         ),
     )
 
 
-def _over_one_denominator(matrix: list[list[Angle | None]], nsym: int):
-    """A matrix of angles (None for zero) over `nsym` symbols as plain ints
-    over the least common denominator D of its entries: D, then the
-    matrix's rational part and one part per symbol, each a list of rows."""
-    D = math.lcm(1, *(a[2] for row in matrix for a in row if a is not None))
-    zero = (0,) * (1 + nsym)
-    scaled = [[zero if a is None else (a[0] * (m := D // a[2]), *(c * m for c in a[1])) for a in row] for row in matrix]
-    return D, [[tuple(e[i] for e in row) for row in scaled] for i in range(1 + nsym)]
+def _window_table(sigma: Cocycle, window: int) -> RowTable:
+    """The `RowTable` of a structural sum-family cocycle of finite reach at
+    the positions [-window, window] and their certified rows."""
+    positions = tuple(range(-window, window + 1))
+    return _row_table(sigma, positions, tuple(certified_row_range(sigma, positions)))
 
 
 def _row_sums(sigma: Cocycle, positions: tuple[int, ...], rows: Sequence[int], values: tuple[int, ...]):
     """The listed rows of the antisymmetrized form of a structural
     sum-family cocycle applied to the vector with `values` at `positions`,
-    read from ``_entry_matrix``: D, then iterators over the rows of their
+    read from its ``_row_table``: D, then iterators over the rows of their
     rational numerators mod D and, per symbol, of their coefficients.  The
     iterators compute a row as it is read, so a search that stops at a
     nonzero row computes none after it."""
-    D, parts = _entry_matrix(sigma, positions, tuple(rows))
-    rat, *syms = (map(sum, map(map, repeat(operator.mul), part, repeat(values))) for part in parts)
+    table = _row_table(sigma, positions, tuple(rows))
+    D = table.D
+    rat, *syms = (map(sum, map(map, repeat(operator.mul), part, repeat(values))) for part in table.parts)
     return D, (r % D for r in rat), syms
 
 
@@ -114,33 +165,6 @@ def _support(sigma: Cocycle, x: Element) -> tuple[tuple[int, ...], tuple[int, ..
     if sigma.kind == "bitstream":
         return x.data, (1,) * len(x.data)
     raise SpecError("row images are defined for the bilinear sum-family cocycles")
-
-
-def _row_angles(sigma: Cocycle, x: Element, window: range | None = None):
-    """The structural cocycle, the rows of ``t_theta_image`` with their
-    ``_row_sums``, and its certification flag."""
-    base = sigma.structural()
-    positions, values = _support(base, x)
-    rows = certified_row_range(base, positions)
-    certified = rows is not None
-    if rows is None:
-        if window is None:
-            raise SpecError(
-                "this cocycle has unbounded bandwidth; an explicit row window is required"
-            )
-        rows = window
-    return base, rows, _row_sums(base, positions, rows, values), certified
-
-
-def t_theta_image(sigma: Cocycle, x: Element, window: range | None = None) -> RowImage:
-    """Phases of the antisymmetrized form against basis elements.
-
-    x is regular iff every row vanishes; the result is certified when the
-    parameters admit a finite covering row set, otherwise the caller must
-    supply an explicit window and only those rows are evaluated.
-    """
-    base, rows, (D, rat, syms), certified = _row_angles(sigma, x, window)
-    return RowImage([(k, base.phase((r, tuple(cs), D))) for k, r, *cs in zip(rows, rat, *syms)], certified)
 
 
 def _prime_rule_witness(sigma: Cocycle, x: Element) -> tuple[Element, Phase]:
@@ -222,7 +246,9 @@ def is_sigma_regular(
         if theta and base.rule == "prime_reciprocal":
             witness, val = _prime_rule_witness(base, g)
             return RegularityReport(g, "not_regular", witness=witness, detail=f"row phase {val!r}")
-        _, rows, (D, rat, syms), _ = _row_angles(sigma, g)
+        positions, values = _support(base, g)
+        rows = certified_row_range(base, positions)
+        D, rat, syms = _row_sums(base, positions, rows, values)
         bad = next((row for row in zip(rows, rat, *syms) if any(row[1:])), None)
         if bad is None:
             return RegularityReport(g, "regular", rule="t_kernel_rows_vanish")
@@ -302,21 +328,23 @@ def _free_times_z_witness(G, root: bytes, j: int, l: int) -> Element:
 
 def regular_vectors_box_raw(sigma: Cocycle, window: int, height: int):
     """Raw coordinate rows (array for the integer family, index tuples for
-    the bit family) of the nonzero regular vectors in the box, plus the
-    certification flag."""
-    import numpy as np
+    the bit family) of the nonzero regular vectors in the box, plus True.
 
+    The flag is always set: every bilinear cocycle but the prime-reciprocal
+    rule has a finite reach, so its certified rows cover every constraint,
+    and that rule has no nonzero regular vector."""
     base = sigma.structural()
-    positions = list(range(-window, window + 1))
+    positions = range(-window, window + 1)
     if base.kind == "theta":
         if base.rule == "prime_reciprocal":
+            import numpy as np
+
             return np.empty((0, len(positions)), dtype=np.int64), True
-        rows = certified_row_range(base, positions)
-        return box_solution_array(base, positions, height, rows), rows is not None
+        return _box_rows(*_box_match(_window_table(base, window), height)), True
     if base.kind == "bitstream":
         # the row parities of a support are the xor of its columns' parities,
         # each column held as one int with a bit per row
-        _, (matrix,) = _entry_matrix(base, tuple(positions), tuple(certified_row_range(base, positions)))
+        (matrix,) = _window_table(base, window).parts
         columns = [sum(row[j] << i for i, row in enumerate(matrix)) for j in range(len(positions))]
         parity, found = [0] * (1 << len(positions)), []
         for mask in range(1, 1 << len(positions)):
@@ -373,8 +401,8 @@ class BoxVectors(Sequence):
 
 def regular_vectors_in_box(sigma: Cocycle, window: int, height: int) -> tuple[BoxVectors, bool]:
     """All nonzero regular vectors with support in [-window, window] and
-    entries bounded by height, in ``sort_key`` order, plus a certification
-    flag.
+    entries bounded by height, in ``sort_key`` order, plus True (as
+    ``regular_vectors_box_raw``).
 
     The vectors come as a `BoxVectors` sequence.  For the integer family it
     holds the scan's match, so a caller that reads the count builds no row
@@ -383,21 +411,20 @@ def regular_vectors_in_box(sigma: Cocycle, window: int, height: int) -> tuple[Bo
     G = base.group
     if base.kind == "theta" and base.rule != "prime_reciprocal":
         positions = list(range(-window, window + 1))
-        rows = certified_row_range(base, positions)
-        match = _box_match(base, positions, height, rows)
+        match = _box_match(_window_table(base, window), height)
 
         def export(row) -> Element:
             vals = row.tolist()
             return Element(G, tuple(compress(zip(positions, vals), vals)))  # the (position, value) pairs with v != 0
 
         ordered = lambda: _sumz_sorted(G.sort_key, positions, height, _box_rows(*match))
-        return BoxVectors(int(match[-1][-1]) - 1, ordered, export), rows is not None  # the zero vector is not counted
-    raw, certified = regular_vectors_box_raw(sigma, window, height)
-    return BoxVectors(len(raw), partial(sorted, raw, key=G.sort_key), partial(Element, G)), certified
+        return BoxVectors(int(match[-1][-1]) - 1, ordered, export), True  # the zero vector is not counted
+    raw, _ = regular_vectors_box_raw(sigma, window, height)
+    return BoxVectors(len(raw), partial(sorted, raw, key=G.sort_key), partial(Element, G)), True
 
 
 def _sumz_sorted(sort_key, positions: list[int], height: int, vals):
-    """The rows of a `box_solution_array` array in ``SumZ.sort_key`` order;
+    """The rows of a ``_box_rows`` array in ``SumZ.sort_key`` order;
     its integer type holds every code below.
 
     One lexsort orders the rows: the L1 norm first, then the positions in
@@ -430,15 +457,12 @@ def regular_subgroup_generators(
     sigma: Cocycle, window: int, height: int
 ) -> tuple[list[Element], bool]:
     """Generators of the lattice spanned by the nonzero regular vectors
-    supported in [-window, window] with entries bounded by height, plus a
-    completeness flag.
+    supported in [-window, window] with entries bounded by height, plus True
+    (as ``regular_vectors_box_raw``).
 
-    The flag is set when a certified row set covers all constraints (finite
-    bandwidth, eventually periodic diagonals, or the prime-reciprocal rule).
-
-    For the integer family with a certified row range the regular vectors
-    supported in the window are exactly one lattice L, the kernel of the
-    row constraints (``kernel_lattice_basis``).  When every entry of its
+    For the integer family the regular vectors supported in the window are
+    exactly one lattice L, the kernel of its certified rows
+    (``RowTable.kernel``, derived once per window).  When every entry of its
     Hermite basis is at most height in absolute value, the box span equals
     L: each basis vector is itself a box vector, so L lies in the box span,
     and every box vector lies in L.  The basis is then returned without
@@ -456,13 +480,13 @@ def regular_subgroup_generators(
         return G.sorted_elements(tuple((p, v) for p, v in zip(positions, vec) if v) for vec in vectors)
 
     if base.kind == "theta" and base.rule is None:
-        basis = kernel_lattice_basis(base, positions, certified_row_range(base, positions))
+        basis = _window_table(base, window).kernel
         if all(abs(v) <= height for vec in basis for v in vec):
             return elements(basis), True
-    raw, certified = regular_vectors_box_raw(sigma, window, height)
+    raw, _ = regular_vectors_box_raw(sigma, window, height)
     if base.kind == "theta":  # the first half of the rows is the second half negated
-        return elements(_hermite_basis(raw[len(raw) // 2 :].tolist(), len(positions))), certified
-    return G.sorted_elements(_gf2_generators(raw, positions)), certified
+        return elements(_hermite_basis(raw[len(raw) // 2 :].tolist(), len(positions))), True
+    return G.sorted_elements(_gf2_generators(raw, positions)), True
 
 
 _GRIDS: dict = {}  # the read-only half grids of the box scan, by (ncols, height)
@@ -470,8 +494,8 @@ _GRIDS: dict = {}  # the read-only half grids of the box scan, by (ncols, height
 
 def _grid(ncols: int, height: int):
     """All integer vectors with entries in [-height, height], in
-    lexicographic order, as a read-only array of `box_solution_array`'s
-    type, built once per (ncols, height)."""
+    lexicographic order, as a read-only array of ``_box_rows``'s type,
+    built once per (ncols, height)."""
     import numpy as np
 
     def build():
@@ -498,40 +522,6 @@ def _grid_dot(vals, w: list[int], const: int = 0):
     return out
 
 
-def _integer_rows(D: int, parts: list[list[tuple[int, ...]]]):
-    """A matrix of integer angles as integer constraints on integer vectors x.
-
-    The matrix is plain ints over one denominator D, as
-    ``_over_one_denominator`` gives it: its rational part and one part per
-    symbol.  Every row angle ``row . x`` vanishes mod 1 iff
-    ``rat_w x = 0 (mod D')`` and ``w x = 0`` for each ``w`` in ``sym_ws``:
-    the rational parts are scaled to their least common denominator D',
-    and each symbol's coefficients to that symbol's least common
-    denominator, so the ints stay as small as the entries allow.  All three
-    are plain Python ints.
-
-    Only the rows that carry information are kept (``_spanning_rows``): a
-    rational row that enlarges the row module mod D' (none when D' = 1) and
-    a symbol row that raises its symbol's rank.  They are a subset of the
-    scaled rows, never combinations, so no entry grows, and the solutions
-    are the same.  A repeated row never does, so each is read once.
-    """
-    matrix = list(dict.fromkeys(zip(*parts)))  # the rows, each with all its parts
-    n = len(parts[0][0]) if matrix else 0
-
-    def scaled(i):
-        den = math.lcm(1, *{D // math.gcd(v, D) for row in matrix for v in row[i]})
-        return den, [[v * den // D for v in row[i]] for row in matrix]
-
-    D_rat, rat_w = scaled(0)
-    sym_ws = [
-        _spanning_rows(scaled(i)[1], n, None)
-        for i in range(1, len(parts))
-        if any(any(row[i]) for row in matrix)
-    ]
-    return D_rat, _spanning_rows(rat_w, n, D_rat), sym_ws
-
-
 def _spanning_rows(rows: list[list[int]], n: int, modulus: int | None) -> list[list[int]]:
     """The rows, in order, that each enlarge the span of the rows kept
     before them: the integer module mod `modulus`, or the row space over
@@ -548,19 +538,6 @@ def _spanning_rows(rows: list[list[int]], n: int, modulus: int | None) -> list[l
         if _insert(basis, row) and (modulus is not None or len(basis) > rank):
             kept.append(row)
     return kept
-
-
-def _integer_constraints(sigma: Cocycle, positions: list[int], rows):
-    """The listed rows of the antisymmetrized matrix (``_entry_matrix``) as
-    ``_integer_rows``.
-
-    They are kept on the structural cocycle `sigma`, whose entry angles are
-    fixed when it is built, so a warm session derives them once per
-    (positions, rows); the caller must not change them."""
-    if rows is None:
-        raise SpecError("explicit-window evaluation requires bounded bandwidth")
-    key = tuple(positions), tuple(rows)
-    return intern(vars(sigma).setdefault("_constraints", {}), key, lambda: _integer_rows(*_entry_matrix(sigma, *key)))
 
 
 def integer_kernel(D: int, rat_rows, exact_rows, n: int) -> list[tuple[int, ...]]:
@@ -581,13 +558,6 @@ def integer_kernel(D: int, rat_rows, exact_rows, n: int) -> list[tuple[int, ...]
     rows = [[r[i] for r in cons] + [int(t == i) for t in range(n)] for i in range(n)]
     rows += [[D * (t == i) for t in range(m)] + [0] * n for i in range(len(rat))]
     return [b[m:] for b in _hermite_basis(rows, m + n) if not any(b[:m])]
-
-
-def kernel_lattice_basis(sigma: Cocycle, positions: list[int], rows) -> list[tuple[int, ...]]:
-    """Hermite normal form basis of the lattice of vectors supported on
-    positions whose listed rows vanish."""
-    D, rat_w, sym_ws = _integer_constraints(sigma, positions, rows)
-    return integer_kernel(D, rat_w, [r for w in sym_ws for r in w], len(positions))
 
 
 def _insert(basis: dict[int, list[int]], row) -> bool:
@@ -638,16 +608,9 @@ def _hermite_basis(rows: list[list[int]], n: int) -> list[tuple[int, ...]]:
     return [tuple(basis[col]) for col in pivots]
 
 
-def box_solution_array(sigma: Cocycle, positions: list[int], height: int, rows):
-    """All nonzero vectors in the box whose listed rows vanish, in
-    lexicographic order, in the smallest type that holds -2 * height - 3:
-    the rows of ``_box_match``."""
-    return _box_rows(*_box_match(sigma, positions, height, rows))
-
-
-def _box_match(sigma: Cocycle, positions: list[int], height: int, rows) -> tuple:
+def _box_match(table: RowTable, height: int) -> tuple:
     """Meet-in-the-middle (Horowitz & Sahni, J. ACM 1974) on the constraints
-    of ``_integer_constraints``: a vector solves them iff the key columns of
+    of a ``RowTable``: a vector solves them iff the key columns of
     its halves agree (rational parts mod D, symbolic parts exactly, the left
     half negated).  The key columns fold into one int64 key per half-row;
     the right keys are sorted by one stable argsort, and a left row's
@@ -682,8 +645,8 @@ def _box_match(sigma: Cocycle, positions: list[int], height: int, rows) -> tuple
     """
     import numpy as np
 
-    D, rat_rows, sym_rows = _integer_constraints(sigma, positions, rows)
-    n, half = len(positions), len(positions) // 2
+    D, rat_rows, sym_rows = table.constraints
+    n, half = table.n, table.n // 2
     W = rat_rows + ([r for w in sym_rows for r in w] or ([] if rat_rows else [[0] * n]))  # no rows: one zero key matches all
     nrat, limit, reach = len(rat_rows), 1 << 63, max(height, 1)  # an entry must fit even in a one-point box
     sums = [(sum(map(abs, w[:half])), sum(map(abs, w[half:]))) for w in W]  # each half's absolute row sum
@@ -758,7 +721,8 @@ def _dense_rank(values) -> tuple:
 
 
 def _box_rows(left, right, rorder, lo, counts, ends):
-    """The nonzero solutions of a ``_box_match`` as one array, a row each.
+    """The nonzero solutions of a ``_box_match`` as one array, a row each,
+    in the smallest type that holds -2 * height - 3.
 
     Left rows in index order, each with its matches in index order: the
     pairs come out lexicographically.  They are written one contiguous row

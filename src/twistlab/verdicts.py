@@ -23,10 +23,8 @@ from .errors import BudgetExceededError, SpecError
 from .groups import DEFAULT_NODE_BUDGET, Element, Group, Subgroup, resolve_subgroup
 from .phase import Phase, phase_angles
 from .regularity import (
-    _integer_rows,
-    _over_one_denominator,
+    RowTable,
     asymmetric_partner,
-    integer_kernel,
     is_regular_wrt_subgroup,
     is_sigma_regular,
     regular_vectors_in_box,
@@ -279,10 +277,10 @@ def _kleppner_theta(group: Group, sigma: Cocycle, base: Cocycle, radius: int, no
     # eventually periodic with irrational entries: scan boxes for kernel vectors
     for wdw in range(1, min(radius, 4) + 1):
         try:
-            found, certified = regular_vectors_in_box(sigma, wdw, min(wdw, 2))
+            found, _ = regular_vectors_in_box(sigma, wdw, min(wdw, 2))
         except BudgetExceededError as exc:  # keys past int64: refuse, never refute on wrapped keys
             return Verdict("inconclusive", bound=radius, detail=str(exc))
-        if found and certified:
+        if found:
             return Verdict("refuted", rule="kernel_scan", witness=found[0])
     return Verdict("inconclusive", bound=radius)
 
@@ -442,8 +440,7 @@ def _character_relation(mu: Phase, nu: Phase) -> tuple[int, int] | None:
     """Nonzero (j,k) with j*angle(mu) + k*angle(nu) = 0 mod 1, when one exists:
     the first Hermite basis vector of the relation lattice."""
     symbols, _, angles = phase_angles([mu, nu])
-    D, rat_w, sym_ws = _integer_rows(*_over_one_denominator([angles], len(symbols)))
-    kernel = integer_kernel(D, rat_w, [r for w in sym_ws for r in w], 2)
+    kernel = RowTable([angles], len(symbols), 2).kernel
     return kernel[0] if kernel else None
 
 

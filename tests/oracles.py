@@ -8,14 +8,16 @@ scan below evaluates every candidate's row image by direct arithmetic
 from __future__ import annotations
 
 import math
+import random
 import zlib
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from twistlab._kernels import bs_normalize
-from twistlab.cocycles import CoboundaryFn
-from twistlab.errors import BudgetExceededError
+from twistlab.cocycles import CoboundaryFn, Cocycle
+from twistlab.errors import BudgetExceededError, SpecError
 from twistlab.families.bs_nn import BaumslagSolitarNN
 from twistlab.families.free import FreeGroup
 from twistlab.families.free_times_z import FreeTimesZ
@@ -23,9 +25,10 @@ from twistlab.families.sanov import Sanov, sanov_act
 from twistlab.families.sum_z import SumZ, ThetaCocycle
 from twistlab.families.sum_z2 import BitstreamCocycle, SumZ2
 from twistlab.families.zn_semidirect import _mat_mul
-from twistlab.groups import DEFAULT_NODE_BUDGET, Subgroup, resolve_subgroup
+from twistlab.groups import DEFAULT_NODE_BUDGET, Element, Subgroup, resolve_subgroup
+from twistlab.growth import _phi1, _phi2
 from twistlab.phase import Phase, phase_angles, quarter_turns
-from twistlab.regularity import RowImage
+from twistlab.regularity import _row_sums, _support, certified_row_range
 from twistlab.spectral import ExactnessLost, convolve_sigma
 from twistlab.words import word_to_string
 
@@ -352,7 +355,7 @@ def crc_coboundary(group, basis=None) -> CoboundaryFn:
         c = Fraction(zlib.crc32(repr(g.data).encode()) % 7, 7)
         return Phase(0, {"r": c}, basis) if basis else Phase(c)
 
-    return CoboundaryFn(group, b, label="crc7")
+    return CoboundaryFn(group, b)
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +587,31 @@ def relative_class_partial(k, t, subgroup, radius: int = 6, node_budget: int = D
     return tuple(G.sorted_elements(out))
 
 
+class RowImage(NamedTuple):
+    rows: list[tuple[int, Phase]]
+    certified: bool
+
+
+def t_theta_image(sigma: Cocycle, x: Element, window: range | None = None) -> RowImage:
+    """Phases of the antisymmetrized form of a bilinear sum-family cocycle
+    against basis elements, read off the decider's row sums.
+
+    x is regular iff every row vanishes; the result is certified when the
+    cocycle's reach is finite, otherwise the caller must supply an explicit
+    window and only those rows are evaluated.
+    """
+    base = sigma.structural()
+    positions, values = _support(base, x)
+    rows = certified_row_range(base, positions)
+    certified = rows is not None
+    if rows is None:
+        if window is None:
+            raise SpecError("this cocycle has unbounded bandwidth; an explicit row window is required")
+        rows = window
+    D, rat, syms = _row_sums(base, positions, rows, values)
+    return RowImage([(k, base.phase((r, tuple(cs), D))) for k, r, *cs in zip(rows, rat, *syms)], certified)
+
+
 def row_image_all_zero(image: RowImage) -> bool:
     """Every row of a `t_theta_image` vanishes."""
     return all(p.is_zero() for _, p in image.rows)
@@ -605,7 +633,7 @@ def bitstream_parity(sigma_mu) -> CoboundaryFn:
         x1 = tuple(i for i in g.data if i % 2 != 0)
         return sigma_mu._eval(x0, x1)
 
-    return CoboundaryFn(sigma_mu.group, fn, label="parity_split")
+    return CoboundaryFn(sigma_mu.group, fn)
 
 
 def finite_bandwidth_reference(sigma: ThetaCocycle) -> int | None:
@@ -646,3 +674,125 @@ def certified_row_range_reference(sigma, support: list[int]) -> range | None:
                 w = m
         return range(lo - w, hi + w + 1)
     return range(lo - pre - per, hi + pre + per + 1)
+
+
+# ---------------------------------------------------------------------------
+# sampled checks of the cocycle axioms
+# ---------------------------------------------------------------------------
+
+
+class CheckReport(NamedTuple):
+    passed: bool
+    checked: int
+    counterexample: tuple | None = None
+    certified: bool = False
+    note: str = ""
+
+
+def verify_cocycle_identity(
+    sigma: Cocycle, samples: int = 1000, seed: int = 0, radius: int = 3
+) -> CheckReport:
+    """Exact check of sigma(g,h) sigma(gh,k) = sigma(h,k) sigma(g,hk) on
+    pseudo-random triples from a ball."""
+    G = sigma.group
+    pool = G.ball(radius)
+    rng = random.Random(seed)
+    for i in range(samples):
+        g, h, k = (rng.choice(pool) for _ in range(3))
+        gh = G.compose(g, h)
+        hk = G.compose(h, k)
+        lhs = sigma.eval(g, h) * sigma.eval(gh, k)
+        rhs = sigma.eval(h, k) * sigma.eval(g, hk)
+        if lhs != rhs:
+            return CheckReport(False, i + 1, (g, h, k))
+    return CheckReport(True, samples)
+
+
+def verify_normalization(sigma: Cocycle, samples: int = 200, seed: int = 0, radius: int = 3) -> CheckReport:
+    G = sigma.group
+    pool = G.ball(radius)
+    rng = random.Random(seed)
+    e = G.identity()
+    for i in range(samples):
+        g = rng.choice(pool)
+        if not sigma.eval(g, e).is_zero() or not sigma.eval(e, g).is_zero():
+            return CheckReport(False, i + 1, (g,))
+    return CheckReport(True, samples)
+
+
+def verify_invariance(sigma: Cocycle, samples: int = 200, seed: int = 0, window: int = 4) -> CheckReport:
+    """Shift-invariance of a cocycle on one of the sum families.
+
+    Diagonal-constant parameterizations are certified exactly on the
+    integer index line (not around a modulus, where the shift wraps);
+    otherwise the pairs of basis elements are checked (a window's declared
+    entries first, as the natural witnesses) and then random pairs.
+    """
+    G = sigma.group
+    if isinstance(sigma, (ThetaCocycle, BitstreamCocycle)) and sigma.invariant and not G.finite:
+        return CheckReport(True, 0, certified=True, note="diagonal-constant parameters")
+    if not isinstance(G, (SumZ, SumZ2)):
+        raise SpecError("invariance checks apply to the sum families only")
+
+    def shifted(g: Element) -> Element:
+        return G.element(G.shift(g.data, 1))
+
+    checked = 0
+    pairs: list[tuple[Element, Element]] = []
+    if isinstance(sigma, ThetaCocycle) and sigma.window is not None:
+        pairs += [(G.basis_element(j), G.basis_element(k)) for j, k in sorted(sigma.window)]
+    basis = [G.basis_element(i) for i in range(-window, window + 1)]
+    pairs += [(x, y) for x in basis for y in basis]
+    for x, y in pairs:
+        checked += 1
+        if sigma.eval(shifted(x), shifted(y)) != sigma.eval(x, y):
+            return CheckReport(False, checked, (x, y))
+    rng = random.Random(seed)
+    pool = G.ball(3)
+    for _ in range(samples):
+        x, y = rng.choice(pool), rng.choice(pool)
+        checked += 1
+        if sigma.eval(shifted(x), shifted(y)) != sigma.eval(x, y):
+            return CheckReport(False, checked, (x, y))
+    return CheckReport(True, checked)
+
+
+# ---------------------------------------------------------------------------
+# torus orbits, walked both ways
+# ---------------------------------------------------------------------------
+
+
+def _phi1_inv(a: tuple[Phase, Phase], nu1: Phase) -> tuple[Phase, Phase]:
+    z1 = a[0] * nu1.inverse()
+    return (z1, a[1] * z1.scale(2).inverse())
+
+
+def _phi2_inv(a: tuple[Phase, Phase], nu2: Phase) -> tuple[Phase, Phase]:
+    z2 = a[1] * nu2.inverse()
+    return (a[0] * z2.scale(2).inverse(), z2)
+
+
+def two_way_orbit_size(
+    nu1: Phase, nu2: Phase | None, start: tuple[Phase, Phase], which: str, cap: int
+) -> int | None:
+    """The size of the orbit of `start` under the selected torus maps and
+    their inverses, or None once it passes `cap`: a breadth-first walk
+    that applies each map and its inverse to every point reached."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            images = []
+            if which in ("phi1", "both"):
+                images += [_phi1(a, nu1), _phi1_inv(a, nu1)]
+            if which in ("phi2", "both") and nu2 is not None:
+                images += [_phi2(a, nu2), _phi2_inv(a, nu2)]
+            for b in images:
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+                    if len(seen) > cap:
+                        return None
+        frontier = nxt
+    return len(seen)

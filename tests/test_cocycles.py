@@ -15,6 +15,9 @@ from oracles import (
     sanov_reference,
     sanov_word_matrix,
     theta_diag_reference,
+    verify_cocycle_identity,
+    verify_invariance,
+    verify_normalization,
 )
 from twistlab.cocycles import (
     CoboundaryCocycle,
@@ -35,7 +38,6 @@ from twistlab.families.zn import HalfSkewCocycle
 from twistlab.families.zn_semidirect import _mat_vec
 from twistlab.groups import TABLE_SIZE, get_group, intern
 from twistlab.phase import IrrationalBasis, Phase, ZERO
-from twistlab.verification import verify_cocycle_identity, verify_invariance, verify_normalization
 
 BASIS = IrrationalBasis({"r": 0.3819660112501051})
 R = {"rat": [0, 1], "irr": {"r": [1, 1]}}

@@ -24,7 +24,7 @@ from twistlab import _kernels, groups
 from twistlab.errors import BudgetExceededError, FamilyMismatchError, SpecError
 from twistlab.families.bs_nn import BaumslagSolitarNN, bs_exponent_sum
 from twistlab.families.sanov import sanov_act
-from twistlab.families.zn_semidirect import _mat_vec
+from twistlab.families.zn_semidirect import _mat_mul, _mat_vec
 from twistlab.groups import Group, commuting_ball, conjugacy_class_partial, get_group, resolve_subgroup
 
 F2 = get_group({"family": "free", "rank": 2})
@@ -488,6 +488,20 @@ def test_acting_part_moves_the_base_by_act(G):
     for k in sorted({g.data[1] for g in pool}):
         for y in {g.data[0] for g in pool}:
             assert G.compose(G.element((e, k)), G.element((y, one))) == G.element((G.act(k, y), k))
+
+
+@pytest.mark.parametrize("A", [[[2, 1], [1, 1]], [[0, -1], [1, 0]], [[1, 1, 0], [0, 1, 1], [0, 0, 1]]])
+def test_matrix_powers_are_the_repeated_products_in_one_bounded_table(A):
+    """A^k equals the product of |k| factors A, or A^-1 for k < 0, and a
+    large shift leaves at most `TABLE_SIZE` powers on the group."""
+    G = get_group({"family": "zn_semidirect", "A": A})
+    want = {0: tuple(tuple(int(i == j) for j in range(len(A))) for i in range(len(A)))}
+    for k in range(1, 41):
+        want[k], want[-k] = _mat_mul(want[k - 1], G.A), _mat_mul(want[1 - k], G.A_inv)
+    assert all(G.matrix_power(k) == want[k] for k in range(-40, 41))
+    big = G.matrix_power(10000)
+    assert len(G._powers) <= groups.TABLE_SIZE
+    assert _mat_mul(big, G.matrix_power(-10000)) == want[0] and big == _mat_mul(G.matrix_power(5000), G.matrix_power(5000))
 
 
 @pytest.mark.parametrize("G, name", [(W, "base"), (L, "base"), (L3, "base"), (AN, "base"), (SAN, "base"), (SAN, "z2")])

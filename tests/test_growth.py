@@ -1,8 +1,11 @@
 """Shell counts, superpolynomial probes, decay falsification, torus orbits."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+
+from oracles import two_way_orbit_size
 
 from twistlab.cocycles import TrivialCocycle, build_cocycle
 from twistlab.errors import SpecError
@@ -176,6 +179,26 @@ def test_torus_orbit_both_maps_trivial_parameters():
     assert rep2["orbit_size"] > 1
     capped = torus_orbit_probe(third, third, (Phase(0), Phase(0)), 50, which="both", orbit_cap=1)
     assert capped["orbit_size"] is None and not capped["finite_certified"]
+
+
+def test_the_forward_orbit_walk_equals_the_two_way_walk():
+    """On torsion parameters and starts the maps permute one finite
+    subgroup of the torus, so the walk by the maps alone finds the orbit
+    of the maps and their inverses, and passes each cap exactly when that
+    orbit does."""
+    third, half = Phase(Fraction(1, 3)), Phase(Fraction(1, 2))
+    nus = [Phase(0), half, third, Phase(Fraction(2, 5)), Phase(Fraction(3, 4))]
+    starts = [(Phase(0), Phase(0)), (half, third), (Phase(Fraction(1, 4)), Phase(Fraction(5, 6)))]
+    sizes = set()
+    for nu1, nu2, start, which, cap in itertools.product(
+        nus, [None, third, Phase(Fraction(3, 4))], starts, ["phi1", "phi2", "both"], [1, 7, 10**5]
+    ):
+        if nu2 is None and which != "phi1":
+            continue
+        want = two_way_orbit_size(nu1, nu2, start, which, cap)
+        assert torus_orbit_probe(nu1, nu2, start, 1, which, cap)["orbit_size"] == want, (nu1, nu2, start, which, cap)
+        sizes.add(want)
+    assert None in sizes and 1 in sizes and max(s for s in sizes if s) > 100
 
 
 def test_finite_flag_agrees_with_torsion():

@@ -29,6 +29,7 @@ from oracles import (
     row_image_all_zero,
     scaled_constraint_rows,
     srow_phase,
+    t_theta_image,
 )
 
 import twistlab
@@ -46,10 +47,8 @@ from twistlab.regularity import (
     is_regular_wrt_kH,
     is_regular_wrt_subgroup,
     is_sigma_regular,
-    kernel_lattice_basis,
     regular_subgroup_generators,
     regular_vectors_in_box,
-    t_theta_image,
 )
 
 BASIS = IrrationalBasis({"r": 0.3819660112501051})
@@ -237,6 +236,12 @@ def test_box_vector_payloads_are_plain_sorted_int_pairs():
             assert type(pair[0]) is int and type(pair[1]) is int and pair[1] != 0
 
 
+def _box_array(base, window, height):
+    """The integer family's nonzero box rows at a window: ``_box_rows`` of
+    the ``_box_match`` of its row table."""
+    return regularity._box_rows(*regularity._box_match(regularity._window_table(base, window), height))
+
+
 def _eager_box(sig, window, height) -> list:
     """The box vectors built at once from the raw scan and sorted by key."""
     G = sig.structural().group
@@ -316,14 +321,14 @@ def test_box_view_orders_its_rows_once_and_only_when_read_in_order(family, monke
 def test_box_view_counts_from_the_match_and_builds_its_rows_once(spec, group, window, height, monkeypatch):
     """`len` and truth read the match's count and build no row array; the
     first ordered read builds the rows once, and they are the eager
-    `box_solution_array` rows."""
+    `regular_vectors_box_raw` rows."""
     built: list = []
     rows = regularity._box_rows
     monkeypatch.setattr(regularity, "_box_rows", lambda *match: built.append(1) or rows(*match))
     sig = build_cocycle(spec, group, BASIS)
     found, _ = regular_vectors_in_box(sig, window, height)
     assert len(found) > 5 and bool(found) and built == []
-    ref = _eager_box(sig, window, height)  # through `box_solution_array`, which builds once more
+    ref = _eager_box(sig, window, height)  # through `regular_vectors_box_raw`, which builds once more
     assert len(built) == 1 and len(found) == len(ref)
     assert found[0] == ref[0] and found[-1] == ref[-1] and found[2:5] == ref[2:5]
     assert list(found) == ref and found == ref and found == tuple(ref)
@@ -342,12 +347,6 @@ def test_box_scan_refuses_a_cocycle_outside_the_sum_families():
     sig = build_cocycle({"kind": "trivial"}, get_group({"family": "free", "rank": 2}), BASIS)
     with pytest.raises(SpecError, match="bilinear sum families"):
         regular_vectors_in_box(sig, 1, 1)
-
-
-def test_box_solution_array_refuses_an_unbounded_row_range():
-    base = build_cocycle(PERIOD4, SZ, BASIS).structural()
-    with pytest.raises(SpecError, match="bounded bandwidth"):
-        regularity.box_solution_array(base, [-1, 0, 1], 2, None)
 
 
 def test_generators_span_found_vectors():
@@ -415,9 +414,7 @@ PERIOD4_KERNELS = {
 @pytest.mark.parametrize("window", sorted(PERIOD4_KERNELS))
 def test_period4_kernel_basis_pinned(window):
     base = build_cocycle(PERIOD4, SZ, BASIS).structural()
-    positions = list(range(-window, window + 1))
-    rows = certified_row_range(base, positions)
-    assert kernel_lattice_basis(base, positions, rows) == PERIOD4_KERNELS[window]
+    assert regularity._window_table(base, window).kernel == PERIOD4_KERNELS[window]
 
 
 @pytest.mark.parametrize("window, height", sorted(PERIOD4_GENERATORS))
@@ -432,6 +429,22 @@ def test_period4_generators_pinned(window, height, monkeypatch):
     gens, complete = regular_subgroup_generators(sig, window, height)
     assert complete
     assert [g.data for g in gens] == PERIOD4_GENERATORS[(window, height)]
+
+
+def test_warm_generators_derive_the_kernel_basis_once_per_window(monkeypatch):
+    """The kernel basis is a field of the window's row table, so repeated
+    `regular_subgroup_generators` calls run `integer_kernel` once per
+    (cocycle, window), whatever the height."""
+    calls = []
+    kernel = regularity.integer_kernel
+    monkeypatch.setattr(regularity, "integer_kernel", lambda *a: calls.append(a[-1]) or kernel(*a))
+    sig = build_cocycle(PERIOD4, SZ, BASIS)
+    vars(sig.structural()).pop("_tables", None)
+    for _ in range(3):
+        for window, height in [(3, 4), (4, 3), (4, 4), (3, 3)]:
+            gens, complete = regular_subgroup_generators(sig, window, height)
+            assert complete and [g.data for g in gens] == PERIOD4_GENERATORS[(window, height)]
+    assert calls == [7, 9]
 
 
 TWO_SYMBOLS = IrrationalBasis({"r": 0.3819660112501051, "s": 0.29})
@@ -506,9 +519,9 @@ def test_box_solution_array_equals_the_brute_force_oracle(name, window, height):
     rows = list(certified_row_range(base, positions))
     if name in REFUSED_COCYCLES:
         with pytest.raises(BudgetExceededError, match="int64 keys would overflow"):
-            regularity.box_solution_array(base, positions, height, rows)
+            _box_array(base, window, height)
         return
-    found = regularity.box_solution_array(base, positions, height, rows)
+    found = _box_array(base, window, height)
     brute = brute_force_regular_vectors(base, window, height, rows)
     assert found.shape == brute.shape and np.array_equal(found, brute)
 
@@ -540,8 +553,7 @@ FROZEN_PERIOD4_MATCH = {
 @pytest.mark.parametrize("window, height", sorted(FROZEN_PERIOD4_MATCH))
 def test_period4_box_match_keeps_its_frozen_arrays(window, height):
     base = build_cocycle(PERIOD4, SZ, BASIS).structural()
-    positions = list(range(-window, window + 1))
-    match = regularity._box_match(base, positions, height, list(certified_row_range(base, positions)))
+    match = regularity._box_match(regularity._window_table(base, window), height)
     got = [(str(a.dtype), a.shape, hashlib.sha256(a.tobytes()).hexdigest()[:16]) for a in match]
     assert got == FROZEN_PERIOD4_MATCH[(window, height)]
 
@@ -551,10 +563,8 @@ def test_the_half_grids_are_built_once_and_read_only():
     array, and the key of a half is the grid's product with the folded
     coefficients, by outer sums."""
     base = build_cocycle(PERIOD4, SZ, BASIS).structural()
-    positions = list(range(-2, 3))
-    rows = list(certified_row_range(base, positions))
-    first = regularity._box_match(base, positions, 2, rows)
-    again = regularity._box_match(base, positions, 2, rows)
+    first = regularity._box_match(regularity._window_table(base, 2), 2)
+    again = regularity._box_match(regularity._window_table(base, 2), 2)
     assert first[0] is again[0] is regularity._grid(2, 2) and first[1] is again[1] is regularity._grid(3, 2)
     for grid in first[:2]:
         assert not grid.flags.writeable
@@ -576,11 +586,9 @@ def test_a_one_point_box_matches_the_zero_vector_with_itself(name):
     2**63 if the spans were taken at height 0."""
     base = build_cocycle(ORACLE_COCYCLES[name], SZ, TWO_SYMBOLS).structural()
     for window in (1, 2, 3):
-        positions = list(range(-window, window + 1))
-        rows = list(certified_row_range(base, positions))
-        left, right, rorder, lo, counts, ends = regularity._box_match(base, positions, 0, rows)
+        left, right, rorder, lo, counts, ends = regularity._box_match(regularity._window_table(base, window), 0)
         assert (left.shape[0], right.shape[0], rorder.tolist(), lo.tolist(), counts.tolist(), ends.tolist()) == (1, 1, [0], [0], [1], [1])
-        assert regularity.box_solution_array(base, positions, 0, rows).shape == (0, len(positions))
+        assert _box_array(base, window, 0).shape == (0, 2 * window + 1)
 
 
 def _is_subsequence(part: list, whole: list) -> bool:
@@ -596,7 +604,7 @@ def test_integer_rows_keep_a_subset_of_the_scaled_rows(name, window):
     base = build_cocycle(ORACLE_COCYCLES[name], SZ, TWO_SYMBOLS).structural()
     positions = list(range(-window, window + 1))
     rows = list(certified_row_range(base, positions))
-    D, rat, sym = regularity._integer_constraints(base, positions, rows)
+    D, rat, sym = regularity._window_table(base, window).constraints
     D_all, rat_all, sym_all = scaled_constraint_rows(base, positions, rows)
     assert D == D_all and _is_subsequence(rat, rat_all)
     assert len(sym) == len(sym_all)
@@ -612,7 +620,7 @@ def test_period4_keys_on_two_rows():
     base = build_cocycle(PERIOD4, SZ, BASIS).structural()
     positions = list(range(-3, 4))
     rows = list(certified_row_range(base, positions))
-    D, rat, sym = regularity._integer_constraints(base, positions, rows)
+    D, rat, sym = regularity._window_table(base, 3).constraints
     assert (D, rat, [len(w) for w in sym]) == (1, [], [2])
     assert len(scaled_constraint_rows(base, positions, rows)[2]["r"]) == 15
 
@@ -667,37 +675,36 @@ def _digest(lines: list[str]) -> tuple[int, str]:
 
 @pytest.mark.parametrize("table_size", [groups.TABLE_SIZE, 3])
 def test_row_walk_reports_are_equal_cold_warm_and_as_recorded(table_size, monkeypatch):
-    """The reports read off the entry table equal those of the per-row
+    """The reports read off the row table equal those of the per-row
     sums on a cold first call (no table on any cocycle) and on a warm
     repeat, also when the table evicts; no table passes `TABLE_SIZE`."""
     monkeypatch.setattr(groups, "TABLE_SIZE", table_size)
     bases = {id(b): b for b in (sig.structural() for sig, _ in _row_walk_sample())}.values()
     for base in bases:
-        vars(base).pop("_entries", None)
-        vars(base).pop("_constraints", None)
+        vars(base).pop("_tables", None)
     cold = _row_walk_records()
-    assert any("_entries" in vars(b) for b in bases)
+    assert any("_tables" in vars(b) for b in bases)
     assert _row_walk_records() == cold
     assert _digest(cold) == ROW_WALK_RECORD
-    assert all(len(vars(b).get("_entries", ())) <= table_size for b in bases)
+    assert all(len(vars(b).get("_tables", ())) <= table_size for b in bases)
 
 
 def test_the_box_scan_and_the_row_walk_share_one_entry_table():
-    """`_integer_constraints` reads the entries that the row sums read:
-    one table entry per (positions, rows)."""
+    """The box scan's constraints and the row sums read one record per
+    (positions, rows), whose entries are derived once."""
     base = build_cocycle(ORACLE_COCYCLES["two_symbols"], SZ, TWO_SYMBOLS).structural()
     positions = list(range(-2, 3))
     rows = certified_row_range(base, positions)
-    vars(base).pop("_entries", None)
-    vars(base).pop("_constraints", None)
-    regularity._integer_constraints(base, positions, rows)
-    entries = dict(vars(base)["_entries"])
-    assert list(entries) == [(tuple(positions), tuple(rows))]
-    D = entries[(tuple(positions), tuple(rows))][0]
+    vars(base).pop("_tables", None)
+    table = regularity._window_table(base, 2)
+    table.constraints
+    tables = dict(vars(base)["_tables"])
+    assert tables == {(tuple(positions), tuple(rows)): table}
+    D = table.D
     values = (1, -2, 0, 3, 1)
     D_sums, rat, syms = regularity._row_sums(base, tuple(positions), rows, values)
     angles = list(zip(rows, rat, *syms))
-    assert vars(base)["_entries"] == entries and D_sums == D and len(angles) == len(rows)
+    assert vars(base)["_tables"] == tables and D_sums == D and len(angles) == len(rows)
     for k, r, *cs in angles:
         want = Phase(0)
         for j, v in zip(positions, values):
@@ -712,7 +719,7 @@ def test_generators_fall_back_to_box_span(monkeypatch):
     sig = build_cocycle({"kind": "theta_diag", "diagonals": [[1, 5]]}, SZ)
     positions = list(range(-2, 3))
     rows = list(certified_row_range(sig, positions))
-    kernel = kernel_lattice_basis(sig.structural(), positions, rows)
+    kernel = regularity._window_table(sig.structural(), 2).kernel
     assert max(abs(v) for vec in kernel for v in vec) == 5
     scans = []
     scan = regularity.regular_vectors_box_raw
@@ -732,8 +739,7 @@ def test_box_span_generators_are_the_hermite_basis_of_the_box_rows():
     r = {"rat": [0, 1], "irr": {"r": [1, 4 * 10**18 + 9]}}
     spec = {"kind": "theta_window", "entries": [[0, 1, [1, 2]], [2, 3, r], [-2, -1, [1, 10**9 * 1000003 + 7]]]}
     sig = build_cocycle(spec, SZ, BASIS)
-    positions = list(range(-2, 3))
-    kernel = kernel_lattice_basis(sig.structural(), positions, certified_row_range(sig, positions))
+    kernel = regularity._window_table(sig.structural(), 2).kernel
     assert max(abs(v) for vec in kernel for v in vec) > 2
     raw, _ = regularity.regular_vectors_box_raw(sig, 2, 2)
     assert regularity._hermite_basis(raw.tolist(), 5) == [(0, 0, 2, 0, 0), (0, 0, 0, 2, 0)]
@@ -792,6 +798,23 @@ def test_kernel_generators_do_not_import_numpy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.split() == ["7", "True", "False"]
+
+
+def test_bitstream_box_scan_does_not_import_numpy():
+    """The bit family's scan is a parity walk over Python ints."""
+    script = (
+        "import sys\n"
+        "from twistlab.cocycles import build_cocycle\n"
+        "from twistlab.groups import get_group\n"
+        "from twistlab.regularity import regular_subgroup_generators, regular_vectors_in_box\n"
+        "sig = build_cocycle({'kind': 'bitstream', 'pre': [], 'period': [1, 0]}, get_group({'family': 'sum_z2'}))\n"
+        "gens, complete = regular_subgroup_generators(sig, 4, 1)\n"
+        "print(len(gens), len(regular_vectors_in_box(sig, 4, 1)[0]), complete, 'numpy' in sys.modules)\n"
+    )
+    src = str(Path(twistlab.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split() == ["7", "127", "True", "False"]
 
 
 def test_bitstream_generators_and_oracle():

@@ -96,6 +96,58 @@ def test_regularity_reads_no_diagonal_data_of_a_family():
     assert not read, f"regularity.py reads family fields: {read}"
 
 
+def test_regularity_keeps_one_table_on_a_cocycle():
+    """Everything `regularity` derives from a cocycle lives in one table
+    on it (``_row_table``): one ``vars(...).setdefault`` of one constant
+    name, and no other `vars`, no `setattr` and no `__dict__`."""
+    tree = ast.parse((PACKAGE / "regularity.py").read_text())
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    tables = [
+        c.args[0].value
+        for c in calls
+        if isinstance(c.func, ast.Attribute)
+        and c.func.attr == "setdefault"
+        and getattr(c.func.value, "func", None) is not None
+        and getattr(c.func.value.func, "id", None) == "vars"
+        and isinstance(c.args[0], ast.Constant)
+    ]
+    assert len(tables) == 1, f"regularity.py keeps tables {tables} on a cocycle"
+    assert sum(getattr(c.func, "id", None) == "vars" for c in calls) == 1
+    assert not [c.lineno for c in calls if getattr(c.func, "id", None) == "setattr"]
+    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "__dict__"]
+
+
+def _module_name(path: Path) -> str:
+    """The dotted name of a package file, relative to the package."""
+    parts = path.relative_to(PACKAGE).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def test_every_package_module_is_imported_or_named_in_a_spec_table():
+    """The package holds no module for tests alone: each module is imported
+    by another package module, is named by a "module:name" entry of
+    `FAMILIES` or `KINDS`, or holds the console script."""
+    import tomllib
+
+    from twistlab.cocycles import KINDS
+    from twistlab.groups import FAMILIES
+
+    reached = {where.split(":")[0] for where, _ in FAMILIES.values()}
+    reached |= {where.split(":")[0] for _, _, where in KINDS.values()}
+    scripts = tomllib.loads((PACKAGE.parent.parent / "pyproject.toml").read_text())["project"]["scripts"]
+    reached |= {where.split(":")[0].removeprefix("twistlab.") for where in scripts.values()}
+    for path in PACKAGE.rglob("*.py"):
+        name = _module_name(path)
+        package = name.split(".") if path.name == "__init__.py" else name.split(".")[:-1]
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                target = package[: len(package) - node.level + 1] + (node.module.split(".") if node.module else [])
+                found = {".".join(target)} | {".".join(target + [alias.name]) for alias in node.names}
+                reached |= found - {name}
+    unreached = sorted(name for name in map(_module_name, MODULES) if name not in reached)
+    assert not unreached, f"no package module imports {unreached}, and no spec table names them"
+
+
 def _strings(node: ast.expr) -> set[str]:
     """The string constants of an expression or of its tuple, list or set."""
     parts = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]

@@ -17,6 +17,7 @@ imports on first use through `KINDS`.
 
 from __future__ import annotations
 
+from itertools import takewhile
 from typing import Callable, Sequence
 
 from .errors import ConfigurationError, SpecError
@@ -52,7 +53,7 @@ def nth_prime(m: int) -> int:
     """1-indexed prime sequence."""
     while len(_PRIMES) < m:
         c = _PRIMES[-1] + 2
-        while any(c % p == 0 for p in _PRIMES if p * p <= c):
+        while any(c % p == 0 for p in takewhile(lambda p: p * p <= c, _PRIMES)):
             c += 2
         _PRIMES.append(c)
     return _PRIMES[m - 1]

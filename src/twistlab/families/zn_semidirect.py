@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from ..errors import SpecError
 from ..groups import Element, Group, _int, get_group, intern
 from .zn import SkewFormCocycle, Zn
@@ -30,34 +32,26 @@ def _mat_vec(A, v):
     return tuple(sum(A[i][j] * v[j] for j in range(len(v))) for i in range(len(A)))
 
 
-def _det(A) -> int:
+def _det_inverse(A) -> tuple[int, tuple | None]:
+    """The determinant of a square integer matrix and, when it is +-1, the
+    inverse, whose entries are then ints: one Gauss-Jordan elimination of
+    [A | I] over the rationals."""
     n = len(A)
-    if n == 1:
-        return A[0][0]
-    if n == 2:
-        return A[0][0] * A[1][1] - A[0][1] * A[1][0]
-    total = 0
-    for j in range(n):
-        minor = tuple(row[:j] + row[j + 1 :] for row in A[1:])
-        total += (-1) ** j * A[0][j] * _det(minor)
-    return total
-
-
-def _int_inverse(A):
-    n = len(A)
-    d = _det(A)
-    if d not in (1, -1):
-        raise SpecError(f"matrix determinant must be +-1, got {d}", path="group.A")
-    cof = [
-        [
-            (-1) ** (i + j)
-            * _det(tuple(row[:j] + row[j + 1 :] for k, row in enumerate(A) if k != i))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    adj = tuple(tuple(cof[j][i] for j in range(n)) for i in range(n))
-    return tuple(tuple(x * d for x in row) for row in adj)
+    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
+    det = Fraction(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if M[r][c]), None)
+        if p is None:
+            return 0, None
+        if p != c:
+            M[c], M[p], det = M[p], M[c], -det
+        pivot = M[c][c]
+        det *= pivot
+        M[c] = [v / pivot for v in M[c]]
+        for r in range(n):
+            if r != c and (f := M[r][c]):
+                M[r] = [u - f * v for u, v in zip(M[r], M[c])]
+    return int(det), tuple(tuple(int(v) for v in row[n:]) for row in M) if abs(det) == 1 else None
 
 
 class ZnSemidirectZ(Group):
@@ -80,13 +74,15 @@ class ZnSemidirectZ(Group):
         n = len(A)
         self.n = n
         self.A = A
-        self.A_inv = _int_inverse(A)
+        self.det, self.A_inv = _det_inverse(A)
+        if self.A_inv is None:
+            raise SpecError(f"matrix determinant must be +-1, got {self.det}", path="group.A")
         self._powers: dict[int, tuple] = {}
         super().__init__()
         self.key = f"zn_semidirect[{A}]"
         if n == 2:
             trace = A[0][0] + A[1][1]
-            self.icc = abs(trace) > 1 + _det(A)
+            self.icc = abs(trace) > 1 + self.det
         else:
             self.icc = None
         self._lattice = get_group({"family": "zn", "n": n})
@@ -103,7 +99,7 @@ class ZnSemidirectZ(Group):
         that the matrix does not preserve."""
         if not isinstance(base.group, Zn) or base.group.n != self.n:
             raise SpecError("lift base must live on the translation lattice", path="cocycle.base")
-        if isinstance(base, SkewFormCocycle) and _det(self.A) != 1:
+        if isinstance(base, SkewFormCocycle) and self.det != 1:
             raise SpecError(
                 "skew base cocycles are invariant only for determinant +1",
                 path="cocycle.base",

@@ -11,7 +11,7 @@ import math
 import operator
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property, partial
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from typing import NamedTuple
 
 from .cocycles import Cocycle, nth_prime
@@ -610,38 +610,34 @@ def _hermite_basis(rows: list[list[int]], n: int) -> list[tuple[int, ...]]:
 
 def _box_match(table: RowTable, height: int) -> tuple:
     """Meet-in-the-middle (Horowitz & Sahni, J. ACM 1974) on the constraints
-    of a ``RowTable``: a vector solves them iff the key columns of
-    its halves agree (rational parts mod D, symbolic parts exactly, the left
-    half negated).  The key columns fold into one int64 key per half-row;
-    the right keys are sorted by one stable argsort, and a left row's
-    matches are its `searchsorted` range there.
+    of a ``RowTable``: a vector solves them iff the key columns of its
+    halves agree (rational parts mod D, symbolic parts exactly, the left
+    half negated).  The key columns give one int64 key per half-row; the
+    right keys are sorted by one stable argsort, and a left row's matches
+    are its `searchsorted` range there.
 
-    The fold is mixed-radix, the last column most significant.  A rational
-    column has span D.  A symbolic column w is at most b = max(height, 1)
-    * sum(|w|) in absolute value over the right half; a left key outside
-    [-b, b] matches no right row, so it is pinned to -b - 1 or b + 1,
-    which keeps its order against every right key, and the column has span
-    2b + 3.  The spans are multiplied in Python ints, before any numpy
-    arithmetic, and the columns fold in runs whose span product stays below
-    2**63.  Within a run, the columns that need no reduction mod D and, on
-    the left, no pin fold in Python ints into one coefficient vector per
-    half, so that half's run key is one product with its grid
-    (``_grid_dot``); a column that needs either adds its own key, times its
-    stride.  The folded coefficients stay below 2**63, since their sum
-    times max(height, 1) is below the span product.  Where the product would
-    pass 2**63, the key so far and the next run are replaced by their dense
-    ranks over both halves, whose product is at most the square of the
-    number of half-rows, so no key wraps.  The keys are sorted in the
-    smallest unsigned type that holds the span product (numpy sorts keys of
-    16 bits or less by radix).  No column entry wraps while height times
-    each half's absolute row sum stays below 2**63; past that, or when D
-    does not fit, `BudgetExceededError`.
+    A rational column has span D.  A symbolic column w is at most b =
+    max(height, 1) * max(sum(|w|) over the left half, over the right half)
+    in absolute value on either half, so it has span 2b + 1.  When the
+    product of the spans, taken in Python ints, is below 2**63, the columns
+    fold into one mixed-radix key, the last column most significant: the
+    symbolic columns as one coefficient vector per half, so that their key
+    is one product with the half's grid (``_grid_dot``), and each rational
+    column reduced mod D, times its stride.  The folded coefficients, and
+    every partial sum of the product, stay below the span product, since b
+    bounds a column even in a one-point box.  Otherwise a half-row's key is
+    the dense rank of its key columns over both halves, stacked last column
+    first, so that the ranks keep the fold's order.  The keys are sorted in
+    the smallest unsigned type that holds their span (numpy sorts keys of
+    16 bits or less by radix).  No column entry wraps while b, taken for
+    every row, rational ones included, stays below 2**63; past that, or
+    when D does not fit, `BudgetExceededError`.
 
     The match is the two read-only half grids (``_grid``), the right rows
-    in key order, and each
-    left row's first match there (for a left row without one, the number of
-    right keys below its key), number of matches and running total of
-    matches.  The total counts the zero vector, which matches itself.
+    in key order, and each left row's first match there (for a left row
+    without one, the number of right keys below its key), number of
+    matches and running total of matches.  The total counts the zero
+    vector, which matches itself.
     """
     import numpy as np
 
@@ -649,58 +645,35 @@ def _box_match(table: RowTable, height: int) -> tuple:
     n, half = table.n, table.n // 2
     W = rat_rows + ([r for w in sym_rows for r in w] or ([] if rat_rows else [[0] * n]))  # no rows: one zero key matches all
     nrat, limit, reach = len(rat_rows), 1 << 63, max(height, 1)  # an entry must fit even in a one-point box
-    sums = [(sum(map(abs, w[:half])), sum(map(abs, w[half:]))) for w in W]  # each half's absolute row sum
-    if D >= limit or any(reach * max(t) >= limit for t in sums):
+    bounds = [reach * max(sum(map(abs, w[:half])), sum(map(abs, w[half:]))) for w in W]
+    if D >= limit or max(bounds) >= limit:
         raise BudgetExceededError(f"the box scan's int64 keys would overflow at height {height}")
-    offsets = [0] * nrat + [min(reach * r + 1, limit - 1) for _, r in sums[nrat:]]  # b + 1; b when b = 2**63 - 1
-    spans = [D] * nrat + [2 * p + 1 for p in offsets[nrat:]]
-    # a rational column needs % D, and a symbolic one a pin where a left key
-    # may leave [-b, b]: those keep a key of their own on that half, and
-    # every other column of a run folds into one coefficient vector
-    own = [c < nrat or reach * t[0] >= p for c, (t, p) in enumerate(zip(sums, offsets))]
-    halves = ((slice(0, half), -1, own), (slice(half, n), 1, [c < nrat for c in range(len(W))]))  # cut, sign, own
+    spans = [D] * nrat + [2 * b + 1 for b in bounds[nrat:]]
+    strides = list(accumulate(spans, operator.mul, initial=1))
+    coeffs = [sum(map(operator.mul, strides[nrat:], col[nrat:])) for col in zip(*W)]  # the symbolic columns' fold
+    offset = sum(map(operator.mul, strides[nrat:], bounds[nrat:]))  # b per column: no folded key is negative
+    halves = ((slice(0, half), -1), (slice(half, n), 1))  # cut, sign
     vals = np.arange(-height, height + 1, dtype=np.int64)
 
     def column(c: int, cut: slice, sign: int):
         """Key column c over one half."""
         key = _grid_dot(vals, [sign * v for v in W[c][cut]])
-        if c < nrat:
-            key %= D
-        elif sign < 0:  # a left key outside [-b, b] matches no right row
-            np.clip(key, -offsets[c], offsets[c], out=key)
+        return key % D if c < nrat else key
+
+    def fold(cut: slice, sign: int):
+        """The mixed-radix key of one half."""
+        key = _grid_dot(vals, [sign * v for v in coeffs[cut]], offset)
+        for c in range(nrat):
+            key += column(c, cut, sign) * strides[c]
         return key
 
-    def run_key(c0: int, strides: list[int], cut: slice, sign: int, own: list[bool]):
-        """The key of the run of columns from c0 over one half."""
-        fold = [0] * (cut.stop - cut.start)
-        for c, s in enumerate(strides, start=c0):
-            if not own[c]:
-                fold = [f + sign * s * v for f, v in zip(fold, W[c][cut])]
-        key = _grid_dot(vals, fold, sum(map(operator.mul, strides, offsets[c0:])))
-        for c, s in enumerate(strides, start=c0):
-            if own[c]:
-                key += column(c, cut, sign) * s
-        return key
-
-    runs = []  # [first column, strides, span product], least significant first
-    for c, s in enumerate(spans):
-        if not runs or runs[-1][2] * s >= limit:
-            runs.append([c, [], 1])
-        run = runs[-1]
-        run[1].append(run[2])
-        run[2] *= s
-    key = None
-    for c, strides, size in runs:
-        if size >= limit:  # one column whose span alone passes 2**63
-            part, size = _dense_rank(np.concatenate([column(c, cut, sign) for cut, sign, _ in halves]))
-        else:
-            part = np.concatenate([run_key(c, strides, *half_) for half_ in halves])
-        if key is None:
-            key, span = part, size
-            continue
-        if span * size >= limit:
-            (key, span), (part, size) = _dense_rank(key), _dense_rank(part)
-        key, span = part * span + key, span * size
+    span = strides[-1]
+    if span < limit:
+        key = np.concatenate([fold(*h) for h in halves])
+    else:
+        columns = [np.concatenate([column(c, *h) for h in halves]) for c in reversed(range(len(W)))]
+        distinct, key = np.unique(np.stack(columns, axis=1), axis=0, return_inverse=True)
+        span = len(distinct)
 
     left, right = _grid(half, height), _grid(n - half, height)
     key = key.astype(np.min_scalar_type(span - 1))
@@ -710,14 +683,6 @@ def _box_match(table: RowTable, height: int) -> tuple:
     lo = ranked.searchsorted(key[: len(left)])
     counts = ranked.searchsorted(key[: len(left)], side="right") - lo
     return left, right, rorder, lo, counts, counts.cumsum()
-
-
-def _dense_rank(values) -> tuple:
-    """Each value's rank among the distinct values, and their number."""
-    import numpy as np
-
-    distinct, rank = np.unique(values, return_inverse=True)
-    return rank, len(distinct)
 
 
 def _box_rows(left, right, rorder, lo, counts, ends):

@@ -187,7 +187,7 @@ def test_inconclusive_exit_two(capsys):
 
 
 def test_rank_three_semidirect_product_is_built_and_left_undecided(capsys):
-    """A 3x3 matrix passes the determinant check by cofactor expansion, and
+    """A 3x3 matrix passes the determinant check by elimination, and
     no Kleppner rule decides the group, so the verdict is inconclusive."""
     group = '{"family":"zn_semidirect","A":[[2,1,0],[1,1,0],[0,0,1]]}'
     code, out, _ = run_cli(capsys, "verdict", "kleppner", "--group", group, "--cocycle", '{"kind":"trivial"}')

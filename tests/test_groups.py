@@ -504,6 +504,26 @@ def test_matrix_powers_are_the_repeated_products_in_one_bounded_table(A):
     assert _mat_mul(big, G.matrix_power(-10000)) == want[0] and big == _mat_mul(G.matrix_power(5000), G.matrix_power(5000))
 
 
+@pytest.mark.parametrize("A, det", [([[2, 0], [0, 2]], 4), ([[0, 1, 0], [2, 0, 0], [0, 0, 1]], -2), ([[1, 2], [2, 4]], 0)])
+def test_a_matrix_of_determinant_other_than_plus_or_minus_one_is_refused(A, det):
+    with pytest.raises(SpecError, match=rf"group\.A: matrix determinant must be \+-1, got {det}$"):
+        get_group({"family": "zn_semidirect", "A": A})
+
+
+def test_a_twelve_by_twelve_unimodular_matrix_is_inverted_at_construction():
+    """The determinant and inverse come from one elimination, so a 12 x 12
+    matrix, out of reach of cofactor expansion, builds its group at once."""
+    rng = random.Random(12)
+    A = [[int(i == j) for j in range(12)] for i in range(12)]
+    for _ in range(60):  # row additions keep the determinant 1
+        (i, j), c = rng.sample(range(12), 2), rng.choice([-1, 1])
+        A[i] = [a + c * b for a, b in zip(A[i], A[j])]
+    A[0], A[1] = A[1], A[0]
+    G = get_group({"family": "zn_semidirect", "A": A})
+    assert G.det == -1 and max(abs(x) for row in A for x in row) > 1
+    assert _mat_mul(G.A, G.A_inv) == tuple(tuple(int(i == j) for j in range(12)) for i in range(12))
+
+
 @pytest.mark.parametrize("G, name", [(W, "base"), (L, "base"), (L3, "base"), (AN, "base"), (SAN, "base"), (SAN, "z2")])
 def test_base_subgroup_embeds_and_projects_back(G, name):
     sub = resolve_subgroup(G, name)

@@ -89,6 +89,14 @@ def test_prime_reciprocal_witness():
     assert sigma_tilde(sig, SZ.basis_element(0), rep.witness) == Phase(Fraction(1, 2))
 
 
+def test_prime_reciprocal_witness_past_a_large_coefficient():
+    """100000 e_0 needs the first prime above 100000 (the 9593rd), which
+    ``nth_prime`` reaches by trial division up to each candidate's root."""
+    sig = build_cocycle({"kind": "theta_rule", "rule": "prime_reciprocal"}, SZ)
+    rep = is_sigma_regular(sig, SZ.element(((0, 100000),)), radius=1)
+    assert (rep.status, rep.witness, rep.detail) == ("not_regular", SZ.basis_element(9593), "row phase Phase(3/100003)")
+
+
 def test_t_image_examples():
     sig = build_cocycle(PERIOD4, SZ, BASIS)
     img = t_theta_image(sig, SZ.identity())
@@ -487,7 +495,7 @@ ORACLE_COCYCLES = {
     },
     # the symbol-r row is 5 x_{-1} + x_0 and the symbol-s row is x_1, from
     # rows 5 and 6: a left key -5 x_{-1} leaves the right half's range
-    # [-height, height], and folded unpinned into the span 2 * height + 3 it
+    # [-height, height], so in a span taken from the right half alone it
     # would carry into the s column (at height 2, x_{-1} = 1 would match
     # x_0 = 2, x_1 = -1)
     "left_keys_outside_the_right_range": {
@@ -556,6 +564,107 @@ def test_period4_box_match_keeps_its_frozen_arrays(window, height):
     match = regularity._box_match(regularity._window_table(base, window), height)
     got = [(str(a.dtype), a.shape, hashlib.sha256(a.tobytes()).hexdigest()[:16]) for a in match]
     assert got == FROZEN_PERIOD4_MATCH[(window, height)]
+
+
+# One sha256 prefix (16 hex digits) per `_box_match` of each
+# `ORACLE_COCYCLES` entry at windows 1-3 and heights 0-3, over the dtype,
+# shape and bytes of each of its six arrays in turn; None where the scan
+# refuses.  Recorded from the join that folded its key columns in runs,
+# pinned left keys outside the right range and dense-ranked a run past
+# 2**63: 34 of these cases have spans whose product passes 2**63.
+FROZEN_ORACLE_MATCH = {
+    "keys_near_2_63": (
+        ("ede97299c49d0997", "748de468b24fde81", "ce072c741c60de0f", "75df33c55193fd5a"),
+        ("7a0af5702c2453b7", "1eb285bb30b77f38", "597a056f81d32071", "a9e2d7a632346c48"),
+        ("eac9d14eaba88f26", "4c35be5986a2bb94", "163b8c56cd192d4d", "41d5f3742a0eb1ea"),
+    ),
+    "keys_past_2_63": (
+        (None, None, None, None),
+        (None, None, None, None),
+        (None, None, None, None),
+    ),
+    "large_product_near_2_63": (
+        ("ede97299c49d0997", "8a420f727ca8d532", "0e221a85b964314f", "8bbdb20e28e02a03"),
+        ("7a0af5702c2453b7", "f920270d5863f952", "b6085832d3b3d183", "29f5f9d0d71dfbec"),
+        ("eac9d14eaba88f26", "cdcb9c4d001388f5", "407ae87034c2576d", "33869271bd573dd6"),
+    ),
+    "large_product_past_2_63": (
+        ("ede97299c49d0997", "8a420f727ca8d532", "0e221a85b964314f", "8bbdb20e28e02a03"),
+        ("7a0af5702c2453b7", "f920270d5863f952", "b6085832d3b3d183", "29f5f9d0d71dfbec"),
+        ("eac9d14eaba88f26", "cdcb9c4d001388f5", "407ae87034c2576d", "33869271bd573dd6"),
+    ),
+    "left_keys_outside_the_right_range": (
+        ("ede97299c49d0997", "6fb0f82c3c781d58", "814ea1bdef0b0f7a", "05b809a091fb39b0"),
+        ("7a0af5702c2453b7", "8ac59ea11225fca9", "f53f16ca75113b7e", "f60492541d2df1df"),
+        ("eac9d14eaba88f26", "ce724180ef1b9493", "66d53883efeefa75", "44bed6ee2e377f1b"),
+    ),
+    "period4": (
+        ("ede97299c49d0997", "93b93e594ef22701", "f2d6e562a240ab42", "bf74698584bd768f"),
+        ("7a0af5702c2453b7", "92af4b4ab91f9f90", "865f7a728bab37ba", "050e7a8bd6ace8ee"),
+        ("eac9d14eaba88f26", "49f8fb940b90ce48", "932fa304c0eb8d6c", "b390d78d493a3933"),
+    ),
+    "rational_D6": (
+        ("ede97299c49d0997", "8e251e46d31981b4", "474148b51e0d04e8", "b0b03268e007fefb"),
+        ("7a0af5702c2453b7", "3b9cf3783794b755", "b20324157841901a", "4dfcbfc703a4f238"),
+        ("eac9d14eaba88f26", "9e15ce56d8833933", "9547b0515b56380e", "749568b40680c5d5"),
+    ),
+    "rational_period": (
+        ("ede97299c49d0997", "8e251e46d31981b4", "e71f0859ccbbf3f4", "be562b5deec0e118"),
+        ("7a0af5702c2453b7", "51866bf35d40d2fd", "a9ee6038b2df446b", "5d7be62eb05552ea"),
+        ("eac9d14eaba88f26", "7a967c933d60bdbf", "00cb9e1f240f3cec", "8ca25145d2831ccb"),
+    ),
+    "two_symbols": (
+        ("ede97299c49d0997", "b0fa00ad615304ba", "18989e106c896dcd", "f5728c7a8e867d5e"),
+        ("7a0af5702c2453b7", "ed6588dde8441561", "d64861626cefbea4", "116cdf685032c72c"),
+        ("eac9d14eaba88f26", "54f71a4220e9749f", "3bbbe1d5d7c11134", "f0c38936bbabe7af"),
+    ),
+    "two_symbols_period": (
+        ("ede97299c49d0997", "bbf6a8972f24c8f3", "db1420bdb7324e52", "a78b53c95f1e80b2"),
+        ("7a0af5702c2453b7", "1a70c01330d35456", "632db39517d7adff", "8a87152a09a4a92a"),
+        ("eac9d14eaba88f26", "ed8ae864f8e68961", "39a544b7eaf399a6", "5d1f49e936052e23"),
+    ),
+}
+
+
+def _match_digest(match) -> str:
+    digest = hashlib.sha256()
+    for a in match:
+        digest.update(f"{a.dtype}{a.shape}".encode())
+        digest.update(a.tobytes())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_ORACLE_MATCH))
+def test_oracle_box_matches_keep_their_frozen_arrays(name):
+    base = build_cocycle(ORACLE_COCYCLES[name], SZ, TWO_SYMBOLS).structural()
+    got = []
+    for window in (1, 2, 3):
+        row = []
+        for height in range(4):
+            try:
+                row.append(_match_digest(regularity._box_match(regularity._window_table(base, window), height)))
+            except BudgetExceededError:
+                row.append(None)
+        got.append(tuple(row))
+    assert tuple(got) == FROZEN_ORACLE_MATCH[name]
+
+
+# D = 2**62 + 1 fits in int64, but a row holds the negated entry 2**62, so
+# height times its half's absolute sum passes 2**63 from height 2 on
+RATIONAL_ROW_PAST_2_63 = {"kind": "theta_diag", "diagonals": [[1, 2**62 + 1]]}
+
+
+@pytest.mark.parametrize("height", [1, 2, 3])
+def test_the_box_scan_refuses_a_rational_row_past_int64(height):
+    """The overflow check covers the rational rows too; below it the scan
+    agrees with the brute-force oracle."""
+    base = build_cocycle(RATIONAL_ROW_PAST_2_63, SZ).structural()
+    if height > 1:
+        with pytest.raises(BudgetExceededError, match="int64 keys would overflow"):
+            _box_array(base, 2, height)
+        return
+    rows = list(certified_row_range(base, list(range(-2, 3))))
+    assert np.array_equal(_box_array(base, 2, height), brute_force_regular_vectors(base, 2, height, rows))
 
 
 def test_the_half_grids_are_built_once_and_read_only():

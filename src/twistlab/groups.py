@@ -23,6 +23,43 @@ DEFAULT_NODE_BUDGET = 10**6
 TABLE_SIZE = 256  # entries kept in each spec table (groups, and each group's cocycles)
 
 
+def walk(start, moves: list, apply: Callable, depth: int | None = None) -> Iterator[tuple[int, object]]:
+    """(layer, node) pairs of the closure of `start` under apply(node, move)
+    for each move, breadth first: each node once, as it is found, in the
+    order its layer's nodes and then the moves give.  The walk stops after
+    layer `depth`, or with None once a layer adds nothing."""
+    seen = {start}
+    frontier = [start]
+    yield 0, start
+    for layer in count(1) if depth is None else range(1, depth + 1):
+        nxt = []
+        for a in frontier:
+            for s in moves:
+                b = apply(a, s)
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+                    yield layer, b
+        if not nxt:
+            return
+        frontier = nxt
+
+
+def _layers(nodes: Iterator[tuple[int, object]], node_budget: int, what: str) -> Iterator[list]:
+    """The nodes of each layer of (layer, node) pairs in turn, counted against
+    the node budget as they come; `what` names the enumeration that runs out."""
+    shell, layer = 0, []
+    for n, (r, node) in enumerate(nodes, start=1):
+        if n > node_budget:
+            message = f"{what} enumeration exceeded {node_budget} nodes at radius {r}"
+            raise BudgetExceededError(message, nodes=n, radius=r)
+        if r != shell:
+            yield layer
+            shell, layer = r, []
+        layer.append(node)
+    yield layer
+
+
 class Element:
     """A group element: a family-tagged normal-form payload."""
 
@@ -184,39 +221,7 @@ class Group:
         Breadth-first layers over the generators by default; a radius of
         None walks a finite group to its last layer.
         """
-        seen = {self._identity_data()}
-        frontier = list(seen)
-        yield 0, frontier[0]
-        gens = self._generators()
-        for r in count(1) if radius is None else range(1, radius + 1):
-            nxt = []
-            for a in frontier:
-                for s in gens:
-                    b = self._mul(a, s)
-                    if b not in seen:
-                        seen.add(b)
-                        nxt.append(b)
-                        yield r, b
-            if not nxt:
-                return
-            frontier = nxt
-
-    def _shells(self, radius: int | None, node_budget: int) -> Iterator[list]:
-        """The payloads of each shell of the ball in turn, counted against
-        the node budget as they are enumerated."""
-        shell, layer = 0, []
-        for nodes, (r, data) in enumerate(self._nodes(radius), start=1):
-            if nodes > node_budget:
-                raise BudgetExceededError(
-                    f"ball enumeration exceeded {node_budget} nodes at radius {r}",
-                    nodes=nodes,
-                    radius=r,
-                )
-            if r != shell:
-                yield layer
-                shell, layer = r, []
-            layer.append(data)
-        yield layer
+        return walk(self._identity_data(), self._generators(), self._mul, radius)
 
     def _entry_radius(self, shell: int, data) -> int:
         """The least radius whose ball holds `data`, found in `shell` of a
@@ -241,7 +246,7 @@ class Group:
         found = self._ball_cache.get(radius, node_budget)
         if found is not None:
             return found
-        nodes = [(d, r) for r, layer in enumerate(self._shells(radius, node_budget)) for d in layer]
+        nodes = [(d, r) for r, layer in enumerate(_layers(self._nodes(radius), node_budget, "ball")) for d in layer]
         key = self.sort_key
         nodes.sort(key=lambda node: key(node[0]))
         out = tuple(Element(self, d) for d, _ in nodes)
@@ -259,7 +264,7 @@ class Group:
         both central families, so c runs over [-radius, radius].
         """
         if self.abelian:
-            shells = self._shells(radius, node_budget)
+            shells = _layers(self._nodes(radius), node_budget, "ball")
             next(shells)  # the identity
             for layer in shells:
                 yield from self.sorted_elements(layer)
@@ -269,7 +274,7 @@ class Group:
 
     def _finite_diameter(self, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
         """The radius of the largest shell; for finite groups only."""
-        return sum(1 for _ in self._shells(None, node_budget)) - 1
+        return sum(1 for _ in _layers(self._nodes(None), node_budget, "ball")) - 1
 
     def check_lift_base(self, base) -> None:
         """Refuse a cocycle on `base_group()` whose lift to this group is
@@ -402,14 +407,19 @@ def get_group(spec: dict) -> Group:
 def conjugacy_class_partial(
     g: Element, radius: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> tuple[Element, ...]:
-    """{h g h^{-1} : h in ball(radius)} -- a lower bound for the class."""
+    """{h g h^{-1} : h in ball(radius)} -- a lower bound for the class,
+    walked from g by conjugation with the generators, `radius` layers deep
+    (h = s h' gives h g h^{-1} = s (h' g h'^{-1}) s^{-1}): the walk touches
+    class elements only, and the node budget counts them."""
     if radius < 0:
         raise SpecError("ball radius must be nonnegative", path="radius")
     G = g.group
     if G.abelian:
         return (g,)
-    mul, inv, x = G._mul, G._inv, g.data
-    return tuple(G.sorted_elements({mul(mul(h.data, x), inv(h.data)) for h in G.ball(radius, node_budget)}))
+    mul, inv = G._mul, G._inv
+    moves = [(s, inv(s)) for s in G._generators()]
+    nodes = walk(g.data, moves, lambda x, m: mul(mul(m[0], x), m[1]), radius)
+    return tuple(G.sorted_elements(x for layer in _layers(nodes, node_budget, "class") for x in layer))
 
 
 def commuting_ball(

@@ -12,13 +12,16 @@ import cmath
 import math
 import random
 from fractions import Fraction
-from typing import NamedTuple
+from itertools import islice
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cocycles import Cocycle
 from .errors import SpecError
-from .groups import DEFAULT_NODE_BUDGET, Element, Group, conjugacy_class_partial
+from .groups import DEFAULT_NODE_BUDGET, Element, Group, conjugacy_class_partial, walk
 from .phase import Phase
-from .spectral import FiniteFunction, truncated_norm
+
+if TYPE_CHECKING:
+    from .spectral import FiniteFunction  # for annotations only
 
 SAMPLE_RADIUS = 4  # kappa_decay_probe's random samples lie in this ball
 MAX_SUPPORT = 6  # on at most this many of its elements
@@ -144,6 +147,7 @@ def kappa_decay_probe(
     compression can only underestimate the operator norm; each hit is
     re-validated at radius + 2.
     """
+    from .spectral import FiniteFunction, truncated_norm  # the float layer, for this probe only
     rng = random.Random(seed)
     pool = list(group.ball(SAMPLE_RADIUS, node_budget))
     max_ratio = 0.0
@@ -249,15 +253,13 @@ def torus_orbit_probe(
     """
     report: dict = {"which": which, "points": n_points}
     s = (start[0].angle_float(), start[1].angle_float())
+    if which in ("phi2", "both") and nu2 is None:
+        raise SpecError("second map requested without its parameter", path="nu2")
     if which == "phi1":
         pts = [phi1_iterate_angles(s, nu1.angle_float(), n) for n in range(1, n_points + 1)]
     elif which == "phi2":
-        if nu2 is None:
-            raise SpecError("second map requested without its parameter", path="nu2")
         pts = [phi2_iterate_angles(s, nu2.angle_float(), n) for n in range(1, n_points + 1)]
     elif which == "both":
-        if nu2 is None:
-            raise SpecError("second map requested without its parameter", path="nu2")
         rng = random.Random(0)
         cur = s
         pts = []
@@ -287,21 +289,6 @@ def _exact_orbit_size(
     parameters and the start into itself, and are injective there, so
     each permutes it and its inverse is one of its powers: the points
     reached by the maps alone are the whole orbit."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            images = []
-            if which in ("phi1", "both"):
-                images.append(_phi1(a, nu1))
-            if which in ("phi2", "both") and nu2 is not None:
-                images.append(_phi2(a, nu2))
-            for b in images:
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-                    if len(seen) > cap:
-                        return None
-        frontier = nxt
-    return len(seen)
+    maps = [(f, nu) for f, nu, name in ((_phi1, nu1, "phi1"), (_phi2, nu2, "phi2")) if which in (name, "both")]
+    size = sum(1 for _ in islice(walk(start, maps, lambda a, m: m[0](a, m[1])), cap + 1))
+    return None if size > cap else size

@@ -123,6 +123,10 @@ def argvs():
                 for name in SUBGROUPS:
                     yield ["regular", *pair, *ge, "--subgroup", name]
                     yield ["regular", *pair, *ge, "--subgroup", name, "--k", json.dumps(elements[0])]
+    # the class of a in BS(2,2) at radius 11 holds 2,048 elements, its ball 30,695:
+    # the class walk answers under 10,000 nodes and runs out under 1,000
+    for nodes in ("10000", "1000"):
+        yield ["growth", "class", "--group", '{"family": "bs_nn", "n": 2}', "--g", '"a"', "--radius", "11", "--kmax", "24", "--nodes", nodes]
 
 
 def run(argv: list[str]) -> dict:

@@ -57,6 +57,7 @@ ALLOWLIST: dict[tuple[str, str], str] = {
     ),
     ("spectral.py", "import numpy as np  # for annotations only"): "runs only under TYPE_CHECKING",
     ("cli.py", "from .spectral import FiniteFunction  # for annotations only"): "runs only under TYPE_CHECKING",
+    ("growth.py", "from .spectral import FiniteFunction  # for annotations only"): "runs only under TYPE_CHECKING",
     ("cli.py", "sys.exit(main())"): (
         "runs only when the module is __main__; the tests that start it as a process are not traced"
     ),

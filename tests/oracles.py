@@ -559,19 +559,20 @@ def float_convolve_reference(f, xi, sigma) -> dict:
     return out
 
 
-def class_by_compose(g, radius: int) -> tuple:
+def class_by_compose(g, radius: int, ball: set | None = None) -> tuple:
     """{h g h^-1 : h in the radius ball}, by ``conjugate`` on Elements, in
-    canonical order."""
+    canonical order.  `ball` is ``bfs_ball(g.group, radius)`` if given."""
     G = g.group
-    found = {G.conjugate(h, g) for h in bfs_ball(G, radius)}
+    found = {G.conjugate(h, g) for h in ball or bfs_ball(G, radius)}
     return tuple(sorted(found, key=lambda e: G.sort_key(e.data)))
 
 
-def commuting_by_compose(g, radius: int) -> tuple:
+def commuting_by_compose(g, radius: int, ball: set | None = None) -> tuple:
     """The elements of the radius ball that commute with g, by ``compose``
-    on Elements, in canonical order."""
+    on Elements, in canonical order.  `ball` is ``bfs_ball(g.group,
+    radius)`` if given."""
     G = g.group
-    found = [h for h in bfs_ball(G, radius) if G.compose(g, h) == G.compose(h, g)]
+    found = [h for h in ball or bfs_ball(G, radius) if G.compose(g, h) == G.compose(h, g)]
     return tuple(sorted(found, key=lambda e: G.sort_key(e.data)))
 
 
@@ -755,6 +756,21 @@ def verify_invariance(sigma: Cocycle, samples: int = 200, seed: int = 0, window:
         if sigma.eval(shifted(x), shifted(y)) != sigma.eval(x, y):
             return CheckReport(False, checked, (x, y))
     return CheckReport(True, checked)
+
+
+def check_cycle_invariance_all_pairs(G, base: Cocycle) -> None:
+    """Refuse, as `WreathZ.check_lift_base` does, a base cocycle on the lamps
+    of the finite wreath product G that changes under the cyclic shift:
+    every one of the m² basis pairs is compared with its shift, in
+    lexicographic order."""
+    for j in range(G.m):
+        for k in range(G.m):
+            if base._angle((j,), (k,)) != base._angle(G.act(1, (j,)), G.act(1, (k,))):
+                raise SpecError(
+                    f"lift base is not invariant under the cyclic shift of {G.base_group().key}: "
+                    f"it changes on the basis pair (e{j}, e{k})",
+                    path="cocycle.base",
+                )
 
 
 # ---------------------------------------------------------------------------

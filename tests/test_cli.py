@@ -625,6 +625,7 @@ import twistlab.cli as cli
 COMMANDS = {
     "regular": ["regular", *SANOV_ARGS, "--g", '{"v":[1,0],"w":""}', "--radius", "3"],
     "growth class": ["growth", "class", "--group", '{"family":"bs_nn","n":2}', "--g", '"a"', "--radius", "6"],
+    "growth orbit": ["growth", "orbit", "--nu1", "[1,5]", "--points", "10"],
     "fixtures": ["fixtures"],
     "spectral norm": ["spectral", "norm", "--group", '{"family":"free","rank":1}',
                       "--cocycle", '{"kind":"trivial"}', "--f", F_PATH, "--radius", "2"],
@@ -653,7 +654,8 @@ COMMAND_MODULES = {
     "": ([], []),
     # the sanov cocycle restricts to the half-skew cocycle of zn, its base
     "regular": (["regularity", *WORDS, "families.sanov", "families.zn"], []),
-    "growth class": (["growth", "spectral", *WORDS, "families.bs_nn"], []),
+    "growth class": (["growth", *WORDS, "families.bs_nn"], []),
+    "growth orbit": (["growth"], []),
     # every family but free and zn_semidirect: those of the fixtures, and zn under sanov
     "fixtures": (
         [

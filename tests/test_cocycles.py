@@ -1,5 +1,6 @@
 """Cocycle constructors, pinned values, identities and transforms."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from oracles import (
     bitstream_parity,
     bs_reference,
+    check_cycle_invariance_all_pairs,
     code_word,
     crc_coboundary,
     f2xz_reference,
@@ -212,6 +214,35 @@ def test_lift_to_a_finite_wreath_product_must_be_invariant_on_the_cycle(m):
         assert err.value.path == "cocycle.base"
     for base in ({"kind": "bitstream", "pre": [0]}, {"kind": "trivial"}):
         assert verify_cocycle_identity(build_cocycle({"kind": "lift", "base": base}, G), samples=2000, radius=4).passed
+
+
+def _refusal(check, *args):
+    try:
+        check(*args)
+    except SpecError as exc:
+        return exc.path, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_the_cycle_check_compares_the_pairs_at_the_last_lamp_as_all_pairs_would(m):
+    """`check_lift_base` compares the 2m - 1 basis pairs that touch index
+    m - 1; it accepts and refuses, with the same first pair, as the check of
+    all m² pairs does, over the trivial base and every bitstream with at
+    most four bits of preperiod and period."""
+    G = get_group({"family": "wreath", "base": "Z2", "acting": m})
+    lamps = G.base_group()
+    specs = [{"kind": "trivial"}]
+    for size in range(5):
+        for bits in itertools.product((0, 1), repeat=size):
+            specs += [{"kind": "bitstream", "pre": list(bits[:i]), "period": list(bits[i:])} for i in range(size + 1)]
+    refused = 0
+    for spec in specs:
+        base = build_cocycle(spec, lamps)
+        want = _refusal(check_cycle_invariance_all_pairs, G, base)
+        assert _refusal(G.check_lift_base, base) == want, spec
+        refused += want is not None
+    assert len(specs) == 130 and 0 < refused < len(specs)
 
 
 def test_window_below_diagonal_rejected():

@@ -116,7 +116,7 @@ def test_ball_budget_error_reports_the_shell_where_it_ran_out():
     ids=lambda G: G.key,
 )
 def test_ball_is_the_independent_bfs_ball_in_sort_key_order(G):
-    for r in range(4):
+    for r in range(5):
         b = G.ball(r)
         assert set(b) == bfs_ball(G, r)
         keys = [G.sort_key(g.data) for g in b]
@@ -274,11 +274,25 @@ def test_byte_word_keys_order_balls_as_the_tuple_keys(spec, radius):
     assert len({G.sort_key(g.data) for g in b}) == len(b)
 
 
+@pytest.mark.parametrize("radius", range(5))
 @pytest.mark.parametrize("G", ALL + [get_group({"family": "bs_nn", "n": 3})], ids=lambda G: G.key)
-def test_class_and_commuting_ball_equal_the_compose_loops(G):
+def test_class_and_commuting_ball_equal_the_compose_loops(G, radius):
+    ball = bfs_ball(G, radius)
     for g in G.ball(2)[:15]:
-        assert conjugacy_class_partial(g, 2) == class_by_compose(g, 2)
-        assert commuting_ball(g, 2) == commuting_by_compose(g, 2)
+        assert conjugacy_class_partial(g, radius) == class_by_compose(g, radius, ball)
+        assert commuting_ball(g, radius) == commuting_by_compose(g, radius, ball)
+
+
+def test_the_class_walk_answers_where_the_ball_outgrows_the_budget():
+    """The class of a in BS(2,2) doubles with each layer: 2,048 elements at
+    radius 11, where the ball holds 30,695.  The node budget counts the
+    class elements walked, so 10,000 nodes answer and 1,000 do not."""
+    g = BS.word("a")
+    cls = conjugacy_class_partial(g, 11, node_budget=10_000)
+    assert len(cls) == 2048 and cls == class_by_compose(g, 11)
+    with pytest.raises(BudgetExceededError, match="^class enumeration exceeded 1000 nodes at radius 10$") as exc:
+        conjugacy_class_partial(g, 11, node_budget=1000)
+    assert (exc.value.nodes, exc.value.radius) == (1001, 10)
 
 
 def test_kernel_package_reexports_pure_python_kernels():

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from ..errors import SpecError
-from ..groups import Element, Group, _int, get_group
+from ..groups import Element, ZExtension, _int, get_group
 
 
-class WreathZ(Group):
+class WreathZ(ZExtension):
     """Wreath product (sum of base over the acting group) x| acting group.
 
     base is "Z" or "Z2"; acting is the integers, or Z_m when a modulus is
@@ -16,7 +16,6 @@ class WreathZ(Group):
     """
 
     family = "wreath"
-    base_names = ("base",)
 
     def __init__(self, base: str = "Z", acting_modulus: int | None = None):
         if base not in ("Z", "Z2"):
@@ -34,22 +33,24 @@ class WreathZ(Group):
             lamps["modulus"] = acting_modulus
         else:
             self.icc = True  # acting group is infinite
-        self._lamps = get_group(lamps)
-
-    def base_group(self) -> Group:
-        return self._lamps
+        self._base = get_group(lamps)
 
     def act(self, k: int, y):
         """The lamp payload y shifted by k."""
-        return self._lamps.shift(y, k)
+        return self._base.shift(y, k)
+
+    def _base_generators(self):
+        return [((0, 1),), ((0, -1),)] if self.base == "Z" else [(0,)]
+
+    def _base_size(self, x) -> int:
+        return sum(abs(v) for _, v in x) if self.base == "Z" else len(x)
 
     def check_lift_base(self, base) -> None:
         """Refuse a base cocycle that lives off the lamp group or is not
         invariant under the shift, so that its lift would not be a cocycle."""
-        expected = self._lamps
-        if base.group.key != expected.key:
+        if base.group.key != self._base.key:
             raise SpecError(
-                f"lift base must live on {expected.key}, got {base.group.key}",
+                f"lift base must live on {self._base.key}, got {base.group.key}",
                 path="cocycle.base",
             )
         if base.kind in ("theta", "bitstream") and not base.invariant:
@@ -65,46 +66,16 @@ class WreathZ(Group):
         for j, k in [(j, last) for j in range(last)] + [(last, k) for k in range(last + 1)]:
             if base._angle((j,), (k,)) != base._angle(self.act(1, (j,)), self.act(1, (k,))):
                 raise SpecError(
-                    f"lift base is not invariant under the cyclic shift of {expected.key}: "
+                    f"lift base is not invariant under the cyclic shift of {self._base.key}: "
                     f"it changes on the basis pair (e{j}, e{k})",
                     path="cocycle.base",
                 )
-
-    def _identity_data(self):
-        return ((), 0)
-
-    def _mul(self, a, b):
-        (x, k), (y, l) = a, b
-        kk = k + l
-        if self.m is not None:
-            kk %= self.m
-        return (self._lamps._mul(x, self.act(k, y)), kk)
-
-    def _inv(self, a):
-        x, k = a
-        kk = -k if self.m is None else (-k) % self.m
-        return (self.act(kk, self._lamps._inv(x)), kk)
-
-    def _generators(self):
-        shift = ((), 1)
-        shift_inv = ((), -1 if self.m is None else (self.m - 1))
-        if self.base == "Z":
-            return [(((0, 1),), 0), (((0, -1),), 0), shift, shift_inv]
-        return [((0,), 0), shift, shift_inv]
 
     def pair(self, base_elem: Element, shift: int) -> Element:
         """Assemble (x, k) from a base-group element and a shift."""
         if self.m is not None:
             shift %= self.m
         return self.element((base_elem.data, shift))
-
-    def sort_key(self, data):
-        x, k = data
-        if self.base == "Z":
-            xkey = (sum(abs(v) for _, v in x), tuple(sorted(x)))
-        else:
-            xkey = (len(x), tuple(x))
-        return (xkey[0] + abs(k), abs(k), 0 if k >= 0 else 1, xkey[1])
 
     def length(self, g: Element) -> int:
         """Exact word length for the standard generators (lamp at 0, shift).
@@ -115,7 +86,7 @@ class WreathZ(Group):
         """
         x, k = g.data
         positions = [i for i, _ in x] if self.base == "Z" else list(x)
-        lamps = self._lamps.length(Element(self._lamps, x))
+        lamps = self._base.length(Element(self._base, x))
         if self.m is not None:
             return lamps + self._cycle_walk(positions, k)
         pts = positions + [0, k]
@@ -141,15 +112,11 @@ class WreathZ(Group):
             best = min(best, span + min(s + span - e, span - s + e))
         return best
 
-    def describe(self, data) -> str:
-        x, k = data
-        return f"({x}, t^{k})"
-
     def element_to_json(self, g: Element):
         x, k = g.data
-        return {"x": self._lamps.element_to_json(Element(self._lamps, x)), "k": k}
+        return {"x": self._base.element_to_json(Element(self._base, x)), "k": k}
 
     def element_from_json(self, obj) -> Element:
         if not isinstance(obj, dict) or set(obj) != {"x", "k"}:
             raise SpecError('wreath element must be {"x": ..., "k": int}')
-        return self.pair(self._lamps.element_from_json(obj["x"]), _int(obj["k"], "k"))
+        return self.pair(self._base.element_from_json(obj["x"]), _int(obj["k"], "k"))

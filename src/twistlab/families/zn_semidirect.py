@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import SpecError
-from ..groups import Element, Group, _int, get_group, intern
+from ..groups import Element, ZExtension, _int, get_group, intern
 from .zn import SkewFormCocycle, Zn
 
 
@@ -54,11 +54,10 @@ def _det_inverse(A) -> tuple[int, tuple | None]:
     return int(det), tuple(tuple(int(v) for v in row[n:]) for row in M) if abs(det) == 1 else None
 
 
-class ZnSemidirectZ(Group):
+class ZnSemidirectZ(ZExtension):
     """Z^n x| Z, the integers acting through powers of an integer matrix."""
 
     family = "zn_semidirect"
-    base_names = ("base",)
 
     def __init__(self, matrix):
         if not (
@@ -85,10 +84,7 @@ class ZnSemidirectZ(Group):
             self.icc = abs(trace) > 1 + self.det
         else:
             self.icc = None
-        self._lattice = get_group({"family": "zn", "n": n})
-
-    def base_group(self) -> Group:
-        return self._lattice
+        self._base = get_group({"family": "zn", "n": n})
 
     def act(self, k: int, y):
         """The lattice payload y moved by A^k."""
@@ -110,35 +106,16 @@ class ZnSemidirectZ(Group):
         The group keeps at most `TABLE_SIZE` powers."""
         return intern(self._powers, k, lambda: _mat_pow(self.A if k > 0 else self.A_inv, abs(k)))
 
-    def _identity_data(self):
-        return ((0,) * self.n, 0)
-
-    def _mul(self, a, b):
-        (x, k), (y, l) = a, b
-        return (self._lattice._mul(x, self.act(k, y)), k + l)
-
-    def _inv(self, a):
-        x, k = a
-        return (self.act(-k, self._lattice._inv(x)), -k)
-
-    def _generators(self):
-        zero = self._lattice._identity_data()
-        return [(e, 0) for e in self._lattice._generators()] + [(zero, 1), (zero, -1)]
-
     def pair(self, vector, k: int) -> Element:
         return self.element((tuple(int(v) for v in vector), int(k)))
 
-    def sort_key(self, data):
-        x, k = data
-        return (sum(abs(v) for v in x) + abs(k), abs(k), 0 if k >= 0 else 1, x)
+    def _base_size(self, x) -> int:
+        return sum(map(abs, x))
 
     def length(self, g: Element) -> int:
         # documented proxy: translation part in the L1 norm plus the shift
         x, k = g.data
-        return sum(abs(v) for v in x) + abs(k)
-
-    def describe(self, data) -> str:
-        return f"({data[0]}, t^{data[1]})"
+        return self._base_size(x) + abs(k)
 
     def element_to_json(self, g: Element):
         return {"v": list(g.data[0]), "k": g.data[1]}
@@ -146,4 +123,4 @@ class ZnSemidirectZ(Group):
     def element_from_json(self, obj) -> Element:
         if not isinstance(obj, dict) or set(obj) != {"v", "k"}:
             raise SpecError('zn_semidirect element must be {"v": [...], "k": int}')
-        return self.pair(self._lattice.element_from_json(obj["v"]).data, _int(obj["k"], "k"))
+        return self.pair(self._base.element_from_json(obj["v"]).data, _int(obj["k"], "k"))

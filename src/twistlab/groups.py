@@ -135,6 +135,7 @@ class Group:
     abelian = False
     icc: bool | None = None
     finite = False
+    _diameter: int | None = None  # a finite group's, once `whole` has walked it
     _center: Subgroup | None = None
     base_names: tuple[str, ...] = ()  # what `resolve_subgroup` calls the normal subgroup `base_group()`
 
@@ -244,9 +245,22 @@ class Group:
         if radius < 0:
             raise SpecError("ball radius must be nonnegative", path="radius")
         found = self._ball_cache.get(radius, node_budget)
-        if found is not None:
-            return found
-        nodes = [(d, r) for r, layer in enumerate(_layers(self._nodes(radius), node_budget, "ball")) for d in layer]
+        return found if found is not None else self._enumerate(radius, node_budget)
+
+    def whole(self, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[tuple[Element, ...], int]:
+        """A finite group's elements, sorted canonically, and its diameter,
+        from one walk to the last layer that is kept as the ball of that radius."""
+        if self._diameter is None:
+            self._enumerate(None, node_budget)
+        return self.ball(self._diameter, node_budget), self._diameter
+
+    def _enumerate(self, radius: int | None, node_budget: int) -> tuple[tuple[Element, ...], tuple[int, ...]]:
+        """Enumerate, sort and keep the ball of `radius`; None walks a finite
+        group to its last layer, whose radius is the diameter."""
+        layers = list(_layers(self._nodes(radius), node_budget, "ball"))
+        if radius is None:
+            radius = self._diameter = len(layers) - 1
+        nodes = [(d, r) for r, layer in enumerate(layers) for d in layer]
         key = self.sort_key
         nodes.sort(key=lambda node: key(node[0]))
         out = tuple(Element(self, d) for d, _ in nodes)
@@ -271,10 +285,6 @@ class Group:
         elif (center := self.center()) is not None:
             powers = (center.embed(center.inner.element((c,))) for c in range(-radius, radius + 1) if c)
             yield from self.sorted_elements(g.data for g in powers if self.length(g) <= radius)
-
-    def _finite_diameter(self, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
-        """The radius of the largest shell; for finite groups only."""
-        return sum(1 for _ in _layers(self._nodes(None), node_budget, "ball")) - 1
 
     def check_lift_base(self, base) -> None:
         """Refuse a cocycle on `base_group()` whose lift to this group is
@@ -458,6 +468,44 @@ class Subgroup:
     def contains(self, g: Element) -> bool:
         self.ambient.check(g)
         return self.project(g) is not None
+
+
+class ZExtension(Group):
+    """H x| Z, or H x| Z_m when `m` is set: payloads (x, k) over the base group
+    `_base`, with (x, k)(y, l) = (x act(k, y), k + l).  A family gives `act`,
+    its base generators and the base size that leads the sort key."""
+
+    base_names = ("base",)
+    m: int | None = None
+
+    def base_group(self) -> Group:
+        return self._base
+
+    def _base_generators(self) -> list:
+        return self._base._generators()
+
+    def _identity_data(self):
+        return (self._base._identity_data(), 0)
+
+    def _mul(self, a, b):
+        (x, k), (y, l) = a, b
+        return (self._base._mul(x, self.act(k, y)), k + l if self.m is None else (k + l) % self.m)
+
+    def _inv(self, a):
+        x, k = a
+        k = -k if self.m is None else -k % self.m
+        return (self.act(k, self._base._inv(x)), k)
+
+    def _generators(self):
+        e = self._base._identity_data()
+        return [(x, 0) for x in self._base_generators()] + [(e, 1), (e, -1 if self.m is None else self.m - 1)]
+
+    def sort_key(self, data):
+        x, k = data
+        return (self._base_size(x) + abs(k), abs(k), 0 if k >= 0 else 1, x)
+
+    def describe(self, data) -> str:
+        return f"({data[0]}, t^{data[1]})"
 
 
 def resolve_subgroup(group: Group, name: str) -> Subgroup:

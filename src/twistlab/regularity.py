@@ -247,7 +247,8 @@ def is_sigma_regular(
             witness, val = _prime_rule_witness(base, g)
             return RegularityReport(g, "not_regular", witness=witness, detail=f"row phase {val!r}")
         positions, values = _support(base, g)
-        rows = certified_row_range(base, positions)
+        # a finite quotient of the line has one row per index below its modulus
+        rows = range(G.modulus) if G.finite else certified_row_range(base, positions)
         D, rat, syms = _row_sums(base, positions, rows, values)
         bad = next((row for row in zip(rows, rat, *syms) if any(row[1:])), None)
         if bad is None:

@@ -331,8 +331,7 @@ def _finite_exhaustive(group: Group, sigma: Cocycle, node_budget: int, sub: Subg
     given, by enumerating the whole group: the first element outside the
     subgroup (or nontrivial) with no asymmetric partner in the subgroup (or
     in the group) refutes it."""
-    diameter = group._finite_diameter(node_budget)
-    full = group.ball(diameter, node_budget)
+    full, diameter = group.whole(node_budget)
     if sub is None:
         inside, pool = Element.is_identity, full
     else:

@@ -1,6 +1,7 @@
 """Normal forms, multiplication, conjugation, balls and lengths per family."""
 
 import gc
+import hashlib
 import random
 import weakref
 
@@ -360,7 +361,8 @@ def test_finite_wreath_length_is_the_bfs_radius(m):
 
 def test_finite_wreath_order():
     FW = get_group({"family": "wreath", "base": "Z2", "acting": 3})
-    assert len(FW.ball(FW._finite_diameter())) == 24
+    ball, diameter = FW.whole()
+    assert len(ball) == 24 and FW.ball(diameter) == ball and len(FW.ball(diameter - 1)) < 24
 
 
 def test_element_json_roundtrip():
@@ -630,3 +632,55 @@ def test_a_smaller_ball_is_the_elements_of_the_larger_that_entered_by_its_radius
         assert fresh == served[r] == want == G.ball_entries(r)
         assert G.ball(r) == want[0]
     G._ball_cache.clear()
+
+
+# sha256 of ball(4) as (payload, entry radius) pairs in ball order, and of every
+# product and inverse over ball(2) x ball(2), recorded while `wreath` and
+# `zn_semidirect` each wrote their own group law and sort key: the ball test
+# above compares the order with the group's own key only, so it cannot see a
+# changed key
+Z_EXTENSION_DIGESTS = [
+    (
+        {"family": "wreath", "base": "Z"},
+        "db8e43a34f4b95d84de5a35a94bd42e905a24bb51f3de1e619f801b213c1074e",
+        "95ab5a3bea2789265be4e521ba8d384e9b1aae574c9c05e4a0d6ba74fa434304",
+    ),
+    (
+        {"family": "wreath", "base": "Z2"},
+        "a943a7068192f23589ade949c73372a264f924f146139530a80d3bd0f19dfb13",
+        "fcf627c5bf18316453c03bb29d1fea833a09dc19f663a30fab0f7c5804aaf612",
+    ),
+    (
+        {"family": "wreath", "base": "Z2", "acting": 3},
+        "05a626d468baad8992683aee06668a4b10a2972940f10dfdb96b16f06af62a31",
+        "ef56ebf3e556fc6c880d81a483ff2c2d2f655de9bcfbf54a03a1975e1b1a7882",
+    ),
+    (
+        {"family": "zn_semidirect", "A": [[2, 1], [1, 1]]},
+        "d945ae32e2e82341ba80d46b3a450183ad4411c81318bc7fbbf1d7c78e8ac16e",
+        "37db0ce82ffe1006a1e3e16ed1b1f513ae751267922869b5b233dd662eeb88e4",
+    ),
+    (
+        {"family": "zn_semidirect", "A": [[0, 1, 0], [0, 0, 1], [1, 1, 0]]},
+        "7893563d759a88a72589248621354237fafe6ecc541bd4044d944740c105c652",
+        "25c2ef2c5c0a1e19815c1c8d9a97fd23be383ac64a24e68a06c88e25c003a9d0",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, ball_digest, product_digest",
+    Z_EXTENSION_DIGESTS,
+    ids=["wreath_Z", "wreath_Z2", "wreath_Z2_acting_3", "zn_semidirect_2x2", "zn_semidirect_3x3"],
+)
+def test_z_extension_balls_and_products_match_their_frozen_digests(spec, ball_digest, product_digest):
+    G = get_group(spec)
+    ball, entries = G.ball_entries(4)
+    near = G.ball(2)
+    products = [G.compose(g, h).data for g in near for h in near] + [G.invert(g).data for g in near]
+
+    def sha(obj) -> str:
+        return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+    assert sha([(g.data, e) for g, e in zip(ball, entries)]) == ball_digest
+    assert sha(products) == product_digest

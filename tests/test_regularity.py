@@ -1329,3 +1329,86 @@ def test_every_regularity_rule_fires_on_a_pinned_input():
     for rule, report in pinned.items():
         assert report.status == "regular" and report.rule == rule, (rule, report)
     assert set(pinned) == _regularity_rule_literals()
+
+
+DEFINITION_PHASES = ([1, 2], [1, 3], [1, 4], R)  # rational, and a symbol
+BITSTREAMS = ({"pre": [1]}, {"period": [1]}, {"pre": [0, 1], "period": [0, 1]}, {"pre": [1], "period": [1, 0, 0]})
+
+
+def _lift(base: dict) -> dict:
+    return {"kind": "lift", "base": base}
+
+
+# group spec and the cocycle specs on it whose regularity reports are checked
+DEFINITION_CASES = {
+    "sum_z": ({"family": "sum_z"}, [
+        spec for p in DEFINITION_PHASES for spec in (
+            {"kind": "theta_diag", "diagonals": [p]},
+            {"kind": "theta_diag", "period": [p, [0, 1]]},
+            {"kind": "theta_window", "entries": [[0, 1, p], [-1, 1, [1, 3]]]},
+        )
+    ]),
+    "sum_z2": ({"family": "sum_z2"}, [{"kind": "bitstream", **bits} for bits in BITSTREAMS]),
+    # ball(3) is the whole group: its rows are the indices below the modulus, not the line's
+    "sum_z2_modulus_3": ({"family": "sum_z2", "modulus": 3}, [
+        {"kind": "bitstream", **bits} for bits in (*BITSTREAMS, {"pre": [0, 0], "period": [1]})
+    ]),
+    "zn": ({"family": "zn", "n": 2}, [
+        spec for p in DEFINITION_PHASES for spec in ({"kind": "antisym_theta", "theta": p}, {"kind": "half_skew", "mu0": p})
+    ]),
+    "bs_nn_2": ({"family": "bs_nn", "n": 2}, [{"kind": "bs", "lambda": p} for p in DEFINITION_PHASES]),
+    "bs_nn_3": ({"family": "bs_nn", "n": 3}, [{"kind": "bs", "lambda": p} for p in DEFINITION_PHASES]),
+    "sanov": ({"family": "sanov"}, [{"kind": "sanov", "mu0": p, "mu1": [1, 3], "mu2": [1, 5]} for p in DEFINITION_PHASES]),
+    "free_times_z": ({"family": "free_times_z"}, [{"kind": "f2xz", "mu": p, "nu": [1, 3]} for p in DEFINITION_PHASES]),
+    "wreath_Z": ({"family": "wreath", "base": "Z"}, [
+        _lift({"kind": "theta_diag", "diagonals": [p]}) for p in DEFINITION_PHASES
+    ]),
+    "wreath_Z2": ({"family": "wreath", "base": "Z2"}, [_lift({"kind": "bitstream", **bits}) for bits in BITSTREAMS[2:]]),
+    # the only bitstreams that are invariant around the 3-cycle vanish on it
+    "wreath_Z2_acting_3": ({"family": "wreath", "base": "Z2", "acting": 3}, [
+        _lift({"kind": "bitstream", "pre": [0, 0], "period": [1]}), _lift({"kind": "trivial"}),
+    ]),
+    "zn_semidirect": ({"family": "zn_semidirect", "A": [[2, 1], [1, 1]]}, [
+        _lift(spec) for p in DEFINITION_PHASES for spec in ({"kind": "antisym_theta", "theta": p}, {"kind": "half_skew", "mu0": p})
+    ]),
+}
+
+
+@pytest.mark.parametrize("group_spec, cocycle_specs", DEFINITION_CASES.values(), ids=DEFINITION_CASES)
+def test_regularity_reports_agree_with_the_definition_on_a_ball(group_spec, cocycle_specs):
+    """g is sigma-regular when sigma(g,h) = sigma(h,g) for every h that
+    commutes with g (Kleppner, Duke Math. J. 1962).  Each report of
+    `is_sigma_regular` at radius 3, for each g in ball(2), is checked against
+    that definition with `compose`, `eval` and `ball` alone, so the
+    certificate rules are checked without their family algebra:
+
+    - `regular` and `no_witness_up_to` 3: no h in ball(3) commutes with g and
+      has sigma(g,h) != sigma(h,g).  A ball can refute `regular`, never prove it.
+    - `not_regular`: the witness commutes with g and its two phases differ.
+
+    On the Z-extensions, `is_regular_wrt_subgroup(..., "base")` is checked the
+    same way, over the base subgroup's ball(3), and its witness must lie in
+    the base subgroup."""
+    G = get_group(group_spec)
+    near = G.ball(2)
+    base = resolve_subgroup(G, "base") if group_spec["family"] in ("wreath", "zn_semidirect") else None
+    pools = {"full": G.ball(3), **({"base": base.ball(3)} if base else {})}
+    commuting = {
+        (name, g): [h for h in pool if G.compose(g, h) == G.compose(h, g)] for name, pool in pools.items() for g in near
+    }
+    for spec in cocycle_specs:
+        sigma = build_cocycle(spec, G)
+
+        def asymmetric(g, h) -> bool:
+            return sigma.eval(g, h) != sigma.eval(h, g)
+
+        for (name, g), partners in commuting.items():
+            rep = is_sigma_regular(sigma, g, 3) if name == "full" else is_regular_wrt_subgroup(sigma, g, base, 3)
+            where = (spec, name, g, rep)
+            if rep.status == "not_regular":
+                w = rep.witness
+                assert G.compose(g, w) == G.compose(w, g) and asymmetric(g, w), where
+                assert name == "full" or base.contains(w), where
+            else:
+                assert rep.status == "regular" or (rep.status, rep.radius) == ("no_witness_up_to", 3), where
+                assert not any(asymmetric(g, h) for h in partners), where

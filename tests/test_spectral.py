@@ -788,3 +788,37 @@ def test_stable_rank_stops_when_power_leaves_ball():
         assert all(row["proxy"] > 0 for row in run["proxies"])
         assert run["final_proxy"] == run["proxies"][-1]["proxy"]
         assert run["margin"] == run["l2"] - run["final_proxy"]
+
+
+# (theta of `antisym_theta`, the norm of a + A + b + B) at rotation 2 theta = 1/2 and 1/3
+HARPER_BAND_EDGES = [([1, 4], 2 * math.sqrt(2)), ([1, 6], 1 + math.sqrt(3))]
+
+
+@pytest.mark.parametrize("theta, reference", HARPER_BAND_EDGES)
+def test_rotation_algebra_compressions_stay_below_the_harper_band_edge(theta, reference):
+    """Exact references for twisted compressions on Z^2.
+
+    With `antisym_theta` theta, U = lambda_sigma(e1) and V = lambda_sigma(e2)
+    satisfy UV = e^(2 pi i alpha) VU with alpha = 2 theta.  For alpha = p/q
+    the rotation algebra is the algebra of sections of a q x q matrix
+    bundle over the 2-torus (Rieffel, Pacific J. Math. 1981; Boca, Rotation
+    C*-algebras and almost Mathieu operators, 2001), so ||U + U* + V + V*||
+    is the largest norm of Harper's q x q symbol, taken at the band-edge
+    phases (Chambers, Phys. Rev. 1965): 2 sqrt 2 at alpha = 1/2 and 1 + sqrt 3
+    at alpha = 1/3.
+
+    A ball compression is a corner of lambda_sigma(f), so no radius's value
+    exceeds the reference; the margin covers only the rounding of a product
+    of unit-modulus entries in doubles.  A corner of a larger ball contains
+    the smaller one, so the exact compression norms do not decrease; the
+    solver's values do not decrease up to its relative `tol`.  No lower band
+    is asserted: none is proven here.
+    """
+    tol = 1e-8
+    sigma = build_cocycle({"kind": "antisym_theta", "theta": theta}, Z2)
+    f = FiniteFunction(Z2, {Z2.element_from_json(v): 1.0 for v in ([1, 0], [-1, 0], [0, 1], [0, -1])})
+    reports = truncated_norm_sequence(f, sigma, 12, tol=tol)
+    values = [rep.value for rep in reports]
+    assert all(rep.converged for rep in reports)
+    assert max(values) <= reference * (1 + 1e-12), (values, reference)
+    assert all(b >= a * (1 - tol) for a, b in zip(values, values[1:])), values

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import crc_coboundary
 
 from twistlab.cocycles import TrivialCocycle, build_cocycle, SimilarTwist, CoboundaryFn
-from twistlab.errors import SpecError
+from twistlab.errors import BudgetExceededError, SpecError
 from twistlab.fixtures import FIXTURES, run_fixture_matrix
 from twistlab import groups
 from twistlab.groups import get_group
@@ -225,6 +225,21 @@ def test_f2xz_kleppner():
 def test_finite_group_kleppner():
     v = decide_kleppner(FW, TrivialCocycle(FW))
     assert v.status == "refuted" and v.rule == "finite_exhaustive"
+
+
+def test_the_finite_decider_walks_the_group_once_under_the_callers_budget(monkeypatch):
+    """The walk that finds the diameter is kept as the ball of that radius:
+    a refused walk and one that answers are two walks, not three."""
+    walks = []
+    nodes = FW._nodes
+    monkeypatch.setattr(FW, "_nodes", lambda radius: walks.append(radius) or nodes(radius))
+    monkeypatch.setattr(FW, "_diameter", None, raising=False)
+    FW._ball_cache.clear()
+    with pytest.raises(BudgetExceededError, match="^ball enumeration exceeded 23 nodes at radius 6$"):
+        decide_kleppner(FW, TrivialCocycle(FW), node_budget=23)
+    v = decide_kleppner(FW, TrivialCocycle(FW), node_budget=24)
+    assert (v.status, v.rule, v.witness) == ("refuted", "finite_exhaustive", FW.element(((0,), 0)))
+    assert walks == [None, None]
 
 
 # -- relative Kleppner ---------------------------------------------------------

@@ -62,12 +62,11 @@ def nth_prime(m: int) -> int:
 class Cocycle:
     kind = "abstract"
     # the angles of `_angle`: over `den` (None when each value carries its
-    # own denominator), with one coefficient per symbol in `symbols`
+    # own denominator), with one coefficient per symbol in `symbols`; the
+    # constructor fixes them and `basis`, and nothing changes them after
     den: int | None = 1
     symbols: tuple[str, ...] = ()
     basis: IrrationalBasis | None = None
-    # the earlier `symbols` of a cocycle that `_own_angle` widened, by length
-    _earlier: dict[int, tuple[str, ...]] = {}
 
     def __init__(self, group: Group):
         self.group = group
@@ -88,34 +87,18 @@ class Cocycle:
     def eval(self, g: Element, h: Element) -> Phase:
         self.group.check(g)
         self.group.check(h)
-        return self._eval(g.data, h.data)
-
-    def _eval(self, a, b) -> Phase:
-        return self.phase(self._angle(a, b))
+        return self.phase(self._angle(g.data, h.data))
 
     def _angle(self, a, b) -> Angle:
         """sigma on two payloads, as an integer angle."""
         raise NotImplementedError("Cocycle._angle")
 
     def phase(self, angle: Angle) -> Phase:
-        return Phase.of_angle(angle, self._earlier.get(len(angle[1]), self.symbols), self.basis)
-
-    def _own_angle(self, p: Phase) -> Angle:
-        """A Phase as an angle over its own denominator, first taking in its
-        basis and symbols; `phase` and `complex_values` read angles over the
-        earlier symbols by name."""
-        if p.basis is not None and p.basis is not self.basis:
-            self.basis = _merge_bases(self.basis, p.basis)
-        if p.syms != self.symbols and not set(p.syms).issubset(self.symbols):
-            self._earlier = {**self._earlier, len(self.symbols): self.symbols}
-            self.symbols = tuple(sorted({*self.symbols, *p.syms}))
-        return p.angle(p.den, self.symbols)
+        return Phase.of_angle(angle, self.symbols, self.basis)
 
     def complex_values(self, angles):
         """The circle values of a batch of angles, as a numpy complex128
         array equal to their Phases' ``to_complex``."""
-        if self._earlier:
-            angles = [self.phase(a).angle(a[2], self.symbols) for a in angles]
         return angles_to_complex(angles, self.symbols, self.basis)
 
     def structural(self) -> Cocycle:
@@ -199,13 +182,16 @@ class LiftCocycle(Cocycle):
 class CoboundaryFn:
     """A circle-valued function b with b(identity) = 0, as angles.
 
-    Its values are rational, or use only the symbols of the cocycle that a
-    similarity twists with it.
+    Its values are rational, or use the symbols of `basis`, the basis that
+    their Phases carry; a value with another symbol is refused when a
+    coboundary meets it (ConfigurationError).
     """
 
-    def __init__(self, group: Group, fn: Callable[[Element], Phase]):
+    def __init__(self, group: Group, fn: Callable[[Element], Phase], basis: IrrationalBasis | None = None):
         self.group = group
         self.fn = fn
+        self.basis = basis
+        self.symbols = tuple(sorted(basis.symbols)) if basis else ()
         if not fn(group.identity()).is_zero():
             raise ConfigurationError("coboundary function must vanish on the identity")
 
@@ -219,7 +205,7 @@ class CoboundaryFn:
 
 class CoboundaryCocycle(Cocycle):
     """The 2-coboundary of b: (g,h) -> b(g) + b(h) - b(gh) as angles, over
-    the symbols of the values met so far (``Cocycle._own_angle``)."""
+    the symbols and basis of b."""
 
     kind = "coboundary"
 
@@ -228,34 +214,36 @@ class CoboundaryCocycle(Cocycle):
     def __init__(self, b: CoboundaryFn):
         super().__init__(b.group)
         self.b = b
-
-    def _eval(self, a, bdat) -> Phase:
-        G = self.group
-        g = G.element(a)
-        h = G.element(bdat)
-        return self.b(g) * self.b(h) * self.b(G.compose(g, h)).inverse()
+        self.symbols, self.basis = b.symbols, b.basis
 
     def _angle(self, a, bdat) -> Angle:
-        return self._own_angle(self._eval(a, bdat))
+        G = self.group
+        g, h = G.element(a), G.element(bdat)
+        p = self.b(g) * self.b(h) * self.b(G.compose(g, h)).inverse()
+        return p.angle(p.den, self.symbols)
 
 
 class SimilarTwist(Cocycle):
-    """sigma multiplied by the conjugate coboundary of b (a similar cocycle)."""
+    """sigma multiplied by the conjugate coboundary of b (a similar cocycle),
+    over the symbols of both: b's values may use the symbols of its basis,
+    which must be sigma's basis when sigma has one (ConfigurationError)."""
 
     kind = "similar"
+
+    den = None
 
     def __init__(self, base: Cocycle, b: CoboundaryFn):
         if b.group.key != base.group.key:
             raise ConfigurationError("coboundary must live on the cocycle's group")
         super().__init__(base.group)
         self.base = base
-        self.b = b
         self._db = CoboundaryCocycle(b)
-        self._share(base)
-        self.den = None
+        self.symbols = tuple(sorted({*base.symbols, *b.symbols}))
+        self.basis = _merge_bases(base.basis, b.basis)
 
     def _angle(self, a, bdat) -> Angle:
-        return self._own_angle(self.base._eval(a, bdat) * self._db._eval(a, bdat).inverse())
+        p = self.base.phase(self.base._angle(a, bdat)) * self._db.phase(self._db._angle(a, bdat)).inverse()
+        return p.angle(p.den, self.symbols)
 
     def structural(self) -> Cocycle:
         return self.base.structural()

@@ -100,9 +100,12 @@ class FreeTimesZCharCocycle(Cocycle):
 
 
 class ProductCocycle(Cocycle):
-    """Product cocycle on F2 x Z: a factor on each of the two direct factors."""
+    """Product cocycle on F2 x Z: a factor on each of the two direct factors,
+    over the symbols of both."""
 
     kind = "product"
+
+    den = None
 
     def __init__(self, group: FreeTimesZ, left: Cocycle, right: Cocycle):
         super().__init__(group)
@@ -112,9 +115,9 @@ class ProductCocycle(Cocycle):
             raise SpecError("product right factor must live on zn[1]", path="cocycle.right")
         self.left = left
         self.right = right
-        self.den = None
         self.symbols = tuple(sorted({*left.symbols, *right.symbols}))
         self.basis = _merge_bases(left.basis, right.basis)
 
     def _angle(self, a, b) -> Angle:
-        return self._own_angle(self.left._eval(a[0], b[0]) * self.right._eval((a[1],), (b[1],)))
+        p = self.left.phase(self.left._angle(a[0], b[0])) * self.right.phase(self.right._angle((a[1],), (b[1],)))
+        return p.angle(p.den, self.symbols)

@@ -88,8 +88,11 @@ def class_growth_counts(
     """Bin a partial conjugacy class into unit shells of kappa.
 
     Counts are certified lower bounds for the true shell sizes and are
-    monotone in the search radius.
+    monotone in the search radius.  Each shell is a count of the report, so
+    more shells than the node budget is a spec error at `kmax`.
     """
+    if k_max > node_budget:
+        raise SpecError(f"{k_max} is above the node budget {node_budget}: each shell is a count of the report", path="kmax")
     counts: dict[int, int] = {k: 0 for k in range(1, k_max + 1)}
     for h in conjugacy_class_partial(g, radius, node_budget):
         weight = kappa(h)

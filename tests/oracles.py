@@ -346,7 +346,7 @@ def fraction_combination(*terms) -> tuple[Fraction, tuple[tuple[str, Fraction], 
 def crc_coboundary(group, basis=None) -> CoboundaryFn:
     """b(g) = crc32(repr(g.data)) mod 7 / 7 and b(e) = 0: a fixed, scattered
     function to twist a cocycle by.  With `basis`, b(g) is that number times
-    the symbol "r" instead, a symbolic coboundary."""
+    the symbol "r" instead, a symbolic coboundary over that basis."""
     e = group.identity()
 
     def b(g):
@@ -355,7 +355,7 @@ def crc_coboundary(group, basis=None) -> CoboundaryFn:
         c = Fraction(zlib.crc32(repr(g.data).encode()) % 7, 7)
         return Phase(0, {"r": c}, basis) if basis else Phase(c)
 
-    return CoboundaryFn(group, b)
+    return CoboundaryFn(group, b, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -632,9 +632,9 @@ def bitstream_parity(sigma_mu) -> CoboundaryFn:
     def fn(g) -> Phase:
         x0 = tuple(i for i in g.data if i % 2 == 0)
         x1 = tuple(i for i in g.data if i % 2 != 0)
-        return sigma_mu._eval(x0, x1)
+        return sigma_mu.phase(sigma_mu._angle(x0, x1))
 
-    return CoboundaryFn(sigma_mu.group, fn)
+    return CoboundaryFn(sigma_mu.group, fn, sigma_mu.basis)
 
 
 def finite_bandwidth_reference(sigma: ThetaCocycle) -> int | None:

@@ -530,6 +530,20 @@ def test_growth_class_on_a_finite_lamplighter_stays_in_its_budget(capsys):
     assert json.loads(out)["counts"]
 
 
+def test_growth_class_refuses_more_shells_than_its_node_budget(capsys):
+    """Each shell is a count of the report, so `--kmax` is bounded by the
+    node budget: one shell more is a spec error at `kmax` before any walk,
+    and as many shells as the budget answer."""
+    argv = ("growth", "class", "--group", '{"family":"free","rank":2}', "--g", '"a"', "--radius", "2")
+    code, out, _ = run_cli(capsys, *argv, "--kmax", "1000001")
+    assert code == 1
+    assert json.loads(out)["path"] == "kmax"
+    code, out, _ = run_cli(capsys, *argv, "--kmax", "40", "--nodes", "39")
+    assert (code, json.loads(out)["path"]) == (1, "kmax")
+    code, out, _ = run_cli(capsys, *argv, "--kmax", "40", "--nodes", "40")
+    assert code == 0 and len(json.loads(out)["counts"]) == 40
+
+
 def test_growth_orbit_subcommand(capsys):
     code, out, _ = run_cli(capsys, "growth", "orbit", "--nu1", "[1,5]", "--points", "100")
     assert code == 0

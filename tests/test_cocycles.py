@@ -147,11 +147,9 @@ def test_cocycle_identity_all_constructors():
 
 def test_corrupted_evaluator_fails_with_witness():
     class Corrupt(TrivialCocycle):
-        def _eval(self, a, b):
+        def _angle(self, a, b):
             # break the identity off the identity element
-            if a and b:
-                return Phase(Fraction(1, 3))
-            return ZERO
+            return (1, (), 3) if a and b else (0, (), 1)
 
     bad = Corrupt(SZ2)
     rep = verify_cocycle_identity(bad, samples=500, seed=0, radius=2)
@@ -253,6 +251,16 @@ def test_window_below_diagonal_rejected():
     assert err.value.path == "cocycle.entries"
 
 
+THETA_R = {"kind": "theta_diag", "diagonals": [R]}
+HALF = IrrationalBasis({"r": 0.5})
+
+
+def r_off_identity(g) -> Phase:
+    """b(g) = r off the identity: its coboundary takes the value r, a symbol
+    that the coboundary does not declare unless it is given a basis."""
+    return Phase(0, {"r": 1}, BASIS) if g.data else ZERO
+
+
 @pytest.mark.parametrize(
     "build, error, path",
     [
@@ -263,6 +271,8 @@ def test_window_below_diagonal_rejected():
         (lambda: ProductCocycle(FZ, TrivialCocycle(F2), TrivialCocycle(Z2)), SpecError, "cocycle.right"),
         (lambda: CoboundaryFn(SZ, lambda g: Phase(Fraction(1, 3))), ConfigurationError, None),
         (lambda: SimilarTwist(TrivialCocycle(SZ), CoboundaryFn.zero(SZ2)), ConfigurationError, None),
+        (lambda: SimilarTwist(build_cocycle(THETA_R, SZ, BASIS), CoboundaryFn(SZ, lambda g: ZERO, HALF)), ConfigurationError, None),
+        (lambda: CoboundaryCocycle(CoboundaryFn(SZ, r_off_identity)).eval(*SZ.ball(1)[1:3]), ConfigurationError, None),
         (lambda: verify_invariance(TrivialCocycle(Z2)), SpecError, None),
     ],
     ids=[
@@ -273,12 +283,17 @@ def test_window_below_diagonal_rejected():
         "product_right_not_z",
         "coboundary_nonzero_at_identity",
         "similar_twist_across_groups",
+        "similar_twist_across_bases",
+        "coboundary_value_outside_its_basis",
         "invariance_off_the_sum_families",
     ],
 )
 def test_library_callers_get_the_constructor_refusals(build, error, path):
     """Checks that only library callers reach: a JSON spec is refused
-    earlier, in `build_cocycle`, or cannot express the input."""
+    earlier, in `build_cocycle`, or cannot express the input.  A
+    coboundary's symbols are those of its basis, fixed when it is built, so
+    a value with another symbol is refused, and a twist by a coboundary
+    over another basis than its cocycle's is refused when built."""
     with pytest.raises(error) as err:
         build()
     if path is not None:
@@ -495,32 +510,34 @@ def test_a_full_cocycle_table_evicts_its_oldest_entry():
     assert [rebuilt.eval(g, h) for g in ball for h in ball] == [built[0].eval(g, h) for g in ball for h in ball]
 
 
-def test_a_shared_cocycle_that_widened_its_symbols_answers_as_a_fresh_one():
-    """A `product` cocycle widens `symbols` when a factor's value carries a
-    symbol it has not met (``Cocycle._own_angle``).  From a spec both factors
+def test_a_shared_cocycle_keeps_the_symbols_it_was_built_with():
+    """A `product` cocycle takes the union of its factors' symbols when it
+    is built, and evaluating never changes them.  From a spec both factors
     are trivial, since no kind with symbols lives on free[2] or zn[1], so
-    here the factors are symbolic coboundaries.  The product is evaluated
-    through the group's table, fetched again and evaluated once more; its
-    values and complex values equal a fresh product's, met in reverse."""
+    here the factors are symbolic coboundaries over one basis of r and s.
+    The product is evaluated through the group's table, fetched again and
+    evaluated once more; its values and complex values equal a fresh
+    product's, met in reverse."""
     two = IrrationalBasis({"r": 0.3819660112501051, "s": 0.25})
     Z1 = FZ.center().inner
 
     def product():
         left = CoboundaryCocycle(crc_coboundary(F2, two))  # values in r
         s = lambda g: Phase(0, {"s": Fraction(g.data[0] ** 2, 5)}, two) if g.data[0] else ZERO
-        return ProductCocycle(FZ, left, CoboundaryCocycle(CoboundaryFn(Z1, s)))
+        return ProductCocycle(FZ, left, CoboundaryCocycle(CoboundaryFn(Z1, s, two)))
 
     ball = FZ.ball(2)
     pairs = [(g, h) for g in ball for h in ball]
     shared = intern(FZ._cocycles, "symbolic product", product)
+    assert shared.symbols == ("r", "s") and shared.basis is two
     first = [shared.eval(g, h) for g, h in pairs]
-    assert set(shared.symbols) == {"r", "s"} and shared._earlier
+    assert shared.symbols == ("r", "s")
     again = intern(FZ._cocycles, "symbolic product", product)
     assert again is shared
     fresh = product()
     want = [fresh.eval(g, h) for g, h in reversed(pairs)][::-1]
     assert [again.eval(g, h) for g, h in pairs] == first == want
-    assert any(p.syms == ("r", "s") for p in want)
+    assert again.symbols == ("r", "s") and any(p.syms == ("r", "s") for p in want)
     angles = [again._angle(g.data, h.data) for g, h in pairs]
     fresh_angles = [fresh._angle(g.data, h.data) for g, h in pairs]
     assert np.array_equal(again.complex_values(angles), fresh.complex_values(fresh_angles))

@@ -117,6 +117,51 @@ def test_regularity_keeps_one_table_on_a_cocycle():
     assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "__dict__"]
 
 
+# what a cocycle's angles are read over, fixed by its constructor, and the
+# helpers of `Cocycle` that set them for constructors
+ANGLE_FIELDS = {"symbols", "basis", "den"}
+ANGLE_SETTERS = {"_fix", "_share"}
+
+
+def _self_attributes_assigned(node: ast.AST) -> set[str]:
+    """The attributes of `self` that one statement assigns."""
+    targets = [*getattr(node, "targets", ()), getattr(node, "target", None)]
+    names = set()
+    while targets:
+        t = targets.pop()
+        if isinstance(t, (ast.Tuple, ast.List)):
+            targets += t.elts
+        elif isinstance(t, ast.Starred):
+            targets.append(t.value)
+        elif isinstance(t, ast.Attribute) and getattr(t.value, "id", None) == "self":
+            names.add(t.attr)
+    return names
+
+
+def test_a_cocycle_fixes_its_angle_fields_when_built():
+    """A cocycle is shared by every build of its spec (`build_cocycle`), so
+    the symbols, basis and denominator its angles are read over are fixed
+    when it is built: no function of the package assigns them on `self`
+    but an `__init__` and `Cocycle._fix` and `_share`, and only an
+    `__init__` calls those two."""
+    setters = {f"Cocycle.{name}" for name in ANGLE_SETTERS}
+    assigned, called = [], []
+    for path in PACKAGE.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {fn: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name == "__init__":
+                continue
+            where = (path.relative_to(PACKAGE).as_posix(), f"{owner.get(fn, '')}.{fn.name}".lstrip("."))
+            for node in ast.walk(fn):
+                if _self_attributes_assigned(node) & ANGLE_FIELDS and where[1] not in setters:
+                    assigned.append((*where, node.lineno))
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ANGLE_SETTERS:
+                    called.append((*where, node.lineno))
+    assert not assigned, f"functions that change a cocycle's angle fields after it is built: {assigned}"
+    assert not called, f"functions other than constructors that call {sorted(ANGLE_SETTERS)}: {called}"
+
+
 def _module_name(path: Path) -> str:
     """The dotted name of a package file, relative to the package."""
     parts = path.relative_to(PACKAGE).with_suffix("").parts

@@ -287,7 +287,7 @@ def test_symbolic_coboundary_exports_its_phases():
         n = sum(g.data)
         return Phase(Fraction(n, 3)) if abs(n) <= 1 else Phase(0, {"r": n * n}, BASIS)
 
-    db = CoboundaryCocycle(CoboundaryFn(Z, b))
+    db = CoboundaryCocycle(CoboundaryFn(Z, b, BASIS))
     f = FiniteFunction(Z, {Z.word("a"): 1, Z.word("A"): 1})
     op = build_truncated(f, db, 4)
     ball = op.elements

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import json
 import random
 import weakref
 
@@ -634,46 +635,58 @@ def test_a_smaller_ball_is_the_elements_of_the_larger_that_entered_by_its_radius
     G._ball_cache.clear()
 
 
-# sha256 of ball(4) as (payload, entry radius) pairs in ball order, and of every
-# product and inverse over ball(2) x ball(2), recorded while `wreath` and
-# `zn_semidirect` each wrote their own group law and sort key: the ball test
-# above compares the order with the group's own key only, so it cannot see a
-# changed key
+# sha256 of ball(4) as (payload, entry radius) pairs in ball order, of every
+# product and inverse over ball(2) x ball(2), and of each ball(4) element's
+# repr, JSON text and length, recorded while `wreath`, `zn_semidirect` and
+# `free_times_z` each wrote their own group law, sort key and text forms: the
+# ball test above compares the order with the group's own key only, so it
+# cannot see a changed key
 Z_EXTENSION_DIGESTS = [
     (
         {"family": "wreath", "base": "Z"},
         "db8e43a34f4b95d84de5a35a94bd42e905a24bb51f3de1e619f801b213c1074e",
         "95ab5a3bea2789265be4e521ba8d384e9b1aae574c9c05e4a0d6ba74fa434304",
+        "230a3f15391305739a2a6bd6abf621f9c832676cc7f20c0669aa1a0961e376df",
     ),
     (
         {"family": "wreath", "base": "Z2"},
         "a943a7068192f23589ade949c73372a264f924f146139530a80d3bd0f19dfb13",
         "fcf627c5bf18316453c03bb29d1fea833a09dc19f663a30fab0f7c5804aaf612",
+        "0e20b02d19f0e14d7d8b8d6a59b9327557eb5164432ea7877e2847033963d6bb",
     ),
     (
         {"family": "wreath", "base": "Z2", "acting": 3},
         "05a626d468baad8992683aee06668a4b10a2972940f10dfdb96b16f06af62a31",
         "ef56ebf3e556fc6c880d81a483ff2c2d2f655de9bcfbf54a03a1975e1b1a7882",
+        "c6564f2c6835cdcd63c60df9f42e5bce88b6a8cfd429c4143a48de12891471c0",
     ),
     (
         {"family": "zn_semidirect", "A": [[2, 1], [1, 1]]},
         "d945ae32e2e82341ba80d46b3a450183ad4411c81318bc7fbbf1d7c78e8ac16e",
         "37db0ce82ffe1006a1e3e16ed1b1f513ae751267922869b5b233dd662eeb88e4",
+        "e3ae8690d131a6834d6ca85a0a4d14235cdd72afe6e84d01d0a0e814ca181577",
     ),
     (
         {"family": "zn_semidirect", "A": [[0, 1, 0], [0, 0, 1], [1, 1, 0]]},
         "7893563d759a88a72589248621354237fafe6ecc541bd4044d944740c105c652",
         "25c2ef2c5c0a1e19815c1c8d9a97fd23be383ac64a24e68a06c88e25c003a9d0",
+        "183b35915f22224ff319ef9013bd3d96c90ad597fea55ef3878407869b944014",
+    ),
+    (
+        {"family": "free_times_z"},
+        "db7c195d5672e5856b7809f8ed7fd14dfe182f54441cdb15fe3040356fed9e49",
+        "104759e82f2e15ffc44d40c57ddbb1cd1e93c24e3aa71f644d0411708eb7e6be",
+        "7ef34ca941f6c88c0a65ed9b8a0377ce4d2eb688b63b29ec9aad1f6eef65b74a",
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "spec, ball_digest, product_digest",
+    "spec, ball_digest, product_digest, text_digest",
     Z_EXTENSION_DIGESTS,
-    ids=["wreath_Z", "wreath_Z2", "wreath_Z2_acting_3", "zn_semidirect_2x2", "zn_semidirect_3x3"],
+    ids=["wreath_Z", "wreath_Z2", "wreath_Z2_acting_3", "zn_semidirect_2x2", "zn_semidirect_3x3", "free_times_z"],
 )
-def test_z_extension_balls_and_products_match_their_frozen_digests(spec, ball_digest, product_digest):
+def test_z_extension_balls_and_products_match_their_frozen_digests(spec, ball_digest, product_digest, text_digest):
     G = get_group(spec)
     ball, entries = G.ball_entries(4)
     near = G.ball(2)
@@ -684,3 +697,4 @@ def test_z_extension_balls_and_products_match_their_frozen_digests(spec, ball_di
 
     assert sha([(g.data, e) for g, e in zip(ball, entries)]) == ball_digest
     assert sha(products) == product_digest
+    assert sha([(repr(g), json.dumps(G.element_to_json(g), sort_keys=True), G.length(g)) for g in ball]) == text_digest

@@ -69,14 +69,21 @@ def _candidates(group, args) -> list:
     return [_parsed(group.element_from_json, c, f"candidates[{i}]") for i, c in enumerate(rows)]
 
 
+def _nonnegative(value: int, path: str) -> int:
+    if value < 0:
+        raise SpecError(f"must be nonnegative, got {value}", path=path)
+    return value
+
+
 def _node_budget(args) -> int:
     env = os.environ.get("TWISTLAB_BUDGET")
     if env is not None:
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise SpecError(f"must be an integer, got {env!r}", path="TWISTLAB_BUDGET") from None
-    return args.nodes
+        return _nonnegative(budget, "TWISTLAB_BUDGET")
+    return _nonnegative(args.nodes, "nodes")
 
 
 def _load_function(group, path: str, field: str) -> FiniteFunction:
@@ -334,6 +341,7 @@ def _dispatch(args) -> int:
         rep = torus_orbit_probe(nu1, nu2, start, args.points, which=args.map)
         return _emit(rep, f"discrepancy={rep['discrepancy']:.4g} finite={rep['finite_certified']}")
     if args.which == "class":
+        _nonnegative(args.kmax, "kmax")
         group = get_group(_load_json_arg(args.group, "group"))
         kappa = LengthFunction.parse(group, args.kappa)
         g = _parsed(group.element_from_json, _load_json_arg(args.g, "g"), "g")
@@ -346,6 +354,7 @@ def _dispatch(args) -> int:
         return _emit(report, f"shell counts: {report['counts']}")
     if not args.M > 0:
         raise SpecError("the decay bound must be positive", path="M")
+    _nonnegative(args.trials, "trials")
     group, sigma = _build_pair(args)
     kappa = LengthFunction.parse(group, args.kappa)
     rep = kappa_decay_probe(group, sigma, kappa, args.M, args.trials, args.radius, seed=args.seed, node_budget=nodes)

@@ -3,12 +3,11 @@ each factor."""
 
 from __future__ import annotations
 
-from .. import _kernels
 from ..cocycles import Cocycle, TrivialCocycle
 from ..errors import SpecError
-from ..groups import Element, Group, Subgroup, _int, get_group
+from ..groups import Element, Subgroup, ZExtension, _int, get_group
 from ..phase import Angle, Phase, _merge_bases
-from ..words import CODE_BYTE, word_from_string, word_inverse, word_key, word_to_string
+from ..words import word_from_string, word_to_string
 
 
 def free_exponents(w: bytes) -> tuple[int, int]:
@@ -16,11 +15,22 @@ def free_exponents(w: bytes) -> tuple[int, int]:
     return w.count(2) - w.count(3), w.count(4) - w.count(5)
 
 
-class FreeTimesZ(Group):
-    """F2 x Z: pairs (reduced code word, integer)."""
+class FreeTimesZ(ZExtension):
+    """F2 x Z: pairs (reduced code word, integer), the integers acting
+    trivially on F2.  F2 is not a recognised subgroup."""
 
     family = "free_times_z"
     icc = False
+    base_names = ()
+    json_key = "w"
+    _base_size = staticmethod(len)
+
+    def __init__(self):
+        super().__init__()
+        self._base = get_group({"family": "free"})
+
+    def act(self, k: int, y):
+        return y
 
     def center(self) -> Subgroup:
         """The integer factor, built on first use."""
@@ -33,35 +43,13 @@ class FreeTimesZ(Group):
             )
         return self._center
 
-    def _identity_data(self):
-        return (b"", 0)
-
-    def _mul(self, a, b):
-        return (_kernels.free_mul(a[0], b[0]), a[1] + b[1])
-
-    def _inv(self, a):
-        return (word_inverse(a[0]), -a[1])
-
-    def _generators(self):
-        return [(CODE_BYTE[c], 0) for c in (2, 3, 4, 5)] + [(b"", 1), (b"", -1)]
-
     def pair(self, word: str | bytes, k: int) -> Element:
         if isinstance(word, str):
             word = word_from_string(word, 2)
         return self.element((word, int(k)))
 
-    def sort_key(self, data):
-        w, k = data
-        return (len(w) + abs(k), abs(k), 0 if k >= 0 else 1, word_key(w))
-
-    def length(self, g: Element) -> int:
-        return len(g.data[0]) + abs(g.data[1])
-
     def describe(self, data) -> str:
         return f"({word_to_string(data[0]) or 'e'}, {data[1]})"
-
-    def element_to_json(self, g: Element):
-        return {"w": word_to_string(g.data[0]), "k": g.data[1]}
 
     def element_from_json(self, obj) -> Element:
         if not isinstance(obj, dict) or set(obj) != {"w", "k"} or not isinstance(obj["w"], str):

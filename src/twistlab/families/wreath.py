@@ -112,10 +112,6 @@ class WreathZ(ZExtension):
             best = min(best, span + min(s + span - e, span - s + e))
         return best
 
-    def element_to_json(self, g: Element):
-        x, k = g.data
-        return {"x": self._base.element_to_json(Element(self._base, x)), "k": k}
-
     def element_from_json(self, obj) -> Element:
         if not isinstance(obj, dict) or set(obj) != {"x", "k"}:
             raise SpecError('wreath element must be {"x": ..., "k": int}')

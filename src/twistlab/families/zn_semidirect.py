@@ -58,6 +58,7 @@ class ZnSemidirectZ(ZExtension):
     """Z^n x| Z, the integers acting through powers of an integer matrix."""
 
     family = "zn_semidirect"
+    json_key = "v"
 
     def __init__(self, matrix):
         if not (
@@ -110,15 +111,8 @@ class ZnSemidirectZ(ZExtension):
         return self.element((tuple(int(v) for v in vector), int(k)))
 
     def _base_size(self, x) -> int:
+        # so the length is a documented proxy: the translation part in the L1 norm plus the shift
         return sum(map(abs, x))
-
-    def length(self, g: Element) -> int:
-        # documented proxy: translation part in the L1 norm plus the shift
-        x, k = g.data
-        return self._base_size(x) + abs(k)
-
-    def element_to_json(self, g: Element):
-        return {"v": list(g.data[0]), "k": g.data[1]}
 
     def element_from_json(self, obj) -> Element:
         if not isinstance(obj, dict) or set(obj) != {"v", "k"}:

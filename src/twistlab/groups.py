@@ -473,10 +473,13 @@ class Subgroup:
 class ZExtension(Group):
     """H x| Z, or H x| Z_m when `m` is set: payloads (x, k) over the base group
     `_base`, with (x, k)(y, l) = (x act(k, y), k + l).  A family gives `act`,
-    its base generators and the base size that leads the sort key."""
+    its base generators and the base size that leads the sort key and the
+    length; F2 x Z is the trivial action.  An element's JSON form is the
+    base group's under `json_key`, and the shift under "k"."""
 
     base_names = ("base",)
     m: int | None = None
+    json_key = "x"
 
     def base_group(self) -> Group:
         return self._base
@@ -506,6 +509,14 @@ class ZExtension(Group):
 
     def describe(self, data) -> str:
         return f"({data[0]}, t^{data[1]})"
+
+    def length(self, g: Element) -> int:
+        x, k = g.data
+        return self._base_size(x) + abs(k)
+
+    def element_to_json(self, g: Element):
+        x, k = g.data
+        return {self.json_key: self._base.element_to_json(Element(self._base, x)), "k": k}
 
 
 def resolve_subgroup(group: Group, name: str) -> Subgroup:

@@ -765,13 +765,14 @@ def is_regular_wrt_subgroup(
             return RegularityReport(g, "regular", rule="character_vanishes_on_word")
         return RegularityReport(g, "not_regular", witness=G.pair(b"", 1))
 
-    if base.kind == "lift" and sub.name == "base":
-        x, k = g.data
-        if k != 0 and G.icc:
-            return RegularityReport(g, "regular", rule="no_nontrivial_commuting_base_elements")
-        if k == 0:
-            inner_report = is_sigma_regular(base.base, sub.inner.element(x), radius, node_budget)
-            return _pullback_report(inner_report, g, sub)
+    if sub.name == "base" and (h := sub.project(g)) is not None:
+        # g lies in the base subgroup: decide it there and pull the report back
+        inner = is_sigma_regular(base.restrict("base"), h, radius, node_budget)
+        witness = sub.embed(inner.witness) if inner.witness is not None else None
+        return inner._replace(subject=g, witness=witness)
+
+    if base.kind == "lift" and sub.name == "base" and G.icc:
+        return RegularityReport(g, "regular", rule="no_nontrivial_commuting_base_elements")
 
     if base.kind == "sanov" and sub.name == "base":
         return _sanov_base_regularity(base, g, sub)
@@ -779,18 +780,10 @@ def is_regular_wrt_subgroup(
     return _searched_report(sigma, g, sub.ball(radius, node_budget), radius)
 
 
-def _pullback_report(inner: RegularityReport, g: Element, sub: Subgroup) -> RegularityReport:
-    witness = sub.embed(inner.witness) if inner.witness is not None else None
-    return inner._replace(subject=g, witness=witness)
-
-
 def _sanov_base_regularity(base: Cocycle, g: Element, sub: Subgroup) -> RegularityReport:
     """Commuting lattice vectors are the fixed vectors of the word's matrix,
     the integer kernel of M - I."""
     (u, x) = g.data
-    if not x:
-        inner = is_sigma_regular(base.restrict("base"), sub.inner.element(tuple(u)))
-        return _pullback_report(inner, g, sub)
     act = base.group.act
     (a, c), (b, d) = act(x, (1, 0)), act(x, (0, 1))  # the columns of the word's matrix
     gens = integer_kernel(1, [], [[a - 1, b], [c, d - 1]], 2)

@@ -544,6 +544,21 @@ def test_growth_class_refuses_more_shells_than_its_node_budget(capsys):
     assert code == 0 and len(json.loads(out)["counts"]) == 40
 
 
+CLASS_OF_A = ("growth", "class", "--group", '{"family":"free","rank":2}', "--g", '"a"', "--radius", "2")
+
+
+def test_zero_budgets_and_counts_keep_their_answers(capsys):
+    """A node budget, `--kmax` or `--trials` below 0 is a spec error at its
+    path (`test_bad_inputs_are_json_spec_errors`); 0 is allowed: no shell,
+    no trial, and a budget that no walk fits in."""
+    code, out, _ = run_cli(capsys, *CLASS_OF_A, "--kmax", "0")
+    assert code == 0 and json.loads(out)["counts"] == {}
+    code, out, _ = run_cli(capsys, "growth", "decay", *TRIVIAL_ON_Z, "--trials", "0")
+    assert code == 0 and json.loads(out)["trials"] == 0
+    code, out, _ = run_cli(capsys, *CLASS_OF_A, "--kmax", "0", "--nodes", "0")
+    assert code == 2 and json.loads(out)["status"] == "inconclusive"
+
+
 def test_growth_orbit_subcommand(capsys):
     code, out, _ = run_cli(capsys, "growth", "orbit", "--nu1", "[1,5]", "--points", "100")
     assert code == 0
@@ -670,10 +685,11 @@ COMMAND_MODULES = {
     "regular": (["regularity", *WORDS, "families.sanov", "families.zn"], []),
     "growth class": (["growth", *WORDS, "families.bs_nn"], []),
     "growth orbit": (["growth"], []),
-    # every family but free and zn_semidirect: those of the fixtures, and zn under sanov
+    # every family but zn_semidirect: those of the fixtures, zn under sanov and
+    # free, the base group of free_times_z
     "fixtures": (
         [
-            "fixtures", "regularity", "verdicts", *WORDS, "families.bs_nn", "families.free_times_z",
+            "fixtures", "regularity", "verdicts", *WORDS, "families.bs_nn", "families.free", "families.free_times_z",
             "families.sanov", "families.sum_z", "families.sum_z2", "families.wreath", "families.zn",
         ],
         [],
@@ -972,6 +988,12 @@ TRIVIAL_ON_Z = ("--group", '{"family":"zn","n":1}', "--cocycle", '{"kind":"trivi
         (("spectral", "stable-rank", *TRIVIAL_ON_Z, "--f", "{unit}", "--tol", "-0.5"), {}, "tol"),
         (("fixtures", "--radius", "-1"), {}, "radius"),
         (("fixtures", "--corrupt", "nope"), {}, "corrupt"),
+        ((*CLASS_OF_A, "--kmax", "-5"), {}, "kmax"),
+        ((*CLASS_OF_A, "--kmax", "0", "--nodes", "-3"), {}, "nodes"),
+        (("growth", "decay", *TRIVIAL_ON_Z, "--trials", "-1"), {}, "trials"),
+        (("regular", *TRIVIAL_ON_Z, "--g", "[1]", "--nodes", "-5"), {}, "nodes"),
+        (("fixtures", "--nodes", "-1"), {}, "nodes"),
+        (("verdict", "kleppner", *TRIVIAL_ON_Z), {"TWISTLAB_BUDGET": "-1"}, "TWISTLAB_BUDGET"),
     ],
     ids=[
         "irr_not_object",
@@ -1083,6 +1105,12 @@ TRIVIAL_ON_Z = ("--group", '{"family":"zn","n":1}', "--cocycle", '{"kind":"trivi
         "stable_rank_tol_negative",
         "fixtures_radius_negative",
         "fixtures_corrupt_unknown",
+        "class_kmax_negative",
+        "class_nodes_negative_before_kmax",
+        "decay_trials_negative",
+        "regular_nodes_negative",
+        "fixtures_nodes_negative",
+        "env_budget_negative",
     ],
 )
 def test_bad_inputs_are_json_spec_errors(argv, env, path, tmp_path, monkeypatch, capsys):

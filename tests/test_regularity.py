@@ -1374,6 +1374,16 @@ DEFINITION_CASES = {
 }
 
 
+# the recognised subgroups of each family, by every name they answer to
+DEFINITION_SUBGROUPS = {
+    "wreath": ("base",),
+    "zn_semidirect": ("base",),
+    "sanov": ("base", "z2"),
+    "bs_nn": ("center",),
+    "free_times_z": ("z", "center"),
+}
+
+
 @pytest.mark.parametrize("group_spec, cocycle_specs", DEFINITION_CASES.values(), ids=DEFINITION_CASES)
 def test_regularity_reports_agree_with_the_definition_on_a_ball(group_spec, cocycle_specs):
     """g is sigma-regular when sigma(g,h) = sigma(h,g) for every h that
@@ -1386,13 +1396,14 @@ def test_regularity_reports_agree_with_the_definition_on_a_ball(group_spec, cocy
       has sigma(g,h) != sigma(h,g).  A ball can refute `regular`, never prove it.
     - `not_regular`: the witness commutes with g and its two phases differ.
 
-    On the Z-extensions, `is_regular_wrt_subgroup(..., "base")` is checked the
-    same way, over the base subgroup's ball(3), and its witness must lie in
-    the base subgroup."""
+    `is_regular_wrt_subgroup` on each recognised subgroup of the family
+    (`DEFINITION_SUBGROUPS`, by each name it answers to) is checked the same
+    way, over the subgroup's ball(3), and its witness must lie in the
+    subgroup."""
     G = get_group(group_spec)
     near = G.ball(2)
-    base = resolve_subgroup(G, "base") if group_spec["family"] in ("wreath", "zn_semidirect") else None
-    pools = {"full": G.ball(3), **({"base": base.ball(3)} if base else {})}
+    subs = {name: resolve_subgroup(G, name) for name in DEFINITION_SUBGROUPS.get(group_spec["family"], ())}
+    pools = {"full": G.ball(3), **{name: sub.ball(3) for name, sub in subs.items()}}
     commuting = {
         (name, g): [h for h in pool if G.compose(g, h) == G.compose(h, g)] for name, pool in pools.items() for g in near
     }
@@ -1403,12 +1414,12 @@ def test_regularity_reports_agree_with_the_definition_on_a_ball(group_spec, cocy
             return sigma.eval(g, h) != sigma.eval(h, g)
 
         for (name, g), partners in commuting.items():
-            rep = is_sigma_regular(sigma, g, 3) if name == "full" else is_regular_wrt_subgroup(sigma, g, base, 3)
+            rep = is_sigma_regular(sigma, g, 3) if name == "full" else is_regular_wrt_subgroup(sigma, g, name, 3)
             where = (spec, name, g, rep)
             if rep.status == "not_regular":
                 w = rep.witness
                 assert G.compose(g, w) == G.compose(w, g) and asymmetric(g, w), where
-                assert name == "full" or base.contains(w), where
+                assert name == "full" or subs[name].contains(w), where
             else:
                 assert rep.status == "regular" or (rep.status, rep.radius) == ("no_witness_up_to", 3), where
                 assert not any(asymmetric(g, h) for h in partners), where

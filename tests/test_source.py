@@ -86,6 +86,28 @@ def test_deciders_name_no_group_family_or_cocycle_class(module):
     assert not named, f"{module} tests objects against group or cocycle classes: {named}"
 
 
+# what `ZExtension` owns for every (x, k) family: the group law, the
+# generators, the sort key and the JSON form
+Z_EXTENSION_SHARED = {"_identity_data", "_mul", "_inv", "_generators", "sort_key", "element_to_json"}
+
+
+def test_z_extension_families_inherit_the_shared_law():
+    """A family deriving from `ZExtension` gives its action, base generators
+    and base size, and defines none of what the class shares, by a method or
+    a class-level assignment; F2 x Z is one, with the trivial action."""
+    extensions = _subclasses({"ZExtension"}, *FAMILY_MODULES)
+    assert {"WreathZ", "ZnSemidirectZ", "FreeTimesZ"} <= extensions
+    defined = []
+    for name in FAMILY_MODULES:
+        for node in ast.parse((PACKAGE / name).read_text()).body:
+            if isinstance(node, ast.ClassDef) and node.name in extensions:
+                for item in node.body:
+                    targets = [*getattr(item, "targets", ()), getattr(item, "target", None)]
+                    names = {item.name} if isinstance(item, ast.FunctionDef) else {t.id for t in targets if isinstance(t, ast.Name)}
+                    defined += [(node.name, n) for n in names & Z_EXTENSION_SHARED]
+    assert not defined, f"Z-extension families redefine the shared law: {defined}"
+
+
 def test_regularity_reads_no_diagonal_data_of_a_family():
     """How far the rows of a bilinear sum-family cocycle reach is fixed by
     the cocycle when built (`row_reach`), so `regularity` reads none of the
